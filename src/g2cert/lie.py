@@ -7,11 +7,12 @@ bracket-generated closures, centralizers, and bracket transporters.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .errors import DegenerateFormError
 from .linalg import (
@@ -20,6 +21,8 @@ from .linalg import (
     ZERO,
     ONE,
     _int_rref,
+    _strip_row,
+    clear_denominators,
     kernel_basis,
     signature,
 )
@@ -30,10 +33,9 @@ class LieAlgebra:
     """A Lie algebra given by a bracket tensor [e_i, e_j] = sum_k c[i][j][k] e_k,
     optionally carrying a faithful matrix realization of the basis.
 
-    Antisymmetry is checked at construction.  When a realization is supplied
-    the brackets are checked against matrix commutators, which also forces the
-    Jacobi identity; for small abstract algebras Jacobi is checked directly
-    (verify_jacobi covers the rest and is exercised by the test suite).
+    Antisymmetry is checked at construction, and so is the bracket law: against
+    the realization's commutators when one is supplied (which also forces the
+    Jacobi identity), and as the Jacobi identity otherwise.
     """
 
     def __init__(
@@ -48,6 +50,9 @@ class LieAlgebra:
         self.dim = len(self.brackets)
         self.name = name
         self.realization = tuple(realization) if realization is not None else None
+        # built once per algebra, by killing_form and reps.adjoint_module
+        self._killing: Optional[KillingForm] = None
+        self._adjoint = None
         for i in range(self.dim):
             if len(self.brackets[i]) != self.dim or any(
                 len(p) != self.dim for p in self.brackets[i]
@@ -57,27 +62,15 @@ class LieAlgebra:
             for j in range(i, self.dim):
                 if self.brackets[i][j] != tuple(-x for x in self.brackets[j][i]):
                     raise ValueError(f"brackets not antisymmetric at ({i},{j})")
-        if self.realization is not None:
-            if len(self.realization) != self.dim:
-                raise ValueError("realization size does not match dimension")
-            self._check_realization()
-        elif self.dim <= 12:
+        if self.realization is None:
             if not self.verify_jacobi():
                 raise ValueError("Jacobi identity fails")
-
-    def _check_realization(self):
-        mats = self.realization
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                lhs = mats[i].commutator(mats[j])
-                rhs = Matrix.zeros(*lhs.shape)
-                for k, ck in enumerate(self.brackets[i][j]):
-                    if ck:
-                        rhs = rhs + mats[k].scale(ck)
-                if lhs != rhs:
-                    raise ValueError(
-                        f"realization inconsistent with brackets at ({i},{j})"
-                    )
+        else:
+            if len(self.realization) != self.dim:
+                raise ValueError("realization size does not match dimension")
+            bad = self.bracket_law_failure(self.realization)
+            if bad is not None:
+                raise ValueError("realization inconsistent with brackets at ({},{})".format(*bad))
 
     # -- bracket machinery ------------------------------------------------
 
@@ -94,21 +87,36 @@ class LieAlgebra:
     @cached_property
     def _sparse_int(self) -> tuple[list[list[tuple[tuple[int, int], ...]]], int]:
         """Integer-scaled sparse brackets (table, denominator)."""
-        den = 1
-        for row in self.brackets:
-            for prod in row:
-                for x in prod:
-                    d = x.denominator
-                    if d != 1:
-                        den = den * d // math.gcd(den, d)
-        table = [
-            [
-                tuple((k, int(c * den)) for k, c in enumerate(prod) if c)
-                for prod in row
-            ]
-            for row in self.brackets
-        ]
+        _, den = clear_denominators([c for row in self._sparse for prod in row for _, c in prod])
+        table = [[tuple((k, int(c * den)) for k, c in prod) for prod in row] for row in self._sparse]
         return table, den
+
+    def bracket_law_failure(self, mats: Sequence[Matrix]) -> Optional[tuple[int, int]]:
+        """First basis pair (i, j), i < j, with [m_i, m_j] != sum_k c_ijk m_k,
+        or None if the law holds exactly on every pair.
+
+        The one check of the bracket law: for a realization, for the action of
+        a module, and for ad_basis, where it is the Jacobi identity.  Both
+        sides are scaled to integers; int64 carries them while every product
+        provably fits, Python ints beyond that.
+        """
+        if not mats:
+            return None
+        n = mats[0].nrows
+        flat, den = clear_denominators([x for m in mats for row in m.rows for x in row])
+        table, cden = self._sparse_int
+        amax = max(map(abs, flat), default=0)
+        cmax = max((abs(c) for row in table for prod in row for _, c in prod), default=0)
+        peak = max(cden, den, cmax, 2 * n * amax * amax * cden, self.dim * cmax * amax * den)
+        a = np.array(flat, dtype=np.int64 if peak < (1 << 62) else object)
+        a = a.reshape(len(mats), n, n)
+        for i in range(self.dim):
+            comm = cden * (a[i] @ a[i + 1 :] - a[i + 1 :] @ a[i])
+            for j in range(i + 1, self.dim):
+                rhs = sum((c * a[k] for k, c in table[i][j]), np.zeros_like(a[i]))
+                if not np.array_equal(comm[j - i - 1], den * rhs):
+                    return (i, j)
+        return None
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Bracket of two coordinate vectors."""
@@ -168,15 +176,13 @@ class LieAlgebra:
     def verify_jacobi(self) -> bool:
         """[ [x,y], z ] cycles sum to zero, checked as ad([x,y]) = [ad x, ad y]
         on all basis pairs (equivalent, and quadratic rather than cubic)."""
-        ads = self.ad_basis
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                lhs = Matrix.zeros(self.dim, self.dim)
-                for k, c in self._sparse[i][j]:
-                    lhs = lhs + ads[k].scale(c)
-                if lhs != ads[i].commutator(ads[j]):
-                    return False
-        return True
+        return self.bracket_law_failure(self.ad_basis) is None
+
+    @cached_property
+    def realization_coordinates(self) -> Callable[[Matrix], Optional[tuple[Fraction, ...]]]:
+        """Map a matrix to its coordinates in the realization basis, or to None
+        when it lies outside the realization's span."""
+        return _coordinate_map(self.realization)
 
     @classmethod
     def from_matrix_basis(
@@ -187,15 +193,7 @@ class LieAlgebra:
         mats = tuple(mats)
         if not mats:
             return cls(brackets=(), name=name, realization=())
-        span = Subspace.from_vectors(
-            mats[0].nrows * mats[0].ncols, [m.flatten() for m in mats]
-        )
-        if span.dim != len(mats):
-            raise ValueError("matrix basis is linearly dependent")
-        # coordinates relative to the given (not the canonical) basis
-        change = Matrix(
-            [span.coordinates_of(m.flatten()) for m in mats]
-        ).transpose().inverse()
+        coords = _coordinate_map(mats)
         dim = len(mats)
         brackets = []
         for i in range(dim):
@@ -207,11 +205,10 @@ class LieAlgebra:
                 if j == i:
                     row.append((ZERO,) * dim)
                     continue
-                comm = mats[i].commutator(mats[j])
-                canon = span.coordinates_of(comm.flatten())
-                if canon is None:
+                comm = coords(mats[i].commutator(mats[j]))
+                if comm is None:
                     raise ValueError("matrix family is not commutator-closed")
-                row.append(change.apply(canon))
+                row.append(comm)
             brackets.append(tuple(row))
         return cls(brackets=tuple(brackets), name=name, realization=mats)
 
@@ -245,6 +242,21 @@ class LieAlgebra:
         return cls(brackets=tuple(brackets), name=name or f"{a.name}+{b.name}")
 
 
+def _coordinate_map(mats: Sequence[Matrix]) -> Callable[[Matrix], Optional[tuple[Fraction, ...]]]:
+    """Coordinates relative to a linearly independent matrix family (not to
+    the canonical basis of its span); None for a matrix outside the span."""
+    span = Subspace.from_vectors(mats[0].nrows * mats[0].ncols, [m.flatten() for m in mats])
+    if span.dim != len(mats):
+        raise ValueError("matrix basis is linearly dependent")
+    change = Matrix([span.coordinates_of(m.flatten()) for m in mats]).transpose().inverse()
+
+    def coords(m: Matrix) -> Optional[tuple[Fraction, ...]]:
+        canon = span.coordinates_of(m.flatten())
+        return None if canon is None else change.apply(canon)
+
+    return coords
+
+
 @dataclass(frozen=True)
 class KillingForm:
     gram: Matrix
@@ -256,7 +268,10 @@ class KillingForm:
 
 
 def killing_form(g: LieAlgebra) -> KillingForm:
-    """Exact Gram matrix of (x, y) -> trace(ad x ad y) and its signature."""
+    """Exact Gram matrix of (x, y) -> trace(ad x ad y) and its signature,
+    computed once per algebra."""
+    if g._killing is not None:
+        return g._killing
     ads = g.ad_basis
     sparse = [
         [(k, m, v) for k, row in enumerate(mat.rows) for m, v in enumerate(row) if v]
@@ -269,7 +284,8 @@ def killing_form(g: LieAlgebra) -> KillingForm:
             t = sum((v * ads[j].rows[m][k] for k, m, v in sparse[i]), ZERO)
             rows[i][j] = rows[j][i] = t
     gram = Matrix(rows)
-    return KillingForm(gram=gram, signature=signature(gram))
+    g._killing = KillingForm(gram=gram, signature=signature(gram))
+    return g._killing
 
 
 def is_semisimple(g: LieAlgebra) -> bool:
@@ -329,28 +345,12 @@ def so_of_form(b: Matrix) -> LieAlgebra:
     return alg
 
 
-def _vec_to_int(vec: Sequence[Fraction]) -> list[int]:
-    den = 1
-    for x in vec:
-        d = x.denominator
-        if d != 1:
-            den = den * d // math.gcd(den, d)
-    out = [int(x * den) for x in vec]
-    g = 0
-    for x in out:
-        if x:
-            g = math.gcd(g, x)
-    if g > 1:
-        out = [x // g for x in out]
-    return out
-
-
 def subalgebra_closure(g: LieAlgebra, seed: Subspace) -> Subspace:
     """Smallest bracket-closed subspace containing the seed: iterate
     S <- S + [S, S] until the dimension stabilizes."""
     if seed.ambient_dim != g.dim:
         raise ValueError("seed lives in the wrong ambient space")
-    basis = [_vec_to_int(v) for v in seed.basis]
+    basis = [_strip_row(clear_denominators(v)[0]) for v in seed.basis]
     dim = len(basis)
     while True:
         if dim == g.dim:
@@ -365,7 +365,7 @@ def subalgebra_closure(g: LieAlgebra, seed: Subspace) -> Subspace:
         if len(pivots) == dim:
             break
         dim = len(pivots)
-        basis = [_vec_to_int(r) for r in reduced[:dim]]
+        basis = [_strip_row(clear_denominators(r)[0]) for r in reduced[:dim]]
     return Subspace.from_vectors(g.dim, [[Fraction(x) for x in row] for row in basis])
 
 
@@ -397,10 +397,3 @@ def transporter_into(g: LieAlgebra, target: Subspace) -> Subspace:
         )
         rows.extend((proj * mj).rows)
     return kernel_basis(Matrix(rows))
-
-
-def killing_restriction(g: LieAlgebra, sub: Subspace) -> Matrix:
-    """Gram matrix of the Killing form restricted to a subspace basis."""
-    k = killing_form(g).gram
-    b = Matrix(sub.basis)
-    return b * k * b.transpose()

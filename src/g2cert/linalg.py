@@ -3,18 +3,29 @@
 Everything downstream (structure constants, Killing forms, kernels of
 intertwining constraints) runs on the primitives in this module.  All results
 are exact ``fractions.Fraction`` values; no floating point is used anywhere.
+``clear_denominators`` is the one place a Fraction sequence is scaled to
+integers.
 
-Two elimination engines sit behind the public API:
+Two elimination engines sit behind the public API, and the input size picks
+one:
 
 * a fraction-free integer row reduction (per-row denominator clearing, gcd
   stripping), used for everything small enough;
 * a certified multi-modular kernel solver for large systems: eliminate modulo
-  word-sized primes with numpy, CRT-combine, lift by rational reconstruction,
-  and then *verify the candidate exactly*.  Nullity mod p upper-bounds the
-  true nullity, so a verified candidate of that size is provably the kernel.
-  On any verification failure the solver escalates primes and ultimately
-  falls back to pure rational elimination, so correctness never depends on
-  the fast path.
+  word-sized primes with numpy, CRT-combine, lift by rational reconstruction
+  (Wang, Guy and Davenport 1982; Monagan, ISSAC 2004), and then *verify the
+  candidate exactly*.  Nullity mod p upper-bounds the true nullity, so a
+  verified candidate of that size is provably the kernel.  Each prime is
+  eliminated once; a pivot-pattern disagreement or a lift that never
+  verifies falls back to fraction-free elimination, so correctness never
+  depends on the fast path.
+
+Both stay because neither is slower everywhere.  Measured on one CPU of a
+2-vCPU x86-64 machine, Python 3.11, best of 3: on the 358-368 x 64
+derivation systems of Cayley-algebra mutants the modular solver takes
+7.5-9 ms per system against 14-16 ms fraction-free; on the four large
+systems of a full verification run (356 x 64, 166 x 196, 320 x 441,
+176 x 171) it takes 8, 32, 180 and 33 ms against 11, 36, 176 and 30 ms.
 """
 
 from __future__ import annotations
@@ -226,17 +237,20 @@ class Matrix:
 # integer elimination core
 
 
+def clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers n_i and the least d > 0 with values[i] == n_i / d.
+
+    Scaling a row this way keeps its kernel and row space; scaling a family
+    of matrices by one d keeps every linear relation among them.
+    """
+    den = math.lcm(*{x.denominator for x in values})
+    if den == 1:
+        return [x.numerator for x in values], 1
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
 def _rows_to_int(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (kernel/row space kept)."""
-    out = []
-    for row in rows:
-        den = 1
-        for x in row:
-            d = x.denominator
-            if d != 1:
-                den = den * d // math.gcd(den, d)
-        out.append([int(x * den) if den != 1 else x.numerator for x in row])
-    return out
+    return [clear_denominators(row)[0] for row in rows]
 
 
 def _strip_row(row: list[int]) -> list[int]:
@@ -365,12 +379,6 @@ def _rref_mod_p(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a[: len(pivots)], pivots
 
 
-def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    inv = pow(m1 % m2, -1, m2)
-    t = ((r2 - r1) * inv) % m2
-    return r1 + m1 * t, m1 * m2
-
-
 def _rational_reconstruct(r: int, m: int) -> Optional[Fraction]:
     """Lift a residue mod m to p/q with |p|, q <= sqrt(m/2), if possible."""
     bound = math.isqrt(m // 2)
@@ -395,67 +403,59 @@ def _verify_kernel(int_rows: list[list[int]], vecs: list[tuple[Fraction, ...]]) 
     if not vecs:
         return True
     scaled = _rows_to_int(vecs)
-    cols = list(zip(*scaled))
-    amax = max((abs(x) for row in int_rows for x in row), default=0)
-    bmax = max((abs(x) for v in scaled for x in v), default=0)
-    n = len(int_rows[0])
-    if amax and bmax and amax * bmax * n < (1 << 62):
-        am = np.array(int_rows, dtype=np.int64)
-        bm = np.array(scaled, dtype=np.int64).T
-        return not np.any(am @ bm)
-    sparse = [[(j, x) for j, x in enumerate(row) if x] for row in int_rows]
-    for col in cols:
-        for row in sparse:
-            if sum(x * col[j] for j, x in row):
-                return False
-    return True
+    amax = max(abs(x) for row in int_rows for x in row)
+    bmax = max(abs(x) for v in scaled for x in v)
+    # int64 while every dot product provably fits, Python ints beyond that
+    dtype = np.int64 if amax * bmax * len(int_rows[0]) < (1 << 62) else object
+    return not np.any(np.array(int_rows, dtype=dtype) @ np.array(scaled, dtype=dtype).T)
+
+
+def _lift_kernel(
+    residues: np.ndarray, modulus: int, pivots: list[int], free: list[int], ncols: int
+) -> Optional[list[tuple[Fraction, ...]]]:
+    """Kernel candidates from the CRT residues of the reduced free columns:
+    each entry is a negated reduced entry, lifted by rational reconstruction."""
+    vecs = []
+    for col, f in enumerate(free):
+        v = [ZERO] * ncols
+        v[f] = ONE
+        for i, c in enumerate(pivots):
+            lifted = _rational_reconstruct(-residues[i, col] % modulus, modulus)
+            if lifted is None:
+                return None
+            v[c] = lifted
+        vecs.append(tuple(v))
+    return vecs
 
 
 def _kernel_modular(int_rows: list[list[int]], ncols: int) -> Optional[list[tuple[Fraction, ...]]]:
     """Kernel via mod-p elimination + CRT + rational reconstruction.
 
-    Returns a verified exact kernel basis, or None if every escalation fails
-    (caller then falls back to pure rational elimination).
+    Each prime is eliminated once and CRT-combined into the running residues,
+    which are lifted and verified after 1, 2, 4 and 8 primes.  Returns a
+    verified exact kernel basis, or None if a prime disagrees on the pivot
+    pattern or no lift verifies (the caller then falls back to fraction-free
+    elimination).
     """
     arr = np.array(int_rows, dtype=object)
-    for nprimes in (1, 2, 4, 8):
-        primes = _PRIMES[:nprimes]
-        residues = []
-        pivots_ref: Optional[list[int]] = None
-        ok = True
-        for p in primes:
-            red, pivots = _rref_mod_p((arr % p).astype(np.int64), p)
-            if pivots_ref is None:
-                pivots_ref = pivots
-            elif pivots != pivots_ref:
-                ok = False  # unlucky prime: pivot pattern disagreement
-                break
-            residues.append((red, p))
-        if not ok or pivots_ref is None:
+    pivots_ref: Optional[list[int]] = None
+    for count, p in enumerate(_PRIMES, start=1):
+        red, pivots = _rref_mod_p((arr % p).astype(np.int64), p)
+        if pivots_ref is None:
+            pivots_ref = pivots
+            pivot_set = set(pivots)
+            free = [c for c in range(ncols) if c not in pivot_set]
+            residues, modulus = red[:, free].astype(object), 1
+        elif pivots != pivots_ref:
+            return None  # unlucky prime: pivot pattern disagreement
+        else:
+            step = (red[:, free].astype(object) - residues) * pow(modulus, -1, p) % p
+            residues = residues + modulus * step
+        modulus *= p
+        if count & (count - 1):
             continue
-        pivot_set = set(pivots_ref)
-        free = [c for c in range(ncols) if c not in pivot_set]
-        # kernel entries are (negated) reduced entries; CRT-combine them
-        vecs: list[tuple[Fraction, ...]] = []
-        failed = False
-        for f in free:
-            v: list[Fraction] = [ZERO] * ncols
-            v[f] = ONE
-            for i, c in enumerate(pivots_ref):
-                r_acc, m_acc = 0, 1
-                for red, p in residues:
-                    r_acc, m_acc = _crt_pair(r_acc, m_acc, int(red[i, f]), p)
-                lifted = _rational_reconstruct((-r_acc) % m_acc, m_acc)
-                if lifted is None:
-                    failed = True
-                    break
-                v[c] = lifted
-            if failed:
-                break
-            vecs.append(tuple(v))
-        if failed:
-            continue
-        if _verify_kernel(int_rows, vecs):
+        vecs = _lift_kernel(residues, modulus, pivots_ref, free, ncols)
+        if vecs is not None and _verify_kernel(int_rows, vecs):
             # nullity mod p >= true nullity; exhibiting that many exact,
             # independent kernel vectors pins the kernel down completely.
             return vecs
@@ -577,23 +577,8 @@ class Subspace:
         return Matrix(self.basis).transpose() if self.basis else Matrix.zeros(self.ambient_dim, 0)
 
 
-@dataclass(frozen=True)
-class SpanOps:
-    sum: Subspace
-    intersection: Subspace
-    equal: bool
-    contains: bool
-
-
-def span_ops(a: Subspace, b: Subspace) -> SpanOps:
-    """Sum, intersection, equality, and containment (a ⊇ b) in one call."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    return SpanOps(a.sum(b), a.intersection(b), a == b, a.contains(b))
-
-
 # ---------------------------------------------------------------------------
-# signatures and minimal polynomials
+# signatures
 
 
 def signature(m: Matrix) -> tuple[int, int, int]:
@@ -636,90 +621,3 @@ def signature(m: Matrix) -> tuple[int, int, int]:
                 for row in a:
                     row[j] -= f * row[i]
     return (pos, neg, n - pos - neg)
-
-
-class LinearSolver:
-    """Incremental exact solver: push vectors, get dependency coefficients.
-
-    Maintains an RREF of the pushed vectors augmented with bookkeeping columns
-    so that a dependent vector comes back expressed in terms of the previously
-    pushed ones.
-    """
-
-    def __init__(self, ambient_dim: int):
-        self.n = ambient_dim
-        self.rows: list[list[Fraction]] = []  # each of length n + pushed
-        self.pivots: list[int] = []
-        self.count = 0
-
-    def push(self, vec: Sequence[Fraction]) -> Optional[tuple[Fraction, ...]]:
-        """Add a vector; if dependent, return coefficients over earlier pushes."""
-        if len(vec) != self.n:
-            raise ValueError("ambient dimension mismatch")
-        row = [x if isinstance(x, Fraction) else Fraction(x) for x in vec]
-        aug = row + [ZERO] * self.count + [ONE]
-        for r, p in zip(self.rows, self.pivots):
-            c = aug[p]
-            if c:
-                for j, x in enumerate(r):
-                    if x:
-                        aug[j] -= c * x
-                aug.extend([ZERO] * (len(r) - len(aug)))
-        self.count += 1
-        pivot = next((j for j in range(self.n) if aug[j]), None)
-        if pivot is None:
-            coeffs = tuple(-aug[self.n + i] for i in range(self.count - 1))
-            self.count -= 1
-            return coeffs
-        inv = aug[pivot]
-        aug = [x / inv for x in aug]
-        for r in self.rows:
-            c = r[pivot] if pivot < len(r) else ZERO
-            if c:
-                r.extend([ZERO] * (len(aug) - len(r)))
-                for j, x in enumerate(aug):
-                    if x:
-                        r[j] -= c * x
-        for r in self.rows:
-            if len(r) < self.n + self.count:
-                r.extend([ZERO] * (self.n + self.count - len(r)))
-        self.rows.append(aug)
-        self.pivots.append(pivot)
-        return None
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
-def minimal_polynomial(m: Matrix) -> tuple[Fraction, ...]:
-    """Monic minimal polynomial of a square matrix, low-degree coefficients first.
-
-    Found by pushing powers of m into an exact solver until the first linear
-    dependency appears.
-    """
-    n = m.nrows
-    if n != m.ncols:
-        raise ValueError("minimal polynomial of non-square matrix")
-    if n == 0:
-        return (ONE,)
-    solver = LinearSolver(n * n)
-    power = Matrix.identity(n)
-    k = 0
-    while True:
-        coeffs = solver.push(power.flatten())
-        if coeffs is not None:
-            return tuple(-c for c in coeffs) + (ONE,)
-        k += 1
-        if k > n:
-            raise AssertionError("dependency must appear by degree n")
-        power = power * m
-
-
-def poly_eval_matrix(coeffs: Sequence[Fraction], m: Matrix) -> Matrix:
-    """Evaluate a polynomial (low-first coefficients) at a square matrix."""
-    n = m.nrows
-    acc = Matrix.zeros(n, n)
-    for c in reversed(coeffs):
-        acc = acc * m + Matrix.identity(n).scale(c)
-    return acc

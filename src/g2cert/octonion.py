@@ -170,22 +170,3 @@ def build_split_cayley() -> SplitCayley:
     form = NormForm(gram=_zorn_norm_gram())
     unit = (ONE, ONE) + (ZERO,) * 6
     return SplitCayley(algebra=algebra, form=form, unit=unit)
-
-
-def matrix_algebra_2x2() -> StructureConstantAlgebra:
-    """Structure constants of the full 2x2 matrix algebra, basis E11,E12,E21,E22."""
-    pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    idx = {p: i for i, p in enumerate(pairs)}
-    mul = [[[ZERO] * 4 for _ in range(4)] for _ in range(4)]
-    for i, (a, b) in enumerate(pairs):
-        for j, (c, d) in enumerate(pairs):
-            if b == c:
-                mul[i][j][idx[(a, d)]] = ONE
-    return StructureConstantAlgebra(
-        dim=4, mul=tuple(tuple(tuple(p) for p in row) for row in mul)
-    )
-
-
-def rational_line_algebra() -> StructureConstantAlgebra:
-    """The 1-dimensional unital algebra (the base field itself)."""
-    return StructureConstantAlgebra(dim=1, mul=(((ONE,),),), unit_index=0)

@@ -5,31 +5,24 @@ certificates, wedge squares, and module isomorphism search.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import DegenerateFormError, NotSemisimpleError
-from .lie import LieAlgebra, killing_form, is_semisimple
-from .linalg import Matrix, Subspace, ZERO, kernel_basis, signature
-
-
-def _common_scale(mats: Sequence[Matrix]) -> tuple[list[list[list[int]]], int]:
-    den = 1
-    for m in mats:
-        for row in m.rows:
-            for x in row:
-                d = x.denominator
-                if d != 1:
-                    den = den * d // math.gcd(den, d)
-    return [[[int(x * den) for x in row] for row in m.rows] for m in mats], den
-
-
-def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+from .lie import LieAlgebra, killing_form, is_semisimple, so_of_form
+from .linalg import (
+    Matrix,
+    Subspace,
+    ZERO,
+    _strip_row,
+    clear_denominators,
+    kernel_basis,
+    signature,
+)
 
 
 class LieModule:
@@ -62,39 +55,9 @@ class LieModule:
         for m in self.action:
             if m.shape != (self.dim, self.dim):
                 raise ValueError("action matrices must be square of equal size")
-        self._check_homomorphism()
-
-    def _check_homomorphism(self):
-        if not self.action:
-            return
-        ints, den = _common_scale(self.action)
-        cden = 1
-        for row in self.algebra.brackets:
-            for prod in row:
-                for x in prod:
-                    d = x.denominator
-                    if d != 1:
-                        cden = cden * d // math.gcd(cden, d)
-        n = self.dim
-        g = self.algebra.dim
-        for i in range(g):
-            ai = ints[i]
-            for j in range(i + 1, g):
-                comm = _int_matmul(ai, ints[j])
-                other = _int_matmul(ints[j], ai)
-                coeffs = [int(c * cden) for c in self.algebra.brackets[i][j]]
-                for r in range(n):
-                    crow = comm[r]
-                    orow = other[r]
-                    for s in range(n):
-                        lhs = cden * (crow[s] - orow[s])
-                        rhs = den * sum(
-                            ck * ints[k][r][s] for k, ck in enumerate(coeffs) if ck
-                        )
-                        if lhs != rhs:
-                            raise ValueError(
-                                f"homomorphism law fails at basis pair ({i},{j})"
-                            )
+        bad = algebra.bracket_law_failure(self.action)
+        if bad is not None:
+            raise ValueError("homomorphism law fails at basis pair ({},{})".format(*bad))
 
     def rho(self, coords: Sequence[Fraction]) -> Matrix:
         """Action of an algebra element given by coordinates."""
@@ -119,8 +82,12 @@ class LieModule:
         return cls(v.algebra, mats, name=name or f"{v.name}+{w.name}", dim=v.dim + w.dim)
 
 
-def adjoint_module(g: LieAlgebra, name: str = "") -> LieModule:
-    return LieModule(g, g.ad_basis, name=name or f"ad({g.name})")
+def adjoint_module(g: LieAlgebra) -> LieModule:
+    """The adjoint module, built (and its homomorphism law checked) once per
+    algebra."""
+    if g._adjoint is None:
+        g._adjoint = LieModule(g, g.ad_basis, name=f"ad({g.name})")
+    return g._adjoint
 
 
 def natural_module(g: LieAlgebra, name: str = "") -> LieModule:
@@ -129,21 +96,23 @@ def natural_module(g: LieAlgebra, name: str = "") -> LieModule:
     return LieModule(g, g.realization, name=name or f"nat({g.name})")
 
 
+def restricted_action(mats: Sequence[Matrix], sub: Subspace) -> list[Matrix]:
+    """Each matrix restricted to an invariant subspace, in that subspace's
+    basis."""
+    out = []
+    for m in mats:
+        cols = [sub.coordinates_of(m.apply(b)) for b in sub.basis]
+        if any(c is None for c in cols):
+            raise ValueError("subspace is not invariant under the action")
+        out.append(Matrix(cols).transpose() if cols else Matrix.zeros(0, 0))
+    return out
+
+
 def restriction_module(v: LieModule, sub: Subspace, name: str = "") -> LieModule:
     """Action restricted to an invariant subspace, in that subspace's basis."""
     if sub.ambient_dim != v.dim:
         raise ValueError("subspace lives in the wrong ambient space")
-    mats = []
-    for m in v.action:
-        cols = []
-        for b in sub.basis:
-            img = m.apply(b)
-            coords = sub.coordinates_of(img)
-            if coords is None:
-                raise ValueError("subspace is not invariant under the action")
-            cols.append(coords)
-        mats.append(Matrix(cols).transpose() if cols else Matrix.zeros(0, 0))
-    return LieModule(v.algebra, mats, name=name, dim=sub.dim)
+    return LieModule(v.algebra, restricted_action(v.action, sub), name=name, dim=sub.dim)
 
 
 @dataclass(frozen=True)
@@ -184,10 +153,10 @@ def _sylvester_kernel(
     size = nrows * ncols
     if not pairs:
         return Subspace.full(size)
-    vectors: Optional[list[list[int]]] = None
+    vectors: Optional[np.ndarray] = None  # integer spanning rows of the survivors
     for a, b in pairs:
-        scaled, _den = _common_scale([a, b])
-        a_int, b_int = scaled
+        ints, _den = clear_denominators(a.flatten() + b.flatten())
+        a_int, b_int = ints[: ncols * ncols], ints[ncols * ncols :]
         if vectors is None:
             rows = []
             for r in range(nrows):
@@ -195,52 +164,28 @@ def _sylvester_kernel(
                 for s in range(ncols):
                     row = [0] * size
                     for k in range(ncols):
-                        row[base + k] += a_int[k][s]
+                        row[base + k] += a_int[k * ncols + s]
                     for k in range(nrows):
-                        row[k * ncols + s] -= b_int[r][k]
+                        row[k * ncols + s] -= b_int[r * nrows + k]
                     rows.append(row)
-            kern = kernel_basis(Matrix(rows))
-            vectors = [_scale_vec_int(v) for v in kern.basis]
+            basis = kernel_basis(Matrix(rows)).basis
+            vectors = _int_vectors(basis, size)
         else:
-            images = []
-            for vec in vectors:
-                t = [vec[i * ncols : (i + 1) * ncols] for i in range(nrows)]
-                img = _int_matmul(t, a_int)
-                other = _int_matmul(b_int, t)
-                images.append(
-                    [x - y for rx, ry in zip(img, other) for x, y in zip(rx, ry)]
-                )
-            coeff_rows = [[img[c] for img in images] for c in range(size)]
-            coeff_kernel = kernel_basis(Matrix(coeff_rows))
-            new_vectors = []
-            for coeffs in coeff_kernel.basis:
-                cints = _scale_vec_int(coeffs)
-                new_vectors.append(
-                    [
-                        sum(c * vec[j] for c, vec in zip(cints, vectors) if c)
-                        for j in range(size)
-                    ]
-                )
-            vectors = new_vectors
-        if not vectors:
+            t = vectors.reshape(-1, nrows, ncols)
+            a_arr = np.array(a_int, dtype=object).reshape(ncols, ncols)
+            b_arr = np.array(b_int, dtype=object).reshape(nrows, nrows)
+            images = (t @ a_arr - b_arr @ t).reshape(len(vectors), size)
+            coeff_kernel = kernel_basis(Matrix(images.T.tolist()))
+            vectors = _int_vectors(coeff_kernel.basis, len(vectors)) @ vectors
+        if not len(vectors):
             return Subspace(size, ())
-    return Subspace.from_vectors(size, [[Fraction(x) for x in v] for v in vectors])
+    return Subspace.from_vectors(size, vectors.tolist())
 
 
-def _scale_vec_int(vec: Sequence[Fraction]) -> list[int]:
-    den = 1
-    for x in vec:
-        d = x.denominator
-        if d != 1:
-            den = den * d // math.gcd(den, d)
-    out = [int(x * den) for x in vec]
-    g = 0
-    for x in out:
-        if x:
-            g = math.gcd(g, x)
-    if g > 1:
-        out = [x // g for x in out]
-    return out
+def _int_vectors(vecs: Sequence[Sequence[Fraction]], length: int) -> np.ndarray:
+    """Primitive integer multiples of the vectors, as rows of an object array."""
+    rows = [_strip_row(clear_denominators(v)[0]) for v in vecs]
+    return np.array(rows, dtype=object).reshape(len(rows), length)
 
 
 def hom_space(v: LieModule, w: LieModule) -> list[Intertwiner]:
@@ -417,29 +362,21 @@ def wedge_so_isomorphism(gram: Matrix, so_alg: Optional[LieAlgebra] = None) -> I
     n = gram.nrows
     if not gram.is_symmetric() or gram.rank() != n:
         raise DegenerateFormError("wedge/so isomorphism needs a nondegenerate form")
-    from .lie import so_of_form
-
     if so_alg is None:
         so_alg = so_of_form(gram)
     nat = natural_module(so_alg)
     wedge = wedge_square(nat)
     adj = adjoint_module(so_alg)
-    span = Subspace.from_vectors(
-        n * n, [m.flatten() for m in so_alg.realization]
-    )
-    change = Matrix(
-        [span.coordinates_of(m.flatten()) for m in so_alg.realization]
-    ).transpose().inverse()
     cols = []
     for (i, j) in _wedge_index(n):
         rows = [[ZERO] * n for _ in range(n)]
         for c in range(n):
             rows[j][c] += gram.rows[i][c]
             rows[i][c] -= gram.rows[j][c]
-        canon = span.coordinates_of(Matrix(rows).flatten())
-        if canon is None:
+        coords = so_alg.realization_coordinates(Matrix(rows))
+        if coords is None:
             raise AssertionError("image of wedge map escaped so(E)")
-        cols.append(change.apply(canon))
+        cols.append(coords)
     phi = Matrix(cols).transpose()
     return Intertwiner(source=wedge, target=adj, matrix=phi)
 

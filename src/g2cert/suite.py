@@ -29,6 +29,7 @@ from .linalg import Matrix, Subspace, signature
 from .octonion import SplitCayley, build_split_cayley
 from .reps import (
     Intertwiner,
+    InvariantForms,
     LieModule,
     adjoint_module,
     bracket_span,
@@ -37,6 +38,7 @@ from .reps import (
     is_irreducible,
     killing_orthocomplement,
     module_isomorphism,
+    restricted_action,
     restriction_module,
     submodule_generated,
     wedge_so_isomorphism,
@@ -130,22 +132,20 @@ class VerificationContext:
     def has_gram_override(self) -> bool:
         return self._wedge_gram is not None
 
+    def imaginary_module(self, der: LieAlgebra, name: str = "") -> LieModule:
+        """A derivation algebra restricted to the imaginary subspace, in that
+        subspace's coordinates."""
+        return LieModule(der, restricted_action(der.realization, self.imaginary[0]), name=name)
+
     @property
     def natural_rep(self) -> LieModule:
-        """The 7-dimensional module: derivations restricted to the imaginary
-        subspace, in that subspace's coordinates."""
+        """The 7-dimensional module of the derivation algebra."""
+        return self._get("natural", lambda: self.imaginary_module(self.derivations, "r34"))
 
-        def build():
-            sub, _ = self.imaginary
-            mats = []
-            for d in self.derivations.realization:
-                cols = [sub.coordinates_of(d.apply(b)) for b in sub.basis]
-                if any(c is None for c in cols):
-                    raise ValueError("derivation does not preserve the imaginary subspace")
-                mats.append(Matrix(cols).transpose())
-            return LieModule(self.derivations, mats, name="r34")
-
-        return self._get("natural", build)
+    @property
+    def natural_forms(self) -> InvariantForms:
+        """The invariant bilinear forms on the natural module."""
+        return self._get("forms", lambda: invariant_bilinear_forms(self.natural_rep))
 
     @property
     def so34(self) -> LieAlgebra:
@@ -156,18 +156,12 @@ class VerificationContext:
         """so(3,4)-coordinates of each derivation-algebra basis element."""
 
         def build():
-            span = Subspace.from_vectors(
-                49, [m.flatten() for m in self.so34.realization]
-            )
-            change = Matrix(
-                [span.coordinates_of(m.flatten()) for m in self.so34.realization]
-            ).transpose().inverse()
             out = []
             for m in self.natural_rep.action:
-                canon = span.coordinates_of(m.flatten())
-                if canon is None:
+                coords = self.so34.realization_coordinates(m)
+                if coords is None:
                     raise ValueError("restricted derivation escaped so(3,4)")
-                out.append(change.apply(canon))
+                out.append(coords)
             return tuple(out)
 
         return self._get("embedding", build)
@@ -351,20 +345,10 @@ def check_derivations(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcom
     out.expect("killing_signature", kf.signature, (8, 6, 0))
     out.expect("killing_nondegenerate", kf.nondegenerate, True)
 
-    adj = adjoint_module(der, name="ad-g2")
+    adj = adjoint_module(der)
     out.expect("adjoint_commutant_dim", is_irreducible(adj).commutant_dim, 1)
 
-    if der is ctx.derivations:
-        nat = ctx.natural_rep
-    else:
-        sub, _ = ctx.imaginary
-        mats = []
-        for d in der.realization:
-            cols = [sub.coordinates_of(d.apply(b)) for b in sub.basis]
-            if any(col is None for col in cols):
-                raise ValueError("candidate does not preserve the imaginary subspace")
-            mats.append(Matrix(cols).transpose())
-        nat = LieModule(der, mats)
+    nat = ctx.natural_rep if der is ctx.derivations else ctx.imaginary_module(der)
     out.expect("natural_dim", nat.dim, 7)
     out.expect("natural_commutant_dim", is_irreducible(nat).commutant_dim, 1)
 
@@ -392,7 +376,7 @@ def check_derivations(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcom
 
 def check_invariant_form(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome:
     out = CheckOutcome()
-    forms = invariant_bilinear_forms(ctx.natural_rep)
+    forms = ctx.natural_forms
     out.expect("form_space_dim", forms.dim, 1)
     out.expect("symmetric_dim", len(forms.symmetric_basis), 1)
     if forms.generator is None:
@@ -464,7 +448,7 @@ def check_recognition(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcom
     six = [list(w) for w, d in census.entries if d == 6]
     out.expect("six_dim_weights", six, [])
 
-    forms = invariant_bilinear_forms(ctx.natural_rep)
+    forms = ctx.natural_forms
     pair = None
     if forms.signature is not None:
         pair = sorted(forms.signature[:2])

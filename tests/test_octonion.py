@@ -8,11 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from g2cert.linalg import signature
-from g2cert.octonion import (
-    StructureConstantAlgebra,
-    build_split_cayley,
-    matrix_algebra_2x2,
-)
+from g2cert.octonion import StructureConstantAlgebra, build_split_cayley
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "mul_table.json"
 
@@ -148,8 +144,8 @@ def test_unit_index_validation():
         )
 
 
-def test_matrix_algebra_unit_detection():
-    alg = matrix_algebra_2x2()
+def test_matrix_algebra_unit_detection(matrix_algebra_2x2):
+    alg = matrix_algebra_2x2
     assert alg.dim == 4
     e11 = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
     e12 = (Fraction(0), Fraction(1), Fraction(0), Fraction(0))

@@ -4,7 +4,7 @@ import pytest
 
 from g2cert.errors import DegenerateFormError, NotSemisimpleError
 from g2cert.lie import LieAlgebra, killing_form, so_of_form
-from g2cert.linalg import Matrix, Subspace, minimal_polynomial
+from g2cert.linalg import Matrix, Subspace, kernel_basis
 from g2cert.reps import (
     Intertwiner,
     LieModule,
@@ -61,6 +61,19 @@ def test_homomorphism_law_enforced():
     broken[0] = Matrix.identity(3)
     with pytest.raises(ValueError):
         LieModule(so3, broken)
+
+
+def test_homomorphism_law_exact_beyond_int64():
+    """Conjugating by a matrix with a 2**40 entry gives a module whose scaled
+    law has products far beyond int64; the check stays exact."""
+    so3 = so_of_form(Matrix.identity(3))
+    p = Matrix([[1, 2**40, 0], [0, 1, 0], [0, 0, 1]])
+    p_inv = Matrix([[1, -(2**40), 0], [0, 1, 0], [0, 0, 1]])
+    conj = [p * m * p_inv for m in so3.realization]
+    assert LieModule(so3, conj).dim == 3
+    conj[0] = conj[0] + Matrix.diagonal([1, 0, 0])
+    with pytest.raises(ValueError):
+        LieModule(so3, conj)
 
 
 def test_natural_rep_irreducible(natural_rep):
@@ -235,7 +248,7 @@ def test_commutant_element_minimal_polynomial(ctx):
     homs = hom_space(ctx.so34_as_g2_module, ctx.so34_as_g2_module)
     assert len(homs) == 2
     generic = homs[0].matrix + homs[1].matrix.scale(2)
-    coeffs = minimal_polynomial(generic)
+    coeffs = _minimal_polynomial(generic)
     assert len(coeffs) == 3  # monic quadratic
     c0, c1, _ = coeffs
     disc = c1 * c1 - 4 * c0
@@ -248,6 +261,18 @@ def test_commutant_element_minimal_polynomial(ctx):
     root2 = (-c1 - Fraction(r, s)) / 2
     assert root1 != root2
     assert root1.denominator >= 1 and root2.denominator >= 1
+
+
+def _minimal_polynomial(m: Matrix) -> tuple[Fraction, ...]:
+    """Monic minimal polynomial, low-degree coefficients first: the first
+    linear dependency among I, m, m^2, ..."""
+    powers = [Matrix.identity(m.nrows)]
+    while True:
+        powers.append(powers[-1] * m)
+        kern = kernel_basis(Matrix([p.flatten() for p in powers]).transpose())
+        if kern.dim:
+            c = kern.basis[0]
+            return tuple(x / c[-1] for x in c)
 
 
 def _isqrt_exact(n: int):

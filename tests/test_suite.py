@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from g2cert.lie import so_of_form
+from g2cert import suite
+from g2cert.lie import killing_form, so_of_form
 from g2cert.linalg import Matrix
 from g2cert.octonion import SplitCayley, StructureConstantAlgebra, build_split_cayley
+from g2cert.reps import LieModule
 from g2cert.report import (
     exit_code,
     parse_report,
@@ -76,6 +78,34 @@ def _strip_timing(payload: bytes) -> bytes:
     for check in doc["checks"]:
         check["elapsed_ms"] = 0
     return json.dumps(doc).encode()
+
+
+def test_shared_objects_built_once_per_run(monkeypatch):
+    """A full run builds the adjoint module of so(3,4) once and solves for the
+    natural module's invariant forms once; Killing forms are cached."""
+    built = []
+    init = LieModule.__init__
+
+    def counting_init(self, algebra, action, *args, **kwargs):
+        built.append((algebra, tuple(action)))
+        init(self, algebra, action, *args, **kwargs)
+
+    forms_calls = []
+    forms = suite.invariant_bilinear_forms
+
+    def counting_forms(v):
+        forms_calls.append(v)
+        return forms(v)
+
+    monkeypatch.setattr(LieModule, "__init__", counting_init)
+    monkeypatch.setattr(suite, "invariant_bilinear_forms", counting_forms)
+    ctx = VerificationContext()
+    reports = run_all(SuiteConfig(samples=5), ctx=ctx)
+    assert [r.status for r in reports] == ["pass"] * 8
+    so34 = ctx.so34
+    assert sum(alg is so34 and action == so34.ad_basis for alg, action in built) == 1
+    assert len(forms_calls) == 1
+    assert killing_form(so34) is killing_form(so34)
 
 
 def test_filtered_run_single_check(ctx):
