@@ -20,9 +20,9 @@ from .linalg import (
     Subspace,
     ZERO,
     ONE,
-    _int_rref,
-    _strip_row,
     clear_denominators,
+    coordinate_map,
+    int_array,
     kernel_basis,
     signature,
 )
@@ -108,8 +108,7 @@ class LieAlgebra:
         amax = max(map(abs, flat), default=0)
         cmax = max((abs(c) for row in table for prod in row for _, c in prod), default=0)
         peak = max(cden, den, cmax, 2 * n * amax * amax * cden, self.dim * cmax * amax * den)
-        a = np.array(flat, dtype=np.int64 if peak < (1 << 62) else object)
-        a = a.reshape(len(mats), n, n)
+        a = int_array(flat, peak).reshape(len(mats), n, n)
         for i in range(self.dim):
             comm = cden * (a[i] @ a[i + 1 :] - a[i + 1 :] @ a[i])
             for j in range(i + 1, self.dim):
@@ -182,7 +181,8 @@ class LieAlgebra:
     def realization_coordinates(self) -> Callable[[Matrix], Optional[tuple[Fraction, ...]]]:
         """Map a matrix to its coordinates in the realization basis, or to None
         when it lies outside the realization's span."""
-        return _coordinate_map(self.realization)
+        coords = coordinate_map([m.flatten() for m in self.realization])
+        return lambda m: coords(m.flatten())
 
     @classmethod
     def from_matrix_basis(
@@ -193,7 +193,7 @@ class LieAlgebra:
         mats = tuple(mats)
         if not mats:
             return cls(brackets=(), name=name, realization=())
-        coords = _coordinate_map(mats)
+        coords = coordinate_map([m.flatten() for m in mats])
         dim = len(mats)
         brackets = []
         for i in range(dim):
@@ -205,7 +205,7 @@ class LieAlgebra:
                 if j == i:
                     row.append((ZERO,) * dim)
                     continue
-                comm = coords(mats[i].commutator(mats[j]))
+                comm = coords(mats[i].commutator(mats[j]).flatten())
                 if comm is None:
                     raise ValueError("matrix family is not commutator-closed")
                 row.append(comm)
@@ -240,21 +240,6 @@ class LieAlgebra:
                     row.append(zero)
             brackets.append(tuple(row))
         return cls(brackets=tuple(brackets), name=name or f"{a.name}+{b.name}")
-
-
-def _coordinate_map(mats: Sequence[Matrix]) -> Callable[[Matrix], Optional[tuple[Fraction, ...]]]:
-    """Coordinates relative to a linearly independent matrix family (not to
-    the canonical basis of its span); None for a matrix outside the span."""
-    span = Subspace.from_vectors(mats[0].nrows * mats[0].ncols, [m.flatten() for m in mats])
-    if span.dim != len(mats):
-        raise ValueError("matrix basis is linearly dependent")
-    change = Matrix([span.coordinates_of(m.flatten()) for m in mats]).transpose().inverse()
-
-    def coords(m: Matrix) -> Optional[tuple[Fraction, ...]]:
-        canon = span.coordinates_of(m.flatten())
-        return None if canon is None else change.apply(canon)
-
-    return coords
 
 
 @dataclass(frozen=True)
@@ -297,26 +282,20 @@ def derivation_algebra(alg: StructureConstantAlgebra) -> LieAlgebra:
     """All D with D(xy) = D(x)y + x D(y), as a Lie algebra under commutators.
 
     The constraint is linear in the dim^2 unknowns D[l][k]; the kernel of the
-    dim^3 x dim^2 system is the derivation space.
+    dim^3 x dim^2 system is the derivation space.  Each row is linear in the
+    structure constants, so scaling the whole tensor by one denominator keeps
+    the kernel.
     """
     n = alg.dim
-    mul = alg.mul
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            prod = mul[i][j]
-            for l in range(n):
-                row = [ZERO] * (n * n)
-                for k in range(n):
-                    if prod[k]:
-                        row[l * n + k] += prod[k]
-                for m in range(n):
-                    if mul[m][j][l]:
-                        row[m * n + i] -= mul[m][j][l]
-                    if mul[i][m][l]:
-                        row[m * n + j] -= mul[i][m][l]
-                rows.append(row)
-    kern = kernel_basis(Matrix(rows))
+    ints, _ = clear_denominators([x for row in alg.mul for prod in row for x in prod])
+    c = int_array(ints, 3 * max(map(abs, ints), default=0)).reshape(n, n, n)
+    eye = np.eye(n, dtype=c.dtype)
+    # row (i, j, l), unknown D[a][b]: the e_l coefficient of
+    # D(e_i e_j) - D(e_i) e_j - e_i D(e_j), where D(e_b) = sum_a D[a][b] e_a
+    system = np.einsum("la,ijb->ijlab", eye, c)
+    system -= np.einsum("bi,ajl->ijlab", eye, c)
+    system -= np.einsum("bj,ial->ijlab", eye, c)
+    kern = kernel_basis(system.reshape(n**3, n * n))
     mats = [Matrix.from_flat(v, n, n) for v in kern.basis]
     return LieAlgebra.from_matrix_basis(mats, name=f"der(dim {n})")
 
@@ -328,17 +307,12 @@ def so_of_form(b: Matrix) -> LieAlgebra:
         raise DegenerateFormError("so_of_form requires a symmetric matrix")
     if b.rank() != n:
         raise DegenerateFormError("so_of_form requires an invertible form")
-    rows = []
-    for i in range(n):
-        for j in range(i, n):
-            row = [ZERO] * (n * n)
-            for k in range(n):
-                if b.rows[k][j]:
-                    row[k * n + i] += b.rows[k][j]
-                if b.rows[i][k]:
-                    row[k * n + j] += b.rows[i][k]
-            rows.append(row)
-    kern = kernel_basis(Matrix(rows))
+    ints, _ = clear_denominators(b.flatten())
+    gram = int_array(ints, 2 * max(map(abs, ints))).reshape(n, n)
+    eye = np.eye(n, dtype=gram.dtype)
+    # row (i, j) with i <= j, unknown X[k][m]: entry (i, j) of X^T b + b X
+    system = np.einsum("mi,kj->ijkm", eye, gram) + np.einsum("mj,ik->ijkm", eye, gram)
+    kern = kernel_basis(system[np.triu_indices(n)].reshape(-1, n * n))
     mats = [Matrix.from_flat(v, n, n) for v in kern.basis]
     alg = LieAlgebra.from_matrix_basis(mats, name=f"so({n})")
     assert alg.dim == n * (n - 1) // 2
@@ -350,23 +324,15 @@ def subalgebra_closure(g: LieAlgebra, seed: Subspace) -> Subspace:
     S <- S + [S, S] until the dimension stabilizes."""
     if seed.ambient_dim != g.dim:
         raise ValueError("seed lives in the wrong ambient space")
-    basis = [_strip_row(clear_denominators(v)[0]) for v in seed.basis]
-    dim = len(basis)
-    while True:
-        if dim == g.dim:
+    span = seed
+    while span.dim < g.dim:
+        basis = span.int_basis()
+        brackets = [g._bracket_int(x, y) for a, x in enumerate(basis) for y in basis[a + 1 :]]
+        grown = Subspace.from_vectors(g.dim, basis + brackets)
+        if grown.dim == span.dim:
             break
-        new_rows = list(basis)
-        for a in range(len(basis)):
-            for b in range(a + 1, len(basis)):
-                v = g._bracket_int(basis[a], basis[b])
-                if any(v):
-                    new_rows.append(v)
-        reduced, pivots = _int_rref(new_rows)
-        if len(pivots) == dim:
-            break
-        dim = len(pivots)
-        basis = [_strip_row(clear_denominators(r)[0]) for r in reduced[:dim]]
-    return Subspace.from_vectors(g.dim, [[Fraction(x) for x in row] for row in basis])
+        span = grown
+    return span
 
 
 def centralizer(g: LieAlgebra, s: Subspace) -> Subspace:

@@ -3,8 +3,12 @@
 Everything downstream (structure constants, Killing forms, kernels of
 intertwining constraints) runs on the primitives in this module.  All results
 are exact ``fractions.Fraction`` values; no floating point is used anywhere.
-``clear_denominators`` is the one place a Fraction sequence is scaled to
-integers.
+
+A system reaches the solvers as a Fraction ``Matrix`` or as a 2-D numpy
+integer array (int64, or object dtype of Python ints); callers holding
+integers pass the array, and a ``Matrix`` is cleared once, row by row.
+``clear_denominators`` is the one place rationals are scaled to integers,
+``int_array`` the one place that picks int64 or Python ints for products.
 
 Two elimination engines sit behind the public API, and the input size picks
 one:
@@ -33,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -104,10 +108,6 @@ class Matrix:
             )
         )
 
-    @classmethod
-    def column(cls, entries: Sequence) -> "Matrix":
-        return cls(tuple((x,) for x in entries))
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -122,12 +122,6 @@ class Matrix:
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.rows[i]
-
-    def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self.rows)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self.rows == other.rows
@@ -193,11 +187,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix._raw(tuple(zip(*self.rows))) if self.rows else Matrix(())
 
-    def trace(self) -> Fraction:
-        if self.nrows != self.ncols:
-            raise ValueError("trace of non-square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), ZERO)
-
     def commutator(self, other: "Matrix") -> "Matrix":
         return self * other - other * self
 
@@ -237,7 +226,7 @@ class Matrix:
 # integer elimination core
 
 
-def clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+def clear_denominators(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
     """Integers n_i and the least d > 0 with values[i] == n_i / d.
 
     Scaling a row this way keeps its kernel and row space; scaling a family
@@ -249,8 +238,15 @@ def clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
-def _rows_to_int(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+def _rows_to_int(rows: Iterable[Sequence[Fraction | int]]) -> list[list[int]]:
     return [clear_denominators(row)[0] for row in rows]
+
+
+def int_array(values, peak: int) -> np.ndarray:
+    """values as a numpy integer array: int64 when peak, a bound the caller
+    proves on every entry and every product it will form, stays below 2**62;
+    Python ints (object dtype) otherwise."""
+    return np.array(values, dtype=np.int64 if peak < (1 << 62) else object)
 
 
 def _strip_row(row: list[int]) -> list[int]:
@@ -405,9 +401,8 @@ def _verify_kernel(int_rows: list[list[int]], vecs: list[tuple[Fraction, ...]]) 
     scaled = _rows_to_int(vecs)
     amax = max(abs(x) for row in int_rows for x in row)
     bmax = max(abs(x) for v in scaled for x in v)
-    # int64 while every dot product provably fits, Python ints beyond that
-    dtype = np.int64 if amax * bmax * len(int_rows[0]) < (1 << 62) else object
-    return not np.any(np.array(int_rows, dtype=dtype) @ np.array(scaled, dtype=dtype).T)
+    peak = amax * bmax * len(int_rows[0])
+    return not np.any(int_array(int_rows, peak) @ int_array(scaled, peak).T)
 
 
 def _lift_kernel(
@@ -462,12 +457,22 @@ def _kernel_modular(int_rows: list[list[int]], ncols: int) -> Optional[list[tupl
     return None
 
 
-def kernel_basis(m: Matrix) -> "Subspace":
-    """Exact kernel {x : m x = 0}, canonicalized."""
-    ncols = m.ncols
+def kernel_basis(m) -> "Subspace":
+    """Exact kernel {x : m x = 0}, canonicalized.
+
+    m is a Fraction Matrix or a 2-D numpy integer array (int64 or object
+    dtype of Python ints); an integer array goes straight to elimination.
+    """
+    if isinstance(m, Matrix):
+        int_rows = _rows_to_int(m.rows)
+    elif m.ndim == 2 and (m.dtype.kind == "i" or m.dtype == object):
+        int_rows = m.tolist()
+    else:
+        raise TypeError("kernel_basis takes a Matrix or a 2-D integer array")
+    ncols = m.shape[1]
     if ncols == 0:
         return Subspace(0, ())
-    int_rows = [r for r in _rows_to_int(m.rows) if any(r)]
+    int_rows = [r for r in int_rows if any(r)]
     if not int_rows:
         return Subspace.full(ncols)
     size = len(int_rows) * ncols * min(len(int_rows), ncols)
@@ -495,17 +500,15 @@ class Subspace:
     basis: tuple[tuple[Fraction, ...], ...]
 
     @classmethod
-    def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        rows = [
-            [x if isinstance(x, Fraction) else Fraction(x) for x in v] for v in vectors
-        ]
+    def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence[Fraction | int]]) -> "Subspace":
+        rows = _rows_to_int(vectors)
         for row in rows:
             if len(row) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
         rows = [r for r in rows if any(r)]
         if not rows:
             return cls(ambient_dim, ())
-        reduced, pivots = _int_rref(_rows_to_int(rows))
+        reduced, pivots = _int_rref(rows)
         return cls(ambient_dim, tuple(tuple(r) for r in reduced[: len(pivots)]))
 
     @classmethod
@@ -521,6 +524,11 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    def int_basis(self) -> list[list[int]]:
+        """The canonical basis as integer rows, each scaled by the lcm of its
+        denominators; a row with a leading 1 comes out primitive."""
+        return _rows_to_int(self.basis)
 
     def _pivots(self) -> tuple[int, ...]:
         return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
@@ -572,9 +580,20 @@ class Subspace:
         ]
         return Subspace.from_vectors(n, vecs)
 
-    def basis_matrix(self) -> Matrix:
-        """Basis vectors as the columns of an (ambient x dim) matrix."""
-        return Matrix(self.basis).transpose() if self.basis else Matrix.zeros(self.ambient_dim, 0)
+
+def coordinate_map(vectors: Sequence[Sequence]) -> Callable[[Sequence], Optional[tuple[Fraction, ...]]]:
+    """Coordinates relative to a linearly independent family of vectors (not
+    to the canonical basis of its span); None for a vector outside the span."""
+    span = Subspace.from_vectors(len(vectors[0]), vectors)
+    if span.dim != len(vectors):
+        raise ValueError("vector family is linearly dependent")
+    change = Matrix([span.coordinates_of(v) for v in vectors]).transpose().inverse()
+
+    def coords(vec: Sequence) -> Optional[tuple[Fraction, ...]]:
+        canon = span.coordinates_of(vec)
+        return None if canon is None else change.apply(canon)
+
+    return coords
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,24 @@
 """Modules over a Lie algebra: hom spaces, commutants, invariant bilinear
 forms, Killing-orthogonal complements, generated submodules, irreducibility
-certificates, wedge squares, and module isomorphism search.
+certificates, wedge squares, and module isomorphism.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from random import Random
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateFormError, NotSemisimpleError
+from .errors import DegenerateFormError, NotSemisimpleError, PreconditionError
 from .lie import LieAlgebra, killing_form, is_semisimple, so_of_form
 from .linalg import (
     Matrix,
     Subspace,
     ZERO,
-    _strip_row,
     clear_denominators,
+    int_array,
     kernel_basis,
     signature,
 )
@@ -58,14 +57,6 @@ class LieModule:
         bad = algebra.bracket_law_failure(self.action)
         if bad is not None:
             raise ValueError("homomorphism law fails at basis pair ({},{})".format(*bad))
-
-    def rho(self, coords: Sequence[Fraction]) -> Matrix:
-        """Action of an algebra element given by coordinates."""
-        out = Matrix.zeros(self.dim, self.dim)
-        for c, m in zip(coords, self.action):
-            if c:
-                out = out + m.scale(c)
-        return out
 
     @classmethod
     def direct_sum(cls, v: "LieModule", w: "LieModule", name: str = "") -> "LieModule":
@@ -117,7 +108,11 @@ def restriction_module(v: LieModule, sub: Subspace, name: str = "") -> LieModule
 
 @dataclass(frozen=True)
 class Intertwiner:
-    """A module homomorphism; the intertwining identity is verified exactly."""
+    """A module homomorphism; the intertwining identity is verified exactly.
+
+    T rho_v(e_i) = rho_w(e_i) T is checked for all i at once on integers: T
+    scaled by its denominator, both actions by one common denominator.
+    """
 
     source: LieModule
     target: LieModule
@@ -128,9 +123,17 @@ class Intertwiner:
             raise ValueError("intertwiner between modules over different algebras")
         if self.matrix.shape != (self.target.dim, self.source.dim):
             raise ValueError("intertwiner matrix has wrong shape")
-        for rs, rt in zip(self.source.action, self.target.action):
-            if self.matrix * rs != rt * self.matrix:
-                raise ValueError("matrix does not intertwine the actions")
+        v, w = self.source, self.target
+        t_ints, _ = clear_denominators(self.matrix.flatten())
+        flat, _ = clear_denominators([x for m in v.action + w.action for row in m.rows for x in row])
+        split = len(v.action) * v.dim * v.dim
+        tmax, amax = max(map(abs, t_ints), default=0), max(map(abs, flat), default=0)
+        peak = max(tmax, amax, tmax * amax * max(v.dim, w.dim))
+        t = int_array(t_ints, peak).reshape(w.dim, v.dim)
+        rho_v = int_array(flat[:split], peak).reshape(len(v.action), v.dim, v.dim)
+        rho_w = int_array(flat[split:], peak).reshape(len(w.action), w.dim, w.dim)
+        if not np.array_equal(t @ rho_v, rho_w @ t):
+            raise ValueError("matrix does not intertwine the actions")
 
     @property
     def is_invertible(self) -> bool:
@@ -156,36 +159,25 @@ def _sylvester_kernel(
     vectors: Optional[np.ndarray] = None  # integer spanning rows of the survivors
     for a, b in pairs:
         ints, _den = clear_denominators(a.flatten() + b.flatten())
-        a_int, b_int = ints[: ncols * ncols], ints[ncols * ncols :]
+        peak = 2 * max(map(abs, ints), default=0)
+        a_int = int_array(ints[: ncols * ncols], peak).reshape(ncols, ncols)
+        b_int = int_array(ints[ncols * ncols :], peak).reshape(nrows, nrows)
         if vectors is None:
-            rows = []
-            for r in range(nrows):
-                base = r * ncols
-                for s in range(ncols):
-                    row = [0] * size
-                    for k in range(ncols):
-                        row[base + k] += a_int[k * ncols + s]
-                    for k in range(nrows):
-                        row[k * ncols + s] -= b_int[r * nrows + k]
-                    rows.append(row)
-            basis = kernel_basis(Matrix(rows)).basis
-            vectors = _int_vectors(basis, size)
+            # row-major vec(T A - B T) = (kron(I, A^T) - kron(B, I)) vec(T)
+            system = np.kron(np.eye(nrows, dtype=a_int.dtype), a_int.T) - np.kron(
+                b_int, np.eye(ncols, dtype=b_int.dtype)
+            )
+            survivors = kernel_basis(system)
+            vectors = np.array(survivors.int_basis(), dtype=object).reshape(survivors.dim, size)
         else:
             t = vectors.reshape(-1, nrows, ncols)
-            a_arr = np.array(a_int, dtype=object).reshape(ncols, ncols)
-            b_arr = np.array(b_int, dtype=object).reshape(nrows, nrows)
-            images = (t @ a_arr - b_arr @ t).reshape(len(vectors), size)
-            coeff_kernel = kernel_basis(Matrix(images.T.tolist()))
-            vectors = _int_vectors(coeff_kernel.basis, len(vectors)) @ vectors
+            images = (t @ a_int - b_int @ t).reshape(len(vectors), size)
+            coeff_kernel = kernel_basis(images.T)
+            coeffs = np.array(coeff_kernel.int_basis(), dtype=object)
+            vectors = coeffs.reshape(coeff_kernel.dim, len(vectors)) @ vectors
         if not len(vectors):
             return Subspace(size, ())
     return Subspace.from_vectors(size, vectors.tolist())
-
-
-def _int_vectors(vecs: Sequence[Sequence[Fraction]], length: int) -> np.ndarray:
-    """Primitive integer multiples of the vectors, as rows of an object array."""
-    rows = [_strip_row(clear_denominators(v)[0]) for v in vecs]
-    return np.array(rows, dtype=object).reshape(len(rows), length)
 
 
 def hom_space(v: LieModule, w: LieModule) -> list[Intertwiner]:
@@ -242,27 +234,8 @@ def invariant_bilinear_forms(v: LieModule) -> InvariantForms:
     pairs = [(rho, -rho.transpose()) for rho in v.action]
     sub = _sylvester_kernel(pairs, v.dim, v.dim)
     forms = [Matrix.from_flat(b, v.dim, v.dim) for b in sub.basis]
-    sym_vecs = [f.flatten() for f in forms if f.is_symmetric()]
-    if len(sym_vecs) < len(forms):
-        # extract the symmetric subspace of the span properly
-        n = v.dim
-        rows = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                rows.append(
-                    [b[i * n + j] - b[j * n + i] for b in sub.basis]
-                )
-        coeff = kernel_basis(Matrix(rows)) if rows else Subspace.full(len(forms))
-        sym_vecs = []
-        for coeffs in coeff.basis:
-            vec = [ZERO] * (n * n)
-            for c, b in zip(coeffs, sub.basis):
-                if c:
-                    for k, x in enumerate(b):
-                        if x:
-                            vec[k] += c * x
-            sym_vecs.append(tuple(vec))
-    sym_sub = Subspace.from_vectors(v.dim * v.dim, sym_vecs)
+    # B^T is invariant with B, and a symmetric S in the span is (S + S^T)/2
+    sym_sub = Subspace.from_vectors(v.dim * v.dim, [(f + f.transpose()).flatten() for f in forms])
     sym_forms = tuple(Matrix.from_flat(b, v.dim, v.dim) for b in sym_sub.basis)
     sig = None
     gen = None
@@ -382,26 +355,23 @@ def wedge_so_isomorphism(gram: Matrix, so_alg: Optional[LieAlgebra] = None) -> I
 
 
 def module_isomorphism(v: LieModule, w: LieModule) -> Optional[Intertwiner]:
-    """An invertible intertwiner if one is found: each hom-space basis element
-    is tried first, then a deterministic seeded sample of 64 small-integer
-    combinations."""
+    """The first invertible element of the Hom(v, w) basis, or None when the
+    modules are not isomorphic.
+
+    That is a decision when the dimensions differ, when Hom(v, w) is 0, or
+    when it is a line (every element a multiple of the one basis element).  A
+    larger Hom with no invertible basis element is left undecided and raises
+    PreconditionError.
+    """
     if v.dim != w.dim:
         return None
     homs = hom_space(v, w)
-    if not homs:
-        return None
     for h in homs:
         if h.is_invertible:
             return h
-    rng = Random("module-isomorphism")
-    for _ in range(64):
-        coeffs = [rng.randint(-3, 3) for _ in homs]
-        if not any(coeffs):
-            continue
-        m = Matrix.zeros(w.dim, v.dim)
-        for c, h in zip(coeffs, homs):
-            if c:
-                m = m + h.matrix.scale(c)
-        if m.rank() == v.dim:
-            return Intertwiner(source=v, target=w, matrix=m)
-    return None
+    if len(homs) <= 1:
+        return None
+    raise PreconditionError(
+        f"no basis element of the {len(homs)}-dimensional Hom space is invertible; "
+        "isomorphism undecided"
+    )

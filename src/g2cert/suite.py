@@ -25,7 +25,7 @@ from .lie import (
     subalgebra_closure,
     transporter_into,
 )
-from .linalg import Matrix, Subspace, signature
+from .linalg import Matrix, Subspace, coordinate_map, signature
 from .octonion import SplitCayley, build_split_cayley
 from .reps import (
     Intertwiner,
@@ -209,19 +209,10 @@ class VerificationContext:
         coordinates (rows), so Killing forms can be compared in one basis."""
 
         def build():
-            emb = Matrix(self.embedding).transpose()  # 21 x 14
-            rows = []
-            for b in self.g2_image.basis:
-                aug = Matrix([list(r) + [v] for r, v in zip(emb.rows, b)])
-                from .linalg import rref
-
-                rr = rref(aug)
-                if emb.ncols in rr.pivots:
-                    raise ValueError("image basis vector outside the embedding")
-                x = [Fraction(0)] * emb.ncols
-                for row, p in zip(rr.reduced.rows, rr.pivots):
-                    x[p] = row[emb.ncols]
-                rows.append(x)
+            coords = coordinate_map(self.embedding)
+            rows = [coords(b) for b in self.g2_image.basis]
+            if any(r is None for r in rows):
+                raise ValueError("image basis vector outside the embedding")
             return Matrix(rows)
 
         return self._get("imgchange", build)

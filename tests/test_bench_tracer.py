@@ -1,0 +1,39 @@
+"""The benchmark's span tracer (bench/tracer.py) against the package: it must
+wrap and restore every traced name and read the shape of each kernel solve,
+whichever input type the solve receives."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from g2cert import lie, linalg
+from g2cert.linalg import Matrix
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def _tracer_module():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_records_kernel_solves_of_both_input_types():
+    original = linalg.kernel_basis
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        rows = [[1, 2, 3], [2, 4, 6]]
+        from_matrix = linalg.kernel_basis(Matrix(rows))
+        from_array = linalg.kernel_basis(np.array(rows, dtype=np.int64))
+        so3 = lie.so_of_form(Matrix.identity(3))  # passes an integer system
+    finally:
+        tracer.uninstall()
+    assert linalg.kernel_basis is original and lie.kernel_basis is original
+    assert from_matrix == from_array and from_matrix.dim == 2
+    assert so3.dim == 3
+    stats = tracer.summary()["linalg.kernel_basis"]
+    assert stats["calls"] == 3
+    assert stats["max_cells"] == 6 * 9  # so(3): 6 equations in 9 unknowns

@@ -13,7 +13,8 @@ from g2cert.lie import (
     subalgebra_closure,
     transporter_into,
 )
-from g2cert.linalg import Matrix, Subspace
+from g2cert.linalg import Matrix, Subspace, kernel_basis
+from g2cert.octonion import StructureConstantAlgebra
 
 Z = Fraction(0)
 
@@ -58,6 +59,93 @@ def test_derivations_of_the_base_field(rational_line_algebra):
 
 def test_derivations_of_matrix_algebra_are_inner(matrix_algebra_2x2):
     assert derivation_algebra(matrix_algebra_2x2).dim == 3
+
+
+def _rescaled(alg, scale):
+    """The same algebra in the basis f_k = scale[k] e_k."""
+    mul = tuple(
+        tuple(
+            tuple(c * scale[i] * scale[j] / scale[k] for k, c in enumerate(prod))
+            for j, prod in enumerate(row)
+        )
+        for i, row in enumerate(alg.mul)
+    )
+    return StructureConstantAlgebra(dim=alg.dim, mul=mul)
+
+
+def _derivation_rows(alg):
+    """The derivation system row by row: entry (i, j, l) of
+    D(e_i e_j) - D(e_i) e_j - e_i D(e_j) in the unknowns D[a][b]."""
+    n, mul = alg.dim, alg.mul
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for l in range(n):
+                row = [Z] * (n * n)
+                for k in range(n):
+                    row[l * n + k] += mul[i][j][k]
+                for m in range(n):
+                    row[m * n + i] -= mul[m][j][l]
+                    row[m * n + j] -= mul[i][m][l]
+                rows.append(row)
+    return rows
+
+
+def _so_rows(b):
+    """Entry (i, j), i <= j, of X^T b + b X in the unknowns X[k][m]."""
+    n = b.nrows
+    rows = []
+    for i in range(n):
+        for j in range(i, n):
+            row = [Z] * (n * n)
+            for k in range(n):
+                row[k * n + i] += b.entry(k, j)
+                row[k * n + j] += b.entry(i, k)
+            rows.append(row)
+    return rows
+
+
+def test_derivation_system_matches_row_by_row_reference(cayley, matrix_algebra_2x2):
+    """The integer system gives the kernel of the row-by-row Fraction
+    system, in int64 and (for the 2**70 rescaling) with Python ints."""
+    mul = [[list(prod) for prod in row] for row in cayley.algebra.mul]
+    mul[1][2][3] += 1
+    mutant = StructureConstantAlgebra(dim=8, mul=tuple(tuple(tuple(p) for p in r) for r in mul))
+    for alg in (
+        mutant,
+        _rescaled(matrix_algebra_2x2, (1, Fraction(2, 3), 5, 1)),
+        _rescaled(matrix_algebra_2x2, (1, Fraction(2**70), 1, 1)),
+    ):
+        expected = kernel_basis(Matrix(_derivation_rows(alg))).basis
+        assert tuple(d.flatten() for d in derivation_algebra(alg).realization) == expected
+
+
+def test_so_system_matches_row_by_row_reference():
+    for b in (
+        Matrix.diagonal([1, -2, Fraction(1, 3), 5]),
+        Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 2**70]]),
+    ):
+        expected = kernel_basis(Matrix(_so_rows(b))).basis
+        assert tuple(x.flatten() for x in so_of_form(b).realization) == expected
+
+
+def test_derivations_with_non_integer_structure_constants(matrix_algebra_2x2):
+    """Rescaling basis vectors by 2/3 and 5 gives constants such as 2/3, 3/2
+    and 1/5; the derivations must still satisfy the Leibniz rule exactly."""
+    alg = _rescaled(matrix_algebra_2x2, (1, Fraction(2, 3), 5, 1))
+    assert any(x.denominator > 1 for row in alg.mul for prod in row for x in prod)
+    der = derivation_algebra(alg)
+    assert der.dim == 3
+    basis = [tuple(Fraction(int(i == j)) for j in range(4)) for i in range(4)]
+    for d in der.realization:
+        for x in basis:
+            for y in basis:
+                lhs = d.apply(alg.multiply(x, y))
+                rhs = [
+                    a + b
+                    for a, b in zip(alg.multiply(d.apply(x), y), alg.multiply(x, d.apply(y)))
+                ]
+                assert list(lhs) == rhs
 
 
 def test_derivations_of_split_cayley(cayley, derivations):

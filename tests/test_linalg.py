@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2cert.linalg import (
+    _MODULAR_THRESHOLD,
     Matrix,
     Subspace,
     _kernel_modular,
@@ -211,3 +213,26 @@ def test_subspace_coordinates_roundtrip():
             rebuilt[j] += c * x
     assert tuple(rebuilt) == vec
     assert sub.coordinates_of((1, 0, 0)) is None
+
+
+@pytest.mark.parametrize("nrows, ncols", [(8, 10), (160, 130)])
+def test_kernel_of_integer_array_equals_kernel_of_matrix(nrows, ncols):
+    """Both engines: the small system is eliminated fraction-free, the large
+    one crosses the modular threshold."""
+    rng = random.Random(nrows)
+    rows = []
+    for _ in range(nrows):
+        row = [0] * ncols
+        for _ in range(5):
+            row[rng.randrange(ncols)] = rng.randint(-4, 4)
+        rows.append(row)
+    big = nrows * ncols * min(nrows, ncols) > _MODULAR_THRESHOLD
+    assert big == (nrows == 160)
+    expected = kernel_basis(Matrix(rows))
+    assert kernel_basis(np.array(rows, dtype=np.int64)) == expected
+    assert kernel_basis(np.array(rows, dtype=object)) == expected
+
+
+def test_kernel_rejects_non_integer_array():
+    with pytest.raises(TypeError):
+        kernel_basis(np.array([[0.5, 1.0]]))

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from g2cert.errors import DegenerateFormError, NotSemisimpleError
+from g2cert.errors import DegenerateFormError, NotSemisimpleError, PreconditionError
 from g2cert.lie import LieAlgebra, killing_form, so_of_form
 from g2cert.linalg import Matrix, Subspace, kernel_basis
 from g2cert.reps import (
@@ -329,6 +329,32 @@ def test_module_isomorphism_complement_to_natural(ctx, natural_rep, complement_m
 def test_module_isomorphism_dimension_mismatch(ctx, natural_rep):
     adj = adjoint_module(ctx.derivations)
     assert module_isomorphism(adj, natural_rep) is None
+
+
+def test_module_isomorphism_singular_line_is_none():
+    """diag(1, 2) and diag(1, 3) share one eigenvalue: Hom is the line of
+    E11, which is singular, so the modules are not isomorphic."""
+    line = LieAlgebra.abelian(1)
+    v = LieModule(line, [Matrix.diagonal([1, 2])])
+    w = LieModule(line, [Matrix.diagonal([1, 3])])
+    assert len(hom_space(v, w)) == 1
+    assert module_isomorphism(v, w) is None
+
+
+def test_module_isomorphism_undecided_raises(zero_module_2d):
+    """Hom of the trivial 2-dim module is all of M_2, whose canonical basis
+    E_ij is all singular: the search is undecided, not a "no"."""
+    with pytest.raises(PreconditionError):
+        module_isomorphism(zero_module_2d, zero_module_2d)
+
+
+def test_intertwiner_exact_beyond_int64():
+    """Products of the scaled entries pass 2**63, so the check runs on Python
+    ints; it still accepts an intertwiner and rejects a non-intertwiner."""
+    v = LieModule(LieAlgebra.abelian(1), [Matrix.diagonal([2**40, 0])])
+    assert Intertwiner(source=v, target=v, matrix=Matrix.diagonal([2**40, 3]))
+    with pytest.raises(ValueError):
+        Intertwiner(source=v, target=v, matrix=Matrix([[0, 2**40], [0, 0]]))
 
 
 def test_intertwiner_validation(natural_rep):
