@@ -1,8 +1,15 @@
 """Lie algebras by structure constants and by matrix realization.
 
-Covers brackets, Killing forms and Cartan's semisimplicity criterion,
-derivation algebras of nonassociative algebras, so(p,q) of a symmetric form,
-bracket-generated closures, centralizers, and bracket transporters.
+A ``LieAlgebra`` holds its bracket [e_i, e_j] = sum_k c_ijk e_k once, as the
+cleared integer tensor ``C`` (dim x dim x dim, C[i, j, k] = den * c_ijk) and
+its one denominator ``den``.  ``C`` is int64 when its entries fit and Python
+ints (object dtype) otherwise, as ``linalg.int_array`` decides; each product
+formed from it picks its dtype the same way, from a bound on the result.
+Brackets, ad, the Killing form (Cartan's criterion), closures, centralizers
+and transporters are contractions of ``C``; ``LieAlgebra.bracket_law_failure``
+is the one check of the bracket law, for a realization, a module action and
+the ad stack (the Jacobi identity).  Also derivation algebras of
+nonassociative algebras and so(p,q) of a symmetric form.
 """
 
 from __future__ import annotations
@@ -19,49 +26,55 @@ from .linalg import (
     Matrix,
     Subspace,
     ZERO,
-    ONE,
     clear_denominators,
     coordinate_map,
     int_array,
+    int_einsum,
     kernel_basis,
     signature,
 )
 from .octonion import StructureConstantAlgebra
 
 
-class LieAlgebra:
-    """A Lie algebra given by a bracket tensor [e_i, e_j] = sum_k c[i][j][k] e_k,
-    optionally carrying a faithful matrix realization of the basis.
+def _fraction_matrix(a: np.ndarray, den: int) -> Matrix:
+    """The Fraction matrix a / den of a 2-D integer array."""
+    return Matrix([[Fraction(x, den) if x else ZERO for x in row] for row in a.tolist()])
 
-    Antisymmetry is checked at construction, and so is the bracket law: against
-    the realization's commutators when one is supplied (which also forces the
-    Jacobi identity), and as the Jacobi identity otherwise.
+
+class LieAlgebra:
+    """A Lie algebra given by its structure constants, optionally carrying a
+    faithful matrix realization of the basis.
+
+    ``brackets`` is any dim x dim x dim nested sequence or array of rationals
+    with brackets[i][j][k] = c_ijk.  It is held only as ``C`` = den * c, an
+    int64 or Python-int array, and the least common denominator ``den``.  A
+    ragged or mis-shaped tensor raises ValueError, and so do a failure of
+    antisymmetry and a failure of ``bracket_law_failure``: against the
+    realization when one is supplied (which also forces the Jacobi
+    identity), on the ad stack otherwise.
     """
 
     def __init__(
         self,
-        brackets: tuple,
+        brackets,
         name: str = "",
         realization: Optional[tuple[Matrix, ...]] = None,
     ):
-        self.brackets = tuple(
-            tuple(tuple(Fraction(x) for x in prod) for prod in row) for row in brackets
-        )
-        self.dim = len(self.brackets)
+        self.dim = len(brackets)
         self.name = name
         self.realization = tuple(realization) if realization is not None else None
         # built once per algebra, by killing_form and reps.adjoint_module
         self._killing: Optional[KillingForm] = None
         self._adjoint = None
-        for i in range(self.dim):
-            if len(self.brackets[i]) != self.dim or any(
-                len(p) != self.dim for p in self.brackets[i]
-            ):
-                raise ValueError("bracket tensor has wrong shape")
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                if self.brackets[i][j] != tuple(-x for x in self.brackets[j][i]):
-                    raise ValueError(f"brackets not antisymmetric at ({i},{j})")
+        tensor = np.array(brackets, dtype=object) if self.dim else np.zeros((0, 0, 0), dtype=object)
+        if tensor.shape != (self.dim,) * 3:
+            raise ValueError("bracket tensor has wrong shape")
+        values = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in tensor.flat]
+        ints, self.den = clear_denominators(values)
+        self.C = int_array(ints, max(map(abs, ints), default=0)).reshape(tensor.shape)
+        asym = np.argwhere(np.any(self.C + self.C.transpose(1, 0, 2) != 0, axis=2))
+        if len(asym):
+            raise ValueError("brackets not antisymmetric at ({},{})".format(*asym[0]))
         if self.realization is None:
             if not self.verify_jacobi():
                 raise ValueError("Jacobi identity fails")
@@ -74,108 +87,60 @@ class LieAlgebra:
 
     # -- bracket machinery ------------------------------------------------
 
-    @cached_property
-    def _sparse(self) -> list[list[tuple[tuple[int, Fraction], ...]]]:
-        return [
-            [
-                tuple((k, c) for k, c in enumerate(prod) if c)
-                for prod in row
-            ]
-            for row in self.brackets
-        ]
-
-    @cached_property
-    def _sparse_int(self) -> tuple[list[list[tuple[tuple[int, int], ...]]], int]:
-        """Integer-scaled sparse brackets (table, denominator)."""
-        _, den = clear_denominators([c for row in self._sparse for prod in row for _, c in prod])
-        table = [[tuple((k, int(c * den)) for k, c in prod) for prod in row] for row in self._sparse]
-        return table, den
-
     def bracket_law_failure(self, mats: Sequence[Matrix]) -> Optional[tuple[int, int]]:
         """First basis pair (i, j), i < j, with [m_i, m_j] != sum_k c_ijk m_k,
         or None if the law holds exactly on every pair.
 
         The one check of the bracket law: for a realization, for the action of
-        a module, and for ad_basis, where it is the Jacobi identity.  Both
-        sides are scaled to integers; int64 carries them while every product
-        provably fits, Python ints beyond that.
+        a module, and (through ``verify_jacobi``) for the ad stack.
         """
         if not mats:
             return None
         n = mats[0].nrows
-        flat, den = clear_denominators([x for m in mats for row in m.rows for x in row])
-        table, cden = self._sparse_int
-        amax = max(map(abs, flat), default=0)
-        cmax = max((abs(c) for row in table for prod in row for _, c in prod), default=0)
-        peak = max(cden, den, cmax, 2 * n * amax * amax * cden, self.dim * cmax * amax * den)
-        a = int_array(flat, peak).reshape(len(mats), n, n)
-        for i in range(self.dim):
-            comm = cden * (a[i] @ a[i + 1 :] - a[i + 1 :] @ a[i])
-            for j in range(i + 1, self.dim):
-                rhs = sum((c * a[k] for k, c in table[i][j]), np.zeros_like(a[i]))
-                if not np.array_equal(comm[j - i - 1], den * rhs):
-                    return (i, j)
+        flat, scale = clear_denominators([x for m in mats for row in m.rows for x in row])
+        return self._law_failure(np.array(flat, dtype=object).reshape(len(mats), n, n), scale)
+
+    def _law_failure(self, a: np.ndarray, scale: int) -> Optional[tuple[int, int]]:
+        """bracket_law_failure for the matrices a[i] / scale, a an integer
+        stack: den [a_i, a_j] = scale sum_k C_ijk a_k for all j > i, one i at
+        a time so that no dim^2 n^2 array is held.  int64 carries both sides
+        while every product provably fits, Python ints beyond that."""
+        n = a.shape[1]
+        amax = int(np.max(np.abs(a), initial=0))
+        cmax = int(np.max(np.abs(self.C), initial=0))
+        peak = max(self.den, scale, cmax, 2 * n * amax * amax * self.den, self.dim * cmax * amax * scale)
+        a, c = int_array(a, peak), int_array(self.C, peak)
+        for i in range(self.dim - 1):
+            lhs = self.den * (a[i] @ a[i + 1 :] - a[i + 1 :] @ a[i])
+            rhs = scale * np.tensordot(c[i, i + 1 :], a, axes=(1, 0))
+            bad = np.flatnonzero(np.any(lhs != rhs, axis=(1, 2)))
+            if len(bad):
+                return i, i + 1 + int(bad[0])
         return None
+
+    def bracket_table(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """den * [x, y] for every row x of xs and y of ys, 2-D integer arrays
+        of coordinates, as an integer array of shape (len(xs), len(ys), dim)."""
+        return int_einsum("ai,bik->abk", xs, int_einsum("bj,ijk->bik", ys, self.C))
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Bracket of two coordinate vectors."""
-        out = [ZERO] * self.dim
-        sparse = self._sparse
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = sparse[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, m in row[j]:
-                    out[k] += c * m
-        return tuple(out)
-
-    def _bracket_int(self, x: Sequence[int], y: Sequence[int]) -> list[int]:
-        """Integer bracket against the scaled table (result scaled by the
-        table denominator, which is irrelevant for span computations)."""
-        table, _ = self._sparse_int
-        out = [0] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = table[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, m in row[j]:
-                    out[k] += c * m
-        return out
+        return self.ad(x).apply(y)
 
     def ad(self, x: Sequence[Fraction]) -> Matrix:
         """Matrix of ad(x): y -> [x, y] in basis coordinates."""
-        cols = []
-        for j in range(self.dim):
-            col = [ZERO] * self.dim
-            for i, xi in enumerate(x):
-                if not xi:
-                    continue
-                for k, m in self._sparse[i][j]:
-                    col[k] += xi * m
-            cols.append(col)
-        return Matrix(cols).transpose()
+        xs, xden = clear_denominators(x)
+        return _fraction_matrix(int_einsum("i,ijk->kj", xs, self.C), xden * self.den)
 
     @cached_property
     def ad_basis(self) -> tuple[Matrix, ...]:
-        basis = []
-        for i in range(self.dim):
-            coords = [ZERO] * self.dim
-            coords[i] = ONE
-            basis.append(self.ad(coords))
-        return tuple(basis)
+        return tuple(_fraction_matrix(self.C[i].T, self.den) for i in range(self.dim))
 
     def verify_jacobi(self) -> bool:
         """[ [x,y], z ] cycles sum to zero, checked as ad([x,y]) = [ad x, ad y]
-        on all basis pairs (equivalent, and quadratic rather than cubic)."""
-        return self.bracket_law_failure(self.ad_basis) is None
+        on all basis pairs (equivalent, and quadratic rather than cubic), on
+        the integer ad stack den * ad(e_i) = C[i]^T."""
+        return self._law_failure(self.C.transpose(0, 2, 1), self.den) is None
 
     @cached_property
     def realization_coordinates(self) -> Callable[[Matrix], Optional[tuple[Fraction, ...]]]:
@@ -188,58 +153,34 @@ class LieAlgebra:
     def from_matrix_basis(
         cls, mats: Sequence[Matrix], name: str = ""
     ) -> "LieAlgebra":
-        """Build from a linearly independent family of matrices closed under
-        commutators; raises if a commutator escapes the span."""
+        """Build from a linearly independent family of n x n matrices closed
+        under commutators.
+
+        All commutators come from one batched integer product, and candidate
+        constants are read off the pivot columns of the family's canonical
+        basis.  The bracket law in ``__init__`` certifies them: a family not
+        closed under commutators raises ValueError there.
+        """
         mats = tuple(mats)
         if not mats:
             return cls(brackets=(), name=name, realization=())
-        coords = coordinate_map([m.flatten() for m in mats])
-        dim = len(mats)
-        brackets = []
-        for i in range(dim):
-            row = []
-            for j in range(dim):
-                if j < i:
-                    row.append(tuple(-x for x in brackets[j][i]))
-                    continue
-                if j == i:
-                    row.append((ZERO,) * dim)
-                    continue
-                comm = coords(mats[i].commutator(mats[j]).flatten())
-                if comm is None:
-                    raise ValueError("matrix family is not commutator-closed")
-                row.append(comm)
-            brackets.append(tuple(row))
-        return cls(brackets=tuple(brackets), name=name, realization=mats)
-
-    @classmethod
-    def abelian(cls, dim: int, name: str = "abelian") -> "LieAlgebra":
-        zero = (ZERO,) * dim
-        return cls(
-            brackets=tuple(tuple(zero for _ in range(dim)) for _ in range(dim)),
-            name=name,
-        )
-
-    @classmethod
-    def zero(cls) -> "LieAlgebra":
-        return cls(brackets=(), name="0")
-
-    @classmethod
-    def direct_sum(cls, a: "LieAlgebra", b: "LieAlgebra", name: str = "") -> "LieAlgebra":
-        dim = a.dim + b.dim
-        zero = (ZERO,) * dim
-        brackets = []
-        for i in range(dim):
-            row = []
-            for j in range(dim):
-                if i < a.dim and j < a.dim:
-                    row.append(tuple(a.brackets[i][j]) + (ZERO,) * b.dim)
-                elif i >= a.dim and j >= a.dim:
-                    row.append((ZERO,) * a.dim + tuple(b.brackets[i - a.dim][j - a.dim]))
-                else:
-                    row.append(zero)
-            brackets.append(tuple(row))
-        return cls(brackets=tuple(brackets), name=name or f"{a.name}+{b.name}")
+        d, n = len(mats), mats[0].nrows
+        if any(m.shape != (n, n) for m in mats):
+            raise ValueError("matrix family must be square of one size")
+        flat, scale = clear_denominators([x for m in mats for x in m.flatten()])
+        a = np.array(flat, dtype=object).reshape(d, n * n)
+        span = Subspace.from_vectors(n * n, a.tolist())
+        if span.dim != d:
+            raise ValueError("matrix family is linearly dependent")
+        inv, inv_den = clear_denominators(Matrix(a[:, span.pivots].tolist()).inverse().flatten())
+        # with A_i = scale * m_i: [A_i, A_j] = sum_k t_ijk A_k, where
+        # t_ij = [A_i, A_j][pivots] A[:, pivots]^-1, pivots those of the span
+        prod = int_einsum("ikm,jml->ijkl", a.reshape(d, n, n), a.reshape(d, n, n))
+        comm = (prod - prod.transpose(1, 0, 2, 3)).reshape(d, d, n * n)[..., span.pivots]
+        t = int_einsum("ijp,pk->ijk", comm, np.array(inv, dtype=object).reshape(d, d))
+        den = scale * inv_den
+        consts = np.array([Fraction(x, den) if x else 0 for x in t.ravel().tolist()], dtype=object)
+        return cls(brackets=consts.reshape(d, d, d), name=name, realization=mats)
 
 
 @dataclass(frozen=True)
@@ -254,22 +195,10 @@ class KillingForm:
 
 def killing_form(g: LieAlgebra) -> KillingForm:
     """Exact Gram matrix of (x, y) -> trace(ad x ad y) and its signature,
-    computed once per algebra."""
-    if g._killing is not None:
-        return g._killing
-    ads = g.ad_basis
-    sparse = [
-        [(k, m, v) for k, row in enumerate(mat.rows) for m, v in enumerate(row) if v]
-        for mat in ads
-    ]
-    n = g.dim
-    rows = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            t = sum((v * ads[j].rows[m][k] for k, m, v in sparse[i]), ZERO)
-            rows[i][j] = rows[j][i] = t
-    gram = Matrix(rows)
-    g._killing = KillingForm(gram=gram, signature=signature(gram))
+    computed once per algebra: K = einsum('imk,jkm->ij', C, C) / den^2."""
+    if g._killing is None:
+        gram = _fraction_matrix(int_einsum("imk,jkm->ij", g.C, g.C), g.den**2)
+        g._killing = KillingForm(gram=gram, signature=signature(gram))
     return g._killing
 
 
@@ -327,8 +256,8 @@ def subalgebra_closure(g: LieAlgebra, seed: Subspace) -> Subspace:
     span = seed
     while span.dim < g.dim:
         basis = span.int_basis()
-        brackets = [g._bracket_int(x, y) for a, x in enumerate(basis) for y in basis[a + 1 :]]
-        grown = Subspace.from_vectors(g.dim, basis + brackets)
+        brackets = g.bracket_table(basis, basis)[np.triu_indices(len(basis), 1)]
+        grown = Subspace.from_vectors(g.dim, basis.tolist() + brackets.tolist())
         if grown.dim == span.dim:
             break
         span = grown
@@ -341,25 +270,21 @@ def centralizer(g: LieAlgebra, s: Subspace) -> Subspace:
         raise ValueError("subspace lives in the wrong ambient space")
     if s.dim == 0:
         return Subspace.full(g.dim)
-    rows = []
-    for v in s.basis:
-        rows.extend(g.ad(v).rows)  # [x, v] = -ad(v) x; same kernel
-    return kernel_basis(Matrix(rows))
+    # row (v, k), unknown x_i: the e_k coefficient of [x, v]
+    system = int_einsum("vj,ijk->vki", s.int_basis(), g.C)
+    return kernel_basis(system.reshape(-1, g.dim))
 
 
 def transporter_into(g: LieAlgebra, target: Subspace) -> Subspace:
     """{h in g : [h, g] ⊆ target}, by exact kernel computation."""
     if target.ambient_dim != g.dim:
         raise ValueError("target lives in the wrong ambient space")
-    ann = kernel_basis(Matrix(target.basis)) if target.dim else Subspace.full(g.dim)
+    if target.dim:
+        ann = kernel_basis(target.int_basis())
+    else:
+        ann = Subspace.full(g.dim)
     if ann.dim == 0:
         return Subspace.full(g.dim)
-    proj = Matrix(ann.basis)
-    rows = []
-    for j in range(g.dim):
-        # column map h -> [h, e_j]; entry (k, i) is c[i][j][k]
-        mj = Matrix(
-            [[g.brackets[i][j][k] for i in range(g.dim)] for k in range(g.dim)]
-        )
-        rows.extend((proj * mj).rows)
-    return kernel_basis(Matrix(rows))
+    # row (j, u), unknown h_i: the pairing of [h, e_j] with annihilator row u
+    system = int_einsum("uk,ijk->jui", ann.int_basis(), g.C)
+    return kernel_basis(system.reshape(-1, g.dim))

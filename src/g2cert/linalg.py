@@ -35,7 +35,7 @@ systems of a full verification run (356 x 64, 166 x 196, 320 x 441,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -187,9 +187,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix._raw(tuple(zip(*self.rows))) if self.rows else Matrix(())
 
-    def commutator(self, other: "Matrix") -> "Matrix":
-        return self * other - other * self
-
     def is_symmetric(self) -> bool:
         return self.rows == self.transpose().rows
 
@@ -247,6 +244,21 @@ def int_array(values, peak: int) -> np.ndarray:
     proves on every entry and every product it will form, stays below 2**62;
     Python ints (object dtype) otherwise."""
     return np.array(values, dtype=np.int64 if peak < (1 << 62) else object)
+
+
+def int_einsum(spec: str, *operands) -> np.ndarray:
+    """np.einsum over integer operands (arrays or nested lists of ints),
+    exactly.  Every entry and partial sum is at most the product of the
+    operands' largest magnitudes times the number of summed terms;
+    ``int_array`` picks the dtype from that bound."""
+    arrays = [op if isinstance(op, np.ndarray) else np.array(op, dtype=object) for op in operands]
+    inputs, output = spec.split("->")
+    sizes = {}
+    for letters, a in zip(inputs.split(","), arrays):
+        sizes.update(zip(letters, a.shape))
+    peak = math.prod(n for x, n in sizes.items() if x not in output)
+    peak *= math.prod(max(1, int(np.max(np.abs(a))) if a.size else 0) for a in arrays)
+    return np.einsum(spec, *(int_array(a, peak) for a in arrays))
 
 
 def _strip_row(row: list[int]) -> list[int]:
@@ -398,11 +410,7 @@ def _verify_kernel(int_rows: list[list[int]], vecs: list[tuple[Fraction, ...]]) 
     """Exact check that every candidate vector annihilates every row."""
     if not vecs:
         return True
-    scaled = _rows_to_int(vecs)
-    amax = max(abs(x) for row in int_rows for x in row)
-    bmax = max(abs(x) for v in scaled for x in v)
-    peak = amax * bmax * len(int_rows[0])
-    return not np.any(int_array(int_rows, peak) @ int_array(scaled, peak).T)
+    return not np.any(int_einsum("ij,kj->ik", int_rows, _rows_to_int(vecs)))
 
 
 def _lift_kernel(
@@ -493,11 +501,28 @@ def kernel_basis(m) -> "Subspace":
 class Subspace:
     """A subspace of Q^n held by its canonical (RREF) row basis.
 
-    Canonical storage makes equality of subspaces plain tuple equality.
+    Canonical storage makes equality of subspaces plain tuple equality, so
+    the constructor rejects any other basis with ValueError: each row has
+    length n, leads with a 1, the leading columns (``pivots``) strictly
+    increase, and no other row is nonzero in a pivot column.
     """
 
     ambient_dim: int
     basis: tuple[tuple[Fraction, ...], ...]
+    pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        nonzero = [list(map(bool, row)) for row in self.basis]
+        pivots = tuple(nz.index(True) if True in nz else -1 for nz in nonzero)
+        if (
+            any(len(nz) != self.ambient_dim for nz in nonzero)
+            or min(pivots, default=0) < 0
+            or any(p >= q for p, q in zip(pivots, pivots[1:]))
+            or any(row[p] != 1 for row, p in zip(self.basis, pivots))
+            or any(sum([nz[p] for p in pivots]) != 1 for nz in nonzero)
+        ):
+            raise ValueError("basis is not in reduced row echelon form")
+        object.__setattr__(self, "pivots", pivots)
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence[Fraction | int]]) -> "Subspace":
@@ -513,32 +538,24 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(
-            ambient_dim,
-            tuple(
-                tuple(ONE if i == j else ZERO for j in range(ambient_dim))
-                for i in range(ambient_dim)
-            ),
-        )
+        return cls(ambient_dim, Matrix.identity(ambient_dim).rows)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def int_basis(self) -> list[list[int]]:
-        """The canonical basis as integer rows, each scaled by the lcm of its
-        denominators; a row with a leading 1 comes out primitive."""
-        return _rows_to_int(self.basis)
-
-    def _pivots(self) -> tuple[int, ...]:
-        return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
+    def int_basis(self) -> np.ndarray:
+        """The canonical basis as a dim x ambient_dim array of Python ints,
+        each row scaled by the lcm of its denominators; a row with a leading
+        1 comes out primitive."""
+        return np.array(_rows_to_int(self.basis), dtype=object).reshape(self.dim, self.ambient_dim)
 
     def coordinates_of(self, vec: Sequence[Fraction]) -> Optional[tuple[Fraction, ...]]:
         """Coefficients of vec in the canonical basis, or None if outside."""
         vec = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in vec)
         if len(vec) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        coeffs = tuple(vec[p] for p in self._pivots())
+        coeffs = tuple(vec[p] for p in self.pivots)
         residual = list(vec)
         for c, row in zip(coeffs, self.basis):
             if c:

@@ -19,6 +19,7 @@ from .linalg import (
     ZERO,
     clear_denominators,
     int_array,
+    int_einsum,
     kernel_basis,
     signature,
 )
@@ -57,20 +58,6 @@ class LieModule:
         bad = algebra.bracket_law_failure(self.action)
         if bad is not None:
             raise ValueError("homomorphism law fails at basis pair ({},{})".format(*bad))
-
-    @classmethod
-    def direct_sum(cls, v: "LieModule", w: "LieModule", name: str = "") -> "LieModule":
-        if v.algebra is not w.algebra:
-            raise ValueError("modules over different algebras")
-        mats = []
-        for a, b in zip(v.action, w.action):
-            rows = [
-                tuple(row) + (ZERO,) * w.dim for row in a.rows
-            ] + [
-                (ZERO,) * v.dim + tuple(row) for row in b.rows
-            ]
-            mats.append(Matrix(rows))
-        return cls(v.algebra, mats, name=name or f"{v.name}+{w.name}", dim=v.dim + w.dim)
 
 
 def adjoint_module(g: LieAlgebra) -> LieModule:
@@ -127,12 +114,10 @@ class Intertwiner:
         t_ints, _ = clear_denominators(self.matrix.flatten())
         flat, _ = clear_denominators([x for m in v.action + w.action for row in m.rows for x in row])
         split = len(v.action) * v.dim * v.dim
-        tmax, amax = max(map(abs, t_ints), default=0), max(map(abs, flat), default=0)
-        peak = max(tmax, amax, tmax * amax * max(v.dim, w.dim))
-        t = int_array(t_ints, peak).reshape(w.dim, v.dim)
-        rho_v = int_array(flat[:split], peak).reshape(len(v.action), v.dim, v.dim)
-        rho_w = int_array(flat[split:], peak).reshape(len(w.action), w.dim, w.dim)
-        if not np.array_equal(t @ rho_v, rho_w @ t):
+        t = np.array(t_ints, dtype=object).reshape(w.dim, v.dim)
+        rho_v = np.array(flat[:split], dtype=object).reshape(len(v.action), v.dim, v.dim)
+        rho_w = np.array(flat[split:], dtype=object).reshape(len(w.action), w.dim, w.dim)
+        if not np.array_equal(int_einsum("ab,ibc->iac", t, rho_v), int_einsum("iab,bc->iac", rho_w, t)):
             raise ValueError("matrix does not intertwine the actions")
 
     @property
@@ -168,13 +153,12 @@ def _sylvester_kernel(
                 b_int, np.eye(ncols, dtype=b_int.dtype)
             )
             survivors = kernel_basis(system)
-            vectors = np.array(survivors.int_basis(), dtype=object).reshape(survivors.dim, size)
+            vectors = survivors.int_basis()
         else:
             t = vectors.reshape(-1, nrows, ncols)
             images = (t @ a_int - b_int @ t).reshape(len(vectors), size)
             coeff_kernel = kernel_basis(images.T)
-            coeffs = np.array(coeff_kernel.int_basis(), dtype=object)
-            vectors = coeffs.reshape(coeff_kernel.dim, len(vectors)) @ vectors
+            vectors = coeff_kernel.int_basis() @ vectors
         if not len(vectors):
             return Subspace(size, ())
     return Subspace.from_vectors(size, vectors.tolist())
@@ -290,8 +274,8 @@ def bracket_span(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     """Span of all [x, y] with x over a basis of a and y over a basis of b."""
     if a.ambient_dim != g.dim or b.ambient_dim != g.dim:
         raise ValueError("subspace lives in the wrong ambient space")
-    vectors = [g.bracket(x, y) for x in a.basis for y in b.basis]
-    return Subspace.from_vectors(g.dim, vectors)
+    table = g.bracket_table(a.int_basis(), b.int_basis())
+    return Subspace.from_vectors(g.dim, table.reshape(-1, g.dim).tolist())
 
 
 def _wedge_index(n: int) -> list[tuple[int, int]]:

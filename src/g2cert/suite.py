@@ -47,6 +47,14 @@ from .reps import (
 from .report import normalize_witnesses
 
 
+# Caps on the two size inputs, checked before any work starts.  A maximality
+# sample (one module generation, one subalgebra closure) takes a few ms on one
+# x86-64 core, so MAX_SAMPLES bounds that loop at roughly a minute; the census
+# enumerates (bound + 1)^2 G2 weights.
+MAX_SAMPLES = 10_000
+MAX_CENSUS_BOUND = 100
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     """Everything a run depends on; equal configs give byte-identical reports."""
@@ -59,10 +67,10 @@ class SuiteConfig:
     def __post_init__(self):
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.samples < 0:
-            raise ValueError("samples must be >= 0")
-        if self.census_bound < 1:
-            raise ValueError("census bound must be >= 1")
+        if not (0 <= self.samples <= MAX_SAMPLES):
+            raise ValueError(f"samples must be between 0 and {MAX_SAMPLES}")
+        if not (1 <= self.census_bound <= MAX_CENSUS_BOUND):
+            raise ValueError(f"census bound must be between 1 and {MAX_CENSUS_BOUND}")
 
 
 @dataclass

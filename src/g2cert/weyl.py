@@ -15,6 +15,11 @@ from typing import Sequence
 
 from .linalg import Matrix, ONE
 
+# Cap on the weights a dimension census enumerates, (bound + 1)^rank.  On one
+# x86-64 core a weight takes about 0.05 ms for G2 and 1 ms for E8, so a
+# census stays under two minutes.
+MAX_CENSUS_WEIGHTS = 100_000
+
 _EXCEPTIONAL_RANKS = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
 # floors that remove the classical coincidences B2=C2, A3=D3, D2=A1+A1
 _CLASSICAL_MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4}
@@ -233,6 +238,11 @@ def dimension_census(rs: RootSystem, coeff_bound: int) -> DimensionCensus:
     if coeff_bound < 1:
         raise ValueError("coefficient bound must be >= 1")
     n = rs.cartan.rank
+    if (coeff_bound + 1) ** n > MAX_CENSUS_WEIGHTS:
+        raise ValueError(
+            f"(bound + 1)^rank = {coeff_bound + 1}^{n} weights exceeds "
+            f"the cap of {MAX_CENSUS_WEIGHTS}"
+        )
     grid: dict[tuple[int, ...], int] = {}
 
     def rec(prefix: tuple[int, ...]):

@@ -1,12 +1,54 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import settings
 
-from g2cert.linalg import ONE, ZERO
+from g2cert.lie import LieAlgebra
+from g2cert.linalg import ONE, ZERO, Matrix
 from g2cert.octonion import StructureConstantAlgebra
+from g2cert.reps import LieModule
 from g2cert.suite import VerificationContext
 
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")
+
+
+def structure_constants(g):
+    """The constants c_ijk of g as a nested list of Fractions."""
+    return [[[Fraction(int(x), g.den) for x in prod] for prod in row] for row in g.C.tolist()]
+
+
+def abelian_algebra(dim):
+    return LieAlgebra(brackets=[[[ZERO] * dim] * dim] * dim, name="abelian")
+
+
+def zero_algebra():
+    return LieAlgebra(brackets=(), name="0")
+
+
+def direct_sum_algebra(a, b):
+    """a + b with [a, b] = 0, basis of a first."""
+    dim = a.dim + b.dim
+    brackets = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+    for g, off in ((a, 0), (b, a.dim)):
+        for i, row in enumerate(structure_constants(g)):
+            for j, prod in enumerate(row):
+                brackets[off + i][off + j][off : off + g.dim] = prod
+    return LieAlgebra(brackets=brackets, name=f"{a.name}+{b.name}")
+
+
+def direct_sum_module(v, w):
+    """v + w as a module over their common algebra, block-diagonal action."""
+    if v.algebra is not w.algebra:
+        raise ValueError("modules over different algebras")
+    mats = [
+        Matrix(
+            [tuple(r) + (ZERO,) * w.dim for r in x.rows]
+            + [(ZERO,) * v.dim + tuple(r) for r in y.rows]
+        )
+        for x, y in zip(v.action, w.action)
+    ]
+    return LieModule(v.algebra, mats, name=f"{v.name}+{w.name}", dim=v.dim + w.dim)
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from g2cert import cli, suite, weyl
 from g2cert.cli import main
 
 
@@ -87,6 +88,23 @@ def test_dims_json(capsys):
 def test_dims_bad_type_exits_2(capsys):
     code, _, err = run_cli(capsys, "dims", "--type", "Z9", "--max-coeff", "1")
     assert code == 2
+
+
+def test_over_cap_inputs_exit_2_before_any_work(capsys, monkeypatch):
+    """dims --type E8 --max-coeff 10 would enumerate 11^8 (about 2e8)
+    weights; it and over-cap verify options are rejected up front."""
+
+    def never(*_args, **_kwargs):
+        raise AssertionError("over-cap input reached the exponential work")
+
+    monkeypatch.setattr(weyl, "weyl_dimension", never)
+    monkeypatch.setattr(cli, "run_all", never)
+    code, _, err = run_cli(capsys, "dims", "--type", "E8", "--max-coeff", "10")
+    assert code == 2 and "cap" in err
+    code, _, err = run_cli(capsys, "verify", "--all", "--samples", str(suite.MAX_SAMPLES + 1))
+    assert code == 2 and "samples" in err
+    code, _, err = run_cli(capsys, "verify", "--all", "--census-bound", str(suite.MAX_CENSUS_BOUND + 1))
+    assert code == 2 and "census bound" in err
 
 
 def test_census_dim21(capsys):

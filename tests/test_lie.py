@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from g2cert.errors import DegenerateFormError
@@ -13,8 +14,10 @@ from g2cert.lie import (
     subalgebra_closure,
     transporter_into,
 )
-from g2cert.linalg import Matrix, Subspace, kernel_basis
+from g2cert.linalg import Matrix, Subspace, coordinate_map, kernel_basis
 from g2cert.octonion import StructureConstantAlgebra
+
+from conftest import abelian_algebra, direct_sum_algebra, structure_constants
 
 Z = Fraction(0)
 
@@ -30,6 +33,124 @@ def sl2():
         ),
         name="sl2",
     )
+
+
+def _sl2_scaled(n, drift=0):
+    """sl2 in the basis (n h, e, f): [h', e] = 2n e, [h', f] = -2n f,
+    [e, f] = h' / n; drift is added to [h', e] only, which breaks Jacobi."""
+    c = [[[Z] * 3 for _ in range(3)] for _ in range(3)]
+    c[0][1][1], c[1][0][1] = Fraction(2 * n + drift), Fraction(-2 * n - drift)
+    c[0][2][2], c[2][0][2] = Fraction(-2 * n), Fraction(2 * n)
+    c[1][2][0], c[2][1][0] = Fraction(1, n), Fraction(-1, n)
+    return c
+
+
+def _unit(n, i):
+    return tuple(Fraction(int(j == i)) for j in range(n))
+
+
+@pytest.mark.parametrize(
+    "brackets",
+    [
+        (((Z, Z), (Z,)), ((Z, Z), (Z, Z))),  # ragged innermost row
+        (((Z, Z, Z), (Z, Z, Z)), ((Z, Z, Z), (Z, Z, Z))),  # 2 x 2 x 3
+        (((Z, Z), (Z, Z), (Z, Z)), ((Z, Z), (Z, Z), (Z, Z))),  # 2 x 3 x 2
+        ((Z, Z), (Z, Z)),  # 2 x 2
+    ],
+)
+def test_misshaped_bracket_tensor_rejected(brackets):
+    with pytest.raises(ValueError):
+        LieAlgebra(brackets=brackets)
+
+
+def test_constants_beyond_int64_checked_exactly():
+    """With n = 2**40 the cleared tensor has entries 2n^2 = 2**81, so the
+    antisymmetry and Jacobi checks run on Python ints; both still accept sl2
+    and reject a one-unit drift."""
+    n = 2**40
+    g = LieAlgebra(brackets=_sl2_scaled(n))
+    assert g.C.dtype == object and g.den == n
+    assert g.bracket(_unit(3, 1), _unit(3, 2)) == (Fraction(1, n), Z, Z)
+    with pytest.raises(ValueError, match="Jacobi"):
+        LieAlgebra(brackets=_sl2_scaled(n, drift=1))
+    lopsided = _sl2_scaled(n)
+    lopsided[1][0][1] -= 1
+    with pytest.raises(ValueError, match="antisymmetric"):
+        LieAlgebra(brackets=lopsided)
+
+
+def _bracket_by_units(g):
+    """Reference table: table[i][j] = [e_i, e_j] as Fractions."""
+    n = g.dim
+    return [[g.bracket(_unit(n, i), _unit(n, j)) for j in range(n)] for i in range(n)]
+
+
+def _killing_by_traces(g):
+    """Reference Gram matrix: trace(ad x ad y) on basis pairs, with entry
+    (k, m) of ad(e_i) read off the bracket table as ads[i][m][k]."""
+    n, ads = g.dim, _bracket_by_units(g)
+    return [
+        [sum(ads[i][m][k] * ads[j][k][m] for k in range(n) for m in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def test_killing_form_matches_trace_reference(sl2, derivations, so34):
+    scaled = [LieAlgebra(brackets=_sl2_scaled(n)) for n in (Fraction(2, 3), 2**40)]
+    for g in (sl2, derivations, so34, *scaled):
+        assert [list(r) for r in killing_form(g).gram.rows] == _killing_by_traces(g)
+
+
+def test_from_matrix_basis_on_non_canonical_basis():
+    """A scaled and sheared basis of sl2: the constants must be the
+    coordinates of each commutator relative to the family itself."""
+    h, e, f = Matrix([[1, 0], [0, -1]]), Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])
+    mats = [h.scale(3) + e, e.scale(Fraction(1, 2)) - f, f.scale(5) + h.scale(Fraction(2, 3))]
+    g = LieAlgebra.from_matrix_basis(mats)
+    coords = coordinate_map([m.flatten() for m in mats])
+    for i in range(3):
+        for j in range(3):
+            expected = coords((mats[i] * mats[j] - mats[j] * mats[i]).flatten())
+            assert g.bracket(_unit(3, i), _unit(3, j)) == expected
+    assert g.den > 1
+
+
+def test_bracket_table_matches_bracket():
+    g = LieAlgebra(brackets=_sl2_scaled(Fraction(2, 3)))
+    table = g.bracket_table(np.eye(3, dtype=int), np.array([(1, 2, -1), (0, 0, 3)]))
+    ref = _bracket_by_units(g)
+    assert g.den > 1
+    for i in range(3):
+        first, second = ([Fraction(x, g.den) for x in col] for col in table[i])
+        assert first == [a + 2 * b - c for a, b, c in zip(*ref[i])]
+        assert second == [3 * c for c in ref[i][2]]
+
+
+def test_centralizer_and_transporter_match_row_by_row_reference(sl2, derivations):
+    """The einsum systems against systems built row by row from brackets."""
+    both = direct_sum_algebra(so_of_form(Matrix.identity(3)), sl2)
+    cases = [
+        (derivations, Subspace.from_vectors(14, [_unit(14, 0), [int(k in (3, 5)) for k in range(14)]])),
+        (both, Subspace.from_vectors(6, [_unit(6, i) for i in range(3)])),
+        (both, Subspace.from_vectors(6, [_unit(6, 3), _unit(6, 4)])),
+    ]
+    for g, s in cases:
+        n, table = g.dim, _bracket_by_units(g)
+        # [x, v] = sum_i x_i [e_i, v]; row (v, k) in the unknowns x_i
+        rows = [
+            [sum(v[j] * table[i][j][k] for j in range(n)) for i in range(n)]
+            for v in s.basis
+            for k in range(n)
+        ]
+        assert centralizer(g, s) == kernel_basis(Matrix(rows))
+        # [h, e_j] pairs to zero with every annihilator row u of s
+        ann = kernel_basis(Matrix(s.basis))
+        rows = [
+            [sum(u[k] * table[i][j][k] for k in range(n)) for i in range(n)]
+            for j in range(n)
+            for u in ann.basis
+        ]
+        assert transporter_into(g, s) == kernel_basis(Matrix(rows))
 
 
 def test_antisymmetry_enforced():
@@ -157,7 +278,7 @@ def test_derivations_of_split_cayley(cayley, derivations):
 
 
 def test_killing_abelian():
-    kf = killing_form(LieAlgebra.abelian(2))
+    kf = killing_form(abelian_algebra(2))
     assert kf.gram.is_zero()
     assert kf.signature == (0, 0, 2)
 
@@ -194,7 +315,7 @@ def test_killing_ad_invariance(derivations):
 
 
 def test_semisimplicity(sl2, derivations):
-    assert not is_semisimple(LieAlgebra.abelian(3))
+    assert not is_semisimple(abelian_algebra(3))
     assert is_semisimple(sl2)
     assert is_semisimple(derivations)
 
@@ -263,7 +384,7 @@ def test_transporter_into_whole(sl2):
 
 def test_transporter_into_zero_is_center(sl2):
     assert transporter_into(sl2, Subspace(3, ())).dim == 0
-    abelian = LieAlgebra.abelian(2)
+    abelian = abelian_algebra(2)
     assert transporter_into(abelian, Subspace(2, ())).dim == 2
 
 
@@ -273,7 +394,7 @@ def test_transporter_into_complement_is_zero(ctx):
 
 def test_direct_sum_killing_restriction():
     so3 = so_of_form(Matrix.identity(3))
-    both = LieAlgebra.direct_sum(so3, so3)
+    both = direct_sum_algebra(so3, so3)
     diag = Subspace.from_vectors(
         6, [(1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 1, 0), (0, 0, 1, 0, 0, 1)]
     )
@@ -291,4 +412,4 @@ def test_from_matrix_basis_rejects_unclosed_family():
 def test_realization_consistency_enforced(sl2):
     wrong = (Matrix.identity(3),) * 3
     with pytest.raises(ValueError):
-        LieAlgebra(brackets=sl2.brackets, realization=wrong)
+        LieAlgebra(brackets=structure_constants(sl2), realization=wrong)

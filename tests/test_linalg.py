@@ -12,6 +12,7 @@ from g2cert.linalg import (
     Subspace,
     _kernel_modular,
     _rows_to_int,
+    int_einsum,
     kernel_basis,
     rref,
     signature,
@@ -213,6 +214,40 @@ def test_subspace_coordinates_roundtrip():
             rebuilt[j] += c * x
     assert tuple(rebuilt) == vec
     assert sub.coordinates_of((1, 0, 0)) is None
+
+
+@pytest.mark.parametrize(
+    "ambient, basis",
+    [
+        (2, ((1, 1), (0, 1))),  # nonzero entry above a later pivot
+        (2, ((1, 0, 0),)),  # row longer than the ambient space
+        (2, ((2, 0),)),  # pivot entry not 1
+        (3, ((0, 1, 0), (1, 0, 0))),  # pivots not increasing
+        (3, ((1, 0, 0), (1, 0, 0))),  # repeated pivot
+        (2, ((0, 0),)),  # zero row
+        (3, ((1, 0, 0), (0, 1, 0), (0, 1, 1))),  # entry below a pivot
+    ],
+)
+def test_subspace_rejects_non_canonical_basis(ambient, basis):
+    with pytest.raises(ValueError):
+        Subspace(ambient, basis)
+
+
+def test_subspace_accepts_canonical_basis():
+    sub = Subspace(3, ((1, Fraction(1, 2), 0), (0, 0, 1)))
+    assert sub.pivots == (0, 2)
+    assert sub == Subspace.from_vectors(3, [(2, 1, 4), (0, 0, 3)])
+
+
+def test_int_einsum_exact_beyond_int64():
+    """A product whose entries pass 2**63 is computed on Python ints; the
+    explicit loop is the reference."""
+    a = [[2**40, -3], [5, 2**40 + 1]]
+    b = [[2**30, 7], [-(2**31), 1]]
+    expected = [[sum(a[i][k] * b[k][j] * a[j][i] for k in range(2)) for j in range(2)] for i in range(2)]
+    out = int_einsum("ik,kj,ji->ij", a, b, a)
+    assert out.tolist() == expected
+    assert int_einsum("ij,jk->ik", [[1, 2]], [[3], [4]]).dtype == np.int64
 
 
 @pytest.mark.parametrize("nrows, ncols", [(8, 10), (160, 130)])

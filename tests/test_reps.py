@@ -22,12 +22,14 @@ from g2cert.reps import (
     wedge_square,
 )
 
+from conftest import abelian_algebra, direct_sum_algebra, direct_sum_module, zero_algebra
+
 Z = Fraction(0)
 
 
 @pytest.fixture(scope="module")
 def zero_module_2d():
-    return LieModule(LieAlgebra.zero(), [], dim=2)
+    return LieModule(zero_algebra(), [], dim=2)
 
 
 @pytest.fixture(scope="module")
@@ -88,14 +90,14 @@ def test_so34_adjoint_irreducible(so34):
 
 
 def test_double_copy_has_commutant_four(natural_rep):
-    doubled = LieModule.direct_sum(natural_rep, natural_rep)
+    doubled = direct_sum_module(natural_rep, natural_rep)
     cert = is_irreducible(doubled)
     assert not cert.irreducible
     assert cert.commutant_dim == 4
 
 
 def test_irreducibility_requires_semisimple():
-    abelian = LieAlgebra.abelian(1)
+    abelian = abelian_algebra(1)
     mod = LieModule(abelian, [Matrix.zeros(2, 2)])
     with pytest.raises(NotSemisimpleError):
         is_irreducible(mod)
@@ -154,7 +156,7 @@ def test_orthocomplement_of_whole_algebra(so34):
 
 def test_orthocomplement_diagonal_so3():
     so3 = so_of_form(Matrix.identity(3))
-    both = LieAlgebra.direct_sum(so3, so3)
+    both = direct_sum_algebra(so3, so3)
     diag = Subspace.from_vectors(
         6, [(1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 1, 0), (0, 0, 1, 0, 0, 1)]
     )
@@ -334,7 +336,7 @@ def test_module_isomorphism_dimension_mismatch(ctx, natural_rep):
 def test_module_isomorphism_singular_line_is_none():
     """diag(1, 2) and diag(1, 3) share one eigenvalue: Hom is the line of
     E11, which is singular, so the modules are not isomorphic."""
-    line = LieAlgebra.abelian(1)
+    line = abelian_algebra(1)
     v = LieModule(line, [Matrix.diagonal([1, 2])])
     w = LieModule(line, [Matrix.diagonal([1, 3])])
     assert len(hom_space(v, w)) == 1
@@ -351,7 +353,7 @@ def test_module_isomorphism_undecided_raises(zero_module_2d):
 def test_intertwiner_exact_beyond_int64():
     """Products of the scaled entries pass 2**63, so the check runs on Python
     ints; it still accepts an intertwiner and rejects a non-intertwiner."""
-    v = LieModule(LieAlgebra.abelian(1), [Matrix.diagonal([2**40, 0])])
+    v = LieModule(abelian_algebra(1), [Matrix.diagonal([2**40, 0])])
     assert Intertwiner(source=v, target=v, matrix=Matrix.diagonal([2**40, 3]))
     with pytest.raises(ValueError):
         Intertwiner(source=v, target=v, matrix=Matrix([[0, 2**40], [0, 0]]))
@@ -368,4 +370,4 @@ def test_intertwiner_validation(natural_rep):
 
 def test_natural_module_requires_realization():
     with pytest.raises(ValueError):
-        natural_module(LieAlgebra.abelian(2))
+        natural_module(abelian_algebra(2))

@@ -20,6 +20,8 @@ from g2cert.report import (
 )
 from g2cert.suite import (
     CHECK_IDS,
+    MAX_CENSUS_BOUND,
+    MAX_SAMPLES,
     CheckReport,
     SuiteConfig,
     VerificationContext,
@@ -157,6 +159,11 @@ def test_config_validation():
         SuiteConfig(samples=-1)
     with pytest.raises(ValueError):
         SuiteConfig(census_bound=0)
+    SuiteConfig(samples=MAX_SAMPLES, census_bound=MAX_CENSUS_BOUND)
+    with pytest.raises(ValueError):
+        SuiteConfig(samples=MAX_SAMPLES + 1)
+    with pytest.raises(ValueError):
+        SuiteConfig(census_bound=MAX_CENSUS_BOUND + 1)
 
 
 def corrupted_cayley() -> SplitCayley:
