@@ -5,10 +5,12 @@ cleared integer tensor ``C`` (dim x dim x dim, C[i, j, k] = den * c_ijk) and
 its one denominator ``den``.  ``C`` is int64 when its entries fit and Python
 ints (object dtype) otherwise, as ``linalg.int_array`` decides; each product
 formed from it picks its dtype the same way, from a bound on the result.
-Brackets, ad, the Killing form (Cartan's criterion), closures, centralizers
-and transporters are contractions of ``C``; ``LieAlgebra.bracket_law_failure``
-is the one check of the bracket law, for a realization, a module action and
-the ad stack (the Jacobi identity).  Also derivation algebras of
+Brackets (``bracket_table``), the Killing form (Cartan's criterion),
+closures, centralizers and transporters are contractions of ``C``, and the
+integer ad stack den * ad(e_i) is ``C[i]^T``.  ``LieAlgebra.bracket_law_failure``
+is the one check of the bracket law, on an integer stack with one
+denominator: a realization (cleared by ``linalg.int_stack``), a module action
+and the ad stack (the Jacobi identity).  Also derivation algebras of
 nonassociative algebras and so(p,q) of a symmetric form.
 """
 
@@ -30,6 +32,7 @@ from .linalg import (
     coordinate_map,
     int_array,
     int_einsum,
+    int_stack,
     kernel_basis,
     signature,
 )
@@ -81,30 +84,24 @@ class LieAlgebra:
         else:
             if len(self.realization) != self.dim:
                 raise ValueError("realization size does not match dimension")
-            bad = self.bracket_law_failure(self.realization)
+            n = self.realization[0].nrows if self.realization else 0
+            bad = self.bracket_law_failure(*int_stack(self.realization, n))
             if bad is not None:
                 raise ValueError("realization inconsistent with brackets at ({},{})".format(*bad))
 
     # -- bracket machinery ------------------------------------------------
 
-    def bracket_law_failure(self, mats: Sequence[Matrix]) -> Optional[tuple[int, int]]:
-        """First basis pair (i, j), i < j, with [m_i, m_j] != sum_k c_ijk m_k,
-        or None if the law holds exactly on every pair.
+    def bracket_law_failure(self, a: np.ndarray, scale: int) -> Optional[tuple[int, int]]:
+        """First basis pair (i, j), i < j, with [m_i, m_j] != sum_k c_ijk m_k
+        for the matrices m_i = a[i] / scale of an integer stack a, or None if
+        the law holds exactly on every pair.
 
         The one check of the bracket law: for a realization, for the action of
-        a module, and (through ``verify_jacobi``) for the ad stack.
+        a module, and (through ``verify_jacobi``) for the ad stack.  It runs
+        den [a_i, a_j] = scale sum_k C_ijk a_k for all j > i, one i at a time
+        so that no dim^2 n^2 array is held; int64 carries both sides while
+        every product provably fits, Python ints beyond that.
         """
-        if not mats:
-            return None
-        n = mats[0].nrows
-        flat, scale = clear_denominators([x for m in mats for row in m.rows for x in row])
-        return self._law_failure(np.array(flat, dtype=object).reshape(len(mats), n, n), scale)
-
-    def _law_failure(self, a: np.ndarray, scale: int) -> Optional[tuple[int, int]]:
-        """bracket_law_failure for the matrices a[i] / scale, a an integer
-        stack: den [a_i, a_j] = scale sum_k C_ijk a_k for all j > i, one i at
-        a time so that no dim^2 n^2 array is held.  int64 carries both sides
-        while every product provably fits, Python ints beyond that."""
         n = a.shape[1]
         amax = int(np.max(np.abs(a), initial=0))
         cmax = int(np.max(np.abs(self.C), initial=0))
@@ -123,31 +120,18 @@ class LieAlgebra:
         of coordinates, as an integer array of shape (len(xs), len(ys), dim)."""
         return int_einsum("ai,bik->abk", xs, int_einsum("bj,ijk->bik", ys, self.C))
 
-    def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Bracket of two coordinate vectors."""
-        return self.ad(x).apply(y)
-
-    def ad(self, x: Sequence[Fraction]) -> Matrix:
-        """Matrix of ad(x): y -> [x, y] in basis coordinates."""
-        xs, xden = clear_denominators(x)
-        return _fraction_matrix(int_einsum("i,ijk->kj", xs, self.C), xden * self.den)
-
-    @cached_property
-    def ad_basis(self) -> tuple[Matrix, ...]:
-        return tuple(_fraction_matrix(self.C[i].T, self.den) for i in range(self.dim))
-
     def verify_jacobi(self) -> bool:
         """[ [x,y], z ] cycles sum to zero, checked as ad([x,y]) = [ad x, ad y]
         on all basis pairs (equivalent, and quadratic rather than cubic), on
         the integer ad stack den * ad(e_i) = C[i]^T."""
-        return self._law_failure(self.C.transpose(0, 2, 1), self.den) is None
+        return self.bracket_law_failure(self.C.transpose(0, 2, 1), self.den) is None
 
     @cached_property
-    def realization_coordinates(self) -> Callable[[Matrix], Optional[tuple[Fraction, ...]]]:
-        """Map a matrix to its coordinates in the realization basis, or to None
-        when it lies outside the realization's span."""
-        coords = coordinate_map([m.flatten() for m in self.realization])
-        return lambda m: coords(m.flatten())
+    def realization_coordinates(self) -> Callable[[Sequence], Optional[tuple[Fraction, ...]]]:
+        """Map a row-major flattened matrix to its coordinates in the
+        realization basis, or to None when it lies outside the realization's
+        span."""
+        return coordinate_map([m.flatten() for m in self.realization])
 
     @classmethod
     def from_matrix_basis(
@@ -165,10 +149,8 @@ class LieAlgebra:
         if not mats:
             return cls(brackets=(), name=name, realization=())
         d, n = len(mats), mats[0].nrows
-        if any(m.shape != (n, n) for m in mats):
-            raise ValueError("matrix family must be square of one size")
-        flat, scale = clear_denominators([x for m in mats for x in m.flatten()])
-        a = np.array(flat, dtype=object).reshape(d, n * n)
+        a, scale = int_stack(mats, n)
+        a = a.reshape(d, n * n)
         span = Subspace.from_vectors(n * n, a.tolist())
         if span.dim != d:
             raise ValueError("matrix family is linearly dependent")

@@ -8,7 +8,9 @@ A system reaches the solvers as a Fraction ``Matrix`` or as a 2-D numpy
 integer array (int64, or object dtype of Python ints); callers holding
 integers pass the array, and a ``Matrix`` is cleared once, row by row.
 ``clear_denominators`` is the one place rationals are scaled to integers,
-``int_array`` the one place that picks int64 or Python ints for products.
+``int_stack`` the one place a family of Fraction matrices becomes one
+integer stack with one denominator, and ``int_array`` the one place that
+picks int64 or Python ints for products.
 
 Two elimination engines sit behind the public API, and the input size picks
 one:
@@ -86,25 +88,10 @@ class Matrix:
         return m
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        row = (ZERO,) * ncols
-        return cls._raw(tuple(row for _ in range(nrows)))
-
-    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls._raw(
             tuple(
                 tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)
-            )
-        )
-
-    @classmethod
-    def diagonal(cls, entries: Sequence) -> "Matrix":
-        n = len(entries)
-        return cls._raw(
-            tuple(
-                tuple(Fraction(entries[i]) if i == j else ZERO for j in range(n))
-                for i in range(n)
             )
         )
 
@@ -119,9 +106,6 @@ class Matrix:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self.rows == other.rows
@@ -244,6 +228,16 @@ def int_array(values, peak: int) -> np.ndarray:
     proves on every entry and every product it will form, stays below 2**62;
     Python ints (object dtype) otherwise."""
     return np.array(values, dtype=np.int64 if peak < (1 << 62) else object)
+
+
+def int_stack(mats: Sequence[Matrix], n: int) -> tuple[np.ndarray, int]:
+    """A family of n x n Fraction matrices as one integer stack A
+    (len(mats) x n x n) and the least den > 0 with A[i] = den * mats[i];
+    int64 or Python ints as ``int_array`` decides."""
+    if any(m.shape != (n, n) for m in mats):
+        raise ValueError("matrix family must be square of one size")
+    ints, den = clear_denominators([x for m in mats for row in m.rows for x in row])
+    return int_array(ints, max(map(abs, ints), default=0)).reshape(len(mats), n, n), den
 
 
 def int_einsum(spec: str, *operands) -> np.ndarray:

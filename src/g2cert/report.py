@@ -9,8 +9,6 @@ timing fields, which golden comparisons zero out.
 from __future__ import annotations
 
 import json
-import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -18,8 +16,6 @@ if TYPE_CHECKING:
     from .suite import CheckReport, SuiteConfig
 
 REPORT_VERSION = 1
-
-_FRACTION_RE = re.compile(r"^-?[0-9]+/[1-9][0-9]*$")
 
 
 def normalize_witnesses(value):
@@ -35,18 +31,6 @@ def normalize_witnesses(value):
     if isinstance(value, dict):
         return {str(k): normalize_witnesses(v) for k, v in value.items()}
     raise TypeError(f"witness value of unsupported type {type(value).__name__}")
-
-
-def parse_witness_value(value):
-    """Inverse of normalize_witnesses for values that encode rationals."""
-    if isinstance(value, str) and _FRACTION_RE.match(value):
-        num, den = value.split("/")
-        return Fraction(int(num), int(den))
-    if isinstance(value, list):
-        return [parse_witness_value(v) for v in value]
-    if isinstance(value, dict):
-        return {k: parse_witness_value(v) for k, v in value.items()}
-    return value
 
 
 def summarize(reports: list["CheckReport"]) -> dict:
@@ -80,34 +64,6 @@ def to_document(reports: list["CheckReport"], cfg: "SuiteConfig") -> dict:
 def serialize(reports: list["CheckReport"], cfg: "SuiteConfig") -> bytes:
     doc = to_document(reports, cfg)
     return (json.dumps(doc, indent=2, ensure_ascii=True) + "\n").encode("ascii")
-
-
-@dataclass(frozen=True)
-class ParsedReport:
-    version: int
-    seed: int
-    checks: tuple
-    summary: dict
-
-
-def parse_report(data: bytes) -> ParsedReport:
-    from .suite import CheckReport
-
-    doc = json.loads(data.decode("ascii"))
-    checks = tuple(
-        CheckReport(
-            id=c["id"],
-            title=c["title"],
-            claim=c["claim"],
-            status=c["status"],
-            witnesses=c["witnesses"],
-            elapsed_ms=c["elapsed_ms"],
-        )
-        for c in doc["checks"]
-    )
-    return ParsedReport(
-        version=doc["version"], seed=doc["seed"], checks=checks, summary=doc["summary"]
-    )
 
 
 def render_text(reports: list["CheckReport"], cfg: "SuiteConfig") -> str:

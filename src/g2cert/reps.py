@@ -1,6 +1,14 @@
 """Modules over a Lie algebra: hom spaces, commutants, invariant bilinear
 forms, Killing-orthogonal complements, generated submodules, irreducibility
 certificates, wedge squares, and module isomorphism.
+
+A ``LieModule`` holds its action once, as the integer stack ``A`` (algebra
+dim x n x n, A[i] = den * rho(e_i)) and its one denominator ``den``, the way
+a ``LieAlgebra`` holds ``C``.  Every exact check and builder here is a
+contraction of such stacks: the homomorphism law, intertwiners, hom spaces
+and invariant forms (Sylvester systems), restriction to an invariant
+subspace, generated submodules and the wedge square.  A family of Fraction
+matrices enters through ``linalg.int_stack``.
 """
 
 from __future__ import annotations
@@ -20,85 +28,90 @@ from .linalg import (
     clear_denominators,
     int_array,
     int_einsum,
+    int_stack,
     kernel_basis,
     signature,
 )
 
 
-class LieModule:
-    """A module over a Lie algebra: one action matrix per basis element.
+def _max_abs(a: np.ndarray) -> int:
+    return int(np.max(np.abs(a), initial=0))
 
-    The homomorphism law rho([e_i,e_j]) = [rho(e_i), rho(e_j)] is verified
-    exactly at construction on all basis pairs.
+
+class LieModule:
+    """A module over a Lie algebra: rho(e_i) = A[i] / den.
+
+    ``A`` is an integer array of shape (algebra dim, n, n), held as int64 or
+    Python ints (object dtype) as ``linalg.int_array`` decides, and ``den``
+    a positive integer; n is read off the stack, so a module over the zero
+    algebra is a (0, n, n) stack.  The homomorphism law
+    rho([e_i,e_j]) = [rho(e_i), rho(e_j)] is verified exactly at
+    construction on all basis pairs.
     """
 
-    def __init__(
-        self,
-        algebra: LieAlgebra,
-        action: Sequence[Matrix],
-        name: str = "",
-        dim: Optional[int] = None,
-    ):
+    def __init__(self, algebra: LieAlgebra, A: np.ndarray, den: int = 1, name: str = ""):
+        if A.dtype.kind != "i" and A.dtype != object:
+            raise TypeError("a module action is an integer stack")
+        if A.ndim != 3 or A.shape[0] != algebra.dim or A.shape[1] != A.shape[2]:
+            raise ValueError("one square action matrix per algebra basis element required")
+        if den < 1:
+            raise ValueError("the action's denominator must be positive")
         self.algebra = algebra
-        self.action = tuple(action)
+        self.A = int_array(A, _max_abs(A))
+        self.den = den
+        self.dim = A.shape[1]
         self.name = name
-        if len(self.action) != algebra.dim:
-            raise ValueError("one action matrix per algebra basis element required")
-        if self.action:
-            self.dim = self.action[0].nrows
-            if dim is not None and dim != self.dim:
-                raise ValueError("declared dimension contradicts action matrices")
-        else:
-            if dim is None:
-                raise ValueError("a module over the zero algebra needs an explicit dim")
-            self.dim = dim
-        for m in self.action:
-            if m.shape != (self.dim, self.dim):
-                raise ValueError("action matrices must be square of equal size")
-        bad = algebra.bracket_law_failure(self.action)
+        bad = algebra.bracket_law_failure(self.A, den)
         if bad is not None:
             raise ValueError("homomorphism law fails at basis pair ({},{})".format(*bad))
 
 
 def adjoint_module(g: LieAlgebra) -> LieModule:
-    """The adjoint module, built (and its homomorphism law checked) once per
-    algebra."""
+    """The adjoint module, den * ad(e_i) = C[i]^T, built (and its
+    homomorphism law checked) once per algebra."""
     if g._adjoint is None:
-        g._adjoint = LieModule(g, g.ad_basis, name=f"ad({g.name})")
+        g._adjoint = LieModule(g, g.C.transpose(0, 2, 1), g.den, name=f"ad({g.name})")
     return g._adjoint
 
 
 def natural_module(g: LieAlgebra, name: str = "") -> LieModule:
     if g.realization is None:
         raise ValueError("algebra carries no matrix realization")
-    return LieModule(g, g.realization, name=name or f"nat({g.name})")
+    n = g.realization[0].nrows if g.realization else 0
+    return LieModule(g, *int_stack(g.realization, n), name=name or f"nat({g.name})")
 
 
-def restricted_action(mats: Sequence[Matrix], sub: Subspace) -> list[Matrix]:
-    """Each matrix restricted to an invariant subspace, in that subspace's
-    basis."""
-    out = []
-    for m in mats:
-        cols = [sub.coordinates_of(m.apply(b)) for b in sub.basis]
-        if any(c is None for c in cols):
-            raise ValueError("subspace is not invariant under the action")
-        out.append(Matrix(cols).transpose() if cols else Matrix.zeros(0, 0))
-    return out
+def restricted_action(a: np.ndarray, sub: Subspace) -> tuple[np.ndarray, int]:
+    """An integer stack restricted to an invariant subspace, in that
+    subspace's canonical basis: (r, s) with r[i] = s * (a[i] restricted),
+    where s is the basis's common denominator.
+
+    With b = s * basis, the images a[i] b_j have their coordinates at the
+    pivot columns; invariance is s * a[i] b_j = sum_k r[i, k, j] b_k.
+    """
+    flat, s = clear_denominators([x for row in sub.basis for x in row])
+    b = np.array(flat, dtype=object).reshape(sub.dim, sub.ambient_dim)
+    images = int_einsum("imn,jn->imj", a, b)
+    r = images[:, list(sub.pivots), :]
+    if not np.array_equal(int_einsum("imj,->imj", images, s), int_einsum("kn,ikj->inj", b, r)):
+        raise ValueError("subspace is not invariant under the action")
+    return r, s
 
 
 def restriction_module(v: LieModule, sub: Subspace, name: str = "") -> LieModule:
     """Action restricted to an invariant subspace, in that subspace's basis."""
     if sub.ambient_dim != v.dim:
         raise ValueError("subspace lives in the wrong ambient space")
-    return LieModule(v.algebra, restricted_action(v.action, sub), name=name, dim=sub.dim)
+    r, s = restricted_action(v.A, sub)
+    return LieModule(v.algebra, r, v.den * s, name=name)
 
 
 @dataclass(frozen=True)
 class Intertwiner:
     """A module homomorphism; the intertwining identity is verified exactly.
 
-    T rho_v(e_i) = rho_w(e_i) T is checked for all i at once on integers: T
-    scaled by its denominator, both actions by one common denominator.
+    T rho_v(e_i) = rho_w(e_i) T is checked for all i at once on integers, as
+    den_w T' A_v[i] = den_v A_w[i] T' with T' the cleared matrix.
     """
 
     source: LieModule
@@ -112,12 +125,8 @@ class Intertwiner:
             raise ValueError("intertwiner matrix has wrong shape")
         v, w = self.source, self.target
         t_ints, _ = clear_denominators(self.matrix.flatten())
-        flat, _ = clear_denominators([x for m in v.action + w.action for row in m.rows for x in row])
-        split = len(v.action) * v.dim * v.dim
         t = np.array(t_ints, dtype=object).reshape(w.dim, v.dim)
-        rho_v = np.array(flat[:split], dtype=object).reshape(len(v.action), v.dim, v.dim)
-        rho_w = np.array(flat[split:], dtype=object).reshape(len(w.action), w.dim, w.dim)
-        if not np.array_equal(int_einsum("ab,ibc->iac", t, rho_v), int_einsum("iab,bc->iac", rho_w, t)):
+        if not np.array_equal(int_einsum("ab,ibc->iac", w.den * t, v.A), int_einsum("iab,bc->iac", w.A, v.den * t)):
             raise ValueError("matrix does not intertwine the actions")
 
     @property
@@ -128,48 +137,42 @@ class Intertwiner:
         )
 
 
-def _sylvester_kernel(
-    pairs: Sequence[tuple[Matrix, Matrix]], nrows: int, ncols: int
-) -> Subspace:
-    """Common kernel of the maps T -> T A - B T over all pairs (A, B), where T
-    is nrows x ncols, vectorized row-major.
+def _sylvester_kernel(a: np.ndarray, b: np.ndarray) -> Subspace:
+    """Common kernel of the maps T -> T a[i] - b[i] T over the integer stacks
+    a (m x ncols x ncols) and b (m x nrows x nrows), T vectorized row-major.
 
     The first pair is solved through an explicit (possibly large) linear
     system; each later pair only constrains the surviving span, which keeps
     everything small after the first step.
     """
+    nrows, ncols = b.shape[1], a.shape[1]
     size = nrows * ncols
-    if not pairs:
-        return Subspace.full(size)
+    peak = 2 * max(_max_abs(a), _max_abs(b))
+    a, b = int_array(a, peak), int_array(b, peak)
     vectors: Optional[np.ndarray] = None  # integer spanning rows of the survivors
-    for a, b in pairs:
-        ints, _den = clear_denominators(a.flatten() + b.flatten())
-        peak = 2 * max(map(abs, ints), default=0)
-        a_int = int_array(ints[: ncols * ncols], peak).reshape(ncols, ncols)
-        b_int = int_array(ints[ncols * ncols :], peak).reshape(nrows, nrows)
+    for a_i, b_i in zip(a, b):
         if vectors is None:
             # row-major vec(T A - B T) = (kron(I, A^T) - kron(B, I)) vec(T)
-            system = np.kron(np.eye(nrows, dtype=a_int.dtype), a_int.T) - np.kron(
-                b_int, np.eye(ncols, dtype=b_int.dtype)
-            )
-            survivors = kernel_basis(system)
-            vectors = survivors.int_basis()
+            system = np.kron(np.eye(nrows, dtype=a.dtype), a_i.T) - np.kron(b_i, np.eye(ncols, dtype=b.dtype))
+            vectors = kernel_basis(system).int_basis()
         else:
             t = vectors.reshape(-1, nrows, ncols)
-            images = (t @ a_int - b_int @ t).reshape(len(vectors), size)
-            coeff_kernel = kernel_basis(images.T)
-            vectors = coeff_kernel.int_basis() @ vectors
+            images = (t @ a_i - b_i @ t).reshape(len(vectors), size)
+            vectors = kernel_basis(images.T).int_basis() @ vectors
         if not len(vectors):
             return Subspace(size, ())
+    if vectors is None:
+        return Subspace.full(size)
     return Subspace.from_vectors(size, vectors.tolist())
 
 
 def hom_space(v: LieModule, w: LieModule) -> list[Intertwiner]:
-    """Basis of Hom(v, w): all T with T rho_v(x) = rho_w(x) T."""
+    """Basis of Hom(v, w): all T with T rho_v(x) = rho_w(x) T, that is
+    den_w T A_v[i] = den_v A_w[i] T."""
     if v.algebra is not w.algebra:
         raise ValueError("modules over different algebras")
-    pairs = list(zip(v.action, w.action))
-    sub = _sylvester_kernel(pairs, w.dim, v.dim)
+    peak = max(w.den * _max_abs(v.A), v.den * _max_abs(w.A))
+    sub = _sylvester_kernel(int_array(v.A, peak) * w.den, int_array(w.A, peak) * v.den)
     return [
         Intertwiner(source=v, target=w, matrix=Matrix.from_flat(b, w.dim, v.dim))
         for b in sub.basis
@@ -215,12 +218,13 @@ def invariant_bilinear_forms(v: LieModule) -> InvariantForms:
     """Invariant bilinear forms on a module; if the symmetric part is a single
     line, report the signature of a generator normalized so that the positive
     count does not exceed the negative one (the line itself is sign-free)."""
-    pairs = [(rho, -rho.transpose()) for rho in v.action]
-    sub = _sylvester_kernel(pairs, v.dim, v.dim)
-    forms = [Matrix.from_flat(b, v.dim, v.dim) for b in sub.basis]
+    n = v.dim
+    sub = _sylvester_kernel(v.A, -v.A.transpose(0, 2, 1))
+    forms = [Matrix.from_flat(b, n, n) for b in sub.basis]
     # B^T is invariant with B, and a symmetric S in the span is (S + S^T)/2
-    sym_sub = Subspace.from_vectors(v.dim * v.dim, [(f + f.transpose()).flatten() for f in forms])
-    sym_forms = tuple(Matrix.from_flat(b, v.dim, v.dim) for b in sym_sub.basis)
+    ints = sub.int_basis().reshape(-1, n, n)
+    sym_sub = Subspace.from_vectors(n * n, (ints + ints.transpose(0, 2, 1)).reshape(-1, n * n).tolist())
+    sym_forms = tuple(Matrix.from_flat(b, n, n) for b in sym_sub.basis)
     sig = None
     gen = None
     if len(sym_forms) == 1:
@@ -254,20 +258,20 @@ def killing_orthocomplement(g: LieAlgebra, sub: Subspace) -> Subspace:
 
 
 def submodule_generated(v: LieModule, vec: Sequence[Fraction]) -> Subspace:
-    """Smallest action-invariant subspace containing the vector."""
-    vec = tuple(Fraction(x) for x in vec)
+    """Smallest action-invariant subspace containing the vector: grow the
+    span by the images of its integer basis under the stack until it is
+    stable."""
     if len(vec) != v.dim:
         raise ValueError("vector has the wrong length")
-    current = Subspace.from_vectors(v.dim, [vec] if any(vec) else [])
-    while True:
-        vectors = list(current.basis)
-        for m in v.action:
-            for b in current.basis:
-                vectors.append(m.apply(b))
-        grown = Subspace.from_vectors(v.dim, vectors)
-        if grown.dim == current.dim:
-            return grown
-        current = grown
+    span = Subspace.from_vectors(v.dim, [vec])
+    while 0 < span.dim < v.dim:
+        basis = span.int_basis()
+        images = int_einsum("imn,jn->ijm", v.A, basis).reshape(-1, v.dim)
+        grown = Subspace.from_vectors(v.dim, basis.tolist() + images.tolist())
+        if grown.dim == span.dim:
+            break
+        span = grown
+    return span
 
 
 def bracket_span(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
@@ -278,36 +282,21 @@ def bracket_span(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     return Subspace.from_vectors(g.dim, table.reshape(-1, g.dim).tolist())
 
 
-def _wedge_index(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
 def wedge_square(v: LieModule, name: str = "") -> LieModule:
     """Induced action on wedge^2: x.(u ^ w) = (x u) ^ w + u ^ (x w), on the
-    lexicographic basis e_i ^ e_j with i < j."""
+    lexicographic basis e_i ^ e_j with i < j.
+
+    That is K = A (x) 1 + 1 (x) A on antisymmetric tensors: the coefficient
+    of e_a ^ e_b (a < b) in x.(e_i ^ e_j) is K[a,b,i,j] - K[b,a,i,j], a sum
+    of at most four stack entries, so the dtype is picked for four times the
+    largest one."""
     n = v.dim
-    idx = _wedge_index(n)
-    pos = {p: a for a, p in enumerate(idx)}
-    dim = len(idx)
-    mats = []
-    for m in v.action:
-        rows = [[ZERO] * dim for _ in range(dim)]
-        for col, (i, j) in enumerate(idx):
-            for k in range(n):
-                c = m.rows[k][i]
-                if c:  # (e_k ^ e_j) term
-                    if k < j:
-                        rows[pos[(k, j)]][col] += c
-                    elif k > j:
-                        rows[pos[(j, k)]][col] -= c
-                c = m.rows[k][j]
-                if c:  # (e_i ^ e_k) term
-                    if i < k:
-                        rows[pos[(i, k)]][col] += c
-                    elif i > k:
-                        rows[pos[(k, i)]][col] -= c
-        mats.append(Matrix(rows))
-    return LieModule(v.algebra, mats, name=name or f"wedge2({v.name})", dim=dim)
+    a = int_array(v.A, 4 * _max_abs(v.A))
+    k = np.einsum("xai,bj->xabij", a, np.eye(n, dtype=a.dtype))
+    k = k + k.transpose(0, 2, 1, 4, 3)
+    wedge = k - k.transpose(0, 2, 1, 3, 4)
+    rows, cols = np.triu_indices(n, 1)
+    return LieModule(v.algebra, wedge[:, rows, cols][:, :, rows, cols], v.den, name=name or f"wedge2({v.name})")
 
 
 def wedge_so_isomorphism(gram: Matrix, so_alg: Optional[LieAlgebra] = None) -> Intertwiner:
@@ -325,12 +314,12 @@ def wedge_so_isomorphism(gram: Matrix, so_alg: Optional[LieAlgebra] = None) -> I
     wedge = wedge_square(nat)
     adj = adjoint_module(so_alg)
     cols = []
-    for (i, j) in _wedge_index(n):
+    for i, j in zip(*np.triu_indices(n, 1)):
         rows = [[ZERO] * n for _ in range(n)]
         for c in range(n):
             rows[j][c] += gram.rows[i][c]
             rows[i][c] -= gram.rows[j][c]
-        coords = so_alg.realization_coordinates(Matrix(rows))
+        coords = so_alg.realization_coordinates([x for row in rows for x in row])
         if coords is None:
             raise AssertionError("image of wedge map escaped so(E)")
         cols.append(coords)

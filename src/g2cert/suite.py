@@ -15,6 +15,8 @@ from fractions import Fraction
 from random import Random
 from typing import Callable, Optional
 
+import numpy as np
+
 from .errors import PreconditionError
 from .lie import (
     LieAlgebra,
@@ -25,7 +27,15 @@ from .lie import (
     subalgebra_closure,
     transporter_into,
 )
-from .linalg import Matrix, Subspace, coordinate_map, signature
+from .linalg import (
+    Matrix,
+    Subspace,
+    clear_denominators,
+    coordinate_map,
+    int_einsum,
+    int_stack,
+    signature,
+)
 from .octonion import SplitCayley, build_split_cayley
 from .reps import (
     Intertwiner,
@@ -143,7 +153,10 @@ class VerificationContext:
     def imaginary_module(self, der: LieAlgebra, name: str = "") -> LieModule:
         """A derivation algebra restricted to the imaginary subspace, in that
         subspace's coordinates."""
-        return LieModule(der, restricted_action(der.realization, self.imaginary[0]), name=name)
+        sub = self.imaginary[0]
+        a, den = int_stack(der.realization, sub.ambient_dim)
+        r, s = restricted_action(a, sub)
+        return LieModule(der, r, den * s, name=name)
 
     @property
     def natural_rep(self) -> LieModule:
@@ -164,12 +177,13 @@ class VerificationContext:
         """so(3,4)-coordinates of each derivation-algebra basis element."""
 
         def build():
+            nat = self.natural_rep
             out = []
-            for m in self.natural_rep.action:
-                coords = self.so34.realization_coordinates(m)
+            for a in nat.A:
+                coords = self.so34.realization_coordinates(a.ravel().tolist())
                 if coords is None:
                     raise ValueError("restricted derivation escaped so(3,4)")
-                out.append(coords)
+                out.append(tuple(x / nat.den for x in coords))
             return tuple(out)
 
         return self._get("embedding", build)
@@ -182,14 +196,17 @@ class VerificationContext:
 
     @property
     def so34_as_g2_module(self) -> LieModule:
-        return self._get(
-            "so34g2",
-            lambda: LieModule(
-                self.derivations,
-                [self.so34.ad(v) for v in self.embedding],
-                name="so34|g2",
-            ),
-        )
+        """so(3,4) under the embedded derivation algebra: with E the cleared
+        embedding coordinates, A[i] = sum_j E[i, j] C[j]^T."""
+
+        def build():
+            so34 = self.so34
+            flat, den = clear_denominators([x for row in self.embedding for x in row])
+            e = np.array(flat, dtype=object).reshape(-1, so34.dim)
+            a = int_einsum("ij,jlk->ikl", e, so34.C)
+            return LieModule(self.derivations, a, den * so34.den, name="so34|g2")
+
+        return self._get("so34g2", build)
 
     @property
     def complement(self) -> Subspace:

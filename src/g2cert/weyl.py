@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Matrix, ONE
+from .linalg import Matrix, signature
 
 # Cap on the weights a dimension census enumerates, (bound + 1)^rank.  On one
 # x86-64 core a weight takes about 0.05 ms for G2 and 1 ms for E8, so a
@@ -96,32 +96,8 @@ class CartanType:
         sym = [[d[i] * c[i][j] for j in range(n)] for i in range(n)]
         if any(sym[i][j] != sym[j][i] for i in range(n) for j in range(n)):
             raise ValueError("symmetrizer does not symmetrize the Cartan matrix")
-        # positive definiteness via leading principal minors
-        m = Matrix(sym)
-        for k in range(1, n + 1):
-            sub = Matrix([row[:k] for row in m.rows[:k]])
-            if _det(sub) <= 0:
-                raise ValueError("symmetrized Cartan matrix is not positive definite")
-
-
-def _det(m: Matrix) -> Fraction:
-    n = m.nrows
-    a = [list(row) for row in m.rows]
-    det = ONE
-    for i in range(n):
-        piv = next((r for r in range(i, n) if a[r][i]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != i:
-            a[i], a[piv] = a[piv], a[i]
-            det = -det
-        det *= a[i][i]
-        for r in range(i + 1, n):
-            if a[r][i]:
-                f = a[r][i] / a[i][i]
-                for cc in range(i, n):
-                    a[r][cc] -= f * a[i][cc]
-    return det
+        if signature(Matrix(sym)) != (n, 0, 0):
+            raise ValueError("symmetrized Cartan matrix is not positive definite")
 
 
 def cartan_type(name: str, rank: int | None = None) -> CartanType:
@@ -156,13 +132,10 @@ def cartan_type(name: str, rank: int | None = None) -> CartanType:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Positive roots in simple-root coordinates, rho in fundamental-weight
-    coordinates, and the Gram matrix of the fundamental weights."""
+    """Positive roots in simple-root coordinates."""
 
     cartan: CartanType
     positive_roots: tuple[tuple[int, ...], ...]
-    rho: tuple[int, ...]
-    weight_form: Matrix
 
     @property
     def algebra_dimension(self) -> int:
@@ -192,18 +165,7 @@ def root_system(ct: CartanType) -> RootSystem:
     positive = sorted(m for m in roots if all(x >= 0 for x in m))
     assert len(positive) * 2 == len(roots)
     assert all(any(x > 0 for x in m) for m in positive)
-    # Gram matrix of fundamental weights: with B = diag(d) C the simple-root
-    # Gram matrix and (w_i, a_j) = d_j delta_ij, one gets W = D B^{-1} D.
-    d = ct.symmetrizer
-    b = Matrix([[d[i] * c[i][j] for j in range(n)] for i in range(n)])
-    dmat = Matrix.diagonal(d)
-    weight_form = dmat * b.inverse() * dmat
-    return RootSystem(
-        cartan=ct,
-        positive_roots=tuple(positive),
-        rho=(1,) * n,
-        weight_form=weight_form,
-    )
+    return RootSystem(cartan=ct, positive_roots=tuple(positive))
 
 
 def weyl_dimension(rs: RootSystem, weight: Sequence[int]) -> int:

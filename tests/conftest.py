@@ -4,7 +4,7 @@ import pytest
 from hypothesis import settings
 
 from g2cert.lie import LieAlgebra
-from g2cert.linalg import ONE, ZERO, Matrix
+from g2cert.linalg import ONE, ZERO, Matrix, clear_denominators, int_einsum, int_stack
 from g2cert.octonion import StructureConstantAlgebra
 from g2cert.reps import LieModule
 from g2cert.suite import VerificationContext
@@ -16,6 +16,31 @@ settings.load_profile("default")
 def structure_constants(g):
     """The constants c_ijk of g as a nested list of Fractions."""
     return [[[Fraction(int(x), g.den) for x in prod] for prod in row] for row in g.C.tolist()]
+
+
+def diagonal(entries):
+    return Matrix([[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)])
+
+
+def zeros(nrows, ncols):
+    return Matrix([[0] * ncols for _ in range(nrows)])
+
+
+def ad(g, x):
+    """Matrix of ad(x): y -> [x, y] in basis coordinates."""
+    xs, xden = clear_denominators(x)
+    rows = int_einsum("i,ijk->kj", xs, g.C).tolist()
+    return Matrix([[Fraction(int(e), xden * g.den) for e in row] for row in rows])
+
+
+def bracket(g, x, y):
+    """Bracket of two coordinate vectors."""
+    return ad(g, x).apply(y)
+
+
+def action_matrices(v):
+    """The action of a module as Fraction matrices A[i] / den."""
+    return [Matrix([[Fraction(int(x), v.den) for x in row] for row in a]) for a in v.A.tolist()]
 
 
 def abelian_algebra(dim):
@@ -46,9 +71,9 @@ def direct_sum_module(v, w):
             [tuple(r) + (ZERO,) * w.dim for r in x.rows]
             + [(ZERO,) * v.dim + tuple(r) for r in y.rows]
         )
-        for x, y in zip(v.action, w.action)
+        for x, y in zip(action_matrices(v), action_matrices(w))
     ]
-    return LieModule(v.algebra, mats, name=f"{v.name}+{w.name}", dim=v.dim + w.dim)
+    return LieModule(v.algebra, *int_stack(mats, v.dim + w.dim), name=f"{v.name}+{w.name}")
 
 
 @pytest.fixture(scope="session")

@@ -46,6 +46,8 @@ from g2cert.weyl import (
     weyl_dimension,
 )
 
+from conftest import diagonal
+
 
 def _done(number: int, label: str, started: float, limit: float):
     elapsed = time.perf_counter() - started
@@ -224,7 +226,7 @@ def test_criterion_12_determinism_and_negative_controls():
         ),
         "wedge-iso": (
             "error",
-            VerificationContext(wedge_gram=Matrix.diagonal([1, 1, 1, 1, 1, 1, 0])),
+            VerificationContext(wedge_gram=diagonal([1, 1, 1, 1, 1, 1, 0])),
         ),
     }
     for target, (expected_status, corrupted_ctx) in flips.items():

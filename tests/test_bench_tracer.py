@@ -7,8 +7,9 @@ from pathlib import Path
 
 import numpy as np
 
-from g2cert import lie, linalg
+from g2cert import lie, linalg, reps, suite
 from g2cert.linalg import Matrix
+from g2cert.suite import SuiteConfig, run_all
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -37,3 +38,29 @@ def test_tracer_records_kernel_solves_of_both_input_types():
     stats = tracer.summary()["linalg.kernel_basis"]
     assert stats["calls"] == 3
     assert stats["max_cells"] == 6 * 9  # so(3): 6 equations in 9 unknowns
+
+
+def test_traced_maximality_run_reaches_every_layer_it_reports():
+    """A refactor that routes around a traced name would zero that layer's
+    metric without any test failing; this pins the names the maximality
+    workload reports on."""
+    originals = (reps.LieModule.__init__, reps.submodule_generated, suite.CHECKS)
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        reports = run_all(SuiteConfig(samples=1, checks=("maximality",)))
+    finally:
+        tracer.uninstall()
+    assert (reps.LieModule.__init__, reps.submodule_generated, suite.CHECKS) == originals
+    assert [r.status for r in reports] == ["pass", "pass"]
+    stats = tracer.summary()
+    stages = ("natural_rep", "so34", "embedding", "g2_image", "so34_as_g2_module", "complement", "complement_module")
+    for name in (
+        "reps.LieModule",
+        "reps.submodule_generated",
+        "lie.subalgebra_closure",
+        "linalg.Subspace.from_vectors",
+        "suite.check.maximality",
+        *(f"suite.stage.{s}" for s in stages),
+    ):
+        assert stats.get(name, {}).get("calls", 0) > 0, name

@@ -18,6 +18,8 @@ from g2cert.linalg import (
     signature,
 )
 
+from conftest import diagonal, zeros
+
 fractions = st.builds(
     Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4)
 )
@@ -47,7 +49,7 @@ def test_rref_rank_one():
 
 
 def test_kernel_zero_matrix():
-    assert kernel_basis(Matrix.zeros(2, 2)).dim == 2
+    assert kernel_basis(zeros(2, 2)).dim == 2
 
 
 def test_kernel_line():
@@ -78,7 +80,7 @@ def test_span_ops_dimension_mismatch():
 
 
 def test_signature_diagonal():
-    assert signature(Matrix.diagonal([2, -3, 0])) == (1, 1, 1)
+    assert signature(diagonal([2, -3, 0])) == (1, 1, 1)
 
 
 def test_signature_hyperbolic_plane():

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from g2cert.errors import DegenerateFormError, NotSemisimpleError, PreconditionError
 from g2cert.lie import LieAlgebra, killing_form, so_of_form
-from g2cert.linalg import Matrix, Subspace, kernel_basis
+from g2cert.linalg import ZERO, Matrix, Subspace, int_stack, kernel_basis
 from g2cert.reps import (
     Intertwiner,
     LieModule,
@@ -16,20 +17,30 @@ from g2cert.reps import (
     killing_orthocomplement,
     module_isomorphism,
     natural_module,
+    restricted_action,
     restriction_module,
     submodule_generated,
     wedge_so_isomorphism,
     wedge_square,
 )
 
-from conftest import abelian_algebra, direct_sum_algebra, direct_sum_module, zero_algebra
+from conftest import (
+    abelian_algebra,
+    action_matrices,
+    bracket,
+    diagonal,
+    direct_sum_algebra,
+    direct_sum_module,
+    zero_algebra,
+    zeros,
+)
 
 Z = Fraction(0)
 
 
 @pytest.fixture(scope="module")
 def zero_module_2d():
-    return LieModule(zero_algebra(), [], dim=2)
+    return LieModule(zero_algebra(), np.zeros((0, 2, 2), dtype=np.int64))
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +73,7 @@ def test_homomorphism_law_enforced():
     broken = list(so3.realization)
     broken[0] = Matrix.identity(3)
     with pytest.raises(ValueError):
-        LieModule(so3, broken)
+        LieModule(so3, *int_stack(broken, 3))
 
 
 def test_homomorphism_law_exact_beyond_int64():
@@ -72,10 +83,10 @@ def test_homomorphism_law_exact_beyond_int64():
     p = Matrix([[1, 2**40, 0], [0, 1, 0], [0, 0, 1]])
     p_inv = Matrix([[1, -(2**40), 0], [0, 1, 0], [0, 0, 1]])
     conj = [p * m * p_inv for m in so3.realization]
-    assert LieModule(so3, conj).dim == 3
-    conj[0] = conj[0] + Matrix.diagonal([1, 0, 0])
+    assert LieModule(so3, *int_stack(conj, 3)).dim == 3
+    conj[0] = conj[0] + diagonal([1, 0, 0])
     with pytest.raises(ValueError):
-        LieModule(so3, conj)
+        LieModule(so3, *int_stack(conj, 3))
 
 
 def test_natural_rep_irreducible(natural_rep):
@@ -98,7 +109,7 @@ def test_double_copy_has_commutant_four(natural_rep):
 
 def test_irreducibility_requires_semisimple():
     abelian = abelian_algebra(1)
-    mod = LieModule(abelian, [Matrix.zeros(2, 2)])
+    mod = LieModule(abelian, *int_stack([zeros(2, 2)], 2))
     with pytest.raises(NotSemisimpleError):
         is_irreducible(mod)
 
@@ -132,10 +143,10 @@ def test_invariant_forms_sl2_adjoint_is_killing_line():
     k = killing_form(sl2).gram
     gen = forms.generator
     ratio = next(
-        gen.entry(i, j) / k.entry(i, j)
+        gen.rows[i][j] / k.rows[i][j]
         for i in range(3)
         for j in range(3)
-        if k.entry(i, j)
+        if k.rows[i][j]
     )
     assert gen == k.scale(ratio)
 
@@ -145,7 +156,7 @@ def test_uniqueness_up_to_scale(natural_rep):
     a = forms.generator
     b = a.scale(Fraction(-7, 3))
     ratio = next(
-        b.entry(i, j) / a.entry(i, j) for i in range(7) for j in range(7) if a.entry(i, j)
+        b.rows[i][j] / a.rows[i][j] for i in range(7) for j in range(7) if a.rows[i][j]
     )
     assert b == a.scale(ratio) and ratio == Fraction(-7, 3)
 
@@ -222,12 +233,12 @@ def test_bracket_map_is_module_homomorphism(ctx):
     so34 = ctx.so34
     for x in ctx.g2_image.basis:
         for u in ctx.complement.basis:
-            xu = so34.bracket(x, u)
+            xu = bracket(so34, x, u)
             for w in ctx.complement.basis:
-                lhs = so34.bracket(x, so34.bracket(u, w))
+                lhs = bracket(so34, x, bracket(so34, u, w))
                 rhs = tuple(
                     a + b
-                    for a, b in zip(so34.bracket(xu, w), so34.bracket(u, so34.bracket(x, w)))
+                    for a, b in zip(bracket(so34, xu, w), bracket(so34, u, bracket(so34, x, w)))
                 )
                 assert lhs == rhs
 
@@ -290,7 +301,7 @@ def test_wedge_so_isomorphism_plane():
     assert iso.is_invertible
     # phi(e1 ^ e2) is the rotation generator up to basis normalization
     so2 = iso.target.algebra
-    image = so2.realization[0].scale(iso.matrix.entry(0, 0))
+    image = so2.realization[0].scale(iso.matrix.rows[0][0])
     assert image == Matrix([[0, -1], [1, 0]]) or image == Matrix([[0, 1], [-1, 0]])
 
 
@@ -312,14 +323,14 @@ def test_wedge_so_isomorphism_subalgebra_equivariance(ctx, natural_rep):
 
 def test_wedge_so_isomorphism_rejects_degenerate():
     with pytest.raises(DegenerateFormError):
-        wedge_so_isomorphism(Matrix.diagonal([1, 1, 0]))
+        wedge_so_isomorphism(diagonal([1, 1, 0]))
 
 
 def test_module_isomorphism_identity(natural_rep):
     iso = module_isomorphism(natural_rep, natural_rep)
     assert iso is not None and iso.is_invertible
     # commutant is one-dimensional, so this is a multiple of the identity
-    ratio = iso.matrix.entry(0, 0)
+    ratio = iso.matrix.rows[0][0]
     assert iso.matrix == Matrix.identity(7).scale(ratio)
 
 
@@ -337,8 +348,8 @@ def test_module_isomorphism_singular_line_is_none():
     """diag(1, 2) and diag(1, 3) share one eigenvalue: Hom is the line of
     E11, which is singular, so the modules are not isomorphic."""
     line = abelian_algebra(1)
-    v = LieModule(line, [Matrix.diagonal([1, 2])])
-    w = LieModule(line, [Matrix.diagonal([1, 3])])
+    v = LieModule(line, *int_stack([diagonal([1, 2])], 2))
+    w = LieModule(line, *int_stack([diagonal([1, 3])], 2))
     assert len(hom_space(v, w)) == 1
     assert module_isomorphism(v, w) is None
 
@@ -353,8 +364,8 @@ def test_module_isomorphism_undecided_raises(zero_module_2d):
 def test_intertwiner_exact_beyond_int64():
     """Products of the scaled entries pass 2**63, so the check runs on Python
     ints; it still accepts an intertwiner and rejects a non-intertwiner."""
-    v = LieModule(abelian_algebra(1), [Matrix.diagonal([2**40, 0])])
-    assert Intertwiner(source=v, target=v, matrix=Matrix.diagonal([2**40, 3]))
+    v = LieModule(abelian_algebra(1), *int_stack([diagonal([2**40, 0])], 2))
+    assert Intertwiner(source=v, target=v, matrix=diagonal([2**40, 3]))
     with pytest.raises(ValueError):
         Intertwiner(source=v, target=v, matrix=Matrix([[0, 2**40], [0, 0]]))
 
@@ -364,10 +375,178 @@ def test_intertwiner_validation(natural_rep):
         Intertwiner(
             source=natural_rep,
             target=natural_rep,
-            matrix=Matrix.diagonal([1, 2, 3, 4, 5, 6, 7]),
+            matrix=diagonal([1, 2, 3, 4, 5, 6, 7]),
         )
 
 
 def test_natural_module_requires_realization():
     with pytest.raises(ValueError):
         natural_module(abelian_algebra(2))
+
+
+def test_restriction_module_rejects_non_invariant_subspace(natural_rep):
+    line = Subspace.from_vectors(7, [[1, 0, 0, 0, 0, 0, 0]])
+    with pytest.raises(ValueError, match="not invariant"):
+        restriction_module(natural_rep, line)
+
+
+# -- the integer builders against the Fraction loops they replaced ----------
+
+
+def _wedge_square_reference(mats, n):
+    """x.(e_i ^ e_j) = (x e_i) ^ e_j + e_i ^ (x e_j), entry by entry."""
+    idx = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pos = {p: a for a, p in enumerate(idx)}
+    out = []
+    for m in mats:
+        rows = [[ZERO] * len(idx) for _ in idx]
+        for col, (i, j) in enumerate(idx):
+            for k in range(n):
+                c = m.rows[k][i]
+                if c:  # (e_k ^ e_j) term
+                    if k < j:
+                        rows[pos[(k, j)]][col] += c
+                    elif k > j:
+                        rows[pos[(j, k)]][col] -= c
+                c = m.rows[k][j]
+                if c:  # (e_i ^ e_k) term
+                    if i < k:
+                        rows[pos[(i, k)]][col] += c
+                    elif i > k:
+                        rows[pos[(k, i)]][col] -= c
+        out.append(Matrix(rows))
+    return out
+
+
+def _restricted_action_reference(mats, sub):
+    out = []
+    for m in mats:
+        cols = [sub.coordinates_of(m.apply(b)) for b in sub.basis]
+        if any(c is None for c in cols):
+            raise ValueError("subspace is not invariant under the action")
+        out.append(Matrix(cols).transpose())
+    return out
+
+
+def _submodule_generated_reference(mats, n, vec):
+    current = Subspace.from_vectors(n, [vec] if any(vec) else [])
+    while True:
+        vectors = list(current.basis)
+        for m in mats:
+            for b in current.basis:
+                vectors.append(m.apply(b))
+        grown = Subspace.from_vectors(n, vectors)
+        if grown.dim == current.dim:
+            return grown
+        current = grown
+
+
+_P = Matrix([[1, 2**40, 0], [0, 1, 0], [0, 0, 1]])
+_P_INV = Matrix([[1, -(2**40), 0], [0, 1, 0], [0, 0, 1]])
+
+
+@pytest.fixture(scope="module")
+def so3():
+    return so_of_form(Matrix.identity(3))
+
+
+@pytest.fixture(scope="module")
+def big_module(so3):
+    """so(3) on Q^3 conjugated by _P, plus so(3) on Q^3: the cleared stack has
+    entries of size 2**80, so every product runs on Python ints."""
+    conj = LieModule(so3, *int_stack([_P * m * _P_INV for m in so3.realization], 3))
+    v = direct_sum_module(conj, natural_module(so3))
+    assert v.A.dtype == object and int(np.max(np.abs(v.A))) > 2**62
+    return v
+
+
+_SCALE = 2**59 + 1
+
+
+@pytest.fixture(scope="module")
+def scaled_module(so3):
+    """so(3) on Q^3 conjugated by a shear, with stack and denominator both
+    scaled by _SCALE: the stack stays int64, but the stack times another
+    scaled module's denominator does not fit."""
+    p, p_inv = Matrix([[1, 2, 0], [0, 1, 0], [0, 0, 1]]), Matrix([[1, -2, 0], [0, 1, 0], [0, 0, 1]])
+    a, den = int_stack([p * m * p_inv for m in so3.realization], 3)
+    v = LieModule(so3, a * _SCALE, den * _SCALE)
+    assert v.A.dtype == np.int64
+    return v
+
+
+def _graph_of_p():
+    """The invariant subspace {(P w, w)} of big_module."""
+    units = [[int(i == k) for i in range(3)] for k in range(3)]
+    return Subspace.from_vectors(6, [_P.apply(u) + tuple(u) for u in units])
+
+
+def _reference_cases(natural_rep, so3, big_module, scaled_module):
+    """(module, invariant subspaces, seed vectors) for each reference test."""
+    unit = lambda n, k: tuple(Fraction(int(i == k)) for i in range(n))
+    return [
+        (
+            natural_rep,
+            [Subspace.full(7)],
+            [unit(7, 0), unit(7, 6), tuple(Fraction(x, 3) for x in (1, -2, 3, 0, 0, 5, 7))],
+        ),
+        (adjoint_module(so3), [Subspace.full(3)], [unit(3, 1), (Fraction(1, 2), Z, Z)]),
+        (
+            big_module,
+            [_graph_of_p(), Subspace.from_vectors(6, [unit(6, k) for k in range(3)])],
+            [
+                unit(6, 0),
+                unit(6, 4),
+                _P.apply(unit(3, 1)) + unit(3, 1),
+                unit(3, 0) + unit(3, 0),  # P e_1 = e_1: inside the graph
+                unit(3, 1) + unit(3, 1),  # P e_2 != e_2: generates everything
+            ],
+        ),
+        (scaled_module, [Subspace.full(3)], [unit(3, 2)]),
+    ]
+
+
+def test_wedge_square_matches_reference(natural_rep, so3, big_module, scaled_module):
+    for v, _, _ in _reference_cases(natural_rep, so3, big_module, scaled_module):
+        assert action_matrices(wedge_square(v)) == _wedge_square_reference(action_matrices(v), v.dim)
+
+
+def test_restricted_action_matches_reference(ctx, natural_rep, so3, big_module, scaled_module):
+    cases = _reference_cases(natural_rep, so3, big_module, scaled_module)
+    cases.append((ctx.so34_as_g2_module, [ctx.complement], []))
+    # the graph of 2**-32 times the identity: basis denominator s = 2**32, so
+    # the int64 images times s pass 2**63
+    nat = natural_module(so3)
+    graph = Subspace.from_vectors(6, [[int(i == k) for i in range(3)] + [Fraction(int(i == k), 2**32) for i in range(3)] for k in range(3)])
+    cases.append((direct_sum_module(nat, nat), [graph], []))
+    for v, subs, _ in cases:
+        for sub in subs:
+            r, s = restricted_action(v.A, sub)
+            restricted = LieModule(v.algebra, r, v.den * s)
+            assert action_matrices(restricted) == _restricted_action_reference(action_matrices(v), sub)
+            assert action_matrices(restriction_module(v, sub)) == action_matrices(restricted)
+
+
+def test_submodule_generated_matches_reference(natural_rep, so3, big_module, scaled_module):
+    dims = []
+    for v, _, vectors in _reference_cases(natural_rep, so3, big_module, scaled_module):
+        for vec in vectors:
+            generated = submodule_generated(v, vec)
+            assert generated == _submodule_generated_reference(action_matrices(v), v.dim, vec)
+            dims.append(generated.dim)
+    assert dims == [7, 7, 7, 3, 3, 3, 3, 3, 3, 6, 3]
+
+
+def test_hom_space_on_large_entry_modules(so3, big_module, scaled_module):
+    """Hom(big, big) is M_2(Q): big is two copies of one absolutely
+    irreducible module.  On the scaled module the stack times the other
+    denominator passes int64."""
+    homs = hom_space(big_module, big_module)
+    assert len(homs) == 4
+    block = Matrix([[0] * 3 + list(r) for r in _P.rows] + [[0] * 6] * 3)
+    span = Subspace.from_vectors(36, [h.matrix.flatten() for h in homs])
+    assert span.contains_vector(block.flatten())
+    nat = natural_module(so3)
+    other = LieModule(so3, nat.A * (_SCALE + 2), _SCALE + 2)
+    assert len(hom_space(scaled_module, other)) == len(hom_space(other, scaled_module)) == 1
+    assert module_isomorphism(scaled_module, other).is_invertible

@@ -147,5 +147,11 @@ def test_cartan_validation_rejects_bad_matrices():
 
     with pytest.raises(ValueError):
         CartanType(label="X2", rank=2, cartan_matrix=((2, 1), (1, 2)), symmetrizer=(1, 1))
-    with pytest.raises(ValueError):
-        CartanType(label="X2", rank=2, cartan_matrix=((2, -2), (-2, 2)), symmetrizer=(1, 1))
+    for cartan in (
+        ((2, -2), (-2, 2)),  # affine A1: semidefinite
+        ((2, -3), (-3, 2)),  # hyperbolic: indefinite
+        ((2, -1, 0), (-1, 2, -2), (0, -2, 2)),  # leading 2x2 minors positive, det -2
+    ):
+        with pytest.raises(ValueError, match="positive definite"):
+            CartanType(label="X", rank=len(cartan), cartan_matrix=cartan, symmetrizer=(1,) * len(cartan))
+
