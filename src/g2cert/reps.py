@@ -5,10 +5,13 @@ certificates, wedge squares, and module isomorphism.
 A ``LieModule`` holds its action once, as the integer stack ``A`` (algebra
 dim x n x n, A[i] = den * rho(e_i)) and its one denominator ``den``, the way
 a ``LieAlgebra`` holds ``C``.  Every exact check and builder here is a
-contraction of such stacks: the homomorphism law, intertwiners, hom spaces
-and invariant forms (Sylvester systems), restriction to an invariant
-subspace, generated submodules and the wedge square.  A family of Fraction
-matrices enters through ``linalg.int_stack``.
+contraction of such stacks: the homomorphism law, intertwiners, restriction
+to an invariant subspace, generated submodules and the wedge square.  Hom
+spaces and invariant forms (Hom(V, V*)) are solved on a spin basis of the
+source, the standard-basis method of Parker's Meat-Axe (1984): T is fixed by
+its values on the seed vectors, so each system has dim W unknowns per seed
+instead of dim V * dim W.  A family of Fraction matrices enters through
+``linalg.int_stack``.
 """
 
 from __future__ import annotations
@@ -137,33 +140,61 @@ class Intertwiner:
         )
 
 
-def _sylvester_kernel(a: np.ndarray, b: np.ndarray) -> Subspace:
-    """Common kernel of the maps T -> T a[i] - b[i] T over the integer stacks
-    a (m x ncols x ncols) and b (m x nrows x nrows), T vectorized row-major.
-
-    The first pair is solved through an explicit (possibly large) linear
-    system; each later pair only constrains the surviving span, which keeps
-    everything small after the first step.
-    """
-    nrows, ncols = b.shape[1], a.shape[1]
-    size = nrows * ncols
-    peak = 2 * max(_max_abs(a), _max_abs(b))
-    a, b = int_array(a, peak), int_array(b, peak)
-    vectors: Optional[np.ndarray] = None  # integer spanning rows of the survivors
-    for a_i, b_i in zip(a, b):
-        if vectors is None:
-            # row-major vec(T A - B T) = (kron(I, A^T) - kron(B, I)) vec(T)
-            system = np.kron(np.eye(nrows, dtype=a.dtype), a_i.T) - np.kron(b_i, np.eye(ncols, dtype=b.dtype))
-            vectors = kernel_basis(system).int_basis()
+def _spin_basis(a: np.ndarray) -> tuple[list[np.ndarray], list[tuple[int, int, int]]]:
+    """A basis b_k = W_k v_{s(k)} of Q^n, each W_k a word in the integer stack
+    a (m x n x n), spun breadth first: the images a[g] b_k join while
+    independent mod a word-sized prime p, hence over Q, and only once the span
+    stops growing does the next standard vector outside it become a seed.
+    Returns the integer vectors and their origins (k, g, s(k)) for a[g] b_k
+    and (-1, -1, s) for the seed numbered s."""
+    n, p = a.shape[1], 2147483647
+    basis, origins, echelon = [], [], []  # echelon: (pivot, row mod p)
+    k = unit = 0
+    while len(basis) < n:
+        if k < len(basis):
+            candidates = [(y, (k, g, origins[k][2])) for g, y in enumerate(int_einsum("gij,j->gi", a, basis[k]))]
+            k += 1
         else:
-            t = vectors.reshape(-1, nrows, ncols)
-            images = (t @ a_i - b_i @ t).reshape(len(vectors), size)
-            vectors = kernel_basis(images.T).int_basis() @ vectors
-        if not len(vectors):
-            return Subspace(size, ())
-    if vectors is None:
-        return Subspace.full(size)
-    return Subspace.from_vectors(size, vectors.tolist())
+            candidates = [(np.eye(n, dtype=np.int64)[unit], (-1, -1, origins[-1][2] + 1 if origins else 0))]
+            unit += 1
+        for vec, origin in candidates:
+            r = np.mod(vec, p).astype(np.int64)
+            for c, row in echelon:
+                r = (r - r[c] * row) % p
+            nz = np.flatnonzero(r)
+            if nz.size and len(basis) < n:
+                echelon.append((nz[0], r * pow(int(r[nz[0]]), -1, p) % p))
+                basis.append(vec)
+                origins.append(origin)
+    return basis, origins
+
+
+def _intertwiner_space(a: np.ndarray, b: np.ndarray) -> Subspace:
+    """All T (nrows x ncols, row-major) with T a[g] = b[g] T for the integer
+    stacks a (m x ncols x ncols) and b (m x nrows x nrows).
+
+    On a spin basis B of columns b_k = W_k v_{s(k)}, with M_k the same word in
+    the b[g], T b_k = M_k w_{s(k)} for w_s = T v_s, and T intertwines iff
+    sum_j C_g[j,k] M_j w_{s(j)} = b[g] M_k w_{s(k)} for all g, k, with C_g =
+    B^-1 a[g] B cleared as d C_g: nrows unknowns per seed, not nrows * ncols,
+    and T = X B^-1 for the columns X[:, k] = M_k w_{s(k)}."""
+    nrows, ncols = b.shape[1], a.shape[1]
+    if not nrows * ncols:
+        return Subspace(0, ())
+    basis, origins = _spin_basis(a)
+    ms = np.zeros((ncols, nrows, origins[-1][2] + 1, nrows), dtype=object)
+    for j, (k, g, s) in enumerate(origins):  # ms[j, :, s(j), :] = M_j
+        ms[j, :, s] = int_einsum("ij,jk->ik", b[g], ms[k, :, s]) if k >= 0 else np.eye(nrows, dtype=int)
+    cols = np.array(basis, dtype=object).T
+    flat, d = clear_denominators(Matrix(cols.tolist()).inverse().flatten())
+    b_inv = np.array(flat, dtype=object).reshape(ncols, ncols)
+    c = int_einsum("ji,gik->gjk", b_inv, int_einsum("gij,jk->gik", a, cols))
+    system = int_einsum("gjk,jrsc->gkrsc", c, ms) - int_einsum("grq,kqsc,->gkrsc", b, ms, d)
+    kernel = np.eye(ms.shape[2] * nrows, dtype=object)  # surviving solutions as rows
+    for block in system.reshape(len(a), ncols * nrows, len(kernel)):  # per generator: small systems
+        kernel = kernel_basis(int_einsum("ru,hu->rh", block, kernel)).int_basis() @ kernel
+    t = int_einsum("krsc,hsc,ki->hri", ms, kernel.reshape(-1, *ms.shape[2:]), b_inv)
+    return Subspace.from_vectors(nrows * ncols, t.reshape(-1, nrows * ncols).tolist())
 
 
 def hom_space(v: LieModule, w: LieModule) -> list[Intertwiner]:
@@ -172,11 +203,8 @@ def hom_space(v: LieModule, w: LieModule) -> list[Intertwiner]:
     if v.algebra is not w.algebra:
         raise ValueError("modules over different algebras")
     peak = max(w.den * _max_abs(v.A), v.den * _max_abs(w.A))
-    sub = _sylvester_kernel(int_array(v.A, peak) * w.den, int_array(w.A, peak) * v.den)
-    return [
-        Intertwiner(source=v, target=w, matrix=Matrix.from_flat(b, w.dim, v.dim))
-        for b in sub.basis
-    ]
+    sub = _intertwiner_space(int_array(v.A, peak) * w.den, int_array(w.A, peak) * v.den)
+    return [Intertwiner(source=v, target=w, matrix=Matrix.from_flat(b, w.dim, v.dim)) for b in sub.basis]
 
 
 @dataclass(frozen=True)
@@ -219,26 +247,20 @@ def invariant_bilinear_forms(v: LieModule) -> InvariantForms:
     line, report the signature of a generator normalized so that the positive
     count does not exceed the negative one (the line itself is sign-free)."""
     n = v.dim
-    sub = _sylvester_kernel(v.A, -v.A.transpose(0, 2, 1))
+    sub = _intertwiner_space(v.A, -v.A.transpose(0, 2, 1))
     forms = [Matrix.from_flat(b, n, n) for b in sub.basis]
     # B^T is invariant with B, and a symmetric S in the span is (S + S^T)/2
     ints = sub.int_basis().reshape(-1, n, n)
     sym_sub = Subspace.from_vectors(n * n, (ints + ints.transpose(0, 2, 1)).reshape(-1, n * n).tolist())
     sym_forms = tuple(Matrix.from_flat(b, n, n) for b in sym_sub.basis)
-    sig = None
-    gen = None
+    sig = gen = None
     if len(sym_forms) == 1:
         gen = sym_forms[0]
         sig = signature(gen)
         if sig[0] > sig[1]:
             gen = -gen
             sig = (sig[1], sig[0], sig[2])
-    return InvariantForms(
-        basis=tuple(forms),
-        symmetric_basis=sym_forms,
-        signature=sig,
-        generator=gen,
-    )
+    return InvariantForms(basis=tuple(forms), symmetric_basis=sym_forms, signature=sig, generator=gen)
 
 
 def killing_orthocomplement(g: LieAlgebra, sub: Subspace) -> Subspace:
@@ -257,7 +279,7 @@ def killing_orthocomplement(g: LieAlgebra, sub: Subspace) -> Subspace:
     return comp
 
 
-def submodule_generated(v: LieModule, vec: Sequence[Fraction]) -> Subspace:
+def submodule_generated(v: LieModule, vec: Sequence[Fraction | int]) -> Subspace:
     """Smallest action-invariant subspace containing the vector: grow the
     span by the images of its integer basis under the stack until it is
     stable."""

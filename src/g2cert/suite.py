@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from random import Random
 from typing import Callable, Optional
 
@@ -282,15 +283,11 @@ def check_cayley(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome:
         True,
     )
 
-    first_failure = None
-    for i in range(8):
-        for j in range(8):
-            a, b = basis[i], basis[j]
-            if c.norm(c.multiply(a, b)) != c.norm(a) * c.norm(b):
-                first_failure = f"{_basis_name(i)}*{_basis_name(j)}"
-                break
-        if first_failure:
-            break
+    first_failure = next(
+        (f"{_basis_name(i)}*{_basis_name(j)}" for i, j in product(range(8), repeat=2)
+         if c.norm(c.multiply(basis[i], basis[j])) != c.norm(basis[i]) * c.norm(basis[j])),
+        None,
+    )
     out.record("composition_basis_pairs", 64)
     out.expect("composition_first_failure", first_failure, None)
 
@@ -325,19 +322,12 @@ def check_cayley(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome:
     out.record("sample_size", cfg.samples)
     out.expect("sample_identities", sample_ok, True)
 
-    witness = None
-    for i in range(8):
-        for j in range(8):
-            for k in range(8):
-                lhs = c.multiply(c.multiply(basis[i], basis[j]), basis[k])
-                rhs = c.multiply(basis[i], c.multiply(basis[j], basis[k]))
-                if lhs != rhs:
-                    witness = f"{_basis_name(i)}*{_basis_name(j)}*{_basis_name(k)}"
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    witness = next(
+        (f"{_basis_name(i)}*{_basis_name(j)}*{_basis_name(k)}" for i, j, k in product(range(8), repeat=3)
+         if c.multiply(c.multiply(basis[i], basis[j]), basis[k])
+         != c.multiply(basis[i], c.multiply(basis[j], basis[k]))),
+        None,
+    )
     out.expect("nonassociativity_witness_found", witness is not None, True)
     out.record("nonassociativity_witness", witness)
 
@@ -380,11 +370,7 @@ def check_derivations(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcom
     out.expect("fundamental_dims", (weyl_dimension(rs, (1, 0)), weyl_dimension(rs, (0, 1))), (7, 14))
     census = dimension_census(rs, cfg.census_bound)
     out.record("census_bound", cfg.census_bound)
-    below = [
-        (list(w), d)
-        for w, d in census.entries
-        if d < 14 and any(w)
-    ]
+    below = [(list(w), d) for w, d in census.entries if d < 14 and any(w)]
     out.expect("nontrivial_dims_below_14", below, [([1, 0], 7)])
     out.expect("census_monotone", census.monotone, True)
     return out
@@ -465,9 +451,7 @@ def check_recognition(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcom
     out.expect("six_dim_weights", six, [])
 
     forms = ctx.natural_forms
-    pair = None
-    if forms.signature is not None:
-        pair = sorted(forms.signature[:2])
+    pair = None if forms.signature is None else sorted(forms.signature[:2])
     out.expect("form_signature_pair", pair, [3, 4])
     return out
 
@@ -481,23 +465,21 @@ def check_maximality(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome
     g2img = ctx.g2_image
     so34 = ctx.so34
 
-    def certify(coords_in_v: tuple) -> tuple[bool, bool]:
+    # one common denominator maps coordinates c to a multiple of sum c_i v_i
+    flat, _ = clear_denominators([x for row in v.basis for x in row])
+    v_ints = np.array(flat, dtype=object).reshape(v.dim, so34.dim)
+
+    def certify(coords_in_v: tuple[int, ...]) -> tuple[bool, bool]:
         generated = submodule_generated(vmod, coords_in_v)
-        ambient = tuple(
-            sum((c * b[j] for c, b in zip(coords_in_v, v.basis) if c), Fraction(0))
-            for j in range(so34.dim)
-        )
-        seed = Subspace.from_vectors(so34.dim, list(g2img.basis) + [ambient])
+        ambient = int_einsum("i,ij->j", coords_in_v, v_ints)
+        seed = Subspace.from_vectors(so34.dim, list(g2img.basis) + [ambient.tolist()])
         closure = subalgebra_closure(so34, seed)
         return generated.dim == vmod.dim, closure.dim == so34.dim
-
-    def unit_vector(k: int) -> tuple:
-        return tuple(Fraction(1 if i == k else 0) for i in range(v.dim))
 
     gen_failures = 0
     closure_failures = 0
     for k in range(v.dim):
-        g_ok, c_ok = certify(unit_vector(k))
+        g_ok, c_ok = certify(tuple(int(i == k) for i in range(v.dim)))
         gen_failures += not g_ok
         closure_failures += not c_ok
     out.record("basis_vectors", v.dim)
@@ -505,7 +487,7 @@ def check_maximality(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome
     rng = Random(f"{cfg.seed}/maximality")
     for _ in range(cfg.samples):
         while True:
-            coords = tuple(Fraction(rng.randint(-9, 9)) for _ in range(v.dim))
+            coords = tuple(rng.randint(-9, 9) for _ in range(v.dim))
             if any(coords):
                 break
         g_ok, c_ok = certify(coords)

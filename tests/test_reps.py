@@ -5,10 +5,12 @@ import pytest
 
 from g2cert.errors import DegenerateFormError, NotSemisimpleError, PreconditionError
 from g2cert.lie import LieAlgebra, killing_form, so_of_form
-from g2cert.linalg import ZERO, Matrix, Subspace, int_stack, kernel_basis
+from g2cert import reps
+from g2cert.linalg import ZERO, Matrix, Subspace, int_array, int_stack, kernel_basis
 from g2cert.reps import (
     Intertwiner,
     LieModule,
+    _spin_basis,
     adjoint_module,
     bracket_span,
     hom_space,
@@ -550,3 +552,83 @@ def test_hom_space_on_large_entry_modules(so3, big_module, scaled_module):
     other = LieModule(so3, nat.A * (_SCALE + 2), _SCALE + 2)
     assert len(hom_space(scaled_module, other)) == len(hom_space(other, scaled_module)) == 1
     assert module_isomorphism(scaled_module, other).is_invertible
+
+
+# -- the spin-basis Hom solver against the Kronecker system it replaced ------
+
+
+def _sylvester_kernel(a, b):
+    """Common kernel of T -> T a[i] - b[i] T (T row-major): the first pair as
+    one Kronecker system in nrows * ncols unknowns, each later pair on the
+    surviving span."""
+    nrows, ncols = b.shape[1], a.shape[1]
+    size = nrows * ncols
+    peak = 2 * max(int(np.max(np.abs(a), initial=0)), int(np.max(np.abs(b), initial=0)))
+    a, b = int_array(a, peak), int_array(b, peak)
+    vectors = None
+    for a_i, b_i in zip(a, b):
+        if vectors is None:
+            system = np.kron(np.eye(nrows, dtype=a.dtype), a_i.T) - np.kron(b_i, np.eye(ncols, dtype=b.dtype))
+            vectors = kernel_basis(system).int_basis()
+        else:
+            t = vectors.reshape(-1, nrows, ncols)
+            images = (t @ a_i - b_i @ t).reshape(len(vectors), size)
+            vectors = kernel_basis(images.T).int_basis() @ vectors
+        if not len(vectors):
+            return Subspace(size, ())
+    if vectors is None:
+        return Subspace.full(size)
+    return Subspace.from_vectors(size, vectors.tolist())
+
+
+def _hom_reference(v, w):
+    peak = max(w.den * int(np.max(np.abs(v.A), initial=0)), v.den * int(np.max(np.abs(w.A), initial=0)))
+    return _sylvester_kernel(int_array(v.A, peak) * w.den, int_array(w.A, peak) * v.den)
+
+
+def _seed_count(v):
+    return sum(k < 0 for k, _, _ in _spin_basis(v.A)[1])
+
+
+def test_hom_space_matches_kronecker_reference(ctx, so3, zero_module_2d, big_module, complement_module):
+    """Equal canonical Hom bases and invariant-form bases on cyclic,
+    non-cyclic, zero-Hom, zero-algebra and Python-int modules."""
+    nat = natural_module(so3)
+    four = direct_sum_module(direct_sum_module(nat, nat), direct_sum_module(nat, nat))
+    adj_so3_so3 = adjoint_module(direct_sum_algebra(so3, so3))
+    adj_der = adjoint_module(ctx.derivations)
+    cases = [
+        (adjoint_module(ctx.so34), adjoint_module(ctx.so34), 1),
+        (ctx.so34_as_g2_module, ctx.so34_as_g2_module, 2),
+        (four, four, 16),
+        (adj_so3_so3, adj_so3_so3, 2),
+        (adj_der, complement_module, 0),
+        (zero_module_2d, zero_module_2d, 4),
+        (big_module, big_module, 4),
+    ]
+    for v, w, dim in cases:
+        homs = hom_space(v, w)
+        assert len(homs) == dim
+        assert Subspace(w.dim * v.dim, tuple(h.matrix.flatten() for h in homs)) == _hom_reference(v, w)
+    for v in {id(m): m for v, w, _ in cases for m in (v, w)}.values():
+        forms = invariant_bilinear_forms(v)
+        reference = _sylvester_kernel(v.A, -v.A.transpose(0, 2, 1))
+        assert Subspace(v.dim**2, tuple(f.flatten() for f in forms.basis)) == reference
+    assert _seed_count(four) >= 4
+    assert _seed_count(adj_so3_so3) == 2
+    assert _seed_count(zero_module_2d) == 2
+
+
+def test_hom_space_solves_in_target_dim_unknowns_per_seed(ctx, monkeypatch):
+    """The commutant of the cyclic 21-dim adjoint module of so(3,4) is solved
+    for the one seed image, 21 unknowns, not for a 21 x 21 matrix."""
+    shapes = []
+
+    def recording(m):
+        shapes.append(m.shape)
+        return kernel_basis(m)
+
+    monkeypatch.setattr(reps, "kernel_basis", recording)
+    adj = adjoint_module(ctx.so34)
+    assert len(hom_space(adj, adj)) == 1
+    assert shapes and max(cols for _, cols in shapes) <= 21
