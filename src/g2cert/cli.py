@@ -109,7 +109,8 @@ def _cmd_show(args) -> int:
         alg = ctx.cayley.algebra
         for i in range(alg.dim):
             for j in range(alg.dim):
-                print(f"e{i + 1}*e{j + 1} = {_coords_str(alg.mul[i][j])}")
+                coords = [Fraction(int(x), alg.den) for x in alg.M[i, j]]
+                print(f"e{i + 1}*e{j + 1} = {_coords_str(coords)}")
         return 0
     if args.what == "killing":
         from .lie import killing_form

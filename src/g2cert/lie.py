@@ -31,6 +31,7 @@ from .linalg import (
     clear_denominators,
     coordinate_map,
     int_array,
+    int_cleared,
     int_einsum,
     int_stack,
     kernel_basis,
@@ -72,9 +73,7 @@ class LieAlgebra:
         tensor = np.array(brackets, dtype=object) if self.dim else np.zeros((0, 0, 0), dtype=object)
         if tensor.shape != (self.dim,) * 3:
             raise ValueError("bracket tensor has wrong shape")
-        values = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in tensor.flat]
-        ints, self.den = clear_denominators(values)
-        self.C = int_array(ints, max(map(abs, ints), default=0)).reshape(tensor.shape)
+        self.C, self.den = int_cleared(tensor)
         asym = np.argwhere(np.any(self.C + self.C.transpose(1, 0, 2) != 0, axis=2))
         if len(asym):
             raise ValueError("brackets not antisymmetric at ({},{})".format(*asym[0]))
@@ -194,12 +193,10 @@ def derivation_algebra(alg: StructureConstantAlgebra) -> LieAlgebra:
 
     The constraint is linear in the dim^2 unknowns D[l][k]; the kernel of the
     dim^3 x dim^2 system is the derivation space.  Each row is linear in the
-    structure constants, so scaling the whole tensor by one denominator keeps
-    the kernel.
+    structure constants, so the cleared tensor ``alg.M`` has the same kernel.
     """
     n = alg.dim
-    ints, _ = clear_denominators([x for row in alg.mul for prod in row for x in prod])
-    c = int_array(ints, 3 * max(map(abs, ints), default=0)).reshape(n, n, n)
+    c = int_array(alg.M, 3 * int(np.max(np.abs(alg.M), initial=0)))
     eye = np.eye(n, dtype=c.dtype)
     # row (i, j, l), unknown D[a][b]: the e_l coefficient of
     # D(e_i e_j) - D(e_i) e_j - e_i D(e_j), where D(e_b) = sum_a D[a][b] e_a

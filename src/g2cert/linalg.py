@@ -8,9 +8,10 @@ A system reaches the solvers as a Fraction ``Matrix`` or as a 2-D numpy
 integer array (int64, or object dtype of Python ints); callers holding
 integers pass the array, and a ``Matrix`` is cleared once, row by row.
 ``clear_denominators`` is the one place rationals are scaled to integers,
-``int_stack`` the one place a family of Fraction matrices becomes one
-integer stack with one denominator, and ``int_array`` the one place that
-picks int64 or Python ints for products.
+``int_cleared`` the one place an array of rationals (a structure tensor, a
+Gram matrix, a subspace basis or, through ``int_stack``, a family of
+Fraction matrices) becomes one integer array with one denominator, and
+``int_array`` the one place that picks int64 or Python ints for products.
 
 Two elimination engines sit behind the public API, and the input size picks
 one:
@@ -226,14 +227,24 @@ def int_array(values, peak: int) -> np.ndarray:
     return np.array(values, dtype=np.int64 if peak < (1 << 62) else object)
 
 
+def int_cleared(values) -> tuple[np.ndarray, int]:
+    """A nested sequence or array of rationals as one integer array a of the
+    same shape and the least den > 0 with a == den * values; int64 or Python
+    ints as ``int_array`` decides."""
+    values = np.array(values, dtype=object)
+    ints, den = clear_denominators(
+        [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values.flat]
+    )
+    return int_array(ints, max(map(abs, ints), default=0)).reshape(values.shape), den
+
+
 def int_stack(mats: Sequence[Matrix], n: int) -> tuple[np.ndarray, int]:
     """A family of n x n Fraction matrices as one integer stack A
-    (len(mats) x n x n) and the least den > 0 with A[i] = den * mats[i];
-    int64 or Python ints as ``int_array`` decides."""
+    (len(mats) x n x n) and the least den > 0 with A[i] = den * mats[i]."""
     if any(m.shape != (n, n) for m in mats):
         raise ValueError("matrix family must be square of one size")
-    ints, den = clear_denominators([x for m in mats for row in m.rows for x in row])
-    return int_array(ints, max(map(abs, ints), default=0)).reshape(len(mats), n, n), den
+    a, den = int_cleared([m.rows for m in mats])
+    return a.reshape(len(mats), n, n), den
 
 
 def int_einsum(spec: str, *operands) -> np.ndarray:

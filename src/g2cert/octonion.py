@@ -9,73 +9,82 @@ Elements are pairs of scalars and 3-vectors ``[[a, v], [w, b]]`` multiplied by
 with norm ``N = a b - v.w``.  The basis is ordered: the two diagonal
 idempotents first, then the three v-slots, then the three w-slots, which
 gives integer structure constants in {-1, 0, 1}.
+
+A ``StructureConstantAlgebra`` holds its multiplication once, as the cleared
+integer tensor ``M`` (dim x dim x dim, M[i, j, k] = den * m_ijk for
+e_i e_j = sum_k m_ijk e_k) and its one denominator ``den``; a ``NormForm``
+holds the Gram matrix of its polarization as the integer matrix ``G`` and
+its one denominator ``den``.  Both are int64 when the entries fit and Python
+ints (object dtype) otherwise, as ``linalg.int_array`` decides, and every
+product, bilinear value and identity check is a ``linalg.int_einsum`` of
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from random import Random
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Sequence
 
-from .linalg import Matrix, Subspace, ZERO, ONE, signature
+import numpy as np
+
+from .linalg import (
+    Matrix,
+    Subspace,
+    ONE,
+    ZERO,
+    clear_denominators,
+    int_cleared,
+    int_einsum,
+    kernel_basis,
+)
 
 DIM = 8
 
 Coords = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
 class StructureConstantAlgebra:
     """A finite-dimensional (not necessarily associative) algebra given by
-    structure constants: e_i e_j = sum_k mul[i][j][k] e_k."""
+    structure constants e_i e_j = sum_k mul[i][j][k] e_k, held only as
+    ``M`` = den * mul and ``den``.  A mis-shaped tensor raises ValueError."""
 
-    dim: int
-    mul: tuple
-    unit_index: Optional[int] = None
-
-    def __post_init__(self):
-        if len(self.mul) != self.dim or any(
-            len(row) != self.dim or any(len(prod) != self.dim for prod in row)
-            for row in self.mul
-        ):
+    def __init__(self, dim: int, mul):
+        tensor = np.array(mul, dtype=object) if dim else np.zeros((0, 0, 0), dtype=object)
+        if tensor.shape != (dim,) * 3:
             raise ValueError("structure constant tensor has wrong shape")
-        if self.unit_index is not None:
-            u = self.unit_index
-            for j in range(self.dim):
-                want = tuple(ONE if k == j else ZERO for k in range(self.dim))
-                if self.mul[u][j] != want or self.mul[j][u] != want:
-                    raise ValueError("declared unit index is not a unit")
+        self.dim = dim
+        self.M, self.den = int_cleared(tensor)
+
+    @cached_property
+    def mul(self) -> tuple:
+        """The structure constants as nested tuples of Fractions, a view of
+        ``M`` / ``den`` built on first use."""
+        return tuple(
+            tuple(tuple(Fraction(x, self.den) for x in prod) for prod in row)
+            for row in self.M.tolist()
+        )
 
     def multiply(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Coords:
         """Bilinear extension of the structure constants."""
-        out = [ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.mul[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, m in enumerate(row[j]):
-                    if m:
-                        out[k] += c * m
-        return tuple(out)
+        (xs, ys), d = int_cleared([x, y])
+        prod = int_einsum("i,j,ijk->k", xs, ys, self.M)
+        return tuple(Fraction(int(c), d * d * self.den) for c in prod)
 
 
-@dataclass(frozen=True)
 class NormForm:
-    """Quadratic norm together with its polarized bilinear form."""
+    """Quadratic norm together with its polarized bilinear form, held only as
+    the integer Gram matrix ``G`` = den * gram and ``den``."""
 
-    gram: Matrix
+    def __init__(self, gram: Matrix):
+        if not gram.is_symmetric():
+            raise ValueError("Gram matrix must be symmetric")
+        self.G, self.den = int_cleared(gram.rows)
 
     def bilinear(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-        return sum(
-            (xi * sum((g * yj for g, yj in zip(row, y) if g and yj), ZERO)
-             for xi, row in zip(x, self.gram.rows) if xi),
-            ZERO,
-        )
+        (xs, ys), d = int_cleared([x, y])
+        return Fraction(int(int_einsum("i,ij,j->", xs, self.G, ys)), d * d * self.den)
 
     def norm(self, x: Sequence[Fraction]) -> Fraction:
         return self.bilinear(x, x)
@@ -121,41 +130,16 @@ class SplitCayley:
     form: NormForm
     unit: Coords
 
-    def basis_element(self, i: int) -> Coords:
-        return tuple(ONE if j == i else ZERO for j in range(DIM))
-
-    def multiply(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Coords:
-        return self.algebra.multiply(x, y)
-
-    def conjugate(self, x: Sequence[Fraction]) -> Coords:
-        """x-bar = 2 <x,e>/<e,e> e - x; pure imaginaries go to their negatives."""
-        c = 2 * self.form.bilinear(x, self.unit) / self.form.norm(self.unit)
-        return tuple(c * e - xi for e, xi in zip(self.unit, x))
-
-    def norm(self, x: Sequence[Fraction]) -> Fraction:
-        return self.form.norm(x)
-
-    def bilinear(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-        return self.form.bilinear(x, y)
-
-    def random_element(self, rng: Random, bound: int = 9) -> Coords:
-        return tuple(Fraction(rng.randint(-bound, bound)) for _ in range(DIM))
-
     def imaginary_subspace(self) -> tuple[Subspace, Matrix]:
         """The orthogonal complement of the unit and the Gram matrix of the
         norm form restricted to it (signature (3,4))."""
-        constraint = Matrix([[self.form.bilinear(self.basis_element(j), self.unit)
-                              for j in range(DIM)]])
-        from .linalg import kernel_basis
-
-        sub = kernel_basis(constraint)
+        u, _ = clear_denominators(self.unit)
+        sub = kernel_basis(int_einsum("ij,j->i", self.form.G, u).reshape(1, -1))
         assert sub.dim == DIM - 1
-        b = sub.basis
-        restricted = Matrix(
-            [[self.form.bilinear(b[i], b[j]) for j in range(sub.dim)]
-             for i in range(sub.dim)]
-        )
-        return sub, restricted
+        b, s = int_cleared(sub.basis)
+        restricted = int_einsum("ik,kl,jl->ij", b, self.form.G, b)
+        den = self.form.den * s * s
+        return sub, Matrix([[Fraction(x, den) for x in row] for row in restricted.tolist()])
 
 
 def build_split_cayley() -> SplitCayley:
@@ -166,7 +150,7 @@ def build_split_cayley() -> SplitCayley:
         tuple(_zorn_multiply(basis[i], basis[j]) for j in range(DIM))
         for i in range(DIM)
     )
-    algebra = StructureConstantAlgebra(dim=DIM, mul=mul, unit_index=None)
+    algebra = StructureConstantAlgebra(dim=DIM, mul=mul)
     form = NormForm(gram=_zorn_norm_gram())
     unit = (ONE, ONE) + (ZERO,) * 6
     return SplitCayley(algebra=algebra, form=form, unit=unit)

@@ -28,8 +28,8 @@ from .linalg import (
     Matrix,
     Subspace,
     ZERO,
-    clear_denominators,
     int_array,
+    int_cleared,
     int_einsum,
     int_stack,
     kernel_basis,
@@ -92,8 +92,8 @@ def restricted_action(a: np.ndarray, sub: Subspace) -> tuple[np.ndarray, int]:
     With b = s * basis, the images a[i] b_j have their coordinates at the
     pivot columns; invariance is s * a[i] b_j = sum_k r[i, k, j] b_k.
     """
-    flat, s = clear_denominators([x for row in sub.basis for x in row])
-    b = np.array(flat, dtype=object).reshape(sub.dim, sub.ambient_dim)
+    b, s = int_cleared(sub.basis)
+    b = b.reshape(sub.dim, sub.ambient_dim)  # keeps the zero subspace 2-D
     images = int_einsum("imn,jn->imj", a, b)
     r = images[:, list(sub.pivots), :]
     if not np.array_equal(int_einsum("imj,->imj", images, s), int_einsum("kn,ikj->inj", b, r)):
@@ -127,9 +127,8 @@ class Intertwiner:
         if self.matrix.shape != (self.target.dim, self.source.dim):
             raise ValueError("intertwiner matrix has wrong shape")
         v, w = self.source, self.target
-        t_ints, _ = clear_denominators(self.matrix.flatten())
-        t = np.array(t_ints, dtype=object).reshape(w.dim, v.dim)
-        if not np.array_equal(int_einsum("ab,ibc->iac", w.den * t, v.A), int_einsum("iab,bc->iac", w.A, v.den * t)):
+        t = int_cleared(self.matrix.rows)[0].reshape(w.dim, v.dim)
+        if not np.array_equal(int_einsum(",ab,ibc->iac", w.den, t, v.A), int_einsum("iab,bc,->iac", w.A, t, v.den)):
             raise ValueError("matrix does not intertwine the actions")
 
     @property
@@ -186,8 +185,7 @@ def _intertwiner_space(a: np.ndarray, b: np.ndarray) -> Subspace:
     for j, (k, g, s) in enumerate(origins):  # ms[j, :, s(j), :] = M_j
         ms[j, :, s] = int_einsum("ij,jk->ik", b[g], ms[k, :, s]) if k >= 0 else np.eye(nrows, dtype=int)
     cols = np.array(basis, dtype=object).T
-    flat, d = clear_denominators(Matrix(cols.tolist()).inverse().flatten())
-    b_inv = np.array(flat, dtype=object).reshape(ncols, ncols)
+    b_inv, d = int_cleared(Matrix(cols.tolist()).inverse().rows)
     c = int_einsum("ji,gik->gjk", b_inv, int_einsum("gij,jk->gik", a, cols))
     system = int_einsum("gjk,jrsc->gkrsc", c, ms) - int_einsum("grq,kqsc,->gkrsc", b, ms, d)
     kernel = np.eye(ms.shape[2] * nrows, dtype=object)  # surviving solutions as rows

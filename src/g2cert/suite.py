@@ -12,7 +12,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from random import Random
 from typing import Callable, Optional
 
@@ -33,6 +32,7 @@ from .linalg import (
     Subspace,
     clear_denominators,
     coordinate_map,
+    int_cleared,
     int_einsum,
     int_stack,
     signature,
@@ -202,8 +202,7 @@ class VerificationContext:
 
         def build():
             so34 = self.so34
-            flat, den = clear_denominators([x for row in self.embedding for x in row])
-            e = np.array(flat, dtype=object).reshape(-1, so34.dim)
+            e, den = int_cleared(self.embedding)
             a = int_einsum("ij,jlk->ikl", e, so34.C)
             return LieModule(self.derivations, a, den * so34.den, name="so34|g2")
 
@@ -266,76 +265,83 @@ class CheckOutcome:
         return "pass" if not self.failed else "fail"
 
 
-def _basis_name(i: int) -> str:
-    return f"e{i + 1}"
+def _first_word(mask: np.ndarray) -> Optional[str]:
+    """The basis word e_i*e_j*... of the first True entry of mask in row-major
+    (``itertools.product``) order, or None."""
+    bad = np.argwhere(mask)
+    return "*".join(f"e{int(i) + 1}" for i in bad[0]) if len(bad) else None
 
 
 def check_cayley(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome:
+    """Every identity is a comparison of two contractions of the cleared
+    tensors, both sides brought to one integer scale: M = den * mul,
+    G = g * gram, the unit u / s, and conjugation K / n with n = u^T G u and
+    K = 2 u (G u)^T - n I (so x-bar = 2 <x, e> / N(e) e - x)."""
     out = CheckOutcome()
     c = ctx.cayley_candidate
-    e = c.unit
-    basis = [c.basis_element(i) for i in range(8)]
+    m, den = c.algebra.M, c.algebra.den
+    g, gden = c.form.G, c.form.den
+    u, s = clear_denominators(c.unit)
+    eye = np.eye(c.algebra.dim, dtype=np.int64)
 
-    out.expect("unit_norm", c.norm(e), Fraction(1))
+    out.expect("unit_norm", c.form.norm(c.unit), Fraction(1))
+    unit_scaled = int_einsum(",jk->jk", s * den, eye)
     out.expect(
         "unit_is_identity",
-        all(c.multiply(e, b) == b and c.multiply(b, e) == b for b in basis),
+        np.array_equal(int_einsum("i,ijk->jk", u, m), unit_scaled)
+        and np.array_equal(int_einsum("j,ijk->ik", u, m), unit_scaled),
         True,
     )
 
-    first_failure = next(
-        (f"{_basis_name(i)}*{_basis_name(j)}" for i, j in product(range(8), repeat=2)
-         if c.norm(c.multiply(basis[i], basis[j])) != c.norm(basis[i]) * c.norm(basis[j])),
-        None,
-    )
+    # N(e_i e_j) = N(e_i) N(e_j), times g^2 den^2
+    broken = int_einsum(",ijk,kl,ijl->ij", gden, m, g, m) != int_einsum(",ii,jj->ij", den * den, g, g)
     out.record("composition_basis_pairs", 64)
-    out.expect("composition_first_failure", first_failure, None)
+    out.expect("composition_first_failure", _first_word(broken), None)
 
-    alt_ok = all(
-        c.multiply(c.multiply(a, a), b) == c.multiply(a, c.multiply(a, b))
-        and c.multiply(b, c.multiply(a, a)) == c.multiply(c.multiply(b, a), a)
-        for a in basis
-        for b in basis
-    )
+    # (aa)b = a(ab) and b(aa) = (ba)a on basis pairs, times den^2
+    alt_ok = np.array_equal(
+        int_einsum("aak,kbl->abl", m, m), int_einsum("abk,akl->abl", m, m)
+    ) and np.array_equal(int_einsum("aak,bkl->abl", m, m), int_einsum("bak,kal->abl", m, m))
     out.expect("alternativity_basis_pairs", alt_ok, True)
 
-    conj_ok = all(
-        c.conjugate(c.multiply(a, b)) == c.multiply(c.conjugate(b), c.conjugate(a))
-        for a in basis
-        for b in basis
-    ) and all(c.conjugate(c.conjugate(a)) == a for a in basis)
+    # conj(ab) = conj(b) conj(a) on basis pairs, times n^2 den; conj^2 = 1.
+    # Each int64 term is below 2**62 (int_array), so the difference fits.
+    n = int(int_einsum("i,ij,j->", u, g, u))
+    k = int_einsum(",i,j->ij", 2, u, int_einsum("ij,j->i", g, u)) - int_einsum(",ij->ij", n, eye)
+    conj_ok = np.array_equal(
+        int_einsum(",kl,abl->abk", n, k, m), int_einsum("pb,qa,pqk->abk", k, k, m)
+    ) and np.array_equal(int_einsum("ij,jk->ik", k, k), int_einsum(",ik->ik", n * n, eye))
     out.expect("conjugation_antiautomorphism", conj_ok, True)
 
     rng = Random(f"{cfg.seed}/cayley")
-    sample_ok = True
-    for _ in range(cfg.samples):
-        a = c.random_element(rng)
-        b = c.random_element(rng)
-        ab = c.multiply(a, b)
-        na = c.norm(a)
-        if c.norm(ab) != na * c.norm(b):
-            sample_ok = False
-        if c.multiply(a, c.multiply(a, b)) != c.multiply(c.multiply(a, a), b):
-            sample_ok = False
-        if c.multiply(a, c.conjugate(a)) != tuple(na * x for x in e):
-            sample_ok = False
+    draws = [rng.randint(-9, 9) for _ in range(2 * c.algebra.dim * cfg.samples)]
+    x, y = np.array(draws, dtype=np.int64).reshape(cfg.samples, 2, c.algebra.dim).transpose(1, 0, 2)
+    xy = int_einsum("si,sj,ijk->sk", x, y, m)
+    nx = int_einsum("si,ij,sj->s", x, g, x)
+    # N(xy) = N(x) N(y) times g^2 den^2; x(xy) = (xx)y times den^2;
+    # x conj(x) = N(x) e times g s n den
+    sample_ok = (
+        np.array_equal(int_einsum(",sk,kl,sl->s", gden, xy, g, xy),
+                       int_einsum(",s,si,ij,sj->s", den * den, nx, y, g, y))
+        and np.array_equal(int_einsum("si,sk,ikl->sl", x, xy, m),
+                           int_einsum("sk,sj,kjl->sl", int_einsum("si,sj,ijk->sk", x, x, m), y, m))
+        and np.array_equal(int_einsum(",si,sj,ijk->sk", gden * s, x, int_einsum("ij,sj->si", k, x), m),
+                           int_einsum(",s,k->sk", den * n, nx, u))
+    )
     out.record("sample_size", cfg.samples)
     out.expect("sample_identities", sample_ok, True)
 
-    witness = next(
-        (f"{_basis_name(i)}*{_basis_name(j)}*{_basis_name(k)}" for i, j, k in product(range(8), repeat=3)
-         if c.multiply(c.multiply(basis[i], basis[j]), basis[k])
-         != c.multiply(basis[i], c.multiply(basis[j], basis[k]))),
-        None,
-    )
+    # (e_i e_j) e_k != e_i (e_j e_k), times den^2
+    assoc = int_einsum("ijm,mkl->ijkl", m, m) != int_einsum("jkm,iml->ijkl", m, m)
+    witness = _first_word(np.any(assoc, axis=3))
     out.expect("nonassociativity_witness_found", witness is not None, True)
     out.record("nonassociativity_witness", witness)
 
-    out.expect("norm_signature", signature(c.form.gram), (4, 4, 0))
+    out.expect("norm_signature", signature(Matrix(g.tolist())), (4, 4, 0))  # gden > 0
     sub, restricted = c.imaginary_subspace()
     out.expect("imaginary_dim", sub.dim, 7)
     out.expect("imag_signature", signature(restricted), (3, 4, 0))
-    out.expect("unit_outside_imaginary", sub.contains_vector(e), False)
+    out.expect("unit_outside_imaginary", sub.contains_vector(c.unit), False)
     return out
 
 
@@ -358,12 +364,12 @@ def check_derivations(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcom
     out.expect("natural_dim", nat.dim, 7)
     out.expect("natural_commutant_dim", is_irreducible(nat).commutant_dim, 1)
 
+    # D e = 0 and D^T G + G D = 0 for every derivation D, on its cleared stack
     c = ctx.cayley
-    linear_ok = all(
-        all(x == 0 for x in d.apply(c.unit))
-        and (d.transpose() * c.form.gram + c.form.gram * d).is_zero()
-        for d in der.realization
-    )
+    a, _ = int_stack(der.realization, c.algebra.dim)
+    ga = int_einsum("ik,dkj->dij", c.form.G, a)
+    unit_images = int_einsum("dij,j->di", a, clear_denominators(c.unit)[0])
+    linear_ok = not np.any(unit_images) and not np.any(ga + ga.transpose(0, 2, 1))
     out.expect("derivations_kill_unit_and_are_skew", linear_ok, True)
 
     rs = root_system(cartan_type("G2"))
@@ -466,8 +472,7 @@ def check_maximality(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome
     so34 = ctx.so34
 
     # one common denominator maps coordinates c to a multiple of sum c_i v_i
-    flat, _ = clear_denominators([x for row in v.basis for x in row])
-    v_ints = np.array(flat, dtype=object).reshape(v.dim, so34.dim)
+    v_ints, _ = int_cleared(v.basis)
 
     def certify(coords_in_v: tuple[int, ...]) -> tuple[bool, bool]:
         generated = submodule_generated(vmod, coords_in_v)

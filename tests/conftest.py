@@ -5,7 +5,7 @@ from hypothesis import settings
 
 from g2cert.lie import LieAlgebra
 from g2cert.linalg import ONE, ZERO, Matrix, clear_denominators, int_einsum, int_stack
-from g2cert.octonion import StructureConstantAlgebra
+from g2cert.octonion import DIM, SplitCayley, StructureConstantAlgebra, build_split_cayley
 from g2cert.reps import LieModule
 from g2cert.suite import VerificationContext
 
@@ -41,6 +41,41 @@ def bracket(g, x, y):
 def action_matrices(v):
     """The action of a module as Fraction matrices A[i] / den."""
     return [Matrix([[Fraction(int(x), v.den) for x in row] for row in a]) for a in v.A.tolist()]
+
+
+def basis_element(i):
+    return tuple(ONE if j == i else ZERO for j in range(DIM))
+
+
+def conjugate(c, x):
+    """x-bar = 2 <x,e>/<e,e> e - x; pure imaginaries go to their negatives."""
+    k = 2 * c.form.bilinear(x, c.unit) / c.form.norm(c.unit)
+    return tuple(k * e - xi for e, xi in zip(c.unit, x))
+
+
+def gram(c):
+    """The Gram matrix of the norm form as Fractions, G / den."""
+    return Matrix([[Fraction(x, c.form.den) for x in row] for row in c.form.G.tolist()])
+
+
+def random_element(rng):
+    return tuple(Fraction(rng.randint(-9, 9)) for _ in range(DIM))
+
+
+# e3*e4 drifts off the Zorn table by e1 + e2 and picks up norm 1, breaking
+# composition
+E3E4_DRIFT = {(2, 3, 0): 1, (2, 3, 1): 1}
+
+
+def cayley_mutant(changes):
+    """The split Cayley algebra with each structure constant mul[i][j][k]
+    moved by changes[(i, j, k)]; form and unit are the pristine ones."""
+    pristine = build_split_cayley()
+    mul = [[list(prod) for prod in row] for row in pristine.algebra.mul]
+    for (i, j, k), delta in changes.items():
+        mul[i][j][k] += delta
+    algebra = StructureConstantAlgebra(dim=DIM, mul=tuple(tuple(tuple(p) for p in row) for row in mul))
+    return SplitCayley(algebra=algebra, form=pristine.form, unit=pristine.unit)
 
 
 def abelian_algebra(dim):
@@ -120,4 +155,4 @@ def matrix_algebra_2x2():
 @pytest.fixture(scope="session")
 def rational_line_algebra():
     """The 1-dimensional unital algebra (the base field itself)."""
-    return StructureConstantAlgebra(dim=1, mul=(((ONE,),),), unit_index=0)
+    return StructureConstantAlgebra(dim=1, mul=(((ONE,),),))

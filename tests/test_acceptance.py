@@ -18,7 +18,7 @@ from g2cert.lie import (
     transporter_into,
 )
 from g2cert.linalg import Matrix, Subspace, rref, signature
-from g2cert.octonion import SplitCayley, StructureConstantAlgebra, build_split_cayley
+from g2cert.octonion import StructureConstantAlgebra
 from g2cert.reps import (
     adjoint_module,
     bracket_span,
@@ -46,7 +46,7 @@ from g2cert.weyl import (
     weyl_dimension,
 )
 
-from conftest import diagonal
+from conftest import E3E4_DRIFT, basis_element, cayley_mutant, diagonal, gram
 
 
 def _done(number: int, label: str, started: float, limit: float):
@@ -60,9 +60,9 @@ def test_criterion_01_cayley_certification(ctx):
     c = ctx.cayley
     for i in range(8):
         for j in range(8):
-            a, b = c.basis_element(i), c.basis_element(j)
-            assert c.norm(c.multiply(a, b)) == c.norm(a) * c.norm(b)
-    assert signature(c.form.gram) == (4, 4, 0)
+            a, b = basis_element(i), basis_element(j)
+            assert c.form.norm(c.algebra.multiply(a, b)) == c.form.norm(a) * c.form.norm(b)
+    assert signature(gram(c)) == (4, 4, 0)
     _, restricted = c.imaginary_subspace()
     assert signature(restricted) == (3, 4, 0)
     _done(1, "composition law and norm signatures", start, 1.0)
@@ -195,17 +195,6 @@ def _strip_timing(payload: bytes) -> bytes:
     return json.dumps(doc).encode()
 
 
-def _corrupted_cayley() -> SplitCayley:
-    pristine = build_split_cayley()
-    mul = [[list(prod) for prod in row] for row in pristine.algebra.mul]
-    mul[2][3][0] += 1
-    mul[2][3][1] += 1
-    algebra = StructureConstantAlgebra(
-        dim=8, mul=tuple(tuple(tuple(p) for p in row) for row in mul)
-    )
-    return SplitCayley(algebra=algebra, form=pristine.form, unit=pristine.unit)
-
-
 def test_criterion_12_determinism_and_negative_controls():
     cfg = SuiteConfig()  # seed 0, samples 100, census bound 10
     start = time.perf_counter()
@@ -219,7 +208,7 @@ def test_criterion_12_determinism_and_negative_controls():
 
     fast = SuiteConfig(samples=5)
     flips = {
-        "cayley": ("fail", VerificationContext(cayley_candidate=_corrupted_cayley())),
+        "cayley": ("fail", VerificationContext(cayley_candidate=cayley_mutant(E3E4_DRIFT))),
         "derivations": (
             "fail",
             VerificationContext(derivations_candidate=so_of_form(Matrix.identity(7))),

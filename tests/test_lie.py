@@ -17,7 +17,15 @@ from g2cert.lie import (
 from g2cert.linalg import Matrix, Subspace, coordinate_map, kernel_basis
 from g2cert.octonion import StructureConstantAlgebra
 
-from conftest import abelian_algebra, bracket, diagonal, direct_sum_algebra, structure_constants
+from conftest import (
+    abelian_algebra,
+    bracket,
+    cayley_mutant,
+    diagonal,
+    direct_sum_algebra,
+    gram,
+    structure_constants,
+)
 
 Z = Fraction(0)
 
@@ -226,14 +234,11 @@ def _so_rows(b):
     return rows
 
 
-def test_derivation_system_matches_row_by_row_reference(cayley, matrix_algebra_2x2):
+def test_derivation_system_matches_row_by_row_reference(matrix_algebra_2x2):
     """The integer system gives the kernel of the row-by-row Fraction
     system, in int64 and (for the 2**70 rescaling) with Python ints."""
-    mul = [[list(prod) for prod in row] for row in cayley.algebra.mul]
-    mul[1][2][3] += 1
-    mutant = StructureConstantAlgebra(dim=8, mul=tuple(tuple(tuple(p) for p in r) for r in mul))
     for alg in (
-        mutant,
+        cayley_mutant({(1, 2, 3): 1}).algebra,
         _rescaled(matrix_algebra_2x2, (1, Fraction(2, 3), 5, 1)),
         _rescaled(matrix_algebra_2x2, (1, Fraction(2**70), 1, 1)),
     ):
@@ -271,10 +276,10 @@ def test_derivations_with_non_integer_structure_constants(matrix_algebra_2x2):
 
 def test_derivations_of_split_cayley(cayley, derivations):
     assert derivations.dim == 14
-    gram = cayley.form.gram
+    g = gram(cayley)
     for d in derivations.realization:
         assert all(x == 0 for x in d.apply(cayley.unit))
-        assert (d.transpose() * gram + gram * d).is_zero()
+        assert (d.transpose() * g + g * d).is_zero()
 
 
 def test_killing_abelian():

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from g2cert import suite
 from g2cert.lie import killing_form, so_of_form
-from g2cert.linalg import Matrix
-from g2cert.octonion import SplitCayley, StructureConstantAlgebra, build_split_cayley
+from g2cert.linalg import Matrix, kernel_basis, signature
+from g2cert.octonion import NormForm, SplitCayley, StructureConstantAlgebra, build_split_cayley
 from g2cert.reps import LieModule
 from g2cert.report import exit_code, render_text, serialize, summarize
 from g2cert.suite import (
@@ -20,11 +20,13 @@ from g2cert.suite import (
     MAX_SAMPLES,
     CheckReport,
     SuiteConfig,
+    CheckOutcome,
     VerificationContext,
+    check_cayley,
     run_all,
 )
 
-from conftest import diagonal
+from conftest import E3E4_DRIFT, basis_element, cayley_mutant, diagonal, gram
 
 FAST = SuiteConfig(seed=0, samples=5, census_bound=10)
 
@@ -165,25 +167,173 @@ def test_config_validation():
         SuiteConfig(census_bound=MAX_CENSUS_BOUND + 1)
 
 
-def corrupted_cayley() -> SplitCayley:
-    pristine = build_split_cayley()
-    mul = [[list(prod) for prod in row] for row in pristine.algebra.mul]
-    mul[2][3][0] += 1  # u1*u2 drifts off the Zorn table
-    mul[2][3][1] += 1  # and picks up norm 1, breaking composition
-    algebra = StructureConstantAlgebra(
-        dim=8, mul=tuple(tuple(tuple(p) for p in row) for row in mul)
-    )
-    return SplitCayley(algebra=algebra, form=pristine.form, unit=pristine.unit)
-
-
 def test_negative_control_cayley_structure_constant():
-    reports = run_all(FAST, ctx=VerificationContext(cayley_candidate=corrupted_cayley()))
+    reports = run_all(FAST, ctx=VerificationContext(cayley_candidate=cayley_mutant(E3E4_DRIFT)))
     by_id = {r.id: r for r in reports}
     assert by_id["cayley"].status == "fail"
     assert by_id["cayley"].witnesses["composition_first_failure"] == "e3*e4"
     assert "composition_first_failure" in by_id["cayley"].witnesses["failed_expectations"]
     others = [r for r in reports if r.id != "cayley"]
     assert all(r.status == "pass" for r in others)
+
+
+def loop_multiply(mul, x, y):
+    """The product of two coordinate vectors, entry by entry."""
+    out = [Fraction(0)] * len(x)
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            for k, m in enumerate(mul[i][j]):
+                if m:
+                    out[k] += xi * yj * m
+    return tuple(out)
+
+
+def reference_check_cayley(c, cfg):
+    """check_cayley as Fraction loops over the ``mul`` view and the Gram rows:
+    the witness code the tensor contractions replaced, kept as the reference."""
+    from itertools import product
+    from random import Random
+
+    def multiply(x, y):
+        return loop_multiply(mul, x, y)
+
+    def bilinear(x, y):
+        return sum((xi * g * yj for xi, row in zip(x, rows) for g, yj in zip(row, y)), Fraction(0))
+
+    def norm(x):
+        return bilinear(x, x)
+
+    def conjugate(x):
+        k = 2 * bilinear(x, e) / norm(e)
+        return tuple(k * ei - xi for ei, xi in zip(e, x))
+
+    def name(i):
+        return f"e{i + 1}"
+
+    mul, rows, e = c.algebra.mul, gram(c).rows, c.unit
+    basis = [basis_element(i) for i in range(8)]
+    out = CheckOutcome()
+    out.expect("unit_norm", norm(e), Fraction(1))
+    out.expect(
+        "unit_is_identity",
+        all(multiply(e, b) == b and multiply(b, e) == b for b in basis),
+        True,
+    )
+    first_failure = next(
+        (f"{name(i)}*{name(j)}" for i, j in product(range(8), repeat=2)
+         if norm(multiply(basis[i], basis[j])) != norm(basis[i]) * norm(basis[j])),
+        None,
+    )
+    out.record("composition_basis_pairs", 64)
+    out.expect("composition_first_failure", first_failure, None)
+    alt_ok = all(
+        multiply(multiply(a, a), b) == multiply(a, multiply(a, b))
+        and multiply(b, multiply(a, a)) == multiply(multiply(b, a), a)
+        for a in basis
+        for b in basis
+    )
+    out.expect("alternativity_basis_pairs", alt_ok, True)
+    conj_ok = all(
+        conjugate(multiply(a, b)) == multiply(conjugate(b), conjugate(a))
+        for a in basis
+        for b in basis
+    ) and all(conjugate(conjugate(a)) == a for a in basis)
+    out.expect("conjugation_antiautomorphism", conj_ok, True)
+
+    rng = Random(f"{cfg.seed}/cayley")
+    sample_ok = True
+    for _ in range(cfg.samples):
+        a = tuple(Fraction(rng.randint(-9, 9)) for _ in range(8))
+        b = tuple(Fraction(rng.randint(-9, 9)) for _ in range(8))
+        ab = multiply(a, b)
+        na = norm(a)
+        if norm(ab) != na * norm(b):
+            sample_ok = False
+        if multiply(a, multiply(a, b)) != multiply(multiply(a, a), b):
+            sample_ok = False
+        if multiply(a, conjugate(a)) != tuple(na * x for x in e):
+            sample_ok = False
+    out.record("sample_size", cfg.samples)
+    out.expect("sample_identities", sample_ok, True)
+
+    witness = next(
+        (f"{name(i)}*{name(j)}*{name(k)}" for i, j, k in product(range(8), repeat=3)
+         if multiply(multiply(basis[i], basis[j]), basis[k])
+         != multiply(basis[i], multiply(basis[j], basis[k]))),
+        None,
+    )
+    out.expect("nonassociativity_witness_found", witness is not None, True)
+    out.record("nonassociativity_witness", witness)
+
+    out.expect("norm_signature", signature(gram(c)), (4, 4, 0))
+    sub = kernel_basis(Matrix([[bilinear(b, e) for b in basis]]))
+    restricted = Matrix([[bilinear(x, y) for y in sub.basis] for x in sub.basis])
+    out.expect("imaginary_dim", sub.dim, 7)
+    out.expect("imag_signature", signature(restricted), (3, 4, 0))
+    out.expect("unit_outside_imaginary", sub.contains_vector(e), False)
+    return out
+
+
+def cayley_in_basis(p):
+    """The split Cayley algebra in the basis of the columns of p."""
+    c = build_split_cayley()
+    p = Matrix(p)
+    inv, cols = p.inverse(), p.transpose().rows
+    mul = tuple(tuple(inv.apply(loop_multiply(c.algebra.mul, x, y)) for y in cols) for x in cols)
+    form = NormForm(p.transpose() * gram(c) * p)
+    return SplitCayley(StructureConstantAlgebra(8, mul), form, inv.apply(c.unit))
+
+
+# f1 = 2**70 e1 + e2, f3 = 2/3 e3 + 5 e6, f5 = e4 + e5 and f8 = e8 / 7: the
+# structure constants pass 2**63 and the new basis vectors are not isotropic.
+BIG_BASIS = [[int(i == j) for j in range(8)] for i in range(8)]
+BIG_BASIS[0][0], BIG_BASIS[1][0] = 2**70, 1
+BIG_BASIS[2][2], BIG_BASIS[5][2] = Fraction(2, 3), 5
+BIG_BASIS[3][4], BIG_BASIS[7][7] = 1, Fraction(1, 7)
+
+# One +-1 change to mul[i][j][k] per witness pattern of the sweep over all 1024:
+# unit_is_identity False or True, composition_first_failure set or None, and
+# alternativity_basis_pairs True or False.
+PARITY_MUTANTS = (
+    (0, 0, 0, 1),   # not a unit, composition holds on basis pairs, alternativity fails
+    (0, 0, 1, 1),   # not a unit, composition fails at e1*e1
+    (0, 1, 0, 1),   # not a unit, alternativity holds on basis pairs
+    (2, 2, 0, 1),   # unit intact, composition holds on basis pairs, alternativity fails
+    (2, 3, 4, 1),   # unit intact, composition fails at e3*e4
+    (2, 3, 7, 1),   # unit intact, composition and alternativity hold on basis pairs
+    (2, 3, 7, -1),  # the same, with the opposite sign
+    (0, 2, 0, 1),   # e*e3 != e3 while e3*e = e3
+    (2, 0, 0, -1),  # e3*e != e3 while e*e3 = e3
+)
+
+
+def _typed(witnesses):
+    return [(k, v, type(v)) for k, v in witnesses.items()]
+
+
+@pytest.mark.parametrize(
+    "label, cayley, samples",
+    [("pristine", build_split_cayley(), 100), ("e3*e4 drift", cayley_mutant(E3E4_DRIFT), 5)]
+    + [(f"mul[{i}][{j}][{k}]{d:+d}", cayley_mutant({(i, j, k): d}), 5) for i, j, k, d in PARITY_MUTANTS]
+    + [("big basis", cayley_in_basis(BIG_BASIS), 5)],
+)
+def test_check_cayley_matches_loop_reference(label, cayley, samples):
+    cfg = SuiteConfig(seed=3, samples=samples)
+    got = check_cayley(VerificationContext(cayley_candidate=cayley), cfg)
+    want = reference_check_cayley(cayley, cfg)
+    assert _typed(got.witnesses) == _typed(want.witnesses), label
+    assert (got.status, got.failed) == (want.status, want.failed), label
+
+
+def test_check_cayley_on_python_ints():
+    """The basis change by 2**70 puts the structure tensor itself past int64."""
+    c = cayley_in_basis(BIG_BASIS)
+    assert c.algebra.M.dtype == object
+    assert check_cayley(VerificationContext(cayley_candidate=c), SuiteConfig(samples=5)).status == "pass"
 
 
 def test_negative_control_wrong_subalgebra():
