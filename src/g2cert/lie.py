@@ -150,7 +150,7 @@ class LieAlgebra:
         d, n = len(mats), mats[0].nrows
         a, scale = int_stack(mats, n)
         a = a.reshape(d, n * n)
-        span = Subspace.from_vectors(n * n, a.tolist())
+        span = Subspace.from_vectors(n * n, a)
         if span.dim != d:
             raise ValueError("matrix family is linearly dependent")
         inv, inv_den = clear_denominators(Matrix(a[:, span.pivots].tolist()).inverse().flatten())
@@ -236,7 +236,7 @@ def subalgebra_closure(g: LieAlgebra, seed: Subspace) -> Subspace:
     while span.dim < g.dim:
         basis = span.int_basis()
         brackets = g.bracket_table(basis, basis)[np.triu_indices(len(basis), 1)]
-        grown = Subspace.from_vectors(g.dim, basis.tolist() + brackets.tolist())
+        grown = Subspace.from_vectors(g.dim, np.concatenate([basis, brackets]))
         if grown.dim == span.dim:
             break
         span = grown

@@ -192,7 +192,7 @@ def _intertwiner_space(a: np.ndarray, b: np.ndarray) -> Subspace:
     for block in system.reshape(len(a), ncols * nrows, len(kernel)):  # per generator: small systems
         kernel = kernel_basis(int_einsum("ru,hu->rh", block, kernel)).int_basis() @ kernel
     t = int_einsum("krsc,hsc,ki->hri", ms, kernel.reshape(-1, *ms.shape[2:]), b_inv)
-    return Subspace.from_vectors(nrows * ncols, t.reshape(-1, nrows * ncols).tolist())
+    return Subspace.from_vectors(nrows * ncols, t.reshape(-1, nrows * ncols))
 
 
 def hom_space(v: LieModule, w: LieModule) -> list[Intertwiner]:
@@ -249,7 +249,7 @@ def invariant_bilinear_forms(v: LieModule) -> InvariantForms:
     forms = [Matrix.from_flat(b, n, n) for b in sub.basis]
     # B^T is invariant with B, and a symmetric S in the span is (S + S^T)/2
     ints = sub.int_basis().reshape(-1, n, n)
-    sym_sub = Subspace.from_vectors(n * n, (ints + ints.transpose(0, 2, 1)).reshape(-1, n * n).tolist())
+    sym_sub = Subspace.from_vectors(n * n, (ints + ints.transpose(0, 2, 1)).reshape(-1, n * n))
     sym_forms = tuple(Matrix.from_flat(b, n, n) for b in sym_sub.basis)
     sig = gen = None
     if len(sym_forms) == 1:
@@ -287,7 +287,7 @@ def submodule_generated(v: LieModule, vec: Sequence[Fraction | int]) -> Subspace
     while 0 < span.dim < v.dim:
         basis = span.int_basis()
         images = int_einsum("imn,jn->ijm", v.A, basis).reshape(-1, v.dim)
-        grown = Subspace.from_vectors(v.dim, basis.tolist() + images.tolist())
+        grown = Subspace.from_vectors(v.dim, np.concatenate([basis, images]))
         if grown.dim == span.dim:
             break
         span = grown
@@ -299,7 +299,7 @@ def bracket_span(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != g.dim or b.ambient_dim != g.dim:
         raise ValueError("subspace lives in the wrong ambient space")
     table = g.bracket_table(a.int_basis(), b.int_basis())
-    return Subspace.from_vectors(g.dim, table.reshape(-1, g.dim).tolist())
+    return Subspace.from_vectors(g.dim, table.reshape(-1, g.dim))
 
 
 def wedge_square(v: LieModule, name: str = "") -> LieModule:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import g2cert.linalg as linalg
 from g2cert.linalg import (
     _MODULAR_THRESHOLD,
+    _PRIMES,
     Matrix,
     Subspace,
     _kernel_modular,
+    _rref_mod_p,
     _rows_to_int,
     int_einsum,
     kernel_basis,
@@ -239,6 +243,131 @@ def test_subspace_accepts_canonical_basis():
     sub = Subspace(3, ((1, Fraction(1, 2), 0), (0, 0, 1)))
     assert sub.pivots == (0, 2)
     assert sub == Subspace.from_vectors(3, [(2, 1, 4), (0, 0, 3)])
+
+
+@pytest.mark.parametrize(
+    "ambient, basis, rows",
+    [
+        (3, ((1, Fraction(1, 2), 0), (0, 0, 1)), ((2, 1, 0), (0, 0, 1))),
+        (4, ((0, 1, Fraction(-2, 3), Fraction(5, 6)),), ((0, 6, -4, 5),)),
+        (2, ((1, 0), (0, 1)), ((1, 0), (0, 1))),
+        (3, (), ()),
+    ],
+)
+def test_subspace_basis_round_trips(ambient, basis, rows):
+    """The constructor stores the leading-1 basis as primitive integer rows,
+    and the Fraction view gives it back."""
+    sub = Subspace(ambient, basis)
+    assert sub.basis == basis and sub.rows == rows
+    assert sub.int_basis().tolist() == [list(r) for r in rows]
+    rebuilt = Subspace.from_vectors(ambient, basis)
+    assert rebuilt == sub and rebuilt.basis == basis and rebuilt.pivots == sub.pivots
+
+
+# The Fraction-normalizing construction of a span, kept as the reference for
+# Subspace.from_vectors: fraction-free elimination, then every pivot row
+# divided by its pivot, handed to the validating constructor.
+def _reference_from_vectors(ambient_dim, vectors):
+    work = [r for r in _rows_to_int(vectors) if any(r)]
+    assert all(len(r) == ambient_dim for r in work)
+    pivots = []
+    r = 0
+    for c in range(ambient_dim):
+        found = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if found is None:
+            continue
+        work[r], work[found] = work[found], work[r]
+        piv_row = work[r]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                g = math.gcd(piv_row[c], work[i][c])
+                pf, vf = piv_row[c] // g, work[i][c] // g
+                work[i] = [pf * a - vf * b for a, b in zip(work[i], piv_row)]
+        pivots.append(c)
+        r += 1
+    return Subspace(ambient_dim, tuple(tuple(Fraction(x, work[i][c]) for x in work[i]) for i, c in enumerate(pivots)))
+
+
+# Entries that vanish modulo the certifying prime, so that some families of
+# full rank over Q are rank deficient modulo it.
+_P = _PRIMES[0]
+integers = st.one_of(st.integers(-4, 4), st.sampled_from([_P, -_P, 2 * _P, _P + 1, 2**70, -(2**64)]))
+
+
+@st.composite
+def families(draw, entries):
+    """Width n and a family of rows: free rows, or at least n combinations of
+    fewer than n rows, which span a proper subspace."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    if draw(st.booleans()):
+        return n, draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=2 * n + 2))
+    base = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=n - 1))
+    coeffs = st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base))
+    combos = draw(st.lists(coeffs, min_size=n, max_size=2 * n + 2))
+    return n, [[sum((c * b[j] for c, b in zip(cs, base)), 0) for j in range(n)] for cs in combos]
+
+
+@given(st.one_of(families(fractions), families(integers)))
+def test_from_vectors_matches_fraction_reference(family):
+    n, vectors = family
+    expected = _reference_from_vectors(n, vectors)
+    sub = Subspace.from_vectors(n, vectors)
+    assert sub == expected and sub.basis == expected.basis and sub.pivots == expected.pivots
+    assert sub.int_basis().tolist() == _rows_to_int(expected.basis)
+    if all(isinstance(x, int) for v in vectors for x in v):
+        array = np.array(vectors, dtype=object).reshape(len(vectors), n)
+        assert Subspace.from_vectors(n, array) == expected
+        if all(abs(x) < 2**62 for v in vectors for x in v):
+            assert Subspace.from_vectors(n, array.astype(np.int64)) == expected
+
+
+def _spy_on_exact_elimination(monkeypatch):
+    calls = []
+
+    def spy(rows):
+        calls.append(len(rows))
+        return eliminate(rows)
+
+    eliminate = linalg._int_rref
+    monkeypatch.setattr(linalg, "_int_rref", spy)
+    return calls
+
+
+def test_full_span_certified_mod_p_skips_exact_elimination(monkeypatch):
+    calls = _spy_on_exact_elimination(monkeypatch)
+    rows = [[1, 2, 3], [0, 1, 4], [5, 6, 0], [1, 1, 1]]
+    assert Subspace.from_vectors(3, rows) == Subspace.full(3)
+    assert calls == []
+
+
+def test_full_span_singular_mod_p_falls_back_to_exact(monkeypatch):
+    """Full over Q, rank 1 modulo the certifying prime: the exact path decides."""
+    rows = [(2147483647, 0), (0, 1)]
+    assert len(_rref_mod_p(np.array(rows, dtype=np.int64), _PRIMES[0])[1]) == 1
+    calls = _spy_on_exact_elimination(monkeypatch)
+    assert Subspace.from_vectors(2, rows) == Subspace.full(2)
+    assert calls == [2]
+
+
+def test_many_rows_spanning_a_proper_subspace():
+    rows = [(1, 2, 3), (0, 1, 1), (1, 3, 4), (2, 4, 6), (-1, -1, -2), (3, 7, 10)]
+    sub = Subspace.from_vectors(3, rows)
+    assert sub.dim == 2 and sub.rows == ((1, 0, 1), (0, 1, 1))
+    assert sub == _reference_from_vectors(3, rows)
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.array([[0.5, 1.0]]),  # floats
+        np.array([[Fraction(7, 3), Fraction(5, 3)], [Fraction(7, 6), Fraction(5, 6)]], dtype=object),
+        np.array([[1, 2, 3]]),  # wider than the ambient space
+        np.array([1, 2]),  # one-dimensional
+    ],
+)
+def test_from_vectors_rejects_non_integer_or_misshapen_arrays(array):
+    with pytest.raises(ValueError):
+        Subspace.from_vectors(2, array)
 
 
 def test_int_einsum_exact_beyond_int64():
