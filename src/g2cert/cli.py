@@ -117,8 +117,8 @@ def _cmd_show(args) -> int:
 
         alg = ctx.derivations if args.algebra == "g2" else ctx.so34
         kf = killing_form(alg)
-        for row in kf.gram.rows:
-            print("  ".join(_frac_str(x) for x in row))
+        for row in kf.G.tolist():
+            print("  ".join(_frac_str(Fraction(x, kf.den)) for x in row))
         print(f"signature: {kf.signature}")
         return 0
     if args.what == "decomposition":

@@ -7,42 +7,34 @@ ints (object dtype) otherwise, as ``linalg.int_array`` decides; each product
 formed from it picks its dtype the same way, from a bound on the result.
 Brackets (``bracket_table``), the Killing form (Cartan's criterion),
 closures, centralizers and transporters are contractions of ``C``, and the
-integer ad stack den * ad(e_i) is ``C[i]^T``.  ``LieAlgebra.bracket_law_failure``
-is the one check of the bracket law, on an integer stack with one
-denominator: a realization (cleared by ``linalg.int_stack``), a module action
-and the ad stack (the Jacobi identity).  Also derivation algebras of
-nonassociative algebras and so(p,q) of a symmetric form.
+integer ad stack den * ad(e_i) is ``C[i]^T``.  A matrix realization is held
+the same way, as one integer stack with one denominator.
+``LieAlgebra.bracket_law_failure`` is the one check of the bracket law, on
+such a stack: a realization, a module action and the ad stack (the Jacobi
+identity).  Also derivation algebras of nonassociative algebras and so(p,q)
+of a symmetric form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DegenerateFormError
 from .linalg import (
-    Matrix,
+    NormForm,
     Subspace,
-    ZERO,
-    clear_denominators,
     coordinate_map,
     int_array,
     int_cleared,
     int_einsum,
-    int_stack,
     kernel_basis,
-    signature,
+    rank,
 )
 from .octonion import StructureConstantAlgebra
-
-
-def _fraction_matrix(a: np.ndarray, den: int) -> Matrix:
-    """The Fraction matrix a / den of a 2-D integer array."""
-    return Matrix([[Fraction(x, den) if x else ZERO for x in row] for row in a.tolist()])
 
 
 class LieAlgebra:
@@ -52,23 +44,24 @@ class LieAlgebra:
     ``brackets`` is any dim x dim x dim nested sequence or array of rationals
     with brackets[i][j][k] = c_ijk.  It is held only as ``C`` = den * c, an
     int64 or Python-int array, and the least common denominator ``den``.  A
-    ragged or mis-shaped tensor raises ValueError, and so do a failure of
-    antisymmetry and a failure of ``bracket_law_failure``: against the
-    realization when one is supplied (which also forces the Jacobi
-    identity), on the ad stack otherwise.
+    ``realization`` is a pair (a, d) of an integer stack a of shape
+    (dim, n, n) and a positive d, for the matrices a[i] / d.  A ragged or
+    mis-shaped tensor or realization raises ValueError, and so do a failure
+    of antisymmetry and a failure of ``bracket_law_failure``: against the
+    realization when one is supplied (which also forces the Jacobi identity),
+    on the ad stack otherwise.
     """
 
     def __init__(
         self,
         brackets,
         name: str = "",
-        realization: Optional[tuple[Matrix, ...]] = None,
+        realization: Optional[tuple[np.ndarray, int]] = None,
     ):
         self.dim = len(brackets)
         self.name = name
-        self.realization = tuple(realization) if realization is not None else None
         # built once per algebra, by killing_form and reps.adjoint_module
-        self._killing: Optional[KillingForm] = None
+        self._killing: Optional[NormForm] = None
         self._adjoint = None
         tensor = np.array(brackets, dtype=object) if self.dim else np.zeros((0, 0, 0), dtype=object)
         if tensor.shape != (self.dim,) * 3:
@@ -77,16 +70,20 @@ class LieAlgebra:
         asym = np.argwhere(np.any(self.C + self.C.transpose(1, 0, 2) != 0, axis=2))
         if len(asym):
             raise ValueError("brackets not antisymmetric at ({},{})".format(*asym[0]))
-        if self.realization is None:
+        if realization is None:
             if not self.verify_jacobi():
                 raise ValueError("Jacobi identity fails")
         else:
-            if len(self.realization) != self.dim:
-                raise ValueError("realization size does not match dimension")
-            n = self.realization[0].nrows if self.realization else 0
-            bad = self.bracket_law_failure(*int_stack(self.realization, n))
+            a, den = realization
+            if a.dtype.kind != "i" and a.dtype != object:
+                raise TypeError("a realization is an integer stack")
+            if a.ndim != 3 or len(a) != self.dim or a.shape[1] != a.shape[2] or den < 1:
+                raise ValueError("realization must be dim square matrices over a positive denominator")
+            realization = int_array(a, int(np.max(np.abs(a), initial=0))), den
+            bad = self.bracket_law_failure(*realization)
             if bad is not None:
                 raise ValueError("realization inconsistent with brackets at ({},{})".format(*bad))
+        self.realization = realization
 
     # -- bracket machinery ------------------------------------------------
 
@@ -126,60 +123,41 @@ class LieAlgebra:
         return self.bracket_law_failure(self.C.transpose(0, 2, 1), self.den) is None
 
     @cached_property
-    def realization_coordinates(self) -> Callable[[Sequence], Optional[tuple[Fraction, ...]]]:
-        """Map a row-major flattened matrix to its coordinates in the
-        realization basis, or to None when it lies outside the realization's
-        span."""
-        return coordinate_map([m.flatten() for m in self.realization])
+    def realization_coordinates(self) -> Callable[[np.ndarray], Optional[tuple[np.ndarray, int]]]:
+        """Map integer rows, each a row-major flattened matrix, to (x, d) with
+        row = (x / d) times the flattened realization stack, or to None when
+        a row lies outside the realization's span."""
+        a, _ = self.realization
+        return coordinate_map(a.reshape(self.dim, -1))
 
     @classmethod
-    def from_matrix_basis(
-        cls, mats: Sequence[Matrix], name: str = ""
-    ) -> "LieAlgebra":
-        """Build from a linearly independent family of n x n matrices closed
-        under commutators.
+    def from_matrix_basis(cls, a: np.ndarray, den: int = 1, name: str = "") -> "LieAlgebra":
+        """Build from a linearly independent family of n x n matrices
+        a[i] / den closed under commutators, a an integer stack.
 
-        All commutators come from one batched integer product, and candidate
-        constants are read off the pivot columns of the family's canonical
-        basis.  The bracket law in ``__init__`` certifies them: a family not
-        closed under commutators raises ValueError there.
+        All commutators come from one batched integer product, and their
+        coordinates in the family are the structure constants: with
+        [a_i, a_j] = sum_k (t_ijk / d) a_k, c_ijk = t_ijk / (d den).  A family
+        that is dependent or not closed under commutators raises ValueError.
         """
-        mats = tuple(mats)
-        if not mats:
-            return cls(brackets=(), name=name, realization=())
-        d, n = len(mats), mats[0].nrows
-        a, scale = int_stack(mats, n)
-        a = a.reshape(d, n * n)
-        span = Subspace.from_vectors(n * n, a)
-        if span.dim != d:
-            raise ValueError("matrix family is linearly dependent")
-        inv, inv_den = clear_denominators(Matrix(a[:, span.pivots].tolist()).inverse().flatten())
-        # with A_i = scale * m_i: [A_i, A_j] = sum_k t_ijk A_k, where
-        # t_ij = [A_i, A_j][pivots] A[:, pivots]^-1, pivots those of the span
-        prod = int_einsum("ikm,jml->ijkl", a.reshape(d, n, n), a.reshape(d, n, n))
-        comm = (prod - prod.transpose(1, 0, 2, 3)).reshape(d, d, n * n)[..., span.pivots]
-        t = int_einsum("ijp,pk->ijk", comm, np.array(inv, dtype=object).reshape(d, d))
-        den = scale * inv_den
-        consts = np.array([Fraction(x, den) if x else 0 for x in t.ravel().tolist()], dtype=object)
-        return cls(brackets=consts.reshape(d, d, d), name=name, realization=mats)
+        if not len(a):
+            return cls(brackets=(), name=name, realization=(a, den))
+        d, n = len(a), a.shape[1]
+        coords = coordinate_map(a.reshape(d, n * n))
+        prod = int_einsum("ikm,jml->ijkl", a, a)
+        solved = coords((prod - prod.transpose(1, 0, 2, 3)).reshape(d * d, n * n))
+        if solved is None:
+            raise ValueError("matrix family is not closed under commutators")
+        t, t_den = solved
+        consts = np.array([Fraction(x, t_den * den) if x else 0 for x in t.ravel().tolist()], dtype=object)
+        return cls(brackets=consts.reshape(d, d, d), name=name, realization=(a, den))
 
 
-@dataclass(frozen=True)
-class KillingForm:
-    gram: Matrix
-    signature: tuple[int, int, int]
-
-    @property
-    def nondegenerate(self) -> bool:
-        return self.signature[2] == 0
-
-
-def killing_form(g: LieAlgebra) -> KillingForm:
-    """Exact Gram matrix of (x, y) -> trace(ad x ad y) and its signature,
-    computed once per algebra: K = einsum('imk,jkm->ij', C, C) / den^2."""
+def killing_form(g: LieAlgebra) -> NormForm:
+    """The form (x, y) -> trace(ad x ad y), built once per algebra: Gram
+    matrix K = einsum('imk,jkm->ij', C, C) / den^2."""
     if g._killing is None:
-        gram = _fraction_matrix(int_einsum("imk,jkm->ij", g.C, g.C), g.den**2)
-        g._killing = KillingForm(gram=gram, signature=signature(gram))
+        g._killing = NormForm(int_einsum("imk,jkm->ij", g.C, g.C), g.den**2)
     return g._killing
 
 
@@ -203,26 +181,25 @@ def derivation_algebra(alg: StructureConstantAlgebra) -> LieAlgebra:
     system = np.einsum("la,ijb->ijlab", eye, c)
     system -= np.einsum("bi,ajl->ijlab", eye, c)
     system -= np.einsum("bj,ial->ijlab", eye, c)
-    kern = kernel_basis(system.reshape(n**3, n * n))
-    mats = [Matrix.from_flat(v, n, n) for v in kern.basis]
-    return LieAlgebra.from_matrix_basis(mats, name=f"der(dim {n})")
+    a, s = kernel_basis(system.reshape(n**3, n * n)).cleared_basis()
+    return LieAlgebra.from_matrix_basis(a.reshape(-1, n, n), s, name=f"der(dim {n})")
 
 
-def so_of_form(b: Matrix) -> LieAlgebra:
-    """so(b) = {X : X^T b + b X = 0} for a symmetric invertible b."""
-    n = b.nrows
-    if n != b.ncols or not b.is_symmetric():
+def so_of_form(b: np.ndarray) -> LieAlgebra:
+    """so(b) = {X : X^T b + b X = 0} for a symmetric invertible b, a square
+    integer array; so(b) is that of every nonzero multiple of b, so a
+    rational form enters as its cleared Gram matrix."""
+    n = len(b)
+    if b.shape != (n, n) or not np.array_equal(b, b.T):
         raise DegenerateFormError("so_of_form requires a symmetric matrix")
-    if b.rank() != n:
+    if rank(b) != n:
         raise DegenerateFormError("so_of_form requires an invertible form")
-    ints, _ = clear_denominators(b.flatten())
-    gram = int_array(ints, 2 * max(map(abs, ints))).reshape(n, n)
+    gram = int_array(b, 2 * int(np.max(np.abs(b), initial=0)))
     eye = np.eye(n, dtype=gram.dtype)
     # row (i, j) with i <= j, unknown X[k][m]: entry (i, j) of X^T b + b X
     system = np.einsum("mi,kj->ijkm", eye, gram) + np.einsum("mj,ik->ijkm", eye, gram)
-    kern = kernel_basis(system[np.triu_indices(n)].reshape(-1, n * n))
-    mats = [Matrix.from_flat(v, n, n) for v in kern.basis]
-    alg = LieAlgebra.from_matrix_basis(mats, name=f"so({n})")
+    a, s = kernel_basis(system[np.triu_indices(n)].reshape(-1, n * n)).cleared_basis()
+    alg = LieAlgebra.from_matrix_basis(a.reshape(-1, n, n), s, name=f"so({n})")
     assert alg.dim == n * (n - 1) // 2
     return alg
 

@@ -4,14 +4,16 @@ Everything downstream (structure constants, Killing forms, kernels of
 intertwining constraints) runs on the primitives in this module.  All results
 are exact integers or ``fractions.Fraction`` values; no floating point is used.
 
-A system reaches the solvers as a Fraction ``Matrix`` or as a 2-D numpy
-integer array (int64, or object dtype of Python ints); callers holding
-integers pass the array, and a ``Matrix`` is cleared once, row by row.
-``clear_denominators`` is the one place rationals are scaled to integers,
-``int_cleared`` the one place an array of rationals (a structure tensor, a
-Gram matrix, a subspace basis or, through ``int_stack``, a family of
-Fraction matrices) becomes one integer array with one denominator, and
-``int_array`` the one place that picks int64 or Python ints for products.
+Every matrix the package stores, takes or returns is a numpy integer array
+(int64, or object dtype of Python ints) with, where it is rational, one
+positive denominator beside it.  ``clear_denominators`` is the one place
+rationals are scaled to integers, ``int_cleared`` the one place an array of
+rationals (a structure tensor, a Gram matrix, a subspace basis) becomes one
+integer array with one denominator, and ``int_array`` the one place that
+picks int64 or Python ints for products.  A ``NormForm`` is a symmetric
+bilinear form held that way: a Gram matrix ``G`` and its ``den``.  The
+Fraction ``Matrix`` survives only as the carrier of ``rref`` and of the one
+exact inverse.
 
 Two elimination engines sit behind the public API, and the input size picks
 one:
@@ -45,6 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -73,137 +76,23 @@ _GCD_STRIP_BOUND = 1 << 96
 
 
 class Matrix:
-    """Immutable dense matrix with Fraction entries."""
+    """A matrix with Fraction entries: the carrier of the one exact inverse."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        self.rows = tuple(
-            tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
-            for row in rows
-        )
-        if self.rows:
-            width = len(self.rows[0])
-            if any(len(r) != width for r in self.rows):
-                raise ValueError("ragged rows")
-
-    @classmethod
-    def _raw(cls, rows: tuple) -> "Matrix":
-        m = object.__new__(cls)
-        m.rows = rows
-        return m
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls._raw(
-            tuple(
-                tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)
-            )
-        )
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"Matrix({self.nrows}x{self.ncols})"
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return Matrix._raw(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return Matrix._raw(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
-
-    def __neg__(self) -> "Matrix":
-        return Matrix._raw(tuple(tuple(-a for a in r) for r in self.rows))
-
-    def scale(self, c) -> "Matrix":
-        c = Fraction(c)
-        return Matrix._raw(tuple(tuple(c * a for a in r) for r in self.rows))
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.ncols != other.nrows:
-            raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-        cols = tuple(zip(*other.rows)) if other.rows else ()
-        return Matrix._raw(
-            tuple(
-                tuple(
-                    sum((a * b for a, b in zip(row, col) if a and b), ZERO)
-                    for col in cols
-                )
-                for row in self.rows
-            )
-        )
-
-    def apply(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Matrix-times-column-vector."""
-        if len(vec) != self.ncols:
-            raise ValueError("vector length mismatch")
-        return tuple(
-            sum((a * b for a, b in zip(row, vec) if a and b), ZERO)
-            for row in self.rows
-        )
-
-    def transpose(self) -> "Matrix":
-        return Matrix._raw(tuple(zip(*self.rows))) if self.rows else Matrix(())
-
-    def is_symmetric(self) -> bool:
-        return self.rows == self.transpose().rows
-
-    def is_zero(self) -> bool:
-        return all(not x for row in self.rows for x in row)
-
-    def flatten(self) -> tuple[Fraction, ...]:
-        """Row-major vectorization."""
-        return tuple(x for row in self.rows for x in row)
-
-    @classmethod
-    def from_flat(cls, vec: Sequence, nrows: int, ncols: int) -> "Matrix":
-        if len(vec) != nrows * ncols:
-            raise ValueError("flat length mismatch")
-        return cls(tuple(tuple(vec[i * ncols + j] for j in range(ncols)) for i in range(nrows)))
-
-    def rank(self) -> int:
-        return rref(self).rank
+        self.rows = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row) for row in rows)
 
     def inverse(self) -> "Matrix":
-        n = self.nrows
-        if n != self.ncols:
+        """The inverse, read off the reduced row echelon form of [self | I]."""
+        n = len(self.rows)
+        if any(len(r) != n for r in self.rows):
             raise ValueError("inverse of non-square matrix")
-        red = rref(Matrix._raw(tuple(r + e for r, e in zip(self.rows, Matrix.identity(n).rows))))
+        augmented = _rows_to_int([r + tuple(int(i == j) for j in range(n)) for i, r in enumerate(self.rows)])
+        red = rref(np.array(augmented, dtype=object).reshape(n, 2 * n))
         if red.pivots[:n] != tuple(range(n)) or red.rank != n:
             raise ValueError("matrix is singular")
-        return Matrix(tuple(row[n:] for row in red.reduced.rows))
+        return Matrix(row[n:] for row in red.reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +133,11 @@ def int_cleared(values) -> tuple[np.ndarray, int]:
     return int_array(ints, max(map(abs, ints), default=0)).reshape(values.shape), den
 
 
-def int_stack(mats: Sequence[Matrix], n: int) -> tuple[np.ndarray, int]:
-    """A family of n x n Fraction matrices as one integer stack A
-    (len(mats) x n x n) and the least den > 0 with A[i] = den * mats[i]."""
-    if any(m.shape != (n, n) for m in mats):
-        raise ValueError("matrix family must be square of one size")
-    a, den = int_cleared([m.rows for m in mats])
-    return a.reshape(len(mats), n, n), den
+def lowest_terms(a: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """The rational array a / den, a an integer array, as the same pair
+    divided by the gcd of den and every entry of a."""
+    g = math.gcd(den, *map(int, a.flat))
+    return (a // g, den // g) if g > 1 else (a, den)
 
 
 def int_einsum(spec: str, *operands) -> np.ndarray:
@@ -330,18 +217,28 @@ def _int_rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return [[x // g for x in row] for row, g in zip(work, gcds)], pivots
 
 
+def _int_rows(m: np.ndarray) -> list[list[int]]:
+    """The rows of a 2-D numpy integer array (int64, or object dtype of
+    Python ints) as lists of ints; TypeError for any other input."""
+    if m.ndim != 2 or (m.dtype.kind != "i" and m.dtype != object):
+        raise TypeError("a 2-D integer array is required")
+    return m.tolist()
+
+
 @dataclass(frozen=True)
 class RrefResult:
-    reduced: "Matrix"
+    reduced: tuple[tuple[Fraction, ...], ...]
     rank: int
     pivots: tuple[int, ...]
 
 
-def rref(m: Matrix) -> RrefResult:
-    """Unique reduced row echelon form, rank, and pivot columns."""
-    rows, pivots = _int_rref(_rows_to_int(m.rows))
-    reduced = [[Fraction(x, r[c]) for x in r] for r, c in zip(rows, pivots)]
-    return RrefResult(Matrix(reduced + [[ZERO] * m.ncols] * (m.nrows - len(pivots))), len(pivots), tuple(pivots))
+def rref(m: np.ndarray) -> RrefResult:
+    """Unique reduced row echelon form of a 2-D integer array, as leading-1
+    Fraction rows followed by its zero rows, with its rank and pivot
+    columns."""
+    rows, pivots = _int_rref(_int_rows(m))
+    reduced = tuple(tuple(Fraction(x, r[c]) for x in r) for r, c in zip(rows, pivots))
+    return RrefResult(reduced + ((ZERO,) * m.shape[1],) * (len(m) - len(pivots)), len(pivots), tuple(pivots))
 
 
 def _kernel_vectors_from_rref(rows: list[list[int]], pivots: list[int], ncols: int) -> list[tuple[Fraction, ...]]:
@@ -465,18 +362,10 @@ def _kernel_modular(int_rows: list[list[int]], ncols: int) -> Optional[list[tupl
     return None
 
 
-def kernel_basis(m) -> "Subspace":
-    """Exact kernel {x : m x = 0}, canonicalized.
-
-    m is a Fraction Matrix or a 2-D numpy integer array (int64 or object
-    dtype of Python ints); an integer array goes straight to elimination.
-    """
-    if isinstance(m, Matrix):
-        int_rows = _rows_to_int(m.rows)
-    elif m.ndim == 2 and (m.dtype.kind == "i" or m.dtype == object):
-        int_rows = m.tolist()
-    else:
-        raise TypeError("kernel_basis takes a Matrix or a 2-D integer array")
+def kernel_basis(m: np.ndarray) -> "Subspace":
+    """Exact kernel {x : m x = 0} of a 2-D numpy integer array (int64 or
+    object dtype of Python ints), canonicalized."""
+    int_rows = _int_rows(m)
     ncols = m.shape[1]
     if ncols == 0:
         return Subspace(0, ())
@@ -571,6 +460,14 @@ class Subspace:
             self._basis = tuple(tuple(Fraction(x, r[p]) for x in r) for r, p in zip(self.rows, self.pivots))
         return self._basis
 
+    def cleared_basis(self) -> tuple[np.ndarray, int]:
+        """The leading-1 basis over its least common denominator s, as the
+        integer array s * basis and s.  Row i of ``rows`` is its leading-1
+        row times the pivot entry, so s is the lcm of the pivot entries."""
+        s = math.lcm(*(r[p] for r, p in zip(self.rows, self.pivots)))
+        cleared = [[x * (s // r[p]) for x in r] for r, p in zip(self.rows, self.pivots)]
+        return np.array(cleared, dtype=object).reshape(self.dim, self.ambient_dim), s
+
     def int_basis(self) -> np.ndarray:
         """The stored primitive rows as a dim x ambient_dim array of Python
         ints (each leading-1 basis row cleared of its denominators)."""
@@ -614,62 +511,115 @@ class Subspace:
         return Subspace.from_vectors(n, [row[n:] for row, p in zip(*_int_rref(stacked)) if p >= n])
 
 
-def coordinate_map(vectors: Sequence[Sequence]) -> Callable[[Sequence], Optional[tuple[Fraction, ...]]]:
-    """Coordinates relative to a linearly independent family of vectors (not
-    to the canonical basis of its span); None for a vector outside the span."""
-    span = Subspace.from_vectors(len(vectors[0]), vectors)
-    if span.dim != len(vectors):
-        raise ValueError("vector family is linearly dependent")
-    change = Matrix([span.coordinates_of(v) for v in vectors]).transpose().inverse()
+def coordinate_map(family: np.ndarray) -> Callable[[np.ndarray], Optional[tuple[np.ndarray, int]]]:
+    """Coordinates relative to a linearly independent family of integer rows
+    (not to the canonical basis of its span).  The returned map takes a 2-D
+    integer array v of rows and gives (x, d) with v = (x / d) family, or None
+    when a row of v lies outside the span.
 
-    def coords(vec: Sequence) -> Optional[tuple[Fraction, ...]]:
-        canon = span.coordinates_of(vec)
-        return None if canon is None else change.apply(canon)
+    The family's restriction to the pivot columns of its span is invertible,
+    so x / d = v[:, pivots] (family[:, pivots])^-1, and x family = d v is the
+    exact membership check."""
+    span = Subspace.from_vectors(family.shape[1], family)
+    if span.dim != len(family):
+        raise ValueError("vector family is linearly dependent")
+    pivots = list(span.pivots)
+    inv, den = int_cleared(Matrix(family[:, pivots].tolist()).inverse().rows)
+
+    def coords(v: np.ndarray) -> Optional[tuple[np.ndarray, int]]:
+        x = int_einsum("ip,pk->ik", v[:, pivots], inv)
+        if not np.array_equal(int_einsum("ik,kn->in", x, family), int_einsum(",in->in", den, v)):
+            return None
+        return x, den
 
     return coords
 
 
+def rank(m: np.ndarray) -> int:
+    """Rank over Q of a 2-D numpy integer array."""
+    return Subspace.from_vectors(m.shape[1], m).dim
+
+
 # ---------------------------------------------------------------------------
-# signatures
+# signatures and symmetric forms
 
 
-def signature(m: Matrix) -> tuple[int, int, int]:
-    """Inertia (positive, negative, zero) of a symmetric matrix.
+def signature(m) -> tuple[int, int, int]:
+    """Inertia (positive, negative, zero) of a symmetric integer matrix, a
+    2-D integer array or a nested sequence of ints.
 
-    Symmetric Gaussian congruence with the usual zero-diagonal repair: swap in
-    a nonzero diagonal if one exists further down, otherwise fold row/column j
-    into i (which makes the new diagonal entry 2*m[i][j] != 0).
+    Symmetric Gaussian congruence on Python ints with the usual zero-diagonal
+    repair: swap in a nonzero diagonal if one exists further down, otherwise
+    fold row/column j into the first (which makes the new diagonal entry
+    2*m[0][j] != 0).  Eliminating a pivot d leaves |d| times its Schur
+    complement, divided by the gcd of its entries: a positive multiple, so the
+    inertia is unchanged.
     """
-    if not m.is_symmetric():
+    a = [[int(x) for x in row] for row in (m.tolist() if isinstance(m, np.ndarray) else m)]
+    n = len(a)
+    if any(len(row) != n for row in a) or any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
         raise ValueError("signature requires a symmetric matrix")
-    n = m.nrows
-    a = [list(row) for row in m.rows]
     pos = neg = 0
-    for i in range(n):
-        if not a[i][i]:
-            swap = next((j for j in range(i + 1, n) if a[j][j]), None)
+    while a:
+        if not a[0][0]:
+            swap = next((j for j in range(1, len(a)) if a[j][j]), None)
             if swap is not None:
-                a[i], a[swap] = a[swap], a[i]
+                a[0], a[swap] = a[swap], a[0]
                 for row in a:
-                    row[i], row[swap] = row[swap], row[i]
+                    row[0], row[swap] = row[swap], row[0]
             else:
-                fold = next((j for j in range(i + 1, n) if a[i][j]), None)
-                if fold is None:
-                    continue  # row is null from here on
-                for j in range(n):
-                    a[i][j] += a[fold][j]
+                fold = next((j for j in range(1, len(a)) if a[0][j]), None)
+                if fold is None:  # a null row and column
+                    a = [row[1:] for row in a[1:]]
+                    continue
+                a[0] = [x + y for x, y in zip(a[0], a[fold])]
                 for row in a:
-                    row[i] += row[fold]
-        d = a[i][i]
+                    row[0] += row[fold]
+        d, top = a[0][0], a[0][1:]
         if d > 0:
             pos += 1
         else:
             neg += 1
-        for j in range(i + 1, n):
-            if a[i][j]:
-                f = a[i][j] / d
-                for k in range(n):
-                    a[j][k] -= f * a[i][k]
-                for row in a:
-                    row[j] -= f * row[i]
+        s, d = (1, d) if d > 0 else (-1, -d)
+        rest = [[d * x - s * row[0] * y for x, y in zip(row[1:], top)] for row in a[1:]]
+        g = math.gcd(*(x for row in rest for x in row))
+        a = [[x // g for x in row] for row in rest] if g > 1 else rest
     return (pos, neg, n - pos - neg)
+
+
+class NormForm:
+    """A symmetric bilinear form, and the quadratic norm x -> B(x, x) it
+    polarizes, held as the integer Gram matrix ``G`` = den * gram and the
+    positive ``den`` in lowest terms; ``G`` is int64 or Python ints as
+    ``int_array`` decides.  A non-square, non-symmetric or non-integer ``G``
+    or a ``den`` below 1 raises ValueError."""
+
+    def __init__(self, G: np.ndarray, den: int = 1):
+        if G.ndim != 2 or G.shape[0] != G.shape[1] or (G.dtype.kind != "i" and set(map(type, G.flat)) - {int}):
+            raise ValueError("a Gram matrix is a square integer array")
+        if den < 1:
+            raise ValueError("the Gram matrix's denominator must be positive")
+        if not np.array_equal(G, G.T):
+            raise ValueError("Gram matrix must be symmetric")
+        G, self.den = lowest_terms(G, den)
+        self.G = int_array(G, int(np.max(np.abs(G), initial=0)))
+
+    @cached_property
+    def signature(self) -> tuple[int, int, int]:
+        return signature(self.G)  # den > 0
+
+    @property
+    def nondegenerate(self) -> bool:
+        return self.signature[2] == 0
+
+    def restricted(self, b: np.ndarray, s: int = 1) -> "NormForm":
+        """The form on the span of the rows of b / s, b an integer array, in
+        that basis: Gram matrix b G b^T / (den s^2)."""
+        return NormForm(int_einsum("ik,kl,jl->ij", b, self.G, b), self.den * s * s)
+
+    def bilinear(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
+        (xs, ys), d = int_cleared([x, y])
+        return Fraction(int(int_einsum("i,ij,j->", xs, self.G, ys)), d * d * self.den)
+
+    def norm(self, x: Sequence[Fraction]) -> Fraction:
+        return self.bilinear(x, x)

@@ -12,12 +12,12 @@ gives integer structure constants in {-1, 0, 1}.
 
 A ``StructureConstantAlgebra`` holds its multiplication once, as the cleared
 integer tensor ``M`` (dim x dim x dim, M[i, j, k] = den * m_ijk for
-e_i e_j = sum_k m_ijk e_k) and its one denominator ``den``; a ``NormForm``
-holds the Gram matrix of its polarization as the integer matrix ``G`` and
-its one denominator ``den``.  Both are int64 when the entries fit and Python
-ints (object dtype) otherwise, as ``linalg.int_array`` decides, and every
-product, bilinear value and identity check is a ``linalg.int_einsum`` of
-them.
+e_i e_j = sum_k m_ijk e_k) and its one denominator ``den``; its norm is a
+``linalg.NormForm``, the Gram matrix of the polarization as the integer
+matrix ``G`` and its one denominator ``den``.  Both are int64 when the
+entries fit and Python ints (object dtype) otherwise, as
+``linalg.int_array`` decides, and every product, bilinear value and
+identity check is a ``linalg.int_einsum`` of them.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (
-    Matrix,
+    NormForm,
     Subspace,
     ONE,
     ZERO,
@@ -73,23 +73,6 @@ class StructureConstantAlgebra:
         return tuple(Fraction(int(c), d * d * self.den) for c in prod)
 
 
-class NormForm:
-    """Quadratic norm together with its polarized bilinear form, held only as
-    the integer Gram matrix ``G`` = den * gram and ``den``."""
-
-    def __init__(self, gram: Matrix):
-        if not gram.is_symmetric():
-            raise ValueError("Gram matrix must be symmetric")
-        self.G, self.den = int_cleared(gram.rows)
-
-    def bilinear(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-        (xs, ys), d = int_cleared([x, y])
-        return Fraction(int(int_einsum("i,ij,j->", xs, self.G, ys)), d * d * self.den)
-
-    def norm(self, x: Sequence[Fraction]) -> Fraction:
-        return self.bilinear(x, x)
-
-
 def _cross(u, v):
     return (
         u[1] * v[2] - u[2] * v[1],
@@ -112,14 +95,13 @@ def _zorn_multiply(x: Sequence[Fraction], y: Sequence[Fraction]) -> Coords:
     return (a * a2 + _dot(v, w2), b * b2 + _dot(w, v2)) + upper + lower
 
 
-def _zorn_norm_gram() -> Matrix:
-    """Gram matrix of the polarization of N = ab - v.w."""
-    rows = [[ZERO] * DIM for _ in range(DIM)]
-    half = Fraction(1, 2)
-    rows[0][1] = rows[1][0] = half
+def _zorn_norm_form() -> NormForm:
+    """The polarization of N = ab - v.w, with Gram matrix G / 2."""
+    g = np.zeros((DIM, DIM), dtype=np.int64)
+    g[0, 1] = g[1, 0] = 1
     for i in range(3):
-        rows[2 + i][5 + i] = rows[5 + i][2 + i] = -half
-    return Matrix(rows)
+        g[2 + i, 5 + i] = g[5 + i, 2 + i] = -1
+    return NormForm(g, 2)
 
 
 @dataclass(frozen=True)
@@ -130,16 +112,13 @@ class SplitCayley:
     form: NormForm
     unit: Coords
 
-    def imaginary_subspace(self) -> tuple[Subspace, Matrix]:
-        """The orthogonal complement of the unit and the Gram matrix of the
-        norm form restricted to it (signature (3,4))."""
+    def imaginary_subspace(self) -> tuple[Subspace, NormForm]:
+        """The orthogonal complement of the unit and the norm form restricted
+        to it, in its canonical basis (signature (3,4))."""
         u, _ = clear_denominators(self.unit)
         sub = kernel_basis(int_einsum("ij,j->i", self.form.G, u).reshape(1, -1))
         assert sub.dim == DIM - 1
-        b, s = int_cleared(sub.basis)
-        restricted = int_einsum("ik,kl,jl->ij", b, self.form.G, b)
-        den = self.form.den * s * s
-        return sub, Matrix([[Fraction(x, den) for x in row] for row in restricted.tolist()])
+        return sub, self.form.restricted(*sub.cleared_basis())
 
 
 def build_split_cayley() -> SplitCayley:
@@ -151,6 +130,6 @@ def build_split_cayley() -> SplitCayley:
         for i in range(DIM)
     )
     algebra = StructureConstantAlgebra(dim=DIM, mul=mul)
-    form = NormForm(gram=_zorn_norm_gram())
+    form = _zorn_norm_form()
     unit = (ONE, ONE) + (ZERO,) * 6
     return SplitCayley(algebra=algebra, form=form, unit=unit)

@@ -10,8 +10,8 @@ to an invariant subspace, generated submodules and the wedge square.  Hom
 spaces and invariant forms (Hom(V, V*)) are solved on a spin basis of the
 source, the standard-basis method of Parker's Meat-Axe (1984): T is fixed by
 its values on the seed vectors, so each system has dim W unknowns per seed
-instead of dim V * dim W.  A family of Fraction matrices enters through
-``linalg.int_stack``.
+instead of dim V * dim W.  Intertwiners are integer matrices with one
+denominator, and invariant forms are ``linalg.NormForm`` Gram matrices.
 """
 
 from __future__ import annotations
@@ -26,14 +26,14 @@ from .errors import DegenerateFormError, NotSemisimpleError, PreconditionError
 from .lie import LieAlgebra, killing_form, is_semisimple, so_of_form
 from .linalg import (
     Matrix,
+    NormForm,
     Subspace,
-    ZERO,
     int_array,
     int_cleared,
     int_einsum,
-    int_stack,
     kernel_basis,
-    signature,
+    lowest_terms,
+    rank,
 )
 
 
@@ -80,8 +80,7 @@ def adjoint_module(g: LieAlgebra) -> LieModule:
 def natural_module(g: LieAlgebra, name: str = "") -> LieModule:
     if g.realization is None:
         raise ValueError("algebra carries no matrix realization")
-    n = g.realization[0].nrows if g.realization else 0
-    return LieModule(g, *int_stack(g.realization, n), name=name or f"nat({g.name})")
+    return LieModule(g, *g.realization, name=name or f"nat({g.name})")
 
 
 def restricted_action(a: np.ndarray, sub: Subspace) -> tuple[np.ndarray, int]:
@@ -92,8 +91,7 @@ def restricted_action(a: np.ndarray, sub: Subspace) -> tuple[np.ndarray, int]:
     With b = s * basis, the images a[i] b_j have their coordinates at the
     pivot columns; invariance is s * a[i] b_j = sum_k r[i, k, j] b_k.
     """
-    b, s = int_cleared(sub.basis)
-    b = b.reshape(sub.dim, sub.ambient_dim)  # keeps the zero subspace 2-D
+    b, s = sub.cleared_basis()
     images = int_einsum("imn,jn->imj", a, b)
     r = images[:, list(sub.pivots), :]
     if not np.array_equal(int_einsum("imj,->imj", images, s), int_einsum("kn,ikj->inj", b, r)):
@@ -109,34 +107,33 @@ def restriction_module(v: LieModule, sub: Subspace, name: str = "") -> LieModule
     return LieModule(v.algebra, r, v.den * s, name=name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Intertwiner:
-    """A module homomorphism; the intertwining identity is verified exactly.
+    """A module homomorphism T / den, T an integer matrix of shape
+    (target dim, source dim) and den positive; the intertwining identity is
+    verified exactly.
 
     T rho_v(e_i) = rho_w(e_i) T is checked for all i at once on integers, as
-    den_w T' A_v[i] = den_v A_w[i] T' with T' the cleared matrix.
+    den_w T A_v[i] = den_v A_w[i] T.
     """
 
     source: LieModule
     target: LieModule
-    matrix: Matrix
+    T: np.ndarray
+    den: int = 1
 
     def __post_init__(self):
         if self.source.algebra is not self.target.algebra:
             raise ValueError("intertwiner between modules over different algebras")
-        if self.matrix.shape != (self.target.dim, self.source.dim):
-            raise ValueError("intertwiner matrix has wrong shape")
-        v, w = self.source, self.target
-        t = int_cleared(self.matrix.rows)[0].reshape(w.dim, v.dim)
+        v, w, t = self.source, self.target, self.T
+        if t.shape != (w.dim, v.dim) or (t.dtype.kind != "i" and t.dtype != object) or self.den < 1:
+            raise ValueError("an intertwiner is an integer (target dim x source dim) matrix over a positive denominator")
         if not np.array_equal(int_einsum(",ab,ibc->iac", w.den, t, v.A), int_einsum("iab,bc,->iac", w.A, t, v.den)):
             raise ValueError("matrix does not intertwine the actions")
 
     @property
     def is_invertible(self) -> bool:
-        return (
-            self.source.dim == self.target.dim
-            and self.matrix.rank() == self.source.dim
-        )
+        return self.source.dim == self.target.dim and rank(self.T) == self.source.dim
 
 
 def _spin_basis(a: np.ndarray) -> tuple[list[np.ndarray], list[tuple[int, int, int]]]:
@@ -202,7 +199,11 @@ def hom_space(v: LieModule, w: LieModule) -> list[Intertwiner]:
         raise ValueError("modules over different algebras")
     peak = max(w.den * _max_abs(v.A), v.den * _max_abs(w.A))
     sub = _intertwiner_space(int_array(v.A, peak) * w.den, int_array(w.A, peak) * v.den)
-    return [Intertwiner(source=v, target=w, matrix=Matrix.from_flat(b, w.dim, v.dim)) for b in sub.basis]
+    # each leading-1 basis element is its primitive row over the pivot entry
+    return [
+        Intertwiner(source=v, target=w, T=t.reshape(w.dim, v.dim), den=t[p])
+        for t, p in zip(sub.int_basis(), sub.pivots)
+    ]
 
 
 @dataclass(frozen=True)
@@ -228,51 +229,55 @@ def is_irreducible(v: LieModule) -> IrreducibilityCertificate:
 
 @dataclass(frozen=True)
 class InvariantForms:
-    """Solution space of B(rho(x)u, w) + B(u, rho(x)w) = 0 for all generators."""
+    """Solution space of B(rho(x)u, w) + B(u, rho(x)w) = 0 for all
+    generators, as a subspace of row-major n x n matrices, with its
+    symmetric part and, when that part is a line, a sign-normalized generator
+    of it."""
 
-    basis: tuple[Matrix, ...]
-    symmetric_basis: tuple[Matrix, ...]
-    signature: Optional[tuple[int, int, int]]  # of a sign-normalized generator
-    generator: Optional[Matrix]
+    space: Subspace
+    symmetric: Subspace
+    generator: Optional[NormForm]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.space.dim
+
+    @property
+    def signature(self) -> Optional[tuple[int, int, int]]:
+        return None if self.generator is None else self.generator.signature
 
 
 def invariant_bilinear_forms(v: LieModule) -> InvariantForms:
     """Invariant bilinear forms on a module; if the symmetric part is a single
-    line, report the signature of a generator normalized so that the positive
-    count does not exceed the negative one (the line itself is sign-free)."""
+    line, its generator is the leading-1 basis element, negated when needed
+    so that the positive count does not exceed the negative one (the line
+    itself is sign-free)."""
     n = v.dim
-    sub = _intertwiner_space(v.A, -v.A.transpose(0, 2, 1))
-    forms = [Matrix.from_flat(b, n, n) for b in sub.basis]
+    space = _intertwiner_space(v.A, -v.A.transpose(0, 2, 1))
     # B^T is invariant with B, and a symmetric S in the span is (S + S^T)/2
-    ints = sub.int_basis().reshape(-1, n, n)
-    sym_sub = Subspace.from_vectors(n * n, (ints + ints.transpose(0, 2, 1)).reshape(-1, n * n))
-    sym_forms = tuple(Matrix.from_flat(b, n, n) for b in sym_sub.basis)
-    sig = gen = None
-    if len(sym_forms) == 1:
-        gen = sym_forms[0]
-        sig = signature(gen)
-        if sig[0] > sig[1]:
-            gen = -gen
-            sig = (sig[1], sig[0], sig[2])
-    return InvariantForms(basis=tuple(forms), symmetric_basis=sym_forms, signature=sig, generator=gen)
+    ints = space.int_basis().reshape(-1, n, n)
+    symmetric = Subspace.from_vectors(n * n, (ints + ints.transpose(0, 2, 1)).reshape(-1, n * n))
+    generator = None
+    if symmetric.dim == 1:
+        g, pivot = symmetric.int_basis().reshape(n, n), symmetric.rows[0][symmetric.pivots[0]]
+        generator = NormForm(g, pivot)
+        if generator.signature[0] > generator.signature[1]:
+            generator = NormForm(-g, pivot)
+    return InvariantForms(space=space, symmetric=symmetric, generator=generator)
 
 
 def killing_orthocomplement(g: LieAlgebra, sub: Subspace) -> Subspace:
     """Killing-orthogonal complement of a subspace on which the Killing form
     restricts nondegenerately; ad-invariance of the form makes the complement
-    a module for the adjoint action of the subspace."""
+    a module for the adjoint action of the subspace.  Scaling the basis rows
+    of the subspace changes neither the rank nor the kernel used here."""
     if sub.ambient_dim != g.dim:
         raise ValueError("subspace lives in the wrong ambient space")
-    k = killing_form(g).gram
-    b = Matrix(sub.basis)
-    restricted = b * k * b.transpose()
-    if restricted.rank() != sub.dim:
+    b = sub.int_basis()
+    bk = int_einsum("ij,jk->ik", b, killing_form(g).G)
+    if rank(int_einsum("ik,jk->ij", bk, b)) != sub.dim:
         raise DegenerateFormError("Killing form restricts degenerately")
-    comp = kernel_basis(b * k)
+    comp = kernel_basis(bk)
     assert comp.dim == g.dim - sub.dim
     return comp
 
@@ -319,32 +324,30 @@ def wedge_square(v: LieModule, name: str = "") -> LieModule:
     return LieModule(v.algebra, wedge[:, rows, cols][:, :, rows, cols], v.den, name=name or f"wedge2({v.name})")
 
 
-def wedge_so_isomorphism(gram: Matrix, so_alg: Optional[LieAlgebra] = None) -> Intertwiner:
+def wedge_so_isomorphism(form: NormForm, so_alg: Optional[LieAlgebra] = None) -> Intertwiner:
     """The map u ^ w -> <., u> w - <., w> u from wedge^2(E) to so(E), as an
     intertwiner of so(E)-modules; bijectivity is the caller's rank check.
 
     An equivariant bijection here is automatically one for every subalgebra
     of so(E) as well."""
-    n = gram.nrows
-    if not gram.is_symmetric() or gram.rank() != n:
+    n = len(form.G)
+    if not form.nondegenerate:
         raise DegenerateFormError("wedge/so isomorphism needs a nondegenerate form")
     if so_alg is None:
-        so_alg = so_of_form(gram)
+        so_alg = so_of_form(form.G)
     nat = natural_module(so_alg)
     wedge = wedge_square(nat)
     adj = adjoint_module(so_alg)
-    cols = []
-    for i, j in zip(*np.triu_indices(n, 1)):
-        rows = [[ZERO] * n for _ in range(n)]
-        for c in range(n):
-            rows[j][c] += gram.rows[i][c]
-            rows[i][c] -= gram.rows[j][c]
-        coords = so_alg.realization_coordinates([x for row in rows for x in row])
-        if coords is None:
-            raise AssertionError("image of wedge map escaped so(E)")
-        cols.append(coords)
-    phi = Matrix(cols).transpose()
-    return Intertwiner(source=wedge, target=adj, matrix=phi)
+    # den times the image of e_i ^ e_j: row j is G[i], row i is -G[j]
+    rows, cols = np.triu_indices(n, 1)
+    images = np.zeros((len(rows), n, n), dtype=object)
+    images[np.arange(len(rows)), cols] += form.G[rows]
+    images[np.arange(len(rows)), rows] -= form.G[cols]
+    solved = so_alg.realization_coordinates(images.reshape(len(rows), n * n))
+    if solved is None:
+        raise AssertionError("image of wedge map escaped so(E)")
+    phi, den = lowest_terms(solved[0].T, solved[1] * form.den)
+    return Intertwiner(source=wedge, target=adj, T=phi, den=den)
 
 
 def module_isomorphism(v: LieModule, w: LieModule) -> Optional[Intertwiner]:

@@ -28,14 +28,13 @@ from .lie import (
     transporter_into,
 )
 from .linalg import (
-    Matrix,
+    NormForm,
     Subspace,
     clear_denominators,
     coordinate_map,
-    int_cleared,
     int_einsum,
-    int_stack,
-    signature,
+    lowest_terms,
+    rank,
 )
 from .octonion import SplitCayley, build_split_cayley
 from .reps import (
@@ -107,7 +106,7 @@ class VerificationContext:
         self,
         cayley_candidate: Optional[SplitCayley] = None,
         derivations_candidate: Optional[LieAlgebra] = None,
-        wedge_gram: Optional[Matrix] = None,
+        wedge_gram: Optional[NormForm] = None,
     ):
         self._cayley_candidate = cayley_candidate
         self._derivations_candidate = derivations_candidate
@@ -138,11 +137,11 @@ class VerificationContext:
         return self.derivations
 
     @property
-    def imaginary(self) -> tuple[Subspace, Matrix]:
+    def imaginary(self) -> tuple[Subspace, NormForm]:
         return self._get("imag", self.cayley.imaginary_subspace)
 
     @property
-    def wedge_gram(self) -> Matrix:
+    def wedge_gram(self) -> NormForm:
         if self._wedge_gram is not None:
             return self._wedge_gram
         return self.imaginary[1]
@@ -154,9 +153,8 @@ class VerificationContext:
     def imaginary_module(self, der: LieAlgebra, name: str = "") -> LieModule:
         """A derivation algebra restricted to the imaginary subspace, in that
         subspace's coordinates."""
-        sub = self.imaginary[0]
-        a, den = int_stack(der.realization, sub.ambient_dim)
-        r, s = restricted_action(a, sub)
+        a, den = der.realization
+        r, s = restricted_action(a, self.imaginary[0])
         return LieModule(der, r, den * s, name=name)
 
     @property
@@ -171,28 +169,26 @@ class VerificationContext:
 
     @property
     def so34(self) -> LieAlgebra:
-        return self._get("so34", lambda: so_of_form(self.imaginary[1]))
+        return self._get("so34", lambda: so_of_form(self.imaginary[1].G))
 
     @property
-    def embedding(self) -> tuple[tuple[Fraction, ...], ...]:
-        """so(3,4)-coordinates of each derivation-algebra basis element."""
+    def embedding(self) -> tuple[np.ndarray, int]:
+        """so(3,4)-coordinates of each derivation-algebra basis element, as
+        the rows of E / den in lowest terms."""
 
         def build():
             nat = self.natural_rep
-            out = []
-            for a in nat.A:
-                coords = self.so34.realization_coordinates(a.ravel().tolist())
-                if coords is None:
-                    raise ValueError("restricted derivation escaped so(3,4)")
-                out.append(tuple(x / nat.den for x in coords))
-            return tuple(out)
+            solved = self.so34.realization_coordinates(nat.A.reshape(len(nat.A), -1))
+            if solved is None:
+                raise ValueError("restricted derivation escaped so(3,4)")
+            return lowest_terms(solved[0], solved[1] * nat.den)
 
         return self._get("embedding", build)
 
     @property
     def g2_image(self) -> Subspace:
         return self._get(
-            "g2img", lambda: Subspace.from_vectors(self.so34.dim, self.embedding)
+            "g2img", lambda: Subspace.from_vectors(self.so34.dim, self.embedding[0])
         )
 
     @property
@@ -202,7 +198,7 @@ class VerificationContext:
 
         def build():
             so34 = self.so34
-            e, den = int_cleared(self.embedding)
+            e, den = self.embedding
             a = int_einsum("ij,jlk->ikl", e, so34.C)
             return LieModule(self.derivations, a, den * so34.den, name="so34|g2")
 
@@ -229,16 +225,20 @@ class VerificationContext:
         )
 
     @property
-    def image_basis_change(self) -> Matrix:
+    def image_basis_change(self) -> tuple[np.ndarray, int]:
         """Canonical basis of the embedded image expressed in derivation
-        coordinates (rows), so Killing forms can be compared in one basis."""
+        coordinates, as the rows of X / den in lowest terms, so Killing forms
+        can be compared in one basis."""
 
         def build():
-            coords = coordinate_map(self.embedding)
-            rows = [coords(b) for b in self.g2_image.basis]
-            if any(r is None for r in rows):
+            e, e_den = self.embedding
+            b, s = self.g2_image.cleared_basis()
+            solved = coordinate_map(e)(b)
+            if solved is None:
                 raise ValueError("image basis vector outside the embedding")
-            return Matrix(rows)
+            # b / s = (x / d) e / s, and e = e_den * embedding
+            x, d = solved
+            return lowest_terms(int_einsum(",ij->ij", e_den, x), d * s)
 
         return self._get("imgchange", build)
 
@@ -336,10 +336,10 @@ def check_cayley(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome:
     out.expect("nonassociativity_witness_found", witness is not None, True)
     out.record("nonassociativity_witness", witness)
 
-    out.expect("norm_signature", signature(Matrix(g.tolist())), (4, 4, 0))  # gden > 0
+    out.expect("norm_signature", c.form.signature, (4, 4, 0))
     sub, restricted = c.imaginary_subspace()
     out.expect("imaginary_dim", sub.dim, 7)
-    out.expect("imag_signature", signature(restricted), (3, 4, 0))
+    out.expect("imag_signature", restricted.signature, (3, 4, 0))
     out.expect("unit_outside_imaginary", sub.contains_vector(c.unit), False)
     return out
 
@@ -365,7 +365,7 @@ def check_derivations(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcom
 
     # D e = 0 and D^T G + G D = 0 for every derivation D, on its cleared stack
     c = ctx.cayley
-    a, _ = int_stack(der.realization, c.algebra.dim)
+    a, _ = der.realization
     ga = int_einsum("ik,dkj->dij", c.form.G, a)
     unit_images = int_einsum("dij,j->di", a, clear_denominators(c.unit)[0])
     linear_ok = not np.any(unit_images) and not np.any(ga + ga.transpose(0, 2, 1))
@@ -385,14 +385,14 @@ def check_invariant_form(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOut
     out = CheckOutcome()
     forms = ctx.natural_forms
     out.expect("form_space_dim", forms.dim, 1)
-    out.expect("symmetric_dim", len(forms.symmetric_basis), 1)
-    if forms.generator is None:
+    out.expect("symmetric_dim", forms.symmetric.dim, 1)
+    gen = forms.generator
+    if gen is None:
         return out
     out.expect("signature", forms.signature, (3, 4, 0))
-    out.expect("nondegenerate", forms.generator.rank(), 7)
+    out.expect("nondegenerate", rank(gen.G), 7)
     # uniqueness up to scale: a rescaled generator sits on the same line
-    scaled = forms.generator.scale(5)
-    ratio = _proportionality(scaled, forms.generator)
+    ratio = _proportionality(NormForm(int_einsum(",ij->ij", 5, gen.G), gen.den), gen)
     out.expect("scale_recovery", ratio, Fraction(5))
     return out
 
@@ -403,11 +403,11 @@ def check_wedge_iso(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome:
     so_alg = None if ctx.has_gram_override else ctx.so34
     iso = wedge_so_isomorphism(gram, so_alg=so_alg)  # verifies so(E)-equivariance
     out.expect("ambient_equivariant", True, True)
-    out.expect("phi_rank", iso.matrix.rank(), 21)
+    out.expect("phi_rank", rank(iso.T), 21)
     out.expect("bijective", iso.is_invertible, True)
     # the same matrix intertwines the restricted actions of the embedded image
     wedge_g2 = wedge_square(ctx.natural_rep)
-    Intertwiner(source=wedge_g2, target=ctx.so34_as_g2_module, matrix=iso.matrix)
+    Intertwiner(source=wedge_g2, target=ctx.so34_as_g2_module, T=iso.T, den=iso.den)
     out.expect("subalgebra_equivariant", True, True)
     return out
 
@@ -471,7 +471,7 @@ def check_maximality(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome
     so34 = ctx.so34
 
     # one common denominator maps coordinates c to a multiple of sum c_i v_i
-    v_ints, _ = int_cleared(v.basis)
+    v_ints, _ = v.cleared_basis()
 
     def certify(coords_in_v: tuple[int, ...]) -> tuple[bool, bool]:
         generated = submodule_generated(vmod, coords_in_v)
@@ -503,21 +503,18 @@ def check_maximality(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome
     return out
 
 
-def _proportionality(a: Matrix, b: Matrix) -> Optional[Fraction]:
-    """The exact constant c with a = c*b, if it exists."""
-    if a.shape != b.shape:
+def _proportionality(a: NormForm, b: NormForm) -> Optional[Fraction]:
+    """The exact constant c with a = c * b, if it exists, decided on the
+    integers a.G * b.den and b.G * a.den; None for a shape mismatch, a zero b
+    or a pair that is not proportional."""
+    if a.G.shape != b.G.shape:
         return None
-    c = None
-    for ra, rb in zip(a.rows, b.rows):
-        for xa, xb in zip(ra, rb):
-            if xb:
-                c = xa / xb
-                break
-        if c is not None:
-            break
-    if c is None:
+    x, y = int_einsum(",ij->ij", b.den, a.G), int_einsum(",ij->ij", a.den, b.G)
+    nonzero = np.flatnonzero(y)
+    if not len(nonzero):
         return None
-    return c if (a - b.scale(c)).is_zero() else None
+    c = Fraction(int(x.flat[nonzero[0]]), int(y.flat[nonzero[0]]))
+    return c if np.array_equal(int_einsum(",ij->ij", c.denominator, x), int_einsum(",ij->ij", c.numerator, y)) else None
 
 
 def check_metric_constants(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome:
@@ -529,21 +526,19 @@ def check_metric_constants(ctx: VerificationContext, cfg: SuiteConfig) -> CheckO
     out.expect("killing_signature_so34", k_so.signature, (12, 9, 0))
     out.expect("killing_signature_g2", k_g2.signature, (8, 6, 0))
 
-    b_img = Matrix(ctx.g2_image.basis)
-    restricted = b_img * k_so.gram * b_img.transpose()
-    out.expect("restriction_to_image_nondegenerate", restricted.rank(), 14)
-    change = ctx.image_basis_change
-    k_g2_in_image_basis = change * k_g2.gram * change.transpose()
-    c1 = _proportionality(restricted, k_g2_in_image_basis)
+    # both Gram matrices in the canonical (leading-1) basis of the image
+    restricted = k_so.restricted(*ctx.g2_image.cleared_basis())
+    out.expect("restriction_to_image_nondegenerate", rank(restricted.G), 14)
+    c1 = _proportionality(restricted, k_g2.restricted(*ctx.image_basis_change))
     out.expect("c1", c1, Fraction(5, 4))
     out.expect("c1_residual_zero", c1 is not None, True)
 
-    b_v = Matrix(ctx.complement.basis)
-    restricted_v = b_v * k_so.gram * b_v.transpose()
-    out.expect("restriction_to_complement_nondegenerate", restricted_v.rank(), 7)
+    restricted_v = k_so.restricted(*ctx.complement.cleared_basis())
+    out.expect("restriction_to_complement_nondegenerate", rank(restricted_v.G), 7)
     iso = ctx.complement_isomorphism
     if out.expect("complement_isomorphism_exists", iso is not None, True):
-        pullback = iso.matrix.transpose() * ctx.imaginary[1] * iso.matrix
+        # T^T gram T, with T the leading-1 isomorphism onto the natural module
+        pullback = ctx.imaginary[1].restricted(iso.T.T, iso.den)
         c2 = _proportionality(restricted_v, pullback)
         out.expect("c2", c2, Fraction(-30))
         out.expect("c2_residual_zero", c2 is not None, True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Matrix, signature
+from .linalg import signature
 
 # Cap on the weights a dimension census enumerates, (bound + 1)^rank.  On one
 # x86-64 core a weight takes about 0.05 ms for G2 and 1 ms for E8, so a
@@ -96,7 +96,7 @@ class CartanType:
         sym = [[d[i] * c[i][j] for j in range(n)] for i in range(n)]
         if any(sym[i][j] != sym[j][i] for i in range(n) for j in range(n)):
             raise ValueError("symmetrizer does not symmetrize the Cartan matrix")
-        if signature(Matrix(sym)) != (n, 0, 0):
+        if signature(sym) != (n, 0, 0):
             raise ValueError("symmetrized Cartan matrix is not positive definite")
 
 

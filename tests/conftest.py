@@ -1,10 +1,11 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from g2cert.lie import LieAlgebra
-from g2cert.linalg import ONE, ZERO, Matrix, clear_denominators, int_einsum, int_stack
+from g2cert.linalg import ONE, ZERO, clear_denominators, int_cleared, int_einsum
 from g2cert.octonion import DIM, SplitCayley, StructureConstantAlgebra, build_split_cayley
 from g2cert.reps import LieModule
 from g2cert.suite import VerificationContext
@@ -18,29 +19,43 @@ def structure_constants(g):
     return [[[Fraction(int(x), g.den) for x in prod] for prod in row] for row in g.C.tolist()]
 
 
+def fractions(a, den=1):
+    """The rational array a / den of an integer array a, as an object array
+    of Fractions: the reference representation the tests compute with."""
+    a = np.asarray(a, dtype=object)
+    return np.array([Fraction(int(x), den) for x in a.flat], dtype=object).reshape(a.shape)
+
+
 def diagonal(entries):
-    return Matrix([[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)])
+    """A diagonal matrix as an object array of the given entries."""
+    m = np.zeros((len(entries), len(entries)), dtype=object)
+    m[np.diag_indices(len(entries))] = entries
+    return m
 
 
 def zeros(nrows, ncols):
-    return Matrix([[0] * ncols for _ in range(nrows)])
+    return np.zeros((nrows, ncols), dtype=object)
 
 
 def ad(g, x):
-    """Matrix of ad(x): y -> [x, y] in basis coordinates."""
+    """Matrix of ad(x): y -> [x, y] in basis coordinates, as Fractions."""
     xs, xden = clear_denominators(x)
-    rows = int_einsum("i,ijk->kj", xs, g.C).tolist()
-    return Matrix([[Fraction(int(e), xden * g.den) for e in row] for row in rows])
+    return fractions(int_einsum("i,ijk->kj", xs, g.C), xden * g.den)
 
 
 def bracket(g, x, y):
     """Bracket of two coordinate vectors."""
-    return ad(g, x).apply(y)
+    return tuple(ad(g, x) @ np.array(y, dtype=object))
+
+
+def realization_matrices(g):
+    """The realization of a Lie algebra as Fraction matrices, one stack."""
+    return fractions(*g.realization)
 
 
 def action_matrices(v):
-    """The action of a module as Fraction matrices A[i] / den."""
-    return [Matrix([[Fraction(int(x), v.den) for x in row] for row in a]) for a in v.A.tolist()]
+    """The action of a module as Fraction matrices A[i] / den, one stack."""
+    return fractions(v.A, v.den)
 
 
 def basis_element(i):
@@ -55,7 +70,7 @@ def conjugate(c, x):
 
 def gram(c):
     """The Gram matrix of the norm form as Fractions, G / den."""
-    return Matrix([[Fraction(x, c.form.den) for x in row] for row in c.form.G.tolist()])
+    return fractions(c.form.G, c.form.den)
 
 
 def random_element(rng):
@@ -101,14 +116,10 @@ def direct_sum_module(v, w):
     """v + w as a module over their common algebra, block-diagonal action."""
     if v.algebra is not w.algebra:
         raise ValueError("modules over different algebras")
-    mats = [
-        Matrix(
-            [tuple(r) + (ZERO,) * w.dim for r in x.rows]
-            + [(ZERO,) * v.dim + tuple(r) for r in y.rows]
-        )
-        for x, y in zip(action_matrices(v), action_matrices(w))
-    ]
-    return LieModule(v.algebra, *int_stack(mats, v.dim + w.dim), name=f"{v.name}+{w.name}")
+    x, y = action_matrices(v), action_matrices(w)
+    blocks = np.zeros((len(x), v.dim + w.dim, v.dim + w.dim), dtype=object)
+    blocks[:, : v.dim, : v.dim], blocks[:, v.dim :, v.dim :] = x, y
+    return LieModule(v.algebra, *int_cleared(blocks), name=f"{v.name}+{w.name}")
 
 
 @pytest.fixture(scope="session")

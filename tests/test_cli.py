@@ -1,9 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from g2cert import cli, suite, weyl
 from g2cert.cli import main
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -138,12 +142,14 @@ def test_show_killing_g2(capsys):
     code, out, _ = run_cli(capsys, "show", "killing", "--algebra", "g2")
     assert code == 0
     assert "signature: (8, 6, 0)" in out
+    assert out == (DATA / "show_killing_g2.txt").read_text()
 
 
 def test_show_killing_so34(capsys):
     code, out, _ = run_cli(capsys, "show", "killing", "--algebra", "so34")
     assert code == 0
     assert "signature: (12, 9, 0)" in out
+    assert out == (DATA / "show_killing_so34.txt").read_text()
 
 
 def test_show_decomposition(capsys):
@@ -152,6 +158,7 @@ def test_show_decomposition(capsys):
     assert "dimension 21" in out
     assert "dimension 14" in out
     assert "dimension 7" in out
+    assert out == (DATA / "show_decomposition.txt").read_text()
 
 
 def test_help_exits_0(capsys):

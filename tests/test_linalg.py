@@ -12,12 +12,17 @@ from g2cert.linalg import (
     _MODULAR_THRESHOLD,
     _PRIMES,
     Matrix,
+    NormForm,
     Subspace,
     _kernel_modular,
     _rref_mod_p,
     _rows_to_int,
+    coordinate_map,
+    int_cleared,
     int_einsum,
     kernel_basis,
+    lowest_terms,
+    rank,
     rref,
     signature,
 )
@@ -31,25 +36,43 @@ fractions = st.builds(
 
 @st.composite
 def matrices(draw, max_rows=5, max_cols=5, square=False):
+    """An object array of Fractions."""
     rows = draw(st.integers(min_value=1, max_value=max_rows))
     cols = rows if square else draw(st.integers(min_value=1, max_value=max_cols))
-    return Matrix(
-        [[draw(fractions) for _ in range(cols)] for _ in range(rows)]
-    )
+    return np.array([[draw(fractions) for _ in range(cols)] for _ in range(rows)], dtype=object)
+
+
+def cleared(m):
+    """A rational array times its least common denominator: the same kernel
+    and, for a symmetric matrix, the same inertia."""
+    return int_cleared(m)[0]
+
+
+def apply(m, v):
+    return np.array(m, dtype=object) @ np.array(v, dtype=object)
 
 
 def test_rref_identity():
-    r = rref(Matrix.identity(3))
-    assert r.reduced == Matrix.identity(3)
+    r = rref(np.eye(3, dtype=int))
+    assert r.reduced == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert r.rank == 3
     assert r.pivots == (0, 1, 2)
 
 
 def test_rref_rank_one():
-    r = rref(Matrix([[1, 1], [2, 2]]))
-    assert r.reduced == Matrix([[1, 1], [0, 0]])
+    r = rref(np.array([[1, 1], [2, 2]]))
+    assert r.reduced == ((1, 1), (0, 0))
     assert r.rank == 1
     assert r.pivots == (0,)
+
+
+def test_inverse():
+    m = Matrix([[2, Fraction(1, 3)], [0, -1]])
+    assert m.inverse().rows == ((Fraction(1, 2), Fraction(1, 6)), (0, -1))
+    with pytest.raises(ValueError):
+        Matrix([[1, 2], [2, 4]]).inverse()
+    with pytest.raises(ValueError):
+        Matrix([[1, 2]]).inverse()
 
 
 def test_kernel_zero_matrix():
@@ -57,7 +80,7 @@ def test_kernel_zero_matrix():
 
 
 def test_kernel_line():
-    k = kernel_basis(Matrix([[1, 1]]))
+    k = kernel_basis(np.array([[1, 1]]))
     assert k.dim == 1
     assert k.basis == ((Fraction(1), Fraction(-1)),)
 
@@ -88,41 +111,123 @@ def test_signature_diagonal():
 
 
 def test_signature_hyperbolic_plane():
-    h = Matrix([[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
+    h = cleared([[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
     assert signature(h) == (1, 1, 0)
 
 
 def test_signature_rejects_asymmetric():
     with pytest.raises(ValueError):
-        signature(Matrix([[0, 1], [0, 0]]))
+        signature(np.array([[0, 1], [0, 0]]))
+
+
+# The Fraction elimination that signature replaced, kept as its reference.
+def _reference_signature(m):
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    if any(a[i][j] != a[j][i] for i in range(n) for j in range(n)):
+        raise ValueError("signature requires a symmetric matrix")
+    pos = neg = 0
+    for i in range(n):
+        if not a[i][i]:
+            swap = next((j for j in range(i + 1, n) if a[j][j]), None)
+            if swap is not None:
+                a[i], a[swap] = a[swap], a[i]
+                for row in a:
+                    row[i], row[swap] = row[swap], row[i]
+            else:
+                fold = next((j for j in range(i + 1, n) if a[i][j]), None)
+                if fold is None:
+                    continue  # row is null from here on
+                for j in range(n):
+                    a[i][j] += a[fold][j]
+                for row in a:
+                    row[i] += row[fold]
+        d = a[i][i]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for j in range(i + 1, n):
+            if a[i][j]:
+                f = a[i][j] / d
+                for k in range(n):
+                    a[j][k] -= f * a[i][k]
+                for row in a:
+                    row[j] -= f * row[i]
+    return (pos, neg, n - pos - neg)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational matrices, cleared to integers: small entries,
+    entries past 2**63, and zero diagonals that force the fold repair
+    (hyperbolic blocks, and null rows among them)."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    entries = st.one_of(fractions, st.sampled_from([0, 2**64 + 3, -(2**70), Fraction(2**63 + 1, 3)]))
+    zero_diagonal = draw(st.booleans())
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i < j or not zero_diagonal:
+                m[i][j] = m[j][i] = Fraction(draw(entries))
+    return cleared(m)
+
+
+@given(symmetric_matrices())
+def test_signature_matches_fraction_reference(m):
+    assert signature(m) == _reference_signature(m.tolist())
+    assert signature(m.tolist()) == signature(m)
+
+
+@pytest.mark.parametrize(
+    "m, expected",
+    [
+        ([[0, 1], [1, 0]], (1, 1, 0)),  # fold, no diagonal to swap in
+        ([[0, 0, 1], [0, 0, 0], [1, 0, 0]], (1, 1, 1)),  # fold past a null row
+        ([[0, 0], [0, 0]], (0, 0, 2)),
+        ([[0, 2, 0], [2, 0, 0], [0, 0, -5]], (1, 2, 0)),  # swap, then fold
+        ([[2**70, 2**69], [2**69, 2**68]], (1, 0, 1)),
+        ([[-(2**64), 1], [1, 2**64]], (1, 1, 0)),
+    ],
+)
+def test_signature_repairs_and_big_entries(m, expected):
+    assert signature(m) == _reference_signature(m) == expected
+
+
+@pytest.mark.parametrize("m", [[[0, 1], [0, 0]], [[1, 2**64], [2**64 + 1, 1]], [[1, 2]]])
+def test_signature_rejects_non_symmetric(m):
+    with pytest.raises(ValueError):
+        signature(m)
+    with pytest.raises(ValueError):
+        signature(np.array(m, dtype=object))
 
 
 @given(matrices())
 def test_rank_nullity(m):
-    assert rref(m).rank + kernel_basis(m).dim == m.ncols
+    assert rref(cleared(m)).rank + kernel_basis(cleared(m)).dim == m.shape[1]
 
 
 @given(matrices())
 def test_rref_idempotent(m):
-    reduced = rref(m).reduced
-    assert rref(reduced).reduced == reduced
+    reduced = rref(cleared(m)).reduced
+    assert rref(cleared(reduced)).reduced == reduced
 
 
 @given(matrices())
 def test_kernel_vectors_annihilate(m):
-    for v in kernel_basis(m).basis:
-        assert all(x == 0 for x in m.apply(v))
+    for v in kernel_basis(cleared(m)).basis:
+        assert all(x == 0 for x in apply(m, v))
 
 
 @given(matrices(square=True, max_rows=4), st.integers(min_value=0, max_value=2**32))
 def test_signature_congruence_invariant(m, seed):
-    s = m + m.transpose()
+    s = m + m.T
     rng = random.Random(seed)
-    n = s.nrows
+    n = len(s)
     lower = [[Fraction(rng.randint(-3, 3)) if i > j else (Fraction(1) if i == j else Fraction(0)) for j in range(n)] for i in range(n)]
     upper = [[Fraction(rng.randint(-3, 3)) if i < j else (Fraction(1) if i == j else Fraction(0)) for j in range(n)] for i in range(n)]
-    p = Matrix(lower) * Matrix(upper)  # unit triangular product: always invertible
-    assert signature(p.transpose() * s * p) == signature(s)
+    p = apply(lower, upper)  # unit triangular product: always invertible
+    assert signature(cleared(p.T @ s @ p)) == signature(cleared(s))
 
 
 @given(st.lists(st.lists(fractions, min_size=3, max_size=3), min_size=1, max_size=4), st.integers(0, 2**32))
@@ -155,12 +260,12 @@ def test_span_dimension_formula(vecs_a, vecs_b):
 @given(matrices(max_rows=5, max_cols=4))
 def test_modular_kernel_agrees_with_exact(m):
     """The certified modular fast path computes the same canonical kernel."""
-    int_rows = [r for r in _rows_to_int(m.rows) if any(r)]
+    int_rows = [r for r in _rows_to_int(m.tolist()) if any(r)]
     if not int_rows:
         return
-    vecs = _kernel_modular(int_rows, m.ncols)
+    vecs = _kernel_modular(int_rows, m.shape[1])
     assert vecs is not None
-    assert Subspace.from_vectors(m.ncols, vecs) == kernel_basis(m)
+    assert Subspace.from_vectors(m.shape[1], vecs) == kernel_basis(cleared(m))
 
 
 def test_modular_kernel_large_system():
@@ -172,11 +277,11 @@ def test_modular_kernel_large_system():
         for _ in range(5):
             row[rng.randrange(130)] = rng.randint(-4, 4)
         rows.append(row)
-    m = Matrix(rows)
+    m = np.array(rows, dtype=np.int64)
     kern = kernel_basis(m)
-    assert kern.dim == m.ncols - rref(m).rank
+    assert kern.dim == m.shape[1] - rref(m).rank
     for v in kern.basis:
-        assert all(x == 0 for x in m.apply(v))
+        assert all(x == 0 for x in apply(m, v))
 
 
 @pytest.mark.parametrize(
@@ -186,7 +291,7 @@ def test_modular_kernel_verifies_big_integer_candidates(row):
     """Candidates too large for int64 are verified exactly with Python ints."""
     vecs = _kernel_modular([row], len(row))
     assert vecs is not None
-    assert Subspace.from_vectors(len(row), vecs) == kernel_basis(Matrix([row]))
+    assert Subspace.from_vectors(len(row), vecs) == kernel_basis(np.array([row], dtype=object))
 
 
 def test_unlucky_first_prime_falls_back_to_fraction_free():
@@ -200,13 +305,13 @@ def test_unlucky_first_prime_falls_back_to_fraction_free():
         for _ in range(5):
             row[rng.randrange(1, ncols)] = rng.randint(-4, 4)
         rows.append(row)
-    m = Matrix(rows)
+    m = np.array(rows, dtype=object)
     assert _kernel_modular([r for r in rows if any(r)], ncols) is None
     kern = kernel_basis(m)
     assert kern.dim == ncols - rref(m).rank
     for v in kern.basis:
         assert v[0] == 0
-        assert all(x == 0 for x in m.apply(v))
+        assert all(x == 0 for x in apply(m, v))
 
 
 def test_subspace_coordinates_roundtrip():
@@ -394,7 +499,12 @@ def test_kernel_of_integer_array_equals_kernel_of_matrix(nrows, ncols):
         rows.append(row)
     big = nrows * ncols * min(nrows, ncols) > _MODULAR_THRESHOLD
     assert big == (nrows == 160)
-    expected = kernel_basis(Matrix(rows))
+    # the kernel read off the RREF, each free column set to 1 in turn
+    red = rref(np.array(rows, dtype=object))
+    free = [c for c in range(ncols) if c not in red.pivots]
+    expected = Subspace.from_vectors(
+        ncols, [[int(c == f) if c not in red.pivots else -red.reduced[red.pivots.index(c)][f] for c in range(ncols)] for f in free]
+    )
     assert kernel_basis(np.array(rows, dtype=np.int64)) == expected
     assert kernel_basis(np.array(rows, dtype=object)) == expected
 
@@ -402,3 +512,65 @@ def test_kernel_of_integer_array_equals_kernel_of_matrix(nrows, ncols):
 def test_kernel_rejects_non_integer_array():
     with pytest.raises(TypeError):
         kernel_basis(np.array([[0.5, 1.0]]))
+
+
+@given(st.one_of(families(fractions), families(integers)))
+def test_cleared_basis_is_the_leading_1_basis_over_its_least_denominator(family):
+    n, vectors = family
+    sub = Subspace.from_vectors(n, vectors)
+    b, s = sub.cleared_basis()
+    expected, den = int_cleared(sub.basis)
+    assert b.shape == (sub.dim, n) and s == den
+    assert b.tolist() == expected.reshape(sub.dim, n).tolist()
+
+
+@given(matrices())
+def test_rank_matches_rref(m):
+    assert rank(cleared(m)) == rref(cleared(m)).rank
+
+
+def test_lowest_terms():
+    a = np.array([[4, -6], [0, 10]])
+    assert [x.tolist() if isinstance(x, np.ndarray) else x for x in lowest_terms(a, 8)] == [[[2, -3], [0, 5]], 4]
+    assert lowest_terms(a, 3)[1] == 3
+    big = np.array([2**70, -(2**66)], dtype=object)
+    reduced, den = lowest_terms(big, 2**65 * 3)
+    assert reduced.tolist() == [32, -2] and den == 3
+
+
+@pytest.mark.parametrize(
+    "G, den",
+    [
+        (np.array([[Fraction(1, 2)]], dtype=object), 1),  # not integers
+        (np.array([[0.5]]), 1),
+        (np.array([[1, 2], [3, 4]]), 1),  # not symmetric
+        (np.array([1, 2]), 1),  # not a matrix
+        (np.array([[1, 2, 3]]), 1),  # not square
+        (np.array([[1]]), 0),  # denominator not positive
+    ],
+)
+def test_norm_form_rejects_invalid_gram(G, den):
+    with pytest.raises(ValueError):
+        NormForm(G, den)
+
+
+def test_norm_form_is_held_in_lowest_terms():
+    form = NormForm(np.array([[2, 4], [4, 6]]), 6)
+    assert form.G.tolist() == [[1, 2], [2, 3]] and form.den == 3
+    assert form.bilinear((1, 0), (0, 1)) == Fraction(2, 3)
+    assert form.norm((Fraction(1, 2), 1)) == Fraction(1, 12) + Fraction(4, 3) / 2 + 1
+    assert form.signature == (1, 1, 0) and form.nondegenerate
+    # on the rows of b / 2, Gram matrix b G b^T / (3 * 4)
+    restricted = form.restricted(np.array([[1, 1]]), 2)
+    assert (restricted.G.tolist(), restricted.den) == ([[2]], 3)
+    assert not NormForm(np.diag([1, 0])).nondegenerate
+
+
+def test_coordinate_map_is_relative_to_the_family():
+    family = np.array([[2, 0, 2], [0, 3, 3]])
+    coords = coordinate_map(family)
+    x, d = coords(np.array([[2, 3, 5], [1, 0, 1], [0, -1, -1]]))
+    assert [[Fraction(int(v), d) for v in row] for row in x.tolist()] == [[1, 1], [Fraction(1, 2), 0], [0, Fraction(-1, 3)]]
+    assert coords(np.array([[2, 3, 5], [1, 1, 1]])) is None  # the second row is outside
+    with pytest.raises(ValueError):
+        coordinate_map(np.array([[1, 2], [2, 4]]))

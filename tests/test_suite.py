@@ -2,6 +2,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from g2cert import suite
 from g2cert.lie import killing_form, so_of_form
-from g2cert.linalg import Matrix, kernel_basis, signature
-from g2cert.octonion import NormForm, SplitCayley, StructureConstantAlgebra, build_split_cayley
+from g2cert.linalg import Matrix, NormForm, int_cleared, kernel_basis, signature
+from g2cert.octonion import SplitCayley, StructureConstantAlgebra, build_split_cayley
 from g2cert.reps import LieModule
 from g2cert.report import exit_code, render_text, serialize, summarize
 from g2cert.suite import (
@@ -22,7 +23,9 @@ from g2cert.suite import (
     SuiteConfig,
     CheckOutcome,
     VerificationContext,
+    _proportionality,
     check_cayley,
+    check_metric_constants,
     run_all,
 )
 
@@ -214,7 +217,7 @@ def reference_check_cayley(c, cfg):
     def name(i):
         return f"e{i + 1}"
 
-    mul, rows, e = c.algebra.mul, gram(c).rows, c.unit
+    mul, rows, e = c.algebra.mul, gram(c).tolist(), c.unit
     basis = [basis_element(i) for i in range(8)]
     out = CheckOutcome()
     out.expect("unit_norm", norm(e), Fraction(1))
@@ -269,11 +272,12 @@ def reference_check_cayley(c, cfg):
     out.expect("nonassociativity_witness_found", witness is not None, True)
     out.record("nonassociativity_witness", witness)
 
-    out.expect("norm_signature", signature(gram(c)), (4, 4, 0))
-    sub = kernel_basis(Matrix([[bilinear(b, e) for b in basis]]))
-    restricted = Matrix([[bilinear(x, y) for y in sub.basis] for x in sub.basis])
+    # clearing a symmetric matrix's denominators keeps its inertia and kernel
+    out.expect("norm_signature", signature(int_cleared(gram(c))[0]), (4, 4, 0))
+    sub = kernel_basis(int_cleared([[bilinear(b, e) for b in basis]])[0])
+    restricted = [[bilinear(x, y) for y in sub.basis] for x in sub.basis]
     out.expect("imaginary_dim", sub.dim, 7)
-    out.expect("imag_signature", signature(restricted), (3, 4, 0))
+    out.expect("imag_signature", signature(int_cleared(restricted)[0]), (3, 4, 0))
     out.expect("unit_outside_imaginary", sub.contains_vector(e), False)
     return out
 
@@ -281,11 +285,11 @@ def reference_check_cayley(c, cfg):
 def cayley_in_basis(p):
     """The split Cayley algebra in the basis of the columns of p."""
     c = build_split_cayley()
-    p = Matrix(p)
-    inv, cols = p.inverse(), p.transpose().rows
-    mul = tuple(tuple(inv.apply(loop_multiply(c.algebra.mul, x, y)) for y in cols) for x in cols)
-    form = NormForm(p.transpose() * gram(c) * p)
-    return SplitCayley(StructureConstantAlgebra(8, mul), form, inv.apply(c.unit))
+    inv = np.array(Matrix(p).inverse().rows, dtype=object)
+    p = np.array(p, dtype=object)
+    mul = tuple(tuple(tuple(inv @ loop_multiply(c.algebra.mul, x, y)) for y in p.T) for x in p.T)
+    form = NormForm(*int_cleared(p.T @ gram(c) @ p))
+    return SplitCayley(StructureConstantAlgebra(8, mul), form, tuple(inv @ np.array(c.unit)))
 
 
 # f1 = 2**70 e1 + e2, f3 = 2/3 e3 + 5 e6, f5 = e4 + e5 and f8 = e8 / 7: the
@@ -337,7 +341,7 @@ def test_check_cayley_on_python_ints():
 
 
 def test_negative_control_wrong_subalgebra():
-    wrong = so_of_form(Matrix.identity(7))  # so(7)-sized, not the derivation algebra
+    wrong = so_of_form(np.eye(7, dtype=int))  # so(7)-sized, not the derivation algebra
     reports = run_all(FAST, ctx=VerificationContext(derivations_candidate=wrong))
     by_id = {r.id: r for r in reports}
     assert by_id["derivations"].status == "fail"
@@ -350,7 +354,7 @@ def test_negative_control_wrong_subalgebra():
 
 
 def test_negative_control_degenerate_gram():
-    degenerate = diagonal([1, 1, 1, 1, 1, 1, 0])
+    degenerate = NormForm(diagonal([1, 1, 1, 1, 1, 1, 0]))
     reports = run_all(FAST, ctx=VerificationContext(wedge_gram=degenerate))
     by_id = {r.id: r for r in reports}
     assert by_id["wedge-iso"].status == "error"  # precondition, not fail
@@ -361,7 +365,7 @@ def test_negative_control_degenerate_gram():
 
 def test_dependency_skip_reports_error_not_pass():
     """A check whose dependency errored must be skipped as an error."""
-    degenerate_everything = VerificationContext(derivations_candidate=so_of_form(Matrix.identity(7)))
+    degenerate_everything = VerificationContext(derivations_candidate=so_of_form(np.eye(7, dtype=int)))
     reports = run_all(
         SuiteConfig(samples=3, checks=("invariant-form",)), ctx=degenerate_everything
     )
@@ -473,3 +477,45 @@ def test_empty_or_mixed_serialization_valid(status_list):
     doc = json.loads(serialize(reports, SuiteConfig()))
     assert doc["summary"]["total"] == len(status_list)
     assert doc["version"] == 1
+
+
+# -- the proportionality behind c1 and c2 -----------------------------------
+
+_G = np.array([[2, 1, 0], [1, 0, -3], [0, -3, 5]])
+
+
+@pytest.mark.parametrize(
+    "a, b, expected",
+    [
+        (NormForm(-3 * _G), NormForm(_G), Fraction(-3)),
+        (NormForm(5 * _G, 4), NormForm(_G), Fraction(5, 4)),
+        (NormForm(_G, 3), NormForm(-2 * _G, 7), Fraction(-7, 6)),
+        (NormForm(_G.astype(object) * 2**70, 3), NormForm(_G.astype(object) * 2**66), Fraction(16, 3)),
+        (NormForm(0 * _G), NormForm(_G), Fraction(0)),
+        (NormForm(_G + np.eye(3, dtype=int)), NormForm(_G), None),  # not proportional
+        (NormForm(np.diag([1, 2, 3])), NormForm(np.diag([2, 4, 5])), None),  # the first two entries agree
+        (NormForm(_G), NormForm(0 * _G), None),  # zero reference
+        (NormForm(_G), NormForm(np.eye(2, dtype=int)), None),  # shape mismatch
+    ],
+)
+def test_proportionality_is_exact_and_can_fail(a, b, expected):
+    assert _proportionality(a, b) == expected
+
+
+def test_metric_constant_residuals_can_fail(ctx, monkeypatch):
+    """A sheared image basis on the g2 side and a sheared isomorphism make
+    the Killing restrictions non-proportional: c1 and c2 become None and
+    their residual expectations fail."""
+    change, den = ctx.image_basis_change
+    sheared_change = change.copy()
+    sheared_change[0] = sheared_change[0] + sheared_change[1]
+    iso = ctx.complement_isomorphism
+    sheared_iso = iso.T.copy()
+    sheared_iso[:, 0] = sheared_iso[:, 0] + sheared_iso[:, 1]
+    monkeypatch.setattr(VerificationContext, "image_basis_change", property(lambda self: (sheared_change, den)))
+    monkeypatch.setattr(
+        VerificationContext, "complement_isomorphism", property(lambda self: SimpleNamespace(T=sheared_iso, den=iso.den))
+    )
+    out = check_metric_constants(ctx, FAST)
+    assert out.witnesses["c1"] is None and out.witnesses["c2"] is None
+    assert {"c1", "c1_residual_zero", "c2", "c2_residual_zero"} <= set(out.failed)
