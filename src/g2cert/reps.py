@@ -25,6 +25,7 @@ import numpy as np
 from .errors import DegenerateFormError, NotSemisimpleError, PreconditionError
 from .lie import LieAlgebra, killing_form, is_semisimple, so_of_form
 from .linalg import (
+    PRIME,
     Matrix,
     NormForm,
     Subspace,
@@ -139,11 +140,11 @@ class Intertwiner:
 def _spin_basis(a: np.ndarray) -> tuple[list[np.ndarray], list[tuple[int, int, int]]]:
     """A basis b_k = W_k v_{s(k)} of Q^n, each W_k a word in the integer stack
     a (m x n x n), spun breadth first: the images a[g] b_k join while
-    independent mod a word-sized prime p, hence over Q, and only once the span
+    independent mod ``linalg.PRIME``, hence over Q, and only once the span
     stops growing does the next standard vector outside it become a seed.
     Returns the integer vectors and their origins (k, g, s(k)) for a[g] b_k
     and (-1, -1, s) for the seed numbered s."""
-    n, p = a.shape[1], 2147483647
+    n, p = a.shape[1], PRIME
     basis, origins, echelon = [], [], []  # echelon: (pivot, row mod p)
     k = unit = 0
     while len(basis) < n:

@@ -26,6 +26,21 @@ def fractions(a, den=1):
     return np.array([Fraction(int(x), den) for x in a.flat], dtype=object).reshape(a.shape)
 
 
+def coordinates_of(sub, vec):
+    """Coefficients of vec in the canonical (leading-1) basis of the
+    Subspace sub, or None if vec lies outside it: read the coefficients off
+    the pivot columns, then check that the residual vanishes."""
+    vec = tuple(Fraction(x) for x in vec)
+    if len(vec) != sub.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    coeffs = tuple(vec[p] for p in sub.pivots)
+    residual = list(vec)
+    for c, row in zip(coeffs, sub.basis):
+        for j, x in enumerate(row):
+            residual[j] -= c * x
+    return None if any(residual) else coeffs
+
+
 def diagonal(entries):
     """A diagonal matrix as an object array of the given entries."""
     m = np.zeros((len(entries), len(entries)), dtype=object)

@@ -111,6 +111,34 @@ def test_over_cap_inputs_exit_2_before_any_work(capsys, monkeypatch):
     assert code == 2 and "census bound" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dims", "--type", "A", "--rank", "17", "--max-coeff", "1"),
+        ("dims", "--type", "D100", "--max-coeff", "1"),
+        ("census", "--dim", "21", "--max-rank", "17"),
+        ("census", "--dim", "21", "--max-rank", "100"),
+    ],
+)
+def test_over_cap_rank_exits_2_before_any_cartan_matrix(capsys, monkeypatch, argv):
+    """A rank over weyl.MAX_RANK is rejected before a Cartan matrix or a root
+    system is built: a census up to rank 100 would take about an hour."""
+
+    def never(*_args, **_kwargs):
+        raise AssertionError("over-cap rank reached the root system construction")
+
+    monkeypatch.setattr(weyl, "_cartan_matrix", never)
+    monkeypatch.setattr(weyl, "root_system", never)
+    assert weyl.MAX_RANK == 16
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and "cap of 16" in err
+
+
+def test_rank_at_cap_is_accepted():
+    assert weyl.root_system(weyl.cartan_type("A", weyl.MAX_RANK)).algebra_dimension == 16 * 18
+    assert weyl.simple_algebra_census(3, weyl.MAX_RANK) == ["A1"]
+
+
 def test_census_dim21(capsys):
     code, out, _ = run_cli(capsys, "census", "--dim", "21")
     assert code == 0

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 
 import g2cert.linalg as linalg
 from g2cert.linalg import (
-    _MODULAR_THRESHOLD,
-    _PRIMES,
+    PRIME,
     Matrix,
     NormForm,
     Subspace,
-    _kernel_modular,
     _rref_mod_p,
     _rows_to_int,
     coordinate_map,
@@ -27,7 +25,7 @@ from g2cert.linalg import (
     signature,
 )
 
-from conftest import diagonal, zeros
+from conftest import coordinates_of, diagonal, zeros
 
 fractions = st.builds(
     Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4)
@@ -259,17 +257,13 @@ def test_span_dimension_formula(vecs_a, vecs_b):
 
 @given(matrices(max_rows=5, max_cols=4))
 def test_modular_kernel_agrees_with_exact(m):
-    """The certified modular fast path computes the same canonical kernel."""
-    int_rows = [r for r in _rows_to_int(m.tolist()) if any(r)]
-    if not int_rows:
-        return
-    vecs = _kernel_modular(int_rows, m.shape[1])
-    assert vecs is not None
-    assert Subspace.from_vectors(m.shape[1], vecs) == kernel_basis(cleared(m))
+    """The kernel of the rows picked mod p, checked against every row, is the
+    canonical kernel of fraction-free elimination of every row."""
+    assert kernel_basis(cleared(m)) == _reference_kernel(cleared(m))
 
 
 def test_modular_kernel_large_system():
-    """A system big enough to route through the modular path by default."""
+    """A large sparse system, picked mod p on 130 of its 160 rows."""
     rng = random.Random(99)
     rows = []
     for _ in range(160):
@@ -284,30 +278,44 @@ def test_modular_kernel_large_system():
         assert all(x == 0 for x in apply(m, v))
 
 
+def test_generic_kernel_eliminates_rank_many_rows(monkeypatch):
+    """40 combinations of 12 rows of width 20: only the 12 rows picked mod p
+    are eliminated exactly, and their kernel passes the check on all 40."""
+    rng = np.random.default_rng(3)
+    m = rng.integers(-3, 4, (40, 12)) @ rng.integers(-9, 10, (12, 20))
+    calls = _spy_on_exact_elimination(monkeypatch)
+    kern = kernel_basis(m)
+    assert calls[0] == 12 and 40 not in calls
+    assert kern == _reference_kernel(m) and kern.dim == 8
+
+
 @pytest.mark.parametrize(
     "row", [[2**40 + 15, 2**40 - 87], [2**40 + 15, 2**40 - 87, 0]]
 )
 def test_modular_kernel_verifies_big_integer_candidates(row):
-    """Candidates too large for int64 are verified exactly with Python ints."""
-    vecs = _kernel_modular([row], len(row))
-    assert vecs is not None
-    assert Subspace.from_vectors(len(row), vecs) == kernel_basis(np.array([row], dtype=object))
+    """Candidates whose products with the rows pass int64 are checked
+    exactly with Python ints."""
+    m = np.array([row], dtype=object)
+    assert kernel_basis(m) == _reference_kernel(m)
 
 
-def test_unlucky_first_prime_falls_back_to_fraction_free():
-    """A pivot equal to the first prime vanishes modulo it; the pivot patterns
-    of the first two primes disagree and kernel_basis falls back."""
+def test_unlucky_first_prime_falls_back_to_fraction_free(monkeypatch):
+    """A pivot equal to the prime vanishes modulo it: the kernel of the rows
+    picked mod p contains e_1, the exact check fails on the first row, and
+    kernel_basis eliminates every row."""
+    calls = _spy_on_exact_elimination(monkeypatch)
     rng = random.Random(7)
     ncols = 120
-    rows = [[2147483647] + [0] * (ncols - 1)]
+    rows = [[PRIME] + [0] * (ncols - 1)]
     for _ in range(109):
         row = [0] * ncols
         for _ in range(5):
             row[rng.randrange(1, ncols)] = rng.randint(-4, 4)
         rows.append(row)
     m = np.array(rows, dtype=object)
-    assert _kernel_modular([r for r in rows if any(r)], ncols) is None
     kern = kernel_basis(m)
+    assert calls[:2] == [rank(m) - 1, len(rows)]
+    assert kern == _reference_kernel(m)
     assert kern.dim == ncols - rref(m).rank
     for v in kern.basis:
         assert v[0] == 0
@@ -317,14 +325,16 @@ def test_unlucky_first_prime_falls_back_to_fraction_free():
 def test_subspace_coordinates_roundtrip():
     sub = Subspace.from_vectors(3, [(1, 2, 0), (0, 1, 1)])
     vec = tuple(Fraction(x) for x in (2, 5, 1))
-    coords = sub.coordinates_of(vec)
-    assert coords is not None
+    coords = coordinates_of(sub, vec)
+    assert coords is not None and sub.contains_vector(vec)
     rebuilt = [Fraction(0)] * 3
     for c, b in zip(coords, sub.basis):
         for j, x in enumerate(b):
             rebuilt[j] += c * x
     assert tuple(rebuilt) == vec
-    assert sub.coordinates_of((1, 0, 0)) is None
+    assert coordinates_of(sub, (1, 0, 0)) is None and not sub.contains_vector((1, 0, 0))
+    with pytest.raises(ValueError):
+        sub.contains_vector((1, 0))
 
 
 @pytest.mark.parametrize(
@@ -369,11 +379,10 @@ def test_subspace_basis_round_trips(ambient, basis, rows):
     assert rebuilt == sub and rebuilt.basis == basis and rebuilt.pivots == sub.pivots
 
 
-# The Fraction-normalizing construction of a span, kept as the reference for
-# Subspace.from_vectors: fraction-free elimination, then every pivot row
-# divided by its pivot, handed to the validating constructor.
-def _reference_from_vectors(ambient_dim, vectors):
-    work = [r for r in _rows_to_int(vectors) if any(r)]
+# Fraction-free elimination of every row, first pivot found, no gcd
+# stripping: the reference both for spans and for kernels.
+def _reference_rref(work, ambient_dim):
+    work = [list(r) for r in work if any(r)]
     assert all(len(r) == ambient_dim for r in work)
     pivots = []
     r = 0
@@ -390,13 +399,30 @@ def _reference_from_vectors(ambient_dim, vectors):
                 work[i] = [pf * a - vf * b for a, b in zip(work[i], piv_row)]
         pivots.append(c)
         r += 1
-    return Subspace(ambient_dim, tuple(tuple(Fraction(x, work[i][c]) for x in work[i]) for i, c in enumerate(pivots)))
+    return [tuple(Fraction(x, work[i][c]) for x in work[i]) for i, c in enumerate(pivots)], pivots
+
+
+# The Fraction-normalizing construction of a span, kept as the reference for
+# Subspace.from_vectors: every pivot row of the reference elimination divided
+# by its pivot, handed to the validating constructor.
+def _reference_from_vectors(ambient_dim, vectors):
+    return Subspace(ambient_dim, tuple(_reference_rref(_rows_to_int(vectors), ambient_dim)[0]))
+
+
+# The kernel read off the reference elimination of every row of an integer
+# array, kept as the reference for kernel_basis: one vector per free column f,
+# e_f minus column f of the leading-1 rows on their pivots.
+def _reference_kernel(m):
+    ncols = m.shape[1]
+    reduced, pivots = _reference_rref(m.tolist(), ncols)
+    free = [f for f in range(ncols) if f not in pivots]
+    vectors = [[int(c == f) if c not in pivots else -reduced[pivots.index(c)][f] for c in range(ncols)] for f in free]
+    return _reference_from_vectors(ncols, vectors)
 
 
 # Entries that vanish modulo the certifying prime, so that some families of
 # full rank over Q are rank deficient modulo it.
-_P = _PRIMES[0]
-integers = st.one_of(st.integers(-4, 4), st.sampled_from([_P, -_P, 2 * _P, _P + 1, 2**70, -(2**64)]))
+integers = st.one_of(st.integers(-4, 4), st.sampled_from([PRIME, -PRIME, 2 * PRIME, PRIME + 1, 2**70, -(2**64)]))
 
 
 @st.composite
@@ -447,8 +473,8 @@ def test_full_span_certified_mod_p_skips_exact_elimination(monkeypatch):
 
 def test_full_span_singular_mod_p_falls_back_to_exact(monkeypatch):
     """Full over Q, rank 1 modulo the certifying prime: the exact path decides."""
-    rows = [(2147483647, 0), (0, 1)]
-    assert len(_rref_mod_p(np.array(rows, dtype=np.int64), _PRIMES[0])[1]) == 1
+    rows = [(PRIME, 0), (0, 1)]
+    assert len(_rref_mod_p(np.array(rows, dtype=np.int64), PRIME)[1]) == 1
     calls = _spy_on_exact_elimination(monkeypatch)
     assert Subspace.from_vectors(2, rows) == Subspace.full(2)
     assert calls == [2]
@@ -488,8 +514,8 @@ def test_int_einsum_exact_beyond_int64():
 
 @pytest.mark.parametrize("nrows, ncols", [(8, 10), (160, 130)])
 def test_kernel_of_integer_array_equals_kernel_of_matrix(nrows, ncols):
-    """Both engines: the small system is eliminated fraction-free, the large
-    one crosses the modular threshold."""
+    """An int64 system and the same system on Python ints, small and large,
+    have the reference kernel."""
     rng = random.Random(nrows)
     rows = []
     for _ in range(nrows):
@@ -497,16 +523,21 @@ def test_kernel_of_integer_array_equals_kernel_of_matrix(nrows, ncols):
         for _ in range(5):
             row[rng.randrange(ncols)] = rng.randint(-4, 4)
         rows.append(row)
-    big = nrows * ncols * min(nrows, ncols) > _MODULAR_THRESHOLD
-    assert big == (nrows == 160)
-    # the kernel read off the RREF, each free column set to 1 in turn
-    red = rref(np.array(rows, dtype=object))
-    free = [c for c in range(ncols) if c not in red.pivots]
-    expected = Subspace.from_vectors(
-        ncols, [[int(c == f) if c not in red.pivots else -red.reduced[red.pivots.index(c)][f] for c in range(ncols)] for f in free]
-    )
+    expected = _reference_kernel(np.array(rows, dtype=object))
     assert kernel_basis(np.array(rows, dtype=np.int64)) == expected
     assert kernel_basis(np.array(rows, dtype=object)) == expected
+
+
+@given(families(integers))
+def test_kernel_matches_fraction_free_reference(family):
+    """Entries of +-p, 2p and 2**70 make some families drop rank mod p; on
+    those the exact check fails and every row is eliminated."""
+    n, vectors = family
+    m = np.array(vectors, dtype=object).reshape(len(vectors), n)
+    expected = _reference_kernel(m)
+    assert kernel_basis(m) == expected
+    if all(abs(x) < 2**62 for v in vectors for x in v):
+        assert kernel_basis(m.astype(np.int64)) == expected
 
 
 def test_kernel_rejects_non_integer_array():

@@ -30,6 +30,7 @@ from conftest import (
     abelian_algebra,
     action_matrices,
     bracket,
+    coordinates_of,
     diagonal,
     direct_sum_algebra,
     direct_sum_module,
@@ -434,7 +435,7 @@ def _wedge_square_reference(mats, n):
 def _restricted_action_reference(mats, sub):
     out = []
     for m in mats:
-        cols = [sub.coordinates_of(_apply(m, b)) for b in sub.basis]
+        cols = [coordinates_of(sub, _apply(m, b)) for b in sub.basis]
         if any(c is None for c in cols):
             raise ValueError("subspace is not invariant under the action")
         out.append(np.array(cols, dtype=object).T.tolist())
