@@ -1,8 +1,9 @@
 """Lie algebras by structure constants and by matrix realization.
 
-A ``LieAlgebra`` holds its bracket [e_i, e_j] = sum_k c_ijk e_k once, as the
-cleared integer tensor ``C`` (dim x dim x dim, C[i, j, k] = den * c_ijk) and
-its one denominator ``den``.  ``C`` is int64 when its entries fit and Python
+A ``LieAlgebra`` takes and holds its bracket [e_i, e_j] = sum_k c_ijk e_k
+as one integer tensor ``C`` (dim x dim x dim, C[i, j, k] = den * c_ijk) and
+one denominator ``den``, as a ``reps.LieModule`` takes its stack; rationals
+and floats are rejected.  ``C`` is int64 when its entries fit and Python
 ints (object dtype) otherwise, as ``linalg.int_array`` decides; each product
 formed from it picks its dtype the same way, from a bound on the result.
 Brackets (``bracket_table``), the Killing form (Cartan's criterion),
@@ -17,7 +18,6 @@ of a symmetric form.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -29,9 +29,10 @@ from .linalg import (
     Subspace,
     coordinate_map,
     int_array,
-    int_cleared,
     int_einsum,
+    is_int_array,
     kernel_basis,
+    lowest_terms,
     rank,
 )
 from .octonion import StructureConstantAlgebra
@@ -41,32 +42,35 @@ class LieAlgebra:
     """A Lie algebra given by its structure constants, optionally carrying a
     faithful matrix realization of the basis.
 
-    ``brackets`` is any dim x dim x dim nested sequence or array of rationals
-    with brackets[i][j][k] = c_ijk.  It is held only as ``C`` = den * c, an
-    int64 or Python-int array, and the least common denominator ``den``.  A
-    ``realization`` is a pair (a, d) of an integer stack a of shape
-    (dim, n, n) and a positive d, for the matrices a[i] / d.  A ragged or
-    mis-shaped tensor or realization raises ValueError, and so do a failure
-    of antisymmetry and a failure of ``bracket_law_failure``: against the
-    realization when one is supplied (which also forces the Jacobi identity),
-    on the ad stack otherwise.
+    ``C`` is a dim x dim x dim numpy integer array and ``den`` a positive
+    integer, for c_ijk = C[i, j, k] / den, held in lowest terms with ``C``
+    int64 or Python ints as ``linalg.int_array`` decides.  A ``realization``
+    is a pair (a, d) of an integer stack a of shape (dim, n, n) and a
+    positive d, for the matrices a[i] / d.  A non-integer tensor or
+    realization raises TypeError; a mis-shaped one, a ``den`` below 1, a
+    failure of antisymmetry and a failure of ``bracket_law_failure`` raise
+    ValueError: against the realization when one is supplied (which also
+    forces the Jacobi identity), on the ad stack otherwise.
     """
 
     def __init__(
         self,
-        brackets,
+        C: np.ndarray,
+        den: int = 1,
         name: str = "",
         realization: Optional[tuple[np.ndarray, int]] = None,
     ):
-        self.dim = len(brackets)
+        if not is_int_array(C):
+            raise TypeError("the bracket tensor is an integer array")
+        self.dim = len(C)
         self.name = name
         # built once per algebra, by killing_form and reps.adjoint_module
         self._killing: Optional[NormForm] = None
         self._adjoint = None
-        tensor = np.array(brackets, dtype=object) if self.dim else np.zeros((0, 0, 0), dtype=object)
-        if tensor.shape != (self.dim,) * 3:
-            raise ValueError("bracket tensor has wrong shape")
-        self.C, self.den = int_cleared(tensor)
+        if C.shape != (self.dim,) * 3 or den < 1:
+            raise ValueError("the bracket tensor must be dim x dim x dim over a positive denominator")
+        C, self.den = lowest_terms(C, den)
+        self.C = int_array(C, int(np.max(np.abs(C), initial=0)))
         asym = np.argwhere(np.any(self.C + self.C.transpose(1, 0, 2) != 0, axis=2))
         if len(asym):
             raise ValueError("brackets not antisymmetric at ({},{})".format(*asym[0]))
@@ -75,7 +79,7 @@ class LieAlgebra:
                 raise ValueError("Jacobi identity fails")
         else:
             a, den = realization
-            if a.dtype.kind != "i" and a.dtype != object:
+            if not is_int_array(a):
                 raise TypeError("a realization is an integer stack")
             if a.ndim != 3 or len(a) != self.dim or a.shape[1] != a.shape[2] or den < 1:
                 raise ValueError("realization must be dim square matrices over a positive denominator")
@@ -141,7 +145,7 @@ class LieAlgebra:
         that is dependent or not closed under commutators raises ValueError.
         """
         if not len(a):
-            return cls(brackets=(), name=name, realization=(a, den))
+            return cls(np.zeros((0, 0, 0), dtype=np.int64), name=name, realization=(a, den))
         d, n = len(a), a.shape[1]
         coords = coordinate_map(a.reshape(d, n * n))
         prod = int_einsum("ikm,jml->ijkl", a, a)
@@ -149,8 +153,7 @@ class LieAlgebra:
         if solved is None:
             raise ValueError("matrix family is not closed under commutators")
         t, t_den = solved
-        consts = np.array([Fraction(x, t_den * den) if x else 0 for x in t.ravel().tolist()], dtype=object)
-        return cls(brackets=consts.reshape(d, d, d), name=name, realization=(a, den))
+        return cls(t.reshape(d, d, d), t_den * den, name=name, realization=(a, den))
 
 
 def killing_form(g: LieAlgebra) -> NormForm:

@@ -6,14 +6,12 @@ are exact integers or ``fractions.Fraction`` values; no floating point is used.
 
 Every matrix the package stores, takes or returns is a numpy integer array
 (int64, or object dtype of Python ints) with, where it is rational, one
-positive denominator beside it.  ``clear_denominators`` is the one place
-rationals are scaled to integers, ``int_cleared`` the one place an array of
-rationals (a structure tensor, a Gram matrix, a subspace basis) becomes one
-integer array with one denominator, and ``int_array`` the one place that
-picks int64 or Python ints for products.  A ``NormForm`` is a symmetric
-bilinear form held that way: a Gram matrix ``G`` and its ``den``.  The
-Fraction ``Matrix`` survives only as the carrier of ``rref`` and of the one
-exact inverse.
+positive denominator beside it; constructors reject anything else.
+``int_cleared`` is the one place an array of rationals becomes one integer
+array with one denominator, and ``int_array`` the one place that picks int64
+or Python ints for products.  Fractions remain only where the benchmark's
+tracer wraps them by name (``Matrix``, the one exact inverse, and ``rref``)
+and in the report values ``NormForm.bilinear`` and ``NormForm.norm``.
 
 One exact elimination engine sits behind the public API: a fraction-free
 integer row reduction (per-row denominator clearing, gcd stripping).  A
@@ -41,9 +39,6 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 # A prime just below 2**31: pivots and row updates mod PRIME stay inside int64.
 PRIME = 2147483647
 
@@ -64,8 +59,9 @@ class Matrix:
         n = len(self.rows)
         if any(len(r) != n for r in self.rows):
             raise ValueError("inverse of non-square matrix")
-        augmented = _rows_to_int([r + tuple(int(i == j) for j in range(n)) for i, r in enumerate(self.rows)])
-        red = rref(np.array(augmented, dtype=object).reshape(n, 2 * n))
+        # [d M | d I] has the reduced form [I | M^-1] of [M | I]
+        a, d = int_cleared(self.rows)
+        red = rref(np.concatenate([a.reshape(n, n), np.eye(n, dtype=object) * d], axis=1))
         if red.pivots[:n] != tuple(range(n)) or red.rank != n:
             raise ValueError("matrix is singular")
         return Matrix(row[n:] for row in red.reduced)
@@ -85,10 +81,6 @@ def clear_denominators(values: Sequence[Fraction | int]) -> tuple[list[int], int
     if den == 1:
         return [x.numerator for x in values], 1
     return [x.numerator * (den // x.denominator) for x in values], den
-
-
-def _rows_to_int(rows: Iterable[Sequence[Fraction | int]]) -> list[list[int]]:
-    return [clear_denominators(row)[0] for row in rows]
 
 
 def int_array(values, peak: int) -> np.ndarray:
@@ -193,6 +185,11 @@ def _int_rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return [[x // g for x in row] for row, g in zip(work, gcds)], pivots
 
 
+def is_int_array(a) -> bool:
+    """Whether a is a numpy integer array: int64, or Python ints (object)."""
+    return isinstance(a, np.ndarray) and (a.dtype.kind == "i" or (a.dtype == object and not set(map(type, a.flat)) - {int}))
+
+
 def _int_matrix(m: np.ndarray) -> np.ndarray:
     """m itself if it is a 2-D numpy integer array (int64, or object dtype
     of Python ints); TypeError for any other input."""
@@ -214,7 +211,7 @@ def rref(m: np.ndarray) -> RrefResult:
     columns."""
     rows, pivots = _int_rref(_int_matrix(m).tolist())
     reduced = tuple(tuple(Fraction(x, r[c]) for x in r) for r, c in zip(rows, pivots))
-    return RrefResult(reduced + ((ZERO,) * m.shape[1],) * (len(m) - len(pivots)), len(pivots), tuple(pivots))
+    return RrefResult(reduced + ((Fraction(0),) * m.shape[1],) * (len(m) - len(pivots)), len(pivots), tuple(pivots))
 
 
 def _rref_mod_p(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -290,37 +287,34 @@ class Subspace:
     """A subspace of Q^n held by its canonical (RREF) row basis, as primitive
     integer ``rows`` (each RREF row divided by its gcd, pivot positive) with
     their leading columns ``pivots``; equality of subspaces is plain tuple
-    equality.  ``basis``, the leading-1 Fraction rows, is built on first use.
-
-    The constructor takes the leading-1 basis and rejects any other with
-    ValueError: each row has length n, leads with a 1, the leading columns
-    strictly increase, and no other row is nonzero in a pivot column.
-    ``from_vectors`` returns the full space, without exact elimination, for
-    any family with n rows independent modulo ``PRIME`` (see the module
-    docstring).
+    equality.  The constructor takes those rows and rejects any other with
+    ValueError: each row has n Python ints with gcd 1 and leads with a
+    positive entry, the leading columns strictly increase, and no other row
+    is nonzero in a pivot column.  ``from_vectors`` returns the full space,
+    without exact elimination, for any family with n rows independent modulo
+    ``PRIME`` (see the module docstring).
     """
 
-    __slots__ = ("ambient_dim", "rows", "pivots", "_basis")
+    __slots__ = ("ambient_dim", "rows", "pivots")
 
-    def __init__(self, ambient_dim: int, basis: Iterable[Sequence]):
-        basis = tuple(tuple(map(Fraction, row)) for row in basis)
-        nonzero = [list(map(bool, row)) for row in basis]
+    def __init__(self, ambient_dim: int, rows: Iterable[Sequence[int]]):
+        rows = tuple(map(tuple, rows))
+        nonzero = [[x != 0 for x in row] for row in rows]
         pivots = tuple(nz.index(True) if True in nz else -1 for nz in nonzero)
         if (
-            any(len(nz) != ambient_dim for nz in nonzero)
+            any(len(row) != ambient_dim or set(map(type, row)) - {int} for row in rows)
             or min(pivots, default=0) < 0
+            or any(row[p] < 0 or math.gcd(*row) != 1 for row, p in zip(rows, pivots))
             or any(p >= q for p, q in zip(pivots, pivots[1:]))
-            or any(row[p] != 1 for row, p in zip(basis, pivots))
             or any(sum([nz[p] for p in pivots]) != 1 for nz in nonzero)
         ):
-            raise ValueError("basis is not in reduced row echelon form")
-        self.ambient_dim, self.pivots, self._basis = ambient_dim, pivots, basis
-        self.rows = tuple(tuple(clear_denominators(row)[0]) for row in basis)
+            raise ValueError("rows are not the primitive integer rows of a reduced row echelon form")
+        self.ambient_dim, self.rows, self.pivots = ambient_dim, rows, pivots
 
     @classmethod
     def _raw(cls, ambient_dim: int, rows: tuple, pivots: tuple) -> "Subspace":
         sub = object.__new__(cls)
-        sub.ambient_dim, sub.rows, sub.pivots, sub._basis = ambient_dim, rows, pivots, None
+        sub.ambient_dim, sub.rows, sub.pivots = ambient_dim, rows, pivots
         return sub
 
     def __eq__(self, other) -> bool:
@@ -328,16 +322,11 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> "Subspace":
-        """The span of vectors: rows of rationals, or a 2-D numpy integer array
-        (int64, or object dtype of Python ints) whose rows go to elimination."""
+        """The span of integer vectors, rows of Python ints or a 2-D numpy
+        integer array; any other entry raises ValueError."""
         if not isinstance(vectors, np.ndarray):
-            rows = _rows_to_int(vectors)
-            if any(len(row) != ambient_dim for row in rows):
-                raise ValueError("vector length does not match ambient dimension")
-            vectors = np.array(rows, dtype=object).reshape(len(rows), ambient_dim)
-        elif vectors.shape[1:] != (ambient_dim,) or (
-            vectors.dtype.kind != "i" and set(map(type, vectors.flat)) - {int}
-        ):
+            vectors = np.array([tuple(v) for v in vectors] or np.zeros((0, ambient_dim), dtype=int), dtype=object)
+        if vectors.shape[1:] != (ambient_dim,) or not is_int_array(vectors):
             raise ValueError("vectors must be a 2-D integer array of the ambient width")
         a = vectors[np.any(vectors != 0, axis=1)]
         if len(a) >= ambient_dim and len(_independent_rows(a)) == ambient_dim:
@@ -354,13 +343,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    @property
-    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The canonical basis as leading-1 Fraction rows, built on first use."""
-        if self._basis is None:
-            self._basis = tuple(tuple(Fraction(x, r[p]) for x in r) for r, p in zip(self.rows, self.pivots))
-        return self._basis
-
     def cleared_basis(self) -> tuple[np.ndarray, int]:
         """The leading-1 basis over its least common denominator s, as the
         integer array s * basis and s.  Row i of ``rows`` is its leading-1
@@ -374,9 +356,9 @@ class Subspace:
         ints (each leading-1 basis row cleared of its denominators)."""
         return np.array(self.rows, dtype=object).reshape(self.dim, self.ambient_dim)
 
-    def contains_vector(self, vec: Sequence[Fraction]) -> bool:
-        """Whether the vector of rationals vec lies in the subspace S, by
-        rank: dim(S + <vec>) == dim S."""
+    def contains_vector(self, vec: Sequence[int]) -> bool:
+        """Whether the integer vector vec lies in the subspace S, by rank:
+        dim(S + <vec>) == dim S."""
         return Subspace.from_vectors(self.ambient_dim, [*self.rows, vec]).dim == self.dim
 
     def contains(self, other: "Subspace") -> bool:
@@ -481,10 +463,8 @@ class NormForm:
     or a ``den`` below 1 raises ValueError."""
 
     def __init__(self, G: np.ndarray, den: int = 1):
-        if G.ndim != 2 or G.shape[0] != G.shape[1] or (G.dtype.kind != "i" and set(map(type, G.flat)) - {int}):
-            raise ValueError("a Gram matrix is a square integer array")
-        if den < 1:
-            raise ValueError("the Gram matrix's denominator must be positive")
+        if G.ndim != 2 or G.shape[0] != G.shape[1] or not is_int_array(G) or den < 1:
+            raise ValueError("a Gram matrix is a square integer array over a positive denominator")
         if not np.array_equal(G, G.T):
             raise ValueError("Gram matrix must be symmetric")
         G, self.den = lowest_terms(G, den)

@@ -17,7 +17,10 @@ e_i e_j = sum_k m_ijk e_k) and its one denominator ``den``; its norm is a
 matrix ``G`` and its one denominator ``den``.  Both are int64 when the
 entries fit and Python ints (object dtype) otherwise, as
 ``linalg.int_array`` decides, and every product, bilinear value and
-identity check is a ``linalg.int_einsum`` of them.
+identity check is a ``linalg.int_einsum`` of them.  The Zorn product runs
+on integer basis vectors.  Fractions remain only where the benchmark's
+mutation sweep and tracer use them: ``StructureConstantAlgebra(dim, mul)``
+clears a rational ``mul``, and ``mul`` and ``multiply`` return Fractions.
 """
 
 from __future__ import annotations
@@ -32,8 +35,6 @@ import numpy as np
 from .linalg import (
     NormForm,
     Subspace,
-    ONE,
-    ZERO,
     clear_denominators,
     int_cleared,
     int_einsum,
@@ -41,9 +42,6 @@ from .linalg import (
 )
 
 DIM = 8
-
-Coords = tuple[Fraction, ...]
-
 
 class StructureConstantAlgebra:
     """A finite-dimensional (not necessarily associative) algebra given by
@@ -66,7 +64,7 @@ class StructureConstantAlgebra:
             for row in self.M.tolist()
         )
 
-    def multiply(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Coords:
+    def multiply(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Bilinear extension of the structure constants."""
         (xs, ys), d = int_cleared([x, y])
         prod = int_einsum("i,j,ijk->k", xs, ys, self.M)
@@ -85,7 +83,7 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _zorn_multiply(x: Sequence[Fraction], y: Sequence[Fraction]) -> Coords:
+def _zorn_multiply(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
     a, b, v, w = x[0], x[1], x[2:5], x[5:8]
     a2, b2, v2, w2 = y[0], y[1], y[2:5], y[5:8]
     cross_w = _cross(w, w2)
@@ -110,7 +108,7 @@ class SplitCayley:
 
     algebra: StructureConstantAlgebra
     form: NormForm
-    unit: Coords
+    unit: tuple[int, ...]
 
     def imaginary_subspace(self) -> tuple[Subspace, NormForm]:
         """The orthogonal complement of the unit and the norm form restricted
@@ -124,12 +122,7 @@ class SplitCayley:
 def build_split_cayley() -> SplitCayley:
     """Construct the algebra; the composition law N(xy) = N(x)N(y) is what the
     verification suite certifies about it."""
-    basis = [tuple(ONE if j == i else ZERO for j in range(DIM)) for i in range(DIM)]
-    mul = tuple(
-        tuple(_zorn_multiply(basis[i], basis[j]) for j in range(DIM))
-        for i in range(DIM)
-    )
+    basis = np.eye(DIM, dtype=int).tolist()
+    mul = [[_zorn_multiply(x, y) for y in basis] for x in basis]
     algebra = StructureConstantAlgebra(dim=DIM, mul=mul)
-    form = _zorn_norm_form()
-    unit = (ONE, ONE) + (ZERO,) * 6
-    return SplitCayley(algebra=algebra, form=form, unit=unit)
+    return SplitCayley(algebra=algebra, form=_zorn_norm_form(), unit=(1, 1) + (0,) * 6)

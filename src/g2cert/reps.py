@@ -17,7 +17,6 @@ denominator, and invariant forms are ``linalg.NormForm`` Gram matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,6 +31,7 @@ from .linalg import (
     int_array,
     int_cleared,
     int_einsum,
+    is_int_array,
     kernel_basis,
     lowest_terms,
     rank,
@@ -54,7 +54,7 @@ class LieModule:
     """
 
     def __init__(self, algebra: LieAlgebra, A: np.ndarray, den: int = 1, name: str = ""):
-        if A.dtype.kind != "i" and A.dtype != object:
+        if not is_int_array(A):
             raise TypeError("a module action is an integer stack")
         if A.ndim != 3 or A.shape[0] != algebra.dim or A.shape[1] != A.shape[2]:
             raise ValueError("one square action matrix per algebra basis element required")
@@ -283,10 +283,10 @@ def killing_orthocomplement(g: LieAlgebra, sub: Subspace) -> Subspace:
     return comp
 
 
-def submodule_generated(v: LieModule, vec: Sequence[Fraction | int]) -> Subspace:
-    """Smallest action-invariant subspace containing the vector: grow the
-    span by the images of its integer basis under the stack until it is
-    stable."""
+def submodule_generated(v: LieModule, vec: Sequence[int]) -> Subspace:
+    """Smallest action-invariant subspace containing the integer vector:
+    grow the span by the images of its integer basis under the stack until
+    it is stable."""
     if len(vec) != v.dim:
         raise ValueError("vector has the wrong length")
     span = Subspace.from_vectors(v.dim, [vec])

@@ -340,7 +340,7 @@ def check_cayley(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome:
     sub, restricted = c.imaginary_subspace()
     out.expect("imaginary_dim", sub.dim, 7)
     out.expect("imag_signature", restricted.signature, (3, 4, 0))
-    out.expect("unit_outside_imaginary", sub.contains_vector(c.unit), False)
+    out.expect("unit_outside_imaginary", sub.contains_vector(u), False)
     return out
 
 

@@ -109,6 +109,8 @@ class CartanType:
 def cartan_type(name: str, rank: int | None = None) -> CartanType:
     """Look up a type from a label like "G2" or a letter plus explicit rank."""
     name = name.strip().upper()
+    if not name:
+        raise ValueError("empty Cartan type label")
     letter = name[0]
     if len(name) > 1:
         declared = int(name[1:])

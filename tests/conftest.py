@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from g2cert.lie import LieAlgebra
-from g2cert.linalg import ONE, ZERO, clear_denominators, int_cleared, int_einsum
+from g2cert.linalg import clear_denominators, int_cleared, int_einsum
 from g2cert.octonion import DIM, SplitCayley, StructureConstantAlgebra, build_split_cayley
 from g2cert.reps import LieModule
 from g2cert.suite import VerificationContext
@@ -14,16 +14,30 @@ settings.register_profile("default", deadline=None)
 settings.load_profile("default")
 
 
-def structure_constants(g):
-    """The constants c_ijk of g as a nested list of Fractions."""
-    return [[[Fraction(int(x), g.den) for x in prod] for prod in row] for row in g.C.tolist()]
-
-
 def fractions(a, den=1):
     """The rational array a / den of an integer array a, as an object array
     of Fractions: the reference representation the tests compute with."""
     a = np.asarray(a, dtype=object)
     return np.array([Fraction(int(x), den) for x in a.flat], dtype=object).reshape(a.shape)
+
+
+def leading_one_basis(sub):
+    """The canonical basis of the Subspace sub as leading-1 Fraction rows:
+    each stored primitive row over its pivot entry."""
+    return tuple(tuple(Fraction(x, r[p]) for x in r) for r, p in zip(sub.rows, sub.pivots))
+
+
+def int_family(vectors, n):
+    """A family of n-wide rational rows times its least common denominator,
+    as one integer array: the same span, in the form Subspace.from_vectors
+    takes."""
+    return int_cleared(np.array(vectors, dtype=object).reshape(len(vectors), n))[0]
+
+
+def lie_algebra(consts, name=""):
+    """The Lie algebra of a nested sequence of rational constants c_ijk,
+    cleared to the integer tensor and denominator the constructor takes."""
+    return LieAlgebra(*int_cleared(consts), name=name)
 
 
 def coordinates_of(sub, vec):
@@ -35,7 +49,7 @@ def coordinates_of(sub, vec):
         raise ValueError("ambient dimension mismatch")
     coeffs = tuple(vec[p] for p in sub.pivots)
     residual = list(vec)
-    for c, row in zip(coeffs, sub.basis):
+    for c, row in zip(coeffs, leading_one_basis(sub)):
         for j, x in enumerate(row):
             residual[j] -= c * x
     return None if any(residual) else coeffs
@@ -74,7 +88,7 @@ def action_matrices(v):
 
 
 def basis_element(i):
-    return tuple(ONE if j == i else ZERO for j in range(DIM))
+    return tuple(Fraction(int(j == i)) for j in range(DIM))
 
 
 def conjugate(c, x):
@@ -109,22 +123,21 @@ def cayley_mutant(changes):
 
 
 def abelian_algebra(dim):
-    return LieAlgebra(brackets=[[[ZERO] * dim] * dim] * dim, name="abelian")
+    return LieAlgebra(np.zeros((dim,) * 3, dtype=np.int64), name="abelian")
 
 
 def zero_algebra():
-    return LieAlgebra(brackets=(), name="0")
+    return LieAlgebra(np.zeros((0, 0, 0), dtype=np.int64), name="0")
 
 
 def direct_sum_algebra(a, b):
-    """a + b with [a, b] = 0, basis of a first."""
+    """a + b with [a, b] = 0, basis of a first, over the denominator
+    a.den * b.den."""
     dim = a.dim + b.dim
-    brackets = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    for g, off in ((a, 0), (b, a.dim)):
-        for i, row in enumerate(structure_constants(g)):
-            for j, prod in enumerate(row):
-                brackets[off + i][off + j][off : off + g.dim] = prod
-    return LieAlgebra(brackets=brackets, name=f"{a.name}+{b.name}")
+    c = np.zeros((dim,) * 3, dtype=object)
+    c[: a.dim, : a.dim, : a.dim] = a.C.astype(object) * b.den
+    c[a.dim :, a.dim :, a.dim :] = b.C.astype(object) * a.den
+    return LieAlgebra(c, a.den * b.den, name=f"{a.name}+{b.name}")
 
 
 def direct_sum_module(v, w):
@@ -168,11 +181,11 @@ def matrix_algebra_2x2():
     """Structure constants of the full 2x2 matrix algebra, basis E11,E12,E21,E22."""
     pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
     idx = {p: i for i, p in enumerate(pairs)}
-    mul = [[[ZERO] * 4 for _ in range(4)] for _ in range(4)]
+    mul = [[[0] * 4 for _ in range(4)] for _ in range(4)]
     for i, (a, b) in enumerate(pairs):
         for j, (c, d) in enumerate(pairs):
             if b == c:
-                mul[i][j][idx[(a, d)]] = ONE
+                mul[i][j][idx[(a, d)]] = 1
     return StructureConstantAlgebra(
         dim=4, mul=tuple(tuple(tuple(p) for p in row) for row in mul)
     )
@@ -181,4 +194,4 @@ def matrix_algebra_2x2():
 @pytest.fixture(scope="session")
 def rational_line_algebra():
     """The 1-dimensional unital algebra (the base field itself)."""
-    return StructureConstantAlgebra(dim=1, mul=(((ONE,),),))
+    return StructureConstantAlgebra(dim=1, mul=(((1,),),))

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from g2cert import suite, weyl
 from g2cert.lie import (
     centralizer,
     derivation_algebra,
@@ -21,6 +22,7 @@ from g2cert.lie import (
 from g2cert.linalg import NormForm, Subspace, int_cleared, rank, rref, signature
 from g2cert.octonion import StructureConstantAlgebra
 from g2cert.reps import (
+    InvariantForms,
     adjoint_module,
     bracket_span,
     hom_space,
@@ -235,6 +237,51 @@ def test_criterion_12_determinism_and_negative_controls():
         f"ACCEPTANCE 12 PASS ({suite_elapsed:.2f}s < 60s): deterministic suite, "
         "each corruption flips exactly its target"
     )
+
+
+def _form_space_of_dim_2(ctx, monkeypatch):
+    """The invariant forms with a second, non-invariant matrix (the identity)
+    added to their space; the symmetric part and generator are the real ones."""
+    real = ctx.natural_forms
+    space = Subspace.from_vectors(49, np.vstack([real.space.int_basis(), np.eye(7, dtype=int).reshape(1, 49)]))
+    ctx._cache["forms"] = InvariantForms(space=space, symmetric=real.symmetric, generator=real.generator)
+
+
+def _no_complement_isomorphism(ctx, monkeypatch):
+    ctx._cache["viso"] = None
+
+
+def _census_off_by_one(ctx, monkeypatch):
+    # this module's own name keeps the original census
+    monkeypatch.setattr(weyl, "simple_algebra_census", lambda dim, max_rank: simple_algebra_census(dim + 1, max_rank))
+
+
+def _closure_never_grows(ctx, monkeypatch):
+    monkeypatch.setattr(suite, "subalgebra_closure", lambda g, seed: seed)
+
+
+# target: (a corruption of a fresh context, the expectation it must trip)
+NEGATIVE_CONTROLS = {
+    "invariant-form": (_form_space_of_dim_2, "form_space_dim"),
+    "decomposition": (_no_complement_isomorphism, "iso_to_natural_exists"),
+    "recognition": (_census_off_by_one, "census_dim21"),
+    "maximality": (_closure_never_grows, "closure_failures"),
+}
+
+
+@pytest.mark.parametrize("target", sorted(NEGATIVE_CONTROLS))
+def test_criterion_12_negative_control_flips_only_its_target(target, monkeypatch):
+    """A corrupted cache entry or a drifted callee fails its target check
+    (not an error) on the named expectation; every check that does not
+    depend on the target still passes."""
+    corrupt, expectation = NEGATIVE_CONTROLS[target]
+    ctx = VerificationContext()
+    corrupt(ctx, monkeypatch)
+    by_id = {r.id: r for r in run_all(SuiteConfig(samples=5), ctx=ctx)}
+    assert by_id[target].status == "fail"
+    assert expectation in by_id[target].witnesses["failed_expectations"]
+    untouched = [r for r in by_id.values() if r.id != target and target not in _dependency_closure(r.id)]
+    assert all(r.status == "pass" for r in untouched), [(r.id, r.status) for r in untouched]
 
 
 def _dependency_closure(check_id: str) -> set:

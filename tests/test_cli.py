@@ -94,6 +94,12 @@ def test_dims_bad_type_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("label", ["", " "])
+def test_dims_blank_type_exits_2(capsys, label):
+    code, _, err = run_cli(capsys, "dims", "--type", label, "--max-coeff", "2")
+    assert code == 2 and "empty Cartan type label" in err
+
+
 def test_over_cap_inputs_exit_2_before_any_work(capsys, monkeypatch):
     """dims --type E8 --max-coeff 10 would enumerate 11^8 (about 2e8)
     weights; it and over-cap verify options are rejected up front."""

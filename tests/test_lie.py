@@ -14,19 +14,21 @@ from g2cert.lie import (
     subalgebra_closure,
     transporter_into,
 )
-from g2cert.linalg import Subspace, coordinate_map, int_cleared, kernel_basis, rank
+from g2cert.linalg import Subspace, coordinate_map, int_array, int_cleared, kernel_basis, rank
 from g2cert.octonion import StructureConstantAlgebra
 
 from conftest import (
     abelian_algebra,
+    ad,
     bracket,
     cayley_mutant,
     diagonal,
     direct_sum_algebra,
     fractions,
     gram,
+    leading_one_basis,
+    lie_algebra,
     realization_matrices,
-    structure_constants,
 )
 
 Z = Fraction(0)
@@ -35,8 +37,8 @@ Z = Fraction(0)
 @pytest.fixture(scope="module")
 def sl2():
     # basis (h, e, f): [h,e] = 2e, [h,f] = -2f, [e,f] = h
-    return LieAlgebra(
-        brackets=(
+    return lie_algebra(
+        (
             ((Z, Z, Z), (Z, Fraction(2), Z), (Z, Z, Fraction(-2))),
             ((Z, Fraction(-2), Z), (Z, Z, Z), (Fraction(1), Z, Z)),
             ((Z, Z, Fraction(2)), (Fraction(-1), Z, Z), (Z, Z, Z)),
@@ -56,21 +58,50 @@ def _sl2_scaled(n, drift=0):
 
 
 def _unit(n, i):
-    return tuple(Fraction(int(j == i)) for j in range(n))
+    return tuple(int(j == i) for j in range(n))
 
 
 @pytest.mark.parametrize(
     "brackets",
     [
-        (((Z, Z), (Z,)), ((Z, Z), (Z, Z))),  # ragged innermost row
-        (((Z, Z, Z), (Z, Z, Z)), ((Z, Z, Z), (Z, Z, Z))),  # 2 x 2 x 3
-        (((Z, Z), (Z, Z), (Z, Z)), ((Z, Z), (Z, Z), (Z, Z))),  # 2 x 3 x 2
-        ((Z, Z), (Z, Z)),  # 2 x 2
+        np.zeros((2, 2, 2, 1), dtype=np.int64),  # a fourth axis
+        np.zeros((2, 2, 3), dtype=np.int64),
+        np.zeros((2, 3, 2), dtype=object),
+        np.zeros((2, 2), dtype=np.int64),
     ],
 )
 def test_misshaped_bracket_tensor_rejected(brackets):
     with pytest.raises(ValueError):
-        LieAlgebra(brackets=brackets)
+        LieAlgebra(brackets)
+
+
+@pytest.mark.parametrize(
+    "tensor",
+    [
+        np.full((1, 1, 1), Fraction(0), dtype=object),  # integral Fractions
+        np.array([[[Fraction(1, 2), 0], [0, 0]], [[0, 0], [0, 0]]], dtype=object),
+        np.zeros((2, 2, 2)),  # floats
+        np.zeros((2, 2, 2), dtype=bool),
+        [[[0]]],  # a nested list, not an array
+    ],
+)
+def test_lie_algebra_rejects_non_integer_tensor(tensor):
+    with pytest.raises(TypeError):
+        LieAlgebra(tensor)
+
+
+@pytest.mark.parametrize("den", [0, -1])
+def test_lie_algebra_rejects_non_positive_denominator(den):
+    with pytest.raises(ValueError, match="denominator"):
+        LieAlgebra(np.zeros((2, 2, 2), dtype=np.int64), den)
+
+
+def test_lie_algebra_is_held_in_lowest_terms(sl2):
+    """Scaling C and den by one factor gives the same algebra; a tensor past
+    int64 after the scaling comes back to int64."""
+    for factor in (6, 2**70):
+        g = LieAlgebra(sl2.C.astype(object) * factor, sl2.den * factor)
+        assert (g.C.tolist(), g.den) == (sl2.C.tolist(), sl2.den) and g.C.dtype == np.int64
 
 
 def test_constants_beyond_int64_checked_exactly():
@@ -78,15 +109,15 @@ def test_constants_beyond_int64_checked_exactly():
     antisymmetry and Jacobi checks run on Python ints; both still accept sl2
     and reject a one-unit drift."""
     n = 2**40
-    g = LieAlgebra(brackets=_sl2_scaled(n))
+    g = lie_algebra(_sl2_scaled(n))
     assert g.C.dtype == object and g.den == n
     assert bracket(g, _unit(3, 1), _unit(3, 2)) == (Fraction(1, n), Z, Z)
     with pytest.raises(ValueError, match="Jacobi"):
-        LieAlgebra(brackets=_sl2_scaled(n, drift=1))
+        lie_algebra(_sl2_scaled(n, drift=1))
     lopsided = _sl2_scaled(n)
     lopsided[1][0][1] -= 1
     with pytest.raises(ValueError, match="antisymmetric"):
-        LieAlgebra(brackets=lopsided)
+        lie_algebra(lopsided)
 
 
 def _bracket_by_units(g):
@@ -95,21 +126,21 @@ def _bracket_by_units(g):
     return [[bracket(g, _unit(n, i), _unit(n, j)) for j in range(n)] for i in range(n)]
 
 
-def _killing_by_traces(g):
-    """Reference Gram matrix: trace(ad x ad y) on basis pairs, with entry
-    (k, m) of ad(e_i) read off the bracket table as ads[i][m][k]."""
-    n, ads = g.dim, _bracket_by_units(g)
-    return [
-        [sum(ads[i][m][k] * ads[j][k][m] for k in range(n) for m in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-
-
 def test_killing_form_matches_trace_reference(sl2, derivations, so34):
-    scaled = [LieAlgebra(brackets=_sl2_scaled(n)) for n in (Fraction(2, 3), 2**40)]
+    """den^2 K[i, j] = trace(ad_i ad_j) on every basis pair, with ad_i =
+    C[i]^T read off the tensor and multiplied as matrices; a few pairs are
+    also checked on the Fraction matrices of ``ad``."""
+    scaled = [lie_algebra(_sl2_scaled(n)) for n in (Fraction(2, 3), 2**40)]
     for g in (sl2, derivations, so34, *scaled):
         kf = killing_form(g)
-        assert fractions(kf.G, kf.den).tolist() == _killing_by_traces(g)
+        n, cmax = g.dim, int(np.max(np.abs(g.C)))
+        ads = int_array(g.C.transpose(0, 2, 1), n * n * cmax * cmax)
+        traces = np.trace(ads[:, None] @ ads[None], axis1=2, axis2=3).astype(object)
+        # K = G / kden and trace(ad_i ad_j) = traces / den^2
+        assert np.array_equal(traces * kf.den, kf.G.astype(object) * g.den**2)
+        for i, j in ((0, 0), (0, n - 1), (n // 2, 1)):
+            x, y = _unit(n, i), _unit(n, j)
+            assert np.trace(ad(g, x) @ ad(g, y)) == Fraction(int(kf.G[i, j]), kf.den)
 
 
 def test_from_matrix_basis_on_non_canonical_basis():
@@ -131,7 +162,7 @@ def test_from_matrix_basis_on_non_canonical_basis():
 
 
 def test_bracket_table_matches_bracket():
-    g = LieAlgebra(brackets=_sl2_scaled(Fraction(2, 3)))
+    g = lie_algebra(_sl2_scaled(Fraction(2, 3)))
     table = g.bracket_table(np.eye(3, dtype=int), np.array([(1, 2, -1), (0, 0, 3)]))
     ref = _bracket_by_units(g)
     assert g.den > 1
@@ -154,23 +185,23 @@ def test_centralizer_and_transporter_match_row_by_row_reference(sl2, derivations
         # [x, v] = sum_i x_i [e_i, v]; row (v, k) in the unknowns x_i
         rows = [
             [sum(v[j] * table[i][j][k] for j in range(n)) for i in range(n)]
-            for v in s.basis
+            for v in leading_one_basis(s)
             for k in range(n)
         ]
         assert centralizer(g, s) == kernel_basis(int_cleared(rows)[0])
         # [h, e_j] pairs to zero with every annihilator row u of s
-        ann = kernel_basis(int_cleared(s.basis)[0])
+        ann = kernel_basis(int_cleared(leading_one_basis(s))[0])
         rows = [
             [sum(u[k] * table[i][j][k] for k in range(n)) for i in range(n)]
             for j in range(n)
-            for u in ann.basis
+            for u in leading_one_basis(ann)
         ]
         assert transporter_into(g, s) == kernel_basis(int_cleared(rows)[0])
 
 
 def test_antisymmetry_enforced():
     with pytest.raises(ValueError):
-        LieAlgebra(brackets=(((Fraction(1),),),))
+        LieAlgebra(np.ones((1, 1, 1), dtype=np.int64))
 
 
 def test_jacobi_enforced_for_small_algebras():
@@ -178,15 +209,12 @@ def test_jacobi_enforced_for_small_algebras():
     # use the classic non-example [e1,e2]=e3, [e1,e3]=e3 variant, alone and
     # padded with an abelian summand to dimension 13
     for dim in (3, 13):
-        bad = [[[Z] * dim for _ in range(dim)] for _ in range(dim)]
-        bad[0][1][2] = Fraction(1)
-        bad[1][0][2] = Fraction(-1)
-        bad[0][2][0] = Fraction(1)
-        bad[2][0][0] = Fraction(-1)
-        bad[1][2][1] = Fraction(1)
-        bad[2][1][1] = Fraction(-1)
-        with pytest.raises(ValueError):
-            LieAlgebra(brackets=tuple(tuple(tuple(p) for p in row) for row in bad))
+        bad = np.zeros((dim,) * 3, dtype=np.int64)
+        bad[0, 1, 2], bad[1, 0, 2] = 1, -1
+        bad[0, 2, 0], bad[2, 0, 0] = 1, -1
+        bad[1, 2, 1], bad[2, 1, 1] = 1, -1
+        with pytest.raises(ValueError, match="Jacobi"):
+            LieAlgebra(bad)
 
 
 def test_derivations_of_the_base_field(rational_line_algebra):
@@ -249,7 +277,7 @@ def test_derivation_system_matches_row_by_row_reference(matrix_algebra_2x2):
         _rescaled(matrix_algebra_2x2, (1, Fraction(2, 3), 5, 1)),
         _rescaled(matrix_algebra_2x2, (1, Fraction(2**70), 1, 1)),
     ):
-        expected = kernel_basis(int_cleared(_derivation_rows(alg))[0]).basis
+        expected = leading_one_basis(kernel_basis(int_cleared(_derivation_rows(alg))[0]))
         assert tuple(tuple(d.flat) for d in realization_matrices(derivation_algebra(alg))) == expected
 
 
@@ -258,7 +286,7 @@ def test_so_system_matches_row_by_row_reference():
         diagonal([1, -2, Fraction(1, 3), 5]),
         np.array([[0, 1, 0], [1, 0, 0], [0, 0, 2**70]], dtype=object),
     ):
-        expected = kernel_basis(int_cleared(_so_rows(b))[0]).basis
+        expected = leading_one_basis(kernel_basis(int_cleared(_so_rows(b))[0]))
         so_b = so_of_form(int_cleared(b)[0])
         assert tuple(tuple(x.flat) for x in realization_matrices(so_b)) == expected
 
@@ -314,19 +342,20 @@ def test_killing_of_derivations(derivations):
 
 
 def test_killing_ad_invariance(derivations):
-    """K([z,x],y) + K(x,[z,y]) = 0 on all basis triples."""
-    kf = killing_form(derivations)
+    """K([z,x],y) + K(x,[z,y]) = 0 on all basis triples: with t = C G, whose
+    entry (z, x, y) is den kden K([z,x],y), the sum is t + t^T over (x, y).
+    A few triples are also checked on Fractions."""
+    g, kf = derivations, killing_form(derivations)
+    n = g.dim
+    peak = n * int(np.max(np.abs(g.C))) * int(np.max(np.abs(kf.G)))
+    t = int_array(g.C, peak) @ int_array(kf.G, peak)
+    assert t.shape == (n, n, n) and np.any(t)
+    assert not np.any(t + t.transpose(0, 2, 1))
     k = fractions(kf.G, kf.den)
-    n = derivations.dim
-    unit = lambda i: tuple(Fraction(1 if j == i else 0) for j in range(n))
-    for z in range(n):
-        for x in range(n):
-            zx = bracket(derivations, unit(z), unit(x))
-            for y in range(n):
-                zy = bracket(derivations, unit(z), unit(y))
-                lhs = sum(zx[m] * k[m][y] for m in range(n) if zx[m])
-                rhs = sum(k[x][m] * zy[m] for m in range(n) if zy[m])
-                assert lhs + rhs == 0
+    for z, x, y in ((0, 1, 2), (3, 7, 11), (13, 5, 5)):
+        zx = bracket(g, _unit(n, z), _unit(n, x))
+        zy = bracket(g, _unit(n, z), _unit(n, y))
+        assert sum(zx[m] * k[m][y] for m in range(n)) + sum(k[x][m] * zy[m] for m in range(n)) == 0
 
 
 def test_semisimplicity(sl2, derivations):
@@ -375,9 +404,7 @@ def test_closure_monotone_idempotent(sl2):
 
 def test_closure_maximality_single_vector(ctx):
     so34 = ctx.so34
-    seed = Subspace.from_vectors(
-        21, list(ctx.g2_image.basis) + [ctx.complement.basis[0]]
-    )
+    seed = Subspace.from_vectors(21, list(ctx.g2_image.rows) + [ctx.complement.rows[0]])
     assert subalgebra_closure(so34, seed).dim == 21
 
 
@@ -426,4 +453,4 @@ def test_from_matrix_basis_rejects_unclosed_family():
 def test_realization_consistency_enforced(sl2):
     wrong = (np.array([np.eye(3, dtype=int)] * 3), 1)
     with pytest.raises(ValueError):
-        LieAlgebra(brackets=structure_constants(sl2), realization=wrong)
+        LieAlgebra(sl2.C, sl2.den, realization=wrong)

@@ -14,7 +14,7 @@ from g2cert.linalg import (
     NormForm,
     Subspace,
     _rref_mod_p,
-    _rows_to_int,
+    clear_denominators,
     coordinate_map,
     int_cleared,
     int_einsum,
@@ -25,7 +25,7 @@ from g2cert.linalg import (
     signature,
 )
 
-from conftest import coordinates_of, diagonal, zeros
+from conftest import coordinates_of, diagonal, int_family, leading_one_basis, zeros
 
 fractions = st.builds(
     Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4)
@@ -80,7 +80,7 @@ def test_kernel_zero_matrix():
 def test_kernel_line():
     k = kernel_basis(np.array([[1, 1]]))
     assert k.dim == 1
-    assert k.basis == ((Fraction(1), Fraction(-1)),)
+    assert leading_one_basis(k) == ((Fraction(1), Fraction(-1)),)
 
 
 def test_span_ops_trivial():
@@ -213,7 +213,7 @@ def test_rref_idempotent(m):
 
 @given(matrices())
 def test_kernel_vectors_annihilate(m):
-    for v in kernel_basis(cleared(m)).basis:
+    for v in leading_one_basis(kernel_basis(cleared(m))):
         assert all(x == 0 for x in apply(m, v))
 
 
@@ -231,7 +231,7 @@ def test_signature_congruence_invariant(m, seed):
 @given(st.lists(st.lists(fractions, min_size=3, max_size=3), min_size=1, max_size=4), st.integers(0, 2**32))
 def test_subspace_canonicalization(vectors, seed):
     """Different spanning sets of the same space store identical bases."""
-    sub = Subspace.from_vectors(3, vectors)
+    sub = Subspace.from_vectors(3, int_family(vectors, 3))
     rng = random.Random(seed)
     mixed = list(vectors)
     for _ in range(4):
@@ -239,7 +239,7 @@ def test_subspace_canonicalization(vectors, seed):
         c = Fraction(rng.randint(1, 5))
         mixed.append(tuple(a + c * b for a, b in zip(mixed[i], mixed[j])))
     rng.shuffle(mixed)
-    assert Subspace.from_vectors(3, mixed) == sub
+    assert Subspace.from_vectors(3, int_family(mixed, 3)) == sub
 
 
 @given(
@@ -247,8 +247,8 @@ def test_subspace_canonicalization(vectors, seed):
     st.lists(st.lists(fractions, min_size=4, max_size=4), min_size=0, max_size=3),
 )
 def test_span_dimension_formula(vecs_a, vecs_b):
-    a = Subspace.from_vectors(4, vecs_a)
-    b = Subspace.from_vectors(4, vecs_b)
+    a = Subspace.from_vectors(4, int_family(vecs_a, 4))
+    b = Subspace.from_vectors(4, int_family(vecs_b, 4))
     total, common = a.sum(b), a.intersection(b)
     assert total.dim + common.dim == a.dim + b.dim
     assert total.contains(a) and total.contains(b)
@@ -274,7 +274,7 @@ def test_modular_kernel_large_system():
     m = np.array(rows, dtype=np.int64)
     kern = kernel_basis(m)
     assert kern.dim == m.shape[1] - rref(m).rank
-    for v in kern.basis:
+    for v in leading_one_basis(kern):
         assert all(x == 0 for x in apply(m, v))
 
 
@@ -317,24 +317,26 @@ def test_unlucky_first_prime_falls_back_to_fraction_free(monkeypatch):
     assert calls[:2] == [rank(m) - 1, len(rows)]
     assert kern == _reference_kernel(m)
     assert kern.dim == ncols - rref(m).rank
-    for v in kern.basis:
+    for v in leading_one_basis(kern):
         assert v[0] == 0
         assert all(x == 0 for x in apply(m, v))
 
 
 def test_subspace_coordinates_roundtrip():
     sub = Subspace.from_vectors(3, [(1, 2, 0), (0, 1, 1)])
-    vec = tuple(Fraction(x) for x in (2, 5, 1))
+    vec = (2, 5, 1)
     coords = coordinates_of(sub, vec)
     assert coords is not None and sub.contains_vector(vec)
     rebuilt = [Fraction(0)] * 3
-    for c, b in zip(coords, sub.basis):
+    for c, b in zip(coords, leading_one_basis(sub)):
         for j, x in enumerate(b):
             rebuilt[j] += c * x
     assert tuple(rebuilt) == vec
     assert coordinates_of(sub, (1, 0, 0)) is None and not sub.contains_vector((1, 0, 0))
     with pytest.raises(ValueError):
         sub.contains_vector((1, 0))
+    with pytest.raises(ValueError):
+        sub.contains_vector((Fraction(2), Fraction(5), Fraction(1)))
 
 
 @pytest.mark.parametrize(
@@ -342,11 +344,21 @@ def test_subspace_coordinates_roundtrip():
     [
         (2, ((1, 1), (0, 1))),  # nonzero entry above a later pivot
         (2, ((1, 0, 0),)),  # row longer than the ambient space
-        (2, ((2, 0),)),  # pivot entry not 1
+        (2, ((2, 0),)),  # not primitive
         (3, ((0, 1, 0), (1, 0, 0))),  # pivots not increasing
         (3, ((1, 0, 0), (1, 0, 0))),  # repeated pivot
         (2, ((0, 0),)),  # zero row
         (3, ((1, 0, 0), (0, 1, 0), (0, 1, 1))),  # entry below a pivot
+        (2, ((-1, 0),)),  # negative pivot
+        (3, ((2, -4, 0), (0, 0, 1))),  # not primitive, past the pivot
+        (3, ((-2, 1, 0), (0, 0, 1))),  # primitive, negative pivot
+        (3, ((2, 1, 1), (0, 3, 1))),  # primitive, nonzero in a later pivot column
+        (3, ((1, 0, 0), (0, 0, 1, 0))),  # second row too wide
+        (3, ((1, 0),)),  # row too short
+        (3, ((1, Fraction(1, 2), 0),)),  # the leading-1 form: not integers
+        (2, ((1, 0.5),)),  # a float
+        (2, ((Fraction(1), 0),)),  # an integral Fraction
+        (1, ((True,),)),  # a bool
     ],
 )
 def test_subspace_rejects_non_canonical_basis(ambient, basis):
@@ -355,9 +367,10 @@ def test_subspace_rejects_non_canonical_basis(ambient, basis):
 
 
 def test_subspace_accepts_canonical_basis():
-    sub = Subspace(3, ((1, Fraction(1, 2), 0), (0, 0, 1)))
+    sub = Subspace(3, ((2, 1, 0), (0, 0, 1)))
     assert sub.pivots == (0, 2)
     assert sub == Subspace.from_vectors(3, [(2, 1, 4), (0, 0, 3)])
+    assert Subspace(3, [[2**70 + 1, 2**70, 0]]).rows == ((2**70 + 1, 2**70, 0),)
 
 
 @pytest.mark.parametrize(
@@ -370,13 +383,13 @@ def test_subspace_accepts_canonical_basis():
     ],
 )
 def test_subspace_basis_round_trips(ambient, basis, rows):
-    """The constructor stores the leading-1 basis as primitive integer rows,
-    and the Fraction view gives it back."""
-    sub = Subspace(ambient, basis)
-    assert sub.basis == basis and sub.rows == rows
+    """The constructor stores the primitive integer rows it is given, each
+    a multiple of its leading-1 basis row, and their span gives them back."""
+    sub = Subspace(ambient, rows)
+    assert leading_one_basis(sub) == basis and sub.rows == rows
     assert sub.int_basis().tolist() == [list(r) for r in rows]
-    rebuilt = Subspace.from_vectors(ambient, basis)
-    assert rebuilt == sub and rebuilt.basis == basis and rebuilt.pivots == sub.pivots
+    rebuilt = Subspace.from_vectors(ambient, int_family(basis, ambient))
+    assert rebuilt == sub and leading_one_basis(rebuilt) == basis and rebuilt.pivots == sub.pivots
 
 
 # Fraction-free elimination of every row, first pivot found, no gcd
@@ -403,10 +416,13 @@ def _reference_rref(work, ambient_dim):
 
 
 # The Fraction-normalizing construction of a span, kept as the reference for
-# Subspace.from_vectors: every pivot row of the reference elimination divided
-# by its pivot, handed to the validating constructor.
+# Subspace.from_vectors: every pivot row of the reference elimination of the
+# integer vectors divided by its pivot, cleared again (a leading-1 row over
+# its least denominator is primitive) and handed to the validating
+# constructor.
 def _reference_from_vectors(ambient_dim, vectors):
-    return Subspace(ambient_dim, tuple(_reference_rref(_rows_to_int(vectors), ambient_dim)[0]))
+    reduced = _reference_rref(vectors, ambient_dim)[0]
+    return Subspace(ambient_dim, [clear_denominators(row)[0] for row in reduced])
 
 
 # The kernel read off the reference elimination of every row of an integer
@@ -417,7 +433,7 @@ def _reference_kernel(m):
     reduced, pivots = _reference_rref(m.tolist(), ncols)
     free = [f for f in range(ncols) if f not in pivots]
     vectors = [[int(c == f) if c not in pivots else -reduced[pivots.index(c)][f] for c in range(ncols)] for f in free]
-    return _reference_from_vectors(ncols, vectors)
+    return _reference_from_vectors(ncols, int_family(vectors, ncols).tolist())
 
 
 # Entries that vanish modulo the certifying prime, so that some families of
@@ -441,15 +457,14 @@ def families(draw, entries):
 @given(st.one_of(families(fractions), families(integers)))
 def test_from_vectors_matches_fraction_reference(family):
     n, vectors = family
-    expected = _reference_from_vectors(n, vectors)
-    sub = Subspace.from_vectors(n, vectors)
-    assert sub == expected and sub.basis == expected.basis and sub.pivots == expected.pivots
-    assert sub.int_basis().tolist() == _rows_to_int(expected.basis)
-    if all(isinstance(x, int) for v in vectors for x in v):
-        array = np.array(vectors, dtype=object).reshape(len(vectors), n)
-        assert Subspace.from_vectors(n, array) == expected
-        if all(abs(x) < 2**62 for v in vectors for x in v):
-            assert Subspace.from_vectors(n, array.astype(np.int64)) == expected
+    ints = int_family(vectors, n)
+    expected = _reference_from_vectors(n, ints.tolist())
+    sub = Subspace.from_vectors(n, ints.tolist())
+    assert sub == expected and leading_one_basis(sub) == leading_one_basis(expected) and sub.pivots == expected.pivots
+    assert sub.int_basis().tolist() == [clear_denominators(row)[0] for row in leading_one_basis(expected)]
+    assert Subspace.from_vectors(n, ints.astype(object)) == expected
+    if all(abs(x) < 2**62 for x in ints.flat):
+        assert Subspace.from_vectors(n, ints.astype(np.int64)) == expected
 
 
 def _spy_on_exact_elimination(monkeypatch):
@@ -501,6 +516,20 @@ def test_from_vectors_rejects_non_integer_or_misshapen_arrays(array):
         Subspace.from_vectors(2, array)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(Fraction(1, 2), 1)],
+        [(1, 0), (Fraction(2), 0)],  # integral, but a Fraction
+        [(1, 0.5)],
+        [(np.int64(1), 0)],  # a numpy scalar in a list of rows
+    ],
+)
+def test_from_vectors_rejects_rational_rows(rows):
+    with pytest.raises(ValueError):
+        Subspace.from_vectors(2, rows)
+
+
 def test_int_einsum_exact_beyond_int64():
     """A product whose entries pass 2**63 is computed on Python ints; the
     explicit loop is the reference."""
@@ -548,9 +577,9 @@ def test_kernel_rejects_non_integer_array():
 @given(st.one_of(families(fractions), families(integers)))
 def test_cleared_basis_is_the_leading_1_basis_over_its_least_denominator(family):
     n, vectors = family
-    sub = Subspace.from_vectors(n, vectors)
+    sub = Subspace.from_vectors(n, int_family(vectors, n))
     b, s = sub.cleared_basis()
-    expected, den = int_cleared(sub.basis)
+    expected, den = int_cleared(leading_one_basis(sub))
     assert b.shape == (sub.dim, n) and s == den
     assert b.tolist() == expected.reshape(sub.dim, n).tolist()
 

@@ -3,14 +3,15 @@ import pathlib
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from g2cert.linalg import signature
-from g2cert.octonion import build_split_cayley
+from g2cert.octonion import StructureConstantAlgebra, _zorn_multiply, build_split_cayley
 
-from conftest import basis_element, conjugate, random_element
+from conftest import basis_element, conjugate, leading_one_basis, random_element
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "mul_table.json"
 
@@ -104,7 +105,7 @@ def test_conjugation_involution_and_norm(a):
 def test_conjugate_fixes_unit_and_negates_imaginaries(alg):
     assert conjugate(alg, alg.unit) == alg.unit
     sub, _ = alg.imaginary_subspace()
-    for b in sub.basis:
+    for b in leading_one_basis(sub):
         assert conjugate(alg, b) == tuple(-x for x in b)
 
 
@@ -138,6 +139,21 @@ def test_structure_constants_golden(alg):
     ]
     golden = json.loads(GOLDEN.read_text())
     assert table == golden
+
+
+def test_integer_construction_matches_fraction_reference(alg):
+    """The Zorn product on integer basis vectors gives the tensor, Gram
+    matrix and unit that the same product on Fraction basis vectors gave."""
+    basis = [basis_element(i) for i in range(8)]
+    reference = StructureConstantAlgebra(8, [[_zorn_multiply(x, y) for y in basis] for x in basis])
+    assert alg.algebra.M.tolist() == reference.M.tolist() and alg.algebra.den == reference.den == 1
+    assert alg.algebra.M.dtype == reference.M.dtype == np.int64
+    gram = np.zeros((8, 8), dtype=int)
+    gram[0, 1] = gram[1, 0] = 1
+    gram[[2, 3, 4, 5, 6, 7], [5, 6, 7, 2, 3, 4]] = -1
+    assert alg.form.G.tolist() == gram.tolist() and alg.form.den == 2
+    assert alg.unit == (Fraction(1), Fraction(1)) + (Fraction(0),) * 6
+    assert all(type(x) is int for x in alg.unit)
 
 
 def test_matrix_algebra_unit_detection(matrix_algebra_2x2):

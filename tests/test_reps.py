@@ -6,7 +6,7 @@ import pytest
 from g2cert.errors import DegenerateFormError, NotSemisimpleError, PreconditionError
 from g2cert.lie import LieAlgebra, killing_form, so_of_form
 from g2cert import reps
-from g2cert.linalg import ZERO, NormForm, Subspace, int_array, int_cleared, kernel_basis, rank
+from g2cert.linalg import NormForm, Subspace, clear_denominators, int_array, int_cleared, int_einsum, kernel_basis, rank
 from g2cert.reps import (
     Intertwiner,
     LieModule,
@@ -35,6 +35,9 @@ from conftest import (
     direct_sum_algebra,
     direct_sum_module,
     fractions,
+    int_family,
+    leading_one_basis,
+    lie_algebra,
     realization_matrices,
     zero_algebra,
     zeros,
@@ -137,8 +140,8 @@ def test_invariant_forms_natural_rep(ctx, natural_rep):
 
 
 def test_invariant_forms_sl2_adjoint_is_killing_line():
-    sl2 = LieAlgebra(
-        brackets=(
+    sl2 = lie_algebra(
+        (
             ((Z, Z, Z), (Z, Fraction(2), Z), (Z, Z, Fraction(-2))),
             ((Z, Fraction(-2), Z), (Z, Z, Z), (Fraction(1), Z, Z)),
             ((Z, Z, Fraction(2)), (Fraction(-1), Z, Z), (Z, Z, Z)),
@@ -192,8 +195,8 @@ def test_orthocomplement_of_image(ctx):
 
 
 def test_orthocomplement_rejects_degenerate_restriction():
-    sl2 = LieAlgebra(
-        brackets=(
+    sl2 = lie_algebra(
+        (
             ((Z, Z, Z), (Z, Fraction(2), Z), (Z, Z, Fraction(-2))),
             ((Z, Fraction(-2), Z), (Z, Z, Z), (Fraction(1), Z, Z)),
             ((Z, Z, Fraction(2)), (Fraction(-1), Z, Z), (Z, Z, Z)),
@@ -211,18 +214,20 @@ def test_complement_is_invariant(ctx):
 
 
 def test_submodule_generated_zero(natural_rep):
-    assert submodule_generated(natural_rep, (Z,) * 7).dim == 0
+    assert submodule_generated(natural_rep, (0,) * 7).dim == 0
 
 
 def test_submodule_generated_any_vector_fills_natural_rep(natural_rep):
     for k in range(7):
-        vec = tuple(Fraction(1 if i == k else 0) for i in range(7))
+        vec = tuple(int(i == k) for i in range(7))
         assert submodule_generated(natural_rep, vec).dim == 7
-    assert submodule_generated(natural_rep, tuple(Fraction(x) for x in (1, -2, 3, 0, 0, 5, 7))).dim == 7
+    assert submodule_generated(natural_rep, (1, -2, 3, 0, 0, 5, 7)).dim == 7
+    with pytest.raises(ValueError):
+        submodule_generated(natural_rep, (Fraction(1, 3),) + (0,) * 6)
 
 
 def test_submodule_generated_zero_algebra(zero_module_2d):
-    vec = (Fraction(1), Fraction(0))
+    vec = (1, 0)
     assert submodule_generated(zero_module_2d, vec).dim == 1
 
 
@@ -237,18 +242,28 @@ def test_bracket_span_examples(ctx):
 
 def test_bracket_map_is_module_homomorphism(ctx):
     """[x,[u,w]] = [[x,u],w] + [u,[x,w]] for image elements x and u, w in the
-    complement, exactly on all basis triples."""
+    complement, exactly on all triples of their primitive basis rows: with
+    br(a, b) = den [a, b] contracted from C, both sides are den^2 times the
+    identity.  A few triples are also checked on Fractions."""
     so34 = ctx.so34
-    for x in ctx.g2_image.basis:
-        for u in ctx.complement.basis:
-            xu = bracket(so34, x, u)
-            for w in ctx.complement.basis:
-                lhs = bracket(so34, x, bracket(so34, u, w))
-                rhs = tuple(
-                    a + b
-                    for a, b in zip(bracket(so34, xu, w), bracket(so34, u, bracket(so34, x, w)))
-                )
-                assert lhs == rhs
+    c = so34.C
+    xs, us = ctx.g2_image.int_basis(), ctx.complement.int_basis()
+
+    def br(a, b):  # den [a_p, b_q] for the rows of a and b, by p, q, k
+        return int_einsum("qj,pjk->pqk", b, int_einsum("pi,ijk->pjk", a, c))
+
+    xu = br(xs, us)  # also [x, w]
+    lhs = br(xs, br(us, us).reshape(-1, 21)).reshape(14, 7, 7, 21)
+    rhs = br(xu.reshape(-1, 21), us).reshape(14, 7, 7, 21)
+    rhs += br(us, xu.reshape(-1, 21)).reshape(7, 14, 7, 21).transpose(1, 0, 2, 3)
+    assert lhs.shape == (14, 7, 7, 21) and np.any(lhs)
+    assert np.array_equal(lhs, rhs)
+    x_basis, u_basis = leading_one_basis(ctx.g2_image), leading_one_basis(ctx.complement)
+    for x, u, w in ((x_basis[0], u_basis[0], u_basis[1]), (x_basis[13], u_basis[6], u_basis[3])):
+        xu = bracket(so34, x, u)
+        lhs = bracket(so34, x, bracket(so34, u, w))
+        rhs = tuple(a + b for a, b in zip(bracket(so34, xu, w), bracket(so34, u, bracket(so34, x, w))))
+        assert lhs == rhs
 
 
 def test_wedge_square_dimension(natural_rep):
@@ -292,7 +307,7 @@ def _minimal_polynomial(m: np.ndarray) -> tuple[Fraction, ...]:
         powers.append(powers[-1] @ m)
         kern = kernel_basis(int_cleared(np.array([p.flatten() for p in powers]).T)[0])
         if kern.dim:
-            c = kern.basis[0]
+            c = leading_one_basis(kern)[0]
             return tuple(x / c[-1] for x in c)
 
 
@@ -389,6 +404,19 @@ def test_intertwiner_validation(natural_rep):
         )
 
 
+@pytest.mark.parametrize(
+    "stack",
+    [
+        np.array([[[Fraction(1, 2), 0], [0, Fraction(1, 3)]]], dtype=object),  # not truncated to 0
+        np.full((1, 2, 2), Fraction(0), dtype=object),
+        np.zeros((1, 2, 2)),
+    ],
+)
+def test_module_rejects_non_integer_stack(stack):
+    with pytest.raises(TypeError):
+        LieModule(abelian_algebra(1), stack)
+
+
 def test_natural_module_requires_realization():
     with pytest.raises(ValueError):
         natural_module(abelian_algebra(2))
@@ -413,7 +441,7 @@ def _wedge_square_reference(mats, n):
     pos = {p: a for a, p in enumerate(idx)}
     out = []
     for m in mats:
-        rows = [[ZERO] * len(idx) for _ in idx]
+        rows = [[Z] * len(idx) for _ in idx]
         for col, (i, j) in enumerate(idx):
             for k in range(n):
                 c = m[k][i]
@@ -435,7 +463,7 @@ def _wedge_square_reference(mats, n):
 def _restricted_action_reference(mats, sub):
     out = []
     for m in mats:
-        cols = [coordinates_of(sub, _apply(m, b)) for b in sub.basis]
+        cols = [coordinates_of(sub, _apply(m, b)) for b in leading_one_basis(sub)]
         if any(c is None for c in cols):
             raise ValueError("subspace is not invariant under the action")
         out.append(np.array(cols, dtype=object).T.tolist())
@@ -445,11 +473,11 @@ def _restricted_action_reference(mats, sub):
 def _submodule_generated_reference(mats, n, vec):
     current = Subspace.from_vectors(n, [vec] if any(vec) else [])
     while True:
-        vectors = list(current.basis)
+        vectors = list(leading_one_basis(current))
         for m in mats:
-            for b in current.basis:
+            for b in leading_one_basis(current):
                 vectors.append(_apply(m, b))
-        grown = Subspace.from_vectors(n, vectors)
+        grown = Subspace.from_vectors(n, int_family(vectors, n))
         if grown.dim == current.dim:
             return grown
         current = grown
@@ -498,14 +526,14 @@ def _graph_of_p():
 
 def _reference_cases(natural_rep, so3, big_module, scaled_module):
     """(module, invariant subspaces, seed vectors) for each reference test."""
-    unit = lambda n, k: tuple(Fraction(int(i == k)) for i in range(n))
+    unit = lambda n, k: tuple(int(i == k) for i in range(n))
     return [
         (
             natural_rep,
             [Subspace.full(7)],
-            [unit(7, 0), unit(7, 6), tuple(Fraction(x, 3) for x in (1, -2, 3, 0, 0, 5, 7))],
+            [unit(7, 0), unit(7, 6), (1, -2, 3, 0, 0, 5, 7)],
         ),
-        (adjoint_module(so3), [Subspace.full(3)], [unit(3, 1), (Fraction(1, 2), Z, Z)]),
+        (adjoint_module(so3), [Subspace.full(3)], [unit(3, 1), (2**70, 0, 0)]),
         (
             big_module,
             [_graph_of_p(), Subspace.from_vectors(6, [unit(6, k) for k in range(3)])],
@@ -532,7 +560,7 @@ def test_restricted_action_matches_reference(ctx, natural_rep, so3, big_module, 
     # the graph of 2**-32 times the identity: basis denominator s = 2**32, so
     # the int64 images times s pass 2**63
     nat = natural_module(so3)
-    graph = Subspace.from_vectors(6, [[int(i == k) for i in range(3)] + [Fraction(int(i == k), 2**32) for i in range(3)] for k in range(3)])
+    graph = Subspace.from_vectors(6, [[2**32 * int(i == k) for i in range(3)] + [int(i == k) for i in range(3)] for k in range(3)])
     cases.append((direct_sum_module(nat, nat), [graph], []))
     for v, subs, _ in cases:
         for sub in subs:
@@ -560,7 +588,7 @@ def test_hom_space_on_large_entry_modules(so3, big_module, scaled_module):
     assert len(homs) == 4
     block = np.zeros((6, 6), dtype=object)
     block[:3, 3:] = _P
-    span = Subspace.from_vectors(36, [fractions(h.T, h.den).flatten() for h in homs])
+    span = Subspace.from_vectors(36, np.array([h.T.flatten() for h in homs], dtype=object))
     assert span.contains_vector(block.flatten())
     nat = natural_module(so3)
     other = LieModule(so3, nat.A * (_SCALE + 2), _SCALE + 2)
@@ -623,7 +651,9 @@ def test_hom_space_matches_kronecker_reference(ctx, so3, zero_module_2d, big_mod
     for v, w, dim in cases:
         homs = hom_space(v, w)
         assert len(homs) == dim
-        assert Subspace(w.dim * v.dim, tuple(fractions(h.T, h.den).flatten() for h in homs)) == _hom_reference(v, w)
+        # each basis element is its leading-1 row, and that row cleared is primitive
+        leading_one = [fractions(h.T, h.den).flatten() for h in homs]
+        assert Subspace(w.dim * v.dim, [clear_denominators(row)[0] for row in leading_one]) == _hom_reference(v, w)
     for v in {id(m): m for v, w, _ in cases for m in (v, w)}.values():
         forms = invariant_bilinear_forms(v)
         reference = _sylvester_kernel(v.A, -v.A.transpose(0, 2, 1))

@@ -29,7 +29,7 @@ from g2cert.suite import (
     run_all,
 )
 
-from conftest import E3E4_DRIFT, basis_element, cayley_mutant, diagonal, gram
+from conftest import E3E4_DRIFT, basis_element, cayley_mutant, diagonal, gram, leading_one_basis
 
 FAST = SuiteConfig(seed=0, samples=5, census_bound=10)
 
@@ -275,10 +275,10 @@ def reference_check_cayley(c, cfg):
     # clearing a symmetric matrix's denominators keeps its inertia and kernel
     out.expect("norm_signature", signature(int_cleared(gram(c))[0]), (4, 4, 0))
     sub = kernel_basis(int_cleared([[bilinear(b, e) for b in basis]])[0])
-    restricted = [[bilinear(x, y) for y in sub.basis] for x in sub.basis]
+    restricted = [[bilinear(x, y) for y in leading_one_basis(sub)] for x in leading_one_basis(sub)]
     out.expect("imaginary_dim", sub.dim, 7)
     out.expect("imag_signature", signature(int_cleared(restricted)[0]), (3, 4, 0))
-    out.expect("unit_outside_imaginary", sub.contains_vector(e), False)
+    out.expect("unit_outside_imaginary", sub.contains_vector(int_cleared(e)[0].tolist()), False)
     return out
 
 
