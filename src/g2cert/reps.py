@@ -188,7 +188,9 @@ def _intertwiner_space(a: np.ndarray, b: np.ndarray) -> Subspace:
     system = int_einsum("gjk,jrsc->gkrsc", c, ms) - int_einsum("grq,kqsc,->gkrsc", b, ms, d)
     kernel = np.eye(ms.shape[2] * nrows, dtype=object)  # surviving solutions as rows
     for block in system.reshape(len(a), ncols * nrows, len(kernel)):  # per generator: small systems
-        kernel = kernel_basis(int_einsum("ru,hu->rh", block, kernel)).int_basis() @ kernel
+        reduced = int_einsum("ru,hu->rh", block, kernel)
+        if reduced.any():  # an all-zero system keeps every solution
+            kernel = kernel_basis(reduced).int_basis() @ kernel
     t = int_einsum("krsc,hsc,ki->hri", ms, kernel.reshape(-1, *ms.shape[2:]), b_inv)
     return Subspace.from_vectors(nrows * ncols, t.reshape(-1, nrows * ncols))
 

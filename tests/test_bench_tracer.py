@@ -39,27 +39,39 @@ def test_tracer_records_kernel_solves_of_both_input_types():
     assert stats["max_cells"] == 6 * 9  # so(3): 6 equations in 9 unknowns
 
 
-def test_traced_maximality_run_reaches_every_layer_it_reports():
-    """A refactor that routes around a traced name would zero that layer's
-    metric without any test failing; this pins the names the maximality
-    workload reports on."""
-    originals = (reps.LieModule.__init__, reps.submodule_generated, suite.CHECKS)
+def _traced_maximality_run() -> tuple[list, dict]:
     tracer = _tracer_module().Tracer()
     tracer.install()
     try:
         reports = run_all(SuiteConfig(samples=1, checks=("maximality",)))
     finally:
         tracer.uninstall()
+    return [r.status for r in reports], tracer.summary()
+
+
+def test_traced_maximality_run_reaches_every_layer_it_reports(monkeypatch):
+    """A refactor that routes around a traced name would zero that layer's
+    metric without any test failing; this pins the names the maximality
+    workload reports on.  A pristine run proves every closure by generation,
+    so the closure is reached only where generation is made to fail."""
+    originals = (reps.LieModule.__init__, reps.submodule_generated, suite.CHECKS)
+    statuses, stats = _traced_maximality_run()
     assert (reps.LieModule.__init__, reps.submodule_generated, suite.CHECKS) == originals
-    assert [r.status for r in reports] == ["pass", "pass"]
-    stats = tracer.summary()
+    assert statuses == ["pass", "pass"]
     stages = ("natural_rep", "so34", "embedding", "g2_image", "so34_as_g2_module", "complement", "complement_module")
     for name in (
         "reps.LieModule",
         "reps.submodule_generated",
-        "lie.subalgebra_closure",
         "linalg.Subspace.from_vectors",
         "suite.check.maximality",
         *(f"suite.stage.{s}" for s in stages),
     ):
         assert stats.get(name, {}).get("calls", 0) > 0, name
+    assert stats.get("lie.subalgebra_closure", {}).get("calls", 0) == 0
+
+    # patched before the tracer installs, so uninstalling leaves the patch to monkeypatch
+    monkeypatch.setattr(suite, "submodule_generated", lambda v, vec: linalg.Subspace.from_vectors(v.dim, [vec]))
+    statuses, stats = _traced_maximality_run()
+    assert statuses == ["pass", "fail"]  # generation_failures; every closure still succeeds
+    assert stats.get("lie.subalgebra_closure", {}).get("calls", 0) > 0
+    assert lie.subalgebra_closure is suite.subalgebra_closure

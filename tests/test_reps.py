@@ -61,6 +61,17 @@ def test_hom_space_no_constraints(zero_module_2d):
     assert len(homs) == 4
 
 
+def test_hom_space_solves_no_all_zero_system(monkeypatch):
+    """Generators acting by zero impose no condition: their systems are all
+    zero, keep every solution and never reach kernel_basis."""
+    shapes = []
+    real = reps.kernel_basis
+    monkeypatch.setattr(reps, "kernel_basis", lambda m: shapes.append(m.shape) or real(m))
+    trivial = LieModule(abelian_algebra(2), np.zeros((2, 3, 3), dtype=np.int64))
+    assert len(hom_space(trivial, trivial)) == 9
+    assert shapes == []
+
+
 def test_hom_space_algebra_mismatch(zero_module_2d, natural_rep):
     with pytest.raises(ValueError):
         hom_space(zero_module_2d, natural_rep)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from g2cert import suite
 from g2cert.lie import killing_form, so_of_form
-from g2cert.linalg import Matrix, NormForm, int_cleared, kernel_basis, signature
+from g2cert.linalg import Matrix, NormForm, Subspace, int_cleared, kernel_basis, signature
 from g2cert.octonion import SplitCayley, StructureConstantAlgebra, build_split_cayley
 from g2cert.reps import LieModule
 from g2cert.report import exit_code, render_text, serialize, summarize
@@ -25,6 +25,7 @@ from g2cert.suite import (
     VerificationContext,
     _proportionality,
     check_cayley,
+    check_maximality,
     check_metric_constants,
     run_all,
 )
@@ -152,6 +153,71 @@ def test_maximality_basis_only(ctx):
     assert outcome.status == "pass"
     assert outcome.witnesses["random_samples"] == 0
     assert outcome.witnesses["basis_vectors"] == 7
+
+
+def _closure_spy(monkeypatch) -> list:
+    """Count the closures check_maximality runs; each call appends its seed."""
+    seeds = []
+    real = suite.subalgebra_closure
+
+    def spy(g, seed):
+        seeds.append(seed)
+        return real(g, seed)
+
+    monkeypatch.setattr(suite, "subalgebra_closure", spy)
+    return seeds
+
+
+def test_pristine_maximality_runs_no_closure(ctx, monkeypatch):
+    """Every sample generates V and image + V is all of so(3,4), so the
+    closure is everything by proof and never runs."""
+    seeds = _closure_spy(monkeypatch)
+    outcome = check_maximality(ctx, FAST)
+    assert outcome.status == "pass"
+    assert seeds == []
+
+
+def test_failed_generation_falls_back_to_the_closure(ctx, monkeypatch):
+    """A submodule_generated that returns only the seed's line fails every
+    generation; each of the 7 + samples seeds then runs the real closure,
+    which still reaches all of so(3,4)."""
+    seeds = _closure_spy(monkeypatch)
+    monkeypatch.setattr(suite, "submodule_generated", lambda v, vec: Subspace.from_vectors(v.dim, [vec]))
+    outcome = check_maximality(ctx, FAST)
+    assert outcome.witnesses["generation_failures"] == 7 + FAST.samples
+    assert outcome.witnesses["closure_failures"] == 0
+    assert outcome.failed == ["generation_failures"]
+    assert len(seeds) == 7 + FAST.samples
+
+
+def test_complement_inside_the_image_flips_maximality():
+    """With the image itself cached as the complement, every sample generates
+    its V (the adjoint module of a simple algebra is irreducible), but image +
+    V is only 14-dimensional: the closures run and stay inside the image."""
+    ctx = VerificationContext()
+    ctx._cache["complement"] = ctx.g2_image
+    outcome = check_maximality(ctx, FAST)
+    assert outcome.witnesses["basis_vectors"] == 14
+    assert outcome.witnesses["generation_failures"] == 0
+    assert outcome.witnesses["closure_failures"] == 14 + FAST.samples
+    assert outcome.failed == ["closure_failures"]
+
+
+@pytest.mark.parametrize("seed, samples", [(0, 20), (7, 20), (123, 20), (7, 300)])
+def test_maximality_matches_the_always_close_path(ctx, monkeypatch, seed, samples):
+    """The generation shortcut gives the same witnesses as running the
+    closure on every sample.  A sum that falls short of so(3,4) breaks the
+    lemma's premise, so every sample runs the closure whatever its
+    generation."""
+    cfg = SuiteConfig(seed=seed, samples=samples)
+    shortcut = check_maximality(ctx, cfg)
+    seeds = _closure_spy(monkeypatch)
+    monkeypatch.setattr(Subspace, "sum", lambda self, other: self)
+    always_close = check_maximality(ctx, cfg)
+    assert len(seeds) == 7 + samples
+    assert all(s.dim == 15 for s in seeds)  # the image and one vector of V
+    assert shortcut.witnesses == always_close.witnesses
+    assert shortcut.status == always_close.status == "pass"
 
 
 def test_config_validation():
