@@ -26,7 +26,9 @@ integer matrix's rank over Q is at least its rank mod p (Dixon, Numer. Math.
 * a ``Subspace`` holds its canonical basis as primitive integer rows, which
   ``from_vectors`` takes straight from elimination.  It skips the
   elimination when n rows picked independent mod p certify a full span of
-  Q^n; any other family is eliminated exactly.
+  Q^n; any other family is eliminated exactly;
+* ``ranks_mod_p`` ranks a stack of small systems in one batch, so that exact
+  work is left only for the systems whose rank mod p falls short.
 """
 
 from __future__ import annotations
@@ -238,6 +240,27 @@ def _rref_mod_p(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return a[: len(pivots)], pivots
+
+
+def ranks_mod_p(stack: np.ndarray) -> np.ndarray:
+    """The rank mod ``PRIME`` of each matrix of an integer stack, by one
+    fraction-free elimination of them all, in place: each row becomes
+    piv * row - row[c] * pivot_row (products below PRIME**2 < 2**62), which
+    also zeroes the pivot row, so no row is a pivot twice."""
+    a = np.mod(stack, PRIME).astype(np.int64, copy=False)
+    k, nrows, ncols = a.shape
+    ranks, at = np.zeros(k, dtype=np.int64), np.arange(k)
+    for c in range(ncols if nrows else 0):
+        col = a[:, :, c]
+        rows = np.argmax(col != 0, axis=1)
+        piv = col[at, rows]
+        ranks += piv != 0
+        rest = a[:, :, c + 1 :]
+        pivot_rows = rest[at, rows]
+        rest *= np.where(piv, piv, 1)[:, None, None]
+        rest -= col[:, :, None] * pivot_rows[:, None, :]
+        rest %= PRIME
+    return ranks
 
 
 def _independent_rows(a: np.ndarray) -> list[int]:

@@ -17,7 +17,7 @@ denominator, and invariant forms are ``linalg.NormForm`` Gram matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .linalg import (
     kernel_basis,
     lowest_terms,
     rank,
+    ranks_mod_p,
 )
 
 
@@ -69,6 +70,12 @@ class LieModule:
         if bad is not None:
             raise ValueError("homomorphism law fails at basis pair ({},{})".format(*bad))
 
+    @classmethod
+    def _raw(cls, algebra: LieAlgebra, A: np.ndarray, den: int, name: str) -> "LieModule":
+        mod = object.__new__(cls)
+        mod.algebra, mod.A, mod.den, mod.dim, mod.name = algebra, A, den, A.shape[1], name
+        return mod
+
 
 def adjoint_module(g: LieAlgebra) -> LieModule:
     """The adjoint module, den * ad(e_i) = C[i]^T, built (and its
@@ -79,9 +86,10 @@ def adjoint_module(g: LieAlgebra) -> LieModule:
 
 
 def natural_module(g: LieAlgebra, name: str = "") -> LieModule:
+    """The module of g's realization, whose bracket law LieAlgebra checked."""
     if g.realization is None:
         raise ValueError("algebra carries no matrix realization")
-    return LieModule(g, *g.realization, name=name or f"nat({g.name})")
+    return LieModule._raw(g, *g.realization, name=name or f"nat({g.name})")
 
 
 def restricted_action(a: np.ndarray, sub: Subspace) -> tuple[np.ndarray, int]:
@@ -285,13 +293,22 @@ def killing_orthocomplement(g: LieAlgebra, sub: Subspace) -> Subspace:
     return comp
 
 
-def submodule_generated(v: LieModule, vec: Sequence[int]) -> Subspace:
-    """Smallest action-invariant subspace containing the integer vector:
-    grow the span by the images of its integer basis under the stack until
-    it is stable."""
-    if len(vec) != v.dim:
-        raise ValueError("vector has the wrong length")
-    span = Subspace.from_vectors(v.dim, [vec])
+def submodule_generated(v: LieModule, vecs) -> list[Subspace]:
+    """The smallest invariant subspace containing x, for each integer row x
+    of vecs (as ``Subspace.from_vectors`` takes them).  Where [x; A_0 x; ...]
+    has rank dim V mod ``linalg.PRIME``, hence over Q, that is V; any other x
+    grows its span exactly, by the images of its basis, until it is stable."""
+    if not isinstance(vecs, np.ndarray):
+        vecs = np.array([tuple(x) for x in vecs] or np.zeros((0, v.dim), dtype=int), dtype=object)
+    if vecs.shape[1:] != (v.dim,) or not is_int_array(vecs):
+        raise ValueError("vectors must be a 2-D integer array of the module's width")
+    one_step = int_einsum("imn,kn->kim", np.concatenate([np.eye(v.dim, dtype=int)[None], v.A]), vecs)
+    full = Subspace.full(v.dim)
+    return [full if r == v.dim else _generated_exactly(v, vec) for vec, r in zip(vecs, ranks_mod_p(one_step))]
+
+
+def _generated_exactly(v: LieModule, vec: np.ndarray) -> Subspace:
+    span = Subspace.from_vectors(v.dim, vec[None])
     while 0 < span.dim < v.dim:
         basis = span.int_basis()
         images = int_einsum("imn,jn->ijm", v.A, basis).reshape(-1, v.dim)

@@ -236,23 +236,32 @@ def dimension_census(rs: RootSystem, coeff_bound: int) -> DimensionCensus:
     return DimensionCensus(entries=entries, monotone=monotone)
 
 
+def _drops_to(big: CartanType, small: CartanType) -> bool:
+    """Whether small's Cartan matrix is big's without node 0 (B, C, D) or its
+    last node (A, E): then small's roots embed in big's, so big is larger."""
+    keep = range(1, big.rank) if big.label[0] in "BCD" else range(big.rank - 1)
+    return [tuple(big.cartan_matrix[i][j] for j in keep) for i in keep] == list(small.cartan_matrix)
+
+
 def simple_algebra_census(dim_target: int, max_rank: int = 8) -> list[str]:
     """Labels of all simple complex types of the given dimension, counting
     dimension as rank + 2 * (number of positive roots) from the generated
-    root systems; classical duplicates are excluded by rank floors."""
+    root systems; classical duplicates are excluded by rank floors.  Past the
+    target, a family's next rank is skipped wherever it ``_drops_to`` the last."""
     if not 1 <= max_rank <= MAX_RANK:
         raise ValueError(f"max_rank must be between 1 and the cap of {MAX_RANK}")
-    labels = []
-    for letter, floor in _CLASSICAL_MIN_RANK.items():
-        for rank in range(floor, max_rank + 1):
-            labels.append((letter, rank))
-    for letter, ranks in _EXCEPTIONAL_RANKS.items():
-        for rank in ranks:
-            if rank <= max_rank:
-                labels.append((letter, rank))
+    families = {x: range(floor, max_rank + 1) for x, floor in _CLASSICAL_MIN_RANK.items()}
+    families.update({x: [r for r in ranks if r <= max_rank] for x, ranks in _EXCEPTIONAL_RANKS.items()})
     hits = []
-    for letter, rank in labels:
-        rs = root_system(cartan_type(letter, rank))
-        if rs.algebra_dimension == dim_target:
-            hits.append(rs.cartan.label)
+    for letter, ranks in families.items():
+        above = None  # the last type built or skipped, while it exceeds the target
+        for rank in ranks:
+            ct = cartan_type(letter, rank)
+            if above is not None and _drops_to(ct, above):
+                above = ct
+                continue
+            dim = root_system(ct).algebra_dimension
+            if dim == dim_target:
+                hits.append(ct.label)
+            above = ct if dim > dim_target else None
     return sorted(hits)

@@ -258,7 +258,7 @@ def _census_off_by_one(ctx, monkeypatch):
 
 def _closure_never_grows(ctx, monkeypatch):
     # generation that returns only the seed's line sends every sample to the closure
-    monkeypatch.setattr(suite, "submodule_generated", lambda v, vec: Subspace.from_vectors(v.dim, [vec]))
+    monkeypatch.setattr(suite, "submodule_generated", lambda v, vecs: [Subspace.from_vectors(v.dim, vec[None]) for vec in vecs])
     monkeypatch.setattr(suite, "subalgebra_closure", lambda g, seed: seed)
 
 

@@ -70,7 +70,9 @@ def test_traced_maximality_run_reaches_every_layer_it_reports(monkeypatch):
     assert stats.get("lie.subalgebra_closure", {}).get("calls", 0) == 0
 
     # patched before the tracer installs, so uninstalling leaves the patch to monkeypatch
-    monkeypatch.setattr(suite, "submodule_generated", lambda v, vec: linalg.Subspace.from_vectors(v.dim, [vec]))
+    monkeypatch.setattr(
+        suite, "submodule_generated", lambda v, vecs: [linalg.Subspace.from_vectors(v.dim, vec[None]) for vec in vecs]
+    )
     statuses, stats = _traced_maximality_run()
     assert statuses == ["pass", "fail"]  # generation_failures; every closure still succeeds
     assert stats.get("lie.subalgebra_closure", {}).get("calls", 0) > 0

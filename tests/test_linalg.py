@@ -21,6 +21,7 @@ from g2cert.linalg import (
     kernel_basis,
     lowest_terms,
     rank,
+    ranks_mod_p,
     rref,
     signature,
 )
@@ -493,6 +494,32 @@ def test_full_span_singular_mod_p_falls_back_to_exact(monkeypatch):
     calls = _spy_on_exact_elimination(monkeypatch)
     assert Subspace.from_vectors(2, rows) == Subspace.full(2)
     assert calls == [2]
+
+
+def _small_entry_stacks(rng):
+    """Stacks of random matrices with entries in [-3, 3], half of them of
+    low rank (a product of {-1, 0, 1} factors through at most 3 columns)."""
+    for _ in range(60):
+        k, nrows, ncols = rng.integers(0, 5), rng.integers(0, 9), rng.integers(0, 9)
+        if rng.integers(2):
+            inner = rng.integers(0, 4)
+            yield rng.integers(-1, 2, (k, nrows, inner)) @ rng.integers(-1, 2, (k, inner, ncols))
+        else:
+            yield rng.integers(-3, 4, (k, nrows, ncols))
+
+
+def test_ranks_mod_p_equal_the_exact_ranks_of_small_entry_stacks():
+    """At most 8 x 8 minors of entries in [-3, 3] are below PRIME in
+    magnitude (Hadamard), so the rank mod p is the rank over Q."""
+    for stack in _small_entry_stacks(np.random.default_rng(5)):
+        assert ranks_mod_p(stack).tolist() == [rank(m) for m in stack]
+
+
+def test_ranks_mod_p_of_large_entries_reduce_first():
+    stack = np.array([[[PRIME, 0], [0, 1]], [[2**70, 1], [1, 0]], [[PRIME + 1, 2], [-PRIME, 0]]], dtype=object)
+    expected = [len(_rref_mod_p(np.mod(m, PRIME).astype(np.int64), PRIME)[1]) for m in stack]
+    assert ranks_mod_p(stack).tolist() == expected == [1, 2, 1]
+    assert [rank(m) for m in stack] == [2, 2, 2]
 
 
 def test_many_rows_spanning_a_proper_subspace():

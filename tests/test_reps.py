@@ -5,8 +5,20 @@ import pytest
 
 from g2cert.errors import DegenerateFormError, NotSemisimpleError, PreconditionError
 from g2cert.lie import LieAlgebra, killing_form, so_of_form
-from g2cert import reps
-from g2cert.linalg import NormForm, Subspace, clear_denominators, int_array, int_cleared, int_einsum, kernel_basis, rank
+from g2cert.suite import SuiteConfig, check_maximality
+from g2cert import reps, suite
+from g2cert.linalg import (
+    PRIME,
+    NormForm,
+    Subspace,
+    clear_denominators,
+    int_array,
+    int_cleared,
+    int_einsum,
+    kernel_basis,
+    rank,
+    ranks_mod_p,
+)
 from g2cert.reps import (
     Intertwiner,
     LieModule,
@@ -225,21 +237,44 @@ def test_complement_is_invariant(ctx):
 
 
 def test_submodule_generated_zero(natural_rep):
-    assert submodule_generated(natural_rep, (0,) * 7).dim == 0
+    assert [s.dim for s in submodule_generated(natural_rep, [(0,) * 7])] == [0]
 
 
 def test_submodule_generated_any_vector_fills_natural_rep(natural_rep):
     for k in range(7):
         vec = tuple(int(i == k) for i in range(7))
-        assert submodule_generated(natural_rep, vec).dim == 7
-    assert submodule_generated(natural_rep, (1, -2, 3, 0, 0, 5, 7)).dim == 7
+        assert submodule_generated(natural_rep, [vec])[0].dim == 7
+    assert submodule_generated(natural_rep, [(1, -2, 3, 0, 0, 5, 7)])[0].dim == 7
     with pytest.raises(ValueError):
-        submodule_generated(natural_rep, (Fraction(1, 3),) + (0,) * 6)
+        submodule_generated(natural_rep, [(Fraction(1, 3),) + (0,) * 6])
 
 
 def test_submodule_generated_zero_algebra(zero_module_2d):
     vec = (1, 0)
-    assert submodule_generated(zero_module_2d, vec).dim == 1
+    assert submodule_generated(zero_module_2d, [vec])[0].dim == 1
+    assert [s.dim for s in submodule_generated(zero_module_2d, [(0, 1), (0, 0), (3, -2)])] == [1, 0, 1]
+
+
+def test_submodule_generated_batch_edges(natural_rep):
+    assert submodule_generated(natural_rep, []) == []
+    batch = [(0,) * 7, (1, -2, 3, 0, 0, 5, 7), (0,) * 7]
+    assert [s.dim for s in submodule_generated(natural_rep, batch)] == [0, 7, 0]
+    with pytest.raises(ValueError):
+        submodule_generated(natural_rep, [(1,) * 7, (Fraction(1, 3),) + (0,) * 6])
+    with pytest.raises(ValueError):
+        submodule_generated(natural_rep, [(1,) * 6])
+    with pytest.raises(ValueError):
+        submodule_generated(natural_rep, np.ones(7, dtype=np.int64))
+
+
+def test_natural_module_skips_the_realizations_second_bracket_check(monkeypatch):
+    g = so_of_form(np.diag([1, 1, -1]).astype(np.int64))
+    checked = []
+    monkeypatch.setattr(LieAlgebra, "bracket_law_failure", lambda self, a, scale: checked.append(a.shape))
+    nat = natural_module(g, name="n")
+    assert checked == []
+    a, den = g.realization
+    assert (nat.algebra, nat.A, nat.den, nat.dim, nat.name) == (g, a, den, 3, "n")
 
 
 def test_bracket_span_examples(ctx):
@@ -489,7 +524,7 @@ def _submodule_generated_reference(mats, n, vec):
             for b in leading_one_basis(current):
                 vectors.append(_apply(m, b))
         grown = Subspace.from_vectors(n, int_family(vectors, n))
-        if grown.dim == current.dim:
+        if grown.dim in (current.dim, n):  # stable, or the whole space
             return grown
         current = grown
 
@@ -585,10 +620,57 @@ def test_submodule_generated_matches_reference(natural_rep, so3, big_module, sca
     dims = []
     for v, _, vectors in _reference_cases(natural_rep, so3, big_module, scaled_module):
         for vec in vectors:
-            generated = submodule_generated(v, vec)
+            generated = submodule_generated(v, [vec])[0]
             assert generated == _submodule_generated_reference(action_matrices(v), v.dim, vec)
             dims.append(generated.dim)
     assert dims == [7, 7, 7, 3, 3, 3, 3, 3, 3, 6, 3]
+
+
+def test_submodule_generated_batch_matches_reference(natural_rep, so3, big_module, scaled_module):
+    """One batch per module, the zero vector included: every row equals the
+    single-vector reference."""
+    for v, _, vectors in _reference_cases(natural_rep, so3, big_module, scaled_module):
+        batch = [*vectors, (0,) * v.dim]
+        for vec, generated in zip(batch, submodule_generated(v, batch)):
+            assert generated == _submodule_generated_reference(action_matrices(v), v.dim, vec)
+
+
+def test_submodule_generated_matches_reference_on_the_maximality_seeds(ctx, monkeypatch):
+    """All 7 + 300 seeds of a seed-7 maximality run, captured as the check
+    hands them over; some of them fall short mod p in one step and take the
+    exact loop."""
+    batches = []
+    monkeypatch.setattr(suite, "submodule_generated", lambda v, vecs: batches.append(vecs) or submodule_generated(v, vecs))
+    assert check_maximality(ctx, SuiteConfig(samples=300, seed=7)).status == "pass"
+    (seeds,) = batches
+    v = ctx.complement_module
+    assert seeds.shape == (307, 7)
+    one_step = np.concatenate([seeds[:, None], np.einsum("imn,kn->kim", v.A, seeds)], axis=1)
+    short = np.flatnonzero(ranks_mod_p(one_step) < 7)
+    assert 0 < len(short) < len(seeds)
+    exact, loop = [], reps._generated_exactly
+
+    def spy(v, vec):
+        exact.append(vec)
+        return loop(v, vec)
+
+    monkeypatch.setattr(reps, "_generated_exactly", spy)
+    batch = submodule_generated(v, seeds)
+    assert np.array_equal(np.array(exact), seeds[short])  # only the rows that fall short run the exact loop
+    mats = action_matrices(v)
+    for vec, generated in zip(seeds, batch):
+        assert generated == _submodule_generated_reference(mats, 7, tuple(map(int, vec)))
+
+
+def test_submodule_generated_falls_back_where_the_rank_mod_p_falls_short(so3):
+    """An action entry equal to PRIME: mod p the one-step system of e_1 is
+    just e_1, over Q it spans Q^3, and the exact loop returns Q^3."""
+    a, den = so3.realization
+    v = LieModule(so3, a * PRIME, den * PRIME)
+    assert int(np.max(np.abs(v.A))) == PRIME
+    one_step = np.concatenate([[(1, 0, 0)], int_einsum("imn,n->im", v.A, (1, 0, 0))])
+    assert (ranks_mod_p(one_step[None]).tolist(), rank(one_step)) == ([1], 3)
+    assert submodule_generated(v, [(1, 0, 0), (0, 0, 0)]) == [Subspace.full(3), Subspace(3, ())]
 
 
 def test_hom_space_on_large_entry_modules(so3, big_module, scaled_module):

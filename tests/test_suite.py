@@ -182,7 +182,7 @@ def test_failed_generation_falls_back_to_the_closure(ctx, monkeypatch):
     generation; each of the 7 + samples seeds then runs the real closure,
     which still reaches all of so(3,4)."""
     seeds = _closure_spy(monkeypatch)
-    monkeypatch.setattr(suite, "submodule_generated", lambda v, vec: Subspace.from_vectors(v.dim, [vec]))
+    monkeypatch.setattr(suite, "submodule_generated", lambda v, vecs: [Subspace.from_vectors(v.dim, vec[None]) for vec in vecs])
     outcome = check_maximality(ctx, FAST)
     assert outcome.witnesses["generation_failures"] == 7 + FAST.samples
     assert outcome.witnesses["closure_failures"] == 0

@@ -1,8 +1,13 @@
+import functools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from g2cert import weyl
 from g2cert.weyl import (
+    MAX_RANK,
+    _drops_to,
     cartan_type,
     dimension_census,
     root_system,
@@ -84,6 +89,49 @@ def test_census_a1_small_grid():
 def test_simple_algebra_census_dim21():
     assert simple_algebra_census(21, 8) == ["B3", "C3"]
     assert simple_algebra_census(21, 3) == ["B3", "C3"]
+
+
+FAMILIES = {"A": range(1, MAX_RANK + 1), "B": range(2, MAX_RANK + 1), "C": range(3, MAX_RANK + 1),
+            "D": range(4, MAX_RANK + 1), "E": (6, 7, 8), "F": (4,), "G": (2,)}
+
+
+def test_each_rank_drops_to_the_one_below():
+    """The premise of the census pruning, along every family up to the cap."""
+    for letter, ranks in FAMILIES.items():
+        for small, big in zip(ranks, ranks[1:]):
+            assert _drops_to(cartan_type(letter, big), cartan_type(letter, small)), (letter, big)
+    assert not _drops_to(cartan_type("B4"), cartan_type("C3"))
+    assert not _drops_to(cartan_type("D5"), cartan_type("A4"))
+
+
+def _cached_root_systems(monkeypatch) -> list[str]:
+    """Memoize cartan_type and root_system for the census, and record the
+    labels whose roots it builds."""
+    built = []
+    monkeypatch.setattr(weyl, "cartan_type", functools.lru_cache(maxsize=None)(cartan_type))
+    cached = functools.lru_cache(maxsize=None)(root_system)
+    monkeypatch.setattr(weyl, "root_system", lambda ct: built.append(ct.label) or cached(ct))
+    return built
+
+
+def test_pruned_census_equals_the_unpruned_reference(monkeypatch):
+    _cached_root_systems(monkeypatch)
+    dims = {
+        (letter, rank): weyl.root_system(cartan_type(letter, rank)).algebra_dimension
+        for letter, ranks in FAMILIES.items()
+        for rank in ranks
+        if rank <= 8
+    }
+    for max_rank in range(1, 9):
+        for target in range(1, 301):
+            expected = sorted(f"{x}{r}" for (x, r), d in dims.items() if r <= max_rank and d == target)
+            assert simple_algebra_census(target, max_rank) == expected, (target, max_rank)
+
+
+def test_census_stops_each_family_past_the_target(monkeypatch):
+    built = _cached_root_systems(monkeypatch)
+    assert simple_algebra_census(21, 8) == ["B3", "C3"]
+    assert built == ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "E6", "F4", "G2"]
 
 
 def test_simple_algebra_census_other_dims():
