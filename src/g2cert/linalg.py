@@ -22,7 +22,9 @@ integer matrix's rank over Q is at least its rank mod p (Dixon, Numer. Math.
 * ``kernel_basis`` eliminates only the rows picked independent mod p, rank
   many instead of all, and checks the kernel they give against every row
   exactly; only a failed check, where the rank over Q exceeds the rank mod p,
-  eliminates every row;
+  eliminates every row.  The pick is one forward elimination mod p over the
+  columns, at most as many steps as the system has unknowns, however many
+  rows it has;
 * a ``Subspace`` holds its canonical basis as primitive integer rows, which
   ``from_vectors`` takes straight from elimination.  It skips the
   elimination when n rows picked independent mod p certify a full span of
@@ -216,32 +218,6 @@ def rref(m: np.ndarray) -> RrefResult:
     return RrefResult(reduced + ((Fraction(0),) * m.shape[1],) * (len(m) - len(pivots)), len(pivots), tuple(pivots))
 
 
-def _rref_mod_p(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    a = np.mod(a, p).astype(np.int64)
-    nrows, ncols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = (a[r] * inv) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        touched = np.nonzero(col)[0]
-        if touched.size:
-            a[touched] = (a[touched] - np.outer(col[touched], a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a[: len(pivots)], pivots
-
-
 def ranks_mod_p(stack: np.ndarray) -> np.ndarray:
     """The rank mod ``PRIME`` of each matrix of an integer stack, by one
     fraction-free elimination of them all, in place: each row becomes
@@ -265,8 +241,25 @@ def ranks_mod_p(stack: np.ndarray) -> np.ndarray:
 
 def _independent_rows(a: np.ndarray) -> list[int]:
     """Indices of rows of the integer array a that are linearly independent
-    modulo ``PRIME``, hence over Q: the pivot columns of a^T mod ``PRIME``."""
-    return _rref_mod_p(a.T, PRIME)[1]
+    modulo ``PRIME``, hence over Q, as many as a's rank mod ``PRIME``.
+
+    Forward elimination of a's columns mod ``PRIME``: column c picks the first
+    row nonzero in it, clears c from the other rows nonzero there (only
+    columns >= c, as every row is already zero left of c) and then zeroes the
+    picked row, so no row is picked twice."""
+    a = np.mod(a, PRIME).astype(np.int64)
+    picked = []
+    for c in range(a.shape[1]):
+        nz = np.flatnonzero(a[:, c])
+        if not nz.size:
+            continue
+        r, rest = nz[0], nz[1:]
+        if rest.size:  # products below PRIME**2 < 2**62
+            pivot = a[r, c:] * pow(int(a[r, c]), -1, PRIME) % PRIME
+            a[rest, c:] = (a[rest, c:] - a[rest, c, None] * pivot) % PRIME
+        a[r] = 0
+        picked.append(int(r))
+    return picked
 
 
 def _kernel_rows(rows: list[list[int]], pivots: list[int], ncols: int) -> np.ndarray:

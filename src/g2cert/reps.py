@@ -163,11 +163,14 @@ def _spin_basis(a: np.ndarray) -> tuple[list[np.ndarray], list[tuple[int, int, i
             candidates = [(np.eye(n, dtype=np.int64)[unit], (-1, -1, origins[-1][2] + 1 if origins else 0))]
             unit += 1
         for vec, origin in candidates:
+            if len(basis) == n:
+                break
             r = np.mod(vec, p).astype(np.int64)
             for c, row in echelon:
-                r = (r - r[c] * row) % p
+                if r[c]:
+                    r = (r - r[c] * row) % p
             nz = np.flatnonzero(r)
-            if nz.size and len(basis) < n:
+            if nz.size:
                 echelon.append((nz[0], r * pow(int(r[nz[0]]), -1, p) % p))
                 basis.append(vec)
                 origins.append(origin)

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import g2cert.lie as lie
 import g2cert.linalg as linalg
+from g2cert.lie import derivation_algebra
 from g2cert.linalg import (
     PRIME,
     Matrix,
     NormForm,
     Subspace,
-    _rref_mod_p,
+    _independent_rows,
     clear_denominators,
     coordinate_map,
     int_cleared,
@@ -26,7 +28,7 @@ from g2cert.linalg import (
     signature,
 )
 
-from conftest import coordinates_of, diagonal, int_family, leading_one_basis, zeros
+from conftest import cayley_mutant, coordinates_of, diagonal, int_family, leading_one_basis, zeros
 
 fractions = st.builds(
     Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4)
@@ -490,7 +492,7 @@ def test_full_span_certified_mod_p_skips_exact_elimination(monkeypatch):
 def test_full_span_singular_mod_p_falls_back_to_exact(monkeypatch):
     """Full over Q, rank 1 modulo the certifying prime: the exact path decides."""
     rows = [(PRIME, 0), (0, 1)]
-    assert len(_rref_mod_p(np.array(rows, dtype=np.int64), PRIME)[1]) == 1
+    assert len(_independent_rows(np.array(rows, dtype=np.int64))) == 1
     calls = _spy_on_exact_elimination(monkeypatch)
     assert Subspace.from_vectors(2, rows) == Subspace.full(2)
     assert calls == [2]
@@ -517,9 +519,61 @@ def test_ranks_mod_p_equal_the_exact_ranks_of_small_entry_stacks():
 
 def test_ranks_mod_p_of_large_entries_reduce_first():
     stack = np.array([[[PRIME, 0], [0, 1]], [[2**70, 1], [1, 0]], [[PRIME + 1, 2], [-PRIME, 0]]], dtype=object)
-    expected = [len(_rref_mod_p(np.mod(m, PRIME).astype(np.int64), PRIME)[1]) for m in stack]
+    expected = [len(_independent_rows(m)) for m in stack]
     assert ranks_mod_p(stack).tolist() == expected == [1, 2, 1]
     assert [rank(m) for m in stack] == [2, 2, 2]
+
+
+def _row_pick_matrices(rng):
+    """Integer matrices for the row pick: those of the small-entry stacks, then
+    tall, wide and low-rank products up to 16 x 16, each as it is (int64),
+    with some entries moved to multiples of PRIME (int64) and with some
+    moved beyond int64 (Python ints)."""
+    for stack in _small_entry_stacks(rng):
+        yield from stack
+    for _ in range(60):
+        nrows, ncols, inner = rng.integers(0, 17, 3)
+        m = rng.integers(-9, 10, (nrows, inner)) @ rng.integers(-9, 10, (inner, ncols))
+        yield m
+        for entries, dtype in (([0, PRIME, -PRIME, 2 * PRIME], np.int64), ([PRIME + 1, 2**64 + 3, -(2**70)], object)):
+            moved = m.astype(dtype)
+            mask = rng.random(m.shape) < 0.3
+            moved[mask] = np.array(entries, dtype=dtype)[rng.integers(0, len(entries), mask.sum())]
+            yield moved
+
+
+def _exact_rank(m):
+    return len(_reference_rref(m.tolist(), m.shape[1])[1])
+
+
+def test_independent_rows_count_the_rank_mod_p_and_are_independent_over_q():
+    """The picked rows have full rank over Q, and there are as many as the
+    rank mod p; with entries in [-3, 3] and at most 8 columns or rows every
+    minor is below PRIME in magnitude (Hadamard), so that is the rank."""
+    for m in _row_pick_matrices(np.random.default_rng(11)):
+        picked = _independent_rows(m)
+        assert len(set(picked)) == len(picked) == _exact_rank(m[picked])
+        assert len(picked) == ranks_mod_p(m[None])[0]
+        if min(m.shape) <= 8 and np.all(np.abs(m) <= 3):
+            assert len(picked) == _exact_rank(m)
+
+
+def test_kernels_of_mutant_derivation_systems_match_elimination_of_every_row(monkeypatch):
+    """The 512 x 64 derivation systems of +-1 mutants of the Cayley structure
+    constants (mutant 2 * (64 i + 8 j + k) + s moves mul[i][j][k] by +1 for
+    s = 0 and -1 for s = 1), one from each run of 16 of the 1024, staggered so
+    that both signs and every k occur: the kernel of the rows picked mod p is
+    the kernel of every row."""
+    systems = []
+    solve = lie.kernel_basis
+    monkeypatch.setattr(lie, "kernel_basis", lambda m: systems.append(m) or solve(m))
+    for t in range(64):
+        index = 16 * t + t % 16
+        i, rest = divmod(index // 2, 64)
+        derivation_algebra(cayley_mutant({(i, *divmod(rest, 8)): 1 - 2 * (index % 2)}).algebra)
+    assert len(systems) == 64
+    for m in systems:
+        assert kernel_basis(m) == _reference_kernel(m)
 
 
 def test_many_rows_spanning_a_proper_subspace():
