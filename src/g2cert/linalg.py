@@ -19,12 +19,15 @@ word-sized prime, ``PRIME``, only decides which rows that engine sees.  An
 integer matrix's rank over Q is at least its rank mod p (Dixon, Numer. Math.
 40, 1982), so rows independent modulo ``PRIME`` are independent over Q:
 
-* ``kernel_basis`` eliminates only the rows picked independent mod p, rank
-  many instead of all, and checks the kernel they give against every row
-  exactly; only a failed check, where the rank over Q exceeds the rank mod p,
-  eliminates every row.  The pick is one forward elimination mod p over the
-  columns, at most as many steps as the system has unknowns, however many
-  rows it has;
+* ``kernel_basis`` first presolves singleton rows: a row with one nonzero
+  entry r_c says r_c x_c = 0, so x_c = 0 over Q, and dropping column c may
+  leave another row with one nonzero entry.  The kernel is that of the live
+  columns, padded with zeros.  Of those columns it eliminates only the rows
+  picked independent mod p, rank many instead of all, and checks the kernel
+  they give against every row of the system exactly; only a failed check,
+  where the rank over Q exceeds the rank mod p, eliminates every row.  The
+  pick is one forward elimination mod p over the columns, at most as many
+  steps as the system has unknowns, however many rows it has;
 * a ``Subspace`` holds its canonical basis as primitive integer rows, which
   ``from_vectors`` takes straight from elimination.  It skips the
   elimination when n rows picked independent mod p certify a full span of
@@ -277,19 +280,41 @@ def _kernel_rows(rows: list[list[int]], pivots: list[int], ncols: int) -> np.nda
     return np.array(vecs, dtype=object).reshape(len(vecs), ncols)
 
 
+def _unforced_columns(a: np.ndarray) -> np.ndarray:
+    """The mask of a's columns left live by singleton presolve: a row with
+    exactly one nonzero entry among the live columns, r_c x_c = 0, forces x_c
+    to 0 in every kernel vector, so column c dies; repeated until no row is a
+    singleton."""
+    nz = a != 0
+    live = np.ones(a.shape[1], dtype=bool)
+    counts = nz.sum(axis=1)
+    while np.any(single := counts == 1):
+        forced = np.any(nz[single], axis=0) & live
+        live &= ~forced
+        counts -= nz[:, forced].sum(axis=1)
+    return live
+
+
 def kernel_basis(m: np.ndarray) -> "Subspace":
     """Exact kernel {x : m x = 0} of a 2-D numpy integer array (int64 or
     object dtype of Python ints), canonicalized.
 
-    Certificate: the rows picked independent modulo ``PRIME`` are eliminated
-    exactly, and their kernel, which contains the kernel of m, is checked to
-    annihilate every row of m, so the two kernels are equal.  The check fails
-    only when m's rank over Q exceeds its rank mod ``PRIME``; then every row
-    is eliminated exactly.
+    Certificate: every kernel vector is 0 on the columns that singleton
+    presolve forces (``_unforced_columns``), so the kernel of m is the kernel
+    of its live columns padded with zeros.  Of those columns, the rows picked
+    independent modulo ``PRIME`` are eliminated exactly, and their padded
+    kernel, which contains the kernel of m, is checked to annihilate every
+    row of m, so the two kernels are equal.  The check fails only when the
+    live columns' rank over Q exceeds their rank mod ``PRIME``; then every
+    row and column of m is eliminated exactly.
     """
     ncols = _int_matrix(m).shape[1]
     a = m[np.any(m != 0, axis=1)]
-    kernel = _kernel_rows(*_int_rref(a[_independent_rows(a)].tolist()), ncols)
+    live = _unforced_columns(a)
+    b = a[:, live]
+    reduced = _kernel_rows(*_int_rref(b[_independent_rows(b)].tolist()), b.shape[1])
+    kernel = np.zeros((len(reduced), ncols), dtype=object)
+    kernel[:, live] = reduced
     if np.any(int_einsum("ij,kj->ik", a, kernel)):
         kernel = _kernel_rows(*_int_rref(a.tolist()), ncols)
     return Subspace.from_vectors(ncols, kernel)

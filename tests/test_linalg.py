@@ -16,6 +16,7 @@ from g2cert.linalg import (
     NormForm,
     Subspace,
     _independent_rows,
+    _unforced_columns,
     clear_denominators,
     coordinate_map,
     int_cleared,
@@ -302,27 +303,114 @@ def test_modular_kernel_verifies_big_integer_candidates(row):
     assert kernel_basis(m) == _reference_kernel(m)
 
 
-def test_unlucky_first_prime_falls_back_to_fraction_free(monkeypatch):
-    """A pivot equal to the prime vanishes modulo it: the kernel of the rows
-    picked mod p contains e_1, the exact check fails on the first row, and
-    kernel_basis eliminates every row."""
-    calls = _spy_on_exact_elimination(monkeypatch)
+def _unlucky_prime_system(first_row):
+    """first_row over 109 rows with five random entries in [-4, 4] each,
+    none in column 0, 120 columns."""
     rng = random.Random(7)
     ncols = 120
-    rows = [[PRIME] + [0] * (ncols - 1)]
+    rows = [first_row + [0] * (ncols - len(first_row))]
     for _ in range(109):
         row = [0] * ncols
         for _ in range(5):
             row[rng.randrange(1, ncols)] = rng.randint(-4, 4)
         rows.append(row)
-    m = np.array(rows, dtype=object)
+    return np.array(rows, dtype=object)
+
+
+def test_unlucky_first_prime_falls_back_to_fraction_free(monkeypatch):
+    """A row PRIME (x_0 + x_1) vanishes modulo the prime, and no singleton
+    forces x_0 or x_1: the kernel of the rows picked mod p contains
+    e_0 - e_1, the exact check fails on the first row, and kernel_basis
+    eliminates every row."""
+    calls = _spy_on_exact_elimination(monkeypatch)
+    m = _unlucky_prime_system([PRIME, PRIME])
     kern = kernel_basis(m)
-    assert calls[:2] == [rank(m) - 1, len(rows)]
+    assert calls[:2] == [rank(m) - 1, len(m)]
     assert kern == _reference_kernel(m)
-    assert kern.dim == ncols - rref(m).rank
+    assert kern.dim == m.shape[1] - rref(m).rank
     for v in leading_one_basis(kern):
-        assert v[0] == 0
+        assert v[0] + v[1] == 0
         assert all(x == 0 for x in apply(m, v))
+
+
+def test_singleton_row_of_the_prime_is_forced_without_fallback(monkeypatch):
+    """The single-entry row PRIME x_0 vanishes modulo the prime, but singleton
+    presolve forces x_0 = 0 over Q first, so the rows picked mod p already
+    give the kernel and no elimination sees every row."""
+    calls = _spy_on_exact_elimination(monkeypatch)
+    m = _unlucky_prime_system([PRIME])
+    kern = kernel_basis(m)
+    assert len(m) not in calls
+    assert kern == _reference_kernel(m)
+    assert all(v[0] == 0 for v in kern.rows)
+
+
+def _singleton_chain_system(rng, nforced, nlive, entries):
+    """A sparse system with nforced + nlive shuffled columns and entries drawn
+    from the nonzero array entries (its dtype too), and the mask of its nlive
+    live columns.  Chain row k is nonzero in chain column k and in some
+    earlier chain columns, so once those are forced it is the next singleton;
+    every other row is nonzero in at least two live columns, and in some
+    chain columns."""
+    ncols = nforced + nlive
+    cols = rng.permutation(ncols)
+    chain, rest = cols[:nforced], cols[nforced:]
+
+    def row(nonzero):
+        r = np.zeros(ncols, dtype=entries.dtype)
+        r[nonzero] = rng.choice(entries, len(nonzero))
+        return r
+
+    rows = [row(np.append(chain[:k][rng.random(k) < 0.5], c)) for k, c in enumerate(chain)]
+    for _ in range(rng.integers(1, 2 * nlive + 1) if nlive >= 2 else 0):
+        wide = rng.choice(rest, rng.integers(2, nlive + 1), replace=False)
+        rows.append(row(np.concatenate([wide, chain[rng.random(nforced) < 0.3]])))
+    m = np.array(rows, dtype=entries.dtype).reshape(len(rows), ncols)[rng.permutation(len(rows))]
+    return m, np.isin(np.arange(ncols), rest)
+
+
+# Nonzero entries for chain systems: small, multiples of PRIME (int64), and
+# beyond int64 (Python ints).
+_CHAIN_ENTRIES = (
+    np.array([-4, -3, -2, -1, 1, 2, 3, 4, PRIME, -PRIME, 2 * PRIME], dtype=np.int64),
+    np.array([-3, -1, 1, 2, PRIME, PRIME + 1, 2**64 + 3, -(2**70)], dtype=object),
+)
+
+
+def test_singleton_chains_are_forced_and_kernels_match_reference():
+    """Presolve kills exactly the chain columns, however deep the chain, and
+    the padded kernel of the live columns is the kernel of every row."""
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        nforced, nlive = rng.integers(0, 16), rng.integers(0, 9)
+        for entries in _CHAIN_ENTRIES:
+            m, live = _singleton_chain_system(rng, nforced, nlive, entries)
+            assert _unforced_columns(m).tolist() == live.tolist()
+            assert kernel_basis(m) == _reference_kernel(m)
+
+
+def test_kernel_solve_of_a_chain_sees_only_live_columns(monkeypatch):
+    """A 40-deep chain beside 10 live columns, which five more rows cut to a
+    5-dimensional kernel: the exact elimination of the solve is 10 columns
+    wide, and the kernel it gives passes the check."""
+    m, _ = _singleton_chain_system(np.random.default_rng(11), 40, 10, _CHAIN_ENTRIES[1])
+    widths = []
+    eliminate = linalg._int_rref
+    monkeypatch.setattr(linalg, "_int_rref", lambda rows: widths.append({len(r) for r in rows}) or eliminate(rows))
+    kern = kernel_basis(m)
+    assert widths[0] == {10} and len(widths) == 2
+    assert kern == _reference_kernel(m) and kern.dim > 0
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_diagonal_system_has_zero_kernel_without_elimination(monkeypatch, dtype):
+    """Every row of a diagonal system is a singleton, so presolve forces every
+    column, even a pivot PRIME, and no exact elimination sees a row."""
+    calls = _spy_on_exact_elimination(monkeypatch)
+    entries = [3, -1, PRIME, -2 * PRIME] + ([2**70] if dtype is object else [])
+    kern = kernel_basis(diagonal(entries).astype(dtype))
+    assert kern.dim == 0 and kern.ambient_dim == len(entries)
+    assert not any(calls)
 
 
 def test_subspace_coordinates_roundtrip():
