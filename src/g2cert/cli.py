@@ -131,8 +131,8 @@ def _cmd_show(args) -> int:
             f"(isomorphic to the natural 7-dimensional module: "
             f"{iso is not None and iso.is_invertible})"
         )
-        inter = ctx.g2_image.intersection(v)
-        print(f"  intersection: dimension {inter.dim}")
+        inter_dim = ctx.g2_image.dim + v.dim - ctx.g2_image.sum(v).dim
+        print(f"  intersection: dimension {inter_dim}")
         return 0
     raise AssertionError(args.what)
 

@@ -9,11 +9,12 @@ formed from it picks its dtype the same way, from a bound on the result.
 Brackets (``bracket_table``), the Killing form (Cartan's criterion),
 closures, centralizers and transporters are contractions of ``C``, and the
 integer ad stack den * ad(e_i) is ``C[i]^T``.  A matrix realization is held
-the same way, as one integer stack with one denominator.
-``LieAlgebra.bracket_law_failure`` is the one check of the bracket law, on
-such a stack: a realization, a module action and the ad stack (the Jacobi
-identity).  Also derivation algebras of nonassociative algebras and so(p,q)
-of a symmetric form.
+the same way, as one integer stack with one denominator.  Each law is proved
+once: the constructor checks Jacobi by ``LieAlgebra.bracket_law_failure`` on
+the ad stack, which also checks a public ``reps.LieModule``'s action, and a
+realization enters only through ``LieAlgebra.from_matrix_basis``, whose exact
+solve proves it faithful and lawful, hence Jacobi.  Also derivation algebras
+of nonassociative algebras and so(p,q) of a symmetric form.
 """
 
 from __future__ import annotations
@@ -44,50 +45,32 @@ class LieAlgebra:
 
     ``C`` is a dim x dim x dim numpy integer array and ``den`` a positive
     integer, for c_ijk = C[i, j, k] / den, held in lowest terms with ``C``
-    int64 or Python ints as ``linalg.int_array`` decides.  A ``realization``
-    is a pair (a, d) of an integer stack a of shape (dim, n, n) and a
-    positive d, for the matrices a[i] / d.  A non-integer tensor or
-    realization raises TypeError; a mis-shaped one, a ``den`` below 1, a
-    failure of antisymmetry and a failure of ``bracket_law_failure`` raise
-    ValueError: against the realization when one is supplied (which also
-    forces the Jacobi identity), on the ad stack otherwise.
+    int64 or Python ints as ``linalg.int_array`` decides.  Every instance
+    satisfies antisymmetry and the Jacobi identity: this constructor checks
+    both, raising ValueError on a failure (and on a mis-shaped tensor or a
+    ``den`` below 1, TypeError on a non-integer tensor), and
+    ``from_matrix_basis``, the only source of a ``realization``, proves them.
+    A ``realization`` is a pair (a, d) of an integer stack a of shape
+    (dim, n, n) and a positive d, for the matrices a[i] / d; it is None here.
     """
 
-    def __init__(
-        self,
-        C: np.ndarray,
-        den: int = 1,
-        name: str = "",
-        realization: Optional[tuple[np.ndarray, int]] = None,
-    ):
+    def __init__(self, C: np.ndarray, den: int = 1, name: str = ""):
         if not is_int_array(C):
             raise TypeError("the bracket tensor is an integer array")
-        self.dim = len(C)
-        self.name = name
-        # built once per algebra, by killing_form and reps.adjoint_module
-        self._killing: Optional[NormForm] = None
-        self._adjoint = None
-        if C.shape != (self.dim,) * 3 or den < 1:
+        if C.shape != (len(C),) * 3 or den < 1:
             raise ValueError("the bracket tensor must be dim x dim x dim over a positive denominator")
-        C, self.den = lowest_terms(C, den)
-        self.C = int_array(C, int(np.max(np.abs(C), initial=0)))
+        self._hold(C, den, name, None)
         asym = np.argwhere(np.any(self.C + self.C.transpose(1, 0, 2) != 0, axis=2))
         if len(asym):
             raise ValueError("brackets not antisymmetric at ({},{})".format(*asym[0]))
-        if realization is None:
-            if not self.verify_jacobi():
-                raise ValueError("Jacobi identity fails")
-        else:
-            a, den = realization
-            if not is_int_array(a):
-                raise TypeError("a realization is an integer stack")
-            if a.ndim != 3 or len(a) != self.dim or a.shape[1] != a.shape[2] or den < 1:
-                raise ValueError("realization must be dim square matrices over a positive denominator")
-            realization = int_array(a, int(np.max(np.abs(a), initial=0))), den
-            bad = self.bracket_law_failure(*realization)
-            if bad is not None:
-                raise ValueError("realization inconsistent with brackets at ({},{})".format(*bad))
-        self.realization = realization
+        if not self.verify_jacobi():
+            raise ValueError("Jacobi identity fails")
+
+    def _hold(self, C: np.ndarray, den: int, name: str, realization: Optional[tuple[np.ndarray, int]]):
+        self.dim, self.name, self.realization = len(C), name, realization
+        self._killing = self._adjoint = None  # built once per algebra, by killing_form and reps.adjoint_module
+        C, self.den = lowest_terms(C, den)
+        self.C = int_array(C, int(np.max(np.abs(C), initial=0)))
 
     # -- bracket machinery ------------------------------------------------
 
@@ -96,8 +79,8 @@ class LieAlgebra:
         for the matrices m_i = a[i] / scale of an integer stack a, or None if
         the law holds exactly on every pair.
 
-        The one check of the bracket law: for a realization, for the action of
-        a module, and (through ``verify_jacobi``) for the ad stack.  It runs
+        The one check of the bracket law: for the action of a module and
+        (through ``verify_jacobi``) for the ad stack.  It runs
         den [a_i, a_j] = scale sum_k C_ijk a_k for all j > i, one i at a time
         so that no dim^2 n^2 array is held; int64 carries both sides while
         every product provably fits, Python ints beyond that.
@@ -136,24 +119,35 @@ class LieAlgebra:
 
     @classmethod
     def from_matrix_basis(cls, a: np.ndarray, den: int = 1, name: str = "") -> "LieAlgebra":
-        """Build from a linearly independent family of n x n matrices
-        a[i] / den closed under commutators, a an integer stack.
+        """Build from, and realize on, a linearly independent family of n x n
+        matrices a[i] / den closed under commutators, a an integer stack.
 
         All commutators come from one batched integer product, and their
         coordinates in the family are the structure constants: with
-        [a_i, a_j] = sum_k (t_ijk / d) a_k, c_ijk = t_ijk / (d den).  A family
-        that is dependent or not closed under commutators raises ValueError.
+        [a_i, a_j] = sum_k (t_ijk / d) a_k, c_ijk = t_ijk / (d den).  A
+        non-integer stack raises TypeError; a non-square stack, a ``den``
+        below 1 and a dependent or unclosed family raise ValueError.
         """
-        if not len(a):
-            return cls(np.zeros((0, 0, 0), dtype=np.int64), name=name, realization=(a, den))
+        if not is_int_array(a):
+            raise TypeError("a realization is an integer stack")
+        if a.ndim != 3 or a.shape[1] != a.shape[2] or den < 1:
+            raise ValueError("realization must be square matrices over a positive denominator")
         d, n = len(a), a.shape[1]
-        coords = coordinate_map(a.reshape(d, n * n))
-        prod = int_einsum("ikm,jml->ijkl", a, a)
-        solved = coords((prod - prod.transpose(1, 0, 2, 3)).reshape(d * d, n * n))
-        if solved is None:
-            raise ValueError("matrix family is not closed under commutators")
-        t, t_den = solved
-        return cls(t.reshape(d, d, d), t_den * den, name=name, realization=(a, den))
+        a = int_array(a, int(np.max(np.abs(a), initial=0)))
+        t, t_den = np.zeros((0, 0, 0), dtype=np.int64), 1
+        if d:
+            coords = coordinate_map(a.reshape(d, n * n))
+            prod = int_einsum("ikm,jml->ijkl", a, a)
+            solved = coords((prod - prod.transpose(1, 0, 2, 3)).reshape(d * d, n * n))
+            if solved is None:
+                raise ValueError("matrix family is not closed under commutators")
+            t, t_den = solved
+        # Lemma: coordinate_map raised on a dependent family, and its exact membership check proved
+        # [a_i, a_j] = sum_k (t_ijk / d) a_k: the realization is faithful and lawful, so antisymmetry
+        # and Jacobi hold for C because they hold in gl(n).
+        alg = object.__new__(cls)
+        alg._hold(t.reshape(d, d, d), t_den * den, name, (a, den))
+        return alg
 
 
 def killing_form(g: LieAlgebra) -> NormForm:

@@ -8,7 +8,7 @@ Every matrix the package stores, takes or returns is a numpy integer array
 (int64, or object dtype of Python ints) with, where it is rational, one
 positive denominator beside it; constructors reject anything else.
 ``int_cleared`` is the one place an array of rationals becomes one integer
-array with one denominator, and ``int_array`` the one place that picks int64
+array with one denominator, and ``int_dtype`` the one place that picks int64
 or Python ints for products.  Fractions remain only where the benchmark's
 tracer wraps them by name (``Matrix``, the one exact inverse, and ``rref``)
 and in the report values ``NormForm.bilinear`` and ``NormForm.norm``.
@@ -90,11 +90,15 @@ def clear_denominators(values: Sequence[Fraction | int]) -> tuple[list[int], int
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
+def int_dtype(peak: int):
+    """int64 when peak, a bound the caller proves on every entry and every
+    product it will form, stays below 2**62; Python ints (object) otherwise."""
+    return np.int64 if peak < (1 << 62) else object
+
+
 def int_array(values, peak: int) -> np.ndarray:
-    """values as a numpy integer array: int64 when peak, a bound the caller
-    proves on every entry and every product it will form, stays below 2**62;
-    Python ints (object dtype) otherwise."""
-    return np.array(values, dtype=np.int64 if peak < (1 << 62) else object)
+    """values as a new numpy integer array of dtype ``int_dtype(peak)``."""
+    return np.array(values, dtype=int_dtype(peak))
 
 
 def int_cleared(values) -> tuple[np.ndarray, int]:
@@ -410,14 +414,6 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         return Subspace.from_vectors(self.ambient_dim, self.rows + other.rows)
-
-    def intersection(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: reduce [a|a; b|0] rows, zero left blocks span a∩b."""
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        n = self.ambient_dim
-        stacked = [v + v for v in self.rows] + [v + (0,) * n for v in other.rows]
-        return Subspace.from_vectors(n, [row[n:] for row, p in zip(*_int_rref(stacked)) if p >= n])
 
 
 def coordinate_map(family: np.ndarray) -> Callable[[np.ndarray], Optional[tuple[np.ndarray, int]]]:

@@ -6,7 +6,10 @@ A ``LieModule`` holds its action once, as the integer stack ``A`` (algebra
 dim x n x n, A[i] = den * rho(e_i)) and its one denominator ``den``, the way
 a ``LieAlgebra`` holds ``C``.  Every exact check and builder here is a
 contraction of such stacks: the homomorphism law, intertwiners, restriction
-to an invariant subspace, generated submodules and the wedge square.  Hom
+to an invariant subspace, generated submodules and the wedge square.  Every
+``LieModule`` satisfies its homomorphism law: the public constructor checks
+it, and each builder here makes its module through ``LieModule._raw`` by a
+lemma, stated at the call, from a fact proved where it was established.  Hom
 spaces and invariant forms (Hom(V, V*)) are solved on a spin basis of the
 source, the standard-basis method of Parker's Meat-Axe (1984): T is fixed by
 its values on the seed vectors, so each system has dim W unknowns per seed
@@ -30,6 +33,7 @@ from .linalg import (
     Subspace,
     int_array,
     int_cleared,
+    int_dtype,
     int_einsum,
     is_int_array,
     kernel_basis,
@@ -47,46 +51,43 @@ class LieModule:
     """A module over a Lie algebra: rho(e_i) = A[i] / den.
 
     ``A`` is an integer array of shape (algebra dim, n, n), held as int64 or
-    Python ints (object dtype) as ``linalg.int_array`` decides, and ``den``
+    Python ints (object dtype) as ``linalg.int_dtype`` decides, and ``den``
     a positive integer; n is read off the stack, so a module over the zero
     algebra is a (0, n, n) stack.  The homomorphism law
-    rho([e_i,e_j]) = [rho(e_i), rho(e_j)] is verified exactly at
-    construction on all basis pairs.
+    rho([e_i,e_j]) = [rho(e_i), rho(e_j)] holds for every instance: this
+    constructor verifies it exactly on all basis pairs, and the builders
+    that use ``_raw`` prove it by the lemma stated at each call.
     """
 
     def __init__(self, algebra: LieAlgebra, A: np.ndarray, den: int = 1, name: str = ""):
         if not is_int_array(A):
             raise TypeError("a module action is an integer stack")
-        if A.ndim != 3 or A.shape[0] != algebra.dim or A.shape[1] != A.shape[2]:
-            raise ValueError("one square action matrix per algebra basis element required")
-        if den < 1:
-            raise ValueError("the action's denominator must be positive")
-        self.algebra = algebra
-        self.A = int_array(A, _max_abs(A))
-        self.den = den
-        self.dim = A.shape[1]
-        self.name = name
+        if A.ndim != 3 or A.shape[0] != algebra.dim or A.shape[1] != A.shape[2] or den < 1:
+            raise ValueError("one square action matrix per algebra basis element, over a positive denominator")
+        self.algebra, self.A, self.den, self.dim, self.name = algebra, int_array(A, _max_abs(A)), den, A.shape[1], name
         bad = algebra.bracket_law_failure(self.A, den)
         if bad is not None:
             raise ValueError("homomorphism law fails at basis pair ({},{})".format(*bad))
 
     @classmethod
     def _raw(cls, algebra: LieAlgebra, A: np.ndarray, den: int, name: str) -> "LieModule":
+        """A module whose law the caller has proved; A is held as is where it has the dtype of int_dtype."""
         mod = object.__new__(cls)
-        mod.algebra, mod.A, mod.den, mod.dim, mod.name = algebra, A, den, A.shape[1], name
+        mod.algebra, mod.den, mod.dim, mod.name = algebra, den, A.shape[1], name
+        mod.A = A.astype(int_dtype(_max_abs(A)), copy=False)
         return mod
 
 
 def adjoint_module(g: LieAlgebra) -> LieModule:
-    """The adjoint module, den * ad(e_i) = C[i]^T, built (and its
-    homomorphism law checked) once per algebra."""
+    """The adjoint module, den * ad(e_i) = C[i]^T, built once per algebra."""
     if g._adjoint is None:
-        g._adjoint = LieModule(g, g.C.transpose(0, 2, 1), g.den, name=f"ad({g.name})")
+        # Lemma: ad is a homomorphism iff the Jacobi identity holds, and every LieAlgebra satisfies it
+        g._adjoint = LieModule._raw(g, g.C.transpose(0, 2, 1), g.den, f"ad({g.name})")
     return g._adjoint
 
 
 def natural_module(g: LieAlgebra, name: str = "") -> LieModule:
-    """The module of g's realization, whose bracket law LieAlgebra checked."""
+    """The module of g's realization, whose law ``LieAlgebra.from_matrix_basis`` proved."""
     if g.realization is None:
         raise ValueError("algebra carries no matrix realization")
     return LieModule._raw(g, *g.realization, name=name or f"nat({g.name})")
@@ -113,7 +114,8 @@ def restriction_module(v: LieModule, sub: Subspace, name: str = "") -> LieModule
     if sub.ambient_dim != v.dim:
         raise ValueError("subspace lives in the wrong ambient space")
     r, s = restricted_action(v.A, sub)
-    return LieModule(v.algebra, r, v.den * s, name=name)
+    # Lemma: restricted_action proved sub invariant, and an invariant subspace carries v's law
+    return LieModule._raw(v.algebra, r, v.den * s, name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,7 +346,8 @@ def wedge_square(v: LieModule, name: str = "") -> LieModule:
     k = k + k.transpose(0, 2, 1, 4, 3)
     wedge = k - k.transpose(0, 2, 1, 3, 4)
     rows, cols = np.triu_indices(n, 1)
-    return LieModule(v.algebra, wedge[:, rows, cols][:, :, rows, cols], v.den, name=name or f"wedge2({v.name})")
+    # Lemma: A (x) 1 + 1 (x) A is a module whenever A is, and the antisymmetric tensors are invariant under it
+    return LieModule._raw(v.algebra, wedge[:, rows, cols][:, :, rows, cols], v.den, name or f"wedge2({v.name})")
 
 
 def wedge_so_isomorphism(form: NormForm, so_alg: Optional[LieAlgebra] = None) -> Intertwiner:

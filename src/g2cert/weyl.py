@@ -10,7 +10,6 @@ The overall scale of the form cancels in every dimension computed here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .linalg import signature
@@ -180,20 +179,20 @@ def root_system(ct: CartanType) -> RootSystem:
 
 def weyl_dimension(rs: RootSystem, weight: Sequence[int]) -> int:
     """dim of the irreducible with the given dominant highest weight:
-    prod over positive roots of (weight+rho, a) / (rho, a)."""
+    prod over positive roots of (weight+rho, a) / (rho, a), one exact division."""
     n = rs.cartan.rank
     if len(weight) != n:
         raise ValueError("weight has wrong length")
     if any(x < 0 for x in weight):
         raise ValueError("weight must be dominant (componentwise >= 0)")
     d = rs.cartan.symmetrizer
-    num = Fraction(1)
+    top = bot = 1
     for root in rs.positive_roots:
-        top = sum(m * d[j] * (weight[j] + 1) for j, m in enumerate(root))
-        bot = sum(m * d[j] for j, m in enumerate(root))
-        num *= Fraction(top, bot)
-    assert num.denominator == 1 and num > 0
-    return int(num)
+        top *= sum(m * d[j] * (weight[j] + 1) for j, m in enumerate(root))
+        bot *= sum(m * d[j] for j, m in enumerate(root))
+    dim, rest = divmod(top, bot)
+    assert rest == 0 and dim > 0
+    return dim
 
 
 @dataclass(frozen=True)

@@ -120,7 +120,7 @@ def test_criterion_04_decomposition(ctx, natural_rep):
     assert iso is not None and iso.is_invertible
     assert hom_space(adjoint_module(ctx.derivations), vmod) == []
     assert ctx.g2_image.sum(v).dim == 21
-    assert ctx.g2_image.intersection(v).dim == 0
+    assert ctx.g2_image.dim + v.dim - ctx.g2_image.sum(v).dim == 0  # dim(a ∩ b) = dim a + dim b - dim(a + b)
     _done(4, "so(3,4) = image + complement, complement is the natural module", start, 10.0)
 
 

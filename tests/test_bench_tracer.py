@@ -53,14 +53,14 @@ def test_traced_maximality_run_reaches_every_layer_it_reports(monkeypatch):
     """A refactor that routes around a traced name would zero that layer's
     metric without any test failing; this pins the names the maximality
     workload reports on.  A pristine run proves every closure by generation,
-    so the closure is reached only where generation is made to fail."""
+    so the closure is reached only where generation is made to fail, and
+    builds every module by lemma, so the checking constructor is not reached."""
     originals = (reps.LieModule.__init__, reps.submodule_generated, suite.CHECKS)
     statuses, stats = _traced_maximality_run()
     assert (reps.LieModule.__init__, reps.submodule_generated, suite.CHECKS) == originals
     assert statuses == ["pass", "pass"]
     stages = ("natural_rep", "so34", "embedding", "g2_image", "so34_as_g2_module", "complement", "complement_module")
     for name in (
-        "reps.LieModule",
         "reps.submodule_generated",
         "linalg.Subspace.from_vectors",
         "suite.check.maximality",
@@ -68,6 +68,7 @@ def test_traced_maximality_run_reaches_every_layer_it_reports(monkeypatch):
     ):
         assert stats.get(name, {}).get("calls", 0) > 0, name
     assert stats.get("lie.subalgebra_closure", {}).get("calls", 0) == 0
+    assert stats.get("reps.LieModule", {}).get("calls", 0) == 0
 
     # patched before the tracer installs, so uninstalling leaves the patch to monkeypatch
     monkeypatch.setattr(

@@ -204,17 +204,23 @@ def test_antisymmetry_enforced():
         LieAlgebra(np.ones((1, 1, 1), dtype=np.int64))
 
 
+def _non_jacobi(dim):
+    """The antisymmetric [e1,e2] = e3, [e1,e3] = e1, [e2,e3] = e2, padded with
+    an abelian summand to dim, which fails Jacobi."""
+    bad = np.zeros((dim,) * 3, dtype=np.int64)
+    bad[0, 1, 2], bad[1, 0, 2] = 1, -1
+    bad[0, 2, 0], bad[2, 0, 0] = 1, -1
+    bad[1, 2, 1], bad[2, 1, 1] = 1, -1
+    return bad
+
+
 def test_jacobi_enforced_for_small_algebras():
     # [e1,e2] = e1 with all else zero violates Jacobi only in dim >= 3;
     # use the classic non-example [e1,e2]=e3, [e1,e3]=e3 variant, alone and
     # padded with an abelian summand to dimension 13
     for dim in (3, 13):
-        bad = np.zeros((dim,) * 3, dtype=np.int64)
-        bad[0, 1, 2], bad[1, 0, 2] = 1, -1
-        bad[0, 2, 0], bad[2, 0, 0] = 1, -1
-        bad[1, 2, 1], bad[2, 1, 1] = 1, -1
         with pytest.raises(ValueError, match="Jacobi"):
-            LieAlgebra(bad)
+            LieAlgebra(_non_jacobi(dim))
 
 
 def test_derivations_of_the_base_field(rational_line_algebra):
@@ -450,7 +456,50 @@ def test_from_matrix_basis_rejects_unclosed_family():
         LieAlgebra.from_matrix_basis(mats)
 
 
-def test_realization_consistency_enforced(sl2):
-    wrong = (np.array([np.eye(3, dtype=int)] * 3), 1)
-    with pytest.raises(ValueError):
-        LieAlgebra(sl2.C, sl2.den, realization=wrong)
+def test_realization_consistency_enforced():
+    """A realization enters only through from_matrix_basis, which proves it
+    faithful.  A zero realization satisfies the bracket law of every C, and
+    once carried this 4-dimensional antisymmetric C, which fails Jacobi, past
+    the constructor; LieAlgebra(C) now takes no realization and rejects that
+    C, and a zero or other dependent family is no realization at all."""
+    bad = _non_jacobi(4)
+    with pytest.raises(ValueError, match="Jacobi"):
+        LieAlgebra(bad)
+    with pytest.raises(TypeError):
+        LieAlgebra(bad, realization=(np.zeros((4, 2, 2), dtype=np.int64), 1))
+    for dependent in (np.zeros((4, 2, 2), dtype=np.int64), np.array([np.eye(3, dtype=int)] * 3)):
+        with pytest.raises(ValueError, match="dependent"):
+            LieAlgebra.from_matrix_basis(dependent)
+
+
+@pytest.mark.parametrize(
+    "stack, den, error",
+    [
+        (np.zeros((1, 2, 2)), 1, TypeError),  # floats
+        (np.array([[[Fraction(1, 2)]]], dtype=object), 1, TypeError),
+        ([[[1]]], 1, TypeError),  # a nested list, not an array
+        (np.zeros((1, 2, 3), dtype=np.int64), 1, ValueError),  # not square
+        (np.eye(2, dtype=np.int64), 1, ValueError),  # not a stack
+        (np.eye(2, dtype=np.int64)[None], 0, ValueError),
+        (np.eye(2, dtype=np.int64)[None], -1, ValueError),
+    ],
+)
+def test_from_matrix_basis_rejects_malformed_stacks(stack, den, error):
+    with pytest.raises(error):
+        LieAlgebra.from_matrix_basis(stack, den)
+
+
+def test_from_matrix_basis_of_the_empty_family():
+    g = LieAlgebra.from_matrix_basis(np.zeros((0, 3, 3), dtype=np.int64), 2, name="0")
+    a, den = g.realization
+    assert (g.dim, g.C.shape, g.den, a.shape, den, g.name) == (0, (0, 0, 0), 1, (0, 3, 3), 2, "0")
+
+
+def test_from_matrix_basis_algebras_satisfy_every_law(ctx):
+    """The reference for from_matrix_basis's lemma: the full bracket-law check
+    on the realization, antisymmetry and Jacobi all pass for the derivation
+    algebra and so(3,4), which no constructor re-checks."""
+    for g in (ctx.derivations, ctx.so34):
+        assert g.bracket_law_failure(*g.realization) is None
+        assert not np.any(g.C + g.C.transpose(1, 0, 2))
+        assert g.verify_jacobi()

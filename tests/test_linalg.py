@@ -89,7 +89,7 @@ def test_kernel_line():
 
 def test_span_ops_trivial():
     a = Subspace.from_vectors(2, [(1, 0)])
-    assert a.sum(a) == a and a.intersection(a) == a
+    assert a.sum(a) == a
     assert a.contains(a)
 
 
@@ -97,15 +97,13 @@ def test_span_ops_complementary_lines():
     a = Subspace.from_vectors(2, [(1, 0)])
     b = Subspace.from_vectors(2, [(0, 1)])
     assert a.sum(b).dim == 2
-    assert a.intersection(b).dim == 0
+    assert a.dim + b.dim - a.sum(b).dim == 0  # the intersection, by dimension
     assert a != b and not a.contains(b)
 
 
 def test_span_ops_dimension_mismatch():
     with pytest.raises(ValueError):
         Subspace.full(2).sum(Subspace.full(3))
-    with pytest.raises(ValueError):
-        Subspace.full(2).intersection(Subspace.full(3))
 
 
 def test_signature_diagonal():
@@ -251,9 +249,17 @@ def test_subspace_canonicalization(vectors, seed):
     st.lists(st.lists(fractions, min_size=4, max_size=4), min_size=0, max_size=3),
 )
 def test_span_dimension_formula(vecs_a, vecs_b):
+    """dim(a + b) + dim(a ∩ b) = dim a + dim b, the formula the decomposition
+    check reads the intersection from, with a ∩ b solved on its own: x A over
+    the kernel of (x, y) -> x A - y B, for the canonical bases A and B."""
     a = Subspace.from_vectors(4, int_family(vecs_a, 4))
     b = Subspace.from_vectors(4, int_family(vecs_b, 4))
-    total, common = a.sum(b), a.intersection(b)
+    basis_a, basis_b = a.int_basis(), b.int_basis()
+    common = Subspace(4, ())
+    if a.dim and b.dim:
+        pairs = kernel_basis(np.concatenate([basis_a, -basis_b]).T).int_basis()
+        common = Subspace.from_vectors(4, pairs[:, : a.dim] @ basis_a)
+    total = a.sum(b)
     assert total.dim + common.dim == a.dim + b.dim
     assert total.contains(a) and total.contains(b)
     assert a.contains(common) and b.contains(common)

@@ -596,8 +596,31 @@ def _reference_cases(natural_rep, so3, big_module, scaled_module):
 
 
 def test_wedge_square_matches_reference(natural_rep, so3, big_module, scaled_module):
+    """Built by lemma, each wedge square still passes the full law check."""
     for v, _, _ in _reference_cases(natural_rep, so3, big_module, scaled_module):
-        assert action_matrices(wedge_square(v)).tolist() == _wedge_square_reference(action_matrices(v), v.dim)
+        wedge = wedge_square(v)
+        assert action_matrices(wedge).tolist() == _wedge_square_reference(action_matrices(v), v.dim)
+        assert v.algebra.bracket_law_failure(wedge.A, wedge.den) is None
+
+
+def test_modules_built_by_lemma_satisfy_the_full_law(ctx, natural_rep):
+    """The reference for every lemma a run builds a module by: the full
+    bracket-law check passes on each stack built through ``LieModule._raw``."""
+    der, so34 = ctx.derivations, ctx.so34
+    modules = (
+        adjoint_module(der),
+        adjoint_module(so34),
+        natural_module(der),
+        natural_module(so34),
+        natural_rep,
+        ctx.complement_module,
+        wedge_square(natural_rep),
+        wedge_square(natural_module(so34)),
+        ctx.so34_as_g2_module,
+    )
+    for v in modules:
+        assert v.algebra.bracket_law_failure(v.A, v.den) is None, v.name
+    assert [v.dim for v in modules] == [14, 21, 8, 7, 7, 7, 21, 21, 21]
 
 
 def test_restricted_action_matches_reference(ctx, natural_rep, so3, big_module, scaled_module):

@@ -88,13 +88,14 @@ def _strip_timing(payload: bytes) -> bytes:
 
 def test_shared_objects_built_once_per_run(monkeypatch):
     """A full run builds the adjoint module of so(3,4) once and solves for the
-    natural module's invariant forms once; Killing forms are cached."""
+    natural module's invariant forms once; Killing forms are cached.  Every
+    module of a run is built by lemma, through ``LieModule._raw``."""
     built = []
-    init = LieModule.__init__
+    raw = LieModule._raw.__func__
 
-    def counting_init(self, algebra, A, *args, **kwargs):
+    def counting_raw(cls, algebra, A, *args, **kwargs):
         built.append((algebra, A))
-        init(self, algebra, A, *args, **kwargs)
+        return raw(cls, algebra, A, *args, **kwargs)
 
     forms_calls = []
     forms = suite.invariant_bilinear_forms
@@ -103,7 +104,7 @@ def test_shared_objects_built_once_per_run(monkeypatch):
         forms_calls.append(v)
         return forms(v)
 
-    monkeypatch.setattr(LieModule, "__init__", counting_init)
+    monkeypatch.setattr(LieModule, "_raw", classmethod(counting_raw))
     monkeypatch.setattr(suite, "invariant_bilinear_forms", counting_forms)
     ctx = VerificationContext()
     reports = run_all(SuiteConfig(samples=5), ctx=ctx)
