@@ -3,9 +3,9 @@
 A ``LieAlgebra`` takes and holds its bracket [e_i, e_j] = sum_k c_ijk e_k
 as one integer tensor ``C`` (dim x dim x dim, C[i, j, k] = den * c_ijk) and
 one denominator ``den``, as a ``reps.LieModule`` takes its stack; rationals
-and floats are rejected.  ``C`` is int64 when its entries fit and Python
-ints (object dtype) otherwise, as ``linalg.int_array`` decides; each product
-formed from it picks its dtype the same way, from a bound on the result.
+and floats are rejected.  ``C`` is held read-only beside its largest
+magnitude ``cmax`` (``linalg.held``), and each product formed from it reads
+``cmax`` to bound the result, which ``linalg.int_dtype`` turns into a dtype.
 Brackets (``bracket_table``), the Killing form (Cartan's criterion),
 closures, centralizers and transporters are contractions of ``C``, and the
 integer ad stack den * ad(e_i) is ``C[i]^T``.  A matrix realization is held
@@ -26,14 +26,17 @@ import numpy as np
 
 from .errors import DegenerateFormError
 from .linalg import (
+    Bounded,
     NormForm,
     Subspace,
     coordinate_map,
-    int_array,
+    held,
+    int_dtype,
     int_einsum,
     is_int_array,
     kernel_basis,
     lowest_terms,
+    max_abs,
     rank,
 )
 from .octonion import StructureConstantAlgebra
@@ -45,13 +48,13 @@ class LieAlgebra:
 
     ``C`` is a dim x dim x dim numpy integer array and ``den`` a positive
     integer, for c_ijk = C[i, j, k] / den, held in lowest terms with ``C``
-    int64 or Python ints as ``linalg.int_array`` decides.  Every instance
+    read-only beside its largest magnitude ``cmax``.  Every instance
     satisfies antisymmetry and the Jacobi identity: this constructor checks
     both, raising ValueError on a failure (and on a mis-shaped tensor or a
     ``den`` below 1, TypeError on a non-integer tensor), and
     ``from_matrix_basis``, the only source of a ``realization``, proves them.
     A ``realization`` is a pair (a, d) of an integer stack a of shape
-    (dim, n, n) and a positive d, for the matrices a[i] / d; it is None here.
+    (dim, n, n), read-only, and a positive d, for the matrices a[i] / d.
     """
 
     def __init__(self, C: np.ndarray, den: int = 1, name: str = ""):
@@ -70,14 +73,14 @@ class LieAlgebra:
         self.dim, self.name, self.realization = len(C), name, realization
         self._killing = self._adjoint = None  # built once per algebra, by killing_form and reps.adjoint_module
         C, self.den = lowest_terms(C, den)
-        self.C = int_array(C, int(np.max(np.abs(C), initial=0)))
+        self.C, self.cmax = held(C)
 
     # -- bracket machinery ------------------------------------------------
 
-    def bracket_law_failure(self, a: np.ndarray, scale: int) -> Optional[tuple[int, int]]:
+    def bracket_law_failure(self, a: np.ndarray, scale: int, amax: Optional[int] = None) -> Optional[tuple[int, int]]:
         """First basis pair (i, j), i < j, with [m_i, m_j] != sum_k c_ijk m_k
         for the matrices m_i = a[i] / scale of an integer stack a, or None if
-        the law holds exactly on every pair.
+        the law holds exactly on every pair; amax, when given, bounds a.
 
         The one check of the bracket law: for the action of a module and
         (through ``verify_jacobi``) for the ad stack.  It runs
@@ -85,11 +88,10 @@ class LieAlgebra:
         so that no dim^2 n^2 array is held; int64 carries both sides while
         every product provably fits, Python ints beyond that.
         """
-        n = a.shape[1]
-        amax = int(np.max(np.abs(a), initial=0))
-        cmax = int(np.max(np.abs(self.C), initial=0))
+        n, cmax = a.shape[1], self.cmax
+        amax = max_abs(a) if amax is None else amax
         peak = max(self.den, scale, cmax, 2 * n * amax * amax * self.den, self.dim * cmax * amax * scale)
-        a, c = int_array(a, peak), int_array(self.C, peak)
+        a, c = a.astype(int_dtype(peak), copy=False), self.C.astype(int_dtype(peak), copy=False)
         for i in range(self.dim - 1):
             lhs = self.den * (a[i] @ a[i + 1 :] - a[i + 1 :] @ a[i])
             rhs = scale * np.tensordot(c[i, i + 1 :], a, axes=(1, 0))
@@ -101,13 +103,13 @@ class LieAlgebra:
     def bracket_table(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """den * [x, y] for every row x of xs and y of ys, 2-D integer arrays
         of coordinates, as an integer array of shape (len(xs), len(ys), dim)."""
-        return int_einsum("ai,bik->abk", xs, int_einsum("bj,ijk->bik", ys, self.C))
+        return int_einsum("ai,bik->abk", xs, int_einsum("bj,ijk->bik", ys, Bounded(self.C, self.cmax)))
 
     def verify_jacobi(self) -> bool:
         """[ [x,y], z ] cycles sum to zero, checked as ad([x,y]) = [ad x, ad y]
         on all basis pairs (equivalent, and quadratic rather than cubic), on
         the integer ad stack den * ad(e_i) = C[i]^T."""
-        return self.bracket_law_failure(self.C.transpose(0, 2, 1), self.den) is None
+        return self.bracket_law_failure(self.C.transpose(0, 2, 1), self.den, self.cmax) is None
 
     @cached_property
     def realization_coordinates(self) -> Callable[[np.ndarray], Optional[tuple[np.ndarray, int]]]:
@@ -133,11 +135,11 @@ class LieAlgebra:
         if a.ndim != 3 or a.shape[1] != a.shape[2] or den < 1:
             raise ValueError("realization must be square matrices over a positive denominator")
         d, n = len(a), a.shape[1]
-        a = int_array(a, int(np.max(np.abs(a), initial=0)))
+        a, amax = held(a)
         t, t_den = np.zeros((0, 0, 0), dtype=np.int64), 1
         if d:
             coords = coordinate_map(a.reshape(d, n * n))
-            prod = int_einsum("ikm,jml->ijkl", a, a)
+            prod = int_einsum("ikm,jml->ijkl", Bounded(a, amax), Bounded(a, amax))
             solved = coords((prod - prod.transpose(1, 0, 2, 3)).reshape(d * d, n * n))
             if solved is None:
                 raise ValueError("matrix family is not closed under commutators")
@@ -154,7 +156,7 @@ def killing_form(g: LieAlgebra) -> NormForm:
     """The form (x, y) -> trace(ad x ad y), built once per algebra: Gram
     matrix K = einsum('imk,jkm->ij', C, C) / den^2."""
     if g._killing is None:
-        g._killing = NormForm(int_einsum("imk,jkm->ij", g.C, g.C), g.den**2)
+        g._killing = NormForm(int_einsum("imk,jkm->ij", Bounded(g.C, g.cmax), Bounded(g.C, g.cmax)), g.den**2)
     return g._killing
 
 
@@ -170,28 +172,30 @@ def derivation_algebra(alg: StructureConstantAlgebra) -> LieAlgebra:
     dim^3 x dim^2 system is the derivation space.  Each row is linear in the
     structure constants, so the cleared tensor ``alg.M`` has the same kernel.
     """
-    n = alg.dim
-    c = int_array(alg.M, 3 * int(np.max(np.abs(alg.M), initial=0)))
-    eye = np.eye(n, dtype=c.dtype)
-    # row (i, j, l), unknown D[a][b]: the e_l coefficient of
-    # D(e_i e_j) - D(e_i) e_j - e_i D(e_j), where D(e_b) = sum_a D[a][b] e_a
-    system = np.einsum("la,ijb->ijlab", eye, c)
-    system -= np.einsum("bi,ajl->ijlab", eye, c)
-    system -= np.einsum("bj,ial->ijlab", eye, c)
+    n, r = alg.dim, np.arange(alg.dim)
+    c = alg.M.astype(int_dtype(3 * alg.mmax), copy=False)
+    # row (i, j, l), unknown D[a][b]: the e_l coefficient of D(e_i e_j) -
+    # D(e_i) e_j - e_i D(e_j), where D(e_b) = sum_a D[a][b] e_a; its three
+    # terms sit where a = l, b = i and b = j
+    system = np.zeros((n,) * 5, dtype=c.dtype)
+    system[:, :, r, r, :] = c[:, :, None, :]
+    system[r, :, :, :, r] -= c.transpose(1, 2, 0)
+    system[:, r, :, :, r] -= c.transpose(0, 2, 1)
     a, s = kernel_basis(system.reshape(n**3, n * n)).cleared_basis()
     return LieAlgebra.from_matrix_basis(a.reshape(-1, n, n), s, name=f"der(dim {n})")
 
 
-def so_of_form(b: np.ndarray) -> LieAlgebra:
+def so_of_form(b: np.ndarray | Bounded) -> LieAlgebra:
     """so(b) = {X : X^T b + b X = 0} for a symmetric invertible b, a square
-    integer array; so(b) is that of every nonzero multiple of b, so a
-    rational form enters as its cleared Gram matrix."""
+    integer array (scanned unless ``Bounded``); so(b) is that of every
+    nonzero multiple of b, so a rational form enters as its Gram matrix."""
+    b, bmax = b if isinstance(b, Bounded) else (b, max_abs(b))
     n = len(b)
     if b.shape != (n, n) or not np.array_equal(b, b.T):
         raise DegenerateFormError("so_of_form requires a symmetric matrix")
     if rank(b) != n:
         raise DegenerateFormError("so_of_form requires an invertible form")
-    gram = int_array(b, 2 * int(np.max(np.abs(b), initial=0)))
+    gram = b.astype(int_dtype(2 * bmax), copy=False)
     eye = np.eye(n, dtype=gram.dtype)
     # row (i, j) with i <= j, unknown X[k][m]: entry (i, j) of X^T b + b X
     system = np.einsum("mi,kj->ijkm", eye, gram) + np.einsum("mj,ik->ijkm", eye, gram)
@@ -224,7 +228,7 @@ def centralizer(g: LieAlgebra, s: Subspace) -> Subspace:
     if s.dim == 0:
         return Subspace.full(g.dim)
     # row (v, k), unknown x_i: the e_k coefficient of [x, v]
-    system = int_einsum("vj,ijk->vki", s.int_basis(), g.C)
+    system = int_einsum("vj,ijk->vki", s.int_basis(), Bounded(g.C, g.cmax))
     return kernel_basis(system.reshape(-1, g.dim))
 
 
@@ -239,5 +243,5 @@ def transporter_into(g: LieAlgebra, target: Subspace) -> Subspace:
     if ann.dim == 0:
         return Subspace.full(g.dim)
     # row (j, u), unknown h_i: the pairing of [h, e_j] with annihilator row u
-    system = int_einsum("uk,ijk->jui", ann.int_basis(), g.C)
+    system = int_einsum("uk,ijk->jui", ann.int_basis(), Bounded(g.C, g.cmax))
     return kernel_basis(system.reshape(-1, g.dim))

@@ -8,8 +8,12 @@ Every matrix the package stores, takes or returns is a numpy integer array
 (int64, or object dtype of Python ints) with, where it is rational, one
 positive denominator beside it; constructors reject anything else.
 ``int_cleared`` is the one place an array of rationals becomes one integer
-array with one denominator, and ``int_dtype`` the one place that picks int64
-or Python ints for products.  Fractions remain only where the benchmark's
+array with one denominator, and ``int_dtype`` the one place that turns a
+bound into int64 or Python ints.  The owners ``LieAlgebra.C``,
+``LieModule.A``, ``NormForm.G`` and ``StructureConstantAlgebra.M`` keep their
+arrays read-only beside the largest magnitude (``held``), and ``int_einsum``
+reads it off a ``Bounded`` operand; it still scans fresh products, subspace
+bases and realization stacks.  Fractions remain only where the benchmark's
 tracer wraps them by name (``Matrix``, the one exact inverse, and ``rref``)
 and in the report values ``NormForm.bilinear`` and ``NormForm.norm``.
 
@@ -42,7 +46,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -90,26 +94,40 @@ def clear_denominators(values: Sequence[Fraction | int]) -> tuple[list[int], int
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
+def max_abs(a: np.ndarray) -> int:
+    """The largest magnitude of an integer array's entries, 0 when it is empty."""
+    return int(np.abs(a).max(initial=0))
+
+
 def int_dtype(peak: int):
     """int64 when peak, a bound the caller proves on every entry and every
-    product it will form, stays below 2**62; Python ints (object) otherwise."""
+    product it will form, stays below 2**62, so that one difference of two
+    such results still fits; Python ints (object) otherwise."""
     return np.int64 if peak < (1 << 62) else object
 
 
-def int_array(values, peak: int) -> np.ndarray:
-    """values as a new numpy integer array of dtype ``int_dtype(peak)``."""
-    return np.array(values, dtype=int_dtype(peak))
+# An integer array beside a bound on its entries' magnitudes, for int_einsum to read.
+Bounded = NamedTuple("Bounded", [("array", np.ndarray), ("bound", int)])
+
+
+def held(a: np.ndarray, copy: bool = True) -> Bounded:
+    """a read-only, of dtype ``int_dtype`` of its largest magnitude, beside
+    that magnitude; a copy unless copy is False and a has that dtype."""
+    bound = max_abs(a)
+    a = a.astype(int_dtype(bound), copy=copy)
+    a.flags.writeable = False
+    return Bounded(a, bound)
 
 
 def int_cleared(values) -> tuple[np.ndarray, int]:
     """A nested sequence or array of rationals as one integer array a of the
     same shape and the least den > 0 with a == den * values; int64 or Python
-    ints as ``int_array`` decides."""
+    ints as ``int_dtype`` decides."""
     values = np.array(values, dtype=object)
     ints, den = clear_denominators(
         [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values.flat]
     )
-    return int_array(ints, max(map(abs, ints), default=0)).reshape(values.shape), den
+    return np.array(ints, dtype=int_dtype(max(map(abs, ints), default=0))).reshape(values.shape), den
 
 
 def lowest_terms(a: np.ndarray, den: int) -> tuple[np.ndarray, int]:
@@ -120,18 +138,24 @@ def lowest_terms(a: np.ndarray, den: int) -> tuple[np.ndarray, int]:
 
 
 def int_einsum(spec: str, *operands) -> np.ndarray:
-    """np.einsum over integer operands (arrays or nested lists of ints),
-    exactly.  Every entry and partial sum is at most the product of the
-    operands' largest magnitudes times the number of summed terms;
-    ``int_array`` picks the dtype from that bound."""
-    arrays = [op if isinstance(op, np.ndarray) else np.array(op, dtype=object) for op in operands]
+    """np.einsum over integer operands, exactly: ``Bounded`` arrays and
+    Python ints, whose bounds are read, and integer arrays or nested lists of
+    ints, which are scanned.  Every entry and partial sum is at most the
+    product of the bounds times the number of summed terms; ``int_dtype``
+    picks the dtype from that, and an array that has it is not copied."""
     inputs, output = spec.split("->")
-    sizes = {}
-    for letters, a in zip(inputs.split(","), arrays):
-        sizes.update(zip(letters, a.shape))
-    peak = math.prod(n for x, n in sizes.items() if x not in output)
-    peak *= math.prod(max(1, int(np.max(np.abs(a))) if a.size else 0) for a in arrays)
-    return np.einsum(spec, *(int_array(a, peak) for a in arrays))
+    arrays, sizes, peak = [], {}, 1
+    for letters, op in zip(inputs.split(","), operands):
+        if isinstance(op, int):
+            op = Bounded(np.array(op), abs(op))
+        elif not isinstance(op, Bounded):
+            op = op if isinstance(op, np.ndarray) else np.array(op, dtype=object)
+            op = Bounded(op, max_abs(op))
+        sizes.update(zip(letters, op.array.shape))
+        arrays.append(op.array)
+        peak *= op.bound or 1
+    dtype = int_dtype(peak * math.prod(n for x, n in sizes.items() if x not in output))
+    return np.einsum(spec, *(a.astype(dtype, copy=False) for a in arrays))
 
 
 def _strip_row(row: list[int]) -> list[int]:
@@ -495,9 +519,9 @@ def signature(m) -> tuple[int, int, int]:
 class NormForm:
     """A symmetric bilinear form, and the quadratic norm x -> B(x, x) it
     polarizes, held as the integer Gram matrix ``G`` = den * gram and the
-    positive ``den`` in lowest terms; ``G`` is int64 or Python ints as
-    ``int_array`` decides.  A non-square, non-symmetric or non-integer ``G``
-    or a ``den`` below 1 raises ValueError."""
+    positive ``den`` in lowest terms, ``G`` read-only beside its largest
+    magnitude ``gmax``.  A non-square, non-symmetric or non-integer ``G`` or a
+    ``den`` below 1 raises ValueError."""
 
     def __init__(self, G: np.ndarray, den: int = 1):
         if G.ndim != 2 or G.shape[0] != G.shape[1] or not is_int_array(G) or den < 1:
@@ -505,7 +529,7 @@ class NormForm:
         if not np.array_equal(G, G.T):
             raise ValueError("Gram matrix must be symmetric")
         G, self.den = lowest_terms(G, den)
-        self.G = int_array(G, int(np.max(np.abs(G), initial=0)))
+        self.G, self.gmax = held(G)
 
     @cached_property
     def signature(self) -> tuple[int, int, int]:
@@ -518,11 +542,11 @@ class NormForm:
     def restricted(self, b: np.ndarray, s: int = 1) -> "NormForm":
         """The form on the span of the rows of b / s, b an integer array, in
         that basis: Gram matrix b G b^T / (den s^2)."""
-        return NormForm(int_einsum("ik,kl,jl->ij", b, self.G, b), self.den * s * s)
+        return NormForm(int_einsum("ik,kl,jl->ij", b, Bounded(self.G, self.gmax), b), self.den * s * s)
 
     def bilinear(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
         (xs, ys), d = int_cleared([x, y])
-        return Fraction(int(int_einsum("i,ij,j->", xs, self.G, ys)), d * d * self.den)
+        return Fraction(int(int_einsum("i,ij,j->", xs, Bounded(self.G, self.gmax), ys)), d * d * self.den)
 
     def norm(self, x: Sequence[Fraction]) -> Fraction:
         return self.bilinear(x, x)

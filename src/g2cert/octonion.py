@@ -14,10 +14,10 @@ A ``StructureConstantAlgebra`` holds its multiplication once, as the cleared
 integer tensor ``M`` (dim x dim x dim, M[i, j, k] = den * m_ijk for
 e_i e_j = sum_k m_ijk e_k) and its one denominator ``den``; its norm is a
 ``linalg.NormForm``, the Gram matrix of the polarization as the integer
-matrix ``G`` and its one denominator ``den``.  Both are int64 when the
-entries fit and Python ints (object dtype) otherwise, as
-``linalg.int_array`` decides, and every product, bilinear value and
-identity check is a ``linalg.int_einsum`` of them.  The Zorn product runs
+matrix ``G`` and its one denominator ``den``.  Both are held read-only
+beside their largest magnitudes ``mmax`` and ``gmax`` (``linalg.held``), and
+every product, bilinear value and identity check is a ``linalg.int_einsum``
+of them that reads those bounds.  The Zorn product runs
 on integer basis vectors.  Fractions remain only where the benchmark's
 mutation sweep and tracer use them: ``StructureConstantAlgebra(dim, mul)``
 clears a rational ``mul``, and ``mul`` and ``multiply`` return Fractions.
@@ -33,10 +33,12 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (
+    Bounded,
     NormForm,
     Subspace,
     clear_denominators,
     int_cleared,
+    held,
     int_einsum,
     kernel_basis,
 )
@@ -46,14 +48,16 @@ DIM = 8
 class StructureConstantAlgebra:
     """A finite-dimensional (not necessarily associative) algebra given by
     structure constants e_i e_j = sum_k mul[i][j][k] e_k, held only as
-    ``M`` = den * mul and ``den``.  A mis-shaped tensor raises ValueError."""
+    ``M`` = den * mul, read-only beside its bound ``mmax``, and ``den``.  A
+    mis-shaped tensor raises ValueError."""
 
     def __init__(self, dim: int, mul):
         tensor = np.array(mul, dtype=object) if dim else np.zeros((0, 0, 0), dtype=object)
         if tensor.shape != (dim,) * 3:
             raise ValueError("structure constant tensor has wrong shape")
         self.dim = dim
-        self.M, self.den = int_cleared(tensor)
+        M, self.den = int_cleared(tensor)
+        self.M, self.mmax = held(M, copy=False)
 
     @cached_property
     def mul(self) -> tuple:
@@ -67,7 +71,7 @@ class StructureConstantAlgebra:
     def multiply(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Bilinear extension of the structure constants."""
         (xs, ys), d = int_cleared([x, y])
-        prod = int_einsum("i,j,ijk->k", xs, ys, self.M)
+        prod = int_einsum("i,j,ijk->k", xs, ys, Bounded(self.M, self.mmax))
         return tuple(Fraction(int(c), d * d * self.den) for c in prod)
 
 
@@ -114,7 +118,7 @@ class SplitCayley:
         """The orthogonal complement of the unit and the norm form restricted
         to it, in its canonical basis (signature (3,4))."""
         u, _ = clear_denominators(self.unit)
-        sub = kernel_basis(int_einsum("ij,j->i", self.form.G, u).reshape(1, -1))
+        sub = kernel_basis(int_einsum("ij,j->i", Bounded(self.form.G, self.form.gmax), u).reshape(1, -1))
         assert sub.dim == DIM - 1
         return sub, self.form.restricted(*sub.cleared_basis())
 

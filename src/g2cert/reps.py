@@ -3,8 +3,9 @@ forms, Killing-orthogonal complements, generated submodules, irreducibility
 certificates, wedge squares, and module isomorphism.
 
 A ``LieModule`` holds its action once, as the integer stack ``A`` (algebra
-dim x n x n, A[i] = den * rho(e_i)) and its one denominator ``den``, the way
-a ``LieAlgebra`` holds ``C``.  Every exact check and builder here is a
+dim x n x n, A[i] = den * rho(e_i)), read-only beside its largest magnitude
+``amax``, and its one denominator ``den``, the way a ``LieAlgebra`` holds
+``C``.  Every exact check and builder here is a
 contraction of such stacks: the homomorphism law, intertwiners, restriction
 to an invariant subspace, generated submodules and the wedge square.  Every
 ``LieModule`` satisfies its homomorphism law: the public constructor checks
@@ -28,31 +29,29 @@ from .errors import DegenerateFormError, NotSemisimpleError, PreconditionError
 from .lie import LieAlgebra, killing_form, is_semisimple, so_of_form
 from .linalg import (
     PRIME,
+    Bounded,
     Matrix,
     NormForm,
     Subspace,
-    int_array,
+    held,
     int_cleared,
     int_dtype,
     int_einsum,
     is_int_array,
     kernel_basis,
     lowest_terms,
+    max_abs,
     rank,
     ranks_mod_p,
 )
 
 
-def _max_abs(a: np.ndarray) -> int:
-    return int(np.max(np.abs(a), initial=0))
-
-
 class LieModule:
     """A module over a Lie algebra: rho(e_i) = A[i] / den.
 
-    ``A`` is an integer array of shape (algebra dim, n, n), held as int64 or
-    Python ints (object dtype) as ``linalg.int_dtype`` decides, and ``den``
-    a positive integer; n is read off the stack, so a module over the zero
+    ``A`` is an integer array of shape (algebra dim, n, n), held read-only
+    beside its largest magnitude ``amax`` (``linalg.held``), and ``den`` a
+    positive integer; n is read off the stack, so a module over the zero
     algebra is a (0, n, n) stack.  The homomorphism law
     rho([e_i,e_j]) = [rho(e_i), rho(e_j)] holds for every instance: this
     constructor verifies it exactly on all basis pairs, and the builders
@@ -64,17 +63,17 @@ class LieModule:
             raise TypeError("a module action is an integer stack")
         if A.ndim != 3 or A.shape[0] != algebra.dim or A.shape[1] != A.shape[2] or den < 1:
             raise ValueError("one square action matrix per algebra basis element, over a positive denominator")
-        self.algebra, self.A, self.den, self.dim, self.name = algebra, int_array(A, _max_abs(A)), den, A.shape[1], name
-        bad = algebra.bracket_law_failure(self.A, den)
+        self.algebra, (self.A, self.amax), self.den, self.dim, self.name = algebra, held(A), den, A.shape[1], name
+        bad = algebra.bracket_law_failure(self.A, den, self.amax)
         if bad is not None:
             raise ValueError("homomorphism law fails at basis pair ({},{})".format(*bad))
 
     @classmethod
     def _raw(cls, algebra: LieAlgebra, A: np.ndarray, den: int, name: str) -> "LieModule":
-        """A module whose law the caller has proved; A is held as is where it has the dtype of int_dtype."""
+        """A module whose law the caller has proved; A is held as is, read-only, where it has the dtype of held."""
         mod = object.__new__(cls)
         mod.algebra, mod.den, mod.dim, mod.name = algebra, den, A.shape[1], name
-        mod.A = A.astype(int_dtype(_max_abs(A)), copy=False)
+        mod.A, mod.amax = held(A, copy=False)
         return mod
 
 
@@ -93,10 +92,10 @@ def natural_module(g: LieAlgebra, name: str = "") -> LieModule:
     return LieModule._raw(g, *g.realization, name=name or f"nat({g.name})")
 
 
-def restricted_action(a: np.ndarray, sub: Subspace) -> tuple[np.ndarray, int]:
-    """An integer stack restricted to an invariant subspace, in that
-    subspace's canonical basis: (r, s) with r[i] = s * (a[i] restricted),
-    where s is the basis's common denominator.
+def restricted_action(a: np.ndarray | Bounded, sub: Subspace) -> tuple[np.ndarray, int]:
+    """An integer stack, or a ``Bounded`` one, restricted to an invariant
+    subspace, in that subspace's canonical basis: (r, s) with r[i] = s *
+    (a[i] restricted), where s is the basis's common denominator.
 
     With b = s * basis, the images a[i] b_j have their coordinates at the
     pivot columns; invariance is s * a[i] b_j = sum_k r[i, k, j] b_k.
@@ -113,7 +112,7 @@ def restriction_module(v: LieModule, sub: Subspace, name: str = "") -> LieModule
     """Action restricted to an invariant subspace, in that subspace's basis."""
     if sub.ambient_dim != v.dim:
         raise ValueError("subspace lives in the wrong ambient space")
-    r, s = restricted_action(v.A, sub)
+    r, s = restricted_action(Bounded(v.A, v.amax), sub)
     # Lemma: restricted_action proved sub invariant, and an invariant subspace carries v's law
     return LieModule._raw(v.algebra, r, v.den * s, name)
 
@@ -139,7 +138,8 @@ class Intertwiner:
         v, w, t = self.source, self.target, self.T
         if t.shape != (w.dim, v.dim) or (t.dtype.kind != "i" and t.dtype != object) or self.den < 1:
             raise ValueError("an intertwiner is an integer (target dim x source dim) matrix over a positive denominator")
-        if not np.array_equal(int_einsum(",ab,ibc->iac", w.den, t, v.A), int_einsum("iab,bc,->iac", w.A, t, v.den)):
+        va, wa = Bounded(v.A, v.amax), Bounded(w.A, w.amax)
+        if not np.array_equal(int_einsum(",ab,ibc->iac", w.den, t, va), int_einsum("iab,bc,->iac", wa, t, v.den)):
             raise ValueError("matrix does not intertwine the actions")
 
     @property
@@ -154,7 +154,7 @@ def _spin_basis(a: np.ndarray) -> tuple[list[np.ndarray], list[tuple[int, int, i
     stops growing does the next standard vector outside it become a seed.
     Returns the integer vectors and their origins (k, g, s(k)) for a[g] b_k
     and (-1, -1, s) for the seed numbered s."""
-    n, p = a.shape[1], PRIME
+    n, p, a = a.shape[1], PRIME, Bounded(a, max_abs(a))
     basis, origins, echelon = [], [], []  # echelon: (pivot, row mod p)
     k = unit = 0
     while len(basis) < n:
@@ -191,10 +191,10 @@ def _intertwiner_space(a: np.ndarray, b: np.ndarray) -> Subspace:
     nrows, ncols = b.shape[1], a.shape[1]
     if not nrows * ncols:
         return Subspace(0, ())
-    basis, origins = _spin_basis(a)
+    (basis, origins), b = _spin_basis(a), Bounded(b, max_abs(b))
     ms = np.zeros((ncols, nrows, origins[-1][2] + 1, nrows), dtype=object)
     for j, (k, g, s) in enumerate(origins):  # ms[j, :, s(j), :] = M_j
-        ms[j, :, s] = int_einsum("ij,jk->ik", b[g], ms[k, :, s]) if k >= 0 else np.eye(nrows, dtype=int)
+        ms[j, :, s] = int_einsum("ij,jk->ik", Bounded(b.array[g], b.bound), ms[k, :, s]) if k >= 0 else np.eye(nrows, dtype=int)
     cols = np.array(basis, dtype=object).T
     b_inv, d = int_cleared(Matrix(cols.tolist()).inverse().rows)
     c = int_einsum("ji,gik->gjk", b_inv, int_einsum("gij,jk->gik", a, cols))
@@ -213,8 +213,8 @@ def hom_space(v: LieModule, w: LieModule) -> list[Intertwiner]:
     den_w T A_v[i] = den_v A_w[i] T."""
     if v.algebra is not w.algebra:
         raise ValueError("modules over different algebras")
-    peak = max(w.den * _max_abs(v.A), v.den * _max_abs(w.A))
-    sub = _intertwiner_space(int_array(v.A, peak) * w.den, int_array(w.A, peak) * v.den)
+    peak = max(w.den * v.amax, v.den * w.amax)
+    sub = _intertwiner_space(v.A.astype(int_dtype(peak)) * w.den, w.A.astype(int_dtype(peak)) * v.den)
     # each leading-1 basis element is its primitive row over the pivot entry
     return [
         Intertwiner(source=v, target=w, T=t.reshape(w.dim, v.dim), den=t[p])
@@ -290,7 +290,8 @@ def killing_orthocomplement(g: LieAlgebra, sub: Subspace) -> Subspace:
     if sub.ambient_dim != g.dim:
         raise ValueError("subspace lives in the wrong ambient space")
     b = sub.int_basis()
-    bk = int_einsum("ij,jk->ik", b, killing_form(g).G)
+    kf = killing_form(g)
+    bk = int_einsum("ij,jk->ik", b, Bounded(kf.G, kf.gmax))
     if rank(int_einsum("ik,jk->ij", bk, b)) != sub.dim:
         raise DegenerateFormError("Killing form restricts degenerately")
     comp = kernel_basis(bk)
@@ -316,7 +317,7 @@ def _generated_exactly(v: LieModule, vec: np.ndarray) -> Subspace:
     span = Subspace.from_vectors(v.dim, vec[None])
     while 0 < span.dim < v.dim:
         basis = span.int_basis()
-        images = int_einsum("imn,jn->ijm", v.A, basis).reshape(-1, v.dim)
+        images = int_einsum("imn,jn->ijm", Bounded(v.A, v.amax), basis).reshape(-1, v.dim)
         grown = Subspace.from_vectors(v.dim, np.concatenate([basis, images]))
         if grown.dim == span.dim:
             break
@@ -341,7 +342,7 @@ def wedge_square(v: LieModule, name: str = "") -> LieModule:
     of at most four stack entries, so the dtype is picked for four times the
     largest one."""
     n = v.dim
-    a = int_array(v.A, 4 * _max_abs(v.A))
+    a = v.A.astype(int_dtype(4 * v.amax), copy=False)
     k = np.einsum("xai,bj->xabij", a, np.eye(n, dtype=a.dtype))
     k = k + k.transpose(0, 2, 1, 4, 3)
     wedge = k - k.transpose(0, 2, 1, 3, 4)
@@ -360,7 +361,7 @@ def wedge_so_isomorphism(form: NormForm, so_alg: Optional[LieAlgebra] = None) ->
     if not form.nondegenerate:
         raise DegenerateFormError("wedge/so isomorphism needs a nondegenerate form")
     if so_alg is None:
-        so_alg = so_of_form(form.G)
+        so_alg = so_of_form(Bounded(form.G, form.gmax))
     nat = natural_module(so_alg)
     wedge = wedge_square(nat)
     adj = adjoint_module(so_alg)

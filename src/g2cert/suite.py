@@ -28,6 +28,7 @@ from .lie import (
     transporter_into,
 )
 from .linalg import (
+    Bounded,
     NormForm,
     Subspace,
     clear_denominators,
@@ -169,7 +170,7 @@ class VerificationContext:
 
     @property
     def so34(self) -> LieAlgebra:
-        return self._get("so34", lambda: so_of_form(self.imaginary[1].G))
+        return self._get("so34", lambda: so_of_form(Bounded(self.imaginary[1].G, self.imaginary[1].gmax)))
 
     @property
     def embedding(self) -> tuple[np.ndarray, int]:
@@ -199,7 +200,7 @@ class VerificationContext:
         def build():
             so34 = self.so34
             e, den = self.embedding
-            a = int_einsum("ij,jlk->ikl", e, so34.C)
+            a = int_einsum("ij,jlk->ikl", e, Bounded(so34.C, so34.cmax))
             # Lemma: ad o E is a module when E is a Lie map.  E is one: the natural module's law holds, its
             # image was solved exactly in so(3,4)'s realization, and from_matrix_basis proved that faithful and lawful.
             return LieModule._raw(self.derivations, a, den * so34.den, "so34|g2")
@@ -278,13 +279,13 @@ def check_cayley(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome:
     """Every identity is a comparison of two contractions of the cleared
     tensors, both sides brought to one integer scale: M = den * mul,
     G = g * gram, the unit u / s, and conjugation K / n with n = u^T G u and
-    K = 2 u (G u)^T - n I (so x-bar = 2 <x, e> / N(e) e - x)."""
+    K = 2 u (G u)^T - n I (so x-bar = 2 <x, e> / N(e) e - x), each bounded once."""
     out = CheckOutcome()
     c = ctx.cayley_candidate
-    m, den = c.algebra.M, c.algebra.den
-    g, gden = c.form.G, c.form.den
-    u, s = clear_denominators(c.unit)
-    eye = np.eye(c.algebra.dim, dtype=np.int64)
+    m, den = Bounded(c.algebra.M, c.algebra.mmax), c.algebra.den
+    g, gden = Bounded(c.form.G, c.form.gmax), c.form.den
+    (unit, s), eye = clear_denominators(c.unit), Bounded(np.eye(c.algebra.dim, dtype=np.int64), 1)
+    u = Bounded(np.array(unit, dtype=object), max(map(abs, unit)))
 
     out.expect("unit_norm", c.form.norm(c.unit), Fraction(1))
     unit_scaled = int_einsum(",jk->jk", s * den, eye)
@@ -308,7 +309,7 @@ def check_cayley(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome:
 
     # conj(ab) = conj(b) conj(a) on basis pairs, times n^2 den.  conj^2 = 1
     # needs no check: K depends only on u and G, and K / n is a reflection.
-    # Each int64 term is below 2**62 (int_array), so the difference fits.
+    # Each int64 term is below 2**62 (int_dtype), so the difference fits.
     n = int(int_einsum("i,ij,j->", u, g, u))
     k = int_einsum(",i,j->ij", 2, u, int_einsum("ij,j->i", g, u)) - int_einsum(",ij->ij", n, eye)
     conj_ok = np.array_equal(int_einsum(",kl,abl->abk", n, k, m), int_einsum("pb,qa,pqk->abk", k, k, m))
@@ -316,7 +317,7 @@ def check_cayley(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome:
 
     rng = Random(f"{cfg.seed}/cayley")
     draws = [rng.randint(-9, 9) for _ in range(2 * c.algebra.dim * cfg.samples)]
-    x, y = np.array(draws, dtype=np.int64).reshape(cfg.samples, 2, c.algebra.dim).transpose(1, 0, 2)
+    x, y = (Bounded(z, 9) for z in np.array(draws, dtype=np.int64).reshape(cfg.samples, 2, c.algebra.dim).transpose(1, 0, 2))
     xy = int_einsum("si,sj,ijk->sk", x, y, m)
     nx = int_einsum("si,ij,sj->s", x, g, x)
     # N(xy) = N(x) N(y) times g^2 den^2; x(xy) = (xx)y times den^2;
@@ -342,7 +343,7 @@ def check_cayley(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome:
     sub, restricted = c.imaginary_subspace()
     out.expect("imaginary_dim", sub.dim, 7)
     out.expect("imag_signature", restricted.signature, (3, 4, 0))
-    out.expect("unit_outside_imaginary", sub.contains_vector(u), False)
+    out.expect("unit_outside_imaginary", sub.contains_vector(unit), False)
     return out
 
 
@@ -366,7 +367,7 @@ def check_derivations(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcom
     # D e = 0 and D^T G + G D = 0 for every derivation D, on its cleared stack
     c = ctx.cayley
     a, _ = der.realization
-    ga = int_einsum("ik,dkj->dij", c.form.G, a)
+    ga = int_einsum("ik,dkj->dij", Bounded(c.form.G, c.form.gmax), a)
     unit_images = int_einsum("dij,j->di", a, clear_denominators(c.unit)[0])
     linear_ok = not np.any(unit_images) and not np.any(ga + ga.transpose(0, 2, 1))
     out.expect("derivations_kill_unit_and_are_skew", linear_ok, True)
@@ -392,7 +393,7 @@ def check_invariant_form(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOut
     out.expect("signature", forms.signature, (3, 4, 0))
     out.expect("nondegenerate", rank(gen.G), 7)
     # uniqueness up to scale: a rescaled generator sits on the same line
-    ratio = _proportionality(NormForm(int_einsum(",ij->ij", 5, gen.G), gen.den), gen)
+    ratio = _proportionality(NormForm(int_einsum(",ij->ij", 5, Bounded(gen.G, gen.gmax)), gen.den), gen)
     out.expect("scale_recovery", ratio, Fraction(5))
     return out
 
@@ -510,7 +511,7 @@ def _proportionality(a: NormForm, b: NormForm) -> Optional[Fraction]:
     or a pair that is not proportional."""
     if a.G.shape != b.G.shape:
         return None
-    x, y = int_einsum(",ij->ij", b.den, a.G), int_einsum(",ij->ij", a.den, b.G)
+    x, y = int_einsum(",ij->ij", b.den, Bounded(a.G, a.gmax)), int_einsum(",ij->ij", a.den, Bounded(b.G, b.gmax))
     nonzero = np.flatnonzero(y)
     if not len(nonzero):
         return None

@@ -14,7 +14,7 @@ from g2cert.lie import (
     subalgebra_closure,
     transporter_into,
 )
-from g2cert.linalg import Subspace, coordinate_map, int_array, int_cleared, kernel_basis, rank
+from g2cert.linalg import Subspace, coordinate_map, int_cleared, int_dtype, kernel_basis, rank
 from g2cert.octonion import StructureConstantAlgebra
 
 from conftest import (
@@ -134,7 +134,7 @@ def test_killing_form_matches_trace_reference(sl2, derivations, so34):
     for g in (sl2, derivations, so34, *scaled):
         kf = killing_form(g)
         n, cmax = g.dim, int(np.max(np.abs(g.C)))
-        ads = int_array(g.C.transpose(0, 2, 1), n * n * cmax * cmax)
+        ads = g.C.transpose(0, 2, 1).astype(int_dtype(n * n * cmax * cmax))
         traces = np.trace(ads[:, None] @ ads[None], axis1=2, axis2=3).astype(object)
         # K = G / kden and trace(ad_i ad_j) = traces / den^2
         assert np.array_equal(traces * kf.den, kf.G.astype(object) * g.den**2)
@@ -354,7 +354,7 @@ def test_killing_ad_invariance(derivations):
     g, kf = derivations, killing_form(derivations)
     n = g.dim
     peak = n * int(np.max(np.abs(g.C))) * int(np.max(np.abs(kf.G)))
-    t = int_array(g.C, peak) @ int_array(kf.G, peak)
+    t = g.C.astype(int_dtype(peak)) @ kf.G.astype(int_dtype(peak))
     assert t.shape == (n, n, n) and np.any(t)
     assert not np.any(t + t.transpose(0, 2, 1))
     k = fractions(kf.G, kf.den)

@@ -12,6 +12,7 @@ import g2cert.linalg as linalg
 from g2cert.lie import derivation_algebra
 from g2cert.linalg import (
     PRIME,
+    Bounded,
     Matrix,
     NormForm,
     Subspace,
@@ -20,14 +21,18 @@ from g2cert.linalg import (
     clear_denominators,
     coordinate_map,
     int_cleared,
+    int_dtype,
     int_einsum,
     kernel_basis,
     lowest_terms,
+    max_abs,
     rank,
     ranks_mod_p,
     rref,
     signature,
 )
+from g2cert.octonion import StructureConstantAlgebra
+from g2cert.reps import LieModule, restriction_module
 
 from conftest import cayley_mutant, coordinates_of, diagonal, int_family, leading_one_basis, zeros
 
@@ -714,6 +719,80 @@ def test_int_einsum_exact_beyond_int64():
     out = int_einsum("ik,kj,ji->ij", a, b, a)
     assert out.tolist() == expected
     assert int_einsum("ij,jk->ik", [[1, 2]], [[3], [4]]).dtype == np.int64
+
+
+def test_int_einsum_reads_carried_bounds_and_python_int_scalars():
+    """A ``Bounded`` operand's bound and a Python int's magnitude pick the
+    dtype without a scan; an int64 operand of an int64 product is not
+    copied."""
+    a = np.array([[2**40, 1], [3, -(2**40)]], dtype=np.int64)
+    assert int_einsum("ij,jk->ik", Bounded(a, 1), Bounded(a, 1)).dtype == np.int64  # the bound is trusted
+    assert int_einsum("ij,jk->ik", Bounded(a, 2**40), a).tolist() == (a.astype(object) @ a.astype(object)).tolist()
+    assert int_einsum(",ij->ij", 2**70, a).tolist() == (2**70 * a.astype(object)).tolist()
+    assert int_einsum(",ij->ij", 3, [[1, 2]]).dtype == np.int64
+    seen = []
+    einsum = np.einsum
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "einsum", lambda spec, *ops: seen.extend(ops) or einsum(spec, *ops))
+        int_einsum("ij,jk->ik", Bounded(a, 2**40), np.eye(2, dtype=np.int64))
+    assert seen[0] is a
+
+
+def test_owners_hold_their_arrays_read_only_beside_their_bounds(ctx):
+    """No carried bound can go stale: each owner keeps its array read-only
+    beside its largest magnitude, and the public constructors copy, so the
+    caller's array stays writable."""
+    so34, cayley = ctx.so34, ctx.cayley
+    owned = [
+        (so34.C, so34.cmax),
+        (so34.realization[0], max_abs(so34.realization[0])),
+        (ctx.natural_rep.A, ctx.natural_rep.amax),  # built by lemma, through LieModule._raw
+        (ctx.complement_module.A, ctx.complement_module.amax),
+        (cayley.form.G, cayley.form.gmax),
+        (lie.killing_form(so34).G, lie.killing_form(so34).gmax),
+        (cayley.algebra.M, cayley.algebra.mmax),
+    ]
+    for a, bound in owned:
+        assert bound == max_abs(a)
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] += 1
+    c, g = np.zeros((2, 2, 2), dtype=np.int64), np.eye(2, dtype=np.int64)
+    module = LieModule(lie.LieAlgebra(c), c.copy())
+    NormForm(g)
+    c[0, 0, 0] = g[0, 0] = 0
+    assert not module.A.flags.writeable and module.amax == 0
+
+
+def test_carried_bounds_pick_python_ints_near_2_31():
+    """Each owner's entries near 2**31, times operands near 2**16 or 2**32,
+    pass 2**63: a carried bound that understated the entries would pick int64
+    and wrap around.  Python-int arithmetic is the reference."""
+    k = 2**31 + 1
+    # sl(2) on h, e, f' = k f: [h, e] = 2e, [h, f'] = -2f', [e, f'] = k h
+    c = np.zeros((3, 3, 3), dtype=np.int64)
+    c[0, 1, 1], c[0, 2, 2], c[1, 2, 0] = 2, -2, k
+    sl2 = lie.LieAlgebra(c - c.transpose(1, 0, 2))
+    assert sl2.bracket_table(np.array([[0, 1, 0]]), np.array([[0, 0, 2**32]])).tolist() == [[[2**32 * k, 0, 0]]]
+    form = NormForm(np.diag([k, k]))
+    assert form.restricted(np.array([[2**16, 2**16]])).G.tolist() == [[2**33 * k]]
+    algebra = StructureConstantAlgebra(1, [[[k]]])
+    assert algebra.multiply([2**16], [2**16]) == (Fraction(2**32 * k),)
+    # restricted twice: through the public constructor's bound, then _raw's
+    module = LieModule(lie.LieAlgebra(np.zeros((1, 1, 1), dtype=np.int64)), k * np.eye(3, dtype=np.int64)[None])
+    plane = restriction_module(module, Subspace.from_vectors(3, [[1, 2**32, 0], [0, 0, 1]]))
+    line = restriction_module(plane, Subspace.from_vectors(2, [[1, 2**32]]))
+    assert plane.A.tolist() == [[[k, 0], [0, k]]] and line.A.tolist() == [[[k]]] and line.den == 1
+
+
+def test_int_dtype_leaves_room_for_one_difference():
+    """Callers subtract two results bounded below ``int_dtype``'s threshold:
+    the commutators of ``from_matrix_basis``, the conjugation matrix of
+    ``check_cayley``, the Hom systems.  Python ints from 2**62 on keep such a
+    difference inside int64 or exact."""
+    assert int_dtype(2**62 - 1) is np.int64 and int_dtype(2**62) is object
+    for bound in (2**62 - 1, 2**62 + 1):
+        x = int_einsum(",ij->ij", bound, np.ones((1, 1), dtype=np.int64))
+        assert (x - (-x)).tolist() == [[2 * bound]]
 
 
 @pytest.mark.parametrize("nrows, ncols", [(8, 10), (160, 130)])

@@ -12,8 +12,8 @@ from g2cert.linalg import (
     NormForm,
     Subspace,
     clear_denominators,
-    int_array,
     int_cleared,
+    int_dtype,
     int_einsum,
     kernel_basis,
     rank,
@@ -722,7 +722,7 @@ def _sylvester_kernel(a, b):
     nrows, ncols = b.shape[1], a.shape[1]
     size = nrows * ncols
     peak = 2 * max(int(np.max(np.abs(a), initial=0)), int(np.max(np.abs(b), initial=0)))
-    a, b = int_array(a, peak), int_array(b, peak)
+    a, b = a.astype(int_dtype(peak)), b.astype(int_dtype(peak))
     vectors = None
     for a_i, b_i in zip(a, b):
         if vectors is None:
@@ -741,7 +741,7 @@ def _sylvester_kernel(a, b):
 
 def _hom_reference(v, w):
     peak = max(w.den * int(np.max(np.abs(v.A), initial=0)), v.den * int(np.max(np.abs(w.A), initial=0)))
-    return _sylvester_kernel(int_array(v.A, peak) * w.den, int_array(w.A, peak) * v.den)
+    return _sylvester_kernel(v.A.astype(int_dtype(peak)) * w.den, w.A.astype(int_dtype(peak)) * v.den)
 
 
 def _seed_count(v):

@@ -1,0 +1,101 @@
+"""Slow twins: the real chain rerun with a fast path swapped for a slow one,
+compared byte for byte with the fast run (differential testing; McKeeman,
+"Differential testing for software", Digital Technical Journal 10, 1998).
+
+The inputs are the default suite at seed 0 and one of every 16 of the 1024
++-1 mutants of the Cayley structure constants, each through
+``derivation_algebra`` and the cayley and derivations checks.  The reports
+must match apart from ``elapsed_ms``:
+
+* Python-int twin: ``int_dtype`` returns object wherever it is bound, so no
+  product runs on int64 and no carried bound can choose a dtype;
+* small-prime twin: ``PRIME`` is 2 or 3, so rows picked independent mod p,
+  spans certified mod p and generation by rank mod p fall short on real data
+  and the exact fallbacks decide instead.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from conftest import cayley_mutant
+from g2cert import cli, lie, linalg, octonion, report, reps, suite, weyl
+from g2cert.lie import derivation_algebra
+from g2cert.report import serialize
+from g2cert.suite import SuiteConfig, VerificationContext, run_all
+
+MODULES = (cli, lie, linalg, octonion, report, reps, suite, weyl)
+MUTANTS = [16 * t + t % 2 for t in range(64)]  # both signs: mutant 2 * (64 i + 8 j + k) + s
+
+
+def _rebind(monkeypatch, name, new):
+    """Rebind name in every g2cert module that holds linalg's object."""
+    original = getattr(linalg, name)
+    for module in MODULES:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, new)
+
+
+def _stripped(reports, cfg) -> bytes:
+    doc = json.loads(serialize(reports, cfg))
+    for check in doc["checks"]:
+        check["elapsed_ms"] = 0
+    return json.dumps(doc).encode()
+
+
+def _counted(calls, module, name):
+    fn = getattr(module, name)
+
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return wrapper
+
+
+def _run_chain(monkeypatch):
+    """The default run's context, the serialized reports of every input, and
+    the count of kernels that eliminated every row (a second ``_kernel_rows``
+    in one ``kernel_basis``) and of seeds generated exactly."""
+    calls = {"kernel_basis": 0, "_kernel_rows": 0, "_generated_exactly": 0}
+    _rebind(monkeypatch, "kernel_basis", _counted(calls, linalg, "kernel_basis"))
+    monkeypatch.setattr(linalg, "_kernel_rows", _counted(calls, linalg, "_kernel_rows"))
+    monkeypatch.setattr(reps, "_generated_exactly", _counted(calls, reps, "_generated_exactly"))
+    ctx, cfg = VerificationContext(), SuiteConfig()
+    out = [_stripped(run_all(cfg, ctx=ctx), cfg)]
+    mutant_cfg = SuiteConfig(samples=5, checks=("cayley", "derivations"))
+    for index in MUTANTS:
+        i, rest = divmod(index // 2, 64)
+        cand = cayley_mutant({(i, *divmod(rest, 8)): 1 - 2 * (index % 2)})
+        der = derivation_algebra(cand.algebra)
+        mutant_ctx = VerificationContext(cayley_candidate=cand, derivations_candidate=der)
+        out.append(_stripped(run_all(mutant_cfg, ctx=mutant_ctx), mutant_cfg))
+    return ctx, out, (calls["_kernel_rows"] - calls["kernel_basis"], calls["_generated_exactly"])
+
+
+@pytest.fixture(scope="module")
+def fast_run():
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        ctx, out, fallbacks = _run_chain(monkeypatch)
+    assert ctx.so34.C.dtype == np.int64
+    assert fallbacks == (0, 6)
+    return out
+
+
+def test_python_int_twin_matches_the_int64_run(monkeypatch, fast_run):
+    _rebind(monkeypatch, "int_dtype", lambda peak: object)
+    ctx, out, _ = _run_chain(monkeypatch)
+    # not vacuous: every carried array and every product is Python ints
+    assert ctx.so34.C.dtype == ctx.natural_rep.A.dtype == ctx.cayley.algebra.M.dtype == object
+    assert linalg.int_einsum("ij,jk->ik", np.eye(2, dtype=np.int64), [[1], [2]]).dtype == object
+    assert out == fast_run
+
+
+@pytest.mark.parametrize("prime, min_all_rows", [(2, 1), (3, 0)])
+def test_small_prime_twin_matches_the_real_prime_run(monkeypatch, fast_run, prime, min_all_rows):
+    _rebind(monkeypatch, "PRIME", prime)
+    _, out, (all_rows, exact_generations) = _run_chain(monkeypatch)
+    assert out == fast_run
+    # not vacuous: the exact fallbacks ran where the real prime needs none
+    assert all_rows >= min_all_rows and exact_generations > 6
