@@ -36,8 +36,6 @@ from .linalg import (
     is_int_array,
     kernel_basis,
     lowest_terms,
-    max_abs,
-    rank,
 )
 from .octonion import StructureConstantAlgebra
 
@@ -57,30 +55,30 @@ class LieAlgebra:
     (dim, n, n), read-only, and a positive d, for the matrices a[i] / d.
     """
 
-    def __init__(self, C: np.ndarray, den: int = 1, name: str = ""):
+    def __init__(self, C: np.ndarray, den: int = 1):
         if not is_int_array(C):
             raise TypeError("the bracket tensor is an integer array")
         if C.shape != (len(C),) * 3 or den < 1:
             raise ValueError("the bracket tensor must be dim x dim x dim over a positive denominator")
-        self._hold(C, den, name, None)
+        self._hold(C, den, None)
         asym = np.argwhere(np.any(self.C + self.C.transpose(1, 0, 2) != 0, axis=2))
         if len(asym):
             raise ValueError("brackets not antisymmetric at ({},{})".format(*asym[0]))
         if not self.verify_jacobi():
             raise ValueError("Jacobi identity fails")
 
-    def _hold(self, C: np.ndarray, den: int, name: str, realization: Optional[tuple[np.ndarray, int]]):
-        self.dim, self.name, self.realization = len(C), name, realization
+    def _hold(self, C: np.ndarray, den: int, realization: Optional[tuple[np.ndarray, int]]):
+        self.dim, self.realization = len(C), realization
         self._killing = self._adjoint = None  # built once per algebra, by killing_form and reps.adjoint_module
         C, self.den = lowest_terms(C, den)
         self.C, self.cmax = held(C)
 
     # -- bracket machinery ------------------------------------------------
 
-    def bracket_law_failure(self, a: np.ndarray, scale: int, amax: Optional[int] = None) -> Optional[tuple[int, int]]:
+    def bracket_law_failure(self, a: np.ndarray, scale: int, amax: int) -> Optional[tuple[int, int]]:
         """First basis pair (i, j), i < j, with [m_i, m_j] != sum_k c_ijk m_k
-        for the matrices m_i = a[i] / scale of an integer stack a, or None if
-        the law holds exactly on every pair; amax, when given, bounds a.
+        for the matrices m_i = a[i] / scale of an integer stack a bounded by
+        amax, or None if the law holds exactly on every pair.
 
         The one check of the bracket law: for the action of a module and
         (through ``verify_jacobi``) for the ad stack.  It runs
@@ -89,7 +87,6 @@ class LieAlgebra:
         every product provably fits, Python ints beyond that.
         """
         n, cmax = a.shape[1], self.cmax
-        amax = max_abs(a) if amax is None else amax
         peak = max(self.den, scale, cmax, 2 * n * amax * amax * self.den, self.dim * cmax * amax * scale)
         a, c = a.astype(int_dtype(peak), copy=False), self.C.astype(int_dtype(peak), copy=False)
         for i in range(self.dim - 1):
@@ -120,7 +117,7 @@ class LieAlgebra:
         return coordinate_map(a.reshape(self.dim, -1))
 
     @classmethod
-    def from_matrix_basis(cls, a: np.ndarray, den: int = 1, name: str = "") -> "LieAlgebra":
+    def from_matrix_basis(cls, a: np.ndarray, den: int = 1) -> "LieAlgebra":
         """Build from, and realize on, a linearly independent family of n x n
         matrices a[i] / den closed under commutators, a an integer stack.
 
@@ -148,7 +145,7 @@ class LieAlgebra:
         # [a_i, a_j] = sum_k (t_ijk / d) a_k: the realization is faithful and lawful, so antisymmetry
         # and Jacobi hold for C because they hold in gl(n).
         alg = object.__new__(cls)
-        alg._hold(t.reshape(d, d, d), t_den * den, name, (a, den))
+        alg._hold(t.reshape(d, d, d), t_den * den, (a, den))
         return alg
 
 
@@ -182,25 +179,22 @@ def derivation_algebra(alg: StructureConstantAlgebra) -> LieAlgebra:
     system[r, :, :, :, r] -= c.transpose(1, 2, 0)
     system[:, r, :, :, r] -= c.transpose(0, 2, 1)
     a, s = kernel_basis(system.reshape(n**3, n * n)).cleared_basis()
-    return LieAlgebra.from_matrix_basis(a.reshape(-1, n, n), s, name=f"der(dim {n})")
+    return LieAlgebra.from_matrix_basis(a.reshape(-1, n, n), s)
 
 
-def so_of_form(b: np.ndarray | Bounded) -> LieAlgebra:
-    """so(b) = {X : X^T b + b X = 0} for a symmetric invertible b, a square
-    integer array (scanned unless ``Bounded``); so(b) is that of every
-    nonzero multiple of b, so a rational form enters as its Gram matrix."""
-    b, bmax = b if isinstance(b, Bounded) else (b, max_abs(b))
-    n = len(b)
-    if b.shape != (n, n) or not np.array_equal(b, b.T):
-        raise DegenerateFormError("so_of_form requires a symmetric matrix")
-    if rank(b) != n:
-        raise DegenerateFormError("so_of_form requires an invertible form")
-    gram = b.astype(int_dtype(2 * bmax), copy=False)
+def so_of_form(form: NormForm) -> LieAlgebra:
+    """so(form) = {X : X^T G + G X = 0} for a nondegenerate form with Gram
+    matrix G / den, read off its integer ``G`` and bound ``gmax``: so(G) is
+    that of every nonzero multiple of G, so ``den`` plays no part."""
+    if not form.nondegenerate:
+        raise DegenerateFormError("so_of_form requires a nondegenerate form")
+    n = len(form.G)
+    gram = form.G.astype(int_dtype(2 * form.gmax), copy=False)
     eye = np.eye(n, dtype=gram.dtype)
-    # row (i, j) with i <= j, unknown X[k][m]: entry (i, j) of X^T b + b X
+    # row (i, j) with i <= j, unknown X[k][m]: entry (i, j) of X^T G + G X
     system = np.einsum("mi,kj->ijkm", eye, gram) + np.einsum("mj,ik->ijkm", eye, gram)
     a, s = kernel_basis(system[np.triu_indices(n)].reshape(-1, n * n)).cleared_basis()
-    alg = LieAlgebra.from_matrix_basis(a.reshape(-1, n, n), s, name=f"so({n})")
+    alg = LieAlgebra.from_matrix_basis(a.reshape(-1, n, n), s)
     assert alg.dim == n * (n - 1) // 2
     return alg
 

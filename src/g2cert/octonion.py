@@ -114,9 +114,10 @@ class SplitCayley:
     form: NormForm
     unit: tuple[int, ...]
 
-    def imaginary_subspace(self) -> tuple[Subspace, NormForm]:
+    @cached_property
+    def imaginary(self) -> tuple[Subspace, NormForm]:
         """The orthogonal complement of the unit and the norm form restricted
-        to it, in its canonical basis (signature (3,4))."""
+        to it, in its canonical basis (signature (3,4)); built once per instance."""
         u, _ = clear_denominators(self.unit)
         sub = kernel_basis(int_einsum("ij,j->i", Bounded(self.form.G, self.form.gmax), u).reshape(1, -1))
         assert sub.dim == DIM - 1

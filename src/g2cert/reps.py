@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateFormError, NotSemisimpleError, PreconditionError
-from .lie import LieAlgebra, killing_form, is_semisimple, so_of_form
+from .lie import LieAlgebra, killing_form, is_semisimple
 from .linalg import (
     PRIME,
     Bounded,
@@ -58,21 +58,21 @@ class LieModule:
     that use ``_raw`` prove it by the lemma stated at each call.
     """
 
-    def __init__(self, algebra: LieAlgebra, A: np.ndarray, den: int = 1, name: str = ""):
+    def __init__(self, algebra: LieAlgebra, A: np.ndarray, den: int = 1):
         if not is_int_array(A):
             raise TypeError("a module action is an integer stack")
         if A.ndim != 3 or A.shape[0] != algebra.dim or A.shape[1] != A.shape[2] or den < 1:
             raise ValueError("one square action matrix per algebra basis element, over a positive denominator")
-        self.algebra, (self.A, self.amax), self.den, self.dim, self.name = algebra, held(A), den, A.shape[1], name
+        self.algebra, (self.A, self.amax), self.den, self.dim = algebra, held(A), den, A.shape[1]
         bad = algebra.bracket_law_failure(self.A, den, self.amax)
         if bad is not None:
             raise ValueError("homomorphism law fails at basis pair ({},{})".format(*bad))
 
     @classmethod
-    def _raw(cls, algebra: LieAlgebra, A: np.ndarray, den: int, name: str) -> "LieModule":
+    def _raw(cls, algebra: LieAlgebra, A: np.ndarray, den: int) -> "LieModule":
         """A module whose law the caller has proved; A is held as is, read-only, where it has the dtype of held."""
         mod = object.__new__(cls)
-        mod.algebra, mod.den, mod.dim, mod.name = algebra, den, A.shape[1], name
+        mod.algebra, mod.den, mod.dim = algebra, den, A.shape[1]
         mod.A, mod.amax = held(A, copy=False)
         return mod
 
@@ -81,15 +81,15 @@ def adjoint_module(g: LieAlgebra) -> LieModule:
     """The adjoint module, den * ad(e_i) = C[i]^T, built once per algebra."""
     if g._adjoint is None:
         # Lemma: ad is a homomorphism iff the Jacobi identity holds, and every LieAlgebra satisfies it
-        g._adjoint = LieModule._raw(g, g.C.transpose(0, 2, 1), g.den, f"ad({g.name})")
+        g._adjoint = LieModule._raw(g, g.C.transpose(0, 2, 1), g.den)
     return g._adjoint
 
 
-def natural_module(g: LieAlgebra, name: str = "") -> LieModule:
+def natural_module(g: LieAlgebra) -> LieModule:
     """The module of g's realization, whose law ``LieAlgebra.from_matrix_basis`` proved."""
     if g.realization is None:
         raise ValueError("algebra carries no matrix realization")
-    return LieModule._raw(g, *g.realization, name=name or f"nat({g.name})")
+    return LieModule._raw(g, *g.realization)
 
 
 def restricted_action(a: np.ndarray | Bounded, sub: Subspace) -> tuple[np.ndarray, int]:
@@ -108,13 +108,13 @@ def restricted_action(a: np.ndarray | Bounded, sub: Subspace) -> tuple[np.ndarra
     return r, s
 
 
-def restriction_module(v: LieModule, sub: Subspace, name: str = "") -> LieModule:
+def restriction_module(v: LieModule, sub: Subspace) -> LieModule:
     """Action restricted to an invariant subspace, in that subspace's basis."""
     if sub.ambient_dim != v.dim:
         raise ValueError("subspace lives in the wrong ambient space")
     r, s = restricted_action(Bounded(v.A, v.amax), sub)
     # Lemma: restricted_action proved sub invariant, and an invariant subspace carries v's law
-    return LieModule._raw(v.algebra, r, v.den * s, name)
+    return LieModule._raw(v.algebra, r, v.den * s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,7 +333,7 @@ def bracket_span(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     return Subspace.from_vectors(g.dim, table.reshape(-1, g.dim))
 
 
-def wedge_square(v: LieModule, name: str = "") -> LieModule:
+def wedge_square(v: LieModule) -> LieModule:
     """Induced action on wedge^2: x.(u ^ w) = (x u) ^ w + u ^ (x w), on the
     lexicographic basis e_i ^ e_j with i < j.
 
@@ -348,20 +348,19 @@ def wedge_square(v: LieModule, name: str = "") -> LieModule:
     wedge = k - k.transpose(0, 2, 1, 3, 4)
     rows, cols = np.triu_indices(n, 1)
     # Lemma: A (x) 1 + 1 (x) A is a module whenever A is, and the antisymmetric tensors are invariant under it
-    return LieModule._raw(v.algebra, wedge[:, rows, cols][:, :, rows, cols], v.den, name or f"wedge2({v.name})")
+    return LieModule._raw(v.algebra, wedge[:, rows, cols][:, :, rows, cols], v.den)
 
 
-def wedge_so_isomorphism(form: NormForm, so_alg: Optional[LieAlgebra] = None) -> Intertwiner:
+def wedge_so_isomorphism(form: NormForm, so_alg: LieAlgebra) -> Intertwiner:
     """The map u ^ w -> <., u> w - <., w> u from wedge^2(E) to so(E), as an
-    intertwiner of so(E)-modules; bijectivity is the caller's rank check.
+    intertwiner of so(E)-modules, for so_alg = ``lie.so_of_form(form)``;
+    bijectivity is the caller's rank check.
 
     An equivariant bijection here is automatically one for every subalgebra
     of so(E) as well."""
     n = len(form.G)
     if not form.nondegenerate:
         raise DegenerateFormError("wedge/so isomorphism needs a nondegenerate form")
-    if so_alg is None:
-        so_alg = so_of_form(Bounded(form.G, form.gmax))
     nat = natural_module(so_alg)
     wedge = wedge_square(nat)
     adj = adjoint_module(so_alg)

@@ -9,6 +9,7 @@ dependency did not pass is reported as an error (skipped), never as a pass.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,6 +78,10 @@ class SuiteConfig:
     checks: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
+        if any(type(v) is not int for v in (self.seed, self.samples, self.census_bound)):
+            raise ValueError("seed, samples and census bound must be ints")
+        if self.checks is not None and not (type(self.checks) is tuple and all(type(c) is str for c in self.checks)):
+            raise ValueError("checks must be None or a tuple of check ids")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 unsigned bits")
         if not (0 <= self.samples <= MAX_SAMPLES):
@@ -95,155 +100,127 @@ class CheckReport:
     elapsed_ms: int
 
 
-class VerificationContext:
-    """Canonical constructions shared by the checks, built lazily and cached.
+def _stage(build: Callable) -> property:
+    """A context property that builds its construction on first access and
+    caches it under the builder's name."""
+    key = build.__name__
 
-    The *candidate* keywords are injection points for negative-control
-    fixtures; each one is consumed only by the check it targets, so a
-    corrupted run flips exactly that check (dependents of a failed check are
-    skipped by the runner, which is the dependency contract, not a flip).
-    """
-
-    def __init__(
-        self,
-        cayley_candidate: Optional[SplitCayley] = None,
-        derivations_candidate: Optional[LieAlgebra] = None,
-        wedge_gram: Optional[NormForm] = None,
-    ):
-        self._cayley_candidate = cayley_candidate
-        self._derivations_candidate = derivations_candidate
-        self._wedge_gram = wedge_gram
-        self._cache: dict[str, object] = {}
-
-    def _get(self, key: str, build: Callable):
+    @functools.wraps(build)
+    def get(self):
         if key not in self._cache:
-            self._cache[key] = build()
+            self._cache[key] = build(self)
         return self._cache[key]
 
-    @property
+    return property(get)
+
+
+class VerificationContext:
+    """Canonical constructions shared by the checks, each built once on first
+    use and cached under its name.
+
+    The *candidate* keywords replace the algebra that the cayley and the
+    derivations check read, for the mutation sweep and negative controls;
+    every other construction is built from the pristine algebra.
+    """
+
+    def __init__(self, cayley_candidate: Optional[SplitCayley] = None, derivations_candidate: Optional[LieAlgebra] = None):
+        self._cayley_candidate = cayley_candidate
+        self._derivations_candidate = derivations_candidate
+        self._cache: dict[str, object] = {}
+
+    @_stage
     def cayley(self) -> SplitCayley:
-        return self._get("cayley", build_split_cayley)
+        return build_split_cayley()
 
     @property
     def cayley_candidate(self) -> SplitCayley:
         return self._cayley_candidate if self._cayley_candidate is not None else self.cayley
 
-    @property
+    @_stage
     def derivations(self) -> LieAlgebra:
-        return self._get("der", lambda: derivation_algebra(self.cayley.algebra))
+        return derivation_algebra(self.cayley.algebra)
 
     @property
     def derivations_candidate(self) -> LieAlgebra:
-        if self._derivations_candidate is not None:
-            return self._derivations_candidate
-        return self.derivations
+        return self._derivations_candidate if self._derivations_candidate is not None else self.derivations
 
     @property
     def imaginary(self) -> tuple[Subspace, NormForm]:
-        return self._get("imag", self.cayley.imaginary_subspace)
-
-    @property
-    def wedge_gram(self) -> NormForm:
-        if self._wedge_gram is not None:
-            return self._wedge_gram
-        return self.imaginary[1]
-
-    @property
-    def has_gram_override(self) -> bool:
-        return self._wedge_gram is not None
+        return self.cayley.imaginary
 
     def g2_census(self, bound: int):
         """The Weyl dimension census of type G2 up to the coefficient bound."""
         from .weyl import cartan_type, dimension_census, root_system
 
-        return self._get(f"census{bound}", lambda: dimension_census(root_system(cartan_type("G2")), bound))
+        key = f"census{bound}"
+        if key not in self._cache:
+            self._cache[key] = dimension_census(root_system(cartan_type("G2")), bound)
+        return self._cache[key]
 
-    @property
+    @_stage
     def natural_rep(self) -> LieModule:
         """The 7-dimensional module: the derivations on the imaginary subspace."""
-        return self._get("natural", lambda: restriction_module(natural_module(self.derivations), self.imaginary[0], "r34"))
+        return restriction_module(natural_module(self.derivations), self.imaginary[0])
 
-    @property
+    @_stage
     def natural_forms(self) -> InvariantForms:
         """The invariant bilinear forms on the natural module."""
-        return self._get("forms", lambda: invariant_bilinear_forms(self.natural_rep))
+        return invariant_bilinear_forms(self.natural_rep)
 
-    @property
+    @_stage
     def so34(self) -> LieAlgebra:
-        return self._get("so34", lambda: so_of_form(Bounded(self.imaginary[1].G, self.imaginary[1].gmax)))
+        return so_of_form(self.imaginary[1])
 
-    @property
+    @_stage
     def embedding(self) -> tuple[np.ndarray, int]:
         """so(3,4)-coordinates of each derivation-algebra basis element, as
         the rows of E / den in lowest terms."""
+        nat = self.natural_rep
+        solved = self.so34.realization_coordinates(nat.A.reshape(len(nat.A), -1))
+        if solved is None:
+            raise ValueError("restricted derivation escaped so(3,4)")
+        return lowest_terms(solved[0], solved[1] * nat.den)
 
-        def build():
-            nat = self.natural_rep
-            solved = self.so34.realization_coordinates(nat.A.reshape(len(nat.A), -1))
-            if solved is None:
-                raise ValueError("restricted derivation escaped so(3,4)")
-            return lowest_terms(solved[0], solved[1] * nat.den)
-
-        return self._get("embedding", build)
-
-    @property
+    @_stage
     def g2_image(self) -> Subspace:
-        return self._get(
-            "g2img", lambda: Subspace.from_vectors(self.so34.dim, self.embedding[0])
-        )
+        return Subspace.from_vectors(self.so34.dim, self.embedding[0])
 
-    @property
+    @_stage
     def so34_as_g2_module(self) -> LieModule:
         """so(3,4) under the embedded derivation algebra: with E the cleared
         embedding coordinates, A[i] = sum_j E[i, j] C[j]^T."""
+        so34 = self.so34
+        e, den = self.embedding
+        a = int_einsum("ij,jlk->ikl", e, Bounded(so34.C, so34.cmax))
+        # Lemma: ad o E is a module when E is a Lie map.  E is one: the natural module's law holds, its
+        # image was solved exactly in so(3,4)'s realization, and from_matrix_basis proved that faithful and lawful.
+        return LieModule._raw(self.derivations, a, den * so34.den)
 
-        def build():
-            so34 = self.so34
-            e, den = self.embedding
-            a = int_einsum("ij,jlk->ikl", e, Bounded(so34.C, so34.cmax))
-            # Lemma: ad o E is a module when E is a Lie map.  E is one: the natural module's law holds, its
-            # image was solved exactly in so(3,4)'s realization, and from_matrix_basis proved that faithful and lawful.
-            return LieModule._raw(self.derivations, a, den * so34.den, "so34|g2")
-
-        return self._get("so34g2", build)
-
-    @property
+    @_stage
     def complement(self) -> Subspace:
-        return self._get(
-            "complement",
-            lambda: killing_orthocomplement(self.so34, self.g2_image),
-        )
+        return killing_orthocomplement(self.so34, self.g2_image)
 
-    @property
+    @_stage
     def complement_module(self) -> LieModule:
-        return self._get(
-            "vmod",
-            lambda: restriction_module(self.so34_as_g2_module, self.complement, name="V"),
-        )
+        return restriction_module(self.so34_as_g2_module, self.complement)
 
-    @property
+    @_stage
     def complement_isomorphism(self) -> Optional[Intertwiner]:
-        return self._get(
-            "viso", lambda: module_isomorphism(self.complement_module, self.natural_rep)
-        )
+        return module_isomorphism(self.complement_module, self.natural_rep)
 
-    @property
+    @_stage
     def image_basis_change(self) -> tuple[np.ndarray, int]:
         """Canonical basis of the embedded image expressed in derivation
         coordinates, as the rows of X / den in lowest terms, so Killing forms
         can be compared in one basis."""
-
-        def build():
-            e, e_den = self.embedding
-            b, s = self.g2_image.cleared_basis()
-            solved = coordinate_map(e)(b)
-            if solved is None:
-                raise ValueError("image basis vector outside the embedding")
-            # b / s = (x / d) e / s, and e = e_den * embedding
-            x, d = solved
-            return lowest_terms(int_einsum(",ij->ij", e_den, x), d * s)
-
-        return self._get("imgchange", build)
+        e, e_den = self.embedding
+        b, s = self.g2_image.cleared_basis()
+        solved = coordinate_map(e)(b)
+        if solved is None:
+            raise ValueError("image basis vector outside the embedding")
+        # b / s = (x / d) e / s, and e = e_den * embedding
+        x, d = solved
+        return lowest_terms(int_einsum(",ij->ij", e_den, x), d * s)
 
 
 class CheckOutcome:
@@ -340,7 +317,7 @@ def check_cayley(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome:
     out.record("nonassociativity_witness", witness)
 
     out.expect("norm_signature", c.form.signature, (4, 4, 0))
-    sub, restricted = c.imaginary_subspace()
+    sub, restricted = c.imaginary
     out.expect("imaginary_dim", sub.dim, 7)
     out.expect("imag_signature", restricted.signature, (3, 4, 0))
     out.expect("unit_outside_imaginary", sub.contains_vector(unit), False)
@@ -360,7 +337,7 @@ def check_derivations(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcom
     adj = adjoint_module(der)
     out.expect("adjoint_commutant_dim", is_irreducible(adj).commutant_dim, 1)
 
-    nat = ctx.natural_rep if der is ctx.derivations else restriction_module(natural_module(der), ctx.imaginary[0])
+    nat = restriction_module(natural_module(der), ctx.imaginary[0])
     out.expect("natural_dim", nat.dim, 7)
     out.expect("natural_commutant_dim", is_irreducible(nat).commutant_dim, 1)
 
@@ -400,9 +377,7 @@ def check_invariant_form(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOut
 
 def check_wedge_iso(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome:
     out = CheckOutcome()
-    gram = ctx.wedge_gram
-    so_alg = None if ctx.has_gram_override else ctx.so34
-    iso = wedge_so_isomorphism(gram, so_alg=so_alg)  # verifies so(E)-equivariance
+    iso = wedge_so_isomorphism(ctx.imaginary[1], ctx.so34)  # verifies so(E)-equivariance
     out.expect("ambient_equivariant", True, True)
     out.expect("phi_rank", rank(iso.T), 21)
     out.expect("bijective", iso.is_invertible, True)

@@ -34,10 +34,10 @@ def int_family(vectors, n):
     return int_cleared(np.array(vectors, dtype=object).reshape(len(vectors), n))[0]
 
 
-def lie_algebra(consts, name=""):
+def lie_algebra(consts):
     """The Lie algebra of a nested sequence of rational constants c_ijk,
     cleared to the integer tensor and denominator the constructor takes."""
-    return LieAlgebra(*int_cleared(consts), name=name)
+    return LieAlgebra(*int_cleared(consts))
 
 
 def coordinates_of(sub, vec):
@@ -123,11 +123,11 @@ def cayley_mutant(changes):
 
 
 def abelian_algebra(dim):
-    return LieAlgebra(np.zeros((dim,) * 3, dtype=np.int64), name="abelian")
+    return LieAlgebra(np.zeros((dim,) * 3, dtype=np.int64))
 
 
 def zero_algebra():
-    return LieAlgebra(np.zeros((0, 0, 0), dtype=np.int64), name="0")
+    return LieAlgebra(np.zeros((0, 0, 0), dtype=np.int64))
 
 
 def direct_sum_algebra(a, b):
@@ -137,7 +137,7 @@ def direct_sum_algebra(a, b):
     c = np.zeros((dim,) * 3, dtype=object)
     c[: a.dim, : a.dim, : a.dim] = a.C.astype(object) * b.den
     c[a.dim :, a.dim :, a.dim :] = b.C.astype(object) * a.den
-    return LieAlgebra(c, a.den * b.den, name=f"{a.name}+{b.name}")
+    return LieAlgebra(c, a.den * b.den)
 
 
 def direct_sum_module(v, w):
@@ -147,7 +147,7 @@ def direct_sum_module(v, w):
     x, y = action_matrices(v), action_matrices(w)
     blocks = np.zeros((len(x), v.dim + w.dim, v.dim + w.dim), dtype=object)
     blocks[:, : v.dim, : v.dim], blocks[:, v.dim :, v.dim :] = x, y
-    return LieModule(v.algebra, *int_cleared(blocks), name=f"{v.name}+{w.name}")
+    return LieModule(v.algebra, *int_cleared(blocks))
 
 
 @pytest.fixture(scope="session")

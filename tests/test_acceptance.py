@@ -22,6 +22,7 @@ from g2cert.lie import (
 from g2cert.linalg import NormForm, Subspace, int_cleared, rank, rref, signature
 from g2cert.octonion import StructureConstantAlgebra
 from g2cert.reps import (
+    Intertwiner,
     InvariantForms,
     adjoint_module,
     bracket_span,
@@ -66,7 +67,7 @@ def test_criterion_01_cayley_certification(ctx):
             a, b = basis_element(i), basis_element(j)
             assert c.form.norm(c.algebra.multiply(a, b)) == c.form.norm(a) * c.form.norm(b)
     assert signature(c.form.G) == (4, 4, 0)
-    _, restricted = c.imaginary_subspace()
+    _, restricted = c.imaginary
     assert signature(restricted.G) == (3, 4, 0)
     _done(1, "composition law and norm signatures", start, 1.0)
 
@@ -134,7 +135,7 @@ def test_criterion_05_bracket_span(ctx):
 
 def test_criterion_06_wedge_so_isomorphism(ctx):
     start = time.perf_counter()
-    iso = wedge_so_isomorphism(ctx.imaginary[1], so_alg=ctx.so34)
+    iso = wedge_so_isomorphism(ctx.imaginary[1], ctx.so34)
     # the constructor has verified equivariance for all 21 generators on all
     # 21 basis wedges; bijectivity is the exact rank computation
     assert iso.T.shape == (21, 21)
@@ -210,19 +211,21 @@ def test_criterion_12_determinism_and_negative_controls():
     assert _strip_timing(serialize(first, cfg)) == _strip_timing(serialize(second, cfg))
 
     fast = SuiteConfig(samples=5)
+    degenerate, seam = NormForm(diagonal([1, 1, 1, 1, 1, 1, 0])), suite.wedge_so_isomorphism
     flips = {
-        "cayley": ("fail", VerificationContext(cayley_candidate=cayley_mutant(E3E4_DRIFT))),
+        "cayley": ("fail", VerificationContext(cayley_candidate=cayley_mutant(E3E4_DRIFT)), None),
         "derivations": (
             "fail",
-            VerificationContext(derivations_candidate=so_of_form(np.eye(7, dtype=int))),
+            VerificationContext(derivations_candidate=so_of_form(NormForm(np.eye(7, dtype=int)))),
+            None,
         ),
-        "wedge-iso": (
-            "error",
-            VerificationContext(wedge_gram=NormForm(diagonal([1, 1, 1, 1, 1, 1, 0]))),
-        ),
+        "wedge-iso": ("error", VerificationContext(), lambda form, so_alg: seam(degenerate, so_alg)),
     }
-    for target, (expected_status, corrupted_ctx) in flips.items():
-        reports = run_all(fast, ctx=corrupted_ctx)
+    for target, (expected_status, corrupted_ctx, wedge_seam) in flips.items():
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            if wedge_seam is not None:
+                monkeypatch.setattr(suite, "wedge_so_isomorphism", wedge_seam)
+            reports = run_all(fast, ctx=corrupted_ctx)
         by_id = {r.id: r for r in reports}
         assert by_id[target].status == expected_status, target
         untouched = [
@@ -244,11 +247,28 @@ def _form_space_of_dim_2(ctx, monkeypatch):
     added to their space; the symmetric part and generator are the real ones."""
     real = ctx.natural_forms
     space = Subspace.from_vectors(49, np.vstack([real.space.int_basis(), np.eye(7, dtype=int).reshape(1, 49)]))
-    ctx._cache["forms"] = InvariantForms(space=space, symmetric=real.symmetric, generator=real.generator)
+    ctx._cache["natural_forms"] = InvariantForms(space=space, symmetric=real.symmetric, generator=real.generator)
 
 
 def _no_complement_isomorphism(ctx, monkeypatch):
-    ctx._cache["viso"] = None
+    ctx._cache["complement_isomorphism"] = None
+
+
+def _zero_wedge_map(ctx, monkeypatch):
+    # the zero map intertwines every pair of modules, so only the rank checks can catch it
+    seam = suite.wedge_so_isomorphism
+
+    def zero(form, so_alg):
+        iso = seam(form, so_alg)
+        return Intertwiner(source=iso.source, target=iso.target, T=np.zeros_like(iso.T))
+
+    monkeypatch.setattr(suite, "wedge_so_isomorphism", zero)
+
+
+def _image_basis_change_over_twice_its_denominator(ctx, monkeypatch):
+    # halving the basis change quarters the image's Killing form: c1 reads 5, not 5/4
+    x, den = ctx.image_basis_change
+    ctx._cache["image_basis_change"] = (x, 2 * den)
 
 
 def _census_off_by_one(ctx, monkeypatch):
@@ -262,26 +282,28 @@ def _closure_never_grows(ctx, monkeypatch):
     monkeypatch.setattr(suite, "subalgebra_closure", lambda g, seed: seed)
 
 
-# target: (a corruption of a fresh context, the expectation it must trip)
+# target: (a corruption of a fresh context, the expectations it must trip)
 NEGATIVE_CONTROLS = {
-    "invariant-form": (_form_space_of_dim_2, "form_space_dim"),
-    "decomposition": (_no_complement_isomorphism, "iso_to_natural_exists"),
-    "recognition": (_census_off_by_one, "census_dim21"),
-    "maximality": (_closure_never_grows, "closure_failures"),
+    "invariant-form": (_form_space_of_dim_2, ("form_space_dim",)),
+    "wedge-iso": (_zero_wedge_map, ("phi_rank", "bijective")),
+    "decomposition": (_no_complement_isomorphism, ("iso_to_natural_exists",)),
+    "recognition": (_census_off_by_one, ("census_dim21",)),
+    "maximality": (_closure_never_grows, ("closure_failures",)),
+    "metric-constants": (_image_basis_change_over_twice_its_denominator, ("c1",)),
 }
 
 
 @pytest.mark.parametrize("target", sorted(NEGATIVE_CONTROLS))
 def test_criterion_12_negative_control_flips_only_its_target(target, monkeypatch):
     """A corrupted cache entry or a drifted callee fails its target check
-    (not an error) on the named expectation; every check that does not
+    (not an error) on every named expectation; every check that does not
     depend on the target still passes."""
-    corrupt, expectation = NEGATIVE_CONTROLS[target]
+    corrupt, expectations = NEGATIVE_CONTROLS[target]
     ctx = VerificationContext()
     corrupt(ctx, monkeypatch)
     by_id = {r.id: r for r in run_all(SuiteConfig(samples=5), ctx=ctx)}
     assert by_id[target].status == "fail"
-    assert expectation in by_id[target].witnesses["failed_expectations"]
+    assert set(expectations) <= set(by_id[target].witnesses["failed_expectations"])
     untouched = [r for r in by_id.values() if r.id != target and target not in _dependency_closure(r.id)]
     assert all(r.status == "pass" for r in untouched), [(r.id, r.status) for r in untouched]
 

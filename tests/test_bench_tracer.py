@@ -28,7 +28,7 @@ def test_tracer_records_kernel_solves_of_both_input_types():
         rows = [[1, 2, 3], [2, 4, 6]]
         from_int64 = linalg.kernel_basis(np.array(rows, dtype=np.int64))
         from_object = linalg.kernel_basis(np.array(rows, dtype=object))
-        so3 = lie.so_of_form(np.eye(3, dtype=np.int64))  # passes an integer system
+        so3 = lie.so_of_form(linalg.NormForm(np.eye(3, dtype=np.int64)))  # passes an integer system
     finally:
         tracer.uninstall()
     assert linalg.kernel_basis is original and lie.kernel_basis is original

@@ -104,7 +104,7 @@ def test_conjugation_involution_and_norm(a):
 
 def test_conjugate_fixes_unit_and_negates_imaginaries(alg):
     assert conjugate(alg, alg.unit) == alg.unit
-    sub, _ = alg.imaginary_subspace()
+    sub, _ = alg.imaginary
     for b in leading_one_basis(sub):
         assert conjugate(alg, b) == tuple(-x for x in b)
 
@@ -114,7 +114,7 @@ def test_norm_signature(alg):
 
 
 def test_imaginary_subspace(alg):
-    sub, restricted = alg.imaginary_subspace()
+    sub, restricted = alg.imaginary
     assert sub.dim == 7
     assert signature(restricted.G) == (3, 4, 0)
     assert not sub.contains_vector(alg.unit)

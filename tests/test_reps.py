@@ -100,7 +100,7 @@ def test_hom_adjoint_to_complement_vanishes(ctx, complement_module):
 
 
 def test_homomorphism_law_enforced():
-    so3 = so_of_form(np.eye(3, dtype=int))
+    so3 = so_of_form(NormForm(np.eye(3, dtype=int)))
     broken, den = so3.realization
     broken = broken.copy()
     broken[0] = den * np.eye(3, dtype=int)  # the identity matrix
@@ -111,7 +111,7 @@ def test_homomorphism_law_enforced():
 def test_homomorphism_law_exact_beyond_int64():
     """Conjugating by a matrix with a 2**40 entry gives a module whose scaled
     law has products far beyond int64; the check stays exact."""
-    so3 = so_of_form(np.eye(3, dtype=int))
+    so3 = so_of_form(NormForm(np.eye(3, dtype=int)))
     p = np.array([[1, 2**40, 0], [0, 1, 0], [0, 0, 1]], dtype=object)
     p_inv = np.array([[1, -(2**40), 0], [0, 1, 0], [0, 0, 1]], dtype=object)
     conj = p @ realization_matrices(so3) @ p_inv
@@ -169,7 +169,6 @@ def test_invariant_forms_sl2_adjoint_is_killing_line():
             ((Z, Fraction(-2), Z), (Z, Z, Z), (Fraction(1), Z, Z)),
             ((Z, Z, Fraction(2)), (Fraction(-1), Z, Z), (Z, Z, Z)),
         ),
-        name="sl2",
     )
     forms = invariant_bilinear_forms(adjoint_module(sl2))
     assert forms.dim == 1
@@ -200,7 +199,7 @@ def test_orthocomplement_of_whole_algebra(so34):
 
 
 def test_orthocomplement_diagonal_so3():
-    so3 = so_of_form(np.eye(3, dtype=int))
+    so3 = so_of_form(NormForm(np.eye(3, dtype=int)))
     both = direct_sum_algebra(so3, so3)
     diag = Subspace.from_vectors(
         6, [(1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 1, 0), (0, 0, 1, 0, 0, 1)]
@@ -268,13 +267,13 @@ def test_submodule_generated_batch_edges(natural_rep):
 
 
 def test_natural_module_skips_the_realizations_second_bracket_check(monkeypatch):
-    g = so_of_form(np.diag([1, 1, -1]).astype(np.int64))
+    g = so_of_form(NormForm(np.diag([1, 1, -1]).astype(np.int64)))
     checked = []
-    monkeypatch.setattr(LieAlgebra, "bracket_law_failure", lambda self, a, scale: checked.append(a.shape))
-    nat = natural_module(g, name="n")
+    monkeypatch.setattr(LieAlgebra, "bracket_law_failure", lambda self, a, scale, amax: checked.append(a.shape))
+    nat = natural_module(g)
     assert checked == []
     a, den = g.realization
-    assert (nat.algebra, nat.A, nat.den, nat.dim, nat.name) == (g, a, den, 3, "n")
+    assert (nat.algebra, nat.A, nat.den, nat.dim) == (g, a, den, 3)
 
 
 def test_bracket_span_examples(ctx):
@@ -365,7 +364,8 @@ def _isqrt_exact(n: int):
 
 
 def test_wedge_so_isomorphism_plane():
-    iso = wedge_so_isomorphism(NormForm(np.eye(2, dtype=int)))
+    plane = NormForm(np.eye(2, dtype=int))
+    iso = wedge_so_isomorphism(plane, so_of_form(plane))
     assert iso.source.dim == 1 and iso.target.dim == 1
     assert iso.is_invertible
     # phi(e1 ^ e2) is the rotation generator up to basis normalization
@@ -375,13 +375,13 @@ def test_wedge_so_isomorphism_plane():
 
 
 def test_wedge_so_isomorphism_full(ctx):
-    iso = wedge_so_isomorphism(ctx.imaginary[1], so_alg=ctx.so34)
+    iso = wedge_so_isomorphism(ctx.imaginary[1], ctx.so34)
     assert rank(iso.T) == 21
     assert iso.is_invertible
 
 
 def test_wedge_so_isomorphism_subalgebra_equivariance(ctx, natural_rep):
-    iso = wedge_so_isomorphism(ctx.imaginary[1], so_alg=ctx.so34)
+    iso = wedge_so_isomorphism(ctx.imaginary[1], ctx.so34)
     # the same matrix intertwines the restricted wedge action of the image
     Intertwiner(
         source=wedge_square(natural_rep),
@@ -393,7 +393,7 @@ def test_wedge_so_isomorphism_subalgebra_equivariance(ctx, natural_rep):
 
 def test_wedge_so_isomorphism_rejects_degenerate():
     with pytest.raises(DegenerateFormError):
-        wedge_so_isomorphism(NormForm(diagonal([1, 1, 0])))
+        wedge_so_isomorphism(NormForm(diagonal([1, 1, 0])), so_of_form(NormForm(np.eye(3, dtype=int))))
 
 
 def test_module_isomorphism_identity(natural_rep):
@@ -535,7 +535,7 @@ _P_INV = np.array([[1, -(2**40), 0], [0, 1, 0], [0, 0, 1]], dtype=object)
 
 @pytest.fixture(scope="module")
 def so3():
-    return so_of_form(np.eye(3, dtype=int))
+    return so_of_form(NormForm(np.eye(3, dtype=int)))
 
 
 @pytest.fixture(scope="module")
@@ -600,7 +600,7 @@ def test_wedge_square_matches_reference(natural_rep, so3, big_module, scaled_mod
     for v, _, _ in _reference_cases(natural_rep, so3, big_module, scaled_module):
         wedge = wedge_square(v)
         assert action_matrices(wedge).tolist() == _wedge_square_reference(action_matrices(v), v.dim)
-        assert v.algebra.bracket_law_failure(wedge.A, wedge.den) is None
+        assert v.algebra.bracket_law_failure(wedge.A, wedge.den, wedge.amax) is None
 
 
 def test_modules_built_by_lemma_satisfy_the_full_law(ctx, natural_rep):
@@ -618,8 +618,8 @@ def test_modules_built_by_lemma_satisfy_the_full_law(ctx, natural_rep):
         wedge_square(natural_module(so34)),
         ctx.so34_as_g2_module,
     )
-    for v in modules:
-        assert v.algebra.bracket_law_failure(v.A, v.den) is None, v.name
+    for i, v in enumerate(modules):
+        assert v.algebra.bracket_law_failure(v.A, v.den, v.amax) is None, i
     assert [v.dim for v in modules] == [14, 21, 8, 7, 7, 7, 21, 21, 21]
 
 

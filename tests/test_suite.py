@@ -237,6 +237,28 @@ def test_config_validation():
         SuiteConfig(census_bound=MAX_CENSUS_BOUND + 1)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"seed": 1.5},
+        {"seed": True},
+        {"seed": np.int64(1)},
+        {"samples": 2.5},
+        {"samples": "5"},
+        {"census_bound": 10.0},
+        {"census_bound": False},
+        {"checks": "cayley"},
+        {"checks": ["cayley"]},
+        {"checks": ("cayley", 1)},
+    ],
+)
+def test_config_rejects_values_of_the_wrong_type(fields):
+    """A float seed would reach the report, which holds no floats; a string
+    of checks would be read letter by letter."""
+    with pytest.raises(ValueError):
+        SuiteConfig(**fields)
+
+
 def test_negative_control_cayley_structure_constant():
     reports = run_all(FAST, ctx=VerificationContext(cayley_candidate=cayley_mutant(E3E4_DRIFT)))
     by_id = {r.id: r for r in reports}
@@ -408,7 +430,7 @@ def test_check_cayley_on_python_ints():
 
 
 def test_negative_control_wrong_subalgebra():
-    wrong = so_of_form(np.eye(7, dtype=int))  # so(7)-sized, not the derivation algebra
+    wrong = so_of_form(NormForm(np.eye(7, dtype=int)))  # so(7)-sized, not the derivation algebra
     reports = run_all(FAST, ctx=VerificationContext(derivations_candidate=wrong))
     by_id = {r.id: r for r in reports}
     assert by_id["derivations"].status == "fail"
@@ -420,9 +442,10 @@ def test_negative_control_wrong_subalgebra():
     assert all(r.status == "pass" for r in others)
 
 
-def test_negative_control_degenerate_gram():
-    degenerate = NormForm(diagonal([1, 1, 1, 1, 1, 1, 0]))
-    reports = run_all(FAST, ctx=VerificationContext(wedge_gram=degenerate))
+def test_negative_control_degenerate_gram(monkeypatch):
+    degenerate, seam = NormForm(diagonal([1, 1, 1, 1, 1, 1, 0])), suite.wedge_so_isomorphism
+    monkeypatch.setattr(suite, "wedge_so_isomorphism", lambda form, so_alg: seam(degenerate, so_alg))
+    reports = run_all(FAST, ctx=VerificationContext())
     by_id = {r.id: r for r in reports}
     assert by_id["wedge-iso"].status == "error"  # precondition, not fail
     assert "precondition" in by_id["wedge-iso"].witnesses
@@ -432,7 +455,7 @@ def test_negative_control_degenerate_gram():
 
 def test_dependency_skip_reports_error_not_pass():
     """A check whose dependency errored must be skipped as an error."""
-    degenerate_everything = VerificationContext(derivations_candidate=so_of_form(np.eye(7, dtype=int)))
+    degenerate_everything = VerificationContext(derivations_candidate=so_of_form(NormForm(np.eye(7, dtype=int))))
     reports = run_all(
         SuiteConfig(samples=3, checks=("invariant-form",)), ctx=degenerate_everything
     )

@@ -11,7 +11,9 @@ must match apart from ``elapsed_ms``:
   product runs on int64 and no carried bound can choose a dtype;
 * small-prime twin: ``PRIME`` is 2 or 3, so rows picked independent mod p,
   spans certified mod p and generation by rank mod p fall short on real data
-  and the exact fallbacks decide instead.
+  and the exact fallbacks decide instead;
+* by-construction twin: ``LieModule._raw``, which takes a module whose law a
+  lemma proves, is the checking constructor, so every such law is checked.
 """
 
 import json
@@ -23,6 +25,7 @@ from conftest import cayley_mutant
 from g2cert import cli, lie, linalg, octonion, report, reps, suite, weyl
 from g2cert.lie import derivation_algebra
 from g2cert.report import serialize
+from g2cert.reps import LieModule
 from g2cert.suite import SuiteConfig, VerificationContext, run_all
 
 MODULES = (cli, lie, linalg, octonion, report, reps, suite, weyl)
@@ -99,3 +102,18 @@ def test_small_prime_twin_matches_the_real_prime_run(monkeypatch, fast_run, prim
     assert out == fast_run
     # not vacuous: the exact fallbacks ran where the real prime needs none
     assert all_rows >= min_all_rows and exact_generations > 6
+
+
+def test_by_construction_twin_matches_the_lemma_run(monkeypatch, fast_run):
+    checked = []
+
+    def checking_raw(cls, algebra, A, den):
+        module = LieModule(algebra, A, den)
+        checked.append(module)
+        return module
+
+    monkeypatch.setattr(LieModule, "_raw", classmethod(checking_raw))
+    _, out, _ = _run_chain(monkeypatch)
+    assert out == fast_run
+    # not vacuous: every module the default run builds went through the full law check
+    assert len(checked) == 11
