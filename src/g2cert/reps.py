@@ -5,17 +5,19 @@ certificates, wedge squares, and module isomorphism.
 A ``LieModule`` holds its action once, as the integer stack ``A`` (algebra
 dim x n x n, A[i] = den * rho(e_i)), read-only beside its largest magnitude
 ``amax``, and its one denominator ``den``, the way a ``LieAlgebra`` holds
-``C``.  Every exact check and builder here is a
-contraction of such stacks: the homomorphism law, intertwiners, restriction
-to an invariant subspace, generated submodules and the wedge square.  Every
-``LieModule`` satisfies its homomorphism law: the public constructor checks
-it, and each builder here makes its module through ``LieModule._raw`` by a
-lemma, stated at the call, from a fact proved where it was established.  Hom
-spaces and invariant forms (Hom(V, V*)) are solved on a spin basis of the
-source, the standard-basis method of Parker's Meat-Axe (1984): T is fixed by
-its values on the seed vectors, so each system has dim W unknowns per seed
-instead of dim V * dim W.  Intertwiners are integer matrices with one
-denominator, and invariant forms are ``linalg.NormForm`` Gram matrices.
+``C``.  Every exact check and builder here is a contraction of such stacks: the
+homomorphism law, intertwiners, restriction to an invariant subspace, generated
+submodules and the wedge square.  Every ``LieModule`` satisfies its
+homomorphism law: the public constructor checks it, and each builder here makes
+its module through ``LieModule._raw`` by a lemma, stated at the call, from a
+fact proved where it was established.  Hom spaces and invariant forms
+(Hom(V, V*)) are solved on a spin basis of the source, the standard-basis
+method of Parker's Meat-Axe (1984): T is fixed by its values on the seed
+vectors, so each system has dim W unknowns per seed instead of dim V * dim W.
+Generator 0, then the rest stacked, is solved on the survivors K as X = M K^T:
+g's rows are c_g X - d b_g X and T = X B^-1, ncols * nrows * h numbers each,
+not m * ncols * nrows * seeds * nrows.  Intertwiners are integer matrices with
+one denominator, and invariant forms are ``linalg.NormForm`` Gram matrices.
 """
 
 from __future__ import annotations
@@ -92,10 +94,10 @@ def natural_module(g: LieAlgebra) -> LieModule:
     return LieModule._raw(g, *g.realization)
 
 
-def restricted_action(a: np.ndarray | Bounded, sub: Subspace) -> tuple[np.ndarray, int]:
-    """An integer stack, or a ``Bounded`` one, restricted to an invariant
-    subspace, in that subspace's canonical basis: (r, s) with r[i] = s *
-    (a[i] restricted), where s is the basis's common denominator.
+def restricted_action(a: Bounded, sub: Subspace) -> tuple[np.ndarray, int]:
+    """A ``Bounded`` integer stack restricted to an invariant subspace, in
+    that subspace's canonical basis: (r, s) with r[i] = s * (a[i]
+    restricted), where s is the basis's common denominator.
 
     With b = s * basis, the images a[i] b_j have their coordinates at the
     pivot columns; invariance is s * a[i] b_j = sum_k r[i, k, j] b_k.
@@ -186,8 +188,9 @@ def _intertwiner_space(a: np.ndarray, b: np.ndarray) -> Subspace:
     On a spin basis B of columns b_k = W_k v_{s(k)}, with M_k the same word in
     the b[g], T b_k = M_k w_{s(k)} for w_s = T v_s, and T intertwines iff
     sum_j C_g[j,k] M_j w_{s(j)} = b[g] M_k w_{s(k)} for all g, k, with C_g =
-    B^-1 a[g] B cleared as d C_g: nrows unknowns per seed, not nrows * ncols,
-    and T = X B^-1 for the columns X[:, k] = M_k w_{s(k)}."""
+    B^-1 a[g] B cleared as d C_g: nrows unknowns per seed, not nrows * ncols.
+    Generator 0, then the rest stacked, cut the survivors K held as X = M K^T
+    by c_g X - d b_g X (ncols * nrows * h numbers each), and T = X B^-1."""
     nrows, ncols = b.shape[1], a.shape[1]
     if not nrows * ncols:
         return Subspace(0, ())
@@ -197,15 +200,12 @@ def _intertwiner_space(a: np.ndarray, b: np.ndarray) -> Subspace:
         ms[j, :, s] = int_einsum("ij,jk->ik", Bounded(b.array[g], b.bound), ms[k, :, s]) if k >= 0 else np.eye(nrows, dtype=int)
     cols = np.array(basis, dtype=object).T
     b_inv, d = int_cleared(Matrix(cols.tolist()).inverse().rows)
-    c = int_einsum("ji,gik->gjk", b_inv, int_einsum("gij,jk->gik", a, cols))
-    system = int_einsum("gjk,jrsc->gkrsc", c, ms) - int_einsum("grq,kqsc,->gkrsc", b, ms, d)
-    kernel = np.eye(ms.shape[2] * nrows, dtype=object)  # surviving solutions as rows
-    for block in system.reshape(len(a), ncols * nrows, len(kernel)):  # per generator: small systems
-        reduced = int_einsum("ru,hu->rh", block, kernel)
+    c, x = held(int_einsum("ji,gik->gjk", b_inv, int_einsum("gij,jk->gik", a, cols)), copy=False), ms.reshape(ncols, nrows, -1)
+    for g in (slice(0, 1), slice(1, None)):
+        reduced = int_einsum("gjk,jrh->gkrh", Bounded(c.array[g], c.bound), x) - int_einsum("grq,kqh,->gkrh", Bounded(b.array[g], b.bound), x, d)
         if reduced.any():  # an all-zero system keeps every solution
-            kernel = kernel_basis(reduced).int_basis() @ kernel
-    t = int_einsum("krsc,hsc,ki->hri", ms, kernel.reshape(-1, *ms.shape[2:]), b_inv)
-    return Subspace.from_vectors(nrows * ncols, t.reshape(-1, nrows * ncols))
+            x = int_einsum("jrh,uh->jru", x, kernel_basis(reduced.reshape(-1, x.shape[2])).int_basis())
+    return Subspace.from_vectors(nrows * ncols, int_einsum("krh,ki->hri", x, b_inv).reshape(-1, nrows * ncols))
 
 
 def hom_space(v: LieModule, w: LieModule) -> list[Intertwiner]:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from g2cert.suite import SuiteConfig, check_maximality
 from g2cert import reps, suite
 from g2cert.linalg import (
     PRIME,
+    Bounded,
     NormForm,
     Subspace,
     clear_denominators,
@@ -633,7 +635,7 @@ def test_restricted_action_matches_reference(ctx, natural_rep, so3, big_module, 
     cases.append((direct_sum_module(nat, nat), [graph], []))
     for v, subs, _ in cases:
         for sub in subs:
-            r, s = restricted_action(v.A, sub)
+            r, s = restricted_action(Bounded(v.A, v.amax), sub)
             restricted = LieModule(v.algebra, r, v.den * s)
             assert action_matrices(restricted).tolist() == _restricted_action_reference(action_matrices(v), sub)
             assert action_matrices(restriction_module(v, sub)).tolist() == action_matrices(restricted).tolist()
@@ -750,8 +752,12 @@ def _seed_count(v):
 
 def test_hom_space_matches_kronecker_reference(ctx, so3, zero_module_2d, big_module, complement_module):
     """Equal canonical Hom bases and invariant-form bases on cyclic,
-    non-cyclic, zero-Hom, zero-algebra and Python-int modules."""
+    non-cyclic, zero-Hom, zero-algebra and Python-int modules, and on one
+    whose generator 0 acts by zero: an all-zero first system, then a stacked
+    rest that still cuts."""
     nat = natural_module(so3)
+    nilpotent = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=np.int64)
+    zero_then_n = LieModule(abelian_algebra(2), np.stack([np.zeros_like(nilpotent), nilpotent]))
     four = direct_sum_module(direct_sum_module(nat, nat), direct_sum_module(nat, nat))
     adj_so3_so3 = adjoint_module(direct_sum_algebra(so3, so3))
     adj_der = adjoint_module(ctx.derivations)
@@ -763,6 +769,7 @@ def test_hom_space_matches_kronecker_reference(ctx, so3, zero_module_2d, big_mod
         (adj_der, complement_module, 0),
         (zero_module_2d, zero_module_2d, 4),
         (big_module, big_module, 4),
+        (zero_then_n, zero_then_n, 3),  # the commutant of N: polynomials in N
     ]
     for v, w, dim in cases:
         homs = hom_space(v, w)
@@ -792,3 +799,31 @@ def test_hom_space_solves_in_target_dim_unknowns_per_seed(ctx, monkeypatch):
     adj = adjoint_module(ctx.so34)
     assert len(hom_space(adj, adj)) == 1
     assert shapes and max(cols for _, cols in shapes) <= 21
+
+
+def test_hom_space_forms_no_dense_system(ctx, monkeypatch):
+    """End(ad so(3,4)) forms each generator's rows on the surviving
+    solutions only: no contraction has more than 21 * 21 * 21 entries (the
+    dense system over every generator had 21 * 441 * 21), and the call's
+    allocation peak stays under 1.5 MB."""
+    adj = adjoint_module(ctx.so34)
+    sizes, real = [], reps.int_einsum
+
+    def recording(spec, *operands):
+        out = real(spec, *operands)
+        sizes.append(out.size)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reps, "int_einsum", recording)
+        assert len(hom_space(adj, adj)) == 1
+    assert sizes and max(sizes) <= 21**3
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert len(hom_space(adj, adj)) == 1
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
