@@ -13,9 +13,9 @@ bound into int64 or Python ints.  The owners ``LieAlgebra.C``,
 ``LieModule.A``, ``NormForm.G`` and ``StructureConstantAlgebra.M`` keep their
 arrays read-only beside the largest magnitude (``held``), and ``int_einsum``
 reads it off a ``Bounded`` operand; it still scans fresh products, subspace
-bases and realization stacks.  Fractions remain only where the benchmark's
-tracer wraps them by name (``Matrix``, the one exact inverse, and ``rref``)
-and in the report values ``NormForm.bilinear`` and ``NormForm.norm``.
+bases and realization stacks.  ``int_inverse`` is the one exact inverse;
+Fractions remain in its view ``Matrix`` and in ``rref``, which only tests call
+and the benchmark's tracer wraps, and in ``NormForm.bilinear`` and ``norm``.
 
 One exact elimination engine sits behind the public API: a fraction-free
 integer row reduction (per-row denominator clearing, gcd stripping).  A
@@ -57,8 +57,9 @@ PRIME = 2147483647
 _GCD_STRIP_BOUND = 1 << 96
 
 
+# Matrix, RrefResult and rref have no caller in src/: bench/tracer.py wraps them by name and tests use them as oracles (ROADMAP item 1).
 class Matrix:
-    """A matrix with Fraction entries: the carrier of the one exact inverse."""
+    """A matrix with Fraction entries, inverted by ``int_inverse``."""
 
     __slots__ = ("rows",)
 
@@ -66,16 +67,13 @@ class Matrix:
         self.rows = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row) for row in rows)
 
     def inverse(self) -> "Matrix":
-        """The inverse, read off the reduced row echelon form of [self | I]."""
+        """d a^-1 = d x / e for self = a / d; ValueError if self is singular (its rows are dependent)."""
         n = len(self.rows)
         if any(len(r) != n for r in self.rows):
             raise ValueError("inverse of non-square matrix")
-        # [d M | d I] has the reduced form [I | M^-1] of [M | I]
         a, d = int_cleared(self.rows)
-        red = rref(np.concatenate([a.reshape(n, n), np.eye(n, dtype=object) * d], axis=1))
-        if red.pivots[:n] != tuple(range(n)) or red.rank != n:
-            raise ValueError("matrix is singular")
-        return Matrix(row[n:] for row in red.reduced)
+        _, x, e = int_inverse(a.reshape(n, n))
+        return Matrix([Fraction(d * int(v), e) for v in row] for row in x)
 
 
 # ---------------------------------------------------------------------------
@@ -440,20 +438,30 @@ class Subspace:
         return Subspace.from_vectors(self.ambient_dim, self.rows + other.rows)
 
 
+def int_inverse(a: np.ndarray) -> tuple[list[int], np.ndarray, int]:
+    """For an integer k x n array a of full row rank, the pivot columns of its
+    row space and x, d with x / d = a[:, pivots]^-1 in lowest terms, x of
+    ``int_dtype``.  One ``_int_rref`` of [a | I] gives row i = p_i [R_i | E_i],
+    E a = R = RREF(a), and d = lcm p_i, as gcd(p_i, p_i E_i) = 1 (row i is
+    primitive, p_i R_i = p_i E_i a).  A pivot in I: a is dependent, ValueError."""
+    k, n = _int_matrix(a).shape
+    rows, pivots = _int_rref(np.concatenate([a, np.eye(k, dtype=a.dtype)], axis=1).tolist())
+    if pivots and pivots[-1] >= n:
+        raise ValueError("vector family is linearly dependent")
+    d = math.lcm(*(r[c] for r, c in zip(rows, pivots)))
+    x = [[v * (d // r[c]) for v in r[n:]] for r, c in zip(rows, pivots)]
+    return pivots, np.array(x, dtype=int_dtype(max((abs(v) for r in x for v in r), default=0))).reshape(k, k), d
+
+
 def coordinate_map(family: np.ndarray) -> Callable[[np.ndarray], Optional[tuple[np.ndarray, int]]]:
     """Coordinates relative to a linearly independent family of integer rows
     (not to the canonical basis of its span).  The returned map takes a 2-D
     integer array v of rows and gives (x, d) with v = (x / d) family, or None
     when a row of v lies outside the span.
 
-    The family's restriction to the pivot columns of its span is invertible,
-    so x / d = v[:, pivots] (family[:, pivots])^-1, and x family = d v is the
-    exact membership check."""
-    span = Subspace.from_vectors(family.shape[1], family)
-    if span.dim != len(family):
-        raise ValueError("vector family is linearly dependent")
-    pivots = list(span.pivots)
-    inv, den = int_cleared(Matrix(family[:, pivots].tolist()).inverse().rows)
+    One elimination of [family | I], ``int_inverse``, gives x / d = v[:, pivots]
+    (family[:, pivots])^-1, and x family = d v is the exact membership check."""
+    pivots, inv, den = int_inverse(family)
 
     def coords(v: np.ndarray) -> Optional[tuple[np.ndarray, int]]:
         x = int_einsum("ip,pk->ik", v[:, pivots], inv)
@@ -530,6 +538,7 @@ class NormForm:
             raise ValueError("Gram matrix must be symmetric")
         G, self.den = lowest_terms(G, den)
         self.G, self.gmax = held(G)
+        self._complements: dict[tuple[int, ...], tuple[Subspace, NormForm]] = {}
 
     @cached_property
     def signature(self) -> tuple[int, int, int]:
@@ -543,6 +552,13 @@ class NormForm:
         """The form on the span of the rows of b / s, b an integer array, in
         that basis: Gram matrix b G b^T / (den s^2)."""
         return NormForm(int_einsum("ik,kl,jl->ij", b, Bounded(self.G, self.gmax), b), self.den * s * s)
+
+    def complement(self, u: Sequence[int]) -> tuple[Subspace, "NormForm"]:
+        """The kernel of G u and the form on it in its canonical basis, kept per u (``G`` is read-only)."""
+        if (key := tuple(u)) not in self._complements:
+            sub = kernel_basis(int_einsum("ij,j->i", Bounded(self.G, self.gmax), key).reshape(1, -1))
+            self._complements[key] = sub, self.restricted(*sub.cleared_basis())
+        return self._complements[key]
 
     def bilinear(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
         (xs, ys), d = int_cleared([x, y])

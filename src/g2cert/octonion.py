@@ -17,8 +17,9 @@ e_i e_j = sum_k m_ijk e_k) and its one denominator ``den``; its norm is a
 matrix ``G`` and its one denominator ``den``.  Both are held read-only
 beside their largest magnitudes ``mmax`` and ``gmax`` (``linalg.held``), and
 every product, bilinear value and identity check is a ``linalg.int_einsum``
-of them that reads those bounds.  The Zorn product runs
-on integer basis vectors.  Fractions remain only where the benchmark's
+of them that reads those bounds.  The Zorn product runs on integer basis
+vectors.  ``SplitCayley.imaginary`` is built once per form and unit, so the
+mutants of a sweep share it.  Fractions remain only where the benchmark's
 mutation sweep and tracer use them: ``StructureConstantAlgebra(dim, mul)``
 clears a rational ``mul``, and ``mul`` and ``multiply`` return Fractions.
 """
@@ -40,7 +41,6 @@ from .linalg import (
     int_cleared,
     held,
     int_einsum,
-    kernel_basis,
 )
 
 DIM = 8
@@ -117,11 +117,11 @@ class SplitCayley:
     @cached_property
     def imaginary(self) -> tuple[Subspace, NormForm]:
         """The orthogonal complement of the unit and the norm form restricted
-        to it, in its canonical basis (signature (3,4)); built once per instance."""
-        u, _ = clear_denominators(self.unit)
-        sub = kernel_basis(int_einsum("ij,j->i", Bounded(self.form.G, self.form.gmax), u).reshape(1, -1))
-        assert sub.dim == DIM - 1
-        return sub, self.form.restricted(*sub.cleared_basis())
+        to it, in its canonical basis (signature (3,4)); built once per form
+        and unit (``NormForm.complement``), so algebras sharing both share it."""
+        pair = self.form.complement(clear_denominators(self.unit)[0])
+        assert pair[0].dim == DIM - 1
+        return pair
 
 
 def build_split_cayley() -> SplitCayley:

@@ -32,13 +32,12 @@ from .lie import LieAlgebra, killing_form, is_semisimple
 from .linalg import (
     PRIME,
     Bounded,
-    Matrix,
     NormForm,
     Subspace,
     held,
-    int_cleared,
     int_dtype,
     int_einsum,
+    int_inverse,
     is_int_array,
     kernel_basis,
     lowest_terms,
@@ -199,7 +198,7 @@ def _intertwiner_space(a: np.ndarray, b: np.ndarray) -> Subspace:
     for j, (k, g, s) in enumerate(origins):  # ms[j, :, s(j), :] = M_j
         ms[j, :, s] = int_einsum("ij,jk->ik", Bounded(b.array[g], b.bound), ms[k, :, s]) if k >= 0 else np.eye(nrows, dtype=int)
     cols = np.array(basis, dtype=object).T
-    b_inv, d = int_cleared(Matrix(cols.tolist()).inverse().rows)
+    _, b_inv, d = int_inverse(cols)
     c, x = held(int_einsum("ji,gik->gjk", b_inv, int_einsum("gij,jk->gik", a, cols)), copy=False), ms.reshape(ncols, nrows, -1)
     for g in (slice(0, 1), slice(1, None)):
         reduced = int_einsum("gjk,jrh->gkrh", Bounded(c.array[g], c.bound), x) - int_einsum("grq,kqh,->gkrh", Bounded(b.array[g], b.bound), x, d)

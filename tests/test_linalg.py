@@ -23,6 +23,7 @@ from g2cert.linalg import (
     int_cleared,
     int_dtype,
     int_einsum,
+    int_inverse,
     kernel_basis,
     lowest_terms,
     max_abs,
@@ -888,3 +889,50 @@ def test_coordinate_map_is_relative_to_the_family():
     assert coords(np.array([[2, 3, 5], [1, 1, 1]])) is None  # the second row is outside
     with pytest.raises(ValueError):
         coordinate_map(np.array([[1, 2], [2, 4]]))
+
+
+def assert_inverse_certificate(a):
+    """int_inverse certified, not compared with an oracle: x a[:, pivots] =
+    d I exactly, gcd(d, x) = 1, and pivots are those of the span."""
+    pivots, x, d = int_inverse(a)
+    k = len(a)
+    assert pivots == list(Subspace.from_vectors(a.shape[1], a).pivots)
+    assert np.array_equal(int_einsum("ij,jk->ik", x, a[:, pivots]), int_einsum(",ij->ij", d, np.eye(k, dtype=int)))
+    assert math.gcd(d, *map(int, x.flat)) == 1
+    assert x.shape == (k, k) and x.dtype == int_dtype(max_abs(x))
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.array([[2, 1], [-3, 4]]),  # square
+        np.array([[0, 6, 3, 9], [4, 2, 0, 2], [2, 0, 5, 1]]),  # wide, a pivot skips a column
+        np.array([[2**70, 1, 0], [3, 2**70, 1]], dtype=object),  # Python ints
+        np.array([[2**70, 1], [1, 1]], dtype=object),  # d = 2**70 - 1, x of Python ints
+        np.zeros((0, 3), dtype=np.int64),  # the empty family
+        np.zeros((0, 0), dtype=object),
+    ],
+)
+def test_int_inverse_certificate(a):
+    assert_inverse_certificate(a)
+
+
+@given(matrices(max_rows=4, max_cols=6))
+def test_int_inverse_of_independent_rows(m):
+    a = cleared(m)
+    a = a[_independent_rows(a)]
+    assert_inverse_certificate(a)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.array([[1, 2, 3], [2, 4, 6]]),  # dependent wide family
+        np.array([[1, 2, 0], [0, 0, 0]]),  # a zero row
+        np.array([[1, 2], [2, 4]]),  # singular square
+        np.zeros((1, 0), dtype=np.int64),  # a row of no columns
+    ],
+)
+def test_int_inverse_rejects_a_dependent_family(a):
+    with pytest.raises(ValueError, match="linearly dependent"):
+        int_inverse(a)

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from g2cert.linalg import signature
-from g2cert.octonion import StructureConstantAlgebra, _zorn_multiply, build_split_cayley
+import g2cert.linalg as linalg
+from g2cert.linalg import NormForm, signature
+from g2cert.octonion import SplitCayley, StructureConstantAlgebra, _zorn_multiply, build_split_cayley
 
-from conftest import basis_element, conjugate, leading_one_basis, random_element
+from conftest import basis_element, cayley_mutant, conjugate, leading_one_basis, random_element
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "mul_table.json"
 
@@ -163,3 +164,19 @@ def test_matrix_algebra_unit_detection(matrix_algebra_2x2):
     e12 = (Fraction(0), Fraction(1), Fraction(0), Fraction(0))
     assert alg.multiply(e11, e12) == e12
     assert alg.multiply(e12, e11) == (Fraction(0),) * 4
+
+
+def test_one_complement_per_form_and_unit(monkeypatch):
+    """Mutants that share the form and unit share one imaginary pair, solved
+    once; another unit or another form instance is solved afresh."""
+    base = build_split_cayley()
+    a, b = (SplitCayley(cayley_mutant(changes).algebra, base.form, base.unit) for changes in ({(2, 3, 0): 1}, {(0, 0, 0): -1}))
+    other_unit = SplitCayley(base.algebra, base.form, (1,) + (0,) * 7)
+    other_form = SplitCayley(base.algebra, NormForm(base.form.G, base.form.den), base.unit)
+    calls, solve = [], linalg.kernel_basis
+    monkeypatch.setattr(linalg, "kernel_basis", lambda m: calls.append(m) or solve(m))
+    assert a.imaginary is b.imaginary and base.imaginary is a.imaginary
+    assert len(calls) == 1
+    assert other_unit.imaginary[0] != a.imaginary[0] and len(calls) == 2
+    assert other_form.imaginary is not a.imaginary and len(calls) == 3
+    assert other_form.imaginary[0] == a.imaginary[0] and other_form.imaginary[1].G.tolist() == a.imaginary[1].G.tolist()

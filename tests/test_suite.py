@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import g2cert.linalg as linalg
 from g2cert import suite
-from g2cert.lie import killing_form, so_of_form
+from g2cert.lie import derivation_algebra, killing_form, so_of_form
 from g2cert.linalg import Matrix, NormForm, Subspace, int_cleared, kernel_basis, signature
 from g2cert.octonion import SplitCayley, StructureConstantAlgebra, build_split_cayley
 from g2cert.reps import LieModule
@@ -267,6 +268,30 @@ def test_negative_control_cayley_structure_constant():
     assert "composition_first_failure" in by_id["cayley"].witnesses["failed_expectations"]
     others = [r for r in reports if r.id != "cayley"]
     assert all(r.status == "pass" for r in others)
+
+
+def _forbid_fraction_elimination(monkeypatch):
+    def forbidden(*_):
+        raise AssertionError("a Fraction inverse or rref was reached")
+
+    monkeypatch.setattr(linalg.Matrix, "inverse", forbidden)
+    monkeypatch.setattr(linalg, "rref", forbidden)
+
+
+def test_a_run_makes_no_fraction_inverse(monkeypatch):
+    _forbid_fraction_elimination(monkeypatch)
+    assert {r.status for r in run_all(SuiteConfig())} == {"pass"}
+
+
+def test_a_mutant_makes_no_fraction_inverse(monkeypatch):
+    """The reject path of the mutation sweep: the derivations of a mutant, then
+    the cayley and derivations checks on it."""
+    _forbid_fraction_elimination(monkeypatch)
+    cand = cayley_mutant({(2, 3, 0): 1})
+    ctx = VerificationContext(cayley_candidate=cand, derivations_candidate=derivation_algebra(cand.algebra))
+    reports = run_all(SuiteConfig(samples=5, checks=("cayley", "derivations")), ctx=ctx)
+    assert [(r.id, r.status) for r in reports] == [("cayley", "fail"), ("derivations", "fail")]
+    assert reports[1].witnesses["derivation_dim"] == 3
 
 
 def loop_multiply(mul, x, y):
