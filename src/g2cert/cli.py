@@ -8,6 +8,7 @@ errors, 2 on usage errors (including unknown check ids).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -194,5 +195,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     raise AssertionError(args.command)
 
 
+def run() -> None:
+    """Entry point of ``python -m g2cert`` and the console script: exit with
+    ``main``'s code, the heap frozen so that shutdown runs no cycle collection
+    over what the run leaves; refcounting still frees it, and atexit and file
+    flushing still run."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

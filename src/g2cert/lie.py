@@ -19,8 +19,7 @@ of nonassociative algebras and so(p,q) of a symmetric form.
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -108,13 +107,13 @@ class LieAlgebra:
         the integer ad stack den * ad(e_i) = C[i]^T."""
         return self.bracket_law_failure(self.C.transpose(0, 2, 1), self.den, self.cmax) is None
 
-    @cached_property
-    def realization_coordinates(self) -> Callable[[np.ndarray], Optional[tuple[np.ndarray, int]]]:
-        """Map integer rows, each a row-major flattened matrix, to (x, d) with
-        row = (x / d) times the flattened realization stack, or to None when
-        a row lies outside the realization's span."""
-        a, _ = self.realization
-        return coordinate_map(a.reshape(self.dim, -1))
+    def realization_coordinates(self, rows: np.ndarray) -> Optional[tuple[np.ndarray, int]]:
+        """Map integer rows, each a row-major flattened matrix, to (x, e) with
+        row = (x / e) times the flattened matrices a / d of the realization
+        (a, d), or to None when a row lies outside their span; by the
+        coordinate map against a that ``from_matrix_basis`` built."""
+        solved = self._coords(rows)
+        return None if solved is None else (int_einsum(",ij->ij", self.realization[1], solved[0]), solved[1])
 
     @classmethod
     def from_matrix_basis(cls, a: np.ndarray, den: int = 1) -> "LieAlgebra":
@@ -133,9 +132,8 @@ class LieAlgebra:
             raise ValueError("realization must be square matrices over a positive denominator")
         d, n = len(a), a.shape[1]
         a, amax = held(a)
-        t, t_den = np.zeros((0, 0, 0), dtype=np.int64), 1
+        t, t_den, coords = np.zeros((0, 0, 0), dtype=np.int64), 1, coordinate_map(a.reshape(d, n * n))
         if d:
-            coords = coordinate_map(a.reshape(d, n * n))
             prod = int_einsum("ikm,jml->ijkl", Bounded(a, amax), Bounded(a, amax))
             solved = coords((prod - prod.transpose(1, 0, 2, 3)).reshape(d * d, n * n))
             if solved is None:
@@ -146,6 +144,7 @@ class LieAlgebra:
         # and Jacobi hold for C because they hold in gl(n).
         alg = object.__new__(cls)
         alg._hold(t.reshape(d, d, d), t_den * den, (a, den))
+        alg._coords = coords
         return alg
 
 

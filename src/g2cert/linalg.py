@@ -43,7 +43,6 @@ integer matrix's rank over Q is at least its rank mod p (Dixon, Numer. Math.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -231,8 +230,7 @@ def _int_matrix(m: np.ndarray) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class RrefResult:
+class RrefResult(NamedTuple):
     reduced: tuple[tuple[Fraction, ...], ...]
     rank: int
     pivots: tuple[int, ...]

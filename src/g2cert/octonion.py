@@ -26,7 +26,6 @@ clears a rational ``mul``, and ``mul`` and ``multiply`` return Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -106,13 +105,11 @@ def _zorn_norm_form() -> NormForm:
     return NormForm(g, 2)
 
 
-@dataclass(frozen=True)
 class SplitCayley:
     """The split Cayley algebra bundled with its norm data."""
 
-    algebra: StructureConstantAlgebra
-    form: NormForm
-    unit: tuple[int, ...]
+    def __init__(self, algebra: StructureConstantAlgebra, form: NormForm, unit: tuple[int, ...]):
+        self.algebra, self.form, self.unit = algebra, form, unit
 
     @cached_property
     def imaginary(self) -> tuple[Subspace, NormForm]:

@@ -22,8 +22,7 @@ one denominator, and invariant forms are ``linalg.NormForm`` Gram matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -64,7 +63,7 @@ class LieModule:
             raise TypeError("a module action is an integer stack")
         if A.ndim != 3 or A.shape[0] != algebra.dim or A.shape[1] != A.shape[2] or den < 1:
             raise ValueError("one square action matrix per algebra basis element, over a positive denominator")
-        self.algebra, (self.A, self.amax), self.den, self.dim = algebra, held(A), den, A.shape[1]
+        self.algebra, (self.A, self.amax), self.den, self.dim, self._spins = algebra, held(A), den, A.shape[1], {}
         bad = algebra.bracket_law_failure(self.A, den, self.amax)
         if bad is not None:
             raise ValueError("homomorphism law fails at basis pair ({},{})".format(*bad))
@@ -73,7 +72,7 @@ class LieModule:
     def _raw(cls, algebra: LieAlgebra, A: np.ndarray, den: int) -> "LieModule":
         """A module whose law the caller has proved; A is held as is, read-only, where it has the dtype of held."""
         mod = object.__new__(cls)
-        mod.algebra, mod.den, mod.dim = algebra, den, A.shape[1]
+        mod.algebra, mod.den, mod.dim, mod._spins = algebra, den, A.shape[1], {}
         mod.A, mod.amax = held(A, copy=False)
         return mod
 
@@ -118,20 +117,21 @@ def restriction_module(v: LieModule, sub: Subspace) -> LieModule:
     return LieModule._raw(v.algebra, r, v.den * s)
 
 
-@dataclass(frozen=True, eq=False)
 class Intertwiner:
     """A module homomorphism T / den, T an integer matrix of shape
     (target dim, source dim) and den positive; the intertwining identity is
-    verified exactly.
+    verified exactly by ``__post_init__``, which the constructor calls (and
+    the benchmark's tracer wraps).
 
     T rho_v(e_i) = rho_w(e_i) T is checked for all i at once on integers, as
     den_w T A_v[i] = den_v A_w[i] T.
     """
 
-    source: LieModule
-    target: LieModule
-    T: np.ndarray
-    den: int = 1
+    __slots__ = ("source", "target", "T", "den")
+
+    def __init__(self, source: LieModule, target: LieModule, T: np.ndarray, den: int = 1):
+        self.source, self.target, self.T, self.den = source, target, T, den
+        self.__post_init__()
 
     def __post_init__(self):
         if self.source.algebra is not self.target.algebra:
@@ -180,9 +180,22 @@ def _spin_basis(a: np.ndarray) -> tuple[list[np.ndarray], list[tuple[int, int, i
     return basis, origins
 
 
-def _intertwiner_space(a: np.ndarray, b: np.ndarray) -> Subspace:
+def _spun(v: LieModule, scale: int) -> tuple:
+    """For the stack a = scale * v.A: the origins of its spin basis B
+    (``_spin_basis``), the ``Bounded`` stack c = x a B and (x, d), where
+    x / d = B^-1; kept on v per scale."""
+    if scale not in v._spins:
+        a = v.A.astype(int_dtype(scale * v.amax)) * scale
+        basis, origins = _spin_basis(a)
+        cols = np.array(basis, dtype=object).T
+        _, b_inv, d = int_inverse(cols)
+        v._spins[scale] = origins, held(int_einsum("ji,gik->gjk", b_inv, int_einsum("gij,jk->gik", a, cols)), copy=False), b_inv, d
+    return v._spins[scale]
+
+
+def _intertwiner_space(v: LieModule, scale: int, b: np.ndarray) -> Subspace:
     """All T (nrows x ncols, row-major) with T a[g] = b[g] T for the integer
-    stacks a (m x ncols x ncols) and b (m x nrows x nrows).
+    stacks a = scale * v.A (m x ncols x ncols) and b (m x nrows x nrows).
 
     On a spin basis B of columns b_k = W_k v_{s(k)}, with M_k the same word in
     the b[g], T b_k = M_k w_{s(k)} for w_s = T v_s, and T intertwines iff
@@ -190,16 +203,14 @@ def _intertwiner_space(a: np.ndarray, b: np.ndarray) -> Subspace:
     B^-1 a[g] B cleared as d C_g: nrows unknowns per seed, not nrows * ncols.
     Generator 0, then the rest stacked, cut the survivors K held as X = M K^T
     by c_g X - d b_g X (ncols * nrows * h numbers each), and T = X B^-1."""
-    nrows, ncols = b.shape[1], a.shape[1]
+    nrows, ncols = b.shape[1], v.dim
     if not nrows * ncols:
         return Subspace(0, ())
-    (basis, origins), b = _spin_basis(a), Bounded(b, max_abs(b))
+    (origins, c, b_inv, d), b = _spun(v, scale), Bounded(b, max_abs(b))
     ms = np.zeros((ncols, nrows, origins[-1][2] + 1, nrows), dtype=object)
     for j, (k, g, s) in enumerate(origins):  # ms[j, :, s(j), :] = M_j
         ms[j, :, s] = int_einsum("ij,jk->ik", Bounded(b.array[g], b.bound), ms[k, :, s]) if k >= 0 else np.eye(nrows, dtype=int)
-    cols = np.array(basis, dtype=object).T
-    _, b_inv, d = int_inverse(cols)
-    c, x = held(int_einsum("ji,gik->gjk", b_inv, int_einsum("gij,jk->gik", a, cols)), copy=False), ms.reshape(ncols, nrows, -1)
+    x = ms.reshape(ncols, nrows, -1)
     for g in (slice(0, 1), slice(1, None)):
         reduced = int_einsum("gjk,jrh->gkrh", Bounded(c.array[g], c.bound), x) - int_einsum("grq,kqh,->gkrh", Bounded(b.array[g], b.bound), x, d)
         if reduced.any():  # an all-zero system keeps every solution
@@ -213,7 +224,7 @@ def hom_space(v: LieModule, w: LieModule) -> list[Intertwiner]:
     if v.algebra is not w.algebra:
         raise ValueError("modules over different algebras")
     peak = max(w.den * v.amax, v.den * w.amax)
-    sub = _intertwiner_space(v.A.astype(int_dtype(peak)) * w.den, w.A.astype(int_dtype(peak)) * v.den)
+    sub = _intertwiner_space(v, w.den, w.A.astype(int_dtype(peak)) * v.den)
     # each leading-1 basis element is its primitive row over the pivot entry
     return [
         Intertwiner(source=v, target=w, T=t.reshape(w.dim, v.dim), den=t[p])
@@ -221,8 +232,7 @@ def hom_space(v: LieModule, w: LieModule) -> list[Intertwiner]:
     ]
 
 
-@dataclass(frozen=True)
-class IrreducibilityCertificate:
+class IrreducibilityCertificate(NamedTuple):
     irreducible: bool
     commutant_dim: int
 
@@ -242,8 +252,7 @@ def is_irreducible(v: LieModule) -> IrreducibilityCertificate:
     return IrreducibilityCertificate(irreducible=dim == 1, commutant_dim=dim)
 
 
-@dataclass(frozen=True)
-class InvariantForms:
+class InvariantForms(NamedTuple):
     """Solution space of B(rho(x)u, w) + B(u, rho(x)w) = 0 for all
     generators, as a subspace of row-major n x n matrices, with its
     symmetric part and, when that part is a line, a sign-normalized generator
@@ -268,7 +277,7 @@ def invariant_bilinear_forms(v: LieModule) -> InvariantForms:
     so that the positive count does not exceed the negative one (the line
     itself is sign-free)."""
     n = v.dim
-    space = _intertwiner_space(v.A, -v.A.transpose(0, 2, 1))
+    space = _intertwiner_space(v, 1, -v.A.transpose(0, 2, 1))
     # B^T is invariant with B, and a symmetric S in the span is (S + S^T)/2
     ints = space.int_basis().reshape(-1, n, n)
     symmetric = Subspace.from_vectors(n * n, (ints + ints.transpose(0, 2, 1)).reshape(-1, n * n))

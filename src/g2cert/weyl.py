@@ -9,8 +9,8 @@ The overall scale of the form cancels in every dimension computed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+import functools
+from typing import NamedTuple, Sequence
 
 from .linalg import signature
 
@@ -77,19 +77,14 @@ def _cartan_matrix(letter: str, rank: int) -> tuple[list[list[int]], list[int]]:
     raise ValueError(f"unknown type letter {letter!r}")
 
 
-@dataclass(frozen=True)
 class CartanType:
-    """A simple type: label, rank, Cartan matrix, and integer symmetrizer."""
+    """A simple type: label, rank, Cartan matrix, and integer symmetrizer,
+    validated at construction."""
 
-    label: str
-    rank: int
-    cartan_matrix: tuple[tuple[int, ...], ...]
-    symmetrizer: tuple[int, ...]
+    __slots__ = ("label", "rank", "cartan_matrix", "symmetrizer")
 
-    def __post_init__(self):
-        c = self.cartan_matrix
-        d = self.symmetrizer
-        n = self.rank
+    def __init__(self, label: str, rank: int, cartan_matrix: tuple[tuple[int, ...], ...], symmetrizer: tuple[int, ...]):
+        c, d, n = cartan_matrix, symmetrizer, rank
         if len(c) != n or any(len(row) != n for row in c):
             raise ValueError("Cartan matrix has wrong shape")
         if any(c[i][i] != 2 for i in range(n)):
@@ -103,6 +98,7 @@ class CartanType:
             raise ValueError("symmetrizer does not symmetrize the Cartan matrix")
         if signature(sym) != (n, 0, 0):
             raise ValueError("symmetrized Cartan matrix is not positive definite")
+        self.label, self.rank, self.cartan_matrix, self.symmetrizer = label, rank, cartan_matrix, symmetrizer
 
 
 def cartan_type(name: str, rank: int | None = None) -> CartanType:
@@ -130,6 +126,12 @@ def cartan_type(name: str, rank: int | None = None) -> CartanType:
             )
     else:
         raise ValueError(f"unknown type letter {letter!r}")
+    return _cartan_type(letter, rank)
+
+
+@functools.lru_cache(maxsize=None)
+def _cartan_type(letter: str, rank: int) -> CartanType:
+    """The type of a checked letter and rank, built and validated once per process."""
     c, d = _cartan_matrix(letter, rank)
     return CartanType(
         label=f"{letter}{rank}",
@@ -139,8 +141,7 @@ def cartan_type(name: str, rank: int | None = None) -> CartanType:
     )
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     """Positive roots in simple-root coordinates."""
 
     cartan: CartanType
@@ -195,8 +196,7 @@ def weyl_dimension(rs: RootSystem, weight: Sequence[int]) -> int:
     return dim
 
 
-@dataclass(frozen=True)
-class DimensionCensus:
+class DimensionCensus(NamedTuple):
     entries: tuple[tuple[tuple[int, ...], int], ...]  # (weight, dim), sorted
     monotone: bool
 
@@ -235,32 +235,33 @@ def dimension_census(rs: RootSystem, coeff_bound: int) -> DimensionCensus:
     return DimensionCensus(entries=entries, monotone=monotone)
 
 
-def _drops_to(big: CartanType, small: CartanType) -> bool:
-    """Whether small's Cartan matrix is big's without node 0 (B, C, D) or its
-    last node (A, E): then small's roots embed in big's, so big is larger."""
-    keep = range(1, big.rank) if big.label[0] in "BCD" else range(big.rank - 1)
-    return [tuple(big.cartan_matrix[i][j] for j in keep) for i in keep] == list(small.cartan_matrix)
+def _drops_to(big, small) -> bool:
+    """Whether the Cartan matrix small is big's without its first or its last
+    node.  A subset of simple roots spans a root subsystem (Humphreys 1972,
+    Ch. III), so then small's roots embed in big's and big is larger."""
+    small = [list(row) for row in small]
+    return any([list(row[keep]) for row in big[keep]] == small for keep in (slice(1, None), slice(len(big) - 1)))
 
 
 def simple_algebra_census(dim_target: int, max_rank: int = 8) -> list[str]:
     """Labels of all simple complex types of the given dimension, counting
     dimension as rank + 2 * (number of positive roots) from the generated
-    root systems; classical duplicates are excluded by rank floors.  Past the
-    target, a family's next rank is skipped wherever it ``_drops_to`` the last."""
+    root systems; classical duplicates are excluded by rank floors.  A type
+    that ``_drops_to`` one of dimension at least the target, in any family,
+    exceeds it: its roots are not built, nor is its ``CartanType`` validated."""
     if not 1 <= max_rank <= MAX_RANK:
         raise ValueError(f"max_rank must be between 1 and the cap of {MAX_RANK}")
     families = {x: range(floor, max_rank + 1) for x, floor in _CLASSICAL_MIN_RANK.items()}
     families.update({x: [r for r in ranks if r <= max_rank] for x, ranks in _EXCEPTIONAL_RANKS.items()})
-    hits = []
+    hits, reached = [], {}  # reached: rank -> Cartan matrices of the types of dimension >= the target
     for letter, ranks in families.items():
-        above = None  # the last type built or skipped, while it exceeds the target
         for rank in ranks:
-            ct = cartan_type(letter, rank)
-            if above is not None and _drops_to(ct, above):
-                above = ct
-                continue
-            dim = root_system(ct).algebra_dimension
-            if dim == dim_target:
-                hits.append(ct.label)
-            above = ct if dim > dim_target else None
+            c, _ = _cartan_matrix(letter, rank)
+            if not any(_drops_to(c, small) for small in reached.get(rank - 1, ())):
+                dim = root_system(cartan_type(letter, rank)).algebra_dimension
+                if dim == dim_target:
+                    hits.append(f"{letter}{rank}")
+                elif dim < dim_target:
+                    continue
+            reached.setdefault(rank, []).append(c)
     return sorted(hits)

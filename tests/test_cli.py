@@ -1,4 +1,9 @@
+import ast
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +13,7 @@ from g2cert.cli import main
 
 
 DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -197,3 +203,36 @@ def test_show_decomposition(capsys):
 
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
+
+
+def _without_timing(doc: dict) -> dict:
+    for check in doc["checks"]:
+        check["elapsed_ms"] = 0
+    return doc
+
+
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """``python -m g2cert`` in a fresh process, on this tree's sources."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-m", "g2cert", *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_matches_main(capsys):
+    """The process entry point exits with main's code and prints main's report."""
+    argv = ("verify", "--check", "cayley", "--format", "json")
+    proc = run_module(*argv)
+    code, out, _ = run_cli(capsys, *argv)
+    assert proc.returncode == code == 0
+    assert _without_timing(json.loads(proc.stdout)) == _without_timing(json.loads(out))
+    proc = run_module("verify", "--check", "nope")
+    assert proc.returncode == 2 and "valid ids" in proc.stderr
+
+
+def test_console_script_and_module_share_one_entry_function():
+    """[project.scripts] names the function that ``python -m g2cert`` calls."""
+    target = re.search(r'^g2cert = "([\w.]+):(\w+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    tree = ast.parse((ROOT / "src" / "g2cert" / "__main__.py").read_text())
+    imported = {alias.asname or alias.name: f"g2cert.{node.module}" for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    called = [node.value.func.id for node in tree.body if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)]
+    assert target and called == [target[2]] and imported[target[2]] == target[1]
+    assert getattr(cli, target[2]) is cli.run

@@ -1,7 +1,10 @@
+import hashlib
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from random import Random
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import g2cert.linalg as linalg
-from g2cert import suite
+from g2cert import lie, octonion, reps, suite, weyl
 from g2cert.lie import derivation_algebra, killing_form, so_of_form
 from g2cert.linalg import Matrix, NormForm, Subspace, int_cleared, kernel_basis, signature
 from g2cert.octonion import SplitCayley, StructureConstantAlgebra, build_split_cayley
@@ -115,6 +118,69 @@ def test_shared_objects_built_once_per_run(monkeypatch):
     assert sum(alg is so34 and np.array_equal(a, ad_stack) for alg, a in built) == 1
     assert len(forms_calls) == 1
     assert killing_form(so34) is killing_form(so34)
+
+
+def _digest(x) -> str:
+    values = np.asarray(x, dtype=object)
+    return hashlib.sha256(repr((values.shape, values.tolist())).encode()).hexdigest()
+
+
+def _input_spy(monkeypatch, owner, name: str) -> list[str]:
+    """Rebind owner.name in every g2cert module that holds it to a spy that
+    records a digest of the values of its first argument."""
+    calls, original = [], getattr(owner, name)
+
+    def spy(x, *args, **kwargs):
+        calls.append(_digest(x))
+        return original(x, *args, **kwargs)
+
+    for mod in (linalg, lie, octonion, reps, suite, weyl):
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, spy)
+    return calls
+
+
+def test_each_exact_input_is_solved_once_per_run(monkeypatch):
+    """In a full run, int_inverse, the spin basis, kernel_basis and signature
+    each see every distinct input at most once.  The one allowed repeat is a
+    signature of two equal 7 x 7 Gram matrices held by different owners: the
+    natural module's invariant form and the norm form restricted to the
+    imaginary subspace."""
+    weyl._cartan_type.cache_clear()  # so that this run validates G2, for the census and the weight census both
+    spies = {
+        name: _input_spy(monkeypatch, owner, name)
+        for owner, name in ((linalg, "int_inverse"), (reps, "_spin_basis"), (linalg, "kernel_basis"), (linalg, "signature"))
+    }
+    ctx = VerificationContext()
+    assert {r.status for r in run_all(SuiteConfig(), ctx=ctx)} == {"pass"}
+    assert all(spies.values())
+    invariant, restricted_norm = ctx.natural_forms.generator.G, ctx.imaginary[1].G
+    assert np.array_equal(invariant, restricted_norm)
+    repeats = {name: {d: n for d, n in Counter(calls).items() if n > 1} for name, calls in spies.items()}
+    assert repeats == {"int_inverse": {}, "_spin_basis": {}, "kernel_basis": {}, "signature": {_digest(invariant): 2}}
+
+
+def _unimodular(seed: int) -> list[list[int]]:
+    """Twelve seeded elementary row operations on the identity, multipliers +-1 or +-2."""
+    rng, p = Random(seed), np.eye(8, dtype=object)
+    for _ in range(12):
+        i, j = rng.sample(range(8), 2)
+        p[i] += rng.choice((-2, -1, 1, 2)) * p[j]
+    return p.tolist()
+
+
+def test_embedding_keeps_the_realization_denominator(monkeypatch):
+    """In a unimodular basis, so(3,4)'s realization (a, d_r) has d_r != 1.
+    The embedding's coordinates are against a / d_r, so E is still a Lie map:
+    so34_as_g2_module checks that before building by lemma, and the checking
+    constructor accepts the module it builds."""
+    cayley = cayley_in_basis(_unimodular(2))
+    monkeypatch.setattr(suite, "build_split_cayley", lambda: cayley)
+    ctx = VerificationContext()
+    assert ctx.cayley is cayley and ctx.so34.realization[1] != 1
+    module = ctx.so34_as_g2_module
+    LieModule(ctx.derivations, module.A, module.den)
 
 
 def test_filtered_run_single_check(ctx):

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from g2cert import weyl
+from g2cert.linalg import signature
 from g2cert.weyl import (
     MAX_RANK,
     _drops_to,
@@ -95,13 +96,22 @@ FAMILIES = {"A": range(1, MAX_RANK + 1), "B": range(2, MAX_RANK + 1), "C": range
             "D": range(4, MAX_RANK + 1), "E": (6, 7, 8), "F": (4,), "G": (2,)}
 
 
+def _matrix(label: str):
+    return cartan_type(label).cartan_matrix
+
+
 def test_each_rank_drops_to_the_one_below():
-    """The premise of the census pruning, along every family up to the cap."""
+    """The premise of the census pruning, along every family up to the cap
+    and across families: F4 without its last node is B3, E6 without its first
+    is A5, and D5 without its last is A4."""
     for letter, ranks in FAMILIES.items():
         for small, big in zip(ranks, ranks[1:]):
-            assert _drops_to(cartan_type(letter, big), cartan_type(letter, small)), (letter, big)
-    assert not _drops_to(cartan_type("B4"), cartan_type("C3"))
-    assert not _drops_to(cartan_type("D5"), cartan_type("A4"))
+            assert _drops_to(cartan_type(letter, big).cartan_matrix, cartan_type(letter, small).cartan_matrix), (letter, big)
+    for big, small in (("F4", "B3"), ("E6", "A5"), ("D5", "A4"), ("G2", "A1")):
+        assert _drops_to(_matrix(big), _matrix(small)), (big, small)
+    assert not _drops_to(_matrix("B4"), _matrix("C3"))
+    assert not _drops_to(_matrix("D5"), _matrix("B4"))
+    assert not _drops_to(_matrix("F4"), _matrix("C3"))
 
 
 def _cached_root_systems(monkeypatch) -> list[str]:
@@ -129,9 +139,16 @@ def test_pruned_census_equals_the_unpruned_reference(monkeypatch):
 
 
 def test_census_stops_each_family_past_the_target(monkeypatch):
-    built = _cached_root_systems(monkeypatch)
+    """B3 and C3 reach 21, so B4 and C4 are skipped; F4 drops to B3 and E6 to
+    A5, so no exceptional root system but G2's is built; and only the built
+    types are validated, each once."""
+    weyl._cartan_type.cache_clear()
+    validated, built = [], []
+    monkeypatch.setattr(weyl, "signature", lambda m: validated.append(len(m)) or signature(m))
+    monkeypatch.setattr(weyl, "root_system", lambda ct: built.append(ct.label) or root_system(ct))
     assert simple_algebra_census(21, 8) == ["B3", "C3"]
-    assert built == ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "E6", "F4", "G2"]
+    assert built == ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2"]
+    assert validated == [int(label[1:]) for label in built]
 
 
 def test_simple_algebra_census_other_dims():
