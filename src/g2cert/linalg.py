@@ -15,7 +15,7 @@ arrays read-only beside the largest magnitude (``held``), and ``int_einsum``
 reads it off a ``Bounded`` operand; it still scans fresh products, subspace
 bases and realization stacks.  ``int_inverse`` is the one exact inverse;
 Fractions remain in its view ``Matrix`` and in ``rref``, which only tests call
-and the benchmark's tracer wraps, and in ``NormForm.bilinear`` and ``norm``.
+and the benchmark's tracer wraps.
 
 One exact elimination engine sits behind the public API: a fraction-free
 integer row reduction (per-row denominator clearing, gcd stripping).  A
@@ -56,7 +56,7 @@ PRIME = 2147483647
 _GCD_STRIP_BOUND = 1 << 96
 
 
-# Matrix, RrefResult and rref have no caller in src/: bench/tracer.py wraps them by name and tests use them as oracles (ROADMAP item 1).
+# Matrix, RrefResult and rref have no caller in src/: bench/tracer.py wraps them by name and tests use them as oracles (ROADMAP item 2).
 class Matrix:
     """A matrix with Fraction entries, inverted by ``int_inverse``."""
 
@@ -557,10 +557,3 @@ class NormForm:
             sub = kernel_basis(int_einsum("ij,j->i", Bounded(self.G, self.gmax), key).reshape(1, -1))
             self._complements[key] = sub, self.restricted(*sub.cleared_basis())
         return self._complements[key]
-
-    def bilinear(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-        (xs, ys), d = int_cleared([x, y])
-        return Fraction(int(int_einsum("i,ij,j->", xs, Bounded(self.G, self.gmax), ys)), d * d * self.den)
-
-    def norm(self, x: Sequence[Fraction]) -> Fraction:
-        return self.bilinear(x, x)

@@ -114,31 +114,26 @@ class VerificationContext:
     """Canonical constructions shared by the checks, each built once on first
     use and cached under its name.
 
-    The *candidate* keywords replace the algebra that the cayley and the
-    derivations check read, for the mutation sweep and negative controls;
-    every other construction is built from the pristine algebra.
+    The *candidate* keywords seed the cayley and the derivations stage with
+    another input (a mutant, a negative control, the algebra in another
+    basis); every construction and every check reads the stages, so the whole
+    run is built from that input.
     """
 
     def __init__(self, cayley_candidate: Optional[SplitCayley] = None, derivations_candidate: Optional[LieAlgebra] = None):
-        self._cayley_candidate = cayley_candidate
-        self._derivations_candidate = derivations_candidate
         self._cache: dict[str, object] = {}
+        if cayley_candidate is not None:
+            self._cache["cayley"] = cayley_candidate
+        if derivations_candidate is not None:
+            self._cache["derivations"] = derivations_candidate
 
     @_stage
     def cayley(self) -> SplitCayley:
         return build_split_cayley()
 
-    @property
-    def cayley_candidate(self) -> SplitCayley:
-        return self._cayley_candidate if self._cayley_candidate is not None else self.cayley
-
     @_stage
     def derivations(self) -> LieAlgebra:
         return derivation_algebra(self.cayley.algebra)
-
-    @property
-    def derivations_candidate(self) -> LieAlgebra:
-        return self._derivations_candidate if self._derivations_candidate is not None else self.derivations
 
     @property
     def imaginary(self) -> tuple[Subspace, NormForm]:
@@ -253,16 +248,18 @@ def _first_word(mask: np.ndarray) -> Optional[str]:
 def check_cayley(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome:
     """Every identity is a comparison of two contractions of the cleared
     tensors, both sides brought to one integer scale: M = den * mul,
-    G = g * gram, the unit u / s, and conjugation K / n with n = u^T G u and
-    K = 2 u (G u)^T - n I (so x-bar = 2 <x, e> / N(e) e - x), each bounded once."""
+    G = g * gram, the unit u / s, so N(e) = n / (g s^2) with n = u^T G u, and
+    conjugation K / n with K = 2 u (G u)^T - n I (so x-bar = 2 <x, e> / N(e) e - x),
+    each bounded once."""
     out = CheckOutcome()
-    c = ctx.cayley_candidate
+    c = ctx.cayley
     m, den = Bounded(c.algebra.M, c.algebra.mmax), c.algebra.den
     g, gden = Bounded(c.form.G, c.form.gmax), c.form.den
     (unit, s), eye = clear_denominators(c.unit), Bounded(np.eye(c.algebra.dim, dtype=np.int64), 1)
     u = Bounded(np.array(unit, dtype=object), max(map(abs, unit)))
+    n = int(int_einsum("i,ij,j->", u, g, u))
 
-    out.expect("unit_norm", c.form.norm(c.unit), Fraction(1))
+    out.expect("unit_norm", Fraction(n, gden * s * s), Fraction(1))
     unit_scaled = int_einsum(",jk->jk", s * den, eye)
     out.expect(
         "unit_is_identity",
@@ -285,7 +282,6 @@ def check_cayley(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome:
     # conj(ab) = conj(b) conj(a) on basis pairs, times n^2 den.  conj^2 = 1
     # needs no check: K depends only on u and G, and K / n is a reflection.
     # Each int64 term is below 2**62 (int_dtype), so the difference fits.
-    n = int(int_einsum("i,ij,j->", u, g, u))
     k = int_einsum(",i,j->ij", 2, u, int_einsum("ij,j->i", g, u)) - int_einsum(",ij->ij", n, eye)
     conj_ok = np.array_equal(int_einsum(",kl,abl->abk", n, k, m), int_einsum("pb,qa,pqk->abk", k, k, m))
     out.expect("conjugation_antiautomorphism", conj_ok, True)
@@ -324,7 +320,7 @@ def check_cayley(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome:
 
 def check_derivations(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome:
     out = CheckOutcome()
-    der = ctx.derivations_candidate
+    der = ctx.derivations
     if not out.expect("derivation_dim", der.dim, 14):
         return out  # wrong algebra: nothing downstream is meaningful
 
@@ -335,8 +331,7 @@ def check_derivations(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcom
     adj = adjoint_module(der)
     out.expect("adjoint_commutant_dim", is_irreducible(adj).commutant_dim, 1)
 
-    # without a candidate, the shared stage, so the later checks reuse its spin basis
-    nat = ctx.natural_rep if ctx._derivations_candidate is None else restriction_module(natural_module(der), ctx.imaginary[0])
+    nat = ctx.natural_rep
     out.expect("natural_dim", nat.dim, 7)
     out.expect("natural_commutant_dim", is_irreducible(nat).commutant_dim, 1)
 

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from random import Random
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from g2cert.lie import LieAlgebra
-from g2cert.linalg import clear_denominators, int_cleared, int_einsum
+from g2cert.linalg import Matrix, NormForm, clear_denominators, int_cleared, int_einsum
 from g2cert.octonion import DIM, SplitCayley, StructureConstantAlgebra, build_split_cayley
 from g2cert.reps import LieModule
 from g2cert.suite import VerificationContext
@@ -91,9 +92,22 @@ def basis_element(i):
     return tuple(Fraction(int(j == i)) for j in range(DIM))
 
 
+def form_bilinear(form, x, y):
+    """B(x, y) = x^T G y / den of a NormForm as a Fraction, summed term by
+    term over the nonzero Gram entries: the reference for the integer
+    contractions."""
+    terms = (x[i] * g * y[j] for i, row in enumerate(form.G.tolist()) for j, g in enumerate(row) if g)
+    return Fraction(sum(terms, Fraction(0)), form.den)
+
+
+def form_norm(form, x):
+    """The quadratic norm B(x, x) of a NormForm as a Fraction."""
+    return form_bilinear(form, x, x)
+
+
 def conjugate(c, x):
     """x-bar = 2 <x,e>/<e,e> e - x; pure imaginaries go to their negatives."""
-    k = 2 * c.form.bilinear(x, c.unit) / c.form.norm(c.unit)
+    k = 2 * form_bilinear(c.form, x, c.unit) / form_norm(c.form, c.unit)
     return tuple(k * e - xi for e, xi in zip(c.unit, x))
 
 
@@ -120,6 +134,76 @@ def cayley_mutant(changes):
         mul[i][j][k] += delta
     algebra = StructureConstantAlgebra(dim=DIM, mul=tuple(tuple(tuple(p) for p in row) for row in mul))
     return SplitCayley(algebra=algebra, form=pristine.form, unit=pristine.unit)
+
+
+def loop_multiply(mul, x, y):
+    """The product of two coordinate vectors, entry by entry."""
+    out = [Fraction(0)] * len(x)
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            for k, m in enumerate(mul[i][j]):
+                if m:
+                    out[k] += xi * yj * m
+    return tuple(out)
+
+
+def unimodular(seed: int) -> list[list[int]]:
+    """Twelve seeded elementary row operations on the identity, multipliers +-1 or +-2."""
+    rng, p = Random(seed), np.eye(8, dtype=object)
+    for _ in range(12):
+        i, j = rng.sample(range(8), 2)
+        p[i] += rng.choice((-2, -1, 1, 2)) * p[j]
+    return p.tolist()
+
+
+def cayley_in_basis(p):
+    """The split Cayley algebra in the basis of the columns of p."""
+    c = build_split_cayley()
+    inv = np.array(Matrix(p).inverse().rows, dtype=object)
+    p = np.array(p, dtype=object)
+    mul = tuple(tuple(tuple(inv @ loop_multiply(c.algebra.mul, x, y)) for y in p.T) for x in p.T)
+    form = NormForm(*int_cleared(p.T @ gram(c) @ p))
+    return SplitCayley(StructureConstantAlgebra(8, mul), form, tuple(inv @ np.array(c.unit)))
+
+
+def _dickson_conjugate(x):
+    h = len(x) // 2
+    return x if h == 0 else _dickson_conjugate(x[:h]) + [-v for v in x[h:]]
+
+
+def _dickson_multiply(x, y):
+    """(a, b)(c, d) = (ac - d* b, da + b c*) on coordinate lists of length 2^k."""
+    h = len(x) // 2
+    if h == 0:
+        return [x[0] * y[0]]
+    a, b, c, d = x[:h], x[h:], y[:h], y[h:]
+    left = [p - q for p, q in zip(_dickson_multiply(a, c), _dickson_multiply(_dickson_conjugate(d), b))]
+    right = [p + q for p, q in zip(_dickson_multiply(d, a), _dickson_multiply(b, _dickson_conjugate(c)))]
+    return left + right
+
+
+def compact_octonions():
+    """The octonions by Cayley-Dickson doubling of Q three times: constants in
+    {-1, 0, 1}, the positive definite norm with Gram matrix I, and unit e1."""
+    basis = np.eye(DIM, dtype=int).tolist()
+    mul = [[_dickson_multiply(x, y) for y in basis] for x in basis]
+    return SplitCayley(StructureConstantAlgebra(DIM, mul), NormForm(np.eye(DIM, dtype=np.int64)), (1,) + (0,) * (DIM - 1))
+
+
+# The witnesses of every check that errors when so(7) is the run's derivation
+# algebra: its natural module is 7-dimensional, the wrong ambient space for
+# the imaginary subspace, so every stage built on it raises
+WRONG_AMBIENT = {"exception": "ValueError: subspace lives in the wrong ambient space"}
+SO7_ERRORS = {
+    "wedge-iso": WRONG_AMBIENT,
+    "decomposition": WRONG_AMBIENT,
+    "invariant-form": {"skipped": "dependency 'derivations' did not pass"},
+    **dict.fromkeys(("recognition", "maximality", "metric-constants"), {"skipped": "dependency 'decomposition' did not pass"}),
+}
 
 
 def abelian_algebra(dim):

@@ -50,7 +50,7 @@ from g2cert.weyl import (
     weyl_dimension,
 )
 
-from conftest import E3E4_DRIFT, basis_element, cayley_mutant, diagonal
+from conftest import E3E4_DRIFT, SO7_ERRORS, basis_element, cayley_mutant, diagonal, form_norm
 
 
 def _done(number: int, label: str, started: float, limit: float):
@@ -65,7 +65,7 @@ def test_criterion_01_cayley_certification(ctx):
     for i in range(8):
         for j in range(8):
             a, b = basis_element(i), basis_element(j)
-            assert c.form.norm(c.algebra.multiply(a, b)) == c.form.norm(a) * c.form.norm(b)
+            assert form_norm(c.form, c.algebra.multiply(a, b)) == form_norm(c.form, a) * form_norm(c.form, b)
     assert signature(c.form.G) == (4, 4, 0)
     _, restricted = c.imaginary
     assert signature(restricted.G) == (3, 4, 0)
@@ -212,13 +212,10 @@ def test_criterion_12_determinism_and_negative_controls():
 
     fast = SuiteConfig(samples=5)
     degenerate, seam = NormForm(diagonal([1, 1, 1, 1, 1, 1, 0])), suite.wedge_so_isomorphism
+    # the mutant shares the pristine form and unit: beside the pristine derivations, only its cayley stage differs
+    mutant = VerificationContext(cayley_candidate=cayley_mutant(E3E4_DRIFT), derivations_candidate=VerificationContext().derivations)
     flips = {
-        "cayley": ("fail", VerificationContext(cayley_candidate=cayley_mutant(E3E4_DRIFT)), None),
-        "derivations": (
-            "fail",
-            VerificationContext(derivations_candidate=so_of_form(NormForm(np.eye(7, dtype=int)))),
-            None,
-        ),
+        "cayley": ("fail", mutant, None),
         "wedge-iso": ("error", VerificationContext(), lambda form, so_alg: seam(degenerate, so_alg)),
     }
     for target, (expected_status, corrupted_ctx, wedge_seam) in flips.items():
@@ -236,9 +233,16 @@ def test_criterion_12_determinism_and_negative_controls():
         assert all(r.status == "pass" for r in untouched), [
             (r.id, r.status) for r in untouched
         ]
+    # so(7) as the derivations reaches every stage built on them
+    reports = run_all(fast, ctx=VerificationContext(derivations_candidate=so_of_form(NormForm(np.eye(7, dtype=int)))))
+    by_id = {r.id: r for r in reports}
+    assert by_id["derivations"].witnesses["derivation_dim"] == 21
+    assert {r.id: r.status for r in reports} == {"cayley": "pass", "derivations": "fail", **dict.fromkeys(SO7_ERRORS, "error")}
+    for cid, witnesses in SO7_ERRORS.items():
+        assert by_id[cid].witnesses == witnesses, cid
     print(
         f"ACCEPTANCE 12 PASS ({suite_elapsed:.2f}s < 60s): deterministic suite, "
-        "each corruption flips exactly its target"
+        "each corruption flips its target and nothing its input does not reach"
     )
 
 

@@ -35,7 +35,7 @@ from g2cert.linalg import (
 from g2cert.octonion import StructureConstantAlgebra
 from g2cert.reps import LieModule, restriction_module
 
-from conftest import cayley_mutant, coordinates_of, diagonal, int_family, leading_one_basis, zeros
+from conftest import cayley_mutant, coordinates_of, diagonal, form_bilinear, form_norm, int_family, leading_one_basis, zeros
 
 fractions = st.builds(
     Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4)
@@ -872,8 +872,8 @@ def test_norm_form_rejects_invalid_gram(G, den):
 def test_norm_form_is_held_in_lowest_terms():
     form = NormForm(np.array([[2, 4], [4, 6]]), 6)
     assert form.G.tolist() == [[1, 2], [2, 3]] and form.den == 3
-    assert form.bilinear((1, 0), (0, 1)) == Fraction(2, 3)
-    assert form.norm((Fraction(1, 2), 1)) == Fraction(1, 12) + Fraction(4, 3) / 2 + 1
+    assert form_bilinear(form, (1, 0), (0, 1)) == Fraction(2, 3)
+    assert form_norm(form, (Fraction(1, 2), 1)) == Fraction(1, 12) + Fraction(4, 3) / 2 + 1
     assert form.signature == (1, 1, 0) and form.nondegenerate
     # on the rows of b / 2, Gram matrix b G b^T / (3 * 4)
     restricted = form.restricted(np.array([[1, 1]]), 2)
