@@ -4,8 +4,9 @@ A ``LieAlgebra`` takes and holds its bracket [e_i, e_j] = sum_k c_ijk e_k
 as one integer tensor ``C`` (dim x dim x dim, C[i, j, k] = den * c_ijk) and
 one denominator ``den``, as a ``reps.LieModule`` takes its stack; rationals
 and floats are rejected.  ``C`` is held read-only beside its largest
-magnitude ``cmax`` (``linalg.held``), and each product formed from it reads
-``cmax`` to bound the result, which ``linalg.int_dtype`` turns into a dtype.
+magnitude ``cmax`` (``linalg.held``), which each product formed from it
+reads; ``linalg`` alone turns a bound into a dtype, so a sum of up to four
+held arrays or ``int_einsum`` results fits.
 Brackets (``bracket_table``), the Killing form (Cartan's criterion),
 closures, centralizers and transporters are contractions of ``C``, and the
 integer ad stack den * ad(e_i) is ``C[i]^T``.  A matrix realization is held
@@ -30,7 +31,6 @@ from .linalg import (
     Subspace,
     coordinate_map,
     held,
-    int_dtype,
     int_einsum,
     is_int_array,
     kernel_basis,
@@ -80,21 +80,17 @@ class LieAlgebra:
         amax, or None if the law holds exactly on every pair.
 
         The one check of the bracket law: for the action of a module and
-        (through ``verify_jacobi``) for the ad stack.  It runs
-        den [a_i, a_j] = scale sum_k C_ijk a_k for all j > i, one i at a time
-        so that no dim^2 n^2 array is held; int64 carries both sides while
-        every product provably fits, Python ints beyond that.
+        (through ``verify_jacobi``) for the ad stack.  It compares
+        den [a_i, a_j] = scale sum_k C_ijk a_k on all pairs at once, from two
+        ``int_einsum`` contractions: the dim^2 n^2 arrays are small where it
+        runs (the checking constructors), and a difference of two products
+        fits the dtype that ``linalg`` gives each.
         """
-        n, cmax = a.shape[1], self.cmax
-        peak = max(self.den, scale, cmax, 2 * n * amax * amax * self.den, self.dim * cmax * amax * scale)
-        a, c = a.astype(int_dtype(peak), copy=False), self.C.astype(int_dtype(peak), copy=False)
-        for i in range(self.dim - 1):
-            lhs = self.den * (a[i] @ a[i + 1 :] - a[i + 1 :] @ a[i])
-            rhs = scale * np.tensordot(c[i, i + 1 :], a, axes=(1, 0))
-            bad = np.flatnonzero(np.any(lhs != rhs, axis=(1, 2)))
-            if len(bad):
-                return i, i + 1 + int(bad[0])
-        return None
+        a = Bounded(a, amax)
+        prod = int_einsum(",ikm,jml->ijkl", self.den, a, a)
+        rhs = int_einsum(",ijk,kmn->ijmn", scale, Bounded(self.C, self.cmax), a)
+        bad = np.argwhere(np.triu(np.any(prod - prod.transpose(1, 0, 2, 3) != rhs, axis=(2, 3)), 1))
+        return tuple(map(int, bad[0])) if len(bad) else None
 
     def bracket_table(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """den * [x, y] for every row x of xs and y of ys, 2-D integer arrays
@@ -168,8 +164,7 @@ def derivation_algebra(alg: StructureConstantAlgebra) -> LieAlgebra:
     dim^3 x dim^2 system is the derivation space.  Each row is linear in the
     structure constants, so the cleared tensor ``alg.M`` has the same kernel.
     """
-    n, r = alg.dim, np.arange(alg.dim)
-    c = alg.M.astype(int_dtype(3 * alg.mmax), copy=False)
+    n, r, c = alg.dim, np.arange(alg.dim), alg.M
     # row (i, j, l), unknown D[a][b]: the e_l coefficient of D(e_i e_j) -
     # D(e_i) e_j - e_i D(e_j), where D(e_b) = sum_a D[a][b] e_a; its three
     # terms sit where a = l, b = i and b = j
@@ -183,15 +178,14 @@ def derivation_algebra(alg: StructureConstantAlgebra) -> LieAlgebra:
 
 def so_of_form(form: NormForm) -> LieAlgebra:
     """so(form) = {X : X^T G + G X = 0} for a nondegenerate form with Gram
-    matrix G / den, read off its integer ``G`` and bound ``gmax``: so(G) is
-    that of every nonzero multiple of G, so ``den`` plays no part."""
+    matrix G / den, read off its integer ``G``: so(G) is that of every
+    nonzero multiple of G, so ``den`` plays no part."""
     if not form.nondegenerate:
         raise DegenerateFormError("so_of_form requires a nondegenerate form")
     n = len(form.G)
-    gram = form.G.astype(int_dtype(2 * form.gmax), copy=False)
-    eye = np.eye(n, dtype=gram.dtype)
+    eye = np.eye(n, dtype=form.G.dtype)
     # row (i, j) with i <= j, unknown X[k][m]: entry (i, j) of X^T G + G X
-    system = np.einsum("mi,kj->ijkm", eye, gram) + np.einsum("mj,ik->ijkm", eye, gram)
+    system = np.einsum("mi,kj->ijkm", eye, form.G) + np.einsum("mj,ik->ijkm", eye, form.G)
     a, s = kernel_basis(system[np.triu_indices(n)].reshape(-1, n * n)).cleared_basis()
     alg = LieAlgebra.from_matrix_basis(a.reshape(-1, n, n), s)
     assert alg.dim == n * (n - 1) // 2

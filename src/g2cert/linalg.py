@@ -9,7 +9,8 @@ Every matrix the package stores, takes or returns is a numpy integer array
 positive denominator beside it; constructors reject anything else.
 ``int_cleared`` is the one place an array of rationals becomes one integer
 array with one denominator, and ``int_dtype`` the one place that turns a
-bound into int64 or Python ints.  The owners ``LieAlgebra.C``,
+bound into int64 or Python ints: int64 when the bound is below 2**61, so a
+sum of up to four such results fits.  The owners ``LieAlgebra.C``,
 ``LieModule.A``, ``NormForm.G`` and ``StructureConstantAlgebra.M`` keep their
 arrays read-only beside the largest magnitude (``held``), and ``int_einsum``
 reads it off a ``Bounded`` operand; it still scans fresh products, subspace
@@ -97,10 +98,10 @@ def max_abs(a: np.ndarray) -> int:
 
 
 def int_dtype(peak: int):
-    """int64 when peak, a bound the caller proves on every entry and every
-    product it will form, stays below 2**62, so that one difference of two
-    such results still fits; Python ints (object) otherwise."""
-    return np.int64 if peak < (1 << 62) else object
+    """int64 when peak, a bound on every entry and partial sum of a result,
+    is below 2**61, so a sum of up to four such results fits; Python ints
+    (object) otherwise."""
+    return np.int64 if peak < (1 << 61) else object
 
 
 # An integer array beside a bound on its entries' magnitudes, for int_einsum to read.
@@ -225,7 +226,7 @@ def is_int_array(a) -> bool:
 def _int_matrix(m: np.ndarray) -> np.ndarray:
     """m itself if it is a 2-D numpy integer array (int64, or object dtype
     of Python ints); TypeError for any other input."""
-    if m.ndim != 2 or (m.dtype.kind != "i" and m.dtype != object):
+    if m.ndim != 2 or not is_int_array(m):
         raise TypeError("a 2-D integer array is required")
     return m
 

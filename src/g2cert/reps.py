@@ -34,13 +34,11 @@ from .linalg import (
     NormForm,
     Subspace,
     held,
-    int_dtype,
     int_einsum,
     int_inverse,
     is_int_array,
     kernel_basis,
     lowest_terms,
-    max_abs,
     rank,
     ranks_mod_p,
 )
@@ -137,7 +135,7 @@ class Intertwiner:
         if self.source.algebra is not self.target.algebra:
             raise ValueError("intertwiner between modules over different algebras")
         v, w, t = self.source, self.target, self.T
-        if t.shape != (w.dim, v.dim) or (t.dtype.kind != "i" and t.dtype != object) or self.den < 1:
+        if t.shape != (w.dim, v.dim) or not is_int_array(t) or self.den < 1:
             raise ValueError("an intertwiner is an integer (target dim x source dim) matrix over a positive denominator")
         va, wa = Bounded(v.A, v.amax), Bounded(w.A, w.amax)
         if not np.array_equal(int_einsum(",ab,ibc->iac", w.den, t, va), int_einsum("iab,bc,->iac", wa, t, v.den)):
@@ -155,7 +153,7 @@ def _spin_basis(a: np.ndarray) -> tuple[list[np.ndarray], list[tuple[int, int, i
     stops growing does the next standard vector outside it become a seed.
     Returns the integer vectors and their origins (k, g, s(k)) for a[g] b_k
     and (-1, -1, s) for the seed numbered s."""
-    n, p, a = a.shape[1], PRIME, Bounded(a, max_abs(a))
+    n, p, a = a.shape[1], PRIME, held(a, copy=False)
     basis, origins, echelon = [], [], []  # echelon: (pivot, row mod p)
     k = unit = 0
     while len(basis) < n:
@@ -185,7 +183,7 @@ def _spun(v: LieModule, scale: int) -> tuple:
     (``_spin_basis``), the ``Bounded`` stack c = x a B and (x, d), where
     x / d = B^-1; kept on v per scale."""
     if scale not in v._spins:
-        a = v.A.astype(int_dtype(scale * v.amax)) * scale
+        a = int_einsum(",gij->gij", scale, Bounded(v.A, v.amax))
         basis, origins = _spin_basis(a)
         cols = np.array(basis, dtype=object).T
         _, b_inv, d = int_inverse(cols)
@@ -206,7 +204,7 @@ def _intertwiner_space(v: LieModule, scale: int, b: np.ndarray) -> Subspace:
     nrows, ncols = b.shape[1], v.dim
     if not nrows * ncols:
         return Subspace(0, ())
-    (origins, c, b_inv, d), b = _spun(v, scale), Bounded(b, max_abs(b))
+    (origins, c, b_inv, d), b = _spun(v, scale), held(b, copy=False)
     ms = np.zeros((ncols, nrows, origins[-1][2] + 1, nrows), dtype=object)
     for j, (k, g, s) in enumerate(origins):  # ms[j, :, s(j), :] = M_j
         ms[j, :, s] = int_einsum("ij,jk->ik", Bounded(b.array[g], b.bound), ms[k, :, s]) if k >= 0 else np.eye(nrows, dtype=int)
@@ -223,8 +221,7 @@ def hom_space(v: LieModule, w: LieModule) -> list[Intertwiner]:
     den_w T A_v[i] = den_v A_w[i] T."""
     if v.algebra is not w.algebra:
         raise ValueError("modules over different algebras")
-    peak = max(w.den * v.amax, v.den * w.amax)
-    sub = _intertwiner_space(v, w.den, w.A.astype(int_dtype(peak)) * v.den)
+    sub = _intertwiner_space(v, w.den, int_einsum(",gij->gij", v.den, Bounded(w.A, w.amax)))
     # each leading-1 basis element is its primitive row over the pivot entry
     return [
         Intertwiner(source=v, target=w, T=t.reshape(w.dim, v.dim), den=t[p])
@@ -347,10 +344,9 @@ def wedge_square(v: LieModule) -> LieModule:
 
     That is K = A (x) 1 + 1 (x) A on antisymmetric tensors: the coefficient
     of e_a ^ e_b (a < b) in x.(e_i ^ e_j) is K[a,b,i,j] - K[b,a,i,j], a sum
-    of at most four stack entries, so the dtype is picked for four times the
-    largest one."""
-    n = v.dim
-    a = v.A.astype(int_dtype(4 * v.amax), copy=False)
+    of at most four stack entries, and ``linalg`` holds the stack in a dtype
+    where a sum of four times the largest one fits."""
+    n, a = v.dim, v.A
     k = np.einsum("xai,bj->xabij", a, np.eye(n, dtype=a.dtype))
     k = k + k.transpose(0, 2, 1, 4, 3)
     wedge = k - k.transpose(0, 2, 1, 3, 4)

@@ -281,7 +281,7 @@ def check_cayley(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome:
 
     # conj(ab) = conj(b) conj(a) on basis pairs, times n^2 den.  conj^2 = 1
     # needs no check: K depends only on u and G, and K / n is a reflection.
-    # Each int64 term is below 2**62 (int_dtype), so the difference fits.
+    # Each int64 term is below 2**61 (linalg's rule), so a sum of up to four fits.
     k = int_einsum(",i,j->ij", 2, u, int_einsum("ij,j->i", g, u)) - int_einsum(",ij->ij", n, eye)
     conj_ok = np.array_equal(int_einsum(",kl,abl->abk", n, k, m), int_einsum("pb,qa,pqk->abk", k, k, m))
     out.expect("conjugation_antiautomorphism", conj_ok, True)

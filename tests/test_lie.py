@@ -501,3 +501,26 @@ def test_from_matrix_basis_algebras_satisfy_every_law(ctx):
         assert g.bracket_law_failure(a, den, max_abs(a)) is None
         assert not np.any(g.C + g.C.transpose(1, 0, 2))
         assert g.verify_jacobi()
+
+
+def _first_law_failure(g, a, scale):
+    """The pair loop the batched bracket-law check replaced, on Python ints."""
+    a, c = a.astype(object), g.C.astype(object)
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            if not np.array_equal(g.den * (a[i] @ a[j] - a[j] @ a[i]), scale * np.tensordot(c[i, j], a, axes=(0, 0))):
+                return i, j
+    return None
+
+
+def test_bracket_law_failure_matches_the_pair_loop(so34):
+    """so(3,4)'s realization with one entry moved, on int64 and scaled past
+    it: the batched check finds the first failing pair (i < j) of the loop."""
+    a, den = so34.realization
+    for k, scale in ((0, 1), (7, 1), (20, 1), (7, 2**70)):
+        moved = a.astype(object) * scale
+        moved[k, 0, 1] += 1
+        if scale == 1:
+            moved = moved.astype(np.int64)
+        expected = _first_law_failure(so34, moved, den * scale)
+        assert expected is not None and so34.bracket_law_failure(moved, den * scale, max_abs(moved)) == expected

@@ -785,15 +785,17 @@ def test_carried_bounds_pick_python_ints_near_2_31():
     assert plane.A.tolist() == [[[k, 0], [0, k]]] and line.A.tolist() == [[[k]]] and line.den == 1
 
 
-def test_int_dtype_leaves_room_for_one_difference():
-    """Callers subtract two results bounded below ``int_dtype``'s threshold:
-    the commutators of ``from_matrix_basis``, the conjugation matrix of
-    ``check_cayley``, the Hom systems.  Python ints from 2**62 on keep such a
-    difference inside int64 or exact."""
-    assert int_dtype(2**62 - 1) is np.int64 and int_dtype(2**62) is object
-    for bound in (2**62 - 1, 2**62 + 1):
+def test_int_dtype_leaves_room_for_four_terms():
+    """Callers add up to four results bounded below ``int_dtype``'s
+    threshold: the commutators of ``from_matrix_basis`` and of the bracket
+    law, the derivation and wedge-square systems, the conjugation matrix of
+    ``check_cayley``, the Hom systems.  Python ints from 2**61 on keep such a
+    sum inside int64 or exact."""
+    assert int_dtype(2**61 - 1) is np.int64 and int_dtype(2**61) is object
+    for bound in (2**61 - 1, 2**61 + 1):
         x = int_einsum(",ij->ij", bound, np.ones((1, 1), dtype=np.int64))
-        assert (x - (-x)).tolist() == [[2 * bound]]
+        assert (x + x + x + x).tolist() == [[4 * bound]]
+        assert (x - (-x) - (-x) - (-x)).tolist() == [[4 * bound]]
 
 
 @pytest.mark.parametrize("nrows, ncols", [(8, 10), (160, 130)])
@@ -825,8 +827,12 @@ def test_kernel_matches_fraction_free_reference(family):
 
 
 def test_kernel_rejects_non_integer_array():
-    with pytest.raises(TypeError):
-        kernel_basis(np.array([[0.5, 1.0]]))
+    """A float array, and an object array holding a Fraction, which int64
+    casting would truncate to 0."""
+    for m in (np.array([[0.5, 1.0]]), np.array([[Fraction(1, 2)]], dtype=object)):
+        for solve in (kernel_basis, rref, int_inverse):
+            with pytest.raises(TypeError):
+                solve(m)
 
 
 @given(st.one_of(families(fractions), families(integers)))

@@ -450,6 +450,10 @@ def test_intertwiner_validation(natural_rep):
             target=natural_rep,
             T=diagonal([1, 2, 3, 4, 5, 6, 7]),
         )
+    # T rho != rho T for rho = E_01 and T = diag(1/2, 1/3), Fractions that int64 casting would make 0
+    rho = LieModule(abelian_algebra(1), np.array([[[0, 1], [0, 0]]], dtype=np.int64))
+    with pytest.raises(ValueError):
+        Intertwiner(source=rho, target=rho, T=diagonal([Fraction(1, 2), Fraction(1, 3)]))
 
 
 @pytest.mark.parametrize(
@@ -550,14 +554,15 @@ def big_module(so3):
     return v
 
 
-_SCALE = 2**59 + 1
+_SCALE = 2**58 + 1
 
 
 @pytest.fixture(scope="module")
 def scaled_module(so3):
     """so(3) on Q^3 conjugated by a shear, with stack and denominator both
     scaled by _SCALE: the stack stays int64, but the stack times another
-    scaled module's denominator does not fit."""
+    scaled module's denominator does not fit (the largest entry is 5 * _SCALE,
+    below 2**61)."""
     p = np.array([[1, 2, 0], [0, 1, 0], [0, 0, 1]], dtype=object)
     p_inv = np.array([[1, -2, 0], [0, 1, 0], [0, 0, 1]], dtype=object)
     a, den = int_cleared(p @ realization_matrices(so3) @ p_inv)
@@ -710,6 +715,8 @@ def test_hom_space_on_large_entry_modules(so3, big_module, scaled_module):
     assert span.contains_vector(block.flatten())
     nat = natural_module(so3)
     other = LieModule(so3, nat.A * (_SCALE + 2), _SCALE + 2)
+    # both premises of scaled_module: an int64 stack whose product with other's denominator passes 2**61
+    assert scaled_module.A.dtype == np.int64 and scaled_module.amax * other.den >= 2**61
     assert len(hom_space(scaled_module, other)) == len(hom_space(other, scaled_module)) == 1
     assert module_isomorphism(scaled_module, other).is_invertible
 

@@ -7,8 +7,9 @@ The inputs are the default suite at seed 0 and one of every 16 of the 1024
 ``derivation_algebra`` and the cayley and derivations checks.  The reports
 must match apart from ``elapsed_ms``:
 
-* Python-int twin: ``int_dtype`` returns object wherever it is bound, so no
-  product runs on int64 and no carried bound can choose a dtype;
+* Python-int twin: ``linalg.int_dtype``, the one place a bound becomes a
+  dtype, returns object, so no product runs on int64 and no carried bound
+  can choose a dtype;
 * small-prime twin: ``PRIME`` is 2 or 3, so rows picked independent mod p,
   spans certified mod p and generation by rank mod p fall short on real data
   and the exact fallbacks decide instead;
@@ -25,7 +26,7 @@ from conftest import cayley_mutant
 from g2cert import cli, lie, linalg, octonion, report, reps, suite, weyl
 from g2cert.lie import derivation_algebra
 from g2cert.report import serialize
-from g2cert.reps import LieModule
+from g2cert.reps import LieModule, wedge_square
 from g2cert.suite import SuiteConfig, VerificationContext, run_all
 
 MODULES = (cli, lie, linalg, octonion, report, reps, suite, weyl)
@@ -79,18 +80,38 @@ def _run_chain(monkeypatch):
 
 @pytest.fixture(scope="module")
 def fast_run():
+    decisions, int_dtype = [], linalg.int_dtype
+
+    def spied(peak):
+        decisions.append(int_dtype(peak))
+        return decisions[-1]
+
     with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(linalg, "int_dtype", spied)
         ctx, out, fallbacks = _run_chain(monkeypatch)
     assert ctx.so34.C.dtype == np.int64
     assert fallbacks == (0, 6)
+    # every bound on the pristine chain and the mutants is tight enough for int64
+    assert decisions and set(decisions) == {np.int64}
     return out
 
 
 def test_python_int_twin_matches_the_int64_run(monkeypatch, fast_run):
-    _rebind(monkeypatch, "int_dtype", lambda peak: object)
+    # linalg alone turns a bound into a dtype, so patching it there reaches every product
+    assert [m.__name__ for m in MODULES if hasattr(m, "int_dtype") or hasattr(m, "max_abs")] == ["g2cert.linalg"]
+    monkeypatch.setattr(linalg, "int_dtype", lambda peak: object)
+    kernel_dtypes, kernel_basis = set(), linalg.kernel_basis
+
+    def spied(m):
+        kernel_dtypes.add(m.dtype)
+        return kernel_basis(m)
+
+    _rebind(monkeypatch, "kernel_basis", spied)
     ctx, out, _ = _run_chain(monkeypatch)
-    # not vacuous: every carried array and every product is Python ints
+    # not vacuous: every carried array, every product and every system solved is Python ints
     assert ctx.so34.C.dtype == ctx.natural_rep.A.dtype == ctx.cayley.algebra.M.dtype == object
+    assert wedge_square(ctx.natural_rep).A.dtype == object
+    assert kernel_dtypes == {np.dtype(object)}
     assert linalg.int_einsum("ij,jk->ik", np.eye(2, dtype=np.int64), [[1], [2]]).dtype == object
     assert out == fast_run
 
