@@ -172,6 +172,7 @@ def derivation_algebra(alg: StructureConstantAlgebra) -> LieAlgebra:
     system[:, :, r, r, :] = c[:, :, None, :]
     system[r, :, :, :, r] -= c.transpose(1, 2, 0)
     system[:, r, :, :, r] -= c.transpose(0, 2, 1)
+    # a cleared canonical basis (pivot block s I): from_matrix_basis needs no elimination to invert it
     a, s = kernel_basis(system.reshape(n**3, n * n)).cleared_basis()
     return LieAlgebra.from_matrix_basis(a.reshape(-1, n, n), s)
 

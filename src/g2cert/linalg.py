@@ -28,15 +28,16 @@ integer matrix's rank over Q is at least its rank mod p (Dixon, Numer. Math.
   entry r_c says r_c x_c = 0, so x_c = 0 over Q, and dropping column c may
   leave another row with one nonzero entry.  The kernel is that of the live
   columns, padded with zeros.  Of those columns it eliminates only the rows
-  picked independent mod p, rank many instead of all, and checks the kernel
-  they give against every row of the system exactly; only a failed check,
-  where the rank over Q exceeds the rank mod p, eliminates every row.  The
-  pick is one forward elimination mod p over the columns, at most as many
-  steps as the system has unknowns, however many rows it has;
+  picked independent mod p, rank many instead of all, right to left, so the
+  kernel comes out canonical, and checks it against every row exactly; only
+  a failed check, where the rank over Q exceeds the rank mod p, eliminates
+  every row.  The pick is one forward elimination mod p over the columns, at
+  most as many steps as the system has unknowns, however many rows it has;
 * a ``Subspace`` holds its canonical basis as primitive integer rows, which
   ``from_vectors`` takes straight from elimination.  It skips the
   elimination when n rows picked independent mod p certify a full span of
-  Q^n; any other family is eliminated exactly;
+  Q^n; any other family is eliminated exactly.  ``int_inverse`` and vector
+  membership read a cleared canonical basis off its pivot block s I;
 * ``ranks_mod_p`` ranks a stack of small systems in one batch, so that exact
   work is left only for the systems whose rank mod p falls short.
 """
@@ -118,14 +119,15 @@ def held(a: np.ndarray, copy: bool = True) -> Bounded:
 
 
 def int_cleared(values) -> tuple[np.ndarray, int]:
-    """A nested sequence or array of rationals as one integer array a of the
-    same shape and the least den > 0 with a == den * values; int64 or Python
-    ints as ``int_dtype`` decides."""
+    """A nested sequence or array of rationals (ints, Fractions, or else read
+    through Fraction(x)) as one integer array a of the same shape and the least
+    den > 0 with a == den * values; int64 or Python ints as ``int_dtype`` decides."""
     values = np.array(values, dtype=object)
-    ints, den = clear_denominators(
-        [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values.flat]
-    )
-    return np.array(ints, dtype=int_dtype(max(map(abs, ints), default=0))).reshape(values.shape), den
+    if not set(map(type, flat := values.ravel().tolist())) <= {int, Fraction}:
+        flat = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in flat]
+    den = math.lcm(*{x.denominator for x in flat})
+    ints = [x.numerator for x in flat] if den == 1 else [x.numerator * (den // x.denominator) for x in flat]
+    return np.array(ints, dtype=int_dtype(max(max(ints, default=0), -min(ints, default=0)))).reshape(values.shape), den
 
 
 def lowest_terms(a: np.ndarray, den: int) -> tuple[np.ndarray, int]:
@@ -290,19 +292,25 @@ def _independent_rows(a: np.ndarray) -> list[int]:
     return picked
 
 
-def _kernel_rows(rows: list[list[int]], pivots: list[int], ncols: int) -> np.ndarray:
-    """The kernel of an integer RREF (primitive rows, positive pivots), one
-    integer row per free column f: s e_f - sum_i (s / rows[i][c_i]) rows[i][f]
-    e_{c_i}, with s the least multiple of the pivot entries it needs."""
-    vecs = []
-    for f in sorted(set(range(ncols)) - set(pivots)):
-        s = math.lcm(*(r[c] for r, c in zip(rows, pivots) if r[f]))
-        v = [0] * ncols
+def _kernel_rows(rows: list[list[int]], ncols: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The canonical kernel basis of integer rows ncols wide and its leading
+    columns, by one ``_int_rref`` of the rows with their columns reversed.
+    Lemma: there, with primitive rows r_i and pivots c_i, the kernel vector
+    s e_f - sum_i (s / r_i[c_i]) r_i[f] e_{c_i} of a free column f (s the lcm
+    of the pivot entries it needs) is nonzero only at f and at c_i < f.
+    Reversed back, it leads at f with s > 0 and is the only one nonzero at f:
+    divided by their gcds, in order of f, they are the kernel's RREF rows."""
+    reduced, pivots = _int_rref([r[::-1] for r in rows])
+    kernel, free = [], [f for f in range(ncols) if ncols - 1 - f not in pivots]
+    for f in free:
+        used = [(r, c) for r, c in zip(reduced, pivots) if r[ncols - 1 - f]]
+        v, s = [0] * ncols, math.lcm(*(r[c] for r, c in used))
         v[f] = s
-        for r, c in zip(rows, pivots):
-            v[c] = -r[f] * (s // r[c])
-        vecs.append(v)
-    return np.array(vecs, dtype=object).reshape(len(vecs), ncols)
+        for r, c in used:
+            v[ncols - 1 - c] = -r[ncols - 1 - f] * (s // r[c])
+        g = math.gcd(*v)
+        kernel.append(tuple(x // g for x in v))
+    return tuple(kernel), tuple(free)
 
 
 def _unforced_columns(a: np.ndarray) -> np.ndarray:
@@ -322,27 +330,27 @@ def _unforced_columns(a: np.ndarray) -> np.ndarray:
 
 def kernel_basis(m: np.ndarray) -> "Subspace":
     """Exact kernel {x : m x = 0} of a 2-D numpy integer array (int64 or
-    object dtype of Python ints), canonicalized.
+    object dtype of Python ints), in its canonical basis.
 
     Certificate: every kernel vector is 0 on the columns that singleton
     presolve forces (``_unforced_columns``), so the kernel of m is the kernel
     of its live columns padded with zeros.  Of those columns, the rows picked
-    independent modulo ``PRIME`` are eliminated exactly, and their padded
-    kernel, which contains the kernel of m, is checked to annihilate every
-    row of m, so the two kernels are equal.  The check fails only when the
-    live columns' rank over Q exceeds their rank mod ``PRIME``; then every
-    row and column of m is eliminated exactly.
+    independent modulo ``PRIME`` are eliminated exactly, right to left, into
+    their canonical kernel (``_kernel_rows``), which contains the kernel of
+    the live columns and is checked to annihilate every row of them, so the
+    two are equal.  The check fails only when the live columns' rank over Q
+    exceeds their rank mod ``PRIME``; then all of m is eliminated exactly.
     """
     ncols = _int_matrix(m).shape[1]
     a = m[np.any(m != 0, axis=1)]
     live = _unforced_columns(a)
     b = a[:, live]
-    reduced = _kernel_rows(*_int_rref(b[_independent_rows(b)].tolist()), b.shape[1])
-    kernel = np.zeros((len(reduced), ncols), dtype=object)
-    kernel[:, live] = reduced
-    if np.any(int_einsum("ij,kj->ik", a, kernel)):
-        kernel = _kernel_rows(*_int_rref(a.tolist()), ncols)
-    return Subspace.from_vectors(ncols, kernel)
+    rows, free = _kernel_rows(b[_independent_rows(b)].tolist(), b.shape[1])
+    kernel = np.zeros((len(rows), ncols), dtype=object)
+    kernel[:, live] = reduced = np.array(rows, dtype=object).reshape(len(rows), b.shape[1])
+    if np.any(int_einsum("ij,kj->ik", b, reduced)):
+        return Subspace._raw(ncols, *_kernel_rows(a.tolist(), ncols))
+    return Subspace._raw(ncols, tuple(map(tuple, kernel.tolist())), tuple(np.flatnonzero(live)[list(free)].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +431,12 @@ class Subspace:
         return np.array(self.rows, dtype=object).reshape(self.dim, self.ambient_dim)
 
     def contains_vector(self, vec: Sequence[int]) -> bool:
-        """Whether the integer vector vec lies in the subspace S, by rank:
-        dim(S + <vec>) == dim S."""
-        return Subspace.from_vectors(self.ambient_dim, [*self.rows, vec]).dim == self.dim
+        """Whether the integer vector vec lies in S, read at the pivots: ``coordinate_map``'s
+        check s vec = vec[pivots] b on the cleared basis b / s, whose pivot block s I inverts to I / s."""
+        if (v := np.array([tuple(vec)], dtype=object)).shape != (1, self.ambient_dim) or not is_int_array(v):
+            raise ValueError("vec must be an integer vector of the ambient width")
+        b, s = self.cleared_basis()
+        return np.array_equal(int_einsum("ip,pn->in", v[:, list(self.pivots)], b), int_einsum(",in->in", s, v))
 
     def contains(self, other: "Subspace") -> bool:
         """Whether other lies in the subspace S, by rank: dim(S + other) == dim S."""
@@ -442,8 +453,13 @@ def int_inverse(a: np.ndarray) -> tuple[list[int], np.ndarray, int]:
     row space and x, d with x / d = a[:, pivots]^-1 in lowest terms, x of
     ``int_dtype``.  One ``_int_rref`` of [a | I] gives row i = p_i [R_i | E_i],
     E a = R = RREF(a), and d = lcm p_i, as gcd(p_i, p_i E_i) = 1 (row i is
-    primitive, p_i R_i = p_i E_i a).  A pivot in I: a is dependent, ValueError."""
+    primitive, p_i R_i = p_i E_i a).  A pivot in I: a is dependent, ValueError.
+    Rows leading at increasing columns over a pivot block s I, s > 0 (a cleared
+    canonical basis), are s RREF(a): (leads, I, s), read without elimination."""
     k, n = _int_matrix(a).shape
+    if k and n and (s := a[0, (leads := (a != 0).argmax(axis=1))[0]]) > 0 and (leads[1:] > leads[:-1]).all():
+        if np.count_nonzero(a[:, leads]) == k and (a[np.arange(k), leads] == s).all():
+            return leads.tolist(), np.eye(k, dtype=np.int64), int(s)
     rows, pivots = _int_rref(np.concatenate([a, np.eye(k, dtype=a.dtype)], axis=1).tolist())
     if pivots and pivots[-1] >= n:
         raise ValueError("vector family is linearly dependent")
@@ -458,8 +474,9 @@ def coordinate_map(family: np.ndarray) -> Callable[[np.ndarray], Optional[tuple[
     integer array v of rows and gives (x, d) with v = (x / d) family, or None
     when a row of v lies outside the span.
 
-    One elimination of [family | I], ``int_inverse``, gives x / d = v[:, pivots]
-    (family[:, pivots])^-1, and x family = d v is the exact membership check."""
+    ``int_inverse`` (one elimination of [family | I], or none for a cleared
+    canonical basis) gives x / d = v[:, pivots] (family[:, pivots])^-1, and
+    x family = d v is the exact membership check."""
     pivots, inv, den = int_inverse(family)
 
     def coords(v: np.ndarray) -> Optional[tuple[np.ndarray, int]]:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 from g2cert.lie import LieAlgebra
-from g2cert.linalg import Matrix, NormForm, clear_denominators, int_cleared, int_einsum
+from g2cert.linalg import Matrix, NormForm, clear_denominators, int_cleared, int_dtype, int_einsum
 from g2cert.octonion import DIM, SplitCayley, StructureConstantAlgebra, build_split_cayley
 from g2cert.reps import LieModule
 from g2cert.suite import VerificationContext
@@ -33,6 +33,17 @@ def int_family(vectors, n):
     as one integer array: the same span, in the form Subspace.from_vectors
     takes."""
     return int_cleared(np.array(vectors, dtype=object).reshape(len(vectors), n))[0]
+
+
+def three_pass_cleared(values):
+    """int_cleared as three passes over the entries: each converted to a
+    Fraction unless it is an int or a Fraction, denominators cleared, then the
+    largest magnitude taken; kept as the reference for the one-pass clear."""
+    values = np.array(values, dtype=object)
+    ints, den = clear_denominators(
+        [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values.flat]
+    )
+    return np.array(ints, dtype=int_dtype(max(map(abs, ints), default=0))).reshape(values.shape), den
 
 
 def lie_algebra(consts):

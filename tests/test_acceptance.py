@@ -6,6 +6,7 @@ carries a wall-clock budget and prints a single pass line when it holds.
 
 import json
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from g2cert.lie import (
     transporter_into,
 )
 from g2cert.linalg import NormForm, Subspace, int_cleared, rank, rref, signature
-from g2cert.octonion import StructureConstantAlgebra
+from g2cert.octonion import DIM, SplitCayley, StructureConstantAlgebra, build_split_cayley
 from g2cert.reps import (
     Intertwiner,
     InvariantForms,
@@ -244,6 +245,44 @@ def test_criterion_12_determinism_and_negative_controls():
         f"ACCEPTANCE 12 PASS ({suite_elapsed:.2f}s < 60s): deterministic suite, "
         "each corruption flips its target and nothing its input does not reach"
     )
+
+
+# How many of the 1024 +-1 mutants of the Cayley structure constants each
+# expectation of the cayley and derivations checks catches, at seed 0 and 5
+# samples; the other expectations catch none
+SWEEP_CAUGHT = {
+    "conjugation_antiautomorphism": 1024,
+    "sample_identities": 1024,
+    "derivation_dim": 1024,
+    "alternativity_basis_pairs": 888,
+    "unit_is_identity": 448,
+    "composition_first_failure": 64,
+}
+
+
+def test_criterion_12_every_structure_constant_mutant_is_rejected():
+    """Mutant 2 * (64 i + 8 j + k) + s moves M[i, j, k] by +1 for s = 0 and
+    by -1 for s = 1, beside the pristine form and unit.  Each of the 1024
+    goes through derivation_algebra and the cayley and derivations checks:
+    none passes, and each expectation catches exactly its count."""
+    start = time.perf_counter()
+    pristine = build_split_cayley()
+    cfg = SuiteConfig(samples=5, checks=("cayley", "derivations"))
+    caught, passed = Counter(), []
+    for index in range(1024):
+        i, rest = divmod(index // 2, 64)
+        m = pristine.algebra.M.copy()
+        m[(i, *divmod(rest, 8))] += 1 - 2 * (index % 2)
+        cand = SplitCayley(StructureConstantAlgebra(DIM, m), pristine.form, pristine.unit)
+        ctx = VerificationContext(cayley_candidate=cand, derivations_candidate=derivation_algebra(cand.algebra))
+        reports = run_all(cfg, ctx=ctx)
+        if all(r.status == "pass" for r in reports):
+            passed.append(index)
+        for r in reports:
+            caught.update(r.witnesses.get("failed_expectations", ()))
+    assert passed == []
+    assert caught == SWEEP_CAUGHT
+    _done(12, "every +-1 mutant of the structure constants is rejected", start, 20.0)
 
 
 def _form_space_of_dim_2(ctx, monkeypatch):

@@ -32,10 +32,20 @@ from g2cert.linalg import (
     rref,
     signature,
 )
-from g2cert.octonion import StructureConstantAlgebra
+from g2cert.octonion import StructureConstantAlgebra, build_split_cayley
 from g2cert.reps import LieModule, restriction_module
 
-from conftest import cayley_mutant, coordinates_of, diagonal, form_bilinear, form_norm, int_family, leading_one_basis, zeros
+from conftest import (
+    cayley_mutant,
+    coordinates_of,
+    diagonal,
+    form_bilinear,
+    form_norm,
+    int_family,
+    leading_one_basis,
+    three_pass_cleared,
+    zeros,
+)
 
 fractions = st.builds(
     Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4)
@@ -403,14 +413,14 @@ def test_singleton_chains_are_forced_and_kernels_match_reference():
 
 def test_kernel_solve_of_a_chain_sees_only_live_columns(monkeypatch):
     """A 40-deep chain beside 10 live columns, which five more rows cut to a
-    5-dimensional kernel: the exact elimination of the solve is 10 columns
-    wide, and the kernel it gives passes the check."""
+    5-dimensional kernel: the one exact elimination of the solve is 10
+    columns wide, and the canonical kernel it gives passes the check."""
     m, _ = _singleton_chain_system(np.random.default_rng(11), 40, 10, _CHAIN_ENTRIES[1])
     widths = []
     eliminate = linalg._int_rref
     monkeypatch.setattr(linalg, "_int_rref", lambda rows: widths.append({len(r) for r in rows}) or eliminate(rows))
     kern = kernel_basis(m)
-    assert widths[0] == {10} and len(widths) == 2
+    assert widths == [{10}]
     assert kern == _reference_kernel(m) and kern.dim > 0
 
 
@@ -658,12 +668,11 @@ def test_independent_rows_count_the_rank_mod_p_and_are_independent_over_q():
             assert len(picked) == _exact_rank(m)
 
 
-def test_kernels_of_mutant_derivation_systems_match_elimination_of_every_row(monkeypatch):
+def _mutant_leibniz_systems(monkeypatch):
     """The 512 x 64 derivation systems of +-1 mutants of the Cayley structure
     constants (mutant 2 * (64 i + 8 j + k) + s moves mul[i][j][k] by +1 for
     s = 0 and -1 for s = 1), one from each run of 16 of the 1024, staggered so
-    that both signs and every k occur: the kernel of the rows picked mod p is
-    the kernel of every row."""
+    that both signs and every k occur."""
     systems = []
     solve = lie.kernel_basis
     monkeypatch.setattr(lie, "kernel_basis", lambda m: systems.append(m) or solve(m))
@@ -672,8 +681,70 @@ def test_kernels_of_mutant_derivation_systems_match_elimination_of_every_row(mon
         i, rest = divmod(index // 2, 64)
         derivation_algebra(cayley_mutant({(i, *divmod(rest, 8)): 1 - 2 * (index % 2)}).algebra)
     assert len(systems) == 64
-    for m in systems:
+    return systems
+
+
+def test_kernels_of_mutant_derivation_systems_match_elimination_of_every_row(monkeypatch):
+    """On the mutant derivation systems, the kernel of the rows picked mod p
+    is the kernel of every row."""
+    for m in _mutant_leibniz_systems(monkeypatch):
         assert kernel_basis(m) == _reference_kernel(m)
+
+
+def _assert_canonical_kernel(m, reference=True):
+    """kernel_basis(m) as it comes out of its one elimination: the validating
+    constructor accepts its rows, and (unless reference is False) it equals
+    the reference kernel, pivots too."""
+    kern = kernel_basis(m)
+    checked = Subspace(kern.ambient_dim, kern.rows)
+    assert checked == kern and checked.pivots == kern.pivots
+    if reference:
+        expected = _reference_kernel(m)
+        assert kern == expected and kern.pivots == expected.pivots
+
+
+@given(families(integers))
+def test_kernel_is_canonical_as_it_comes_out_of_one_elimination(family):
+    """Integer systems, past 2**63 as Python ints and on int64 where they fit."""
+    n, vectors = family
+    m = np.array(vectors, dtype=object).reshape(len(vectors), n)
+    _assert_canonical_kernel(m)
+    if all(abs(x) < 2**62 for v in vectors for x in v):
+        _assert_canonical_kernel(m.astype(np.int64))
+
+
+def test_kernels_of_chains_mutants_and_degenerate_systems_are_canonical(monkeypatch):
+    """Singleton chains; the mutant derivation systems, whose reference
+    kernels the test above compares; an all-zero system (every column free);
+    and systems with no live column, whose kernel is 0."""
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        for entries in _CHAIN_ENTRIES:
+            _assert_canonical_kernel(_singleton_chain_system(rng, rng.integers(0, 16), rng.integers(0, 9), entries)[0])
+    for m in _mutant_leibniz_systems(monkeypatch):
+        _assert_canonical_kernel(m, reference=False)
+    for m in (zeros(3, 4), np.zeros((0, 5), dtype=np.int64), diagonal([2, -PRIME, 2**70]), zeros(2, 0)):
+        _assert_canonical_kernel(m)
+    assert kernel_basis(zeros(3, 4)) == Subspace.full(4)
+    assert kernel_basis(diagonal([2, -PRIME, 2**70])).dim == 0
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_kernel_fallback_under_a_small_prime_is_canonical(monkeypatch, prime):
+    """With PRIME 2 or 3, rows that vanish modulo it are not picked, so the
+    exact check fails and the fallback eliminates every row; that kernel too
+    comes out canonical."""
+    monkeypatch.setattr(linalg, "PRIME", prime)
+    calls = _spy_on_exact_elimination(monkeypatch)
+    systems = (
+        [[prime, prime, 0], [0, 1, 1]],
+        [[prime, 2 * prime, prime, 0, 0, 0], [0, 1, 1, 0, 0, 0], [0, 0, 1, 1, 1, 0], [1, 0, 0, 0, 1, 1], [1, 1, 2, 1, 2, 1]],
+    )
+    for m in map(np.array, systems):
+        before = len(calls)
+        _assert_canonical_kernel(m)
+        # not vacuous: the second elimination of the solve saw every row
+        assert len(calls) - before == 2 and calls[before] < len(m) == calls[before + 1]
 
 
 def test_many_rows_spanning_a_proper_subspace():
@@ -850,6 +921,36 @@ def test_rank_matches_rref(m):
     assert rank(cleared(m)) == rref(cleared(m)).rank
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        [[1, -2], [3, 4]],
+        [[Fraction(1, 2), Fraction(-3)], [Fraction(5, 6), 0]],
+        [2**70, Fraction(-1, 3), 7],  # Python ints past int64
+        [True, 2, Fraction(1, 4)],  # an int subclass
+        np.array([np.int64(3), np.int32(-4), 5], dtype=object),  # numpy ints, through Fraction
+        np.array([[3, -4]], dtype=np.int64),
+        [0.5, -0.25, 3.0, np.float64(1.5)],  # floats, through Fraction
+        Fraction(3, 4),  # a 0-d array
+        [],
+        np.zeros((0, 3), dtype=object),
+        np.zeros((2, 0), dtype=np.int64),
+    ],
+)
+def test_int_cleared_matches_the_three_pass_reference(values):
+    got, want = int_cleared(values), three_pass_cleared(values)
+    assert (got[0].shape, got[0].dtype, got[1]) == (want[0].shape, want[0].dtype, want[1])
+    assert got[0].tolist() == want[0].tolist()
+    assert [type(x) for x in got[0].flat] == [type(x) for x in want[0].flat]
+
+
+def test_int_cleared_of_the_cayley_constants_matches_the_three_pass_reference():
+    mul = build_split_cayley().algebra.mul
+    for values in (mul, [[[x + Fraction(1, 3) for x in p] for p in row] for row in mul]):
+        got, want = int_cleared(values), three_pass_cleared(values)
+        assert (got[0].dtype, got[1]) == (want[0].dtype, want[1]) and np.array_equal(got[0], want[0])
+
+
 def test_lowest_terms():
     a = np.array([[4, -6], [0, 10]])
     assert [x.tolist() if isinstance(x, np.ndarray) else x for x in lowest_terms(a, 8)] == [[[2, -3], [0, 5]], 4]
@@ -928,6 +1029,67 @@ def test_int_inverse_of_independent_rows(m):
     a = cleared(m)
     a = a[_independent_rows(a)]
     assert_inverse_certificate(a)
+
+
+def _eliminated_inverse(a):
+    """int_inverse's triple by the reference elimination: the pivot columns
+    of a's row space, and x, d with x / d = a[:, pivots]^-1 in lowest terms
+    (the least common denominator of the leading-1 rows of [a[:, pivots] | I])."""
+    pivots = _reference_rref(a.tolist(), a.shape[1])[1]
+    k = len(a)
+    rows = [row + [int(i == j) for j in range(k)] for i, row in enumerate(a[:, pivots].tolist())]
+    x, d = clear_denominators([v for row in _reference_rref(rows, 2 * k)[0] for v in row[k:]])
+    return pivots, np.array(x, dtype=object).reshape(k, k).tolist(), d
+
+
+def test_int_inverse_reads_a_cleared_canonical_basis_off_its_pivot_block(monkeypatch, derivations, so34):
+    """The realizations of the derivations and of so(3,4) are the cleared
+    canonical bases of their kernels, with pivot block s I: int_inverse gives
+    the elimination's triple for them without an elimination."""
+    families = [g.realization[0].reshape(g.dim, -1) for g in (derivations, so34)]
+    wanted = [_eliminated_inverse(a) for a in families]
+    assert [w[0] for w in wanted] == [list(Subspace.from_vectors(a.shape[1], a).pivots) for a in families]
+    calls = _spy_on_exact_elimination(monkeypatch)
+    for a, (pivots, x, d) in zip(families, wanted):
+        got = int_inverse(a)
+        assert (got[0], got[1].tolist(), got[1].dtype, got[2]) == (pivots, x, np.int64, d)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[2, 1, 0], [0, 2, 1]],  # leads increase, the pivot block is not diagonal
+        [[2, 0, 1], [0, 3, 1]],  # a diagonal pivot block that is not s I
+        [[0, 2, 1], [2, 0, 0]],  # 2 I at leads that decrease
+        [[-2, 0, 1], [0, -2, 3]],  # s I with s < 0
+        [[2, 1, 2**70], [0, 2, 1]],  # a non-diagonal pivot block on Python ints
+    ],
+)
+def test_int_inverse_eliminates_a_family_off_the_canonical_form(monkeypatch, a):
+    a = np.array(a, dtype=object if 2**70 in a[0] else np.int64)
+    calls = _spy_on_exact_elimination(monkeypatch)
+    pivots, x, d = int_inverse(a)
+    assert calls == [len(a)]
+    assert (pivots, x.tolist(), d) == _eliminated_inverse(a)
+
+
+@given(st.one_of(families(fractions), families(integers)), st.data())
+def test_contains_agrees_with_a_rank_oracle(family, data):
+    """A combination of the family's rows lies in its span and an arbitrary
+    vector may not: contains_vector and contains say what the rank of the
+    basis with the vector beside it says."""
+    n, vectors = family
+    ints = int_family(vectors, n).tolist()
+    sub = Subspace.from_vectors(n, ints)
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(ints), max_size=len(ints)))
+    inside = [sum(c * row[j] for c, row in zip(coeffs, ints)) for j in range(n)]
+    arbitrary = data.draw(st.lists(integers, min_size=n, max_size=n))
+    for vec in (inside, arbitrary):
+        expected = _exact_rank(np.array([*sub.rows, vec], dtype=object)) == sub.dim
+        assert sub.contains_vector(vec) == expected
+        assert sub.contains(Subspace.from_vectors(n, [vec])) == expected
+    assert sub.contains_vector(inside)
 
 
 @pytest.mark.parametrize(
