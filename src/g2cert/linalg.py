@@ -36,7 +36,7 @@ integer matrix's rank over Q is at least its rank mod p (Dixon, Numer. Math.
 * a ``Subspace`` holds its canonical basis as primitive integer rows, which
   ``from_vectors`` takes straight from elimination.  It skips the
   elimination when n rows picked independent mod p certify a full span of
-  Q^n; any other family is eliminated exactly.  ``int_inverse`` and vector
+  Q^n; any other family is eliminated exactly.  ``int_inverse`` and
   membership read a cleared canonical basis off its pivot block s I;
 * ``ranks_mod_p`` ranks a stack of small systems in one batch, so that exact
   work is left only for the systems whose rank mod p falls short.
@@ -125,8 +125,7 @@ def int_cleared(values) -> tuple[np.ndarray, int]:
     values = np.array(values, dtype=object)
     if not set(map(type, flat := values.ravel().tolist())) <= {int, Fraction}:
         flat = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in flat]
-    den = math.lcm(*{x.denominator for x in flat})
-    ints = [x.numerator for x in flat] if den == 1 else [x.numerator * (den // x.denominator) for x in flat]
+    ints, den = clear_denominators(flat)
     return np.array(ints, dtype=int_dtype(max(max(ints, default=0), -min(ints, default=0)))).reshape(values.shape), den
 
 
@@ -431,16 +430,17 @@ class Subspace:
         return np.array(self.rows, dtype=object).reshape(self.dim, self.ambient_dim)
 
     def contains_vector(self, vec: Sequence[int]) -> bool:
-        """Whether the integer vector vec lies in S, read at the pivots: ``coordinate_map``'s
-        check s vec = vec[pivots] b on the cleared basis b / s, whose pivot block s I inverts to I / s."""
-        if (v := np.array([tuple(vec)], dtype=object)).shape != (1, self.ambient_dim) or not is_int_array(v):
-            raise ValueError("vec must be an integer vector of the ambient width")
+        """Whether the integer vector vec lies in S (see ``contains``)."""
+        return self.contains(np.array([tuple(vec)], dtype=object))
+
+    def contains(self, other: "Subspace | np.ndarray") -> bool:
+        """Whether other, a subspace or an integer array v of rows of the ambient width (else ValueError), lies
+        in S, read at the pivots: ``coordinate_map``'s check s v = v[:, pivots] b on the cleared basis b / s."""
+        v = other.int_basis() if isinstance(other, Subspace) else other
+        if v.shape[1:] != (self.ambient_dim,) or not is_int_array(v):
+            raise ValueError("rows must be integer vectors of the ambient width")
         b, s = self.cleared_basis()
         return np.array_equal(int_einsum("ip,pn->in", v[:, list(self.pivots)], b), int_einsum(",in->in", s, v))
-
-    def contains(self, other: "Subspace") -> bool:
-        """Whether other lies in the subspace S, by rank: dim(S + other) == dim S."""
-        return self.sum(other).dim == self.dim
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:

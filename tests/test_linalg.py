@@ -1089,7 +1089,17 @@ def test_contains_agrees_with_a_rank_oracle(family, data):
         expected = _exact_rank(np.array([*sub.rows, vec], dtype=object)) == sub.dim
         assert sub.contains_vector(vec) == expected
         assert sub.contains(Subspace.from_vectors(n, [vec])) == expected
+        assert sub.contains(np.array([vec], dtype=object)) == expected
+    both = Subspace.from_vectors(n, [inside, arbitrary])
+    assert sub.contains(both) == (_exact_rank(np.array([*sub.rows, inside, arbitrary], dtype=object)) == sub.dim)
     assert sub.contains_vector(inside)
+
+
+def test_contains_rejects_rows_of_another_width():
+    sub = Subspace.from_vectors(3, [(1, 2, 3)])
+    for other in (Subspace.from_vectors(2, [(1, 2)]), Subspace.full(4), np.array([[1, 2]]), np.array([[1, 2, Fraction(3)]], dtype=object)):
+        with pytest.raises(ValueError):
+            sub.contains(other)
 
 
 @pytest.mark.parametrize(
