@@ -9,17 +9,19 @@ reads; ``linalg`` alone turns a bound into a dtype, so a sum of up to four
 held arrays or ``int_einsum`` results fits.
 Brackets (``bracket_table``), the Killing form (Cartan's criterion),
 closures, centralizers and transporters are contractions of ``C``, and the
-integer ad stack den * ad(e_i) is ``C[i]^T``.  A matrix realization is held
-the same way, as one integer stack with one denominator.  Each law is proved
-once: the constructor checks Jacobi by ``LieAlgebra.bracket_law_failure`` on
-the ad stack, which also checks a public ``reps.LieModule``'s action, and a
-realization enters only through ``LieAlgebra.from_matrix_basis``, whose exact
-solve proves it faithful and lawful, hence Jacobi.  Also derivation algebras
+integer ad stack den * ad(e_i) is ``C[i]^T``.  A matrix realization is the
+cleared canonical basis of a span of matrices, held the same way, as one
+integer stack with one denominator.  Each law is proved once: the constructor
+checks Jacobi by ``LieAlgebra.bracket_law_failure`` on the ad stack, which
+also checks a public ``reps.LieModule``'s action, and a realization enters
+only through ``LieAlgebra.from_matrix_basis``, whose exact coordinate read
+proves it faithful and lawful, hence Jacobi.  Also derivation algebras
 of nonassociative algebras and so(p,q) of a symmetric form.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -29,7 +31,6 @@ from .linalg import (
     Bounded,
     NormForm,
     Subspace,
-    coordinate_map,
     held,
     int_einsum,
     is_int_array,
@@ -51,7 +52,8 @@ class LieAlgebra:
     ``den`` below 1, TypeError on a non-integer tensor), and
     ``from_matrix_basis``, the only source of a ``realization``, proves them.
     A ``realization`` is a pair (a, d) of an integer stack a of shape
-    (dim, n, n), read-only, and a positive d, for the matrices a[i] / d.
+    (dim, n, n), read-only, and a positive d, for the matrices a[i] / d: the
+    cleared canonical basis of the span it was built from.
     """
 
     def __init__(self, C: np.ndarray, den: int = 1):
@@ -103,44 +105,37 @@ class LieAlgebra:
         the integer ad stack den * ad(e_i) = C[i]^T."""
         return self.bracket_law_failure(self.C.transpose(0, 2, 1), self.den, self.cmax) is None
 
-    def realization_coordinates(self, rows: np.ndarray) -> Optional[tuple[np.ndarray, int]]:
-        """Map integer rows, each a row-major flattened matrix, to (x, e) with
-        row = (x / e) times the flattened matrices a / d of the realization
-        (a, d), or to None when a row lies outside their span; by the
-        coordinate map against a that ``from_matrix_basis`` built."""
-        solved = self._coords(rows)
-        return None if solved is None else (int_einsum(",ij->ij", self.realization[1], solved[0]), solved[1])
+    def realization_coordinates(self, rows: np.ndarray) -> Optional[np.ndarray]:
+        """Integer x with rows = x times the row-major flattened matrices a / d
+        of the realization (a, d), or None: the span's ``coordinates``."""
+        return self._span.coordinates(rows)
 
     @classmethod
-    def from_matrix_basis(cls, a: np.ndarray, den: int = 1) -> "LieAlgebra":
-        """Build from, and realize on, a linearly independent family of n x n
-        matrices a[i] / den closed under commutators, a an integer stack.
+    def from_matrix_basis(cls, span: Subspace) -> "LieAlgebra":
+        """Build from, and realize on, the cleared canonical basis b / s of a
+        span of row-major flattened n x n matrices closed under commutators.
 
-        All commutators come from one batched integer product, and their
-        coordinates in the family are the structure constants: with
-        [a_i, a_j] = sum_k (t_ijk / d) a_k, c_ijk = t_ijk / (d den).  A
-        non-integer stack raises TypeError; a non-square stack, a ``den``
-        below 1 and a dependent or unclosed family raise ValueError.
+        All [b_i, b_j] come from one batched integer product; their
+        ``Subspace.coordinates`` x are the structure constants over s^2.  A
+        non-``Subspace`` raises TypeError; a non-square ambient dimension and
+        an unclosed span raise ValueError.
         """
-        if not is_int_array(a):
-            raise TypeError("a realization is an integer stack")
-        if a.ndim != 3 or a.shape[1] != a.shape[2] or den < 1:
-            raise ValueError("realization must be square matrices over a positive denominator")
-        d, n = len(a), a.shape[1]
-        a, amax = held(a)
-        t, t_den, coords = np.zeros((0, 0, 0), dtype=np.int64), 1, coordinate_map(a.reshape(d, n * n))
-        if d:
-            prod = int_einsum("ikm,jml->ijkl", Bounded(a, amax), Bounded(a, amax))
-            solved = coords((prod - prod.transpose(1, 0, 2, 3)).reshape(d * d, n * n))
-            if solved is None:
-                raise ValueError("matrix family is not closed under commutators")
-            t, t_den = solved
-        # Lemma: coordinate_map raised on a dependent family, and its exact membership check proved
-        # [a_i, a_j] = sum_k (t_ijk / d) a_k: the realization is faithful and lawful, so antisymmetry
-        # and Jacobi hold for C because they hold in gl(n).
+        if not isinstance(span, Subspace):
+            raise TypeError("a realization is a span of flattened matrices")
+        d, n = span.dim, math.isqrt(span.ambient_dim)
+        if n * n != span.ambient_dim:
+            raise ValueError("flattened n x n matrices span a space of dimension n^2")
+        b, s = span.cleared_basis()
+        a, amax = held(b.reshape(d, n, n))
+        prod = int_einsum("ikm,jml->ijkl", Bounded(a, amax), Bounded(a, amax))
+        x = span.coordinates((prod - prod.transpose(1, 0, 2, 3)).reshape(d * d, n * n))
+        if x is None:
+            raise ValueError("matrix family is not closed under commutators")
+        # Lemma: coordinates' exact check proved [b_i, b_j] = sum_k x_ijk b_k / s on a basis: the
+        # realization is faithful and lawful, so antisymmetry and Jacobi hold for C because they hold in gl(n).
         alg = object.__new__(cls)
-        alg._hold(t.reshape(d, d, d), t_den * den, (a, den))
-        alg._coords = coords
+        alg._hold(x.reshape(d, d, d), s * s, (a, s))
+        alg._span = span
         return alg
 
 
@@ -172,9 +167,7 @@ def derivation_algebra(alg: StructureConstantAlgebra) -> LieAlgebra:
     system[:, :, r, r, :] = c[:, :, None, :]
     system[r, :, :, :, r] -= c.transpose(1, 2, 0)
     system[:, r, :, :, r] -= c.transpose(0, 2, 1)
-    # a cleared canonical basis (pivot block s I): from_matrix_basis needs no elimination to invert it
-    a, s = kernel_basis(system.reshape(n**3, n * n)).cleared_basis()
-    return LieAlgebra.from_matrix_basis(a.reshape(-1, n, n), s)
+    return LieAlgebra.from_matrix_basis(kernel_basis(system.reshape(n**3, n * n)))
 
 
 def so_of_form(form: NormForm) -> LieAlgebra:
@@ -187,8 +180,7 @@ def so_of_form(form: NormForm) -> LieAlgebra:
     eye = np.eye(n, dtype=form.G.dtype)
     # row (i, j) with i <= j, unknown X[k][m]: entry (i, j) of X^T G + G X
     system = np.einsum("mi,kj->ijkm", eye, form.G) + np.einsum("mj,ik->ijkm", eye, form.G)
-    a, s = kernel_basis(system[np.triu_indices(n)].reshape(-1, n * n)).cleared_basis()
-    alg = LieAlgebra.from_matrix_basis(a.reshape(-1, n, n), s)
+    alg = LieAlgebra.from_matrix_basis(kernel_basis(system[np.triu_indices(n)].reshape(-1, n * n)))
     assert alg.dim == n * (n - 1) // 2
     return alg
 

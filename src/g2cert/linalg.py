@@ -19,10 +19,13 @@ Fractions remain in its view ``Matrix`` and in ``rref``, which only tests call
 and the benchmark's tracer wraps.
 
 One exact elimination engine sits behind the public API: a fraction-free
-integer row reduction (per-row denominator clearing, gcd stripping).  A
-word-sized prime, ``PRIME``, only decides which rows that engine sees.  An
-integer matrix's rank over Q is at least its rank mod p (Dixon, Numer. Math.
-40, 1982), so rows independent modulo ``PRIME`` are independent over Q:
+integer row reduction (per-row denominator clearing, gcd stripping), which
+``Subspace.from_vectors`` runs once on any family.  Its canonical basis,
+cleared to b / s, is the one coordinate system: ``Subspace.coordinates``
+reads x = v[:, pivots], exactly when s v = x b.  A word-sized prime,
+``PRIME``, only decides which rows the engine sees.  An integer matrix's
+rank over Q is at least its rank mod p (Dixon, Numer. Math. 40, 1982), so
+rows independent modulo ``PRIME`` are independent over Q:
 
 * ``kernel_basis`` first presolves singleton rows: a row with one nonzero
   entry r_c says r_c x_c = 0, so x_c = 0 over Q, and dropping column c may
@@ -33,11 +36,6 @@ integer matrix's rank over Q is at least its rank mod p (Dixon, Numer. Math.
   a failed check, where the rank over Q exceeds the rank mod p, eliminates
   every row.  The pick is one forward elimination mod p over the columns, at
   most as many steps as the system has unknowns, however many rows it has;
-* a ``Subspace`` holds its canonical basis as primitive integer rows, which
-  ``from_vectors`` takes straight from elimination.  It skips the
-  elimination when n rows picked independent mod p certify a full span of
-  Q^n; any other family is eliminated exactly.  ``int_inverse`` and
-  membership read a cleared canonical basis off its pivot block s I;
 * ``ranks_mod_p`` ranks a stack of small systems in one batch, so that exact
   work is left only for the systems whose rank mod p falls short.
 """
@@ -363,9 +361,7 @@ class Subspace:
     equality.  The constructor takes those rows and rejects any other with
     ValueError: each row has n Python ints with gcd 1 and leads with a
     positive entry, the leading columns strictly increase, and no other row
-    is nonzero in a pivot column.  ``from_vectors`` returns the full space,
-    without exact elimination, for any family with n rows independent modulo
-    ``PRIME`` (see the module docstring).
+    is nonzero in a pivot column.
     """
 
     __slots__ = ("ambient_dim", "rows", "pivots")
@@ -401,10 +397,7 @@ class Subspace:
             vectors = np.array([tuple(v) for v in vectors] or np.zeros((0, ambient_dim), dtype=int), dtype=object)
         if vectors.shape[1:] != (ambient_dim,) or not is_int_array(vectors):
             raise ValueError("vectors must be a 2-D integer array of the ambient width")
-        a = vectors[np.any(vectors != 0, axis=1)]
-        if len(a) >= ambient_dim and len(_independent_rows(a)) == ambient_dim:
-            return cls.full(ambient_dim)
-        reduced, pivots = _int_rref(a.tolist())
+        reduced, pivots = _int_rref(vectors[np.any(vectors != 0, axis=1)].tolist())
         return cls._raw(ambient_dim, tuple(map(tuple, reduced)), tuple(pivots))
 
     @classmethod
@@ -429,18 +422,20 @@ class Subspace:
         ints (each leading-1 basis row cleared of its denominators)."""
         return np.array(self.rows, dtype=object).reshape(self.dim, self.ambient_dim)
 
-    def contains_vector(self, vec: Sequence[int]) -> bool:
-        """Whether the integer vector vec lies in S (see ``contains``)."""
-        return self.contains(np.array([tuple(vec)], dtype=object))
-
-    def contains(self, other: "Subspace | np.ndarray") -> bool:
-        """Whether other, a subspace or an integer array v of rows of the ambient width (else ValueError), lies
-        in S, read at the pivots: ``coordinate_map``'s check s v = v[:, pivots] b on the cleared basis b / s."""
+    def coordinates(self, other: "Subspace | np.ndarray") -> Optional[np.ndarray]:
+        """x = v[:, pivots], so v = x (b / s) on the cleared basis b / s, for
+        other a subspace (v its rows) or a 2-D integer array v of the ambient
+        width (else ValueError); None unless s v = x b."""
         v = other.int_basis() if isinstance(other, Subspace) else other
-        if v.shape[1:] != (self.ambient_dim,) or not is_int_array(v):
+        if not is_int_array(v) or v.shape[1:] != (self.ambient_dim,):
             raise ValueError("rows must be integer vectors of the ambient width")
         b, s = self.cleared_basis()
-        return np.array_equal(int_einsum("ip,pn->in", v[:, list(self.pivots)], b), int_einsum(",in->in", s, v))
+        x = v[:, list(self.pivots)]
+        return x if np.array_equal(int_einsum("ip,pn->in", x, b), int_einsum(",in->in", s, v)) else None
+
+    def contains(self, other: "Subspace | np.ndarray") -> bool:
+        """Whether other lies in S: it has ``coordinates``."""
+        return self.coordinates(other) is not None
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
@@ -453,13 +448,8 @@ def int_inverse(a: np.ndarray) -> tuple[list[int], np.ndarray, int]:
     row space and x, d with x / d = a[:, pivots]^-1 in lowest terms, x of
     ``int_dtype``.  One ``_int_rref`` of [a | I] gives row i = p_i [R_i | E_i],
     E a = R = RREF(a), and d = lcm p_i, as gcd(p_i, p_i E_i) = 1 (row i is
-    primitive, p_i R_i = p_i E_i a).  A pivot in I: a is dependent, ValueError.
-    Rows leading at increasing columns over a pivot block s I, s > 0 (a cleared
-    canonical basis), are s RREF(a): (leads, I, s), read without elimination."""
+    primitive, p_i R_i = p_i E_i a).  A pivot in I: a is dependent, ValueError."""
     k, n = _int_matrix(a).shape
-    if k and n and (s := a[0, (leads := (a != 0).argmax(axis=1))[0]]) > 0 and (leads[1:] > leads[:-1]).all():
-        if np.count_nonzero(a[:, leads]) == k and (a[np.arange(k), leads] == s).all():
-            return leads.tolist(), np.eye(k, dtype=np.int64), int(s)
     rows, pivots = _int_rref(np.concatenate([a, np.eye(k, dtype=a.dtype)], axis=1).tolist())
     if pivots and pivots[-1] >= n:
         raise ValueError("vector family is linearly dependent")
@@ -474,9 +464,9 @@ def coordinate_map(family: np.ndarray) -> Callable[[np.ndarray], Optional[tuple[
     integer array v of rows and gives (x, d) with v = (x / d) family, or None
     when a row of v lies outside the span.
 
-    ``int_inverse`` (one elimination of [family | I], or none for a cleared
-    canonical basis) gives x / d = v[:, pivots] (family[:, pivots])^-1, and
-    x family = d v is the exact membership check."""
+    ``int_inverse`` (one elimination of [family | I]) gives x / d =
+    v[:, pivots] (family[:, pivots])^-1, and x family = d v is the exact
+    membership check."""
     pivots, inv, den = int_inverse(family)
 
     def coords(v: np.ndarray) -> Optional[tuple[np.ndarray, int]]:

@@ -49,8 +49,8 @@ class LieModule:
 
     ``A`` is an integer array of shape (algebra dim, n, n), held read-only
     beside its largest magnitude ``amax`` (``linalg.held``), and ``den`` a
-    positive integer; n is read off the stack, so a module over the zero
-    algebra is a (0, n, n) stack.  The homomorphism law
+    positive int (not a float, bool or numpy integer); n is read off the
+    stack, so a module over the zero algebra is a (0, n, n) stack.  The homomorphism law
     rho([e_i,e_j]) = [rho(e_i), rho(e_j)] holds for every instance: this
     constructor verifies it exactly on all basis pairs, and the builders
     that use ``_raw`` prove it by the lemma stated at each call.
@@ -59,8 +59,8 @@ class LieModule:
     def __init__(self, algebra: LieAlgebra, A: np.ndarray, den: int = 1):
         if not is_int_array(A):
             raise TypeError("a module action is an integer stack")
-        if A.ndim != 3 or A.shape[0] != algebra.dim or A.shape[1] != A.shape[2] or den < 1:
-            raise ValueError("one square action matrix per algebra basis element, over a positive denominator")
+        if A.ndim != 3 or A.shape[0] != algebra.dim or A.shape[1] != A.shape[2] or type(den) is not int or den < 1:
+            raise ValueError("one square action matrix per algebra basis element, over a positive int denominator")
         self.algebra, (self.A, self.amax), self.den, self.dim, self._spins = algebra, held(A), den, A.shape[1], {}
         bad = algebra.bracket_law_failure(self.A, den, self.amax)
         if bad is not None:
@@ -95,15 +95,16 @@ def restricted_action(a: Bounded, sub: Subspace) -> tuple[np.ndarray, int]:
     that subspace's canonical basis: (r, s) with r[i] = s * (a[i]
     restricted), where s is the basis's common denominator.
 
-    With b = s * basis, the images a[i] b_j have their coordinates at the
-    pivot columns; invariance is s * a[i] b_j = sum_k r[i, k, j] b_k.
+    With b = s * basis, r[i, k, j] is the coordinate x_k of the image a[i] b_j
+    (``Subspace.coordinates``, s * a[i] b_j = sum_k x_k b_k); an image without
+    coordinates means the subspace is not invariant.
     """
     b, s = sub.cleared_basis()
-    images = int_einsum("imn,jn->imj", a, b)
-    r = images[:, list(sub.pivots), :]
-    if not np.array_equal(int_einsum("imj,->imj", images, s), int_einsum("kn,ikj->inj", b, r)):
+    m, d = len(a.array), sub.dim
+    x = sub.coordinates(int_einsum("imn,jn->ijm", a, b).reshape(m * d, sub.ambient_dim))
+    if x is None:
         raise ValueError("subspace is not invariant under the action")
-    return r, s
+    return x.reshape(m, d, d).transpose(0, 2, 1), s
 
 
 def restriction_module(v: LieModule, sub: Subspace) -> LieModule:
@@ -117,9 +118,9 @@ def restriction_module(v: LieModule, sub: Subspace) -> LieModule:
 
 class Intertwiner:
     """A module homomorphism T / den, T an integer matrix of shape
-    (target dim, source dim) and den positive; the intertwining identity is
-    verified exactly by ``__post_init__``, which the constructor calls (and
-    the benchmark's tracer wraps).
+    (target dim, source dim) and den a positive int, as a ``LieModule``'s;
+    the intertwining identity is verified exactly by ``__post_init__``, which
+    the constructor calls (and the benchmark's tracer wraps).
 
     T rho_v(e_i) = rho_w(e_i) T is checked for all i at once on integers, as
     den_w T A_v[i] = den_v A_w[i] T.
@@ -135,8 +136,8 @@ class Intertwiner:
         if self.source.algebra is not self.target.algebra:
             raise ValueError("intertwiner between modules over different algebras")
         v, w, t = self.source, self.target, self.T
-        if t.shape != (w.dim, v.dim) or not is_int_array(t) or self.den < 1:
-            raise ValueError("an intertwiner is an integer (target dim x source dim) matrix over a positive denominator")
+        if t.shape != (w.dim, v.dim) or not is_int_array(t) or type(self.den) is not int or self.den < 1:
+            raise ValueError("an intertwiner is an integer (target dim x source dim) matrix over a positive int denominator")
         va, wa = Bounded(v.A, v.amax), Bounded(w.A, w.amax)
         if not np.array_equal(int_einsum(",ab,ibc->iac", w.den, t, va), int_einsum("iab,bc,->iac", wa, t, v.den)):
             raise ValueError("matrix does not intertwine the actions")
@@ -373,10 +374,10 @@ def wedge_so_isomorphism(form: NormForm, so_alg: LieAlgebra) -> Intertwiner:
     images = np.zeros((len(rows), n, n), dtype=object)
     images[np.arange(len(rows)), cols] += form.G[rows]
     images[np.arange(len(rows)), rows] -= form.G[cols]
-    solved = so_alg.realization_coordinates(images.reshape(len(rows), n * n))
-    if solved is None:
+    x = so_alg.realization_coordinates(images.reshape(len(rows), n * n))
+    if x is None:
         raise AssertionError("image of wedge map escaped so(E)")
-    phi, den = lowest_terms(solved[0].T, solved[1] * form.den)
+    phi, den = lowest_terms(x.T, form.den)
     return Intertwiner(source=wedge, target=adj, T=phi, den=den)
 
 

@@ -14,7 +14,7 @@ from g2cert.lie import (
     subalgebra_closure,
     transporter_into,
 )
-from g2cert.linalg import NormForm, Subspace, coordinate_map, int_cleared, int_dtype, kernel_basis, max_abs, rank
+from g2cert.linalg import NormForm, Subspace, int_cleared, int_dtype, kernel_basis, max_abs, rank
 from g2cert.octonion import StructureConstantAlgebra
 
 from conftest import (
@@ -22,6 +22,7 @@ from conftest import (
     ad,
     bracket,
     cayley_mutant,
+    coordinates_of,
     diagonal,
     direct_sum_algebra,
     fractions,
@@ -143,21 +144,22 @@ def test_killing_form_matches_trace_reference(sl2, derivations, so34):
 
 
 def test_from_matrix_basis_on_non_canonical_basis():
-    """A scaled and sheared basis of sl2: the constants must be the
-    coordinates of each commutator relative to the family itself."""
+    """The span of a scaled and sheared basis of sl2: the algebra is realized
+    on that span's canonical basis, and its constants are the coordinates of
+    each commutator of that basis in it (the Fraction oracle
+    coordinates_of)."""
     h, e, f = (np.array(m, dtype=object) for m in ([[1, 0], [0, -1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]))
     mats = np.array([3 * h + e, Fraction(1, 2) * e - f, 5 * f + Fraction(2, 3) * h])
-    a, den = int_cleared(mats)
-    g = LieAlgebra.from_matrix_basis(a, den)
-    coords = coordinate_map(a.reshape(3, 4))
+    span = Subspace.from_vectors(4, int_cleared(mats)[0].reshape(3, 4))
+    g = LieAlgebra.from_matrix_basis(span)
+    basis = [np.array(row, dtype=object).reshape(2, 2) for row in leading_one_basis(span)]
+    assert np.array_equal(realization_matrices(g), np.array(basis))
     for i in range(3):
         for j in range(3):
-            # comm = c / c_den = (x / d) a = (x den / d) mats
-            c, c_den = int_cleared((mats[i] @ mats[j] - mats[j] @ mats[i]).reshape(1, 4))
-            x, d = coords(c)
-            expected = tuple(Fraction(int(v) * den, d * c_den) for v in x[0])
-            assert bracket(g, _unit(3, i), _unit(3, j)) == expected
-    assert g.den > 1
+            comm = (basis[i] @ basis[j] - basis[j] @ basis[i]).flatten()
+            assert bracket(g, _unit(3, i), _unit(3, j)) == coordinates_of(span, comm)
+    # the span is sl2, whose canonical basis h, e, f brackets with integer constants
+    assert (g.den, span) == (1, Subspace.from_vectors(4, [(1, 0, 0, -1), (0, 1, 0, 0), (0, 0, 1, 0)]))
 
 
 def test_bracket_table_matches_bracket():
@@ -450,7 +452,7 @@ def test_direct_sum_killing_restriction():
 def test_from_matrix_basis_rejects_unclosed_family():
     mats = np.array([[[0, 1], [0, 0]], [[0, 0], [1, 0]]])  # [e,f] escapes
     with pytest.raises(ValueError):
-        LieAlgebra.from_matrix_basis(mats)
+        LieAlgebra.from_matrix_basis(Subspace.from_vectors(4, mats.reshape(2, 4)))
 
 
 def test_realization_consistency_enforced():
@@ -458,15 +460,19 @@ def test_realization_consistency_enforced():
     faithful.  A zero realization satisfies the bracket law of every C, and
     once carried this 4-dimensional antisymmetric C, which fails Jacobi, past
     the constructor; LieAlgebra(C) now takes no realization and rejects that
-    C, and a zero or other dependent family is no realization at all."""
+    C.  A zero or other dependent family is no realization at all: a stack
+    is no argument, and its span realizes on a basis."""
     bad = _non_jacobi(4)
     with pytest.raises(ValueError, match="Jacobi"):
         LieAlgebra(bad)
     with pytest.raises(TypeError):
         LieAlgebra(bad, realization=(np.zeros((4, 2, 2), dtype=np.int64), 1))
-    for dependent in (np.zeros((4, 2, 2), dtype=np.int64), np.array([np.eye(3, dtype=int)] * 3)):
-        with pytest.raises(ValueError, match="dependent"):
+    for dependent, dim in ((np.zeros((4, 2, 2), dtype=np.int64), 0), (np.array([np.eye(3, dtype=int)] * 3), 1)):
+        with pytest.raises(TypeError):
             LieAlgebra.from_matrix_basis(dependent)
+        n = dependent.shape[1]
+        g = LieAlgebra.from_matrix_basis(Subspace.from_vectors(n * n, dependent.reshape(len(dependent), n * n)))
+        assert (g.dim, g.realization[0].shape) == (dim, (dim, n, n))
 
 
 @pytest.mark.parametrize(
@@ -477,19 +483,30 @@ def test_realization_consistency_enforced():
         ([[[1]]], 1, TypeError),  # a nested list, not an array
         (np.zeros((1, 2, 3), dtype=np.int64), 1, ValueError),  # not square
         (np.eye(2, dtype=np.int64), 1, ValueError),  # not a stack
-        (np.eye(2, dtype=np.int64)[None], 0, ValueError),
-        (np.eye(2, dtype=np.int64)[None], -1, ValueError),
     ],
 )
 def test_from_matrix_basis_rejects_malformed_stacks(stack, den, error):
-    with pytest.raises(error):
-        LieAlgebra.from_matrix_basis(stack, den)
+    """from_matrix_basis takes a Subspace: neither a stack nor a stack beside
+    its denominator is one (TypeError).  The span of an integer stack's rows,
+    each flattened, is one, and rows that are not n x n matrices flattened,
+    of width n^2, raise ValueError."""
+    for arg in (stack, (stack, den)):
+        with pytest.raises(TypeError):
+            LieAlgebra.from_matrix_basis(arg)
+    if error is ValueError:
+        rows = stack.reshape(len(stack), -1)
+        with pytest.raises(ValueError, match="n\\^2"):
+            LieAlgebra.from_matrix_basis(Subspace.from_vectors(rows.shape[1], rows))
 
 
 def test_from_matrix_basis_of_the_empty_family():
-    g = LieAlgebra.from_matrix_basis(np.zeros((0, 3, 3), dtype=np.int64), 2)
+    """The empty span of flattened 3 x 3 matrices is the 0-dimensional
+    algebra, realized on no matrices over the empty basis's denominator 1."""
+    g = LieAlgebra.from_matrix_basis(Subspace(9, ()))
     a, den = g.realization
-    assert (g.dim, g.C.shape, g.den, a.shape, den) == (0, (0, 0, 0), 1, (0, 3, 3), 2)
+    assert (g.dim, g.C.shape, g.den, a.shape, den) == (0, (0, 0, 0), 1, (0, 3, 3), 1)
+    assert g.realization_coordinates(np.zeros((2, 9), dtype=np.int64)).shape == (2, 0)
+    assert g.realization_coordinates(np.eye(9, dtype=np.int64)[:1]) is None
 
 
 def test_from_matrix_basis_algebras_satisfy_every_law(ctx):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import g2cert.lie as lie
 import g2cert.linalg as linalg
-from g2cert.lie import derivation_algebra
+from g2cert.lie import derivation_algebra, so_of_form
 from g2cert.linalg import (
     PRIME,
     Bounded,
@@ -439,17 +439,23 @@ def test_subspace_coordinates_roundtrip():
     sub = Subspace.from_vectors(3, [(1, 2, 0), (0, 1, 1)])
     vec = (2, 5, 1)
     coords = coordinates_of(sub, vec)
-    assert coords is not None and sub.contains_vector(vec)
+    assert coords is not None and sub.contains(np.array([vec], dtype=object))
     rebuilt = [Fraction(0)] * 3
     for c, b in zip(coords, leading_one_basis(sub)):
         for j, x in enumerate(b):
             rebuilt[j] += c * x
     assert tuple(rebuilt) == vec
-    assert coordinates_of(sub, (1, 0, 0)) is None and not sub.contains_vector((1, 0, 0))
-    with pytest.raises(ValueError):
-        sub.contains_vector((1, 0))
-    with pytest.raises(ValueError):
-        sub.contains_vector((Fraction(2), Fraction(5), Fraction(1)))
+    assert coordinates_of(sub, (1, 0, 0)) is None and not sub.contains(np.array([(1, 0, 0)], dtype=object))
+    # a cleared basis with s = 6: (1, 0, 1/2) and (0, 1, 1/3)
+    for span, inside in ((sub, vec), (Subspace.from_vectors(3, [(2, 0, 1), (0, 3, 1)]), (2, 3, 2))):
+        x = span.coordinates(np.array([inside, inside], dtype=object))
+        assert x is not None and [tuple(row) for row in x] == [coordinates_of(span, inside)] * 2
+        assert span.coordinates(np.array([inside, (1, 0, 0)], dtype=object)) is None
+    for bad in (np.array([(1, 0)]), np.array([(Fraction(2), Fraction(5), Fraction(1))], dtype=object), np.array(vec), [vec]):
+        with pytest.raises(ValueError):
+            sub.coordinates(bad)
+        with pytest.raises(ValueError):
+            sub.contains(bad)
 
 
 @pytest.mark.parametrize(
@@ -592,15 +598,9 @@ def _spy_on_exact_elimination(monkeypatch):
     return calls
 
 
-def test_full_span_certified_mod_p_skips_exact_elimination(monkeypatch):
-    calls = _spy_on_exact_elimination(monkeypatch)
-    rows = [[1, 2, 3], [0, 1, 4], [5, 6, 0], [1, 1, 1]]
-    assert Subspace.from_vectors(3, rows) == Subspace.full(3)
-    assert calls == []
-
-
 def test_full_span_singular_mod_p_falls_back_to_exact(monkeypatch):
-    """Full over Q, rank 1 modulo the certifying prime: the exact path decides."""
+    """Full over Q, rank 1 modulo PRIME: from_vectors decides the span by one
+    exact elimination of every nonzero row, whatever the rank mod p."""
     rows = [(PRIME, 0), (0, 1)]
     assert len(_independent_rows(np.array(rows, dtype=np.int64))) == 1
     calls = _spy_on_exact_elimination(monkeypatch)
@@ -1042,17 +1042,19 @@ def _eliminated_inverse(a):
     return pivots, np.array(x, dtype=object).reshape(k, k).tolist(), d
 
 
-def test_int_inverse_reads_a_cleared_canonical_basis_off_its_pivot_block(monkeypatch, derivations, so34):
-    """The realizations of the derivations and of so(3,4) are the cleared
-    canonical bases of their kernels, with pivot block s I: int_inverse gives
-    the elimination's triple for them without an elimination."""
-    families = [g.realization[0].reshape(g.dim, -1) for g in (derivations, so34)]
-    wanted = [_eliminated_inverse(a) for a in families]
-    assert [w[0] for w in wanted] == [list(Subspace.from_vectors(a.shape[1], a).pivots) for a in families]
-    calls = _spy_on_exact_elimination(monkeypatch)
-    for a, (pivots, x, d) in zip(families, wanted):
-        got = int_inverse(a)
-        assert (got[0], got[1].tolist(), got[1].dtype, got[2]) == (pivots, x, np.int64, d)
+def test_realizations_reach_no_int_inverse(monkeypatch, cayley):
+    """derivation_algebra and so_of_form realize on the canonical basis of a
+    kernel and read each commutator's coordinates at its pivots
+    (Subspace.coordinates): neither reaches int_inverse."""
+    calls = []
+
+    def spy(a):
+        calls.append(a.shape)
+        return inverse(a)
+
+    inverse = linalg.int_inverse
+    monkeypatch.setattr(linalg, "int_inverse", spy)
+    assert (derivation_algebra(cayley.algebra).dim, so_of_form(cayley.imaginary[1]).dim) == (14, 21)
     assert calls == []
 
 
@@ -1064,6 +1066,7 @@ def test_int_inverse_reads_a_cleared_canonical_basis_off_its_pivot_block(monkeyp
         [[0, 2, 1], [2, 0, 0]],  # 2 I at leads that decrease
         [[-2, 0, 1], [0, -2, 3]],  # s I with s < 0
         [[2, 1, 2**70], [0, 2, 1]],  # a non-diagonal pivot block on Python ints
+        [[2, 0, 1], [0, 2, 3]],  # a cleared canonical basis, 2 I: int_inverse has one path
     ],
 )
 def test_int_inverse_eliminates_a_family_off_the_canonical_form(monkeypatch, a):
@@ -1077,8 +1080,9 @@ def test_int_inverse_eliminates_a_family_off_the_canonical_form(monkeypatch, a):
 @given(st.one_of(families(fractions), families(integers)), st.data())
 def test_contains_agrees_with_a_rank_oracle(family, data):
     """A combination of the family's rows lies in its span and an arbitrary
-    vector may not: contains_vector and contains say what the rank of the
-    basis with the vector beside it says."""
+    vector may not: coordinates and contains say what the rank of the basis
+    with the vector beside it says, and coordinates x give v = x (b / s) on
+    the leading-1 basis b / s, by the Fraction oracle coordinates_of."""
     n, vectors = family
     ints = int_family(vectors, n).tolist()
     sub = Subspace.from_vectors(n, ints)
@@ -1087,12 +1091,17 @@ def test_contains_agrees_with_a_rank_oracle(family, data):
     arbitrary = data.draw(st.lists(integers, min_size=n, max_size=n))
     for vec in (inside, arbitrary):
         expected = _exact_rank(np.array([*sub.rows, vec], dtype=object)) == sub.dim
-        assert sub.contains_vector(vec) == expected
+        x = sub.coordinates(np.array([vec], dtype=object))
+        assert (x is not None) == expected
+        assert x is None or tuple(x[0]) == coordinates_of(sub, vec)
         assert sub.contains(Subspace.from_vectors(n, [vec])) == expected
         assert sub.contains(np.array([vec], dtype=object)) == expected
     both = Subspace.from_vectors(n, [inside, arbitrary])
     assert sub.contains(both) == (_exact_rank(np.array([*sub.rows, inside, arbitrary], dtype=object)) == sub.dim)
-    assert sub.contains_vector(inside)
+    x = sub.coordinates(both)
+    assert (x is not None) == sub.contains(both)
+    assert x is None or [tuple(row) for row in x] == [coordinates_of(sub, row) for row in both.rows]
+    assert sub.contains(np.array([inside], dtype=object))
 
 
 def test_contains_rejects_rows_of_another_width():

@@ -118,7 +118,7 @@ def test_imaginary_subspace(alg):
     sub, restricted = alg.imaginary
     assert sub.dim == 7
     assert signature(restricted.G) == (3, 4, 0)
-    assert not sub.contains_vector(alg.unit)
+    assert not sub.contains(np.array([alg.unit], dtype=object))
 
 
 def test_nonassociativity_witness_exists(alg):

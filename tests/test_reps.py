@@ -469,6 +469,21 @@ def test_module_rejects_non_integer_stack(stack):
         LieModule(abelian_algebra(1), stack)
 
 
+@pytest.mark.parametrize("den", [1.5, 2.0, np.int64(2), True])
+def test_constructors_reject_a_non_int_denominator(den):
+    """LieModule and Intertwiner take a Python int denominator, as
+    SuiteConfig takes its ints: a float, a numpy integer or a bool raises
+    ValueError, where 2 gives a module and an intertwiner."""
+    so3 = so_of_form(NormForm(np.eye(3, dtype=int)))
+    a, s = so3.realization
+    nat = natural_module(so3)
+    assert s == 1 and Intertwiner(nat, LieModule(so3, 2 * a, 2), np.eye(3, dtype=np.int64), den=2).is_invertible
+    with pytest.raises(ValueError):
+        LieModule(so3, 2 * a, den)
+    with pytest.raises(ValueError):
+        Intertwiner(nat, nat, np.eye(3, dtype=np.int64), den=den)
+
+
 def test_natural_module_requires_realization():
     with pytest.raises(ValueError):
         natural_module(abelian_algebra(2))
@@ -712,7 +727,7 @@ def test_hom_space_on_large_entry_modules(so3, big_module, scaled_module):
     block = np.zeros((6, 6), dtype=object)
     block[:3, 3:] = _P
     span = Subspace.from_vectors(36, np.array([h.T.flatten() for h in homs], dtype=object))
-    assert span.contains_vector(block.flatten())
+    assert span.contains(block.reshape(1, 36))
     nat = natural_module(so3)
     other = LieModule(so3, nat.A * (_SCALE + 2), _SCALE + 2)
     # both premises of scaled_module: an int64 stack whose product with other's denominator passes 2**61

@@ -533,7 +533,7 @@ def reference_check_cayley(c, cfg):
     restricted = [[bilinear(x, y) for y in leading_one_basis(sub)] for x in leading_one_basis(sub)]
     out.expect("imaginary_dim", sub.dim, 7)
     out.expect("imag_signature", signature(int_cleared(restricted)[0]), (3, 4, 0))
-    out.expect("unit_outside_imaginary", sub.contains_vector(int_cleared(e)[0].tolist()), False)
+    out.expect("unit_outside_imaginary", sub.contains(int_cleared([e])[0]), False)
     return out
 
 
