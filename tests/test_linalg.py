@@ -1046,13 +1046,12 @@ def test_realizations_reach_no_int_inverse(monkeypatch, cayley):
     """derivation_algebra and so_of_form realize on the canonical basis of a
     kernel and read each commutator's coordinates at its pivots
     (Subspace.coordinates): neither reaches int_inverse."""
-    calls = []
+    calls, inverse = [], linalg.int_inverse
 
     def spy(a):
         calls.append(a.shape)
         return inverse(a)
 
-    inverse = linalg.int_inverse
     monkeypatch.setattr(linalg, "int_inverse", spy)
     assert (derivation_algebra(cayley.algebra).dim, so_of_form(cayley.imaginary[1]).dim) == (14, 21)
     assert calls == []
