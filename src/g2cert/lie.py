@@ -11,12 +11,14 @@ Brackets (``bracket_table``), the Killing form (Cartan's criterion),
 closures, centralizers and transporters are contractions of ``C``, and the
 integer ad stack den * ad(e_i) is ``C[i]^T``.  A matrix realization is the
 cleared canonical basis of a span of matrices, held the same way, as one
-integer stack with one denominator.  Each law is proved once: the constructor
-checks Jacobi by ``LieAlgebra.bracket_law_failure`` on the ad stack, which
-also checks a public ``reps.LieModule``'s action, and a realization enters
-only through ``LieAlgebra.from_matrix_basis``, whose exact coordinate read
-proves it faithful and lawful, hence Jacobi.  Also derivation algebras
-of nonassociative algebras and so(p,q) of a symmetric form.
+integer stack with one denominator.  The constructor proves Jacobi by
+``LieAlgebra.bracket_law_failure`` on the ad stack, which also checks a public
+``reps.LieModule``'s action; ``LieAlgebra.from_matrix_basis``, the only source
+of a realization, proves its bracket on the first read, by an exact coordinate
+read that shows it faithful and lawful, hence Jacobi.  Lemma: Der(A) and so(G),
+the spans its callers pass, are closed under commutators, so that proof cannot
+fail there.  Also derivation algebras of nonassociative algebras and so(p,q)
+of a symmetric form.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ class LieAlgebra:
     satisfies antisymmetry and the Jacobi identity: this constructor checks
     both, raising ValueError on a failure (and on a mis-shaped tensor or a
     ``den`` below 1, TypeError on a non-integer tensor), and
-    ``from_matrix_basis``, the only source of a ``realization``, proves them.
+    ``from_matrix_basis``, the only source of a ``realization``, proves them
+    on the first read of its bracket.
     A ``realization`` is a pair (a, d) of an integer stack a of shape
     (dim, n, n), read-only, and a positive d, for the matrices a[i] / d: the
     cleared canonical basis of the span it was built from.
@@ -108,23 +111,31 @@ class LieAlgebra:
     def realization_coordinates(self, rows: np.ndarray) -> Optional[np.ndarray]:
         """Integer x with rows = x times the row-major flattened matrices a / d
         of the realization (a, d), or None: the span's ``coordinates``."""
+        if self.realization is None:
+            raise ValueError("algebra carries no matrix realization")
         return self._span.coordinates(rows)
 
     @classmethod
     def from_matrix_basis(cls, span: Subspace) -> "LieAlgebra":
-        """Build from, and realize on, the cleared canonical basis b / s of a
-        span of row-major flattened n x n matrices closed under commutators.
-
-        All [b_i, b_j] come from one batched integer product; their
-        ``Subspace.coordinates`` x are the structure constants over s^2.  A
-        non-``Subspace`` raises TypeError; a non-square ambient dimension and
-        an unclosed span raise ValueError.
-        """
+        """The algebra of a span of row-major flattened n x n matrices closed
+        under commutators, realized on its cleared canonical basis b / s.  A
+        non-``Subspace`` raises TypeError, a non-square ambient dimension
+        ValueError.  ``C``, ``den``, ``cmax`` and ``realization`` are built on
+        the first read of any: all [b_i, b_j] from one batched integer
+        product, whose ``Subspace.coordinates`` x are the structure constants
+        over s^2; an unclosed span raises ValueError there."""
         if not isinstance(span, Subspace):
             raise TypeError("a realization is a span of flattened matrices")
-        d, n = span.dim, math.isqrt(span.ambient_dim)
-        if n * n != span.ambient_dim:
+        if math.isqrt(span.ambient_dim) ** 2 != span.ambient_dim:
             raise ValueError("flattened n x n matrices span a space of dimension n^2")
+        alg = object.__new__(cls)
+        alg.dim, alg._span, alg._killing, alg._adjoint = span.dim, span, None, None
+        return alg
+
+    def __getattr__(self, name: str):
+        if name not in ("C", "den", "cmax", "realization"):
+            raise AttributeError(name)
+        span, d, n = self._span, self.dim, math.isqrt(self._span.ambient_dim)
         b, s = span.cleared_basis()
         a, amax = held(b.reshape(d, n, n))
         prod = int_einsum("ikm,jml->ijkl", Bounded(a, amax), Bounded(a, amax))
@@ -133,10 +144,8 @@ class LieAlgebra:
             raise ValueError("matrix family is not closed under commutators")
         # Lemma: coordinates' exact check proved [b_i, b_j] = sum_k x_ijk b_k / s on a basis: the
         # realization is faithful and lawful, so antisymmetry and Jacobi hold for C because they hold in gl(n).
-        alg = object.__new__(cls)
-        alg._hold(x.reshape(d, d, d), s * s, (a, s))
-        alg._span = span
-        return alg
+        self._hold(x.reshape(d, d, d), s * s, (a, s))
+        return getattr(self, name)
 
 
 def killing_form(g: LieAlgebra) -> NormForm:

@@ -331,17 +331,18 @@ def kernel_basis(m: np.ndarray) -> "Subspace":
 
     Certificate: every kernel vector is 0 on the columns that singleton
     presolve forces (``_unforced_columns``), so the kernel of m is the kernel
-    of its live columns padded with zeros.  Of those columns, the rows picked
-    independent modulo ``PRIME`` are eliminated exactly, right to left, into
-    their canonical kernel (``_kernel_rows``), which contains the kernel of
-    the live columns and is checked to annihilate every row of them, so the
-    two are equal.  The check fails only when the live columns' rank over Q
+    of its live columns padded with zeros.  Of the rows nonzero there, those
+    picked independent modulo ``PRIME`` are eliminated exactly, right to left,
+    into their canonical kernel (``_kernel_rows``), which contains the kernel
+    of the live columns and is checked to annihilate every row of them, so
+    the two are equal.  The check fails only when the live columns' rank over Q
     exceeds their rank mod ``PRIME``; then all of m is eliminated exactly.
     """
     ncols = _int_matrix(m).shape[1]
     a = m[np.any(m != 0, axis=1)]
     live = _unforced_columns(a)
     b = a[:, live]
+    b = b[np.any(b != 0, axis=1)]
     rows, free = _kernel_rows(b[_independent_rows(b)].tolist(), b.shape[1])
     kernel = np.zeros((len(rows), ncols), dtype=object)
     kernel[:, live] = reduced = np.array(rows, dtype=object).reshape(len(rows), b.shape[1])

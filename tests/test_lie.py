@@ -450,9 +450,23 @@ def test_direct_sum_killing_restriction():
 
 
 def test_from_matrix_basis_rejects_unclosed_family():
+    """The bracket is built, and the span's closure proved, on the first read
+    of any of its parts, each here on a fresh algebra; the dimension needs no
+    bracket."""
     mats = np.array([[[0, 1], [0, 0]], [[0, 0], [1, 0]]])  # [e,f] escapes
-    with pytest.raises(ValueError):
-        LieAlgebra.from_matrix_basis(Subspace.from_vectors(4, mats.reshape(2, 4)))
+    for attr in ("C", "den", "cmax", "realization"):
+        g = LieAlgebra.from_matrix_basis(Subspace.from_vectors(4, mats.reshape(2, 4)))
+        assert g.dim == 2
+        with pytest.raises(ValueError, match="not closed under commutators"):
+            getattr(g, attr)
+
+
+def test_realization_coordinates_need_a_realization():
+    """An algebra given by its structure constants carries no realization, so
+    reading coordinates in one raises the ValueError of reps.natural_module."""
+    g = LieAlgebra(np.zeros((1, 1, 1), dtype=np.int64))
+    with pytest.raises(ValueError, match="no matrix realization"):
+        g.realization_coordinates(np.zeros((1, 1), dtype=np.int64))
 
 
 def test_realization_consistency_enforced():

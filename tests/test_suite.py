@@ -450,6 +450,51 @@ def test_a_mutant_makes_no_fraction_inverse(monkeypatch):
     assert reports[1].witnesses["derivation_dim"] == 3
 
 
+def _spy_on_bracket_builds(monkeypatch) -> list:
+    """Every algebra whose deferred bracket is built, once per build: the
+    bracket of a from_matrix_basis algebra is built on its first read, which
+    reaches ``LieAlgebra.__getattr__`` only while it is unset."""
+    built, unset = [], lie.LieAlgebra.__getattr__
+
+    def spy(g, name):
+        value = unset(g, name)
+        built.append(g)
+        return value
+
+    monkeypatch.setattr(lie.LieAlgebra, "__getattr__", spy)
+    return built
+
+
+def test_a_mutant_is_rejected_without_a_bracket(monkeypatch):
+    """The reject path reads a mutant's derivation algebra for its dimension
+    alone, so none of one in every eight of the 1024 +-1 mutants (mutant
+    2 * (64 i + 8 j + k) + s moves mul[i][j][k] by +1 for s = 0 and -1 for
+    s = 1; staggered, so that both signs occur) builds a bracket.  The
+    pristine algebra on the same path builds its derivations' bracket."""
+    built = _spy_on_bracket_builds(monkeypatch)
+    cfg = SuiteConfig(samples=5, checks=("cayley", "derivations"))
+    for t in range(128):
+        index = 8 * t + t % 8
+        i, rest = divmod(index // 2, 64)
+        cand = cayley_mutant({(i, *divmod(rest, 8)): 1 - 2 * (index % 2)})
+        ctx = VerificationContext(cayley_candidate=cand, derivations_candidate=derivation_algebra(cand.algebra))
+        reports = run_all(cfg, ctx=ctx)
+        assert reports[0].status != "pass" and reports[1].witnesses["derivation_dim"] != 14
+    assert built == []
+    pristine = VerificationContext()
+    assert {r.status for r in run_all(cfg, ctx=pristine)} == {"pass"}
+    assert built == [pristine.derivations]
+
+
+def test_a_run_builds_each_bracket_once(monkeypatch):
+    """A full run builds two brackets, each once: the derivation algebra's and
+    so(3,4)'s."""
+    built = _spy_on_bracket_builds(monkeypatch)
+    ctx = VerificationContext()
+    assert {r.status for r in run_all(SuiteConfig(), ctx=ctx)} == {"pass"}
+    assert sorted(map(id, built)) == sorted(map(id, (ctx.derivations, ctx.so34)))
+
+
 def reference_check_cayley(c, cfg):
     """check_cayley as Fraction loops over the ``mul`` view and the Gram rows:
     the witness code the tensor contractions replaced, kept as the reference."""
