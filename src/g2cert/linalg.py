@@ -119,12 +119,27 @@ def held(a: np.ndarray, copy: bool = True) -> Bounded:
 def int_cleared(values) -> tuple[np.ndarray, int]:
     """A nested sequence or array of rationals (ints, Fractions, or else read
     through Fraction(x)) as one integer array a of the same shape and the least
-    den > 0 with a == den * values; int64 or Python ints as ``int_dtype`` decides."""
-    values = np.array(values, dtype=object)
-    if not set(map(type, flat := values.ravel().tolist())) <= {int, Fraction}:
-        flat = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in flat]
+    den > 0 with a == den * values; int64 or Python ints as ``int_dtype`` decides.
+    An integer array is copied; the rest is read in one pass (ragged: ValueError)."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind in "iu":
+            return values.astype(int_dtype(max_abs(values))), 1
+        shape, flat = values.shape, values.ravel().tolist()
+    else:
+        shape, flat = [], [values]
+        while flat and isinstance(flat[0], (list, tuple, np.ndarray)):
+            n, level, flat = len(flat[0]), flat, []
+            for x in level:
+                if not isinstance(x, (list, tuple, np.ndarray)) or len(x) != n:
+                    raise ValueError("a ragged nested sequence has no array shape")
+                flat.extend(x.tolist() if isinstance(x, np.ndarray) else x)
+            shape.append(n)
+    if not set(map(type, flat)) <= {int, Fraction}:
+        if any(isinstance(x, (list, tuple, np.ndarray)) for x in flat):
+            raise ValueError("a ragged nested sequence has no array shape")
+        flat = [x if isinstance(x, (int, Fraction)) else Fraction(int(x) if isinstance(x, np.integer) else x) for x in flat]
     ints, den = clear_denominators(flat)
-    return np.array(ints, dtype=int_dtype(max(max(ints, default=0), -min(ints, default=0)))).reshape(values.shape), den
+    return np.array(ints, dtype=int_dtype(max(max(ints, default=0), -min(ints, default=0)))).reshape(shape), den
 
 
 def lowest_terms(a: np.ndarray, den: int) -> tuple[np.ndarray, int]:
@@ -531,12 +546,20 @@ def signature(m) -> tuple[int, int, int]:
     return (pos, neg, n - pos - neg)
 
 
+# What a form fixes with a vector e = u / s alone (``NormForm.unit_facts``): u, s;
+# n = u^T G u, so B(e, e) = n / (den s^2); K = 2 u (G u)^T - n I, so K / n fixes e and
+# negates e's orthogonal complement (an algebra's conjugation when e is its unit); that
+# complement, the kernel of (G u)^T, and the form on its canonical basis; whether it holds e.
+UnitFacts = NamedTuple("UnitFacts", [("u", Bounded), ("s", int), ("n", int), ("K", Bounded), ("imaginary", tuple), ("inside", bool)])
+
+
 class NormForm:
     """A symmetric bilinear form, and the quadratic norm x -> B(x, x) it
     polarizes, held as the integer Gram matrix ``G`` = den * gram and the
     positive ``den`` in lowest terms, ``G`` read-only beside its largest
-    magnitude ``gmax``.  A non-square, non-symmetric or non-integer ``G`` or a
-    ``den`` below 1 raises ValueError."""
+    magnitude ``gmax``, and one ``UnitFacts`` per vector asked about.  A
+    non-square, non-symmetric or non-integer ``G`` or a ``den`` below 1 raises
+    ValueError."""
 
     def __init__(self, G: np.ndarray, den: int = 1):
         if G.ndim != 2 or G.shape[0] != G.shape[1] or not is_int_array(G) or den < 1:
@@ -545,7 +568,7 @@ class NormForm:
             raise ValueError("Gram matrix must be symmetric")
         G, self.den = lowest_terms(G, den)
         self.G, self.gmax = held(G)
-        self._complements: dict[tuple[int, ...], tuple[Subspace, NormForm]] = {}
+        self._units: dict[tuple, UnitFacts] = {}
 
     @cached_property
     def signature(self) -> tuple[int, int, int]:
@@ -560,9 +583,16 @@ class NormForm:
         that basis: Gram matrix b G b^T / (den s^2)."""
         return NormForm(int_einsum("ik,kl,jl->ij", b, Bounded(self.G, self.gmax), b), self.den * s * s)
 
-    def complement(self, u: Sequence[int]) -> tuple[Subspace, "NormForm"]:
-        """The kernel of G u and the form on it in its canonical basis, kept per u (``G`` is read-only)."""
-        if (key := tuple(u)) not in self._complements:
-            sub = kernel_basis(int_einsum("ij,j->i", Bounded(self.G, self.gmax), key).reshape(1, -1))
-            self._complements[key] = sub, self.restricted(*sub.cleared_basis())
-        return self._complements[key]
+    def unit_facts(self, e: Sequence) -> UnitFacts:
+        """The ``UnitFacts`` of the rational vector e, kept per e (``G`` is read-only),
+        so algebras sharing the form and their unit share them."""
+        if (key := tuple(e)) not in self._units:
+            cleared, s = clear_denominators(key)
+            u = held(np.array(cleared, dtype=object))
+            gu = int_einsum("ij,j->i", Bounded(self.G, self.gmax), u)
+            n = int(int_einsum("i,i->", u, gu))
+            # each int64 term is below 2**61 (int_dtype), so their difference fits
+            k = int_einsum(",i,j->ij", 2, u, gu) - int_einsum(",ij->ij", n, Bounded(np.eye(len(key), dtype=np.int64), 1))
+            sub = kernel_basis(gu.reshape(1, -1))
+            self._units[key] = UnitFacts(u, s, n, held(k, copy=False), (sub, self.restricted(*sub.cleared_basis())), sub.contains(u.array.reshape(1, -1)))
+        return self._units[key]

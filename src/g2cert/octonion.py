@@ -18,10 +18,11 @@ matrix ``G`` and its one denominator ``den``.  Both are held read-only
 beside their largest magnitudes ``mmax`` and ``gmax`` (``linalg.held``), and
 every product, bilinear value and identity check is a ``linalg.int_einsum``
 of them that reads those bounds.  The Zorn product runs on integer basis
-vectors.  ``SplitCayley.imaginary`` is built once per form and unit, so the
-mutants of a sweep share it.  Fractions remain only where the benchmark's
-mutation sweep and tracer use them: ``StructureConstantAlgebra(dim, mul)``
-clears a rational ``mul``, and ``mul`` and ``multiply`` return Fractions.
+vectors.  What the form and the unit fix alone, ``SplitCayley.imaginary``
+among it, is one ``linalg.UnitFacts`` per form and unit, so the mutants of a
+sweep share it.  Fractions remain only where the benchmark's mutation sweep
+and tracer use them: ``StructureConstantAlgebra(dim, mul)`` clears a rational
+``mul`` in one pass, and ``mul`` and ``multiply`` return Fractions.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .linalg import (
     Bounded,
     NormForm,
     Subspace,
-    clear_denominators,
     int_cleared,
     held,
     int_einsum,
@@ -51,11 +51,10 @@ class StructureConstantAlgebra:
     mis-shaped tensor raises ValueError."""
 
     def __init__(self, dim: int, mul):
-        tensor = np.array(mul, dtype=object) if dim else np.zeros((0, 0, 0), dtype=object)
-        if tensor.shape != (dim,) * 3:
+        M, self.den = int_cleared(mul if dim else np.zeros((0, 0, 0), dtype=np.int64))
+        if M.shape != (dim,) * 3:
             raise ValueError("structure constant tensor has wrong shape")
         self.dim = dim
-        M, self.den = int_cleared(tensor)
         self.M, self.mmax = held(M, copy=False)
 
     @cached_property
@@ -115,8 +114,8 @@ class SplitCayley:
     def imaginary(self) -> tuple[Subspace, NormForm]:
         """The orthogonal complement of the unit and the norm form restricted
         to it, in its canonical basis (signature (3,4)); built once per form
-        and unit (``NormForm.complement``), so algebras sharing both share it."""
-        pair = self.form.complement(clear_denominators(self.unit)[0])
+        and unit (``NormForm.unit_facts``), so algebras sharing both share it."""
+        pair = self.form.unit_facts(self.unit).imaginary
         assert pair[0].dim == DIM - 1
         return pair
 

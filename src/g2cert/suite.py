@@ -32,7 +32,6 @@ from .linalg import (
     Bounded,
     NormForm,
     Subspace,
-    clear_denominators,
     coordinate_map,
     int_einsum,
     lowest_terms,
@@ -245,22 +244,30 @@ def _first_word(mask: np.ndarray) -> Optional[str]:
     return "*".join(f"e{int(i) + 1}" for i in bad[0]) if len(bad) else None
 
 
+def _draws(rng: Random, count: int) -> list[int]:
+    """count draws of ``rng.randint(-9, 9)``, value for value, as CPython draws them: getrandbits(5) until below 19, minus 9."""
+    bits, out = rng.getrandbits, []
+    for _ in range(count):
+        while (r := bits(5)) >= 19:
+            pass
+        out.append(r - 9)
+    return out
+
+
 def check_cayley(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome:
     """Every identity is a comparison of two contractions of the cleared
     tensors, both sides brought to one integer scale: M = den * mul,
     G = g * gram, the unit u / s, so N(e) = n / (g s^2) with n = u^T G u, and
     conjugation K / n with K = 2 u (G u)^T - n I (so x-bar = 2 <x, e> / N(e) e - x),
-    each bounded once."""
+    each bounded once; u, s, n and K are the form's ``UnitFacts`` of the unit."""
     out = CheckOutcome()
     c = ctx.cayley
     m, den = Bounded(c.algebra.M, c.algebra.mmax), c.algebra.den
     g, gden = Bounded(c.form.G, c.form.gmax), c.form.den
-    (unit, s), eye = clear_denominators(c.unit), Bounded(np.eye(c.algebra.dim, dtype=np.int64), 1)
-    u = Bounded(np.array(unit, dtype=object), max(map(abs, unit)))
-    n = int(int_einsum("i,ij,j->", u, g, u))
+    u, s, n, k, (sub, restricted), unit_inside = c.form.unit_facts(c.unit)
 
     out.expect("unit_norm", Fraction(n, gden * s * s), Fraction(1))
-    unit_scaled = int_einsum(",jk->jk", s * den, eye)
+    unit_scaled = int_einsum(",jk->jk", s * den, Bounded(np.eye(c.algebra.dim, dtype=np.int64), 1))
     out.expect(
         "unit_is_identity",
         np.array_equal(int_einsum("i,ijk->jk", u, m), unit_scaled)
@@ -283,13 +290,10 @@ def check_cayley(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome:
 
     # conj(ab) = conj(b) conj(a) on basis pairs, times n^2 den.  conj^2 = 1
     # needs no check: K depends only on u and G, and K / n is a reflection.
-    # Each int64 term is below 2**61 (linalg's rule), so a sum of up to four fits.
-    k = int_einsum(",i,j->ij", 2, u, int_einsum("ij,j->i", g, u)) - int_einsum(",ij->ij", n, eye)
     conj_ok = np.array_equal(int_einsum(",kl,abl->abk", n, k, m), int_einsum("pb,pak->abk", k, int_einsum("qa,pqk->pak", k, m)))
     out.expect("conjugation_antiautomorphism", conj_ok, True)
 
-    rng = Random(f"{cfg.seed}/cayley")
-    draws = [rng.randint(-9, 9) for _ in range(2 * c.algebra.dim * cfg.samples)]
+    draws = _draws(Random(f"{cfg.seed}/cayley"), 2 * c.algebra.dim * cfg.samples)
     x, y = (Bounded(z, 9) for z in np.array(draws, dtype=np.int64).reshape(cfg.samples, 2, c.algebra.dim).transpose(1, 0, 2))
     xy = int_einsum("si,sj,ijk->sk", x, y, m)
     nx = int_einsum("si,ij,sj->s", x, g, x)
@@ -311,10 +315,9 @@ def check_cayley(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome:
     out.record("nonassociativity_witness", witness)
 
     out.expect("norm_signature", c.form.signature, (4, 4, 0))
-    sub, restricted = c.imaginary
     out.expect("imaginary_dim", sub.dim, 7)
     out.expect("imag_signature", restricted.signature, (3, 4, 0))
-    out.expect("unit_outside_imaginary", sub.contains(np.array([unit], dtype=object)), False)
+    out.expect("unit_outside_imaginary", unit_inside, False)
     return out
 
 
@@ -339,7 +342,7 @@ def check_derivations(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcom
     c = ctx.cayley
     a, _ = der.realization
     ga = int_einsum("ik,dkj->dij", Bounded(c.form.G, c.form.gmax), a)
-    unit_images = int_einsum("dij,j->di", a, clear_denominators(c.unit)[0])
+    unit_images = int_einsum("dij,j->di", a, c.form.unit_facts(c.unit).u)
     linear_ok = not np.any(unit_images) and not np.any(ga + ga.transpose(0, 2, 1))
     out.expect("derivations_kill_unit_and_are_skew", linear_ok, True)
 
@@ -459,10 +462,8 @@ def check_maximality(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome
     seeds = [tuple(int(i == k) for i in range(v.dim)) for k in range(v.dim)]
     rng = Random(f"{cfg.seed}/maximality")
     for _ in range(cfg.samples):
-        while True:
-            coords = tuple(rng.randint(-9, 9) for _ in range(v.dim))
-            if any(coords):
-                break
+        while not any(coords := tuple(_draws(rng, v.dim))):
+            pass
         seeds.append(coords)
     # every seed's generation in one call: a batched rank mod p, exact only where it falls short
     outcomes = [certify(c, g) for c, g in zip(seeds, submodule_generated(vmod, np.array(seeds, dtype=np.int64)))]

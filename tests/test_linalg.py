@@ -935,6 +935,7 @@ def test_rank_matches_rref(m):
         [],
         np.zeros((0, 3), dtype=object),
         np.zeros((2, 0), dtype=np.int64),
+        [np.array([2**62, -1]), np.array([Fraction(1, 3), 4], dtype=object)],  # arrays nested in a list
     ],
 )
 def test_int_cleared_matches_the_three_pass_reference(values):
@@ -942,6 +943,23 @@ def test_int_cleared_matches_the_three_pass_reference(values):
     assert (got[0].shape, got[0].dtype, got[1]) == (want[0].shape, want[0].dtype, want[1])
     assert got[0].tolist() == want[0].tolist()
     assert [type(x) for x in got[0].flat] == [type(x) for x in want[0].flat]
+
+
+def test_int_cleared_reads_numpy_integers_as_python_ints():
+    """A numpy integer beside a Fraction is scaled as a Python int, which
+    cannot wrap past 2**63."""
+    for values, want in (
+        ([np.int64(2**62), Fraction(1, 3)], ([3 * 2**62, 1], 3)),
+        (np.array([np.uint64(2**63), Fraction(-1, 2)], dtype=object), ([2**64, -1], 2)),
+    ):
+        a, den = int_cleared(values)
+        assert (a.tolist(), den) == want and {type(x) for x in a.flat} == {int}
+
+
+@pytest.mark.parametrize("values", [[[1, 2], [3]], [[1, [2]], [3, 4]], [1, [2]], [[[1]], [2]], [np.array([1, 2]), [3]]])
+def test_int_cleared_rejects_a_ragged_nesting(values):
+    with pytest.raises(ValueError, match="ragged"):
+        int_cleared(values)
 
 
 def test_int_cleared_of_the_cayley_constants_matches_the_three_pass_reference():

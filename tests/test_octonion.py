@@ -180,3 +180,50 @@ def test_one_complement_per_form_and_unit(monkeypatch):
     assert other_unit.imaginary[0] != a.imaginary[0] and len(calls) == 2
     assert other_form.imaginary is not a.imaginary and len(calls) == 3
     assert other_form.imaginary[0] == a.imaginary[0] and other_form.imaginary[1].G.tolist() == a.imaginary[1].G.tolist()
+
+
+def test_int64_constants_are_copied_not_frozen():
+    """An integer array is read without clearing, into a copy: the caller's
+    array stays writeable and unaliased, and writing to it changes nothing."""
+    m = build_split_cayley().algebra.M.copy()
+    alg = StructureConstantAlgebra(8, m)
+    assert m.flags.writeable and not alg.M.flags.writeable
+    assert not np.shares_memory(m, alg.M) and alg.M.dtype == np.int64 and alg.den == 1
+    m[0, 0, 0] = 5
+    assert alg.M[0, 0, 0] == 1 and alg.mul[0][0][0] == 1
+
+
+def test_int64_constants_past_the_int64_rule_become_python_ints():
+    """int_dtype's rule holds on the integer path too: an entry of 2**61 or
+    more comes out as object dtype, every entry a Python int."""
+    m = build_split_cayley().algebra.M.copy()
+    m[2, 3, 4] = 2**61
+    alg = StructureConstantAlgebra(8, m)
+    assert alg.M.dtype == object and alg.mmax == 2**61 and alg.den == 1
+    assert {type(x) for x in alg.M.flat} == {int} and alg.M.tolist() == m.tolist()
+
+
+@pytest.mark.parametrize(
+    "mul",
+    [
+        [[[0] * 8] * 8] * 7,  # one row short
+        [[[0] * 8] * 8] * 7 + [[[0] * 8] * 7 + [[0] * 7]],  # one product short
+        [[[0] * 8] * 8] * 7 + [[[0] * 8] * 7 + [[0] * 7 + [[0]]]],  # a leaf nested one level deeper
+        [[[[0] * 8] * 8] * 8],  # one level too many
+        np.zeros((8, 8, 7), dtype=np.int64),
+        np.zeros((8, 8, 8, 1), dtype=object),
+    ],
+)
+def test_a_ragged_or_misshaped_tensor_is_rejected(mul):
+    with pytest.raises(ValueError):
+        StructureConstantAlgebra(8, mul)
+
+
+def test_float_and_numpy_scalar_constants_go_through_fraction():
+    """Leaves that are neither ints nor Fractions are read as Fraction(x)."""
+    base = build_split_cayley().algebra
+    mul = [[list(p) for p in row] for row in base.M.tolist()]
+    mul[0][0][0], mul[2][3][0], mul[7][7][1] = 0.5, np.int64(-3), np.float64(0.25)
+    alg = StructureConstantAlgebra(8, mul)
+    assert alg.den == 4 and alg.mul[0][0][0] == Fraction(1, 2) and alg.mul[2][3][0] == -3 and alg.mul[7][7][1] == Fraction(1, 4)
+    assert {type(x) for x in alg.M.flat} == {np.int64}

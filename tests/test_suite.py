@@ -5,6 +5,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from random import Random
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +17,7 @@ import g2cert.linalg as linalg
 from g2cert import lie, octonion, reps, suite, weyl
 from g2cert.lie import derivation_algebra, killing_form, so_of_form
 from g2cert.linalg import NormForm, Subspace, int_cleared, int_einsum, kernel_basis, signature
-from g2cert.octonion import build_split_cayley
+from g2cert.octonion import SplitCayley, build_split_cayley
 from g2cert.reps import LieModule
 from g2cert.report import exit_code, render_text, serialize, summarize
 from g2cert.suite import (
@@ -27,6 +28,7 @@ from g2cert.suite import (
     SuiteConfig,
     CheckOutcome,
     VerificationContext,
+    _draws,
     _proportionality,
     check_cayley,
     check_invariant_form,
@@ -376,6 +378,50 @@ def test_maximality_matches_the_always_close_path(ctx, monkeypatch, seed, sample
     assert shortcut.status == always_close.status == "pass"
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 123, 2**64 - 1])
+def test_draws_are_the_randint_draws(seed):
+    """_draws(rng, count) is [rng.randint(-9, 9) for _ in range(count)] value
+    for value, and leaves rng in the same state, at the lengths of both call
+    sites: 2 * 8 * samples for the cayley samples, 7 per maximality seed."""
+    for tag, count in (("cayley", 2 * 8 * 5), ("cayley", 2 * 8 * 100), ("maximality", 7), ("maximality", 0)):
+        rng, ref = Random(f"{seed}/{tag}"), Random(f"{seed}/{tag}")
+        for _ in range(3):
+            assert _draws(rng, count) == [ref.randint(-9, 9) for _ in range(count)]
+            assert rng.getstate() == ref.getstate()
+
+
+class _ZeroFirst(Random):
+    """A Random whose first eight five-bit draws are scripted: seven 9s, so
+    that randint(-9, 9) first yields the zero vector of length 7, then 31, a
+    value randint rejects and draws again."""
+
+    def __init__(self, x):
+        self.script = [9] * 7 + [31]
+        super().__init__(x)
+
+    def getrandbits(self, k):
+        return self.script.pop(0) if self.script else super().getrandbits(k)
+
+
+def test_maximality_redraws_the_zero_vector_as_randint_does(ctx, monkeypatch):
+    """The maximality samples are the randint loop's, a zero vector redrawn:
+    the seeds handed to submodule_generated after the 7 basis vectors equal a
+    loop of randint(-9, 9) on the same source, whose first draw is zero."""
+    ref, expected, redrawn = _ZeroFirst("4/maximality"), [], 0
+    while len(expected) < 5:
+        coords = [ref.randint(-9, 9) for _ in range(7)]
+        if any(coords):
+            expected.append(coords)
+        else:
+            redrawn += 1
+    assert redrawn == 1
+    seen, real = [], suite.submodule_generated
+    monkeypatch.setattr(suite, "Random", _ZeroFirst)
+    monkeypatch.setattr(suite, "submodule_generated", lambda v, vecs: seen.append(vecs.tolist()) or real(v, vecs))
+    assert check_maximality(ctx, SuiteConfig(seed=4, samples=5)).status == "pass"
+    assert seen[0][7:] == expected
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SuiteConfig(seed=-1)
@@ -493,6 +539,35 @@ def test_a_run_builds_each_bracket_once(monkeypatch):
     ctx = VerificationContext()
     assert {r.status for r in run_all(SuiteConfig(), ctx=ctx)} == {"pass"}
     assert sorted(map(id, built)) == sorted(map(id, (ctx.derivations, ctx.so34)))
+
+
+def test_form_and_unit_facts_are_built_once_per_form(monkeypatch):
+    """n, K and the unit's membership verdict depend on the form and the unit
+    alone: eight mutants sharing the pristine pair build that record once,
+    through derivation_algebra and the cayley and derivations checks.  A
+    basis twin and the compact octonions, each with its own form, build their
+    own, and their cayley witnesses are the loop reference's (which decides
+    membership itself)."""
+    built, record = [], linalg.UnitFacts
+    monkeypatch.setattr(linalg, "UnitFacts", lambda *fields: built.append(record(*fields)) or built[-1])
+    membership, contains = [], Subspace.contains
+    monkeypatch.setattr(Subspace, "contains", lambda sub, other: membership.append(other) or contains(sub, other))
+    base, cfg = build_split_cayley(), SuiteConfig(samples=5, checks=("cayley", "derivations"))
+    for changes in ({(2, 3, 0): 1}, {(0, 0, 0): -1}, {(2, 3, 7): 1}, {(2, 3, 7): -1}, {(0, 1, 0): 1}, {(5, 6, 2): 1}, {(7, 7, 1): -1}, {(3, 2, 4): 1}):
+        cand = SplitCayley(cayley_mutant(changes).algebra, base.form, base.unit)
+        ctx = VerificationContext(cayley_candidate=cand, derivations_candidate=derivation_algebra(cand.algebra))
+        assert [r.status for r in run_all(cfg, ctx=ctx)] == ["fail", "fail"]
+    assert len(built) == len(membership) == 1
+    facts = built[0]
+    assert (facts.n, facts.s, facts.inside) == (2, 1, False) and facts.u.array.tolist() == list(base.unit)
+    assert facts.K.array.tolist() == (2 * np.outer(base.unit, base.form.G @ base.unit) - 2 * np.eye(8, dtype=int)).tolist()
+    assert not facts.K.array.flags.writeable and base.imaginary is facts.imaginary
+    for other in (cayley_in_basis(unimodular(2)), compact_octonions()):
+        got = check_cayley(VerificationContext(cayley_candidate=other), SuiteConfig(seed=3, samples=5))
+        want = reference_check_cayley(other, SuiteConfig(seed=3, samples=5))
+        assert _typed(got.witnesses) == _typed(want.witnesses) and got.failed == want.failed
+        assert built[-1] is other.form.unit_facts(other.unit) and built[-1].imaginary is other.imaginary
+    assert len(built) == 3
 
 
 def reference_check_cayley(c, cfg):
