@@ -32,7 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--check", metavar="ID", help="run one check and its dependencies")
     verify.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     verify.add_argument("--samples", type=int, default=100, help="random sample count (default 100)")
-    verify.add_argument("--census-bound", type=int, default=10, help="weight census bound (default 10)")
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--out", metavar="PATH", help="write the report to a file")
 
@@ -63,12 +62,7 @@ def _frac_str(x: Fraction) -> str:
 def _cmd_verify(args) -> int:
     checks = None if args.all else (args.check,)
     try:
-        cfg = SuiteConfig(
-            seed=args.seed,
-            samples=args.samples,
-            census_bound=args.census_bound,
-            checks=checks,
-        )
+        cfg = SuiteConfig(seed=args.seed, samples=args.samples, checks=checks)
         reports = run_all(cfg)
     except KeyError:
         print(

@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -117,10 +117,11 @@ def held(a: np.ndarray, copy: bool = True) -> Bounded:
 
 
 def int_cleared(values) -> tuple[np.ndarray, int]:
-    """A nested sequence or array of rationals (ints, Fractions, or else read
-    through Fraction(x)) as one integer array a of the same shape and the least
-    den > 0 with a == den * values; int64 or Python ints as ``int_dtype`` decides.
-    An integer array is copied; the rest is read in one pass (ragged: ValueError)."""
+    """A nested sequence or array of exact rationals (ints, numpy integers read
+    as ints, Fractions; any other leaf: TypeError) as one integer array a of the
+    same shape and the least den > 0 with a == den * values; int64 or Python ints
+    as ``int_dtype`` decides.  An integer array is copied; the rest is read in
+    one pass (ragged: ValueError)."""
     if isinstance(values, np.ndarray):
         if values.dtype.kind in "iu":
             return values.astype(int_dtype(max_abs(values))), 1
@@ -137,7 +138,9 @@ def int_cleared(values) -> tuple[np.ndarray, int]:
     if not set(map(type, flat)) <= {int, Fraction}:
         if any(isinstance(x, (list, tuple, np.ndarray)) for x in flat):
             raise ValueError("a ragged nested sequence has no array shape")
-        flat = [x if isinstance(x, (int, Fraction)) else Fraction(int(x) if isinstance(x, np.integer) else x) for x in flat]
+        if not all(isinstance(x, (int, Fraction, np.integer)) for x in flat):
+            raise TypeError("a rational entry must be an int, a numpy integer or a Fraction")
+        flat = [int(x) if isinstance(x, np.integer) else x for x in flat]
     ints, den = clear_denominators(flat)
     return np.array(ints, dtype=int_dtype(max(max(ints, default=0), -min(ints, default=0)))).reshape(shape), den
 
@@ -472,26 +475,6 @@ def int_inverse(a: np.ndarray) -> tuple[list[int], np.ndarray, int]:
     d = math.lcm(*(r[c] for r, c in zip(rows, pivots)))
     x = [[v * (d // r[c]) for v in r[n:]] for r, c in zip(rows, pivots)]
     return pivots, np.array(x, dtype=int_dtype(max((abs(v) for r in x for v in r), default=0))).reshape(k, k), d
-
-
-def coordinate_map(family: np.ndarray) -> Callable[[np.ndarray], Optional[tuple[np.ndarray, int]]]:
-    """Coordinates relative to a linearly independent family of integer rows
-    (not to the canonical basis of its span).  The returned map takes a 2-D
-    integer array v of rows and gives (x, d) with v = (x / d) family, or None
-    when a row of v lies outside the span.
-
-    ``int_inverse`` (one elimination of [family | I]) gives x / d =
-    v[:, pivots] (family[:, pivots])^-1, and x family = d v is the exact
-    membership check."""
-    pivots, inv, den = int_inverse(family)
-
-    def coords(v: np.ndarray) -> Optional[tuple[np.ndarray, int]]:
-        x = int_einsum("ip,pk->ik", v[:, pivots], inv)
-        if not np.array_equal(int_einsum("ik,kn->in", x, family), int_einsum(",in->in", den, v)):
-            return None
-        return x, den
-
-    return coords
 
 
 def rank(m: np.ndarray) -> int:

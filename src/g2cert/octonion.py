@@ -48,7 +48,7 @@ class StructureConstantAlgebra:
     """A finite-dimensional (not necessarily associative) algebra given by
     structure constants e_i e_j = sum_k mul[i][j][k] e_k, held only as
     ``M`` = den * mul, read-only beside its bound ``mmax``, and ``den``.  A
-    mis-shaped tensor raises ValueError."""
+    mis-shaped tensor raises ValueError, an inexact constant TypeError."""
 
     def __init__(self, dim: int, mul):
         M, self.den = int_cleared(mul if dim else np.zeros((0, 0, 0), dtype=np.int64))

@@ -32,8 +32,8 @@ from .linalg import (
     Bounded,
     NormForm,
     Subspace,
-    coordinate_map,
     int_einsum,
+    int_inverse,
     lowest_terms,
     rank,
 )
@@ -58,32 +58,35 @@ from .reps import (
 from .report import normalize_witnesses
 
 
-# Caps on the two size inputs, checked before any work starts.  On one x86-64
+# Cap on the sample count, checked before any work starts.  On one x86-64
 # Xeon core a maximality sample costs 0.017 ms in the batched generation, and
 # at worst 1.4 ms (an exact generation and a closure), so MAX_SAMPLES bounds
 # that loop at 0.2 s (14 s at worst) and its one-step systems (10,007 x 15 x 7
-# int64, 8.4 MB) at a 25 MB peak; the census takes (bound + 1)^2 G2 weights.
+# int64, 8.4 MB) at a 25 MB peak.
 MAX_SAMPLES = 10_000
-MAX_CENSUS_BOUND = 100
+
+# Coefficient bound of the G2 weight census.  The Weyl dimension strictly
+# increases in each coefficient (Humphreys 1972, 24.3), and (2,0) and (0,2)
+# have dimensions 27 and 77, so every weight outside a grid of bound >= 1 has
+# dimension at least 27: any such bound gives the same verdicts below 27.
+CENSUS_BOUND = 10
 
 
 class SuiteConfig:
     """Everything a run depends on; equal configs give byte-identical reports."""
 
-    __slots__ = ("seed", "samples", "census_bound", "checks")
+    __slots__ = ("seed", "samples", "checks")
 
-    def __init__(self, seed: int = 0, samples: int = 100, census_bound: int = 10, checks: Optional[tuple[str, ...]] = None):
-        if any(type(v) is not int for v in (seed, samples, census_bound)):
-            raise ValueError("seed, samples and census bound must be ints")
+    def __init__(self, seed: int = 0, samples: int = 100, checks: Optional[tuple[str, ...]] = None):
+        if any(type(v) is not int for v in (seed, samples)):
+            raise ValueError("seed and samples must be ints")
         if checks is not None and not (type(checks) is tuple and all(type(c) is str for c in checks)):
             raise ValueError("checks must be None or a tuple of check ids")
         if not (0 <= seed < 2**64):
             raise ValueError("seed must fit in 64 unsigned bits")
         if not (0 <= samples <= MAX_SAMPLES):
             raise ValueError(f"samples must be between 0 and {MAX_SAMPLES}")
-        if not (1 <= census_bound <= MAX_CENSUS_BOUND):
-            raise ValueError(f"census bound must be between 1 and {MAX_CENSUS_BOUND}")
-        self.seed, self.samples, self.census_bound, self.checks = seed, samples, census_bound, checks
+        self.seed, self.samples, self.checks = seed, samples, checks
 
 
 class CheckReport(NamedTuple):
@@ -138,14 +141,12 @@ class VerificationContext:
     def imaginary(self) -> tuple[Subspace, NormForm]:
         return self.cayley.imaginary
 
-    def g2_census(self, bound: int):
-        """The Weyl dimension census of type G2 up to the coefficient bound."""
+    @_stage
+    def g2_census(self):
+        """The Weyl dimension census of type G2 up to ``CENSUS_BOUND``."""
         from .weyl import cartan_type, dimension_census, root_system
 
-        key = f"census{bound}"
-        if key not in self._cache:
-            self._cache[key] = dimension_census(root_system(cartan_type("G2")), bound)
-        return self._cache[key]
+        return dimension_census(root_system(cartan_type("G2")), CENSUS_BOUND)
 
     @_stage
     def natural_rep(self) -> LieModule:
@@ -206,13 +207,11 @@ class VerificationContext:
         coordinates, as the rows of X / den in lowest terms, so Killing forms
         can be compared in one basis."""
         e, e_den = self.embedding
-        b, s = self.g2_image.cleared_basis()
-        solved = coordinate_map(e)(b)
-        if solved is None:
-            raise ValueError("image basis vector outside the embedding")
-        # b / s = (x / d) e / s, and e = e_den * embedding
-        x, d = solved
-        return lowest_terms(int_einsum(",ij->ij", e_den, x), d * s)
+        # Lemma: the rows of e span the image (its basis b / s is their
+        # canonical basis), so they have coordinates: s e = x b.  Then
+        # b / s = x^-1 e, and e = e_den * embedding.
+        _, inv, d = int_inverse(self.g2_image.coordinates(e))
+        return lowest_terms(int_einsum(",ij->ij", e_den, inv), d)
 
 
 class CheckOutcome:
@@ -346,10 +345,10 @@ def check_derivations(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcom
     linear_ok = not np.any(unit_images) and not np.any(ga + ga.transpose(0, 2, 1))
     out.expect("derivations_kill_unit_and_are_skew", linear_ok, True)
 
-    census = ctx.g2_census(cfg.census_bound)
+    census = ctx.g2_census
     dims = dict(census.entries)
     out.expect("fundamental_dims", (dims[(1, 0)], dims[(0, 1)]), (7, 14))
-    out.record("census_bound", cfg.census_bound)
+    out.record("census_bound", CENSUS_BOUND)
     below = [(list(w), d) for w, d in census.entries if d < 14 and any(w)]
     out.expect("nontrivial_dims_below_14", below, [([1, 0], 7)])
     out.expect("census_monotone", census.monotone, True)
@@ -425,7 +424,7 @@ def check_recognition(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcom
     out.expect("census_dim21", census, ["B3", "C3"])
     out.expect("census_dim21_rank3", [x for x in census if int(x[1:]) <= 3], ["B3", "C3"])
 
-    six = [list(w) for w, d in ctx.g2_census(cfg.census_bound).entries if d == 6]
+    six = [list(w) for w, d in ctx.g2_census.entries if d == 6]
     out.expect("six_dim_weights", six, [])
 
     forms = ctx.natural_forms

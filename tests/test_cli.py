@@ -108,7 +108,8 @@ def test_dims_blank_type_exits_2(capsys, label):
 
 def test_over_cap_inputs_exit_2_before_any_work(capsys, monkeypatch):
     """dims --type E8 --max-coeff 10 would enumerate 11^8 (about 2e8)
-    weights; it and over-cap verify options are rejected up front."""
+    weights; it, an over-cap sample count and the census bound, which is a
+    constant and no option, are rejected up front."""
 
     def never(*_args, **_kwargs):
         raise AssertionError("over-cap input reached the exponential work")
@@ -119,8 +120,8 @@ def test_over_cap_inputs_exit_2_before_any_work(capsys, monkeypatch):
     assert code == 2 and "cap" in err
     code, _, err = run_cli(capsys, "verify", "--all", "--samples", str(suite.MAX_SAMPLES + 1))
     assert code == 2 and "samples" in err
-    code, _, err = run_cli(capsys, "verify", "--all", "--census-bound", str(suite.MAX_CENSUS_BOUND + 1))
-    assert code == 2 and "census bound" in err
+    code, _, err = run_cli(capsys, "verify", "--all", "--census-bound", "5")
+    assert code == 2 and "unrecognized arguments: --census-bound 5" in err
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,6 @@ from g2cert.linalg import (
     _independent_rows,
     _unforced_columns,
     clear_denominators,
-    coordinate_map,
     int_cleared,
     int_dtype,
     int_einsum,
@@ -928,9 +928,8 @@ def test_rank_matches_rref(m):
         [[Fraction(1, 2), Fraction(-3)], [Fraction(5, 6), 0]],
         [2**70, Fraction(-1, 3), 7],  # Python ints past int64
         [True, 2, Fraction(1, 4)],  # an int subclass
-        np.array([np.int64(3), np.int32(-4), 5], dtype=object),  # numpy ints, through Fraction
+        np.array([np.int64(3), np.int32(-4), 5], dtype=object),  # numpy ints, read as ints
         np.array([[3, -4]], dtype=np.int64),
-        [0.5, -0.25, 3.0, np.float64(1.5)],  # floats, through Fraction
         Fraction(3, 4),  # a 0-d array
         [],
         np.zeros((0, 3), dtype=object),
@@ -959,6 +958,14 @@ def test_int_cleared_reads_numpy_integers_as_python_ints():
 @pytest.mark.parametrize("values", [[[1, 2], [3]], [[1, [2]], [3, 4]], [1, [2]], [[[1]], [2]], [np.array([1, 2]), [3]]])
 def test_int_cleared_rejects_a_ragged_nesting(values):
     with pytest.raises(ValueError, match="ragged"):
+        int_cleared(values)
+
+
+@pytest.mark.parametrize("values", [[0.1], [1, "1/3"], [[Fraction(1, 2)], [Decimal("0.5")]], np.array([0.5, 1.0]), [np.float64(2.0)]])
+def test_int_cleared_rejects_an_inexact_leaf(values):
+    """Only ints, numpy integers and Fractions are exact rationals as given;
+    0.1 would otherwise be read as 3602879701896397 / 2**55."""
+    with pytest.raises(TypeError):
         int_cleared(values)
 
 
@@ -1004,16 +1011,6 @@ def test_norm_form_is_held_in_lowest_terms():
     restricted = form.restricted(np.array([[1, 1]]), 2)
     assert (restricted.G.tolist(), restricted.den) == ([[2]], 3)
     assert not NormForm(np.diag([1, 0])).nondegenerate
-
-
-def test_coordinate_map_is_relative_to_the_family():
-    family = np.array([[2, 0, 2], [0, 3, 3]])
-    coords = coordinate_map(family)
-    x, d = coords(np.array([[2, 3, 5], [1, 0, 1], [0, -1, -1]]))
-    assert [[Fraction(int(v), d) for v in row] for row in x.tolist()] == [[1, 1], [Fraction(1, 2), 0], [0, Fraction(-1, 3)]]
-    assert coords(np.array([[2, 3, 5], [1, 1, 1]])) is None  # the second row is outside
-    with pytest.raises(ValueError):
-        coordinate_map(np.array([[1, 2], [2, 4]]))
 
 
 def assert_inverse_certificate(a):

@@ -1,5 +1,6 @@
 import json
 import pathlib
+from decimal import Decimal
 from fractions import Fraction
 from random import Random
 
@@ -219,11 +220,19 @@ def test_a_ragged_or_misshaped_tensor_is_rejected(mul):
         StructureConstantAlgebra(8, mul)
 
 
-def test_float_and_numpy_scalar_constants_go_through_fraction():
-    """Leaves that are neither ints nor Fractions are read as Fraction(x)."""
+def test_inexact_constants_are_rejected_and_numpy_integers_read_as_ints():
+    """A numpy integer leaf is read as the Python int it holds; a float, a
+    string or a Decimal leaf is not an exact rational the caller wrote, and
+    raises TypeError (0.1 would otherwise be 3602879701896397 / 2**55)."""
     base = build_split_cayley().algebra
     mul = [[list(p) for p in row] for row in base.M.tolist()]
-    mul[0][0][0], mul[2][3][0], mul[7][7][1] = 0.5, np.int64(-3), np.float64(0.25)
+    mul[2][3][0] = np.int64(-3)
     alg = StructureConstantAlgebra(8, mul)
-    assert alg.den == 4 and alg.mul[0][0][0] == Fraction(1, 2) and alg.mul[2][3][0] == -3 and alg.mul[7][7][1] == Fraction(1, 4)
+    assert alg.den == 1 and alg.mul[2][3][0] == -3
     assert {type(x) for x in alg.M.flat} == {np.int64}
+    for leaf in (0.5, np.float64(0.25), "1/3", Decimal("0.5")):
+        mul[7][7][1] = leaf
+        with pytest.raises(TypeError):
+            StructureConstantAlgebra(8, mul)
+    with pytest.raises(TypeError):
+        StructureConstantAlgebra(1, [[[0.1]]])

@@ -22,7 +22,6 @@ from g2cert.reps import LieModule
 from g2cert.report import exit_code, render_text, serialize, summarize
 from g2cert.suite import (
     CHECK_IDS,
-    MAX_CENSUS_BOUND,
     MAX_SAMPLES,
     CheckReport,
     SuiteConfig,
@@ -51,7 +50,7 @@ from conftest import (
     unimodular,
 )
 
-FAST = SuiteConfig(seed=0, samples=5, census_bound=10)
+FAST = SuiteConfig(seed=0, samples=5)
 
 
 @pytest.fixture(scope="module")
@@ -106,9 +105,10 @@ def _strip_timing(payload: bytes) -> bytes:
 
 
 def test_shared_objects_built_once_per_run(monkeypatch):
-    """A full run builds the adjoint module of so(3,4) once and solves for the
-    natural module's invariant forms once; Killing forms are cached.  Every
-    module of a run is built by lemma, through ``LieModule._raw``."""
+    """A full run builds the adjoint module of so(3,4) once, solves for the
+    natural module's invariant forms once and takes the G2 weight census once,
+    at ``CENSUS_BOUND``; Killing forms are cached.  Every module of a run is
+    built by lemma, through ``LieModule._raw``."""
     built = []
     raw = LieModule._raw.__func__
 
@@ -123,11 +123,15 @@ def test_shared_objects_built_once_per_run(monkeypatch):
         forms_calls.append(v)
         return forms(v)
 
+    census_bounds = []
+    census = weyl.dimension_census
     monkeypatch.setattr(LieModule, "_raw", classmethod(counting_raw))
     monkeypatch.setattr(suite, "invariant_bilinear_forms", counting_forms)
+    monkeypatch.setattr(weyl, "dimension_census", lambda rs, bound: census_bounds.append(bound) or census(rs, bound))
     ctx = VerificationContext()
     reports = run_all(SuiteConfig(samples=5), ctx=ctx)
     assert [r.status for r in reports] == ["pass"] * 8
+    assert census_bounds == [suite.CENSUS_BOUND]
     so34 = ctx.so34
     ad_stack = so34.C.transpose(0, 2, 1)
     assert sum(alg is so34 and np.array_equal(a, ad_stack) for alg, a in built) == 1
@@ -186,6 +190,25 @@ def test_embedding_keeps_the_realization_denominator():
     assert ctx.cayley is cayley and ctx.so34.realization[1] != 1
     module = ctx.so34_as_g2_module
     LieModule(ctx.derivations, module.A, module.den)
+
+
+@pytest.mark.parametrize("seed", [None, 2, 4])
+def test_image_basis_change_writes_the_image_basis_in_derivation_coordinates(ctx, seed):
+    """(x, d) = image_basis_change, in lowest terms, gives the image's cleared
+    basis b / s as x / d times the embedding rows e / e_den: d e_den b = s x e.
+    The pristine embedding rows are that basis, so the stage is (I, 1); in a
+    unimodular basis (seed) they are not, and d != 1."""
+    if seed is not None:
+        ctx = VerificationContext(cayley_candidate=cayley_in_basis(unimodular(seed)))
+    x, d = ctx.image_basis_change
+    e, e_den = ctx.embedding
+    b, s = ctx.g2_image.cleared_basis()
+    assert np.array_equal(int_einsum(",ij->ij", d * e_den, b), int_einsum(",ik,kj->ij", s, x, e))
+    assert math.gcd(d, *map(int, x.flat)) == 1
+    if seed is None:
+        assert (x.tolist(), d) == (np.eye(14, dtype=int).tolist(), 1)
+    else:
+        assert d != 1  # the new basis reached the stage
 
 
 def _by_id(reports):
@@ -296,12 +319,6 @@ def test_seed_variation_leaves_check_reports_identical(ctx):
     b = run_all(SuiteConfig(seed=99, samples=4, checks=("cayley",)), ctx=ctx)[0]
     assert a.witnesses == b.witnesses
     assert a.status == b.status == "pass"
-
-
-def test_reduced_census_bound_still_passes(ctx):
-    reports = run_all(SuiteConfig(samples=3, census_bound=1, checks=("derivations",)), ctx=ctx)
-    assert reports[0].status == "pass"
-    assert reports[0].witnesses["census_bound"] == 1
 
 
 def test_maximality_basis_only(ctx):
@@ -429,13 +446,11 @@ def test_config_validation():
         SuiteConfig(seed=2**64)
     with pytest.raises(ValueError):
         SuiteConfig(samples=-1)
-    with pytest.raises(ValueError):
-        SuiteConfig(census_bound=0)
-    SuiteConfig(samples=MAX_SAMPLES, census_bound=MAX_CENSUS_BOUND)
+    SuiteConfig(samples=MAX_SAMPLES)
     with pytest.raises(ValueError):
         SuiteConfig(samples=MAX_SAMPLES + 1)
-    with pytest.raises(ValueError):
-        SuiteConfig(census_bound=MAX_CENSUS_BOUND + 1)
+    with pytest.raises(TypeError):  # the census bound is the constant suite.CENSUS_BOUND
+        SuiteConfig(census_bound=10)
 
 
 @pytest.mark.parametrize(
@@ -446,8 +461,6 @@ def test_config_validation():
         {"seed": np.int64(1)},
         {"samples": 2.5},
         {"samples": "5"},
-        {"census_bound": 10.0},
-        {"census_bound": False},
         {"checks": "cayley"},
         {"checks": ["cayley"]},
         {"checks": ("cayley", 1)},

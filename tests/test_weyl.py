@@ -75,6 +75,23 @@ def test_census_g2_small_dimensions(g2):
     assert all(d != 6 for _, d in census.entries)
 
 
+def test_g2_census_of_bound_1_is_complete_below_27(g2):
+    """Why the suite's census bound is a constant: the bound-1 grid lists 7
+    at (1,0) and 14 at (0,1) and is monotone, and the Weyl dimension strictly
+    increases in each coefficient, so every weight outside it, some
+    coefficient at least 2, has dimension at least that of (2,0) or (0,2),
+    27 and 77.  Every grid of bound >= 1 therefore lists the same dimensions
+    below 27 as the suite's bound 10: none is 6, and 7 is the only nontrivial
+    one below 14."""
+    small = dimension_census(g2, 1)
+    assert small.monotone
+    assert dict(small.entries)[(1, 0)] == 7 and dict(small.entries)[(0, 1)] == 14
+    assert (weyl_dimension(g2, (2, 0)), weyl_dimension(g2, (0, 2))) == (27, 77)
+    below_27 = [(w, d) for w, d in dimension_census(g2, 10).entries if d < 27]
+    assert below_27 == [(w, d) for w, d in small.entries if d < 27]
+    assert [d for _, d in below_27] == [1, 7, 14]
+
+
 def test_census_sorted_by_dimension(g2):
     census = dimension_census(g2, 3)
     dims = [d for _, d in census.entries]
