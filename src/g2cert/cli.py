@@ -43,14 +43,12 @@ def build_parser() -> argparse.ArgumentParser:
     show_sub.add_parser("decomposition", help="summands of so(3,4) under the embedded algebra")
 
     dims = sub.add_parser("dims", help="irreducible dimensions by the Weyl formula")
-    dims.add_argument("--type", required=True, metavar="T", help='type label, e.g. "G2" or "B"')
-    dims.add_argument("--rank", type=int, help="rank when the label has no number")
+    dims.add_argument("--type", required=True, metavar="T", help='type label, e.g. "G2" or "B3"')
     dims.add_argument("--max-coeff", type=int, required=True, help="weight coefficient bound")
     dims.add_argument("--format", choices=("text", "json"), default="text")
 
     census = sub.add_parser("census", help="simple complex types of a given dimension")
     census.add_argument("--dim", type=int, required=True)
-    census.add_argument("--max-rank", type=int, default=8)
     census.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
@@ -136,7 +134,7 @@ def _cmd_dims(args) -> int:
     from .weyl import cartan_type, dimension_census, root_system
 
     try:
-        ct = cartan_type(args.type, args.rank)
+        ct = cartan_type(args.type)
         rs = root_system(ct)
         census = dimension_census(rs, args.max_coeff)
     except ValueError as exc:
@@ -161,12 +159,12 @@ def _cmd_census(args) -> int:
     from .weyl import simple_algebra_census
 
     try:
-        labels = simple_algebra_census(args.dim, args.max_rank)
+        labels = simple_algebra_census(args.dim)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     if args.format == "json":
-        print(json.dumps({"dim": args.dim, "max_rank": args.max_rank, "types": labels}))
+        print(json.dumps({"dim": args.dim, "types": labels}))
     else:
         print(" ".join(labels) if labels else "(none)")
     return 0

@@ -58,12 +58,13 @@ _GCD_STRIP_BOUND = 1 << 96
 
 # Matrix, RrefResult and rref have no caller in src/: bench/tracer.py wraps them by name and tests use them as oracles (ROADMAP item 2).
 class Matrix:
-    """A matrix with Fraction entries, inverted by ``int_inverse``."""
+    """A matrix with Fraction entries, read by ``int_cleared``, inverted by ``int_inverse``."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        self.rows = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row) for row in rows)
+        a, d = int_cleared([list(row) for row in rows])
+        self.rows = tuple(tuple(Fraction(int(x), d) for x in row) for row in a)
 
     def inverse(self) -> "Matrix":
         """d a^-1 = d x / e for self = a / d; ValueError if self is singular (its rows are dependent)."""

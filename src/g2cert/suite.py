@@ -420,7 +420,7 @@ def check_recognition(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcom
     rigid = transporter_into(ctx.so34, ctx.complement)
     out.expect("rigidity_kernel_dim", rigid.dim, 0)
 
-    census = simple_algebra_census(21, 8)
+    census = simple_algebra_census(21)
     out.expect("census_dim21", census, ["B3", "C3"])
     out.expect("census_dim21_rank3", [x for x in census if int(x[1:]) <= 3], ["B3", "C3"])
 

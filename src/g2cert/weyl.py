@@ -10,6 +10,7 @@ The overall scale of the form cancels in every dimension computed here.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import NamedTuple, Sequence
 
 from .linalg import signature
@@ -20,10 +21,14 @@ from .linalg import signature
 MAX_CENSUS_WEIGHTS = 100_000
 
 # Cap on the rank of a Cartan type, checked before any Cartan matrix or root
-# system is built.  A census over every rank up to R grows like R^5 (0.6 s at
-# R = 16 and 1.4 s at R = 20 on one x86-64 core), and a dimension census of
-# rank 17 or more is over the weight cap anyway, since 2^17 > MAX_CENSUS_WEIGHTS.
+# system is built.  A dimension census of rank 17 or more is over the weight
+# cap anyway, since 2^17 > MAX_CENSUS_WEIGHTS.
 MAX_RANK = 16
+
+# Cap on the dimension simple_algebra_census decides, checked before any
+# Cartan matrix is built.  A_r, of dimension r(r + 2), is the smallest type of
+# rank r, so every type of rank above MAX_RANK exceeds it.
+MAX_CENSUS_DIM = MAX_RANK * (MAX_RANK + 2)
 
 _EXCEPTIONAL_RANKS = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
 # floors that remove the classical coincidences B2=C2, A3=D3, D2=A1+A1
@@ -101,19 +106,17 @@ class CartanType:
         self.label, self.rank, self.cartan_matrix, self.symmetrizer = label, rank, cartan_matrix, symmetrizer
 
 
-def cartan_type(name: str, rank: int | None = None) -> CartanType:
-    """Look up a type from a label like "G2" or a letter plus explicit rank."""
-    name = name.strip().upper()
+@functools.lru_cache(maxsize=None)
+def cartan_type(label: str) -> CartanType:
+    """The type of a label like "G2" or "b3", built and validated once per
+    process for each label."""
+    name = label.strip().upper()
     if not name:
         raise ValueError("empty Cartan type label")
-    letter = name[0]
-    if len(name) > 1:
-        declared = int(name[1:])
-        if rank is not None and rank != declared:
-            raise ValueError(f"rank {rank} contradicts label {name}")
-        rank = declared
-    if rank is None:
-        raise ValueError("rank required")
+    letter, digits = name[0], name[1:]
+    if not digits.isdecimal():
+        raise ValueError(f"Cartan type label {label!r} is not a letter and a rank, like G2")
+    rank = int(digits)
     if rank > MAX_RANK:
         raise ValueError(f"rank {rank} exceeds the cap of {MAX_RANK}")
     if letter in _EXCEPTIONAL_RANKS:
@@ -121,17 +124,9 @@ def cartan_type(name: str, rank: int | None = None) -> CartanType:
             raise ValueError(f"type {letter}{rank} does not exist")
     elif letter in _CLASSICAL_MIN_RANK:
         if rank < _CLASSICAL_MIN_RANK[letter]:
-            raise ValueError(
-                f"type {letter}{rank} is not used here (too small or a duplicate)"
-            )
+            raise ValueError(f"type {letter}{rank} is not used here (too small or a duplicate)")
     else:
         raise ValueError(f"unknown type letter {letter!r}")
-    return _cartan_type(letter, rank)
-
-
-@functools.lru_cache(maxsize=None)
-def _cartan_type(letter: str, rank: int) -> CartanType:
-    """The type of a checked letter and rank, built and validated once per process."""
     c, d = _cartan_matrix(letter, rank)
     return CartanType(
         label=f"{letter}{rank}",
@@ -214,23 +209,11 @@ def dimension_census(rs: RootSystem, coeff_bound: int) -> DimensionCensus:
             f"(bound + 1)^rank = {coeff_bound + 1}^{n} weights exceeds "
             f"the cap of {MAX_CENSUS_WEIGHTS}"
         )
-    grid: dict[tuple[int, ...], int] = {}
-
-    def rec(prefix: tuple[int, ...]):
-        if len(prefix) == n:
-            grid[prefix] = weyl_dimension(rs, prefix)
-            return
-        for v in range(coeff_bound + 1):
-            rec(prefix + (v,))
-
-    rec(())
-    monotone = True
-    for w, dim in grid.items():
-        for i in range(n):
-            if w[i] + 1 <= coeff_bound:
-                up = w[:i] + (w[i] + 1,) + w[i + 1 :]
-                if grid[up] <= dim:
-                    monotone = False
+    grid = {w: weyl_dimension(rs, w) for w in itertools.product(range(coeff_bound + 1), repeat=n)}
+    monotone = all(
+        grid[w[:i] + (w[i] + 1,) + w[i + 1 :]] > dim
+        for w, dim in grid.items() for i in range(n) if w[i] < coeff_bound
+    )
     entries = tuple(sorted(grid.items(), key=lambda kv: (kv[1], kv[0])))
     return DimensionCensus(entries=entries, monotone=monotone)
 
@@ -243,25 +226,29 @@ def _drops_to(big, small) -> bool:
     return any([list(row[keep]) for row in big[keep]] == small for keep in (slice(1, None), slice(len(big) - 1)))
 
 
-def simple_algebra_census(dim_target: int, max_rank: int = 8) -> list[str]:
-    """Labels of all simple complex types of the given dimension, counting
-    dimension as rank + 2 * (number of positive roots) from the generated
-    root systems; classical duplicates are excluded by rank floors.  A type
-    that ``_drops_to`` one of dimension at least the target, in any family,
-    exceeds it: its roots are not built, nor is its ``CartanType`` validated."""
-    if not 1 <= max_rank <= MAX_RANK:
-        raise ValueError(f"max_rank must be between 1 and the cap of {MAX_RANK}")
-    families = {x: range(floor, max_rank + 1) for x, floor in _CLASSICAL_MIN_RANK.items()}
-    families.update({x: [r for r in ranks if r <= max_rank] for x, ranks in _EXCEPTIONAL_RANKS.items()})
+def simple_algebra_census(dim_target: int) -> list[str]:
+    """Labels of all simple complex types of the given dimension, 1 to
+    ``MAX_CENSUS_DIM`` (else ValueError), counting dimension as rank + 2 *
+    (number of positive roots) from the generated root systems; classical
+    duplicates are excluded by rank floors.  Each family runs upward in rank.
+    A type that ``_drops_to`` one of dimension at least the target, in any
+    family, exceeds it: its roots are not built, nor is its ``CartanType``
+    validated.  Its family ends there, as each later type of the family drops
+    to the one before it and so exceeds the target too.  Every family reaches
+    the target by rank MAX_RANK, as A_r is the smallest type of rank r."""
+    if not 1 <= dim_target <= MAX_CENSUS_DIM:
+        raise ValueError(f"dimension {dim_target} must be between 1 and the cap of {MAX_CENSUS_DIM}")
+    families = {x: itertools.count(floor) for x, floor in _CLASSICAL_MIN_RANK.items()} | _EXCEPTIONAL_RANKS
     hits, reached = [], {}  # reached: rank -> Cartan matrices of the types of dimension >= the target
     for letter, ranks in families.items():
         for rank in ranks:
             c, _ = _cartan_matrix(letter, rank)
-            if not any(_drops_to(c, small) for small in reached.get(rank - 1, ())):
-                dim = root_system(cartan_type(letter, rank)).algebra_dimension
-                if dim == dim_target:
-                    hits.append(f"{letter}{rank}")
-                elif dim < dim_target:
-                    continue
-            reached.setdefault(rank, []).append(c)
+            if any(_drops_to(c, small) for small in reached.get(rank - 1, ())):
+                reached.setdefault(rank, []).append(c)
+                break
+            dim = root_system(cartan_type(f"{letter}{rank}")).algebra_dimension
+            if dim == dim_target:
+                hits.append(f"{letter}{rank}")
+            if dim >= dim_target:
+                reached.setdefault(rank, []).append(c)
     return sorted(hits)

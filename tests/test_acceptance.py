@@ -159,7 +159,7 @@ def test_criterion_07_weyl_dimensions():
 
 def test_criterion_08_simple_algebra_census():
     start = time.perf_counter()
-    assert simple_algebra_census(21, 8) == ["B3", "C3"]
+    assert simple_algebra_census(21) == ["B3", "C3"]
     _done(8, "only B3 and C3 have dimension 21", start, 1.0)
 
 
@@ -316,7 +316,7 @@ def _image_basis_change_over_twice_its_denominator(ctx, monkeypatch):
 
 def _census_off_by_one(ctx, monkeypatch):
     # this module's own name keeps the original census
-    monkeypatch.setattr(weyl, "simple_algebra_census", lambda dim, max_rank: simple_algebra_census(dim + 1, max_rank))
+    monkeypatch.setattr(weyl, "simple_algebra_census", lambda dim: simple_algebra_census(dim + 1))
 
 
 def _closure_never_grows(ctx, monkeypatch):

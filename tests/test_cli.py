@@ -86,7 +86,7 @@ def test_dims_g2(capsys):
 
 def test_dims_json(capsys):
     code, out, _ = run_cli(
-        capsys, "dims", "--type", "B", "--rank", "3", "--max-coeff", "1", "--format", "json"
+        capsys, "dims", "--type", "B3", "--max-coeff", "1", "--format", "json"
     )
     assert code == 0
     doc = json.loads(out)
@@ -127,29 +127,40 @@ def test_over_cap_inputs_exit_2_before_any_work(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("dims", "--type", "A", "--rank", "17", "--max-coeff", "1"),
+        ("dims", "--type", "A17", "--max-coeff", "1"),
         ("dims", "--type", "D100", "--max-coeff", "1"),
-        ("census", "--dim", "21", "--max-rank", "17"),
-        ("census", "--dim", "21", "--max-rank", "100"),
+        ("census", "--dim", "289"),
+        ("census", "--dim", "0"),
     ],
 )
 def test_over_cap_rank_exits_2_before_any_cartan_matrix(capsys, monkeypatch, argv):
-    """A rank over weyl.MAX_RANK is rejected before a Cartan matrix or a root
-    system is built: a census up to rank 100 would take about an hour."""
+    """A rank over weyl.MAX_RANK, or a census target outside 1 to
+    weyl.MAX_CENSUS_DIM, is rejected before a Cartan matrix or a root system
+    is built."""
 
     def never(*_args, **_kwargs):
-        raise AssertionError("over-cap rank reached the root system construction")
+        raise AssertionError("over-cap input reached the root system construction")
 
     monkeypatch.setattr(weyl, "_cartan_matrix", never)
     monkeypatch.setattr(weyl, "root_system", never)
-    assert weyl.MAX_RANK == 16
+    assert (weyl.MAX_RANK, weyl.MAX_CENSUS_DIM) == (16, 288)
     code, _, err = run_cli(capsys, *argv)
-    assert code == 2 and "cap of 16" in err
+    assert code == 2 and ("cap of 288" if argv[0] == "census" else "cap of 16") in err
 
 
 def test_rank_at_cap_is_accepted():
-    assert weyl.root_system(weyl.cartan_type("A", weyl.MAX_RANK)).algebra_dimension == 16 * 18
-    assert weyl.simple_algebra_census(3, weyl.MAX_RANK) == ["A1"]
+    assert weyl.root_system(weyl.cartan_type("A16")).algebra_dimension == 16 * 18
+    assert weyl.simple_algebra_census(288) == ["A16"]
+
+
+@pytest.mark.parametrize(
+    "argv", [("census", "--dim", "21", "--max-rank", "8"), ("dims", "--type", "B", "--rank", "3", "--max-coeff", "1")]
+)
+def test_removed_rank_flags_are_unrecognized(capsys, argv):
+    """The census bounds its own ranks and a label names its rank, so neither
+    --max-rank nor --rank is an option."""
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and "unrecognized arguments" in err
 
 
 def test_census_dim21(capsys):
@@ -161,7 +172,14 @@ def test_census_dim21(capsys):
 def test_census_json(capsys):
     code, out, _ = run_cli(capsys, "census", "--dim", "14", "--format", "json")
     assert code == 0
-    assert json.loads(out) == {"dim": 14, "max_rank": 8, "types": ["G2"]}
+    assert json.loads(out) == {"dim": 14, "types": ["G2"]}
+
+
+@pytest.mark.parametrize("dim, types", [("99", "A9"), ("120", "A10 D8")])
+def test_census_decides_above_rank_8(capsys, dim, types):
+    code, out, _ = run_cli(capsys, "census", "--dim", dim)
+    assert code == 0
+    assert out.strip() == types
 
 
 def test_census_empty(capsys):

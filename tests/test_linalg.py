@@ -93,6 +93,20 @@ def test_inverse():
         Matrix([[1, 2]]).inverse()
 
 
+@pytest.mark.parametrize("leaf", [0.1, np.float64(2.0), "1/3", Decimal("0.5")])
+def test_matrix_rejects_an_inexact_entry(leaf):
+    """Matrix reads its entries as int_cleared does: 0.1 would otherwise be
+    held as 3602879701896397 / 2**55."""
+    with pytest.raises(TypeError):
+        Matrix([[1, leaf], [0, 1]])
+
+
+def test_matrix_reads_a_numpy_integer_as_an_int():
+    m = Matrix([[np.int64(2), 1], [0, 1]])
+    assert m.inverse().rows == ((Fraction(1, 2), Fraction(-1, 2)), (0, 1))
+    assert {type(x) for row in m.rows for x in row} == {Fraction}
+
+
 def test_kernel_zero_matrix():
     assert kernel_basis(zeros(2, 2)).dim == 2
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from g2cert import weyl
 from g2cert.linalg import signature
 from g2cert.weyl import (
+    MAX_CENSUS_DIM,
     MAX_RANK,
     _drops_to,
     cartan_type,
@@ -105,8 +106,7 @@ def test_census_a1_small_grid():
 
 
 def test_simple_algebra_census_dim21():
-    assert simple_algebra_census(21, 8) == ["B3", "C3"]
-    assert simple_algebra_census(21, 3) == ["B3", "C3"]
+    assert simple_algebra_census(21) == ["B3", "C3"]
 
 
 FAMILIES = {"A": range(1, MAX_RANK + 1), "B": range(2, MAX_RANK + 1), "C": range(3, MAX_RANK + 1),
@@ -123,7 +123,7 @@ def test_each_rank_drops_to_the_one_below():
     is A5, and D5 without its last is A4."""
     for letter, ranks in FAMILIES.items():
         for small, big in zip(ranks, ranks[1:]):
-            assert _drops_to(cartan_type(letter, big).cartan_matrix, cartan_type(letter, small).cartan_matrix), (letter, big)
+            assert _drops_to(_matrix(f"{letter}{big}"), _matrix(f"{letter}{small}")), (letter, big)
     for big, small in (("F4", "B3"), ("E6", "A5"), ("D5", "A4"), ("G2", "A1")):
         assert _drops_to(_matrix(big), _matrix(small)), (big, small)
     assert not _drops_to(_matrix("B4"), _matrix("C3"))
@@ -131,48 +131,37 @@ def test_each_rank_drops_to_the_one_below():
     assert not _drops_to(_matrix("F4"), _matrix("C3"))
 
 
-def _cached_root_systems(monkeypatch) -> list[str]:
-    """Memoize cartan_type and root_system for the census, and record the
-    labels whose roots it builds."""
-    built = []
-    monkeypatch.setattr(weyl, "cartan_type", functools.lru_cache(maxsize=None)(cartan_type))
-    cached = functools.lru_cache(maxsize=None)(root_system)
-    monkeypatch.setattr(weyl, "root_system", lambda ct: built.append(ct.label) or cached(ct))
-    return built
-
-
 def test_pruned_census_equals_the_unpruned_reference(monkeypatch):
-    _cached_root_systems(monkeypatch)
+    """For every target the census accepts, its labels are those of every type
+    up to the rank cap whose algebra has that dimension."""
+    monkeypatch.setattr(weyl, "root_system", functools.lru_cache(maxsize=None)(root_system))
     dims = {
-        (letter, rank): weyl.root_system(cartan_type(letter, rank)).algebra_dimension
+        f"{letter}{rank}": weyl.root_system(cartan_type(f"{letter}{rank}")).algebra_dimension
         for letter, ranks in FAMILIES.items()
         for rank in ranks
-        if rank <= 8
     }
-    for max_rank in range(1, 9):
-        for target in range(1, 301):
-            expected = sorted(f"{x}{r}" for (x, r), d in dims.items() if r <= max_rank and d == target)
-            assert simple_algebra_census(target, max_rank) == expected, (target, max_rank)
+    for target in range(1, MAX_CENSUS_DIM + 1):
+        assert simple_algebra_census(target) == sorted(x for x, d in dims.items() if d == target), target
 
 
 def test_census_stops_each_family_past_the_target(monkeypatch):
     """B3 and C3 reach 21, so B4 and C4 are skipped; F4 drops to B3 and E6 to
     A5, so no exceptional root system but G2's is built; and only the built
     types are validated, each once."""
-    weyl._cartan_type.cache_clear()
+    weyl.cartan_type.cache_clear()
     validated, built = [], []
     monkeypatch.setattr(weyl, "signature", lambda m: validated.append(len(m)) or signature(m))
     monkeypatch.setattr(weyl, "root_system", lambda ct: built.append(ct.label) or root_system(ct))
-    assert simple_algebra_census(21, 8) == ["B3", "C3"]
+    assert simple_algebra_census(21) == ["B3", "C3"]
     assert built == ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2"]
     assert validated == [int(label[1:]) for label in built]
 
 
 def test_simple_algebra_census_other_dims():
-    assert simple_algebra_census(14, 8) == ["G2"]
-    assert simple_algebra_census(4, 8) == []
-    assert simple_algebra_census(3, 8) == ["A1"]
-    assert simple_algebra_census(8, 8) == ["A2"]
+    assert simple_algebra_census(14) == ["G2"]
+    assert simple_algebra_census(4) == []
+    assert simple_algebra_census(3) == ["A1"]
+    assert simple_algebra_census(8) == ["A2"]
 
 
 def test_classical_coincidences_excluded():
@@ -184,6 +173,18 @@ def test_classical_coincidences_excluded():
         cartan_type("D2")  # not simple
     with pytest.raises(ValueError):
         cartan_type("E9")
+
+
+@pytest.mark.parametrize("label", ["G", "B", "3", "G-2", "G 2", "G2.0"])
+def test_a_label_without_a_rank_is_rejected(label):
+    with pytest.raises(ValueError, match="a letter and a rank"):
+        cartan_type(label)
+
+
+def test_one_label_names_one_type():
+    assert cartan_type(" b3 ").label == "B3"
+    assert cartan_type("b3").cartan_matrix == cartan_type("B3").cartan_matrix
+    assert cartan_type("G2") is cartan_type("G2")
 
 
 @pytest.mark.parametrize("label", LABELS)
