@@ -47,11 +47,12 @@ class LieAlgebra:
     faithful matrix realization of the basis.
 
     ``C`` is a dim x dim x dim numpy integer array and ``den`` a positive
-    integer, for c_ijk = C[i, j, k] / den, held in lowest terms with ``C``
-    read-only beside its largest magnitude ``cmax``.  Every instance
+    Python int (not a bool, numpy integer, float or Fraction), for
+    c_ijk = C[i, j, k] / den, held in lowest terms with ``C`` read-only
+    beside its largest magnitude ``cmax``.  Every instance
     satisfies antisymmetry and the Jacobi identity: this constructor checks
-    both, raising ValueError on a failure (and on a mis-shaped tensor or a
-    ``den`` below 1, TypeError on a non-integer tensor), and
+    both, raising ValueError on a failure (and on a mis-shaped tensor or
+    another ``den``, TypeError on a non-integer tensor), and
     ``from_matrix_basis``, the only source of a ``realization``, proves them
     on the first read of its bracket.
     A ``realization`` is a pair (a, d) of an integer stack a of shape
@@ -62,7 +63,7 @@ class LieAlgebra:
     def __init__(self, C: np.ndarray, den: int = 1):
         if not is_int_array(C):
             raise TypeError("the bracket tensor is an integer array")
-        if C.shape != (len(C),) * 3 or den < 1:
+        if C.shape != (len(C),) * 3 or type(den) is not int or den < 1:
             raise ValueError("the bracket tensor must be dim x dim x dim over a positive denominator")
         self._hold(C, den, None)
         asym = np.argwhere(np.any(self.C + self.C.transpose(1, 0, 2) != 0, axis=2))
@@ -118,12 +119,13 @@ class LieAlgebra:
     @classmethod
     def from_matrix_basis(cls, span: Subspace) -> "LieAlgebra":
         """The algebra of a span of row-major flattened n x n matrices closed
-        under commutators, realized on its cleared canonical basis b / s.  A
-        non-``Subspace`` raises TypeError, a non-square ambient dimension
-        ValueError.  ``C``, ``den``, ``cmax`` and ``realization`` are built on
-        the first read of any: all [b_i, b_j] from one batched integer
-        product, whose ``Subspace.coordinates`` x are the structure constants
-        over s^2; an unclosed span raises ValueError there."""
+        under commutators, realized on its canonical basis b / s (``basis``
+        over ``den``).  A non-``Subspace`` raises TypeError, a non-square
+        ambient dimension ValueError.  ``C``, ``den``, ``cmax`` and
+        ``realization`` are built on the first read of any: all [b_i, b_j]
+        from one batched integer product, whose ``Subspace.coordinates`` x are
+        the structure constants over s^2; an unclosed span raises ValueError
+        there."""
         if not isinstance(span, Subspace):
             raise TypeError("a realization is a span of flattened matrices")
         if math.isqrt(span.ambient_dim) ** 2 != span.ambient_dim:
@@ -135,9 +137,8 @@ class LieAlgebra:
     def __getattr__(self, name: str):
         if name not in ("C", "den", "cmax", "realization"):
             raise AttributeError(name)
-        span, d, n = self._span, self.dim, math.isqrt(self._span.ambient_dim)
-        b, s = span.cleared_basis()
-        a, amax = held(b.reshape(d, n, n))
+        span, d, n, s = self._span, self.dim, math.isqrt(self._span.ambient_dim), self._span.den
+        a, amax = held(span.basis.reshape(d, n, n))
         prod = int_einsum("ikm,jml->ijkl", Bounded(a, amax), Bounded(a, amax))
         x = span.coordinates((prod - prod.transpose(1, 0, 2, 3)).reshape(d * d, n * n))
         if x is None:
@@ -201,7 +202,7 @@ def subalgebra_closure(g: LieAlgebra, seed: Subspace) -> Subspace:
         raise ValueError("seed lives in the wrong ambient space")
     span = seed
     while span.dim < g.dim:
-        basis = span.int_basis()
+        basis = span.basis
         brackets = g.bracket_table(basis, basis)[np.triu_indices(len(basis), 1)]
         grown = Subspace.from_vectors(g.dim, np.concatenate([basis, brackets]))
         if grown.dim == span.dim:
@@ -217,7 +218,7 @@ def centralizer(g: LieAlgebra, s: Subspace) -> Subspace:
     if s.dim == 0:
         return Subspace.full(g.dim)
     # row (v, k), unknown x_i: the e_k coefficient of [x, v]
-    system = int_einsum("vj,ijk->vki", s.int_basis(), Bounded(g.C, g.cmax))
+    system = int_einsum("vj,ijk->vki", s.basis, Bounded(g.C, g.cmax))
     return kernel_basis(system.reshape(-1, g.dim))
 
 
@@ -226,11 +227,11 @@ def transporter_into(g: LieAlgebra, target: Subspace) -> Subspace:
     if target.ambient_dim != g.dim:
         raise ValueError("target lives in the wrong ambient space")
     if target.dim:
-        ann = kernel_basis(target.int_basis())
+        ann = kernel_basis(target.basis)
     else:
         ann = Subspace.full(g.dim)
     if ann.dim == 0:
         return Subspace.full(g.dim)
     # row (j, u), unknown h_i: the pairing of [h, e_j] with annihilator row u
-    system = int_einsum("uk,ijk->jui", ann.int_basis(), Bounded(g.C, g.cmax))
+    system = int_einsum("uk,ijk->jui", ann.basis, Bounded(g.C, g.cmax))
     return kernel_basis(system.reshape(-1, g.dim))

@@ -14,18 +14,19 @@ sum of up to four such results fits.  The owners ``LieAlgebra.C``,
 ``LieModule.A``, ``NormForm.G`` and ``StructureConstantAlgebra.M`` keep their
 arrays read-only beside the largest magnitude (``held``), and ``int_einsum``
 reads it off a ``Bounded`` operand; it still scans fresh products, subspace
-bases and realization stacks.  ``int_inverse`` is the one exact inverse;
-Fractions remain in its view ``Matrix`` and in ``rref``, which only tests call
-and the benchmark's tracer wraps.
+bases and realization stacks.  ``int_inverse``, the one exact inverse, reads
+the canonical basis of [a | I]; Fractions remain in its view ``Matrix`` and
+in ``rref``, which only tests call and the benchmark's tracer wraps.
 
 One exact elimination engine sits behind the public API: a fraction-free
 integer row reduction (per-row denominator clearing, gcd stripping), which
 ``Subspace.from_vectors`` runs once on any family.  Its canonical basis,
-cleared to b / s, is the one coordinate system: ``Subspace.coordinates``
-reads x = v[:, pivots], exactly when s v = x b.  A word-sized prime,
-``PRIME``, only decides which rows the engine sees.  An integer matrix's
-rank over Q is at least its rank mod p (Dixon, Numer. Math. 40, 1982), so
-rows independent modulo ``PRIME`` are independent over Q:
+cleared where it is made to ``basis`` over its least denominator ``den``, is
+the one coordinate system: ``Subspace.coordinates`` reads x = v[:, pivots],
+exactly when den v = x basis.  A word-sized prime, ``PRIME``, only decides
+which rows the engine sees.  An integer matrix's rank over Q is at least its
+rank mod p (Dixon, Numer. Math. 40, 1982), so rows independent modulo
+``PRIME`` are independent over Q:
 
 * ``kernel_basis`` first presolves singleton rows: a row with one nonzero
   entry r_c says r_c x_c = 0, so x_c = 0 over Q, and dropping column c may
@@ -72,24 +73,12 @@ class Matrix:
         if any(len(r) != n for r in self.rows):
             raise ValueError("inverse of non-square matrix")
         a, d = int_cleared(self.rows)
-        _, x, e = int_inverse(a.reshape(n, n))
+        x, e = int_inverse(a.reshape(n, n))
         return Matrix([Fraction(d * int(v), e) for v in row] for row in x)
 
 
 # ---------------------------------------------------------------------------
 # integer elimination core
-
-
-def clear_denominators(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
-    """Integers n_i and the least d > 0 with values[i] == n_i / d.
-
-    Scaling a row this way keeps its kernel and row space; scaling a family
-    of matrices by one d keeps every linear relation among them.
-    """
-    den = math.lcm(*{x.denominator for x in values})
-    if den == 1:
-        return [x.numerator for x in values], 1
-    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def max_abs(a: np.ndarray) -> int:
@@ -121,8 +110,8 @@ def int_cleared(values) -> tuple[np.ndarray, int]:
     """A nested sequence or array of exact rationals (ints, numpy integers read
     as ints, Fractions; any other leaf: TypeError) as one integer array a of the
     same shape and the least den > 0 with a == den * values; int64 or Python ints
-    as ``int_dtype`` decides.  An integer array is copied; the rest is read in
-    one pass (ragged: ValueError)."""
+    as ``int_dtype`` decides (one den keeps every linear relation).  An integer
+    array is copied; the rest is read in one pass (ragged: ValueError)."""
     if isinstance(values, np.ndarray):
         if values.dtype.kind in "iu":
             return values.astype(int_dtype(max_abs(values))), 1
@@ -142,7 +131,8 @@ def int_cleared(values) -> tuple[np.ndarray, int]:
         if not all(isinstance(x, (int, Fraction, np.integer)) for x in flat):
             raise TypeError("a rational entry must be an int, a numpy integer or a Fraction")
         flat = [int(x) if isinstance(x, np.integer) else x for x in flat]
-    ints, den = clear_denominators(flat)
+    den = math.lcm(*{x.denominator for x in flat})
+    ints = [x.numerator * (den // x.denominator) for x in flat] if den > 1 else [x.numerator for x in flat]
     return np.array(ints, dtype=int_dtype(max(max(ints, default=0), -min(ints, default=0)))).reshape(shape), den
 
 
@@ -308,9 +298,9 @@ def _independent_rows(a: np.ndarray) -> list[int]:
     return picked
 
 
-def _kernel_rows(rows: list[list[int]], ncols: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The canonical kernel basis of integer rows ncols wide and its leading
-    columns, by one ``_int_rref`` of the rows with their columns reversed.
+def _kernel_rows(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """The canonical kernel basis of integer rows ncols wide, as primitive rows,
+    and its leading columns, by one ``_int_rref`` of the rows, columns reversed.
     Lemma: there, with primitive rows r_i and pivots c_i, the kernel vector
     s e_f - sum_i (s / r_i[c_i]) r_i[f] e_{c_i} of a free column f (s the lcm
     of the pivot entries it needs) is nonzero only at f and at c_i < f.
@@ -325,8 +315,8 @@ def _kernel_rows(rows: list[list[int]], ncols: int) -> tuple[tuple[tuple[int, ..
         for r, c in used:
             v[ncols - 1 - c] = -r[ncols - 1 - f] * (s // r[c])
         g = math.gcd(*v)
-        kernel.append(tuple(x // g for x in v))
-    return tuple(kernel), tuple(free)
+        kernel.append([x // g for x in v])
+    return kernel, free
 
 
 def _unforced_columns(a: np.ndarray) -> np.ndarray:
@@ -367,7 +357,7 @@ def kernel_basis(m: np.ndarray) -> "Subspace":
     kernel[:, live] = reduced = np.array(rows, dtype=object).reshape(len(rows), b.shape[1])
     if np.any(int_einsum("ij,kj->ik", b, reduced)):
         return Subspace._raw(ncols, *_kernel_rows(a.tolist(), ncols))
-    return Subspace._raw(ncols, tuple(map(tuple, kernel.tolist())), tuple(np.flatnonzero(live)[list(free)].tolist()))
+    return Subspace._raw(ncols, kernel, np.flatnonzero(live)[free].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -375,16 +365,17 @@ def kernel_basis(m: np.ndarray) -> "Subspace":
 
 
 class Subspace:
-    """A subspace of Q^n held by its canonical (RREF) row basis, as primitive
-    integer ``rows`` (each RREF row divided by its gcd, pivot positive) with
-    their leading columns ``pivots``; equality of subspaces is plain tuple
-    equality.  The constructor takes those rows and rejects any other with
-    ValueError: each row has n Python ints with gcd 1 and leads with a
-    positive entry, the leading columns strictly increase, and no other row
-    is nonzero in a pivot column.
+    """A subspace of Q^n held by its canonical (RREF) basis: ``basis``, a
+    read-only array of Python ints, is ``den`` times the leading-1 rows and
+    ``den`` their least denominator, so basis[i, pivots[i]] == den at the
+    leading columns ``pivots``.  The constructor takes the primitive integer
+    rows (each RREF row over its gcd) and rejects any other with ValueError:
+    each row has n Python ints with gcd 1 and leads with a positive entry,
+    the leading columns strictly increase, and no other row is nonzero in a
+    pivot column.
     """
 
-    __slots__ = ("ambient_dim", "rows", "pivots")
+    __slots__ = ("ambient_dim", "basis", "den", "pivots")
 
     def __init__(self, ambient_dim: int, rows: Iterable[Sequence[int]]):
         rows = tuple(map(tuple, rows))
@@ -398,16 +389,25 @@ class Subspace:
             or any(sum([nz[p] for p in pivots]) != 1 for nz in nonzero)
         ):
             raise ValueError("rows are not the primitive integer rows of a reduced row echelon form")
-        self.ambient_dim, self.rows, self.pivots = ambient_dim, rows, pivots
+        self._hold(ambient_dim, rows, pivots)
 
     @classmethod
-    def _raw(cls, ambient_dim: int, rows: tuple, pivots: tuple) -> "Subspace":
+    def _raw(cls, ambient_dim: int, rows, pivots) -> "Subspace":
         sub = object.__new__(cls)
-        sub.ambient_dim, sub.rows, sub.pivots = ambient_dim, rows, pivots
+        sub._hold(ambient_dim, rows, pivots)
         return sub
 
+    def _hold(self, ambient_dim: int, rows, pivots):
+        """Primitive RREF rows cleared in one step: row i is its leading-1 row
+        times its pivot entry, so den is the lcm of the pivot entries."""
+        rows = np.array(rows, dtype=object).reshape(len(pivots), ambient_dim)
+        lead = rows[np.arange(len(pivots)), list(pivots)]
+        self.ambient_dim, self.den, self.pivots = ambient_dim, math.lcm(*lead.tolist()), tuple(pivots)
+        self.basis = rows * (self.den // lead)[:, None]
+        self.basis.flags.writeable = False
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, Subspace) and (self.ambient_dim, self.rows) == (other.ambient_dim, other.rows)
+        return isinstance(other, Subspace) and (self.ambient_dim, self.den) == (other.ambient_dim, other.den) and np.array_equal(self.basis, other.basis)
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> "Subspace":
@@ -417,41 +417,25 @@ class Subspace:
             vectors = np.array([tuple(v) for v in vectors] or np.zeros((0, ambient_dim), dtype=int), dtype=object)
         if vectors.shape[1:] != (ambient_dim,) or not is_int_array(vectors):
             raise ValueError("vectors must be a 2-D integer array of the ambient width")
-        reduced, pivots = _int_rref(vectors[np.any(vectors != 0, axis=1)].tolist())
-        return cls._raw(ambient_dim, tuple(map(tuple, reduced)), tuple(pivots))
+        return cls._raw(ambient_dim, *_int_rref(vectors[np.any(vectors != 0, axis=1)].tolist()))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        eye = np.eye(ambient_dim, dtype=int).tolist()
-        return cls._raw(ambient_dim, tuple(map(tuple, eye)), tuple(range(ambient_dim)))
+        return cls._raw(ambient_dim, np.eye(ambient_dim, dtype=object), range(ambient_dim))
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
-
-    def cleared_basis(self) -> tuple[np.ndarray, int]:
-        """The leading-1 basis over its least common denominator s, as the
-        integer array s * basis and s.  Row i of ``rows`` is its leading-1
-        row times the pivot entry, so s is the lcm of the pivot entries."""
-        s = math.lcm(*(r[p] for r, p in zip(self.rows, self.pivots)))
-        cleared = [[x * (s // r[p]) for x in r] for r, p in zip(self.rows, self.pivots)]
-        return np.array(cleared, dtype=object).reshape(self.dim, self.ambient_dim), s
-
-    def int_basis(self) -> np.ndarray:
-        """The stored primitive rows as a dim x ambient_dim array of Python
-        ints (each leading-1 basis row cleared of its denominators)."""
-        return np.array(self.rows, dtype=object).reshape(self.dim, self.ambient_dim)
+        return len(self.pivots)
 
     def coordinates(self, other: "Subspace | np.ndarray") -> Optional[np.ndarray]:
-        """x = v[:, pivots], so v = x (b / s) on the cleared basis b / s, for
-        other a subspace (v its rows) or a 2-D integer array v of the ambient
-        width (else ValueError); None unless s v = x b."""
-        v = other.int_basis() if isinstance(other, Subspace) else other
+        """x = v[:, pivots], so v = x (basis / den), for other a subspace (v
+        its ``basis``) or a 2-D integer array v of the ambient width (else
+        ValueError); None unless den v = x basis."""
+        v = other.basis if isinstance(other, Subspace) else other
         if not is_int_array(v) or v.shape[1:] != (self.ambient_dim,):
             raise ValueError("rows must be integer vectors of the ambient width")
-        b, s = self.cleared_basis()
         x = v[:, list(self.pivots)]
-        return x if np.array_equal(int_einsum("ip,pn->in", x, b), int_einsum(",in->in", s, v)) else None
+        return x if np.array_equal(int_einsum("ip,pn->in", x, self.basis), int_einsum(",in->in", self.den, v)) else None
 
     def contains(self, other: "Subspace | np.ndarray") -> bool:
         """Whether other lies in S: it has ``coordinates``."""
@@ -460,22 +444,21 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return Subspace.from_vectors(self.ambient_dim, self.rows + other.rows)
+        return Subspace.from_vectors(self.ambient_dim, np.concatenate([self.basis, other.basis]))
 
 
-def int_inverse(a: np.ndarray) -> tuple[list[int], np.ndarray, int]:
-    """For an integer k x n array a of full row rank, the pivot columns of its
-    row space and x, d with x / d = a[:, pivots]^-1 in lowest terms, x of
-    ``int_dtype``.  One ``_int_rref`` of [a | I] gives row i = p_i [R_i | E_i],
-    E a = R = RREF(a), and d = lcm p_i, as gcd(p_i, p_i E_i) = 1 (row i is
-    primitive, p_i R_i = p_i E_i a).  A pivot in I: a is dependent, ValueError."""
+def int_inverse(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """For an invertible square integer array a, x and d with x / d = a^-1
+    in lowest terms: [a | I] spans the rows of [I | a^-1], so its canonical
+    basis is [d I | x] over d (``Subspace``).  A non-square a, or a pivot in
+    I (a is singular), raises ValueError."""
     k, n = _int_matrix(a).shape
-    rows, pivots = _int_rref(np.concatenate([a, np.eye(k, dtype=a.dtype)], axis=1).tolist())
-    if pivots and pivots[-1] >= n:
+    if k != n:
+        raise ValueError("int_inverse takes a square array")
+    span = Subspace.from_vectors(2 * k, np.concatenate([a, np.eye(k, dtype=a.dtype)], axis=1))
+    if span.pivots != tuple(range(k)):
         raise ValueError("vector family is linearly dependent")
-    d = math.lcm(*(r[c] for r, c in zip(rows, pivots)))
-    x = [[v * (d // r[c]) for v in r[n:]] for r, c in zip(rows, pivots)]
-    return pivots, np.array(x, dtype=int_dtype(max((abs(v) for r in x for v in r), default=0))).reshape(k, k), d
+    return span.basis[:, k:], span.den
 
 
 def rank(m: np.ndarray) -> int:
@@ -542,11 +525,12 @@ class NormForm:
     polarizes, held as the integer Gram matrix ``G`` = den * gram and the
     positive ``den`` in lowest terms, ``G`` read-only beside its largest
     magnitude ``gmax``, and one ``UnitFacts`` per vector asked about.  A
-    non-square, non-symmetric or non-integer ``G`` or a ``den`` below 1 raises
-    ValueError."""
+    non-square, non-symmetric or non-integer ``G``, or a ``den`` that is not
+    a Python int of at least 1 (a bool, numpy integer, float or Fraction),
+    raises ValueError."""
 
     def __init__(self, G: np.ndarray, den: int = 1):
-        if G.ndim != 2 or G.shape[0] != G.shape[1] or not is_int_array(G) or den < 1:
+        if G.ndim != 2 or G.shape[0] != G.shape[1] or not is_int_array(G) or type(den) is not int or den < 1:
             raise ValueError("a Gram matrix is a square integer array over a positive denominator")
         if not np.array_equal(G, G.T):
             raise ValueError("Gram matrix must be symmetric")
@@ -569,14 +553,18 @@ class NormForm:
 
     def unit_facts(self, e: Sequence) -> UnitFacts:
         """The ``UnitFacts`` of the rational vector e, kept per e (``G`` is read-only),
-        so algebras sharing the form and their unit share them."""
+        so algebras sharing the form and their unit share them.  e is read by
+        ``int_cleared`` (an inexact entry: TypeError); a length other than the
+        form's dimension raises ValueError."""
         if (key := tuple(e)) not in self._units:
-            cleared, s = clear_denominators(key)
-            u = held(np.array(cleared, dtype=object))
+            cleared, s = int_cleared(e)
+            if cleared.shape != (len(self.G),):
+                raise ValueError("a vector of the form's dimension is required")
+            u = held(cleared, copy=False)
             gu = int_einsum("ij,j->i", Bounded(self.G, self.gmax), u)
             n = int(int_einsum("i,i->", u, gu))
             # each int64 term is below 2**61 (int_dtype), so their difference fits
             k = int_einsum(",i,j->ij", 2, u, gu) - int_einsum(",ij->ij", n, Bounded(np.eye(len(key), dtype=np.int64), 1))
             sub = kernel_basis(gu.reshape(1, -1))
-            self._units[key] = UnitFacts(u, s, n, held(k, copy=False), (sub, self.restricted(*sub.cleared_basis())), sub.contains(u.array.reshape(1, -1)))
+            self._units[key] = UnitFacts(u, s, n, held(k, copy=False), (sub, self.restricted(sub.basis, sub.den)), sub.contains(u.array.reshape(1, -1)))
         return self._units[key]

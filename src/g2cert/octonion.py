@@ -105,9 +105,12 @@ def _zorn_norm_form() -> NormForm:
 
 
 class SplitCayley:
-    """The split Cayley algebra bundled with its norm data."""
+    """The split Cayley algebra bundled with its norm data; a form or a unit
+    of another dimension than the algebra's raises ValueError."""
 
     def __init__(self, algebra: StructureConstantAlgebra, form: NormForm, unit: tuple[int, ...]):
+        if len(form.G) != algebra.dim or len(unit) != algebra.dim:
+            raise ValueError("the form and the unit must have the algebra's dimension")
         self.algebra, self.form, self.unit = algebra, form, unit
 
     @cached_property

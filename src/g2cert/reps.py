@@ -93,18 +93,17 @@ def natural_module(g: LieAlgebra) -> LieModule:
 def restricted_action(a: Bounded, sub: Subspace) -> tuple[np.ndarray, int]:
     """A ``Bounded`` integer stack restricted to an invariant subspace, in
     that subspace's canonical basis: (r, s) with r[i] = s * (a[i]
-    restricted), where s is the basis's common denominator.
+    restricted), where s is the subspace's ``den``.
 
-    With b = s * basis, r[i, k, j] is the coordinate x_k of the image a[i] b_j
+    With b its ``basis``, r[i, k, j] is the coordinate x_k of the image a[i] b_j
     (``Subspace.coordinates``, s * a[i] b_j = sum_k x_k b_k); an image without
     coordinates means the subspace is not invariant.
     """
-    b, s = sub.cleared_basis()
     m, d = len(a.array), sub.dim
-    x = sub.coordinates(int_einsum("imn,jn->ijm", a, b).reshape(m * d, sub.ambient_dim))
+    x = sub.coordinates(int_einsum("imn,jn->ijm", a, sub.basis).reshape(m * d, sub.ambient_dim))
     if x is None:
         raise ValueError("subspace is not invariant under the action")
-    return x.reshape(m, d, d).transpose(0, 2, 1), s
+    return x.reshape(m, d, d).transpose(0, 2, 1), sub.den
 
 
 def restriction_module(v: LieModule, sub: Subspace) -> LieModule:
@@ -187,7 +186,7 @@ def _spun(v: LieModule, scale: int) -> tuple:
         a = int_einsum(",gij->gij", scale, Bounded(v.A, v.amax))
         basis, origins = _spin_basis(a)
         cols = np.array(basis, dtype=object).T
-        _, b_inv, d = int_inverse(cols)
+        b_inv, d = int_inverse(cols)
         v._spins[scale] = origins, held(int_einsum("ji,gik->gjk", b_inv, int_einsum("gij,jk->gik", a, cols)), copy=False), b_inv, d
     return v._spins[scale]
 
@@ -213,7 +212,7 @@ def _intertwiner_space(v: LieModule, scale: int, b: np.ndarray) -> Subspace:
     for g in (slice(0, 1), slice(1, None)):
         reduced = int_einsum("gjk,jrh->gkrh", Bounded(c.array[g], c.bound), x) - int_einsum("grq,kqh,->gkrh", Bounded(b.array[g], b.bound), x, d)
         if reduced.any():  # an all-zero system keeps every solution
-            x = int_einsum("jrh,uh->jru", x, kernel_basis(reduced.reshape(-1, x.shape[2])).int_basis())
+            x = int_einsum("jrh,uh->jru", x, kernel_basis(reduced.reshape(-1, x.shape[2])).basis)
     return Subspace.from_vectors(nrows * ncols, int_einsum("krh,ki->hri", x, b_inv).reshape(-1, nrows * ncols))
 
 
@@ -223,11 +222,8 @@ def hom_space(v: LieModule, w: LieModule) -> list[Intertwiner]:
     if v.algebra is not w.algebra:
         raise ValueError("modules over different algebras")
     sub = _intertwiner_space(v, w.den, int_einsum(",gij->gij", v.den, Bounded(w.A, w.amax)))
-    # each leading-1 basis element is its primitive row over the pivot entry
-    return [
-        Intertwiner(source=v, target=w, T=t.reshape(w.dim, v.dim), den=t[p])
-        for t, p in zip(sub.int_basis(), sub.pivots)
-    ]
+    # each leading-1 basis element is its row of the basis over the subspace's one den
+    return [Intertwiner(source=v, target=w, T=t.reshape(w.dim, v.dim), den=sub.den) for t in sub.basis]
 
 
 class IrreducibilityCertificate(NamedTuple):
@@ -277,14 +273,14 @@ def invariant_bilinear_forms(v: LieModule) -> InvariantForms:
     n = v.dim
     space = _intertwiner_space(v, 1, -v.A.transpose(0, 2, 1))
     # B^T is invariant with B, and a symmetric S in the span is (S + S^T)/2
-    ints = space.int_basis().reshape(-1, n, n)
+    ints = space.basis.reshape(-1, n, n)
     symmetric = Subspace.from_vectors(n * n, (ints + ints.transpose(0, 2, 1)).reshape(-1, n * n))
     generator = None
     if symmetric.dim == 1:
-        g, pivot = symmetric.int_basis().reshape(n, n), symmetric.rows[0][symmetric.pivots[0]]
-        generator = NormForm(g, pivot)
+        g = symmetric.basis.reshape(n, n)
+        generator = NormForm(g, symmetric.den)
         if generator.signature[0] > generator.signature[1]:
-            generator = NormForm(-g, pivot)
+            generator = NormForm(-g, symmetric.den)
     return InvariantForms(space=space, symmetric=symmetric, generator=generator)
 
 
@@ -295,7 +291,7 @@ def killing_orthocomplement(g: LieAlgebra, sub: Subspace) -> Subspace:
     of the subspace changes neither the rank nor the kernel used here."""
     if sub.ambient_dim != g.dim:
         raise ValueError("subspace lives in the wrong ambient space")
-    b = sub.int_basis()
+    b = sub.basis
     kf = killing_form(g)
     bk = int_einsum("ij,jk->ik", b, Bounded(kf.G, kf.gmax))
     if rank(int_einsum("ik,jk->ij", bk, b)) != sub.dim:
@@ -322,7 +318,7 @@ def submodule_generated(v: LieModule, vecs) -> list[Subspace]:
 def _generated_exactly(v: LieModule, vec: np.ndarray) -> Subspace:
     span = Subspace.from_vectors(v.dim, vec[None])
     while 0 < span.dim < v.dim:
-        basis = span.int_basis()
+        basis = span.basis
         images = int_einsum("imn,jn->ijm", Bounded(v.A, v.amax), basis).reshape(-1, v.dim)
         grown = Subspace.from_vectors(v.dim, np.concatenate([basis, images]))
         if grown.dim == span.dim:
@@ -335,7 +331,7 @@ def bracket_span(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     """Span of all [x, y] with x over a basis of a and y over a basis of b."""
     if a.ambient_dim != g.dim or b.ambient_dim != g.dim:
         raise ValueError("subspace lives in the wrong ambient space")
-    table = g.bracket_table(a.int_basis(), b.int_basis())
+    table = g.bracket_table(a.basis, b.basis)
     return Subspace.from_vectors(g.dim, table.reshape(-1, g.dim))
 
 

@@ -210,7 +210,7 @@ class VerificationContext:
         # Lemma: the rows of e span the image (its basis b / s is their
         # canonical basis), so they have coordinates: s e = x b.  Then
         # b / s = x^-1 e, and e = e_den * embedding.
-        _, inv, d = int_inverse(self.g2_image.coordinates(e))
+        inv, d = int_inverse(self.g2_image.coordinates(e))
         return lowest_terms(int_einsum(",ij->ij", e_den, inv), d)
 
 
@@ -442,8 +442,6 @@ def check_maximality(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome
     g2img = ctx.g2_image
     so34 = ctx.so34
 
-    # one common denominator maps coordinates c to a multiple of sum c_i v_i
-    v_ints, _ = v.cleared_basis()
     # Lemma: the subalgebra generated by the image and v holds every
     # ad(image)-iterate of v, so when those span V (vmod is ad(image) on V)
     # it holds image + V.  Premise, decided here: image + V = so(3,4).
@@ -453,8 +451,9 @@ def check_maximality(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome
     def certify(coords_in_v: tuple[int, ...], generated: Subspace) -> tuple[bool, bool]:
         if spans and generated.dim == vmod.dim:
             return True, True
-        ambient = int_einsum("i,ij->j", coords_in_v, v_ints)
-        seed = Subspace.from_vectors(so34.dim, np.vstack([g2img.int_basis(), ambient]))
+        # v's one den maps coordinates c to a multiple of sum c_i v_i
+        ambient = int_einsum("i,ij->j", coords_in_v, v.basis)
+        seed = Subspace.from_vectors(so34.dim, np.vstack([g2img.basis, ambient]))
         closure = subalgebra_closure(so34, seed)
         return generated.dim == vmod.dim, closure.dim == so34.dim
 
@@ -499,13 +498,13 @@ def check_metric_constants(ctx: VerificationContext, cfg: SuiteConfig) -> CheckO
     out.expect("killing_signature_g2", k_g2.signature, (8, 6, 0))
 
     # both Gram matrices in the canonical (leading-1) basis of the image
-    restricted = k_so.restricted(*ctx.g2_image.cleared_basis())
+    restricted = k_so.restricted(ctx.g2_image.basis, ctx.g2_image.den)
     out.expect("restriction_to_image_nondegenerate", rank(restricted.G), 14)
     c1 = _proportionality(restricted, k_g2.restricted(*ctx.image_basis_change))
     out.expect("c1", c1, Fraction(5, 4))
     out.expect("c1_residual_zero", c1 is not None, True)
 
-    restricted_v = k_so.restricted(*ctx.complement.cleared_basis())
+    restricted_v = k_so.restricted(ctx.complement.basis, ctx.complement.den)
     out.expect("restriction_to_complement_nondegenerate", rank(restricted_v.G), 7)
     iso = ctx.complement_isomorphism
     if out.expect("complement_isomorphism_exists", iso is not None, True):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from random import Random
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import settings
 
 from g2cert.lie import LieAlgebra
-from g2cert.linalg import Matrix, NormForm, clear_denominators, int_cleared, int_dtype, int_einsum
+from g2cert.linalg import Matrix, NormForm, int_cleared, int_dtype, int_einsum
 from g2cert.octonion import DIM, SplitCayley, StructureConstantAlgebra, build_split_cayley
 from g2cert.reps import LieModule
 from g2cert.suite import VerificationContext
@@ -24,8 +25,14 @@ def fractions(a, den=1):
 
 def leading_one_basis(sub):
     """The canonical basis of the Subspace sub as leading-1 Fraction rows:
-    each stored primitive row over its pivot entry."""
-    return tuple(tuple(Fraction(x, r[p]) for x in r) for r, p in zip(sub.rows, sub.pivots))
+    each row of its basis over its den."""
+    return tuple(tuple(Fraction(x, sub.den) for x in row) for row in sub.basis.tolist())
+
+
+def primitive_rows(sub):
+    """The rows of the Subspace sub's basis, each over its gcd: the primitive
+    rows its validating constructor takes."""
+    return [[x // math.gcd(*row) for x in row] for row in sub.basis.tolist()]
 
 
 def int_family(vectors, n):
@@ -40,9 +47,9 @@ def three_pass_cleared(values):
     Fraction unless it is an int or a Fraction, denominators cleared, then the
     largest magnitude taken; kept as the reference for the one-pass clear."""
     values = np.array(values, dtype=object)
-    ints, den = clear_denominators(
-        [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values.flat]
-    )
+    fracs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values.flat]
+    den = math.lcm(*(x.denominator for x in fracs))
+    ints = [x.numerator * (den // x.denominator) for x in fracs]
     return np.array(ints, dtype=int_dtype(max(map(abs, ints), default=0))).reshape(values.shape), den
 
 
@@ -80,7 +87,7 @@ def zeros(nrows, ncols):
 
 def ad(g, x):
     """Matrix of ad(x): y -> [x, y] in basis coordinates, as Fractions."""
-    xs, xden = clear_denominators(x)
+    xs, xden = int_cleared(x)
     return fractions(int_einsum("i,ijk->kj", xs, g.C), xden * g.den)
 
 

@@ -289,7 +289,7 @@ def _form_space_of_dim_2(ctx, monkeypatch):
     """The invariant forms with a second, non-invariant matrix (the identity)
     added to their space; the symmetric part and generator are the real ones."""
     real = ctx.natural_forms
-    space = Subspace.from_vectors(49, np.vstack([real.space.int_basis(), np.eye(7, dtype=int).reshape(1, 49)]))
+    space = Subspace.from_vectors(49, np.vstack([real.space.basis, np.eye(7, dtype=int).reshape(1, 49)]))
     ctx._cache["natural_forms"] = InvariantForms(space=space, symmetric=real.symmetric, generator=real.generator)
 
 

@@ -96,6 +96,14 @@ def test_lie_algebra_rejects_non_positive_denominator(den):
         LieAlgebra(np.zeros((2, 2, 2), dtype=np.int64), den)
 
 
+@pytest.mark.parametrize("den", [True, np.int64(2), 2.0, Fraction(2)])
+def test_lie_algebra_takes_a_python_int_denominator(den):
+    """A bool, a numpy integer, a float or a Fraction is rejected as a
+    denominator below 1 is, not stored or handed to math.gcd."""
+    with pytest.raises(ValueError, match="denominator"):
+        LieAlgebra(np.zeros((2, 2, 2), dtype=np.int64), den)
+
+
 def test_lie_algebra_is_held_in_lowest_terms(sl2):
     """Scaling C and den by one factor gives the same algebra; a tensor past
     int64 after the scaling comes back to int64."""
@@ -409,7 +417,7 @@ def test_closure_monotone_idempotent(sl2):
 
 def test_closure_maximality_single_vector(ctx):
     so34 = ctx.so34
-    seed = Subspace.from_vectors(21, list(ctx.g2_image.rows) + [ctx.complement.rows[0]])
+    seed = Subspace.from_vectors(21, np.vstack([ctx.g2_image.basis, ctx.complement.basis[:1]]))
     assert subalgebra_closure(so34, seed).dim == 21
 
 
@@ -445,7 +453,7 @@ def test_direct_sum_killing_restriction():
     diag = Subspace.from_vectors(
         6, [(1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 1, 0), (0, 0, 1, 0, 0, 1)]
     )
-    restricted = killing_form(both).restricted(*diag.cleared_basis())
+    restricted = killing_form(both).restricted(diag.basis, diag.den)
     assert rank(restricted.G) == 3
 
 

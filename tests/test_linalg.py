@@ -19,11 +19,11 @@ from g2cert.linalg import (
     Subspace,
     _independent_rows,
     _unforced_columns,
-    clear_denominators,
     int_cleared,
     int_dtype,
     int_einsum,
     int_inverse,
+    is_int_array,
     kernel_basis,
     lowest_terms,
     max_abs,
@@ -38,11 +38,13 @@ from g2cert.reps import LieModule, restriction_module
 from conftest import (
     cayley_mutant,
     coordinates_of,
+    fractions as rationals,
     diagonal,
     form_bilinear,
     form_norm,
     int_family,
     leading_one_basis,
+    primitive_rows,
     three_pass_cleared,
     zeros,
 )
@@ -284,10 +286,10 @@ def test_span_dimension_formula(vecs_a, vecs_b):
     the kernel of (x, y) -> x A - y B, for the canonical bases A and B."""
     a = Subspace.from_vectors(4, int_family(vecs_a, 4))
     b = Subspace.from_vectors(4, int_family(vecs_b, 4))
-    basis_a, basis_b = a.int_basis(), b.int_basis()
+    basis_a, basis_b = a.basis, b.basis
     common = Subspace(4, ())
     if a.dim and b.dim:
-        pairs = kernel_basis(np.concatenate([basis_a, -basis_b]).T).int_basis()
+        pairs = kernel_basis(np.concatenate([basis_a, -basis_b]).T).basis
         common = Subspace.from_vectors(4, pairs[:, : a.dim] @ basis_a)
     total = a.sum(b)
     assert total.dim + common.dim == a.dim + b.dim
@@ -378,7 +380,7 @@ def test_singleton_row_of_the_prime_is_forced_without_fallback(monkeypatch):
     kern = kernel_basis(m)
     assert len(m) not in calls
     assert kern == _reference_kernel(m)
-    assert all(v[0] == 0 for v in kern.rows)
+    assert not kern.basis[:, 0].any()
 
 
 def _singleton_chain_system(rng, nforced, nlive, entries):
@@ -503,7 +505,8 @@ def test_subspace_accepts_canonical_basis():
     sub = Subspace(3, ((2, 1, 0), (0, 0, 1)))
     assert sub.pivots == (0, 2)
     assert sub == Subspace.from_vectors(3, [(2, 1, 4), (0, 0, 3)])
-    assert Subspace(3, [[2**70 + 1, 2**70, 0]]).rows == ((2**70 + 1, 2**70, 0),)
+    big = Subspace(3, [[2**70 + 1, 2**70, 0]])
+    assert (big.basis.tolist(), big.den) == ([[2**70 + 1, 2**70, 0]], 2**70 + 1)
 
 
 @pytest.mark.parametrize(
@@ -516,11 +519,12 @@ def test_subspace_accepts_canonical_basis():
     ],
 )
 def test_subspace_basis_round_trips(ambient, basis, rows):
-    """The constructor stores the primitive integer rows it is given, each
-    a multiple of its leading-1 basis row, and their span gives them back."""
+    """The constructor takes the primitive integer rows, each a multiple of
+    its leading-1 basis row, and holds that basis over its least
+    denominator; their span gives the same subspace back."""
     sub = Subspace(ambient, rows)
-    assert leading_one_basis(sub) == basis and sub.rows == rows
-    assert sub.int_basis().tolist() == [list(r) for r in rows]
+    _assert_held(sub, basis)
+    assert leading_one_basis(sub) == basis
     rebuilt = Subspace.from_vectors(ambient, int_family(basis, ambient))
     assert rebuilt == sub and leading_one_basis(rebuilt) == basis and rebuilt.pivots == sub.pivots
 
@@ -555,18 +559,39 @@ def _reference_rref(work, ambient_dim):
 # constructor.
 def _reference_from_vectors(ambient_dim, vectors):
     reduced = _reference_rref(vectors, ambient_dim)[0]
-    return Subspace(ambient_dim, [clear_denominators(row)[0] for row in reduced])
+    return Subspace(ambient_dim, [int_cleared(row)[0].tolist() for row in reduced])
 
 
 # The kernel read off the reference elimination of every row of an integer
 # array, kept as the reference for kernel_basis: one vector per free column f,
-# e_f minus column f of the leading-1 rows on their pivots.
-def _reference_kernel(m):
+# e_f minus column f of the leading-1 rows on their pivots, and the leading-1
+# rows of their span.
+def _reference_kernel_rows(m):
     ncols = m.shape[1]
     reduced, pivots = _reference_rref(m.tolist(), ncols)
     free = [f for f in range(ncols) if f not in pivots]
     vectors = [[int(c == f) if c not in pivots else -reduced[pivots.index(c)][f] for c in range(ncols)] for f in free]
-    return _reference_from_vectors(ncols, int_family(vectors, ncols).tolist())
+    return _reference_rref(int_family(vectors, ncols).tolist(), ncols)[0]
+
+
+def _reference_kernel(m):
+    ncols = m.shape[1]
+    return Subspace(ncols, [int_cleared(row)[0].tolist() for row in _reference_kernel_rows(m)])
+
+
+def _assert_held(sub, leading_one):
+    """A Subspace's one representation, against the leading-1 Fraction rows
+    of its span: basis is read-only, of Python ints; basis[i, pivots[i]] ==
+    den and every other row is zero in that pivot column; den is the least
+    denominator, gcd(den, basis) = 1; and basis / den is leading_one."""
+    b, den = sub.basis, sub.den
+    with pytest.raises(ValueError):
+        b[...] = 0
+    assert b.shape == (len(leading_one), sub.ambient_dim) and b.dtype == object
+    assert type(den) is int and all(type(x) is int for x in b.flat)
+    assert np.array_equal(b[:, list(sub.pivots)], den * np.eye(sub.dim, dtype=object))
+    assert math.gcd(den, *b.flat) == 1
+    assert rationals(b, den).tolist() == [list(row) for row in leading_one]
 
 
 # Entries that vanish modulo the certifying prime, so that some families of
@@ -594,7 +619,7 @@ def test_from_vectors_matches_fraction_reference(family):
     expected = _reference_from_vectors(n, ints.tolist())
     sub = Subspace.from_vectors(n, ints.tolist())
     assert sub == expected and leading_one_basis(sub) == leading_one_basis(expected) and sub.pivots == expected.pivots
-    assert sub.int_basis().tolist() == [clear_denominators(row)[0] for row in leading_one_basis(expected)]
+    assert (sub.basis.tolist(), sub.den) == (expected.basis.tolist(), expected.den)
     assert Subspace.from_vectors(n, ints.astype(object)) == expected
     if all(abs(x) < 2**62 for x in ints.flat):
         assert Subspace.from_vectors(n, ints.astype(np.int64)) == expected
@@ -708,13 +733,14 @@ def test_kernels_of_mutant_derivation_systems_match_elimination_of_every_row(mon
 def _assert_canonical_kernel(m, reference=True):
     """kernel_basis(m) as it comes out of its one elimination: the validating
     constructor accepts its rows, and (unless reference is False) it equals
-    the reference kernel, pivots too."""
+    the reference kernel, pivots too, held as ``_assert_held`` says."""
     kern = kernel_basis(m)
-    checked = Subspace(kern.ambient_dim, kern.rows)
+    checked = Subspace(kern.ambient_dim, primitive_rows(kern))
     assert checked == kern and checked.pivots == kern.pivots
     if reference:
         expected = _reference_kernel(m)
         assert kern == expected and kern.pivots == expected.pivots
+        _assert_held(kern, _reference_kernel_rows(m))
 
 
 @given(families(integers))
@@ -764,7 +790,7 @@ def test_kernel_fallback_under_a_small_prime_is_canonical(monkeypatch, prime):
 def test_many_rows_spanning_a_proper_subspace():
     rows = [(1, 2, 3), (0, 1, 1), (1, 3, 4), (2, 4, 6), (-1, -1, -2), (3, 7, 10)]
     sub = Subspace.from_vectors(3, rows)
-    assert sub.dim == 2 and sub.rows == ((1, 0, 1), (0, 1, 1))
+    assert sub.dim == 2 and (sub.basis.tolist(), sub.den) == ([[1, 0, 1], [0, 1, 1]], 1)
     assert sub == _reference_from_vectors(3, rows)
 
 
@@ -922,12 +948,33 @@ def test_kernel_rejects_non_integer_array():
 
 @given(st.one_of(families(fractions), families(integers)))
 def test_cleared_basis_is_the_leading_1_basis_over_its_least_denominator(family):
+    """from_vectors, kernel_basis (rows that vanish modulo PRIME send some
+    families to its fallback) and full, against the Fraction reference."""
     n, vectors = family
-    sub = Subspace.from_vectors(n, int_family(vectors, n))
-    b, s = sub.cleared_basis()
-    expected, den = int_cleared(leading_one_basis(sub))
-    assert b.shape == (sub.dim, n) and s == den
-    assert b.tolist() == expected.reshape(sub.dim, n).tolist()
+    ints = int_family(vectors, n)
+    _assert_held(Subspace.from_vectors(n, ints), _reference_rref(ints.tolist(), n)[0])
+    _assert_held(kernel_basis(ints), _reference_kernel_rows(ints))
+    _assert_held(Subspace.full(n), rationals(np.eye(n, dtype=int)).tolist())
+
+
+def test_each_maker_holds_one_basis_over_its_least_denominator(monkeypatch):
+    """from_vectors, kernel_basis on its picked path and, under PRIME = 2, on
+    its fallback, the validating constructor and full."""
+    calls = _spy_on_exact_elimination(monkeypatch)
+    family = [[2, 1, 0, 4], [0, 3, 6, 1], [2, 4, 6, 5]]  # leading-1 rows over 6
+    span = Subspace.from_vectors(4, family)
+    _assert_held(span, _reference_rref(family, 4)[0])
+    assert span.den == 6 and span.basis.tolist() != primitive_rows(span)
+    before = len(calls)
+    _assert_held(kernel_basis(np.array(family)), _reference_kernel_rows(np.array(family)))
+    assert len(calls) - before == 1  # the picked rows only
+    monkeypatch.setattr(linalg, "PRIME", 2)
+    before, m = len(calls), np.array([[2, 2, 0], [0, 1, 1]])
+    _assert_held(kernel_basis(m), _reference_kernel_rows(m))
+    assert len(calls) - before == 2  # the fallback saw every row
+    _assert_held(Subspace(3, ((2, 1, 0), (0, 0, 1))), ((1, Fraction(1, 2), 0), (0, 0, 1)))
+    _assert_held(Subspace(0, ()), ())
+    _assert_held(Subspace.full(3), rationals(np.eye(3, dtype=int)).tolist())
 
 
 @given(matrices())
@@ -1015,6 +1062,14 @@ def test_norm_form_rejects_invalid_gram(G, den):
         NormForm(G, den)
 
 
+@pytest.mark.parametrize("den", [True, np.int64(2), 2.0, Fraction(2)])
+def test_norm_form_takes_a_python_int_denominator(den):
+    """A bool, a numpy integer, a float or a Fraction is rejected as a
+    denominator below 1 is, not stored or handed to math.gcd."""
+    with pytest.raises(ValueError, match="positive denominator"):
+        NormForm(np.array([[2, 0], [0, 2]]), den)
+
+
 def test_norm_form_is_held_in_lowest_terms():
     form = NormForm(np.array([[2, 4], [4, 6]]), 6)
     assert form.G.tolist() == [[1, 2], [2, 3]] and form.den == 3
@@ -1028,24 +1083,23 @@ def test_norm_form_is_held_in_lowest_terms():
 
 
 def assert_inverse_certificate(a):
-    """int_inverse certified, not compared with an oracle: x a[:, pivots] =
-    d I exactly, gcd(d, x) = 1, and pivots are those of the span."""
-    pivots, x, d = int_inverse(a)
+    """int_inverse certified, not compared with an oracle: x a = d I exactly
+    and gcd(d, x) = 1; x is read off the span's read-only basis."""
+    x, d = int_inverse(a)
     k = len(a)
-    assert pivots == list(Subspace.from_vectors(a.shape[1], a).pivots)
-    assert np.array_equal(int_einsum("ij,jk->ik", x, a[:, pivots]), int_einsum(",ij->ij", d, np.eye(k, dtype=int)))
+    assert np.array_equal(int_einsum("ij,jk->ik", x, a), int_einsum(",ij->ij", d, np.eye(k, dtype=int)))
     assert math.gcd(d, *map(int, x.flat)) == 1
-    assert x.shape == (k, k) and x.dtype == int_dtype(max_abs(x))
+    assert x.shape == (k, k) and x.dtype == object and is_int_array(x) and not x.flags.writeable
 
 
 @pytest.mark.parametrize(
     "a",
     [
         np.array([[2, 1], [-3, 4]]),  # square
-        np.array([[0, 6, 3, 9], [4, 2, 0, 2], [2, 0, 5, 1]]),  # wide, a pivot skips a column
-        np.array([[2**70, 1, 0], [3, 2**70, 1]], dtype=object),  # Python ints
+        np.array([[0, 6, 3], [4, 2, 0], [2, 0, 5]]),  # a[:, pivots] of a wide family whose pivot skips a column
+        np.array([[2**70, 1], [3, 2**70]], dtype=object),  # Python ints
         np.array([[2**70, 1], [1, 1]], dtype=object),  # d = 2**70 - 1, x of Python ints
-        np.zeros((0, 3), dtype=np.int64),  # the empty family
+        np.zeros((0, 0), dtype=np.int64),  # the empty family
         np.zeros((0, 0), dtype=object),
     ],
 )
@@ -1055,20 +1109,20 @@ def test_int_inverse_certificate(a):
 
 @given(matrices(max_rows=4, max_cols=6))
 def test_int_inverse_of_independent_rows(m):
+    """Independent rows, read at the pivot columns of their span."""
     a = cleared(m)
     a = a[_independent_rows(a)]
-    assert_inverse_certificate(a)
+    assert_inverse_certificate(a[:, list(Subspace.from_vectors(a.shape[1], a).pivots)])
 
 
 def _eliminated_inverse(a):
-    """int_inverse's triple by the reference elimination: the pivot columns
-    of a's row space, and x, d with x / d = a[:, pivots]^-1 in lowest terms
-    (the least common denominator of the leading-1 rows of [a[:, pivots] | I])."""
-    pivots = _reference_rref(a.tolist(), a.shape[1])[1]
+    """int_inverse's pair by the reference elimination: x, d with x / d = a^-1
+    in lowest terms (the least common denominator of the leading-1 rows of
+    [a | I])."""
     k = len(a)
-    rows = [row + [int(i == j) for j in range(k)] for i, row in enumerate(a[:, pivots].tolist())]
-    x, d = clear_denominators([v for row in _reference_rref(rows, 2 * k)[0] for v in row[k:]])
-    return pivots, np.array(x, dtype=object).reshape(k, k).tolist(), d
+    rows = [row + [int(i == j) for j in range(k)] for i, row in enumerate(a.tolist())]
+    x, d = int_cleared([row[k:] for row in _reference_rref(rows, 2 * k)[0]])
+    return x.tolist(), d
 
 
 def test_realizations_reach_no_int_inverse(monkeypatch, cayley):
@@ -1089,20 +1143,20 @@ def test_realizations_reach_no_int_inverse(monkeypatch, cayley):
 @pytest.mark.parametrize(
     "a",
     [
-        [[2, 1, 0], [0, 2, 1]],  # leads increase, the pivot block is not diagonal
-        [[2, 0, 1], [0, 3, 1]],  # a diagonal pivot block that is not s I
-        [[0, 2, 1], [2, 0, 0]],  # 2 I at leads that decrease
-        [[-2, 0, 1], [0, -2, 3]],  # s I with s < 0
-        [[2, 1, 2**70], [0, 2, 1]],  # a non-diagonal pivot block on Python ints
-        [[2, 0, 1], [0, 2, 3]],  # a cleared canonical basis, 2 I: int_inverse has one path
+        [[2, 1], [0, 2]],  # not diagonal
+        [[2, 0], [0, 3]],  # diagonal, not s I
+        [[0, 2], [2, 0]],  # 2 I with its rows swapped
+        [[-2, 0], [0, -2]],  # s I with s < 0
+        [[2, 2**70], [0, 2]],  # not diagonal, on Python ints
+        [[2, 0], [0, 2]],  # 2 I: int_inverse has one path
     ],
 )
 def test_int_inverse_eliminates_a_family_off_the_canonical_form(monkeypatch, a):
     a = np.array(a, dtype=object if 2**70 in a[0] else np.int64)
     calls = _spy_on_exact_elimination(monkeypatch)
-    pivots, x, d = int_inverse(a)
+    x, d = int_inverse(a)
     assert calls == [len(a)]
-    assert (pivots, x.tolist(), d) == _eliminated_inverse(a)
+    assert (x.tolist(), d) == _eliminated_inverse(a)
 
 
 @given(st.one_of(families(fractions), families(integers)), st.data())
@@ -1110,7 +1164,7 @@ def test_contains_agrees_with_a_rank_oracle(family, data):
     """A combination of the family's rows lies in its span and an arbitrary
     vector may not: coordinates and contains say what the rank of the basis
     with the vector beside it says, and coordinates x give v = x (b / s) on
-    the leading-1 basis b / s, by the Fraction oracle coordinates_of."""
+    the basis b / s, by the Fraction oracle coordinates_of."""
     n, vectors = family
     ints = int_family(vectors, n).tolist()
     sub = Subspace.from_vectors(n, ints)
@@ -1118,17 +1172,17 @@ def test_contains_agrees_with_a_rank_oracle(family, data):
     inside = [sum(c * row[j] for c, row in zip(coeffs, ints)) for j in range(n)]
     arbitrary = data.draw(st.lists(integers, min_size=n, max_size=n))
     for vec in (inside, arbitrary):
-        expected = _exact_rank(np.array([*sub.rows, vec], dtype=object)) == sub.dim
+        expected = _exact_rank(np.array([*sub.basis.tolist(), vec], dtype=object)) == sub.dim
         x = sub.coordinates(np.array([vec], dtype=object))
         assert (x is not None) == expected
         assert x is None or tuple(x[0]) == coordinates_of(sub, vec)
         assert sub.contains(Subspace.from_vectors(n, [vec])) == expected
         assert sub.contains(np.array([vec], dtype=object)) == expected
     both = Subspace.from_vectors(n, [inside, arbitrary])
-    assert sub.contains(both) == (_exact_rank(np.array([*sub.rows, inside, arbitrary], dtype=object)) == sub.dim)
+    assert sub.contains(both) == (_exact_rank(np.array([*sub.basis.tolist(), inside, arbitrary], dtype=object)) == sub.dim)
     x = sub.coordinates(both)
     assert (x is not None) == sub.contains(both)
-    assert x is None or [tuple(row) for row in x] == [coordinates_of(sub, row) for row in both.rows]
+    assert x is None or [tuple(row) for row in x] == [coordinates_of(sub, row) for row in both.basis.tolist()]
     assert sub.contains(np.array([inside], dtype=object))
 
 
@@ -1142,12 +1196,27 @@ def test_contains_rejects_rows_of_another_width():
 @pytest.mark.parametrize(
     "a",
     [
-        np.array([[1, 2, 3], [2, 4, 6]]),  # dependent wide family
-        np.array([[1, 2, 0], [0, 0, 0]]),  # a zero row
-        np.array([[1, 2], [2, 4]]),  # singular square
-        np.zeros((1, 0), dtype=np.int64),  # a row of no columns
+        np.array([[1, 2, 3], [2, 4, 6], [0, 0, 1]]),  # dependent rows
+        np.array([[1, 2, 0], [0, 0, 0], [0, 1, 1]]),  # a zero row
+        np.array([[1, 2], [2, 4]]),  # singular
+        np.zeros((1, 1), dtype=np.int64),  # one zero entry
     ],
 )
 def test_int_inverse_rejects_a_dependent_family(a):
     with pytest.raises(ValueError, match="linearly dependent"):
+        int_inverse(a)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.array([[0, 6, 3, 9], [4, 2, 0, 2], [2, 0, 5, 1]]),  # wide, independent
+        np.array([[2**70, 1, 0], [3, 2**70, 1]], dtype=object),
+        np.array([[2, 1], [0, 2], [1, 1]]),  # tall
+        np.zeros((0, 3), dtype=np.int64),
+        np.zeros((1, 0), dtype=np.int64),
+    ],
+)
+def test_int_inverse_rejects_a_rectangular_array(a):
+    with pytest.raises(ValueError, match="square"):
         int_inverse(a)

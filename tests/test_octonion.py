@@ -183,6 +183,27 @@ def test_one_complement_per_form_and_unit(monkeypatch):
     assert other_form.imaginary[0] == a.imaginary[0] and other_form.imaginary[1].G.tolist() == a.imaginary[1].G.tolist()
 
 
+@pytest.mark.parametrize("form_dim, unit_len", [(7, 8), (8, 7), (9, 9)])
+def test_split_cayley_rejects_a_form_or_unit_of_another_dimension(form_dim, unit_len):
+    """Malformed input is refused where it enters, not by a broadcast error
+    in the cayley check or an empty assertion in the derivations stage."""
+    base = build_split_cayley()
+    form = base.form if form_dim == 8 else NormForm(np.eye(form_dim, dtype=np.int64))
+    with pytest.raises(ValueError, match="dimension"):
+        SplitCayley(base.algebra, form, ((1,) * unit_len))
+
+
+def test_unit_facts_reject_another_length_and_an_inexact_entry():
+    """A 7-entry unit raises ValueError; a float unit is read by int_cleared,
+    which raises TypeError."""
+    form = build_split_cayley().form
+    with pytest.raises(ValueError, match="dimension"):
+        form.unit_facts((1, 1) + (0,) * 5)
+    with pytest.raises(TypeError):
+        form.unit_facts((1.0, 1.0) + (0.0,) * 6)
+    assert form.unit_facts((1, 1) + (0,) * 6).n == 2
+
+
 def test_int64_constants_are_copied_not_frozen():
     """An integer array is read without clearing, into a copy: the caller's
     array stays writeable and unaliased, and writing to it changes nothing."""

@@ -13,7 +13,6 @@ from g2cert.linalg import (
     Bounded,
     NormForm,
     Subspace,
-    clear_denominators,
     int_cleared,
     int_dtype,
     int_einsum,
@@ -289,12 +288,12 @@ def test_bracket_span_examples(ctx):
 
 def test_bracket_map_is_module_homomorphism(ctx):
     """[x,[u,w]] = [[x,u],w] + [u,[x,w]] for image elements x and u, w in the
-    complement, exactly on all triples of their primitive basis rows: with
+    complement, exactly on all triples of their cleared basis rows: with
     br(a, b) = den [a, b] contracted from C, both sides are den^2 times the
     identity.  A few triples are also checked on Fractions."""
     so34 = ctx.so34
     c = so34.C
-    xs, us = ctx.g2_image.int_basis(), ctx.complement.int_basis()
+    xs, us = ctx.g2_image.basis, ctx.complement.basis
 
     def br(a, b):  # den [a_p, b_q] for the rows of a and b, by p, q, k
         return int_einsum("qj,pjk->pqk", b, int_einsum("pi,ijk->pjk", a, c))
@@ -751,11 +750,11 @@ def _sylvester_kernel(a, b):
     for a_i, b_i in zip(a, b):
         if vectors is None:
             system = np.kron(np.eye(nrows, dtype=a.dtype), a_i.T) - np.kron(b_i, np.eye(ncols, dtype=b.dtype))
-            vectors = kernel_basis(system).int_basis()
+            vectors = kernel_basis(system).basis
         else:
             t = vectors.reshape(-1, nrows, ncols)
             images = (t @ a_i - b_i @ t).reshape(len(vectors), size)
-            vectors = kernel_basis(images.T).int_basis() @ vectors
+            vectors = kernel_basis(images.T).basis @ vectors
         if not len(vectors):
             return Subspace(size, ())
     if vectors is None:
@@ -798,7 +797,7 @@ def test_hom_space_matches_kronecker_reference(ctx, so3, zero_module_2d, big_mod
         assert len(homs) == dim
         # each basis element is its leading-1 row, and that row cleared is primitive
         leading_one = [fractions(h.T, h.den).flatten() for h in homs]
-        assert Subspace(w.dim * v.dim, [clear_denominators(row)[0] for row in leading_one]) == _hom_reference(v, w)
+        assert Subspace(w.dim * v.dim, [int_cleared(row)[0].tolist() for row in leading_one]) == _hom_reference(v, w)
     for v in {id(m): m for v, w, _ in cases for m in (v, w)}.values():
         forms = invariant_bilinear_forms(v)
         reference = _sylvester_kernel(v.A, -v.A.transpose(0, 2, 1))

@@ -194,7 +194,7 @@ def test_embedding_keeps_the_realization_denominator():
 
 @pytest.mark.parametrize("seed", [None, 2, 4])
 def test_image_basis_change_writes_the_image_basis_in_derivation_coordinates(ctx, seed):
-    """(x, d) = image_basis_change, in lowest terms, gives the image's cleared
+    """(x, d) = image_basis_change, in lowest terms, gives the image's
     basis b / s as x / d times the embedding rows e / e_den: d e_den b = s x e.
     The pristine embedding rows are that basis, so the stage is (I, 1); in a
     unimodular basis (seed) they are not, and d != 1."""
@@ -202,7 +202,7 @@ def test_image_basis_change_writes_the_image_basis_in_derivation_coordinates(ctx
         ctx = VerificationContext(cayley_candidate=cayley_in_basis(unimodular(seed)))
     x, d = ctx.image_basis_change
     e, e_den = ctx.embedding
-    b, s = ctx.g2_image.cleared_basis()
+    b, s = ctx.g2_image.basis, ctx.g2_image.den
     assert np.array_equal(int_einsum(",ij->ij", d * e_den, b), int_einsum(",ik,kj->ij", s, x, e))
     assert math.gcd(d, *map(int, x.flat)) == 1
     if seed is None:
@@ -285,7 +285,7 @@ def test_derivations_are_the_stabilizer_of_the_three_form(ctx):
     equations in the 49 entries of X, a system independent of the one
     derivation_algebra solves, and its kernel is the natural module's span."""
     c = ctx.cayley
-    b, _ = ctx.imaginary[0].cleared_basis()
+    b = ctx.imaginary[0].basis
     phi = int_einsum("ai,bj,ijk,kl,cl->abc", b, b, c.algebra.M, c.form.G, b)
     eye = np.eye(7, dtype=np.int64)
     # coefficient of X[d, e] in (X phi)(a, b, c) = phi(Xa, b, c) + phi(a, Xb, c) + phi(a, b, Xc)
