@@ -191,19 +191,22 @@ def so_of_form(form: NormForm) -> LieAlgebra:
     # row (i, j) with i <= j, unknown X[k][m]: entry (i, j) of X^T G + G X
     system = np.einsum("mi,kj->ijkm", eye, form.G) + np.einsum("mj,ik->ijkm", eye, form.G)
     alg = LieAlgebra.from_matrix_basis(kernel_basis(system[np.triu_indices(n)].reshape(-1, n * n)))
-    assert alg.dim == n * (n - 1) // 2
+    if alg.dim != n * (n - 1) // 2:
+        raise AssertionError("so of a nondegenerate form has dimension n(n-1)/2")
     return alg
 
 
 def subalgebra_closure(g: LieAlgebra, seed: Subspace) -> Subspace:
     """Smallest bracket-closed subspace containing the seed: iterate
-    S <- S + [S, S] until the dimension stabilizes."""
+    S <- S + [S, S] until the dimension stabilizes, bracketing each unordered
+    pair of basis rows once (den [x_i, x_j] for i < j)."""
     if seed.ambient_dim != g.dim:
         raise ValueError("seed lives in the wrong ambient space")
     span = seed
     while span.dim < g.dim:
         basis = span.basis
-        brackets = g.bracket_table(basis, basis)[np.triu_indices(len(basis), 1)]
+        i, j = np.triu_indices(len(basis), 1)
+        brackets = int_einsum("pi,pik->pk", basis[i], int_einsum("bj,ijk->bik", basis, Bounded(g.C, g.cmax))[j])
         grown = Subspace.from_vectors(g.dim, np.concatenate([basis, brackets]))
         if grown.dim == span.dim:
             break

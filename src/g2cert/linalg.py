@@ -15,8 +15,8 @@ sum of up to four such results fits.  The owners ``LieAlgebra.C``,
 arrays read-only beside the largest magnitude (``held``), and ``int_einsum``
 reads it off a ``Bounded`` operand; it still scans fresh products, subspace
 bases and realization stacks.  ``int_inverse``, the one exact inverse, reads
-the canonical basis of [a | I]; Fractions remain in its view ``Matrix`` and
-in ``rref``, which only tests call and the benchmark's tracer wraps.
+the canonical basis of [a | I]; Fractions remain in ``Matrix`` and ``rref``,
+which only the benchmark's tracer and their own behaviour tests touch.
 
 One exact elimination engine sits behind the public API: a fraction-free
 integer row reduction (per-row denominator clearing, gcd stripping), which
@@ -57,7 +57,7 @@ PRIME = 2147483647
 _GCD_STRIP_BOUND = 1 << 96
 
 
-# Matrix, RrefResult and rref have no caller in src/: bench/tracer.py wraps them by name and tests use them as oracles (ROADMAP item 2).
+# Matrix, RrefResult and rref have no caller in src/ and are no test's oracle: bench/tracer.py wraps them by name (ROADMAP item 3).
 class Matrix:
     """A matrix with Fraction entries, read by ``int_cleared``, inverted by ``int_inverse``."""
 

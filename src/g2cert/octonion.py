@@ -118,9 +118,7 @@ class SplitCayley:
         """The orthogonal complement of the unit and the norm form restricted
         to it, in its canonical basis (signature (3,4)); built once per form
         and unit (``NormForm.unit_facts``), so algebras sharing both share it."""
-        pair = self.form.unit_facts(self.unit).imaginary
-        assert pair[0].dim == DIM - 1
-        return pair
+        return self.form.unit_facts(self.unit).imaginary
 
 
 def build_split_cayley() -> SplitCayley:

@@ -168,8 +168,8 @@ def root_system(ct: CartanType) -> RootSystem:
                     nxt.append(refl)
         frontier = nxt
     positive = sorted(m for m in roots if all(x >= 0 for x in m))
-    assert len(positive) * 2 == len(roots)
-    assert all(any(x > 0 for x in m) for m in positive)
+    if len(positive) * 2 != len(roots) or not all(any(m) for m in positive):
+        raise AssertionError("the roots do not split into positive and negative roots")
     return RootSystem(cartan=ct, positive_roots=tuple(positive))
 
 
@@ -187,7 +187,8 @@ def weyl_dimension(rs: RootSystem, weight: Sequence[int]) -> int:
         top *= sum(m * d[j] * (weight[j] + 1) for j, m in enumerate(root))
         bot *= sum(m * d[j] for j, m in enumerate(root))
     dim, rest = divmod(top, bot)
-    assert rest == 0 and dim > 0
+    if rest or dim < 1:
+        raise AssertionError("the Weyl dimension formula gave no positive integer")
     return dim
 
 

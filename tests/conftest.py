@@ -1,13 +1,17 @@
+import functools
+import json
 import math
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from g2cert import lie
 from g2cert.lie import LieAlgebra
-from g2cert.linalg import Matrix, NormForm, int_cleared, int_dtype, int_einsum
+from g2cert.linalg import NormForm, Subspace, int_cleared, int_dtype, int_einsum
 from g2cert.octonion import DIM, SplitCayley, StructureConstantAlgebra, build_split_cayley
 from g2cert.reps import LieModule
 from g2cert.suite import VerificationContext
@@ -53,10 +57,188 @@ def three_pass_cleared(values):
     return np.array(ints, dtype=int_dtype(max(map(abs, ints), default=0))).reshape(values.shape), den
 
 
+ZERO = Fraction(0)
+
+
+# -- Fraction references: one per exact primitive ------------------------------
+# The tests compute every expected kernel, span, rank, inverse and signature
+# here, by textbook elimination that shares no code with the fraction-free
+# engine of g2cert.linalg.  The one exception is the Kronecker Hom systems of
+# test_reps (up to 441 unknowns), which kernel_basis solves: these references
+# would take seconds per system there, and test_linalg pins kernel_basis to
+# reference_kernel.
+
+
+def _distinct_nonzero_rows(rows):
+    """The distinct nonzero rows, as lists: they span what rows span."""
+    return [list(r) for r in dict.fromkeys(map(tuple, rows)) if any(r)]
+
+
+def _cleared_by(row, piv_row, c):
+    """row with its entry in column c cleared by the fraction-free combination
+    (p / g) row - (v / g) piv_row, g = gcd(p, v), of the entries p of piv_row
+    and v of row in column c; no gcd is stripped from the result."""
+    g = math.gcd(piv_row[c], row[c])
+    pf, vf = piv_row[c] // g, row[c] // g
+    return [pf * a - vf * b for a, b in zip(row, piv_row)]
+
+
+def _echelon(rows, ncols):
+    """An echelon form of integer rows ncols wide, by fraction-free forward
+    elimination (first pivot found): its nonzero rows and their pivot
+    columns."""
+    work, pivots = _distinct_nonzero_rows(rows), []
+    assert all(len(r) == ncols for r in work)
+    for c in range(ncols):
+        r = len(pivots)
+        found = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if found is None:
+            continue
+        work[r], work[found] = work[found], work[r]
+        work[r + 1 :] = [_cleared_by(row, work[r], c) if row[c] else row for row in work[r + 1 :]]
+        pivots.append(c)
+    return work[: len(pivots)], pivots
+
+
+def reference_rref(rows, ncols):
+    """The reduced row echelon form of integer rows ncols wide, by
+    fraction-free Gauss-Jordan elimination in two sweeps: ``_echelon``, then
+    each pivot column cleared from the rows above it, last pivot first.  Its
+    leading-1 Fraction rows and their pivot columns, as tuples."""
+    work, pivots = _echelon(rows, ncols)
+    for r in reversed(range(len(pivots))):
+        work[:r] = [_cleared_by(row, work[r], pivots[r]) if row[pivots[r]] else row for row in work[:r]]
+    return tuple(tuple(Fraction(x, work[i][c]) if x else ZERO for x in work[i]) for i, c in enumerate(pivots)), tuple(pivots)
+
+
+def reference_rank(m):
+    """The rank over Q of a 2-D integer array: the number of pivots of its
+    ``_echelon``."""
+    return len(_echelon(np.asarray(m).tolist(), np.shape(m)[1])[1])
+
+
+def span_of_rows(ncols, leading_one):
+    """The Subspace with the given leading-1 rows: each cleared to its
+    primitive integer row, through the validating constructor."""
+    return Subspace(ncols, [int_cleared(row)[0].tolist() for row in leading_one])
+
+
+def reference_span(ncols, vectors):
+    """The span of integer vectors ncols wide, by ``reference_rref``."""
+    return span_of_rows(ncols, reference_rref(vectors, ncols)[0])
+
+
+def reference_kernel_rows(m):
+    """The kernel of an integer array as leading-1 Fraction rows: one vector
+    per free column f of ``reference_rref`` (e_f minus column f of the
+    leading-1 rows on their pivots), reduced by ``reference_rref`` again."""
+    ncols = m.shape[1]
+    reduced, pivots = reference_rref(m.tolist(), ncols)
+    free = [f for f in range(ncols) if f not in pivots]
+    vectors = [[int(c == f) if c not in pivots else -reduced[pivots.index(c)][f] for c in range(ncols)] for f in free]
+    return reference_rref(int_family(vectors, ncols).tolist(), ncols)[0]
+
+
+def reference_kernel(m):
+    """The kernel of an integer array as a Subspace, by ``reference_kernel_rows``."""
+    return span_of_rows(m.shape[1], reference_kernel_rows(m))
+
+
+def reference_inverse(a):
+    """a^-1 of a square matrix of exact rationals, as an object array of
+    Fractions: the right half of the ``reference_rref`` of [a | I], each row
+    cleared on its own; ValueError when a pivot falls in I (a is singular)."""
+    k = len(a)
+    rows = [int_cleared([*row, *(int(i == j) for j in range(k))])[0].tolist() for i, row in enumerate(np.asarray(a, dtype=object).tolist())]
+    reduced, pivots = reference_rref(rows, 2 * k)
+    if pivots != tuple(range(k)):
+        raise ValueError("a singular matrix has no inverse")
+    return np.array([row[k:] for row in reduced], dtype=object).reshape(k, k)
+
+
+def reference_signature(m):
+    """Inertia (positive, negative, zero) of a symmetric rational matrix by
+    Fraction congruence: a zero pivot takes a later nonzero diagonal entry by
+    a swap, or else row and column of a later nonzero entry folded in."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    if any(a[i][j] != a[j][i] for i in range(n) for j in range(n)):
+        raise ValueError("signature requires a symmetric matrix")
+    pos = neg = 0
+    for i in range(n):
+        if not a[i][i]:
+            swap = next((j for j in range(i + 1, n) if a[j][j]), None)
+            if swap is not None:
+                a[i], a[swap] = a[swap], a[i]
+                for row in a:
+                    row[i], row[swap] = row[swap], row[i]
+            else:
+                fold = next((j for j in range(i + 1, n) if a[i][j]), None)
+                if fold is None:
+                    continue  # row is null from here on
+                for j in range(n):
+                    a[i][j] += a[fold][j]
+                for row in a:
+                    row[i] += row[fold]
+        d = a[i][i]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for j in range(i + 1, n):
+            if a[i][j]:
+                f = a[i][j] / d
+                for k in range(n):
+                    if a[i][k]:
+                        a[j][k] -= f * a[i][k]
+                for row in a:
+                    if row[i]:
+                        row[j] -= f * row[i]
+    return (pos, neg, n - pos - neg)
+
+
+def leibniz_rows(alg):
+    """The derivation system of a StructureConstantAlgebra written row by
+    row from its constants M / den, cleared to one integer array: row
+    (i, j, l) is the e_l coefficient of D(e_i e_j) - D(e_i) e_j - e_i D(e_j)
+    in the unknowns D[a][b] (column n a + b)."""
+    n, mul = alg.dim, fractions(alg.M, alg.den)
+    rows = []
+    for i, j, l in product(range(n), repeat=3):
+        row = [Fraction(0)] * (n * n)
+        for k in range(n):
+            row[l * n + k] += mul[i, j, k]
+        for m in range(n):
+            row[m * n + i] -= mul[m, j, l]
+            row[m * n + j] -= mul[i, m, l]
+        rows.append(row)
+    return int_cleared(rows)[0]
+
+
 def lie_algebra(consts):
     """The Lie algebra of a nested sequence of rational constants c_ijk,
     cleared to the integer tensor and denominator the constructor takes."""
     return LieAlgebra(*int_cleared(consts))
+
+
+def sl2_constants(n=1, drift=0):
+    """sl2 in the basis (n h, e, f) as Fractions c_ijk: [h', e] = 2n e,
+    [h', f] = -2n f, [e, f] = h' / n; drift is added to [h', e] only, which
+    breaks Jacobi."""
+    c = [[[ZERO] * 3 for _ in range(3)] for _ in range(3)]
+    c[0][1][1], c[1][0][1] = Fraction(2 * n + drift), Fraction(-2 * n - drift)
+    c[0][2][2], c[2][0][2] = Fraction(-2 * n), Fraction(2 * n)
+    c[1][2][0], c[2][1][0] = Fraction(1, n), Fraction(-1, n)
+    return c
+
+
+def untimed(payload) -> bytes:
+    """A JSON report, text or bytes, with every check's elapsed_ms set to 0:
+    two runs of one input agree on everything else, byte for byte."""
+    doc = json.loads(payload)
+    for check in doc["checks"]:
+        check["elapsed_ms"] = 0
+    return json.dumps(doc).encode()
 
 
 def coordinates_of(sub, vec):
@@ -110,12 +292,17 @@ def basis_element(i):
     return tuple(Fraction(int(j == i)) for j in range(DIM))
 
 
+@functools.cache
+def _gram_terms(form):
+    """The nonzero entries (i, j, G[i, j]) of a NormForm's read-only Gram matrix."""
+    return [(i, j, g) for i, row in enumerate(form.G.tolist()) for j, g in enumerate(row) if g]
+
+
 def form_bilinear(form, x, y):
     """B(x, y) = x^T G y / den of a NormForm as a Fraction, summed term by
     term over the nonzero Gram entries: the reference for the integer
     contractions."""
-    terms = (x[i] * g * y[j] for i, row in enumerate(form.G.tolist()) for j, g in enumerate(row) if g)
-    return Fraction(sum(terms, Fraction(0)), form.den)
+    return Fraction(sum((x[i] * g * y[j] for i, j, g in _gram_terms(form)), ZERO), form.den)
 
 
 def form_norm(form, x):
@@ -143,30 +330,41 @@ def random_element(rng):
 E3E4_DRIFT = {(2, 3, 0): 1, (2, 3, 1): 1}
 
 
+_PRISTINE = build_split_cayley()
+
+
 def cayley_mutant(changes):
-    """The split Cayley algebra with each structure constant mul[i][j][k]
-    moved by changes[(i, j, k)]; form and unit are the pristine ones."""
-    pristine = build_split_cayley()
-    mul = [[list(prod) for prod in row] for row in pristine.algebra.mul]
-    for (i, j, k), delta in changes.items():
-        mul[i][j][k] += delta
-    algebra = StructureConstantAlgebra(dim=DIM, mul=tuple(tuple(tuple(p) for p in row) for row in mul))
-    return SplitCayley(algebra=algebra, form=pristine.form, unit=pristine.unit)
+    """The split Cayley algebra with each structure constant M[i, j, k]
+    moved by changes[(i, j, k)]; form and unit are the pristine ones, the
+    form a fresh copy, so that no two mutants share its unit facts."""
+    m = _PRISTINE.algebra.M.copy()
+    for ijk, delta in changes.items():
+        m[ijk] += delta
+    form = NormForm(_PRISTINE.form.G, _PRISTINE.form.den)
+    return SplitCayley(algebra=StructureConstantAlgebra(DIM, m), form=form, unit=_PRISTINE.unit)
 
 
-def loop_multiply(mul, x, y):
-    """The product of two coordinate vectors, entry by entry."""
-    out = [Fraction(0)] * len(x)
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            for k, m in enumerate(mul[i][j]):
-                if m:
-                    out[k] += xi * yj * m
-    return tuple(out)
+def indexed_mutant(index):
+    """Mutant 2 * (64 i + 8 j + k) + s of the 1024 +-1 mutants: M[i, j, k]
+    moved by +1 for s = 0 and by -1 for s = 1."""
+    i, rest = divmod(index // 2, 64)
+    return cayley_mutant({(i, *divmod(rest, 8)): 1 - 2 * (index % 2)})
+
+
+def loop_product(mul):
+    """The product of two coordinate vectors by the nested constants
+    mul[i][j][k], as a function that sums x_i y_j mul[i][j][k] term by term
+    over the nonzero constants."""
+    terms = [(i, j, k, m) for i, row in enumerate(mul) for j, prod in enumerate(row) for k, m in enumerate(prod) if m]
+
+    def multiply(x, y):
+        out = [ZERO] * len(x)
+        for i, j, k, m in terms:
+            if x[i] and y[j]:
+                out[k] += x[i] * y[j] * m
+        return tuple(out)
+
+    return multiply
 
 
 def unimodular(seed: int) -> list[list[int]]:
@@ -181,11 +379,20 @@ def unimodular(seed: int) -> list[list[int]]:
 def cayley_in_basis(p):
     """The split Cayley algebra in the basis of the columns of p."""
     c = build_split_cayley()
-    inv = np.array(Matrix(p).inverse().rows, dtype=object)
+    inv = reference_inverse(p)
     p = np.array(p, dtype=object)
-    mul = tuple(tuple(tuple(inv @ loop_multiply(c.algebra.mul, x, y)) for y in p.T) for x in p.T)
+    multiply = loop_product(c.algebra.mul)
+    mul = tuple(tuple(tuple(inv @ multiply(x, y)) for y in p.T) for x in p.T)
     form = NormForm(*int_cleared(p.T @ gram(c) @ p))
     return SplitCayley(StructureConstantAlgebra(8, mul), form, tuple(inv @ np.array(c.unit)))
+
+
+@functools.cache
+def basis_twin(seed):
+    """``cayley_in_basis(unimodular(seed))``, built once per session: the
+    algebra and its form are read-only, and the form's unit facts depend on
+    nothing else."""
+    return cayley_in_basis(unimodular(seed))
 
 
 def _dickson_conjugate(x):
@@ -276,6 +483,22 @@ def so34(ctx):
 @pytest.fixture(scope="session")
 def natural_rep(ctx):
     return ctx.natural_rep
+
+
+@pytest.fixture(scope="session")
+def mutant_leibniz_systems():
+    """The 512 x 64 derivation systems of one in every 16 of the 1024 +-1
+    mutants (mutant 16 t + t % 16, staggered so that both signs and every k
+    occur), as derivation_algebra hands them to kernel_basis, each beside
+    the leading-1 rows of its reference kernel."""
+    systems = []
+    with pytest.MonkeyPatch.context() as mp:
+        solve = lie.kernel_basis
+        mp.setattr(lie, "kernel_basis", lambda m: systems.append(m) or solve(m))
+        for t in range(64):
+            lie.derivation_algebra(indexed_mutant(16 * t + t % 16).algebra)
+    assert len(systems) == 64
+    return [(m, reference_kernel_rows(m)) for m in systems]
 
 
 @pytest.fixture(scope="session")

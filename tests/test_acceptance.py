@@ -4,7 +4,6 @@ Every assertion is exact (no tolerances anywhere); each criterion also
 carries a wall-clock budget and prints a single pass line when it holds.
 """
 
-import json
 import time
 from collections import Counter
 from fractions import Fraction
@@ -13,14 +12,8 @@ import numpy as np
 import pytest
 
 from g2cert import suite, weyl
-from g2cert.lie import (
-    centralizer,
-    derivation_algebra,
-    killing_form,
-    so_of_form,
-    transporter_into,
-)
-from g2cert.linalg import NormForm, Subspace, int_cleared, rank, rref, signature
+from g2cert.lie import derivation_algebra, killing_form, so_of_form, transporter_into
+from g2cert.linalg import NormForm, Subspace, signature
 from g2cert.octonion import DIM, SplitCayley, StructureConstantAlgebra, build_split_cayley
 from g2cert.reps import (
     Intertwiner,
@@ -51,7 +44,7 @@ from g2cert.weyl import (
     weyl_dimension,
 )
 
-from conftest import E3E4_DRIFT, SO7_ERRORS, basis_element, cayley_mutant, diagonal, form_norm
+from conftest import E3E4_DRIFT, SO7_ERRORS, basis_element, cayley_mutant, diagonal, form_norm, leibniz_rows, reference_rank, untimed
 
 
 def _done(number: int, label: str, started: float, limit: float):
@@ -73,30 +66,13 @@ def test_criterion_01_cayley_certification(ctx):
     _done(1, "composition law and norm signatures", start, 1.0)
 
 
-def _derivation_constraint_rows(alg: StructureConstantAlgebra):
-    """Independent restatement of the derivation equations for the rref oracle."""
-    n = alg.dim
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                row = [Fraction(0)] * (n * n)
-                for k in range(n):
-                    row[l * n + k] += alg.mul[i][j][k]
-                for m in range(n):
-                    row[m * n + i] -= alg.mul[m][j][l]
-                    row[m * n + j] -= alg.mul[i][m][l]
-                rows.append(row)
-    return int_cleared(rows)[0]
-
-
 def test_criterion_02_derivation_algebra(ctx):
     start = time.perf_counter()
     der = derivation_algebra(ctx.cayley.algebra)
     assert der.dim == 14
-    constraint = _derivation_constraint_rows(ctx.cayley.algebra)
+    constraint = leibniz_rows(ctx.cayley.algebra)  # independent restatement of the derivation equations
     assert constraint.shape == (512, 64)
-    assert rref(constraint).rank == 50  # nullity 14 by rank-nullity
+    assert reference_rank(constraint) == 50  # nullity 14 by rank-nullity
     kf = killing_form(der)
     assert kf.nondegenerate
     assert kf.signature == (8, 6, 0)
@@ -140,7 +116,7 @@ def test_criterion_06_wedge_so_isomorphism(ctx):
     # the constructor has verified equivariance for all 21 generators on all
     # 21 basis wedges; bijectivity is the exact rank computation
     assert iso.T.shape == (21, 21)
-    assert rank(iso.T) == 21
+    assert reference_rank(iso.T) == 21
     _done(6, "wedge square to so(3,4): bijective and equivariant", start, 5.0)
 
 
@@ -193,13 +169,6 @@ def test_criterion_11_metric_constants(ctx):
     _done(11, "Killing restrictions: c1 = 5/4, c2 = -30, exact residuals", start, 10.0)
 
 
-def _strip_timing(payload: bytes) -> bytes:
-    doc = json.loads(payload)
-    for check in doc["checks"]:
-        check["elapsed_ms"] = 0
-    return json.dumps(doc).encode()
-
-
 def test_criterion_12_determinism_and_negative_controls():
     cfg = SuiteConfig()  # seed 0, samples 100, census bound 10
     start = time.perf_counter()
@@ -209,7 +178,7 @@ def test_criterion_12_determinism_and_negative_controls():
     assert all(r.status == "pass" for r in first)
 
     second = run_all(cfg, ctx=VerificationContext())
-    assert _strip_timing(serialize(first, cfg)) == _strip_timing(serialize(second, cfg))
+    assert untimed(serialize(first, cfg)) == untimed(serialize(second, cfg))
 
     fast = SuiteConfig(samples=5)
     degenerate, seam = NormForm(diagonal([1, 1, 1, 1, 1, 1, 0])), suite.wedge_so_isomorphism

@@ -11,6 +11,8 @@ import pytest
 from g2cert import cli, suite, weyl
 from g2cert.cli import main
 
+from conftest import untimed
+
 
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).resolve().parents[1]
@@ -224,12 +226,6 @@ def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
 
 
-def _without_timing(doc: dict) -> dict:
-    for check in doc["checks"]:
-        check["elapsed_ms"] = 0
-    return doc
-
-
 def run_module(*argv) -> subprocess.CompletedProcess:
     """``python -m g2cert`` in a fresh process, on this tree's sources."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -242,7 +238,7 @@ def test_module_entry_point_matches_main(capsys):
     proc = run_module(*argv)
     code, out, _ = run_cli(capsys, *argv)
     assert proc.returncode == code == 0
-    assert _without_timing(json.loads(proc.stdout)) == _without_timing(json.loads(out))
+    assert untimed(proc.stdout) == untimed(out)
     proc = run_module("verify", "--check", "nope")
     assert proc.returncode == 2 and "valid ids" in proc.stderr
 

@@ -14,7 +14,7 @@ from g2cert.lie import (
     subalgebra_closure,
     transporter_into,
 )
-from g2cert.linalg import NormForm, Subspace, int_cleared, int_dtype, kernel_basis, max_abs, rank
+from g2cert.linalg import NormForm, Subspace, int_cleared, int_dtype, max_abs
 from g2cert.octonion import StructureConstantAlgebra
 
 from conftest import (
@@ -28,8 +28,14 @@ from conftest import (
     fractions,
     gram,
     leading_one_basis,
+    leibniz_rows,
     lie_algebra,
     realization_matrices,
+    reference_kernel,
+    reference_kernel_rows,
+    reference_rank,
+    reference_span,
+    sl2_constants,
 )
 
 Z = Fraction(0)
@@ -38,23 +44,7 @@ Z = Fraction(0)
 @pytest.fixture(scope="module")
 def sl2():
     # basis (h, e, f): [h,e] = 2e, [h,f] = -2f, [e,f] = h
-    return lie_algebra(
-        (
-            ((Z, Z, Z), (Z, Fraction(2), Z), (Z, Z, Fraction(-2))),
-            ((Z, Fraction(-2), Z), (Z, Z, Z), (Fraction(1), Z, Z)),
-            ((Z, Z, Fraction(2)), (Fraction(-1), Z, Z), (Z, Z, Z)),
-        ),
-    )
-
-
-def _sl2_scaled(n, drift=0):
-    """sl2 in the basis (n h, e, f): [h', e] = 2n e, [h', f] = -2n f,
-    [e, f] = h' / n; drift is added to [h', e] only, which breaks Jacobi."""
-    c = [[[Z] * 3 for _ in range(3)] for _ in range(3)]
-    c[0][1][1], c[1][0][1] = Fraction(2 * n + drift), Fraction(-2 * n - drift)
-    c[0][2][2], c[2][0][2] = Fraction(-2 * n), Fraction(2 * n)
-    c[1][2][0], c[2][1][0] = Fraction(1, n), Fraction(-1, n)
-    return c
+    return lie_algebra(sl2_constants())
 
 
 def _unit(n, i):
@@ -117,28 +107,29 @@ def test_constants_beyond_int64_checked_exactly():
     antisymmetry and Jacobi checks run on Python ints; both still accept sl2
     and reject a one-unit drift."""
     n = 2**40
-    g = lie_algebra(_sl2_scaled(n))
+    g = lie_algebra(sl2_constants(n))
     assert g.C.dtype == object and g.den == n
     assert bracket(g, _unit(3, 1), _unit(3, 2)) == (Fraction(1, n), Z, Z)
     with pytest.raises(ValueError, match="Jacobi"):
-        lie_algebra(_sl2_scaled(n, drift=1))
-    lopsided = _sl2_scaled(n)
+        lie_algebra(sl2_constants(n, drift=1))
+    lopsided = sl2_constants(n)
     lopsided[1][0][1] -= 1
     with pytest.raises(ValueError, match="antisymmetric"):
         lie_algebra(lopsided)
 
 
 def _bracket_by_units(g):
-    """Reference table: table[i][j] = [e_i, e_j] as Fractions."""
+    """Reference table: table[i][j] = [e_i, e_j] as Fractions, column j of
+    the Fraction matrix ad(e_i)."""
     n = g.dim
-    return [[bracket(g, _unit(n, i), _unit(n, j)) for j in range(n)] for i in range(n)]
+    return [[tuple(a[:, j]) for j in range(n)] for a in (ad(g, _unit(n, i)) for i in range(n))]
 
 
 def test_killing_form_matches_trace_reference(sl2, derivations, so34):
     """den^2 K[i, j] = trace(ad_i ad_j) on every basis pair, with ad_i =
     C[i]^T read off the tensor and multiplied as matrices; a few pairs are
     also checked on the Fraction matrices of ``ad``."""
-    scaled = [lie_algebra(_sl2_scaled(n)) for n in (Fraction(2, 3), 2**40)]
+    scaled = [lie_algebra(sl2_constants(n)) for n in (Fraction(2, 3), 2**40)]
     for g in (sl2, derivations, so34, *scaled):
         kf = killing_form(g)
         n, cmax = g.dim, int(np.max(np.abs(g.C)))
@@ -167,11 +158,11 @@ def test_from_matrix_basis_on_non_canonical_basis():
             comm = (basis[i] @ basis[j] - basis[j] @ basis[i]).flatten()
             assert bracket(g, _unit(3, i), _unit(3, j)) == coordinates_of(span, comm)
     # the span is sl2, whose canonical basis h, e, f brackets with integer constants
-    assert (g.den, span) == (1, Subspace.from_vectors(4, [(1, 0, 0, -1), (0, 1, 0, 0), (0, 0, 1, 0)]))
+    assert (g.den, span) == (1, reference_span(4, [(1, 0, 0, -1), (0, 1, 0, 0), (0, 0, 1, 0)]))
 
 
 def test_bracket_table_matches_bracket():
-    g = lie_algebra(_sl2_scaled(Fraction(2, 3)))
+    g = lie_algebra(sl2_constants(Fraction(2, 3)))
     table = g.bracket_table(np.eye(3, dtype=int), np.array([(1, 2, -1), (0, 0, 3)]))
     ref = _bracket_by_units(g)
     assert g.den > 1
@@ -197,15 +188,15 @@ def test_centralizer_and_transporter_match_row_by_row_reference(sl2, derivations
             for v in leading_one_basis(s)
             for k in range(n)
         ]
-        assert centralizer(g, s) == kernel_basis(int_cleared(rows)[0])
+        assert centralizer(g, s) == reference_kernel(int_cleared(rows)[0])
         # [h, e_j] pairs to zero with every annihilator row u of s
-        ann = kernel_basis(int_cleared(leading_one_basis(s))[0])
+        ann = reference_kernel_rows(int_cleared(leading_one_basis(s))[0])
         rows = [
             [sum(u[k] * table[i][j][k] for k in range(n)) for i in range(n)]
             for j in range(n)
-            for u in leading_one_basis(ann)
+            for u in ann
         ]
-        assert transporter_into(g, s) == kernel_basis(int_cleared(rows)[0])
+        assert transporter_into(g, s) == reference_kernel(int_cleared(rows)[0])
 
 
 def test_antisymmetry_enforced():
@@ -252,24 +243,6 @@ def _rescaled(alg, scale):
     return StructureConstantAlgebra(dim=alg.dim, mul=mul)
 
 
-def _derivation_rows(alg):
-    """The derivation system row by row: entry (i, j, l) of
-    D(e_i e_j) - D(e_i) e_j - e_i D(e_j) in the unknowns D[a][b]."""
-    n, mul = alg.dim, alg.mul
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                row = [Z] * (n * n)
-                for k in range(n):
-                    row[l * n + k] += mul[i][j][k]
-                for m in range(n):
-                    row[m * n + i] -= mul[m][j][l]
-                    row[m * n + j] -= mul[i][m][l]
-                rows.append(row)
-    return rows
-
-
 def _so_rows(b):
     """Entry (i, j), i <= j, of X^T b + b X in the unknowns X[k][m]."""
     n = len(b)
@@ -292,7 +265,7 @@ def test_derivation_system_matches_row_by_row_reference(matrix_algebra_2x2):
         _rescaled(matrix_algebra_2x2, (1, Fraction(2, 3), 5, 1)),
         _rescaled(matrix_algebra_2x2, (1, Fraction(2**70), 1, 1)),
     ):
-        expected = leading_one_basis(kernel_basis(int_cleared(_derivation_rows(alg))[0]))
+        expected = reference_kernel_rows(leibniz_rows(alg))
         assert tuple(tuple(d.flat) for d in realization_matrices(derivation_algebra(alg))) == expected
 
 
@@ -301,7 +274,7 @@ def test_so_system_matches_row_by_row_reference():
         diagonal([1, -2, Fraction(1, 3), 5]),
         np.array([[0, 1, 0], [1, 0, 0], [0, 0, 2**70]], dtype=object),
     ):
-        expected = leading_one_basis(kernel_basis(int_cleared(_so_rows(b))[0]))
+        expected = reference_kernel_rows(int_cleared(_so_rows(b))[0])
         so_b = so_of_form(NormForm(int_cleared(b)[0]))
         assert tuple(tuple(x.flat) for x in realization_matrices(so_b)) == expected
 
@@ -454,7 +427,7 @@ def test_direct_sum_killing_restriction():
         6, [(1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 1, 0), (0, 0, 1, 0, 0, 1)]
     )
     restricted = killing_form(both).restricted(diag.basis, diag.den)
-    assert rank(restricted.G) == 3
+    assert reference_rank(restricted.G) == 3
 
 
 def test_from_matrix_basis_rejects_unclosed_family():

@@ -59,21 +59,18 @@ def test_composition_law_seeded_sample(alg):
 
 
 @given(octonion_coords, octonion_coords)
-def test_composition_law_property(a, b):
-    alg = build_split_cayley()
+def test_composition_law_property(alg, a, b):
     assert form_norm(alg.form, alg.algebra.multiply(a, b)) == form_norm(alg.form, a) * form_norm(alg.form, b)
 
 
 @given(octonion_coords, octonion_coords)
-def test_polarization_identity(a, b):
-    alg = build_split_cayley()
+def test_polarization_identity(alg, a, b):
     both = tuple(x + y for x, y in zip(a, b))
     assert 2 * form_bilinear(alg.form, a, b) == form_norm(alg.form, both) - form_norm(alg.form, a) - form_norm(alg.form, b)
 
 
 @given(octonion_coords, octonion_coords)
-def test_alternativity_property(a, b):
-    alg = build_split_cayley()
+def test_alternativity_property(alg, a, b):
     aa = alg.algebra.multiply(a, a)
     assert alg.algebra.multiply(aa, b) == alg.algebra.multiply(a, alg.algebra.multiply(a, b))
     assert alg.algebra.multiply(b, aa) == alg.algebra.multiply(alg.algebra.multiply(b, a), a)
@@ -89,15 +86,13 @@ def test_alternativity_on_basis_pairs(alg):
 
 
 @given(octonion_coords, octonion_coords)
-def test_conjugation_antiautomorphism(a, b):
-    alg = build_split_cayley()
+def test_conjugation_antiautomorphism(alg, a, b):
     ab = alg.algebra.multiply(a, b)
     assert conjugate(alg, ab) == alg.algebra.multiply(conjugate(alg, b), conjugate(alg, a))
 
 
 @given(octonion_coords)
-def test_conjugation_involution_and_norm(a):
-    alg = build_split_cayley()
+def test_conjugation_involution_and_norm(alg, a):
     ca = conjugate(alg, a)
     assert conjugate(alg, ca) == a
     expected = tuple(form_norm(alg.form, a) * x for x in alg.unit)

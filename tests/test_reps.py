@@ -17,7 +17,6 @@ from g2cert.linalg import (
     int_dtype,
     int_einsum,
     kernel_basis,
-    rank,
     ranks_mod_p,
 )
 from g2cert.reps import (
@@ -48,10 +47,14 @@ from conftest import (
     direct_sum_algebra,
     direct_sum_module,
     fractions,
-    int_family,
     leading_one_basis,
     lie_algebra,
     realization_matrices,
+    reference_kernel_rows,
+    reference_rank,
+    reference_span,
+    sl2_constants,
+    span_of_rows,
     zero_algebra,
     zeros,
 )
@@ -113,9 +116,7 @@ def test_homomorphism_law_exact_beyond_int64():
     """Conjugating by a matrix with a 2**40 entry gives a module whose scaled
     law has products far beyond int64; the check stays exact."""
     so3 = so_of_form(NormForm(np.eye(3, dtype=int)))
-    p = np.array([[1, 2**40, 0], [0, 1, 0], [0, 0, 1]], dtype=object)
-    p_inv = np.array([[1, -(2**40), 0], [0, 1, 0], [0, 0, 1]], dtype=object)
-    conj = p @ realization_matrices(so3) @ p_inv
+    conj = _P @ realization_matrices(so3) @ _P_INV
     assert LieModule(so3, *int_cleared(conj)).dim == 3
     conj[0] = conj[0] + diagonal([1, 0, 0])
     with pytest.raises(ValueError):
@@ -164,13 +165,7 @@ def test_invariant_forms_natural_rep(ctx, natural_rep):
 
 
 def test_invariant_forms_sl2_adjoint_is_killing_line():
-    sl2 = lie_algebra(
-        (
-            ((Z, Z, Z), (Z, Fraction(2), Z), (Z, Z, Fraction(-2))),
-            ((Z, Fraction(-2), Z), (Z, Z, Z), (Fraction(1), Z, Z)),
-            ((Z, Z, Fraction(2)), (Fraction(-1), Z, Z), (Z, Z, Z)),
-        ),
-    )
+    sl2 = lie_algebra(sl2_constants())
     forms = invariant_bilinear_forms(adjoint_module(sl2))
     assert forms.dim == 1
     kf = killing_form(sl2)
@@ -207,9 +202,7 @@ def test_orthocomplement_diagonal_so3():
     )
     comp = killing_orthocomplement(both, diag)
     assert comp.dim == 3
-    anti = Subspace.from_vectors(
-        6, [(1, 0, 0, -1, 0, 0), (0, 1, 0, 0, -1, 0), (0, 0, 1, 0, 0, -1)]
-    )
+    anti = reference_span(6, [(1, 0, 0, -1, 0, 0), (0, 1, 0, 0, -1, 0), (0, 0, 1, 0, 0, -1)])
     assert comp == anti
 
 
@@ -218,13 +211,7 @@ def test_orthocomplement_of_image(ctx):
 
 
 def test_orthocomplement_rejects_degenerate_restriction():
-    sl2 = lie_algebra(
-        (
-            ((Z, Z, Z), (Z, Fraction(2), Z), (Z, Z, Fraction(-2))),
-            ((Z, Fraction(-2), Z), (Z, Z, Z), (Fraction(1), Z, Z)),
-            ((Z, Z, Fraction(2)), (Fraction(-1), Z, Z), (Z, Z, Z)),
-        ),
-    )
+    sl2 = lie_algebra(sl2_constants())
     nilpotent_line = Subspace.from_vectors(3, [(0, 1, 0)])  # K(e,e) = 0
     with pytest.raises(DegenerateFormError):
         killing_orthocomplement(sl2, nilpotent_line)
@@ -351,9 +338,9 @@ def _minimal_polynomial(m: np.ndarray) -> tuple[Fraction, ...]:
     powers = [np.eye(len(m), dtype=object)]
     while True:
         powers.append(powers[-1] @ m)
-        kern = kernel_basis(int_cleared(np.array([p.flatten() for p in powers]).T)[0])
-        if kern.dim:
-            c = leading_one_basis(kern)[0]
+        kern = reference_kernel_rows(int_cleared(np.array([p.flatten() for p in powers]).T)[0])
+        if kern:
+            c = kern[0]
             return tuple(x / c[-1] for x in c)
 
 
@@ -377,7 +364,7 @@ def test_wedge_so_isomorphism_plane():
 
 def test_wedge_so_isomorphism_full(ctx):
     iso = wedge_so_isomorphism(ctx.imaginary[1], ctx.so34)
-    assert rank(iso.T) == 21
+    assert reference_rank(iso.T) == 21
     assert iso.is_invertible
 
 
@@ -526,25 +513,27 @@ def _wedge_square_reference(mats, n):
     return out
 
 
-def _restricted_action_reference(mats, sub):
+def _restricted_action_reference(v, sub):
+    """Column j of generator i: the coordinates_of (A[i] / den) (basis[j] / s)
+    on the leading-1 basis of sub, the image taken in integers."""
     out = []
-    for m in mats:
-        cols = [coordinates_of(sub, _apply(m, b)) for b in leading_one_basis(sub)]
+    for a in v.A.astype(object):
+        cols = [coordinates_of(sub, [Fraction(x, v.den * sub.den) for x in image]) for image in (sub.basis @ a.T).tolist()]
         if any(c is None for c in cols):
             raise ValueError("subspace is not invariant under the action")
         out.append(np.array(cols, dtype=object).T.tolist())
     return out
 
 
-def _submodule_generated_reference(mats, n, vec):
-    current = Subspace.from_vectors(n, [vec] if any(vec) else [])
+def _submodule_generated_reference(v, vec):
+    """The span of vec and its images under the action, grown until stable:
+    A[i] x / den spans what A[i] x does, so the integer stack acts on the
+    integer basis rows."""
+    current = reference_span(v.dim, [vec])
+    stack = v.A.astype(object)
     while True:
-        vectors = list(leading_one_basis(current))
-        for m in mats:
-            for b in leading_one_basis(current):
-                vectors.append(_apply(m, b))
-        grown = Subspace.from_vectors(n, int_family(vectors, n))
-        if grown.dim in (current.dim, n):  # stable, or the whole space
+        grown = reference_span(v.dim, np.concatenate([current.basis, *(current.basis @ m.T for m in stack)]).tolist())
+        if grown.dim in (current.dim, v.dim):  # stable, or the whole space
             return grown
         current = grown
 
@@ -656,7 +645,7 @@ def test_restricted_action_matches_reference(ctx, natural_rep, so3, big_module, 
         for sub in subs:
             r, s = restricted_action(Bounded(v.A, v.amax), sub)
             restricted = LieModule(v.algebra, r, v.den * s)
-            assert action_matrices(restricted).tolist() == _restricted_action_reference(action_matrices(v), sub)
+            assert action_matrices(restricted).tolist() == _restricted_action_reference(v, sub)
             assert action_matrices(restriction_module(v, sub)).tolist() == action_matrices(restricted).tolist()
 
 
@@ -665,7 +654,7 @@ def test_submodule_generated_matches_reference(natural_rep, so3, big_module, sca
     for v, _, vectors in _reference_cases(natural_rep, so3, big_module, scaled_module):
         for vec in vectors:
             generated = submodule_generated(v, [vec])[0]
-            assert generated == _submodule_generated_reference(action_matrices(v), v.dim, vec)
+            assert generated == _submodule_generated_reference(v, vec)
             dims.append(generated.dim)
     assert dims == [7, 7, 7, 3, 3, 3, 3, 3, 3, 6, 3]
 
@@ -676,7 +665,7 @@ def test_submodule_generated_batch_matches_reference(natural_rep, so3, big_modul
     for v, _, vectors in _reference_cases(natural_rep, so3, big_module, scaled_module):
         batch = [*vectors, (0,) * v.dim]
         for vec, generated in zip(batch, submodule_generated(v, batch)):
-            assert generated == _submodule_generated_reference(action_matrices(v), v.dim, vec)
+            assert generated == _submodule_generated_reference(v, vec)
 
 
 def test_submodule_generated_matches_reference_on_the_maximality_seeds(ctx, monkeypatch):
@@ -701,9 +690,8 @@ def test_submodule_generated_matches_reference_on_the_maximality_seeds(ctx, monk
     monkeypatch.setattr(reps, "_generated_exactly", spy)
     batch = submodule_generated(v, seeds)
     assert np.array_equal(np.array(exact), seeds[short])  # only the rows that fall short run the exact loop
-    mats = action_matrices(v)
     for vec, generated in zip(seeds, batch):
-        assert generated == _submodule_generated_reference(mats, 7, tuple(map(int, vec)))
+        assert generated == _submodule_generated_reference(v, tuple(map(int, vec)))
 
 
 def test_submodule_generated_falls_back_where_the_rank_mod_p_falls_short(so3):
@@ -713,7 +701,7 @@ def test_submodule_generated_falls_back_where_the_rank_mod_p_falls_short(so3):
     v = LieModule(so3, a * PRIME, den * PRIME)
     assert int(np.max(np.abs(v.A))) == PRIME
     one_step = np.concatenate([[(1, 0, 0)], int_einsum("imn,n->im", v.A, (1, 0, 0))])
-    assert (ranks_mod_p(one_step[None]).tolist(), rank(one_step)) == ([1], 3)
+    assert (ranks_mod_p(one_step[None]).tolist(), reference_rank(one_step)) == ([1], 3)
     assert submodule_generated(v, [(1, 0, 0), (0, 0, 0)]) == [Subspace.full(3), Subspace(3, ())]
 
 
@@ -725,8 +713,8 @@ def test_hom_space_on_large_entry_modules(so3, big_module, scaled_module):
     assert len(homs) == 4
     block = np.zeros((6, 6), dtype=object)
     block[:3, 3:] = _P
-    span = Subspace.from_vectors(36, np.array([h.T.flatten() for h in homs], dtype=object))
-    assert span.contains(block.reshape(1, 36))
+    span = reference_span(36, [h.T.flatten().tolist() for h in homs])
+    assert coordinates_of(span, block.flatten()) is not None
     nat = natural_module(so3)
     other = LieModule(so3, nat.A * (_SCALE + 2), _SCALE + 2)
     # both premises of scaled_module: an int64 stack whose product with other's denominator passes 2**61
@@ -753,8 +741,8 @@ def _sylvester_kernel(a, b):
             vectors = kernel_basis(system).basis
         else:
             t = vectors.reshape(-1, nrows, ncols)
-            images = (t @ a_i - b_i @ t).reshape(len(vectors), size)
-            vectors = kernel_basis(images.T).basis @ vectors
+            images = (int_einsum("hij,jl->hil", t, a_i) - int_einsum("ij,hjl->hil", b_i, t)).reshape(len(vectors), size)
+            vectors = int_einsum("uh,hn->un", kernel_basis(images.T).basis, vectors)
         if not len(vectors):
             return Subspace(size, ())
     if vectors is None:
@@ -797,7 +785,7 @@ def test_hom_space_matches_kronecker_reference(ctx, so3, zero_module_2d, big_mod
         assert len(homs) == dim
         # each basis element is its leading-1 row, and that row cleared is primitive
         leading_one = [fractions(h.T, h.den).flatten() for h in homs]
-        assert Subspace(w.dim * v.dim, [int_cleared(row)[0].tolist() for row in leading_one]) == _hom_reference(v, w)
+        assert span_of_rows(w.dim * v.dim, leading_one) == _hom_reference(v, w)
     for v in {id(m): m for v, w, _ in cases for m in (v, w)}.values():
         forms = invariant_bilinear_forms(v)
         reference = _sylvester_kernel(v.A, -v.A.transpose(0, 2, 1))

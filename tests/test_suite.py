@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import g2cert.linalg as linalg
 from g2cert import lie, octonion, reps, suite, weyl
 from g2cert.lie import derivation_algebra, killing_form, so_of_form
-from g2cert.linalg import NormForm, Subspace, int_cleared, int_einsum, kernel_basis, signature
+from g2cert.linalg import NormForm, Subspace, int_cleared, int_einsum
 from g2cert.octonion import SplitCayley, build_split_cayley
 from g2cert.reps import LieModule
 from g2cert.report import exit_code, render_text, serialize, summarize
@@ -40,14 +41,23 @@ from conftest import (
     E3E4_DRIFT,
     SO7_ERRORS,
     basis_element,
+    basis_twin,
     cayley_in_basis,
     cayley_mutant,
     compact_octonions,
+    conjugate,
+    coordinates_of,
     diagonal,
+    form_bilinear,
+    form_norm,
     gram,
+    indexed_mutant,
     leading_one_basis,
-    loop_multiply,
-    unimodular,
+    loop_product,
+    reference_kernel,
+    reference_signature,
+    reference_span,
+    untimed,
 )
 
 FAST = SuiteConfig(seed=0, samples=5)
@@ -56,6 +66,13 @@ FAST = SuiteConfig(seed=0, samples=5)
 @pytest.fixture(scope="module")
 def full_run(ctx):
     return run_all(FAST, ctx=ctx)
+
+
+@pytest.fixture(scope="module")
+def twin_ctx():
+    """The VerificationContext of each basis twin, made on first use and
+    shared by this module's tests, which only read its stages."""
+    return functools.cache(lambda seed: VerificationContext(cayley_candidate=basis_twin(seed)))
 
 
 def test_all_checks_pass(full_run):
@@ -94,14 +111,7 @@ def test_determinism_two_runs(ctx):
     cfg = SuiteConfig(seed=7, samples=3)
     a = serialize(run_all(cfg, ctx=ctx), cfg)
     b = serialize(run_all(cfg, ctx=VerificationContext()), cfg)
-    assert _strip_timing(a) == _strip_timing(b)
-
-
-def _strip_timing(payload: bytes) -> bytes:
-    doc = json.loads(payload)
-    for check in doc["checks"]:
-        check["elapsed_ms"] = 0
-    return json.dumps(doc).encode()
+    assert untimed(a) == untimed(b)
 
 
 def test_shared_objects_built_once_per_run(monkeypatch):
@@ -180,26 +190,31 @@ def test_each_exact_input_is_solved_once_per_run(monkeypatch):
     assert repeats == {"int_inverse": {}, "_spin_basis": {}, "kernel_basis": {}, "signature": {_digest(invariant): 2}}
 
 
-def test_embedding_keeps_the_realization_denominator():
+def test_embedding_keeps_the_realization_denominator(twin_ctx):
     """In a unimodular basis, so(3,4)'s realization (a, d_r) has d_r != 1.
     The embedding's coordinates are against a / d_r, so E is still a Lie map:
     so34_as_g2_module checks that before building by lemma, and the checking
-    constructor accepts the module it builds."""
-    cayley = cayley_in_basis(unimodular(2))
-    ctx = VerificationContext(cayley_candidate=cayley)
-    assert ctx.cayley is cayley and ctx.so34.realization[1] != 1
+    constructor accepts the module it builds.  With the first embedding row
+    doubled E is no Lie map, and the stage raises instead."""
+    ctx = twin_ctx(2)
+    assert ctx.cayley is basis_twin(2) and ctx.so34.realization[1] != 1
     module = ctx.so34_as_g2_module
     LieModule(ctx.derivations, module.A, module.den)
+    ctx = VerificationContext()
+    e, den = ctx.embedding
+    ctx._cache["embedding"] = (np.vstack([2 * e[:1], e[1:]]), den)
+    with pytest.raises(ValueError, match="not a Lie map"):
+        ctx.so34_as_g2_module
 
 
 @pytest.mark.parametrize("seed", [None, 2, 4])
-def test_image_basis_change_writes_the_image_basis_in_derivation_coordinates(ctx, seed):
+def test_image_basis_change_writes_the_image_basis_in_derivation_coordinates(ctx, twin_ctx, seed):
     """(x, d) = image_basis_change, in lowest terms, gives the image's
     basis b / s as x / d times the embedding rows e / e_den: d e_den b = s x e.
     The pristine embedding rows are that basis, so the stage is (I, 1); in a
     unimodular basis (seed) they are not, and d != 1."""
     if seed is not None:
-        ctx = VerificationContext(cayley_candidate=cayley_in_basis(unimodular(seed)))
+        ctx = twin_ctx(seed)
     x, d = ctx.image_basis_change
     e, e_den = ctx.embedding
     b, s = ctx.g2_image.basis, ctx.g2_image.den
@@ -235,14 +250,14 @@ TWIN_SEEDS = (2, 4, 5, 6)
 
 
 @pytest.mark.parametrize("seed", TWIN_SEEDS)
-def test_basis_twin_keeps_every_verdict_but_c2(full_run, seed):
+def test_basis_twin_keeps_every_verdict_but_c2(full_run, twin_ctx, seed):
     """The split Cayley algebra in a seeded unimodular basis is the same
     algebra, so every witness and status is the pristine run's except two
     that name the presentation: the basis word of nonassociativity_witness,
     and c2, whose frozen -30 belongs to the pristine basis's leading-1
     isomorphism onto the natural module; any other isomorphism is a scalar
     multiple of it, so c2 is -30 times a nonzero rational square."""
-    ctx = VerificationContext(cayley_candidate=cayley_in_basis(unimodular(seed)))
+    ctx = twin_ctx(seed)
     twin = _by_id(run_all(FAST, ctx=ctx))
     assert ctx.so34.realization[1] != 1  # the new basis reached so(3,4)'s realization
     changed = _changed_witnesses(_by_id(full_run), twin)
@@ -290,10 +305,10 @@ def test_derivations_are_the_stabilizer_of_the_three_form(ctx):
     eye = np.eye(7, dtype=np.int64)
     # coefficient of X[d, e] in (X phi)(a, b, c) = phi(Xa, b, c) + phi(a, Xb, c) + phi(a, b, Xc)
     system = int_einsum("ea,dbc->abcde", eye, phi) + int_einsum("eb,adc->abcde", eye, phi) + int_einsum("ec,abd->abcde", eye, phi)
-    stabilizer = kernel_basis(system.reshape(343, 49))
+    stabilizer = reference_kernel(system.reshape(343, 49))
     nat = ctx.natural_rep
     assert stabilizer.dim == 14
-    assert stabilizer == Subspace.from_vectors(49, nat.A.reshape(len(nat.A), 49))
+    assert stabilizer == reference_span(49, nat.A.reshape(len(nat.A), 49).tolist())
 
 
 def test_filtered_run_single_check(ctx):
@@ -533,9 +548,7 @@ def test_a_mutant_is_rejected_without_a_bracket(monkeypatch):
     built = _spy_on_bracket_builds(monkeypatch)
     cfg = SuiteConfig(samples=5, checks=("cayley", "derivations"))
     for t in range(128):
-        index = 8 * t + t % 8
-        i, rest = divmod(index // 2, 64)
-        cand = cayley_mutant({(i, *divmod(rest, 8)): 1 - 2 * (index % 2)})
+        cand = indexed_mutant(8 * t + t % 8)
         ctx = VerificationContext(cayley_candidate=cand, derivations_candidate=derivation_algebra(cand.algebra))
         reports = run_all(cfg, ctx=ctx)
         assert reports[0].status != "pass" and reports[1].witnesses["derivation_dim"] != 14
@@ -575,7 +588,8 @@ def test_form_and_unit_facts_are_built_once_per_form(monkeypatch):
     assert (facts.n, facts.s, facts.inside) == (2, 1, False) and facts.u.array.tolist() == list(base.unit)
     assert facts.K.array.tolist() == (2 * np.outer(base.unit, base.form.G @ base.unit) - 2 * np.eye(8, dtype=int)).tolist()
     assert not facts.K.array.flags.writeable and base.imaginary is facts.imaginary
-    for other in (cayley_in_basis(unimodular(2)), compact_octonions()):
+    twin = basis_twin(2)  # with a form of its own, whose unit facts this test builds
+    for other in (SplitCayley(twin.algebra, NormForm(twin.form.G, twin.form.den), twin.unit), compact_octonions()):
         got = check_cayley(VerificationContext(cayley_candidate=other), SuiteConfig(seed=3, samples=5))
         want = reference_check_cayley(other, SuiteConfig(seed=3, samples=5))
         assert _typed(got.witnesses) == _typed(want.witnesses) and got.failed == want.failed
@@ -584,28 +598,17 @@ def test_form_and_unit_facts_are_built_once_per_form(monkeypatch):
 
 
 def reference_check_cayley(c, cfg):
-    """check_cayley as Fraction loops over the ``mul`` view and the Gram rows:
-    the witness code the tensor contractions replaced, kept as the reference."""
+    """check_cayley as Fraction loops over the ``mul`` view and the nonzero
+    Gram entries (conftest's form_bilinear and conjugate): the witness code
+    the tensor contractions replaced, kept as the reference."""
     from itertools import product
     from random import Random
-
-    def multiply(x, y):
-        return loop_multiply(mul, x, y)
-
-    def bilinear(x, y):
-        return sum((xi * g * yj for xi, row in zip(x, rows) for g, yj in zip(row, y)), Fraction(0))
-
-    def norm(x):
-        return bilinear(x, x)
-
-    def conjugate(x):
-        k = 2 * bilinear(x, e) / norm(e)
-        return tuple(k * ei - xi for ei, xi in zip(e, x))
 
     def name(i):
         return f"e{i + 1}"
 
-    mul, rows, e = c.algebra.mul, gram(c).tolist(), c.unit
+    multiply, e = loop_product(c.algebra.mul), c.unit
+    bilinear, norm = functools.partial(form_bilinear, c.form), functools.partial(form_norm, c.form)
     basis = [basis_element(i) for i in range(8)]
     out = CheckOutcome()
     out.expect("unit_norm", norm(e), Fraction(1))
@@ -629,10 +632,10 @@ def reference_check_cayley(c, cfg):
     )
     out.expect("alternativity_basis_pairs", alt_ok, True)
     conj_ok = all(
-        conjugate(multiply(a, b)) == multiply(conjugate(b), conjugate(a))
+        conjugate(c, multiply(a, b)) == multiply(conjugate(c, b), conjugate(c, a))
         for a in basis
         for b in basis
-    ) and all(conjugate(conjugate(a)) == a for a in basis)
+    ) and all(conjugate(c, conjugate(c, a)) == a for a in basis)
     out.expect("conjugation_antiautomorphism", conj_ok, True)
 
     rng = Random(f"{cfg.seed}/cayley")
@@ -646,7 +649,7 @@ def reference_check_cayley(c, cfg):
             sample_ok = False
         if multiply(a, multiply(a, b)) != multiply(multiply(a, a), b):
             sample_ok = False
-        if multiply(a, conjugate(a)) != tuple(na * x for x in e):
+        if multiply(a, conjugate(c, a)) != tuple(na * x for x in e):
             sample_ok = False
     out.record("sample_size", cfg.samples)
     out.expect("sample_identities", sample_ok, True)
@@ -660,13 +663,12 @@ def reference_check_cayley(c, cfg):
     out.expect("nonassociativity_witness_found", witness is not None, True)
     out.record("nonassociativity_witness", witness)
 
-    # clearing a symmetric matrix's denominators keeps its inertia and kernel
-    out.expect("norm_signature", signature(int_cleared(gram(c))[0]), (4, 4, 0))
-    sub = kernel_basis(int_cleared([[bilinear(b, e) for b in basis]])[0])
+    out.expect("norm_signature", reference_signature(gram(c)), (4, 4, 0))
+    sub = reference_kernel(int_cleared([[bilinear(b, e) for b in basis]])[0])
     restricted = [[bilinear(x, y) for y in leading_one_basis(sub)] for x in leading_one_basis(sub)]
     out.expect("imaginary_dim", sub.dim, 7)
-    out.expect("imag_signature", signature(int_cleared(restricted)[0]), (3, 4, 0))
-    out.expect("unit_outside_imaginary", sub.contains(int_cleared([e])[0]), False)
+    out.expect("imag_signature", reference_signature(restricted), (3, 4, 0))
+    out.expect("unit_outside_imaginary", coordinates_of(sub, e) is not None, False)
     return out
 
 
@@ -763,10 +765,7 @@ def test_report_matches_golden(full_run):
     golden = json.loads(
         (pathlib.Path(__file__).parent / "data" / "report_golden.json").read_text()
     )
-    doc = json.loads(serialize(full_run, FAST))
-    for check in doc["checks"]:
-        check["elapsed_ms"] = 0
-    assert doc == golden
+    assert json.loads(untimed(serialize(full_run, FAST))) == golden
 
 
 _FRACTION_RE = re.compile(r"^-?[0-9]+/[1-9][0-9]*$")

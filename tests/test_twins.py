@@ -17,12 +17,10 @@ must match apart from ``elapsed_ms``:
   lemma proves, is the checking constructor, so every such law is checked.
 """
 
-import json
-
 import numpy as np
 import pytest
 
-from conftest import cayley_mutant
+from conftest import indexed_mutant, untimed
 from g2cert import cli, lie, linalg, octonion, report, reps, suite, weyl
 from g2cert.lie import derivation_algebra
 from g2cert.report import serialize
@@ -39,13 +37,6 @@ def _rebind(monkeypatch, name, new):
     for module in MODULES:
         if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, new)
-
-
-def _stripped(reports, cfg) -> bytes:
-    doc = json.loads(serialize(reports, cfg))
-    for check in doc["checks"]:
-        check["elapsed_ms"] = 0
-    return json.dumps(doc).encode()
 
 
 def _counted(calls, module, name):
@@ -67,14 +58,13 @@ def _run_chain(monkeypatch):
     monkeypatch.setattr(linalg, "_kernel_rows", _counted(calls, linalg, "_kernel_rows"))
     monkeypatch.setattr(reps, "_generated_exactly", _counted(calls, reps, "_generated_exactly"))
     ctx, cfg = VerificationContext(), SuiteConfig()
-    out = [_stripped(run_all(cfg, ctx=ctx), cfg)]
+    out = [untimed(serialize(run_all(cfg, ctx=ctx), cfg))]
     mutant_cfg = SuiteConfig(samples=5, checks=("cayley", "derivations"))
     for index in MUTANTS:
-        i, rest = divmod(index // 2, 64)
-        cand = cayley_mutant({(i, *divmod(rest, 8)): 1 - 2 * (index % 2)})
+        cand = indexed_mutant(index)
         der = derivation_algebra(cand.algebra)
         mutant_ctx = VerificationContext(cayley_candidate=cand, derivations_candidate=der)
-        out.append(_stripped(run_all(mutant_cfg, ctx=mutant_ctx), mutant_cfg))
+        out.append(untimed(serialize(run_all(mutant_cfg, ctx=mutant_ctx), mutant_cfg)))
     return ctx, out, (calls["_kernel_rows"] - calls["kernel_basis"], calls["_generated_exactly"])
 
 
