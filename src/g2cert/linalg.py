@@ -13,10 +13,11 @@ bound into int64 or Python ints: int64 when the bound is below 2**61, so a
 sum of up to four such results fits.  The owners ``LieAlgebra.C``,
 ``LieModule.A``, ``NormForm.G`` and ``StructureConstantAlgebra.M`` keep their
 arrays read-only beside the largest magnitude (``held``), and ``int_einsum``
-reads it off a ``Bounded`` operand; it still scans fresh products, subspace
-bases and realization stacks.  ``int_inverse``, the one exact inverse, reads
-the canonical basis of [a | I]; Fractions remain in ``Matrix`` and ``rref``,
-which only the benchmark's tracer and their own behaviour tests touch.
+reads it off a ``Bounded`` operand, as it reads ``Subspace.bound`` beside a
+basis; it still scans fresh products and realization stacks.  ``int_inverse``,
+the one exact inverse, reads the canonical basis of [a | I]; Fractions remain
+in ``Matrix`` and ``rref``, which only the benchmark's tracer and their own
+behaviour tests touch.
 
 One exact elimination engine sits behind the public API: a fraction-free
 integer row reduction (per-row denominator clearing, gcd stripping), which
@@ -28,6 +29,9 @@ which rows the engine sees.  An integer matrix's rank over Q is at least its
 rank mod p (Dixon, Numer. Math. 40, 1982), so rows independent modulo
 ``PRIME`` are independent over Q:
 
+* ``independent_rows`` picks the rows of one matrix independent of the rows
+  above them, by one forward elimination mod p over the columns, however
+  many rows there are; ``kernel_basis`` and ``reps``' spin bases pick with it;
 * ``kernel_basis`` first presolves singleton rows: a row with one nonzero
   entry r_c says r_c x_c = 0, so x_c = 0 over Q, and dropping column c may
   leave another row with one nonzero entry.  The kernel is that of the live
@@ -35,8 +39,7 @@ rank mod p (Dixon, Numer. Math. 40, 1982), so rows independent modulo
   picked independent mod p, rank many instead of all, right to left, so the
   kernel comes out canonical, and checks it against every row exactly; only
   a failed check, where the rank over Q exceeds the rank mod p, eliminates
-  every row.  The pick is one forward elimination mod p over the columns, at
-  most as many steps as the system has unknowns, however many rows it has;
+  every row;
 * ``ranks_mod_p`` ranks a stack of small systems in one batch, so that exact
   work is left only for the systems whose rank mod p falls short.
 """
@@ -143,37 +146,32 @@ def lowest_terms(a: np.ndarray, den: int) -> tuple[np.ndarray, int]:
     return (a // g, den // g) if g > 1 else (a, den)
 
 
+# spec -> its operands' letter groups and the letters it sums over, split once per spec
+_PLANS: dict[str, tuple[list[str], set[str]]] = {}
+
+
 def int_einsum(spec: str, *operands) -> np.ndarray:
     """np.einsum over integer operands, exactly: ``Bounded`` arrays and
     Python ints, whose bounds are read, and integer arrays or nested lists of
     ints, which are scanned.  Every entry and partial sum is at most the
     product of the bounds times the number of summed terms; ``int_dtype``
     picks the dtype from that, and an array that has it is not copied."""
-    inputs, output = spec.split("->")
+    if (plan := _PLANS.get(spec)) is None:
+        inputs, output = spec.split("->")
+        plan = _PLANS[spec] = inputs.split(","), set(inputs) - set(output) - {","}
+    groups, summed = plan
     arrays, sizes, peak = [], {}, 1
-    for letters, op in zip(inputs.split(","), operands):
+    for letters, op in zip(groups, operands):
         if isinstance(op, int):
-            op = Bounded(np.array(op), abs(op))
+            op = Bounded(op, abs(op))
         elif not isinstance(op, Bounded):
             op = op if isinstance(op, np.ndarray) else np.array(op, dtype=object)
             op = Bounded(op, max_abs(op))
-        sizes.update(zip(letters, op.array.shape))
+        sizes.update(zip(letters, op.array.shape if letters else ()))
         arrays.append(op.array)
         peak *= op.bound or 1
-    dtype = int_dtype(peak * math.prod(n for x, n in sizes.items() if x not in output))
-    return np.einsum(spec, *(a.astype(dtype, copy=False) for a in arrays))
-
-
-def _strip_row(row: list[int]) -> list[int]:
-    g = 0
-    for x in row:
-        if x:
-            g = math.gcd(g, x)
-            if g == 1:
-                return row
-    if g > 1:
-        return [x // g for x in row]
-    return row
+    dtype = int_dtype(peak * math.prod(sizes[x] for x in summed))
+    return np.einsum(spec, *(a if isinstance(a, int) else a.astype(dtype, copy=False) for a in arrays))
 
 
 def _int_rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -217,8 +215,8 @@ def _int_rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
             vf = v // g
             cur = work[i]
             new = [pf * a - vf * b for a, b in zip(cur, piv_row)]
-            if max(map(abs, new), default=0) > _GCD_STRIP_BOUND:
-                new = _strip_row(new)
+            if max(map(abs, new), default=0) > _GCD_STRIP_BOUND and (g := math.gcd(*new)) > 1:
+                new = [x // g for x in new]
             work[i] = new
         pivots.append(c)
         r += 1
@@ -275,14 +273,15 @@ def ranks_mod_p(stack: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _independent_rows(a: np.ndarray) -> list[int]:
+def independent_rows(a: np.ndarray) -> list[int]:
     """Indices of rows of the integer array a that are linearly independent
     modulo ``PRIME``, hence over Q, as many as a's rank mod ``PRIME``.
 
     Forward elimination of a's columns mod ``PRIME``: column c picks the first
     row nonzero in it, clears c from the other rows nonzero there (only
     columns >= c, as every row is already zero left of c) and then zeroes the
-    picked row, so no row is picked twice."""
+    picked row, so no row is picked twice.  A row is cleared only by rows
+    picked above it, so it is picked exactly when it is independent of them."""
     a = np.mod(a, PRIME).astype(np.int64)
     picked = []
     for c in range(a.shape[1]):
@@ -352,7 +351,7 @@ def kernel_basis(m: np.ndarray) -> "Subspace":
     live = _unforced_columns(a)
     b = a[:, live]
     b = b[np.any(b != 0, axis=1)]
-    rows, free = _kernel_rows(b[_independent_rows(b)].tolist(), b.shape[1])
+    rows, free = _kernel_rows(b[independent_rows(b)].tolist() if len(b) else [], b.shape[1])
     kernel = np.zeros((len(rows), ncols), dtype=object)
     kernel[:, live] = reduced = np.array(rows, dtype=object).reshape(len(rows), b.shape[1])
     if np.any(int_einsum("ij,kj->ik", b, reduced)):
@@ -368,14 +367,14 @@ class Subspace:
     """A subspace of Q^n held by its canonical (RREF) basis: ``basis``, a
     read-only array of Python ints, is ``den`` times the leading-1 rows and
     ``den`` their least denominator, so basis[i, pivots[i]] == den at the
-    leading columns ``pivots``.  The constructor takes the primitive integer
-    rows (each RREF row over its gcd) and rejects any other with ValueError:
-    each row has n Python ints with gcd 1 and leads with a positive entry,
-    the leading columns strictly increase, and no other row is nonzero in a
-    pivot column.
+    leading columns ``pivots``, and ``bound`` is its largest magnitude.  The
+    constructor takes the primitive integer rows (each RREF row over its gcd)
+    and rejects any other with ValueError: each row has n Python ints with
+    gcd 1 and leads with a positive entry, the leading columns strictly
+    increase, and no other row is nonzero in a pivot column.
     """
 
-    __slots__ = ("ambient_dim", "basis", "den", "pivots")
+    __slots__ = ("ambient_dim", "basis", "bound", "den", "pivots")
 
     def __init__(self, ambient_dim: int, rows: Iterable[Sequence[int]]):
         rows = tuple(map(tuple, rows))
@@ -405,6 +404,7 @@ class Subspace:
         self.ambient_dim, self.den, self.pivots = ambient_dim, math.lcm(*lead.tolist()), tuple(pivots)
         self.basis = rows * (self.den // lead)[:, None]
         self.basis.flags.writeable = False
+        self.bound = max_abs(self.basis)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Subspace) and (self.ambient_dim, self.den) == (other.ambient_dim, other.den) and np.array_equal(self.basis, other.basis)
@@ -435,7 +435,7 @@ class Subspace:
         if not is_int_array(v) or v.shape[1:] != (self.ambient_dim,):
             raise ValueError("rows must be integer vectors of the ambient width")
         x = v[:, list(self.pivots)]
-        return x if np.array_equal(int_einsum("ip,pn->in", x, self.basis), int_einsum(",in->in", self.den, v)) else None
+        return x if np.array_equal(int_einsum("ip,pn->in", x, Bounded(self.basis, self.bound)), int_einsum(",in->in", self.den, v)) else None
 
     def contains(self, other: "Subspace | np.ndarray") -> bool:
         """Whether other lies in S: it has ``coordinates``."""

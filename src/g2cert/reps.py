@@ -2,26 +2,28 @@
 forms, Killing-orthogonal complements, generated submodules, irreducibility
 certificates, wedge squares, and module isomorphism.
 
-A ``LieModule`` holds its action once, as the integer stack ``A`` (algebra
-dim x n x n, A[i] = den * rho(e_i)), read-only beside its largest magnitude
+A ``LieModule`` holds its action once, as the integer stack ``A`` (algebra dim
+x n x n, A[i] = den * rho(e_i)), read-only beside its largest magnitude
 ``amax``, and its one denominator ``den``, the way a ``LieAlgebra`` holds
-``C``.  Every exact check and builder here is a contraction of such stacks: the
-homomorphism law, intertwiners, restriction to an invariant subspace, generated
-submodules and the wedge square.  Every ``LieModule`` satisfies its
-homomorphism law: the public constructor checks it, and each builder here makes
-its module through ``LieModule._raw`` by a lemma, stated at the call, from a
-fact proved where it was established.  Hom spaces and invariant forms
+``C``.  Every exact check and builder here is a contraction of such stacks:
+the homomorphism law, intertwiners, restriction to an invariant subspace,
+generated submodules and the wedge square.  Every ``LieModule`` satisfies its
+homomorphism law: the public constructor checks it, and each builder here
+makes its module through ``LieModule._raw`` by a lemma, stated at the call,
+from a fact proved where it was established.  Hom spaces and invariant forms
 (Hom(V, V*)) are solved on a spin basis of the source, the standard-basis
-method of Parker's Meat-Axe (1984): T is fixed by its values on the seed
-vectors, so each system has dim W unknowns per seed instead of dim V * dim W.
-Generator 0, then the rest stacked, is solved on the survivors K as X = M K^T:
-g's rows are c_g X - d b_g X and T = X B^-1, ncols * nrows * h numbers each,
-not m * ncols * nrows * seeds * nrows.  Intertwiners are integer matrices with
-one denominator, and invariant forms are ``linalg.NormForm`` Gram matrices.
+method of Parker's Meat-Axe (1984), grown by ``linalg.independent_rows``: T is
+fixed by its values on the seed vectors, so each system has dim W unknowns per
+seed instead of dim V * dim W.  Generator 0, then the rest stacked, is solved
+on the survivors K as X = M K^T: g's rows are c_g X - d b_g X and T = X B^-1,
+ncols * nrows * h numbers each, not m * ncols * nrows * seeds * nrows.
+Intertwiners are integer matrices with one denominator, and invariant forms
+are ``linalg.NormForm`` Gram matrices.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -29,12 +31,12 @@ import numpy as np
 from .errors import DegenerateFormError, NotSemisimpleError, PreconditionError
 from .lie import LieAlgebra, killing_form, is_semisimple
 from .linalg import (
-    PRIME,
     Bounded,
     NormForm,
     Subspace,
     held,
     int_einsum,
+    independent_rows,
     int_inverse,
     is_int_array,
     kernel_basis,
@@ -100,7 +102,7 @@ def restricted_action(a: Bounded, sub: Subspace) -> tuple[np.ndarray, int]:
     coordinates means the subspace is not invariant.
     """
     m, d = len(a.array), sub.dim
-    x = sub.coordinates(int_einsum("imn,jn->ijm", a, sub.basis).reshape(m * d, sub.ambient_dim))
+    x = sub.coordinates(int_einsum("imn,jn->ijm", a, Bounded(sub.basis, sub.bound)).reshape(m * d, sub.ambient_dim))
     if x is None:
         raise ValueError("subspace is not invariant under the action")
     return x.reshape(m, d, d).transpose(0, 2, 1), sub.den
@@ -125,8 +127,6 @@ class Intertwiner:
     den_w T A_v[i] = den_v A_w[i] T.
     """
 
-    __slots__ = ("source", "target", "T", "den")
-
     def __init__(self, source: LieModule, target: LieModule, T: np.ndarray, den: int = 1):
         self.source, self.target, self.T, self.den = source, target, T, den
         self.__post_init__()
@@ -141,40 +141,39 @@ class Intertwiner:
         if not np.array_equal(int_einsum(",ab,ibc->iac", w.den, t, va), int_einsum("iab,bc,->iac", wa, t, v.den)):
             raise ValueError("matrix does not intertwine the actions")
 
+    @cached_property
+    def rank(self) -> int:
+        """The rank of T over Q, taken on the first read."""
+        return rank(self.T)
+
     @property
     def is_invertible(self) -> bool:
-        return self.source.dim == self.target.dim and rank(self.T) == self.source.dim
+        return self.source.dim == self.target.dim and self.rank == self.source.dim
 
 
-def _spin_basis(a: np.ndarray) -> tuple[list[np.ndarray], list[tuple[int, int, int]]]:
-    """A basis b_k = W_k v_{s(k)} of Q^n, each W_k a word in the integer stack
-    a (m x n x n), spun breadth first: the images a[g] b_k join while
-    independent mod ``linalg.PRIME``, hence over Q, and only once the span
-    stops growing does the next standard vector outside it become a seed.
-    Returns the integer vectors and their origins (k, g, s(k)) for a[g] b_k
-    and (-1, -1, s) for the seed numbered s."""
-    n, p, a = a.shape[1], PRIME, held(a, copy=False)
-    basis, origins, echelon = [], [], []  # echelon: (pivot, row mod p)
-    k = unit = 0
+def _spin_basis(a: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """A basis b_k = W_k v_{s(k)} of Q^n, n >= 1, each W_k a word in the
+    integer stack a (m x n x n), spun level by level from the seed e_0: under
+    the basis so far go the images a[g] b_k of the last level's b_k, and the
+    images ``independent_rows`` picks join (the basis rows come first and are
+    independent, so all of them are picked).  When a level adds none, the
+    first standard vector outside the span is the next seed.  Returns the
+    basis rows and their origins (k, g, s(k)) for a[g] b_k and (-1, -1, s)
+    for the seed numbered s."""
+    (m, n, _), a = a.shape, held(a, copy=False)
+    basis, origins, level, unit = np.eye(n, dtype=np.int64)[:1], [(-1, -1, 0)], [0], 1
     while len(basis) < n:
-        if k < len(basis):
-            candidates = [(y, (k, g, origins[k][2])) for g, y in enumerate(int_einsum("gij,j->gi", a, basis[k]))]
-            k += 1
-        else:
-            candidates = [(np.eye(n, dtype=np.int64)[unit], (-1, -1, origins[-1][2] + 1 if origins else 0))]
-            unit += 1
-        for vec, origin in candidates:
-            if len(basis) == n:
-                break
-            r = np.mod(vec, p).astype(np.int64)
-            for c, row in echelon:
-                if r[c]:
-                    r = (r - r[c] * row) % p
-            nz = np.flatnonzero(r)
-            if nz.size:
-                echelon.append((nz[0], r * pow(int(r[nz[0]]), -1, p) % p))
-                basis.append(vec)
-                origins.append(origin)
+        if level:  # the images of the last level, in order of (k, g)
+            rows = int_einsum("gij,kj->kgi", a, basis[level]).reshape(-1, n)
+            sources = [(k, g, origins[k][2]) for k in level for g in range(m)]
+        else:  # the standard vectors not yet tried
+            rows = np.eye(n, dtype=np.int64)[unit:]
+            sources = [(-1, -1, origins[-1][2] + 1)] * len(rows)
+        new = [i - len(basis) for i in sorted(independent_rows(np.concatenate([basis, rows]))) if i >= len(basis)]
+        if not level:
+            new, unit = new[:1], unit + new[0] + 1
+        level = list(range(len(basis), len(basis) + len(new)))
+        basis, origins = np.concatenate([basis, rows[new]]), origins + [sources[i] for i in new]
     return basis, origins
 
 
@@ -185,8 +184,7 @@ def _spun(v: LieModule, scale: int) -> tuple:
     if scale not in v._spins:
         a = int_einsum(",gij->gij", scale, Bounded(v.A, v.amax))
         basis, origins = _spin_basis(a)
-        cols = np.array(basis, dtype=object).T
-        b_inv, d = int_inverse(cols)
+        b_inv, d = int_inverse(cols := basis.T)
         v._spins[scale] = origins, held(int_einsum("ji,gik->gjk", b_inv, int_einsum("gij,jk->gik", a, cols)), copy=False), b_inv, d
     return v._spins[scale]
 
@@ -338,16 +336,17 @@ def wedge_square(v: LieModule) -> LieModule:
     lexicographic basis e_i ^ e_j with i < j.
 
     That is K = A (x) 1 + 1 (x) A on antisymmetric tensors: the coefficient
-    of e_a ^ e_b (a < b) in x.(e_i ^ e_j) is K[a,b,i,j] - K[b,a,i,j], a sum
-    of at most four stack entries, and ``linalg`` holds the stack in a dtype
-    where a sum of four times the largest one fits."""
-    n, a = v.dim, v.A
-    k = np.einsum("xai,bj->xabij", a, np.eye(n, dtype=a.dtype))
-    k = k + k.transpose(0, 2, 1, 4, 3)
-    wedge = k - k.transpose(0, 2, 1, 3, 4)
-    rows, cols = np.triu_indices(n, 1)
+    of e_a ^ e_b (a < b) in x.(e_i ^ e_j) (i < j) is A[a,i] [b = j] +
+    A[b,j] [a = i] - A[b,i] [a = j] - A[a,j] [b = i], each term added where
+    its indicator holds: a sum of at most four stack entries, and ``linalg``
+    holds the stack in a dtype where a sum of four times the largest one fits."""
+    a, (lo, hi) = v.A, np.triu_indices(v.dim, 1)  # pair k is e_lo[k] ^ e_hi[k]
+    wedge = np.zeros((len(a), len(lo), len(lo)), dtype=a.dtype)
+    for sign, x, y, s, t in ((1, hi, hi, lo, lo), (1, lo, lo, hi, hi), (-1, lo, hi, hi, lo), (-1, hi, lo, lo, hi)):
+        r, c = np.nonzero(x[:, None] == y)  # [x of row pair r = y of column pair c]
+        wedge[:, r, c] += sign * a[:, s[r], t[c]]
     # Lemma: A (x) 1 + 1 (x) A is a module whenever A is, and the antisymmetric tensors are invariant under it
-    return LieModule._raw(v.algebra, wedge[:, rows, cols][:, :, rows, cols], v.den)
+    return LieModule._raw(v.algebra, wedge, v.den)
 
 
 def wedge_so_isomorphism(form: NormForm, so_alg: LieAlgebra) -> Intertwiner:

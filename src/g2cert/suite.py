@@ -375,7 +375,7 @@ def check_wedge_iso(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome:
     out = CheckOutcome()
     iso = wedge_so_isomorphism(ctx.imaginary[1], ctx.so34)  # verifies so(E)-equivariance
     out.expect("ambient_equivariant", True, True)
-    out.expect("phi_rank", rank(iso.T), 21)
+    out.expect("phi_rank", iso.rank, 21)
     out.expect("bijective", iso.is_invertible, True)
     # the same matrix intertwines the restricted actions of the embedded image
     wedge_g2 = wedge_square(ctx.natural_rep)

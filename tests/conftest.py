@@ -117,6 +117,27 @@ def reference_rank(m):
     return len(_echelon(np.asarray(m).tolist(), np.shape(m)[1])[1])
 
 
+def spin_contract(a, basis, origins):
+    """Check a spin basis of the integer stack a (m x n x n), its rows and
+    their origins as ``reps._spin_basis`` returns them, and return its seed
+    count: row j from (k, g, s) has k < j, the seed number s of row k, and
+    equals a[g] times row k exactly; row j from a seed (-1, -1, s) is the
+    first standard vector outside the span of the rows above it, and s
+    counts the seeds before it; all n rows have rank n (``reference_rank``)."""
+    a, basis, n = np.asarray(a, dtype=object), np.asarray(basis, dtype=object), np.shape(a)[1]
+    assert basis.shape == (n, n) and len(origins) == n and reference_rank(basis) == n
+    seeds, units = 0, np.eye(n, dtype=object)
+    for j, (k, g, s) in enumerate(origins):
+        if k >= 0:
+            assert k < j and s == origins[k][2] and (a[g] @ basis[k]).tolist() == basis[j].tolist()
+            continue
+        above = reference_rank(basis[:j])
+        first = next(u for u in range(n) if reference_rank(np.vstack([basis[:j], units[u]])) > above)
+        assert s == seeds and basis[j].tolist() == units[first].tolist()
+        seeds += 1
+    return seeds
+
+
 def span_of_rows(ncols, leading_one):
     """The Subspace with the given leading-1 rows: each cleared to its
     primitive integer row, through the validating constructor."""

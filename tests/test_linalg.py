@@ -17,8 +17,8 @@ from g2cert.linalg import (
     Matrix,
     NormForm,
     Subspace,
-    _independent_rows,
     _unforced_columns,
+    independent_rows,
     int_cleared,
     int_dtype,
     int_einsum,
@@ -557,7 +557,7 @@ def test_full_span_singular_mod_p_falls_back_to_exact(monkeypatch):
     """Full over Q, rank 1 modulo PRIME: from_vectors decides the span by one
     exact elimination of every nonzero row, whatever the rank mod p."""
     rows = [(PRIME, 0), (0, 1)]
-    assert len(_independent_rows(np.array(rows, dtype=np.int64))) == 1
+    assert len(independent_rows(np.array(rows, dtype=np.int64))) == 1
     calls = _spy_on_exact_elimination(monkeypatch)
     assert Subspace.from_vectors(2, rows) == Subspace.full(2)
     assert calls == [2]
@@ -584,7 +584,7 @@ def test_ranks_mod_p_equal_the_exact_ranks_of_small_entry_stacks():
 
 def test_ranks_mod_p_of_large_entries_reduce_first():
     stack = np.array([[[PRIME, 0], [0, 1]], [[2**70, 1], [1, 0]], [[PRIME + 1, 2], [-PRIME, 0]]], dtype=object)
-    expected = [len(_independent_rows(m)) for m in stack]
+    expected = [len(independent_rows(m)) for m in stack]
     assert ranks_mod_p(stack).tolist() == expected == [1, 2, 1]
     assert [rank(m) for m in stack] == [2, 2, 2]
 
@@ -612,7 +612,7 @@ def test_independent_rows_count_the_rank_mod_p_and_are_independent_over_q():
     rank mod p; with entries in [-3, 3] and at most 8 columns or rows every
     minor is below PRIME in magnitude (Hadamard), so that is the rank."""
     for m in _row_pick_matrices(np.random.default_rng(11)):
-        picked = _independent_rows(m)
+        picked = independent_rows(m)
         assert len(set(picked)) == len(picked) == reference_rank(m[picked])
         assert len(picked) == ranks_mod_p(m[None])[0]
         if min(m.shape) <= 8 and np.all(np.abs(m) <= 3):
@@ -1003,7 +1003,7 @@ def test_int_inverse_certificate(a):
 def test_int_inverse_of_independent_rows(m):
     """Independent rows, read at the pivot columns of their span."""
     a = cleared(m)
-    a = a[_independent_rows(a)]
+    a = a[independent_rows(a)]
     assert_inverse_certificate(a[:, list(Subspace.from_vectors(a.shape[1], a).pivots)])
 
 

@@ -55,6 +55,7 @@ from conftest import (
     reference_span,
     sl2_constants,
     span_of_rows,
+    spin_contract,
     zero_algebra,
     zeros,
 )
@@ -756,7 +757,7 @@ def _hom_reference(v, w):
 
 
 def _seed_count(v):
-    return sum(k < 0 for k, _, _ in _spin_basis(v.A)[1])
+    return spin_contract(v.A, *_spin_basis(v.A))
 
 
 def test_hom_space_matches_kronecker_reference(ctx, so3, zero_module_2d, big_module, complement_module):
@@ -790,7 +791,7 @@ def test_hom_space_matches_kronecker_reference(ctx, so3, zero_module_2d, big_mod
         forms = invariant_bilinear_forms(v)
         reference = _sylvester_kernel(v.A, -v.A.transpose(0, 2, 1))
         assert forms.space == reference
-    assert _seed_count(four) >= 4
+    assert _seed_count(four) == 4
     assert _seed_count(adj_so3_so3) == 2
     assert _seed_count(zero_module_2d) == 2
 

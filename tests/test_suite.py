@@ -39,7 +39,6 @@ from g2cert.suite import (
 
 from conftest import (
     E3E4_DRIFT,
-    SO7_ERRORS,
     basis_element,
     basis_twin,
     cayley_in_basis,
@@ -47,7 +46,6 @@ from conftest import (
     compact_octonions,
     conjugate,
     coordinates_of,
-    diagonal,
     form_bilinear,
     form_norm,
     gram,
@@ -57,6 +55,7 @@ from conftest import (
     reference_kernel,
     reference_signature,
     reference_span,
+    spin_contract,
     untimed,
 )
 
@@ -170,24 +169,65 @@ def _input_spy(monkeypatch, owner, name: str) -> list[str]:
     return calls
 
 
-def test_each_exact_input_is_solved_once_per_run(monkeypatch):
-    """In a full run, int_inverse, the spin basis, kernel_basis and signature
-    each see every distinct input at most once.  The one allowed repeat is a
-    signature of two equal 7 x 7 Gram matrices held by different owners: the
-    natural module's invariant form and the norm form restricted to the
-    imaginary subspace."""
+def _spied_run(monkeypatch, ctx):
+    """The reports of one default run on ctx, the digests of the inputs of
+    each exact primitive in it (of the vectors, for
+    ``Subspace.from_vectors``), and each spin basis made, beside its stack."""
     weyl.cartan_type.cache_clear()  # so that this run validates G2, for the census and the weight census both
-    spies = {
-        name: _input_spy(monkeypatch, owner, name)
-        for owner, name in ((linalg, "int_inverse"), (reps, "_spin_basis"), (linalg, "kernel_basis"), (linalg, "signature"))
-    }
-    ctx = VerificationContext()
-    assert {r.status for r in run_all(SuiteConfig(), ctx=ctx)} == {"pass"}
+    primitives = ((linalg, "int_inverse"), (reps, "_spin_basis"), (linalg, "kernel_basis"), (linalg, "signature"), (linalg, "independent_rows"))
+    spies = {name: _input_spy(monkeypatch, owner, name) for owner, name in primitives}
+    spies["from_vectors"], from_vectors = [], Subspace.from_vectors.__func__
+    monkeypatch.setattr(Subspace, "from_vectors", classmethod(lambda cls, n, v: spies["from_vectors"].append(_digest(v)) or from_vectors(cls, n, v)))
+    spins, spin = [], reps._spin_basis
+    monkeypatch.setattr(reps, "_spin_basis", lambda a: spins.append((a, *spin(a))) or spins[-1][1:])
+    return run_all(SuiteConfig(), ctx=ctx), spies, spins
+
+
+@pytest.fixture(scope="module")
+def spied_run():
+    """``_spied_run`` on a fresh pristine context, which passes every check:
+    that context, the input digests and the spin bases."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        ctx = VerificationContext()
+        reports, spies, spins = _spied_run(monkeypatch, ctx)
+    assert {r.status for r in reports} == {"pass"}
+    return ctx, spies, spins
+
+
+def test_each_exact_input_is_solved_once_per_run(spied_run):
+    """In a full run, int_inverse, the spin basis, kernel_basis, signature
+    and independent_rows each see every distinct input at most once.  The
+    allowed repeats: a signature of two equal 7 x 7 Gram matrices held by
+    different owners, the natural module's invariant form and the norm form
+    restricted to the imaginary subspace; and two spans, each taken by two
+    checks: the sum of the g2 image and its complement (decomposition and
+    maximality), and the rank of the Killing form restricted to the image
+    (the premise of killing_orthocomplement and a metric-constants witness)."""
+    ctx, spies, _ = spied_run
     assert all(spies.values())
     invariant, restricted_norm = ctx.natural_forms.generator.G, ctx.imaginary[1].G
     assert np.array_equal(invariant, restricted_norm)
+    image, complement = ctx.g2_image.basis, ctx.complement.basis
+    restricted_killing = image @ killing_form(ctx.so34).G.astype(object) @ image.T
     repeats = {name: {d: n for d, n in Counter(calls).items() if n > 1} for name, calls in spies.items()}
-    assert repeats == {"int_inverse": {}, "_spin_basis": {}, "kernel_basis": {}, "signature": {_digest(invariant): 2}}
+    assert repeats == {
+        "int_inverse": {},
+        "_spin_basis": {},
+        "kernel_basis": {},
+        "signature": {_digest(invariant): 2},
+        "independent_rows": {},
+        "from_vectors": {_digest(np.concatenate([image, complement])): 2, _digest(restricted_killing): 2},
+    }
+
+
+def test_spin_bases_keep_their_contract(spied_run, monkeypatch):
+    """Every spin basis of a default run, and of the run on one basis twin,
+    keeps ``spin_contract``; each has one seed, as every module spun there
+    is cyclic on e_0."""
+    twin = _spied_run(monkeypatch, VerificationContext(cayley_candidate=basis_twin(2)))[2]
+    for spins, count in ((spied_run[2], 4), (twin, 6)):
+        assert len(spins) == count
+        assert [spin_contract(a, basis, origins) for a, basis, origins in spins] == [1] * count
 
 
 def test_embedding_keeps_the_realization_denominator(twin_ctx):
@@ -488,18 +528,6 @@ def test_config_rejects_values_of_the_wrong_type(fields):
         SuiteConfig(**fields)
 
 
-def test_negative_control_cayley_structure_constant(derivations):
-    """The mutant shares the pristine form and unit, so beside the pristine
-    derivations every stage but the cayley one is the pristine stage."""
-    reports = run_all(FAST, ctx=VerificationContext(cayley_candidate=cayley_mutant(E3E4_DRIFT), derivations_candidate=derivations))
-    by_id = {r.id: r for r in reports}
-    assert by_id["cayley"].status == "fail"
-    assert by_id["cayley"].witnesses["composition_first_failure"] == "e3*e4"
-    assert "composition_first_failure" in by_id["cayley"].witnesses["failed_expectations"]
-    others = [r for r in reports if r.id != "cayley"]
-    assert all(r.status == "pass" for r in others)
-
-
 def _forbid_fraction_elimination(monkeypatch):
     def forbidden(*_):
         raise AssertionError("a Fraction inverse or rref was reached")
@@ -718,32 +746,6 @@ def test_check_cayley_on_python_ints():
     c = cayley_in_basis(BIG_BASIS)
     assert c.algebra.M.dtype == object
     assert check_cayley(VerificationContext(cayley_candidate=c), SuiteConfig(samples=5)).status == "pass"
-
-
-def test_negative_control_wrong_subalgebra():
-    wrong = so_of_form(NormForm(np.eye(7, dtype=int)))  # so(7)-sized, not the derivation algebra
-    reports = run_all(FAST, ctx=VerificationContext(derivations_candidate=wrong))
-    by_id = {r.id: r for r in reports}
-    assert by_id["derivations"].status == "fail"
-    assert by_id["derivations"].witnesses["derivation_dim"] == 21
-    # mandated by the dependency contract:
-    assert by_id["invariant-form"].status == "error"
-    assert "dependency" in by_id["invariant-form"].witnesses["skipped"]
-    # every stage built on the derivations gets so(7)
-    assert {r.id: r.status for r in reports} == {"cayley": "pass", "derivations": "fail", **dict.fromkeys(SO7_ERRORS, "error")}
-    for cid, witnesses in SO7_ERRORS.items():
-        assert by_id[cid].witnesses == witnesses, cid
-
-
-def test_negative_control_degenerate_gram(monkeypatch):
-    degenerate, seam = NormForm(diagonal([1, 1, 1, 1, 1, 1, 0])), suite.wedge_so_isomorphism
-    monkeypatch.setattr(suite, "wedge_so_isomorphism", lambda form, so_alg: seam(degenerate, so_alg))
-    reports = run_all(FAST, ctx=VerificationContext())
-    by_id = {r.id: r for r in reports}
-    assert by_id["wedge-iso"].status == "error"  # precondition, not fail
-    assert "precondition" in by_id["wedge-iso"].witnesses
-    others = [r for r in reports if r.id != "wedge-iso"]
-    assert all(r.status == "pass" for r in others)
 
 
 def test_dependency_skip_reports_error_not_pass():
