@@ -30,16 +30,16 @@ rank mod p (Dixon, Numer. Math. 40, 1982), so rows independent modulo
 ``PRIME`` are independent over Q:
 
 * ``independent_rows`` picks the rows of one matrix independent of the rows
-  above them, by one forward elimination mod p over the columns, however
-  many rows there are; ``kernel_basis`` and ``reps``' spin bases pick with it;
+  above them, by one fraction-free forward elimination mod p over the columns
+  (as ``ranks_mod_p``); ``kernel_basis`` and ``reps``' spin bases pick with it;
 * ``kernel_basis`` first presolves singleton rows: a row with one nonzero
   entry r_c says r_c x_c = 0, so x_c = 0 over Q, and dropping column c may
   leave another row with one nonzero entry.  The kernel is that of the live
-  columns, padded with zeros.  Of those columns it eliminates only the rows
-  picked independent mod p, rank many instead of all, right to left, so the
-  kernel comes out canonical, and checks it against every row exactly; only
-  a failed check, where the rank over Q exceeds the rank mod p, eliminates
-  every row;
+  block (the rows nonzero on the live columns, sliced in one pass), padded
+  with zeros.  It eliminates only the block's rows picked independent mod p,
+  rank many instead of all, right to left, so the kernel comes out canonical,
+  and checks it against every row of the block exactly; only a failed check,
+  where the rank over Q exceeds the rank mod p, eliminates every live row;
 * ``ranks_mod_p`` ranks a stack of small systems in one batch, so that exact
   work is left only for the systems whose rank mod p falls short.
 """
@@ -55,9 +55,6 @@ import numpy as np
 
 # A prime just below 2**31: pivots and row updates mod PRIME stay inside int64.
 PRIME = 2147483647
-
-# Strip row gcds during integer elimination once entries pass this size.
-_GCD_STRIP_BOUND = 1 << 96
 
 
 # Matrix, RrefResult and rref have no caller in src/ and are no test's oracle: bench/tracer.py wraps them by name (ROADMAP item 3).
@@ -177,9 +174,9 @@ def int_einsum(spec: str, *operands) -> np.ndarray:
 def _int_rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """Exact RREF of an integer matrix, as (rows, pivot columns).
 
-    Fraction-free two-row combinations during elimination; only the pivot
-    rows come out, each primitive (divided by its gcd) with a positive pivot,
-    so row i is a positive multiple of the leading-1 RREF row of pivots[i].
+    Fraction-free two-row combinations, each divided by its gcd; only the
+    pivot rows come out, each primitive with a positive pivot, so row i is a
+    positive multiple of the leading-1 RREF row of pivots[i].
     """
     work = [list(r) for r in rows]
     nrows = len(work)
@@ -215,7 +212,7 @@ def _int_rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
             vf = v // g
             cur = work[i]
             new = [pf * a - vf * b for a, b in zip(cur, piv_row)]
-            if max(map(abs, new), default=0) > _GCD_STRIP_BOUND and (g := math.gcd(*new)) > 1:
+            if (g := math.gcd(*new)) > 1:
                 new = [x // g for x in new]
             work[i] = new
         pivots.append(c)
@@ -277,11 +274,12 @@ def independent_rows(a: np.ndarray) -> list[int]:
     """Indices of rows of the integer array a that are linearly independent
     modulo ``PRIME``, hence over Q, as many as a's rank mod ``PRIME``.
 
-    Forward elimination of a's columns mod ``PRIME``: column c picks the first
-    row nonzero in it, clears c from the other rows nonzero there (only
-    columns >= c, as every row is already zero left of c) and then zeroes the
-    picked row, so no row is picked twice.  A row is cleared only by rows
-    picked above it, so it is picked exactly when it is independent of them."""
+    Fraction-free forward elimination of a's columns mod ``PRIME``, as in
+    ``ranks_mod_p``: column c picks the first row nonzero in it, turns each
+    other row nonzero there into piv * row - row[c] * pivot_row (columns >= c
+    only; every row is zero left of c) and zeroes the picked row.  Each update
+    scales a row by a unit, so a row is cleared only by rows picked above it:
+    it is picked exactly when it is independent of them."""
     a = np.mod(a, PRIME).astype(np.int64)
     picked = []
     for c in range(a.shape[1]):
@@ -290,16 +288,15 @@ def independent_rows(a: np.ndarray) -> list[int]:
             continue
         r, rest = nz[0], nz[1:]
         if rest.size:  # products below PRIME**2 < 2**62
-            pivot = a[r, c:] * pow(int(a[r, c]), -1, PRIME) % PRIME
-            a[rest, c:] = (a[rest, c:] - a[rest, c, None] * pivot) % PRIME
+            a[rest, c:] = (a[r, c] * a[rest, c:] - a[rest, c, None] * a[r, c:]) % PRIME
         a[r] = 0
         picked.append(int(r))
     return picked
 
 
-def _kernel_rows(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """The canonical kernel basis of integer rows ncols wide, as primitive rows,
-    and its leading columns, by one ``_int_rref`` of the rows, columns reversed.
+def _kernel_rows(rows: list[list[int]], ncols: int) -> tuple[np.ndarray, list[int]]:
+    """The canonical kernel basis of integer rows ncols wide, primitive rows
+    of object dtype, and its leading columns, by one ``_int_rref``, columns reversed.
     Lemma: there, with primitive rows r_i and pivots c_i, the kernel vector
     s e_f - sum_i (s / r_i[c_i]) r_i[f] e_{c_i} of a free column f (s the lcm
     of the pivot entries it needs) is nonzero only at f and at c_i < f.
@@ -315,22 +312,22 @@ def _kernel_rows(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], li
             v[ncols - 1 - c] = -r[ncols - 1 - f] * (s // r[c])
         g = math.gcd(*v)
         kernel.append([x // g for x in v])
-    return kernel, free
+    return np.array(kernel, dtype=object).reshape(len(free), ncols), free
 
 
-def _unforced_columns(a: np.ndarray) -> np.ndarray:
-    """The mask of a's columns left live by singleton presolve: a row with
-    exactly one nonzero entry among the live columns, r_c x_c = 0, forces x_c
-    to 0 in every kernel vector, so column c dies; repeated until no row is a
-    singleton."""
-    nz = a != 0
-    live = np.ones(a.shape[1], dtype=bool)
+def _unforced_columns(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of m's columns left live by singleton presolve, and each row's
+    count of nonzero entries on them (0 or at least 2): a row with exactly one
+    nonzero entry among the live columns, r_c x_c = 0, forces x_c to 0 in
+    every kernel vector, so column c dies; repeated while a row is a singleton."""
+    nz = m != 0
+    live = np.ones(m.shape[1], dtype=bool)
     counts = nz.sum(axis=1)
     while np.any(single := counts == 1):
         forced = np.any(nz[single], axis=0) & live
         live &= ~forced
         counts -= nz[:, forced].sum(axis=1)
-    return live
+    return live, counts
 
 
 def kernel_basis(m: np.ndarray) -> "Subspace":
@@ -339,23 +336,22 @@ def kernel_basis(m: np.ndarray) -> "Subspace":
 
     Certificate: every kernel vector is 0 on the columns that singleton
     presolve forces (``_unforced_columns``), so the kernel of m is the kernel
-    of its live columns padded with zeros.  Of the rows nonzero there, those
+    of its live block, the rows nonzero on the live columns read on them,
+    padded with zeros; that block is sliced from m in one pass.  Its rows
     picked independent modulo ``PRIME`` are eliminated exactly, right to left,
     into their canonical kernel (``_kernel_rows``), which contains the kernel
-    of the live columns and is checked to annihilate every row of them, so
-    the two are equal.  The check fails only when the live columns' rank over Q
-    exceeds their rank mod ``PRIME``; then all of m is eliminated exactly.
+    of the block and is checked to annihilate every row of it, so the two are
+    equal.  The check fails only when the block's rank over Q exceeds its rank
+    mod ``PRIME``; then every row of the block is eliminated exactly.
     """
     ncols = _int_matrix(m).shape[1]
-    a = m[np.any(m != 0, axis=1)]
-    live = _unforced_columns(a)
-    b = a[:, live]
-    b = b[np.any(b != 0, axis=1)]
-    rows, free = _kernel_rows(b[independent_rows(b)].tolist() if len(b) else [], b.shape[1])
-    kernel = np.zeros((len(rows), ncols), dtype=object)
-    kernel[:, live] = reduced = np.array(rows, dtype=object).reshape(len(rows), b.shape[1])
+    live, counts = _unforced_columns(m)
+    b = m[np.ix_(counts > 0, live)]
+    reduced, free = _kernel_rows(b[independent_rows(b)].tolist() if len(b) else [], b.shape[1])
     if np.any(int_einsum("ij,kj->ik", b, reduced)):
-        return Subspace._raw(ncols, *_kernel_rows(a.tolist(), ncols))
+        reduced, free = _kernel_rows(b.tolist(), b.shape[1])
+    kernel = np.zeros((len(free), ncols), dtype=object)
+    kernel[:, live] = reduced
     return Subspace._raw(ncols, kernel, np.flatnonzero(live)[free].tolist())
 
 

@@ -323,7 +323,7 @@ def test_unlucky_first_prime_falls_back_to_fraction_free(monkeypatch):
     """A row PRIME (x_0 + x_1) vanishes modulo the prime, and no singleton
     forces x_0 or x_1: the kernel of the rows picked mod p contains
     e_0 - e_1, the exact check fails on the first row, and kernel_basis
-    eliminates every row."""
+    eliminates every live row."""
     calls = _spy_on_exact_elimination(monkeypatch)
     m = _unlucky_prime_system([PRIME, PRIME])
     kern, r = kernel_basis(m), reference_rank(m)
@@ -379,15 +379,34 @@ _CHAIN_ENTRIES = (
 
 
 def test_singleton_chains_are_forced_and_kernels_match_reference():
-    """Presolve kills exactly the chain columns, however deep the chain, and
-    the padded kernel of the live columns is the kernel of every row."""
+    """Presolve kills exactly the chain columns, however deep the chain,
+    counts each row's nonzero entries on the live columns, and the padded
+    kernel of the live columns is the kernel of every row."""
     rng = np.random.default_rng(5)
     for _ in range(40):
         nforced, nlive = rng.integers(0, 16), rng.integers(0, 9)
         for entries in _CHAIN_ENTRIES:
             m, live = _singleton_chain_system(rng, nforced, nlive, entries)
-            assert _unforced_columns(m).tolist() == live.tolist()
+            found, counts = _unforced_columns(m)
+            assert found.tolist() == live.tolist()
+            assert counts.tolist() == [sum(x != 0 for x in row) for row in m[:, live].tolist()]
             assert kernel_basis(m) == reference_kernel(m)
+
+
+def test_fallback_of_an_unlucky_prime_beside_a_chain_sees_only_live_columns(monkeypatch):
+    """The unlucky-prime system beside a forced 30-deep chain: the exact check
+    fails, and the fallback eliminates every live row on the live columns
+    alone, not the chain's columns or rows."""
+    unlucky = _unlucky_prime_system([PRIME, PRIME])
+    chain, _ = _singleton_chain_system(np.random.default_rng(13), 30, 0, _CHAIN_ENTRIES[1])
+    m = np.block([[unlucky, np.zeros((len(unlucky), 30), dtype=object)], [np.zeros((len(chain), 120), dtype=object), chain]])
+    shapes = []
+    eliminate = linalg._int_rref
+    monkeypatch.setattr(linalg, "_int_rref", lambda rows: shapes.append((len(rows), {len(r) for r in rows})) or eliminate(rows))
+    kern = kernel_basis(m)
+    assert shapes[1] == (len(unlucky), {120})  # the fallback ran, on the live block
+    assert len(shapes) == 2 and shapes[0][0] < len(unlucky)
+    assert kern == reference_kernel(m) and not kern.basis[:, 120:].any()
 
 
 def test_kernel_solve_of_a_chain_sees_only_live_columns(monkeypatch):
@@ -610,13 +629,17 @@ def _row_pick_matrices(rng):
 def test_independent_rows_count_the_rank_mod_p_and_are_independent_over_q():
     """The picked rows have full rank over Q, and there are as many as the
     rank mod p; with entries in [-3, 3] and at most 8 columns or rows every
-    minor is below PRIME in magnitude (Hadamard), so that is the rank."""
+    minor is below PRIME in magnitude (Hadamard), so that is the rank, and
+    the picked rows are exactly those that raise the rank of the rows above
+    them (the rule ``spin_contract`` relies on)."""
     for m in _row_pick_matrices(np.random.default_rng(11)):
         picked = independent_rows(m)
         assert len(set(picked)) == len(picked) == reference_rank(m[picked])
         assert len(picked) == ranks_mod_p(m[None])[0]
         if min(m.shape) <= 8 and np.all(np.abs(m) <= 3):
             assert len(picked) == reference_rank(m)
+            ranks = [reference_rank(m[:i]) for i in range(len(m) + 1)]
+            assert sorted(picked) == [i for i in range(len(m)) if ranks[i + 1] > ranks[i]]
 
 
 def _assert_canonical_kernel(m, rows=None):
@@ -819,7 +842,7 @@ def test_kernel_of_integer_array_equals_kernel_of_matrix(nrows, ncols):
 @given(families(integers))
 def test_kernel_matches_fraction_free_reference(family):
     """Entries of +-p, 2p and 2**70 make some families drop rank mod p; on
-    those the exact check fails and every row is eliminated."""
+    those the exact check fails and every live row is eliminated."""
     n, vectors = family
     m = np.array(vectors, dtype=object).reshape(len(vectors), n)
     expected = reference_kernel(m)

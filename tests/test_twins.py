@@ -51,7 +51,7 @@ def _counted(calls, module, name):
 
 def _run_chain(monkeypatch):
     """The default run's context, the serialized reports of every input, and
-    the count of kernels that eliminated every row (a second ``_kernel_rows``
+    the count of kernels that eliminated every live row (a second ``_kernel_rows``
     in one ``kernel_basis``) and of seeds generated exactly."""
     calls = {"kernel_basis": 0, "_kernel_rows": 0, "_generated_exactly": 0}
     _rebind(monkeypatch, "kernel_basis", _counted(calls, linalg, "kernel_basis"))
