@@ -53,10 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _cmd_verify(args) -> int:
     checks = None if args.all else (args.check,)
     try:
@@ -89,7 +85,7 @@ def _cmd_verify(args) -> int:
 
 def _coords_str(coords) -> str:
     terms = [
-        f"{'' if c == 1 else '-' if c == -1 else _frac_str(c) + '*'}e{k + 1}"
+        f"{'' if c == 1 else '-' if c == -1 else str(c) + '*'}e{k + 1}"
         for k, c in enumerate(coords)
         if c
     ]
@@ -111,7 +107,7 @@ def _cmd_show(args) -> int:
         alg = ctx.derivations if args.algebra == "g2" else ctx.so34
         kf = killing_form(alg)
         for row in kf.G.tolist():
-            print("  ".join(_frac_str(Fraction(x, kf.den)) for x in row))
+            print("  ".join(str(Fraction(x, kf.den)) for x in row))
         print(f"signature: {kf.signature}")
         return 0
     if args.what == "decomposition":

@@ -8,10 +8,11 @@ magnitude ``cmax`` (``linalg.held``), which each product formed from it
 reads; ``linalg`` alone turns a bound into a dtype, so a sum of up to four
 held arrays or ``int_einsum`` results fits.
 Brackets (``bracket_table``), the Killing form (Cartan's criterion),
-closures, centralizers and transporters are contractions of ``C``, and the
-integer ad stack den * ad(e_i) is ``C[i]^T``.  A matrix realization is the
-cleared canonical basis of a span of matrices, held the same way, as one
-integer stack with one denominator.  The constructor proves Jacobi by
+centralizers and transporters are contractions of ``C``, a subalgebra closure
+is ``Subspace.closure`` under ``bracket_table``, and the integer ad stack
+den * ad(e_i) is ``C[i]^T``.  A matrix realization is the cleared canonical
+basis of a span of matrices, held the same way, as one integer stack with one
+denominator.  The constructor proves Jacobi by
 ``LieAlgebra.bracket_law_failure`` on the ad stack, which also checks a public
 ``reps.LieModule``'s action; ``LieAlgebra.from_matrix_basis``, the only source
 of a realization, proves its bracket on the first read, by an exact coordinate
@@ -197,29 +198,18 @@ def so_of_form(form: NormForm) -> LieAlgebra:
 
 
 def subalgebra_closure(g: LieAlgebra, seed: Subspace) -> Subspace:
-    """Smallest bracket-closed subspace containing the seed: iterate
-    S <- S + [S, S] until the dimension stabilizes, bracketing each unordered
-    pair of basis rows once (den [x_i, x_j] for i < j)."""
+    """Smallest bracket-closed subspace containing the seed: its
+    ``Subspace.closure`` under den [x_i, x_j] for each unordered pair i < j of
+    basis rows."""
     if seed.ambient_dim != g.dim:
         raise ValueError("seed lives in the wrong ambient space")
-    span = seed
-    while span.dim < g.dim:
-        basis = span.basis
-        i, j = np.triu_indices(len(basis), 1)
-        brackets = int_einsum("pi,pik->pk", basis[i], int_einsum("bj,ijk->bik", basis, Bounded(g.C, g.cmax))[j])
-        grown = Subspace.from_vectors(g.dim, np.concatenate([basis, brackets]))
-        if grown.dim == span.dim:
-            break
-        span = grown
-    return span
+    return seed.closure(lambda b: g.bracket_table(b, b)[np.triu_indices(len(b), 1)])
 
 
 def centralizer(g: LieAlgebra, s: Subspace) -> Subspace:
     """{x in g : [x, v] = 0 for all v in s}."""
     if s.ambient_dim != g.dim:
         raise ValueError("subspace lives in the wrong ambient space")
-    if s.dim == 0:
-        return Subspace.full(g.dim)
     # row (v, k), unknown x_i: the e_k coefficient of [x, v]
     system = int_einsum("vj,ijk->vki", s.basis, Bounded(g.C, g.cmax))
     return kernel_basis(system.reshape(-1, g.dim))
@@ -229,12 +219,7 @@ def transporter_into(g: LieAlgebra, target: Subspace) -> Subspace:
     """{h in g : [h, g] ⊆ target}, by exact kernel computation."""
     if target.ambient_dim != g.dim:
         raise ValueError("target lives in the wrong ambient space")
-    if target.dim:
-        ann = kernel_basis(target.basis)
-    else:
-        ann = Subspace.full(g.dim)
-    if ann.dim == 0:
-        return Subspace.full(g.dim)
+    ann = kernel_basis(target.basis)
     # row (j, u), unknown h_i: the pairing of [h, e_j] with annihilator row u
     system = int_einsum("uk,ijk->jui", ann.basis, Bounded(g.C, g.cmax))
     return kernel_basis(system.reshape(-1, g.dim))

@@ -20,14 +20,15 @@ in ``Matrix`` and ``rref``, which only the benchmark's tracer and their own
 behaviour tests touch.
 
 One exact elimination engine sits behind the public API: a fraction-free
-integer row reduction (per-row denominator clearing, gcd stripping), which
-``Subspace.from_vectors`` runs once on any family.  Its canonical basis,
-cleared where it is made to ``basis`` over its least denominator ``den``, is
-the one coordinate system: ``Subspace.coordinates`` reads x = v[:, pivots],
-exactly when den v = x basis.  A word-sized prime, ``PRIME``, only decides
-which rows the engine sees.  An integer matrix's rank over Q is at least its
-rank mod p (Dixon, Numer. Math. 40, 1982), so rows independent modulo
-``PRIME`` are independent over Q:
+integer row reduction (gcd stripping), which ``Subspace.from_vectors`` runs
+once on any family, and ``Subspace.closure``, the one loop that grows a span
+(subalgebra closures, generated submodules), runs once a step.  Its canonical
+basis, cleared where it is made to ``basis`` over its least denominator
+``den``, is the one coordinate system: ``Subspace.coordinates`` reads
+x = v[:, pivots], exactly when den v = x basis.  A word-sized prime,
+``PRIME``, only decides which rows the engine sees.  An integer matrix's rank
+over Q is at least its rank mod p (Dixon, Numer. Math. 40, 1982), so rows
+independent modulo ``PRIME`` are independent over Q:
 
 * ``independent_rows`` picks the rows of one matrix independent of the rows
   above them, by one fraction-free forward elimination mod p over the columns
@@ -441,6 +442,20 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         return Subspace.from_vectors(self.ambient_dim, np.concatenate([self.basis, other.basis]))
+
+    def closure(self, images) -> "Subspace":
+        """The smallest subspace T containing S with images(b) in T for T's
+        basis b, images mapping a basis to a 2-D integer array of rows of the
+        ambient width: T <- span(b, images(b)) until the dimension stops
+        growing.  A zero S (no basis rows to take images of) or a full S is
+        T at once."""
+        span = self
+        while 0 < span.dim < span.ambient_dim:
+            grown = Subspace.from_vectors(span.ambient_dim, np.concatenate([span.basis, images(span.basis)]))
+            if grown.dim == span.dim:
+                break
+            span = grown
+        return span
 
 
 def int_inverse(a: np.ndarray) -> tuple[np.ndarray, int]:

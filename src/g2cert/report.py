@@ -21,9 +21,7 @@ REPORT_VERSION = 1
 def normalize_witnesses(value):
     """Convert witness values to their canonical JSON-ready form."""
     if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int(value)
-        return f"{value.numerator}/{value.denominator}"
+        return int(value) if value.denominator == 1 else str(value)
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, (list, tuple)):

@@ -7,7 +7,8 @@ x n x n, A[i] = den * rho(e_i)), read-only beside its largest magnitude
 ``amax``, and its one denominator ``den``, the way a ``LieAlgebra`` holds
 ``C``.  Every exact check and builder here is a contraction of such stacks:
 the homomorphism law, intertwiners, restriction to an invariant subspace,
-generated submodules and the wedge square.  Every ``LieModule`` satisfies its
+the images that ``Subspace.closure`` grows a generated submodule by, and the
+wedge square.  Every ``LieModule`` satisfies its
 homomorphism law: the public constructor checks it, and each builder here
 makes its module through ``LieModule._raw`` by a lemma, stated at the call,
 from a fact proved where it was established.  Hom spaces and invariant forms
@@ -92,29 +93,20 @@ def natural_module(g: LieAlgebra) -> LieModule:
     return LieModule._raw(g, *g.realization)
 
 
-def restricted_action(a: Bounded, sub: Subspace) -> tuple[np.ndarray, int]:
-    """A ``Bounded`` integer stack restricted to an invariant subspace, in
-    that subspace's canonical basis: (r, s) with r[i] = s * (a[i]
-    restricted), where s is the subspace's ``den``.
-
-    With b its ``basis``, r[i, k, j] is the coordinate x_k of the image a[i] b_j
-    (``Subspace.coordinates``, s * a[i] b_j = sum_k x_k b_k); an image without
-    coordinates means the subspace is not invariant.
-    """
-    m, d = len(a.array), sub.dim
-    x = sub.coordinates(int_einsum("imn,jn->ijm", a, Bounded(sub.basis, sub.bound)).reshape(m * d, sub.ambient_dim))
-    if x is None:
-        raise ValueError("subspace is not invariant under the action")
-    return x.reshape(m, d, d).transpose(0, 2, 1), sub.den
-
-
 def restriction_module(v: LieModule, sub: Subspace) -> LieModule:
-    """Action restricted to an invariant subspace, in that subspace's basis."""
+    """The action restricted to an invariant subspace, in that subspace's
+    canonical basis: r[i] = s * (A[i] restricted) over v's den times s, s the
+    subspace's ``den``.  r[i, k, j] is the coordinate x_k of the image A[i] b_j
+    of ``basis`` row b_j (``Subspace.coordinates``, s * A[i] b_j = sum_k x_k b_k);
+    an image without coordinates means the subspace is not invariant (ValueError)."""
     if sub.ambient_dim != v.dim:
         raise ValueError("subspace lives in the wrong ambient space")
-    r, s = restricted_action(Bounded(v.A, v.amax), sub)
-    # Lemma: restricted_action proved sub invariant, and an invariant subspace carries v's law
-    return LieModule._raw(v.algebra, r, v.den * s)
+    m, d = len(v.A), sub.dim
+    x = sub.coordinates(int_einsum("imn,jn->ijm", Bounded(v.A, v.amax), Bounded(sub.basis, sub.bound)).reshape(m * d, v.dim))
+    if x is None:
+        raise ValueError("subspace is not invariant under the action")
+    # Lemma: the coordinates' exact check proved sub invariant, and an invariant subspace carries v's law
+    return LieModule._raw(v.algebra, x.reshape(m, d, d).transpose(0, 2, 1), v.den * sub.den)
 
 
 class Intertwiner:
@@ -301,7 +293,7 @@ def submodule_generated(v: LieModule, vecs) -> list[Subspace]:
     """The smallest invariant subspace containing x, for each integer row x
     of vecs (as ``Subspace.from_vectors`` takes them).  Where [x; A_0 x; ...]
     has rank dim V mod ``linalg.PRIME``, hence over Q, that is V; any other x
-    grows its span exactly, by the images of its basis, until it is stable."""
+    spans its line's ``Subspace.closure`` under the action, exactly."""
     if not isinstance(vecs, np.ndarray):
         vecs = np.array([tuple(x) for x in vecs] or np.zeros((0, v.dim), dtype=int), dtype=object)
     if vecs.shape[1:] != (v.dim,) or not is_int_array(vecs):
@@ -312,15 +304,7 @@ def submodule_generated(v: LieModule, vecs) -> list[Subspace]:
 
 
 def _generated_exactly(v: LieModule, vec: np.ndarray) -> Subspace:
-    span = Subspace.from_vectors(v.dim, vec[None])
-    while 0 < span.dim < v.dim:
-        basis = span.basis
-        images = int_einsum("imn,jn->ijm", Bounded(v.A, v.amax), basis).reshape(-1, v.dim)
-        grown = Subspace.from_vectors(v.dim, np.concatenate([basis, images]))
-        if grown.dim == span.dim:
-            break
-        span = grown
-    return span
+    return Subspace.from_vectors(v.dim, vec[None]).closure(lambda b: int_einsum("imn,jn->ijm", Bounded(v.A, v.amax), b).reshape(-1, v.dim))
 
 
 def bracket_span(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:

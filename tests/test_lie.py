@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from g2cert import lie
 from g2cert.errors import DegenerateFormError
 from g2cert.lie import (
     LieAlgebra,
@@ -394,8 +395,18 @@ def test_closure_maximality_single_vector(ctx):
     assert subalgebra_closure(so34, seed).dim == 21
 
 
-def test_centralizer_of_zero(sl2):
-    assert centralizer(sl2, Subspace(3, ())).dim == 3
+def _kernel_shapes(monkeypatch):
+    """The shape of every system lie hands kernel_basis, recorded by a spy."""
+    shapes, solve = [], lie.kernel_basis
+    monkeypatch.setattr(lie, "kernel_basis", lambda m: shapes.append(m.shape) or solve(m))
+    return shapes
+
+
+def test_centralizer_of_zero(sl2, monkeypatch):
+    """The general path: a system with 0 rows, whose kernel is everything."""
+    shapes = _kernel_shapes(monkeypatch)
+    assert centralizer(sl2, Subspace(3, ())) == Subspace.full(3)
+    assert shapes == [(0, 3)]
 
 
 def test_centralizer_of_sl2_in_itself(sl2):
@@ -406,14 +417,20 @@ def test_centralizer_of_image_in_so34(ctx):
     assert centralizer(ctx.so34, ctx.g2_image).dim == 0
 
 
-def test_transporter_into_whole(sl2):
-    assert transporter_into(sl2, Subspace.full(3)).dim == 3
+def test_transporter_into_whole(sl2, monkeypatch):
+    """The whole space has a zero annihilator, so the bracket system has 0 rows."""
+    shapes = _kernel_shapes(monkeypatch)
+    assert transporter_into(sl2, Subspace.full(3)) == Subspace.full(3)
+    assert shapes == [(3, 3), (0, 3)]
 
 
-def test_transporter_into_zero_is_center(sl2):
-    assert transporter_into(sl2, Subspace(3, ())).dim == 0
+def test_transporter_into_zero_is_center(sl2, monkeypatch):
+    """The zero target's annihilator comes from a system with 0 rows."""
+    shapes = _kernel_shapes(monkeypatch)
+    assert transporter_into(sl2, Subspace(3, ())) == Subspace(3, ())
     abelian = abelian_algebra(2)
-    assert transporter_into(abelian, Subspace(2, ())).dim == 2
+    assert transporter_into(abelian, Subspace(2, ())) == Subspace.full(2)
+    assert shapes == [(0, 3), (9, 3), (0, 2), (4, 2)]
 
 
 def test_transporter_into_complement_is_zero(ctx):

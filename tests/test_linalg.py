@@ -582,6 +582,25 @@ def test_full_span_singular_mod_p_falls_back_to_exact(monkeypatch):
     assert calls == [2]
 
 
+def test_closure_edges(monkeypatch):
+    """A zero or a full span is its own closure without an elimination;
+    images without rows leave a span as it is after one; the shift
+    e1 -> e2 -> e3 -> 0 grows e1 twice and stops when its span is stable."""
+    calls = _spy_on_exact_elimination(monkeypatch)
+    never = lambda b: pytest.fail("a zero or full span has no images to take")
+    zero, full = Subspace(4, ()), Subspace.full(4)
+    assert zero.closure(never) is zero and full.closure(never) is full and calls == []
+    line = Subspace.from_vectors(4, [(0, 2, 0, 4)])
+    assert line.closure(lambda b: np.zeros((0, 4), dtype=np.int64)) == line
+    assert calls == [1, 1]
+    shift = np.eye(4, k=-1, dtype=np.int64)
+    shift[3, 2] = 0
+    calls.clear()
+    closed = Subspace.from_vectors(4, [(1, 0, 0, 0)]).closure(lambda b: int_einsum("mn,jn->jm", shift, b))
+    assert closed == reference_span(4, np.eye(3, 4, dtype=int).tolist())
+    assert calls == [1, 2, 4, 5]  # the seed, two growth steps, the stable step (its zero image dropped)
+
+
 def _small_entry_stacks(rng):
     """Stacks of random matrices with entries in [-3, 3], half of them of
     low rank (a product of {-1, 0, 1} factors through at most 3 columns)."""

@@ -10,7 +10,6 @@ from g2cert.suite import SuiteConfig, check_maximality
 from g2cert import reps, suite
 from g2cert.linalg import (
     PRIME,
-    Bounded,
     NormForm,
     Subspace,
     int_cleared,
@@ -31,7 +30,6 @@ from g2cert.reps import (
     killing_orthocomplement,
     module_isomorphism,
     natural_module,
-    restricted_action,
     restriction_module,
     submodule_generated,
     wedge_so_isomorphism,
@@ -47,6 +45,7 @@ from conftest import (
     direct_sum_algebra,
     direct_sum_module,
     fractions,
+    int_family,
     leading_one_basis,
     lie_algebra,
     realization_matrices,
@@ -526,17 +525,28 @@ def _restricted_action_reference(v, sub):
     return out
 
 
-def _submodule_generated_reference(v, vec):
-    """The span of vec and its images under the action, grown until stable:
-    A[i] x / den spans what A[i] x does, so the integer stack acts on the
-    integer basis rows."""
-    current = reference_span(v.dim, [vec])
-    stack = v.A.astype(object)
+def _reference_closure(n, vectors, images):
+    """The ``reference_span`` of integer vectors n wide, grown by the rational
+    rows images(B) of its integer basis B until it is stable or the whole
+    space (B spans what the leading-1 basis does)."""
+    current = reference_span(n, vectors)
     while True:
-        grown = reference_span(v.dim, np.concatenate([current.basis, *(current.basis @ m.T for m in stack)]).tolist())
-        if grown.dim in (current.dim, v.dim):  # stable, or the whole space
+        grown = reference_span(n, int_family([*current.basis.tolist(), *images(current.basis)], n).tolist())
+        if grown.dim in (current.dim, n):
             return grown
         current = grown
+
+
+def _action_images(v):
+    """Each row's images under the integer stack: A[i] x / den spans what
+    A[i] x does."""
+    stack = v.A.astype(object)
+    return lambda rows: np.concatenate([rows @ m.T for m in stack]).tolist()
+
+
+def _submodule_generated_reference(v, vec):
+    """The span of vec and its images under the action, grown until stable."""
+    return _reference_closure(v.dim, [vec], _action_images(v))
 
 
 _P = np.array([[1, 2**40, 0], [0, 1, 0], [0, 0, 1]], dtype=object)
@@ -634,7 +644,9 @@ def test_modules_built_by_lemma_satisfy_the_full_law(ctx, natural_rep):
     assert [v.dim for v in modules] == [14, 21, 8, 7, 7, 7, 21, 21, 21]
 
 
-def test_restricted_action_matches_reference(ctx, natural_rep, so3, big_module, scaled_module):
+def test_restriction_module_matches_reference(ctx, natural_rep, so3, big_module, scaled_module):
+    """Each restriction equals the Fraction reference, and its stack passes
+    the checking constructor's full law check."""
     cases = _reference_cases(natural_rep, so3, big_module, scaled_module)
     cases.append((ctx.so34_as_g2_module, [ctx.complement], []))
     # the graph of 2**-32 times the identity: basis denominator s = 2**32, so
@@ -644,10 +656,37 @@ def test_restricted_action_matches_reference(ctx, natural_rep, so3, big_module, 
     cases.append((direct_sum_module(nat, nat), [graph], []))
     for v, subs, _ in cases:
         for sub in subs:
-            r, s = restricted_action(Bounded(v.A, v.amax), sub)
-            restricted = LieModule(v.algebra, r, v.den * s)
-            assert action_matrices(restricted).tolist() == _restricted_action_reference(v, sub)
-            assert action_matrices(restriction_module(v, sub)).tolist() == action_matrices(restricted).tolist()
+            m = restriction_module(v, sub)
+            assert action_matrices(m).tolist() == _restricted_action_reference(v, sub)
+            assert action_matrices(LieModule(v.algebra, m.A, m.den)).tolist() == action_matrices(m).tolist()
+
+
+def _closure_steps(seed, images):
+    """seed.closure(images) and the dimension of each span it took images of."""
+    dims = []
+    return seed.closure(lambda b: dims.append(len(b)) or images(b)), dims
+
+
+def test_closure_matches_reference_growth(so34, natural_rep, so3, big_module, scaled_module):
+    """Subspace.closure under module stacks and under brackets (of sl2 and
+    so(3,4)) equals the Fraction reference growth; some seeds grow twice or
+    more before they are stable or fill the space."""
+    steps = []
+    for v, _, vectors in _reference_cases(natural_rep, so3, big_module, scaled_module):
+        for vec in vectors:
+            closed, dims = _closure_steps(Subspace.from_vectors(v.dim, [vec]), lambda b: int_einsum("imn,jn->ijm", v.A, b).reshape(-1, v.dim))
+            assert closed == _reference_closure(v.dim, [vec], _action_images(v))
+            steps.append(dims)
+    unit = lambda n, k: tuple(int(i == k) for i in range(n))
+    sl2 = lie_algebra(sl2_constants())
+    seeds = [(sl2, [unit(3, 1)]), (sl2, [unit(3, 1), unit(3, 2)]), (sl2, [(1, 1, 0)]), (so34, [unit(21, 0), unit(21, 1)]), (so34, [unit(21, 12), (1,) * 21])]
+    for g, vectors in seeds:
+        brackets = lambda rows: [bracket(g, x, y) for i, x in enumerate(rows) for y in rows[i + 1 :]]
+        closed, dims = _closure_steps(Subspace.from_vectors(g.dim, vectors), lambda b: g.bracket_table(b, b)[np.triu_indices(len(b), 1)])
+        assert closed == _reference_closure(g.dim, vectors, brackets)
+        steps.append(dims)
+    # e.g. the last seed grows four times, from 2 to 3, 5, 10 and 21 dimensions
+    assert steps == [[1], [1, 6], [1], [1], [1], [1, 3], [1, 3], [1, 3], [1, 3], [1, 4], [1], [1], [2], [1], [2, 3], [2, 3, 5, 10]]
 
 
 def test_submodule_generated_matches_reference(natural_rep, so3, big_module, scaled_module):
