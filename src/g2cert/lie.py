@@ -70,7 +70,9 @@ class LieAlgebra:
         asym = np.argwhere(np.any(self.C + self.C.transpose(1, 0, 2) != 0, axis=2))
         if len(asym):
             raise ValueError("brackets not antisymmetric at ({},{})".format(*asym[0]))
-        if not self.verify_jacobi():
+        # Jacobi as ad([x,y]) = [ad x, ad y] on all basis pairs (equivalent, and
+        # quadratic rather than cubic), on the integer ad stack den * ad(e_i) = C[i]^T
+        if self.bracket_law_failure(self.C.transpose(0, 2, 1), self.den, self.cmax) is not None:
             raise ValueError("Jacobi identity fails")
 
     def _hold(self, C: np.ndarray, den: int, realization: Optional[tuple[np.ndarray, int]]):
@@ -87,7 +89,7 @@ class LieAlgebra:
         amax, or None if the law holds exactly on every pair.
 
         The one check of the bracket law: for the action of a module and
-        (through ``verify_jacobi``) for the ad stack.  It compares
+        (in the constructor, as Jacobi) for the ad stack.  It compares
         den [a_i, a_j] = scale sum_k C_ijk a_k on all pairs at once, from two
         ``int_einsum`` contractions: the dim^2 n^2 arrays are small where it
         runs (the checking constructors), and a difference of two products
@@ -103,12 +105,6 @@ class LieAlgebra:
         """den * [x, y] for every row x of xs and y of ys, 2-D integer arrays
         of coordinates, as an integer array of shape (len(xs), len(ys), dim)."""
         return int_einsum("ai,bik->abk", xs, int_einsum("bj,ijk->bik", ys, Bounded(self.C, self.cmax)))
-
-    def verify_jacobi(self) -> bool:
-        """[ [x,y], z ] cycles sum to zero, checked as ad([x,y]) = [ad x, ad y]
-        on all basis pairs (equivalent, and quadratic rather than cubic), on
-        the integer ad stack den * ad(e_i) = C[i]^T."""
-        return self.bracket_law_failure(self.C.transpose(0, 2, 1), self.den, self.cmax) is None
 
     def realization_coordinates(self, rows: np.ndarray) -> Optional[np.ndarray]:
         """Integer x with rows = x times the row-major flattened matrices a / d

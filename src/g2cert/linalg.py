@@ -230,7 +230,7 @@ def is_int_array(a) -> bool:
 def _int_matrix(m: np.ndarray) -> np.ndarray:
     """m itself if it is a 2-D numpy integer array (int64, or object dtype
     of Python ints); TypeError for any other input."""
-    if m.ndim != 2 or not is_int_array(m):
+    if not is_int_array(m) or m.ndim != 2:
         raise TypeError("a 2-D integer array is required")
     return m
 
@@ -473,8 +473,8 @@ def int_inverse(a: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def rank(m: np.ndarray) -> int:
-    """Rank over Q of a 2-D numpy integer array."""
-    return Subspace.from_vectors(m.shape[1], m).dim
+    """Rank over Q of a 2-D numpy integer array; TypeError for any other input."""
+    return Subspace.from_vectors(_int_matrix(m).shape[1], m).dim
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +483,8 @@ def rank(m: np.ndarray) -> int:
 
 def signature(m) -> tuple[int, int, int]:
     """Inertia (positive, negative, zero) of a symmetric integer matrix, a
-    2-D integer array or a nested sequence of ints.
+    2-D integer array or a nested sequence of ints; an entry that is not an
+    int or a numpy integer raises TypeError (``int`` would truncate it).
 
     Symmetric Gaussian congruence on Python ints with the usual zero-diagonal
     repair: swap in a nonzero diagonal if one exists further down, otherwise
@@ -492,7 +493,10 @@ def signature(m) -> tuple[int, int, int]:
     complement, divided by the gcd of its entries: a positive multiple, so the
     inertia is unchanged.
     """
-    a = [[int(x) for x in row] for row in (m.tolist() if isinstance(m, np.ndarray) else m)]
+    rows = m.tolist() if isinstance(m, np.ndarray) else m
+    if not all(isinstance(x, (int, np.integer)) for row in rows for x in row):
+        raise TypeError("a signature takes int or numpy integer entries")
+    a = [[int(x) for x in row] for row in rows]
     n = len(a)
     if any(len(row) != n for row in a) or any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
         raise ValueError("signature requires a symmetric matrix")

@@ -18,11 +18,12 @@ matrix ``G`` and its one denominator ``den``.  Both are held read-only
 beside their largest magnitudes ``mmax`` and ``gmax`` (``linalg.held``), and
 every product, bilinear value and identity check is a ``linalg.int_einsum``
 of them that reads those bounds.  The Zorn product runs on integer basis
-vectors.  What the form and the unit fix alone, ``SplitCayley.imaginary``
-among it, is one ``linalg.UnitFacts`` per form and unit, so the mutants of a
-sweep share it.  Fractions remain only where the benchmark's mutation sweep
-and tracer use them: ``StructureConstantAlgebra(dim, mul)`` clears a rational
-``mul`` in one pass, and ``mul`` and ``multiply`` return Fractions.
+vectors.  What the form and the unit fix alone, the imaginary subspace and
+its restricted form among it, is one ``linalg.UnitFacts`` per form and unit
+(``NormForm.unit_facts``), so the mutants of a sweep share it.  Fractions
+remain only where the benchmark's mutation sweep and tracer use them:
+``StructureConstantAlgebra(dim, mul)`` clears a rational ``mul`` in one pass,
+and ``mul`` and ``multiply`` return Fractions.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import numpy as np
 from .linalg import (
     Bounded,
     NormForm,
-    Subspace,
     int_cleared,
     held,
     int_einsum,
@@ -112,13 +112,6 @@ class SplitCayley:
         if len(form.G) != algebra.dim or len(unit) != algebra.dim:
             raise ValueError("the form and the unit must have the algebra's dimension")
         self.algebra, self.form, self.unit = algebra, form, unit
-
-    @cached_property
-    def imaginary(self) -> tuple[Subspace, NormForm]:
-        """The orthogonal complement of the unit and the norm form restricted
-        to it, in its canonical basis (signature (3,4)); built once per form
-        and unit (``NormForm.unit_facts``), so algebras sharing both share it."""
-        return self.form.unit_facts(self.unit).imaginary
 
 
 def build_split_cayley() -> SplitCayley:

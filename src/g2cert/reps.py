@@ -220,9 +220,6 @@ class IrreducibilityCertificate(NamedTuple):
     irreducible: bool
     commutant_dim: int
 
-    def __bool__(self) -> bool:
-        return self.irreducible
-
 
 def is_irreducible(v: LieModule) -> IrreducibilityCertificate:
     """Commutant-dimension test, valid over a semisimple algebra where

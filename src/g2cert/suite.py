@@ -5,6 +5,9 @@ Every check compares computed witnesses against expected values frozen in the
 check definition; a report passes only if every expectation matches.  Checks
 are deterministic functions of the configuration, and a check whose declared
 dependency did not pass is reported as an error (skipped), never as a pass.
+``CHECKS`` lists every check after its dependencies, so the table order is the
+dependency order: ``run_all`` closes a selection in one backward pass over it
+and runs the checks in table order.
 """
 
 from __future__ import annotations
@@ -139,7 +142,8 @@ class VerificationContext:
 
     @property
     def imaginary(self) -> tuple[Subspace, NormForm]:
-        return self.cayley.imaginary
+        c = self.cayley
+        return c.form.unit_facts(c.unit).imaginary
 
     @_stage
     def g2_census(self):
@@ -626,41 +630,25 @@ CHECKS: tuple[CheckDef, ...] = (
 )
 
 CHECK_IDS = tuple(c.id for c in CHECKS)
-_BY_ID = {c.id: c for c in CHECKS}
-
-
-def _closure_with_deps(ids: tuple[str, ...]) -> set[str]:
-    seen: set[str] = set()
-    stack = list(ids)
-    while stack:
-        cid = stack.pop()
-        if cid in seen:
-            continue
-        seen.add(cid)
-        stack.extend(_BY_ID[cid].deps)
-    return seen
 
 
 def run_all(cfg: SuiteConfig, ctx: Optional[VerificationContext] = None) -> list[CheckReport]:
-    """Run the selected checks (with their dependencies) in dependency order;
-    the returned list is sorted by check id."""
-    if cfg.checks is not None:
-        unknown = [c for c in cfg.checks if c not in _BY_ID]
-        if unknown:
-            raise KeyError(f"unknown check ids: {', '.join(sorted(unknown))}")
-        selected = _closure_with_deps(tuple(cfg.checks))
-    else:
-        selected = set(CHECK_IDS)
+    """Run the selected checks (with their dependencies) in table order, which
+    is dependency order; the returned list is sorted by check id."""
+    selected = set(CHECK_IDS if cfg.checks is None else cfg.checks)
+    unknown = selected.difference(CHECK_IDS)
+    if unknown:
+        raise KeyError(f"unknown check ids: {', '.join(sorted(unknown))}")
+    for cdef in reversed(CHECKS):  # every dep comes earlier in the table
+        if cdef.id in selected:
+            selected.update(cdef.deps)
     if ctx is None:
         ctx = VerificationContext()
     reports: dict[str, CheckReport] = {}
     for cdef in CHECKS:
         if cdef.id not in selected:
             continue
-        bad_dep = next(
-            (d for d in cdef.deps if d not in reports or reports[d].status != "pass"),
-            None,
-        )
+        bad_dep = next((d for d in cdef.deps if reports[d].status != "pass"), None)
         start = time.perf_counter()
         if bad_dep is not None:
             status, witnesses = "error", {"skipped": f"dependency '{bad_dep}' did not pass"}

@@ -4,6 +4,7 @@ Every assertion is exact (no tolerances anywhere); each criterion also
 carries a wall-clock budget and prints a single pass line when it holds.
 """
 
+import dataclasses
 import time
 from collections import Counter
 from fractions import Fraction
@@ -30,6 +31,7 @@ from g2cert.reps import (
 )
 from g2cert.report import serialize
 from g2cert.suite import (
+    CheckOutcome,
     SuiteConfig,
     VerificationContext,
     check_maximality,
@@ -61,7 +63,7 @@ def test_criterion_01_cayley_certification(ctx):
             a, b = basis_element(i), basis_element(j)
             assert form_norm(c.form, c.algebra.multiply(a, b)) == form_norm(c.form, a) * form_norm(c.form, b)
     assert signature(c.form.G) == (4, 4, 0)
-    _, restricted = c.imaginary
+    _, restricted = c.form.unit_facts(c.unit).imaginary
     assert signature(restricted.G) == (3, 4, 0)
     _done(1, "composition law and norm signatures", start, 1.0)
 
@@ -321,14 +323,34 @@ def test_criterion_12_negative_control_flips_only_its_target(target, monkeypatch
 
 
 def _dependency_closure(check_id: str) -> set:
-    from g2cert.suite import _BY_ID
-
+    by_id = {c.id: c for c in suite.CHECKS}
     seen = set()
     stack = [check_id]
     while stack:
         cid = stack.pop()
-        for dep in _BY_ID[cid].deps:
+        for dep in by_id[cid].deps:
             if dep not in seen:
                 seen.add(dep)
                 stack.append(dep)
     return seen
+
+
+def test_check_table_lists_every_dependency_first():
+    """run_all closes a selection in one backward pass over CHECKS, which is
+    exact because each check's deps come earlier in the table."""
+    for i, c in enumerate(suite.CHECKS):
+        assert set(c.deps) <= set(suite.CHECK_IDS[:i]), c.id
+
+
+@pytest.mark.parametrize("checks", [(cid,) for cid in suite.CHECK_IDS] + [("cayley", "maximality")])
+def test_selection_is_the_ids_and_their_transitive_deps(checks, monkeypatch):
+    """With every check stubbed, so that no proof runs, a run reports exactly
+    the selected ids and their transitive deps (the stack closure above), and
+    runs them in table order."""
+    want = set(checks).union(*map(_dependency_closure, checks))
+    ran = []
+    stubbed = tuple(dataclasses.replace(c, fn=lambda ctx, cfg, cid=c.id: ran.append(cid) or CheckOutcome()) for c in suite.CHECKS)
+    monkeypatch.setattr(suite, "CHECKS", stubbed)
+    reports = run_all(SuiteConfig(checks=checks))
+    assert ran == [cid for cid in suite.CHECK_IDS if cid in want]
+    assert [r.id for r in reports] == sorted(want) and {r.status for r in reports} == {"pass"}

@@ -155,8 +155,13 @@ def test_signature_hyperbolic_plane():
 
 
 def test_signature_rejects_asymmetric():
+    """An asymmetric matrix, and inexact entries, which int() would truncate
+    (the float array to a symmetric one)."""
     with pytest.raises(ValueError):
         signature(np.array([[0, 1], [0, 0]]))
+    for m in ([[0.5]], np.array([[0.5, 1], [1.4, 0]]), [[Fraction(1, 2)]]):
+        with pytest.raises(TypeError):
+            signature(m)
 
 
 @st.composite
@@ -871,10 +876,10 @@ def test_kernel_matches_fraction_free_reference(family):
 
 
 def test_kernel_rejects_non_integer_array():
-    """A float array, and an object array holding a Fraction, which int64
-    casting would truncate to 0."""
-    for m in (np.array([[0.5, 1.0]]), np.array([[Fraction(1, 2)]], dtype=object)):
-        for solve in (kernel_basis, rref, int_inverse):
+    """A float array, an object array holding a Fraction, which int64
+    casting would truncate to 0, and a nested list, which is no array."""
+    for m in (np.array([[0.5, 1.0]]), np.array([[Fraction(1, 2)]], dtype=object), [[1, 2]]):
+        for solve in (kernel_basis, rref, int_inverse, rank):
             with pytest.raises(TypeError):
                 solve(m)
 
@@ -1060,7 +1065,7 @@ def test_realizations_reach_no_int_inverse(monkeypatch, cayley):
         return inverse(a)
 
     monkeypatch.setattr(linalg, "int_inverse", spy)
-    assert (derivation_algebra(cayley.algebra).dim, so_of_form(cayley.imaginary[1]).dim) == (14, 21)
+    assert (derivation_algebra(cayley.algebra).dim, so_of_form(cayley.form.unit_facts(cayley.unit).imaginary[1]).dim) == (14, 21)
     assert calls == []
 
 
@@ -1145,3 +1150,5 @@ def test_int_inverse_rejects_a_dependent_family(a):
 def test_int_inverse_rejects_a_rectangular_array(a):
     with pytest.raises(ValueError, match="square"):
         int_inverse(a)
+    with pytest.raises(TypeError):  # the same rows as a nested list
+        int_inverse(a.tolist())

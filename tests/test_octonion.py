@@ -101,7 +101,7 @@ def test_conjugation_involution_and_norm(alg, a):
 
 def test_conjugate_fixes_unit_and_negates_imaginaries(alg):
     assert conjugate(alg, alg.unit) == alg.unit
-    sub, _ = alg.imaginary
+    sub, _ = alg.form.unit_facts(alg.unit).imaginary
     for b in leading_one_basis(sub):
         assert conjugate(alg, b) == tuple(-x for x in b)
 
@@ -111,7 +111,7 @@ def test_norm_signature(alg):
 
 
 def test_imaginary_subspace(alg):
-    sub, restricted = alg.imaginary
+    sub, restricted = alg.form.unit_facts(alg.unit).imaginary
     assert sub.dim == 7
     assert signature(restricted.G) == (3, 4, 0)
     assert not sub.contains(np.array([alg.unit], dtype=object))
@@ -171,11 +171,15 @@ def test_one_complement_per_form_and_unit(monkeypatch):
     other_form = SplitCayley(base.algebra, NormForm(base.form.G, base.form.den), base.unit)
     calls, solve = [], linalg.kernel_basis
     monkeypatch.setattr(linalg, "kernel_basis", lambda m: calls.append(m) or solve(m))
-    assert a.imaginary is b.imaginary and base.imaginary is a.imaginary
+
+    def imaginary(x):
+        return x.form.unit_facts(x.unit).imaginary
+
+    assert imaginary(a) is imaginary(b) and imaginary(base) is imaginary(a)
     assert len(calls) == 1
-    assert other_unit.imaginary[0] != a.imaginary[0] and len(calls) == 2
-    assert other_form.imaginary is not a.imaginary and len(calls) == 3
-    assert other_form.imaginary[0] == a.imaginary[0] and other_form.imaginary[1].G.tolist() == a.imaginary[1].G.tolist()
+    assert imaginary(other_unit)[0] != imaginary(a)[0] and len(calls) == 2
+    assert imaginary(other_form) is not imaginary(a) and len(calls) == 3
+    assert imaginary(other_form)[0] == imaginary(a)[0] and imaginary(other_form)[1].G.tolist() == imaginary(a)[1].G.tolist()
 
 
 @pytest.mark.parametrize("form_dim, unit_len", [(7, 8), (8, 7), (9, 9)])

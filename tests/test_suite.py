@@ -331,8 +331,8 @@ def test_filtered_run_includes_dependencies(ctx):
 
 
 def test_unknown_check_id_rejected(ctx):
-    with pytest.raises(KeyError):
-        run_all(SuiteConfig(checks=("nope",)), ctx=ctx)
+    with pytest.raises(KeyError, match="unknown check ids: a, nope'"):
+        run_all(SuiteConfig(checks=("nope", "cayley", "a")), ctx=ctx)
 
 
 def test_seed_variation_leaves_check_reports_identical(ctx):
@@ -583,13 +583,13 @@ def test_form_and_unit_facts_are_built_once_per_form(monkeypatch):
     facts = built[0]
     assert (facts.n, facts.s, facts.inside) == (2, 1, False) and facts.u.array.tolist() == list(base.unit)
     assert facts.K.array.tolist() == (2 * np.outer(base.unit, base.form.G @ base.unit) - 2 * np.eye(8, dtype=int)).tolist()
-    assert not facts.K.array.flags.writeable and base.imaginary is facts.imaginary
+    assert not facts.K.array.flags.writeable and base.form.unit_facts(base.unit).imaginary is facts.imaginary
     twin = basis_twin(2)  # with a form of its own, whose unit facts this test builds
     for other in (SplitCayley(twin.algebra, NormForm(twin.form.G, twin.form.den), twin.unit), compact_octonions()):
         got = check_cayley(VerificationContext(cayley_candidate=other), SuiteConfig(seed=3, samples=5))
         want = reference_check_cayley(other, SuiteConfig(seed=3, samples=5))
         assert _typed(got.witnesses) == _typed(want.witnesses) and got.failed == want.failed
-        assert built[-1] is other.form.unit_facts(other.unit) and built[-1].imaginary is other.imaginary
+        assert built[-1] is other.form.unit_facts(other.unit)
     assert len(built) == 3
 
 
