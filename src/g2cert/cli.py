@@ -11,7 +11,6 @@ import argparse
 import gc
 import json
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .report import exit_code, render_text, serialize
@@ -98,16 +97,15 @@ def _cmd_show(args) -> int:
         alg = ctx.cayley.algebra
         for i in range(alg.dim):
             for j in range(alg.dim):
-                coords = [Fraction(int(x), alg.den) for x in alg.M[i, j]]
-                print(f"e{i + 1}*e{j + 1} = {_coords_str(coords)}")
+                print(f"e{i + 1}*e{j + 1} = {_coords_str(alg.mul[i][j])}")
         return 0
     if args.what == "killing":
         from .lie import killing_form
 
         alg = ctx.derivations if args.algebra == "g2" else ctx.so34
         kf = killing_form(alg)
-        for row in kf.G.tolist():
-            print("  ".join(str(Fraction(x, kf.den)) for x in row))
+        for row in kf.gram.fractions():
+            print("  ".join(map(str, row)))
         print(f"signature: {kf.signature}")
         return 0
     if args.what == "decomposition":

@@ -1,18 +1,14 @@
 """Lie algebras by structure constants and by matrix realization.
 
-A ``LieAlgebra`` takes and holds its bracket [e_i, e_j] = sum_k c_ijk e_k
-as one integer tensor ``C`` (dim x dim x dim, C[i, j, k] = den * c_ijk) and
-one denominator ``den``, as a ``reps.LieModule`` takes its stack; rationals
-and floats are rejected.  ``C`` is held read-only beside its largest
-magnitude ``cmax`` (``linalg.held``), which each product formed from it
-reads; ``linalg`` alone turns a bound into a dtype, so a sum of up to four
-held arrays or ``int_einsum`` results fits.
-Brackets (``bracket_table``), the Killing form (Cartan's criterion),
-centralizers and transporters are contractions of ``C``, a subalgebra closure
-is ``Subspace.closure`` under ``bracket_table``, and the integer ad stack
-den * ad(e_i) is ``C[i]^T``.  A matrix realization is the cleared canonical
-basis of a span of matrices, held the same way, as one integer stack with one
-denominator.  The constructor proves Jacobi by
+A ``LieAlgebra`` takes its bracket [e_i, e_j] = sum_k c_ijk e_k as one
+integer tensor ``C`` (C[i, j, k] = den * c_ijk) over one ``den``, as a
+``reps.LieModule`` takes its stack, and holds it as one ``linalg.Exact``
+value ``bracket``; rationals and floats are rejected.  Brackets
+(``bracket_table``), the Killing form (Cartan's criterion), centralizers and
+transporters are contractions of it, a subalgebra closure is
+``Subspace.closure`` under ``bracket_table``, and the ad stack is its
+transpose C[i]^T / den.  A matrix realization, the canonical basis of a span
+of matrices, is one value too.  The constructor proves Jacobi by
 ``LieAlgebra.bracket_law_failure`` on the ad stack, which also checks a public
 ``reps.LieModule``'s action; ``LieAlgebra.from_matrix_basis``, the only source
 of a realization, proves its bracket on the first read, by an exact coordinate
@@ -30,16 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateFormError
-from .linalg import (
-    Bounded,
-    NormForm,
-    Subspace,
-    held,
-    int_einsum,
-    is_int_array,
-    kernel_basis,
-    lowest_terms,
-)
+from .linalg import Exact, NormForm, Subspace, int_einsum, is_int_array, kernel_basis
 from .octonion import StructureConstantAlgebra
 
 
@@ -49,66 +36,53 @@ class LieAlgebra:
 
     ``C`` is a dim x dim x dim numpy integer array and ``den`` a positive
     Python int (not a bool, numpy integer, float or Fraction), for
-    c_ijk = C[i, j, k] / den, held in lowest terms with ``C`` read-only
-    beside its largest magnitude ``cmax``.  Every instance
-    satisfies antisymmetry and the Jacobi identity: this constructor checks
-    both, raising ValueError on a failure (and on a mis-shaped tensor or
-    another ``den``, TypeError on a non-integer tensor), and
-    ``from_matrix_basis``, the only source of a ``realization``, proves them
-    on the first read of its bracket.
-    A ``realization`` is a pair (a, d) of an integer stack a of shape
-    (dim, n, n), read-only, and a positive d, for the matrices a[i] / d: the
-    cleared canonical basis of the span it was built from.
+    c_ijk = C[i, j, k] / den, held as the value ``bracket`` in lowest terms.
+    Every instance satisfies antisymmetry and the Jacobi identity: this
+    constructor checks both, raising ValueError on a failure (and on a
+    mis-shaped tensor or another ``den``, TypeError on a non-integer tensor),
+    and ``from_matrix_basis``, the only source of a ``realization`` (one value
+    of shape (dim, n, n), the canonical basis of its span), proves them on
+    the first read of its bracket.
     """
+
+    C = property(lambda self: self.bracket.ints)
+    den = property(lambda self: self.bracket.den)
 
     def __init__(self, C: np.ndarray, den: int = 1):
         if not is_int_array(C):
             raise TypeError("the bracket tensor is an integer array")
         if C.shape != (len(C),) * 3 or type(den) is not int or den < 1:
             raise ValueError("the bracket tensor must be dim x dim x dim over a positive denominator")
-        self._hold(C, den, None)
+        self.dim, self.bracket, self.realization = len(C), Exact.held(C, den, lowest=True), None
+        self._killing = self._adjoint = None  # built once per algebra, by killing_form and reps.adjoint_module
         asym = np.argwhere(np.any(self.C + self.C.transpose(1, 0, 2) != 0, axis=2))
         if len(asym):
             raise ValueError("brackets not antisymmetric at ({},{})".format(*asym[0]))
         # Jacobi as ad([x,y]) = [ad x, ad y] on all basis pairs (equivalent, and
         # quadratic rather than cubic), on the integer ad stack den * ad(e_i) = C[i]^T
-        if self.bracket_law_failure(self.C.transpose(0, 2, 1), self.den, self.cmax) is not None:
+        if self.bracket_law_failure(self.bracket.transpose(0, 2, 1)) is not None:
             raise ValueError("Jacobi identity fails")
-
-    def _hold(self, C: np.ndarray, den: int, realization: Optional[tuple[np.ndarray, int]]):
-        self.dim, self.realization = len(C), realization
-        self._killing = self._adjoint = None  # built once per algebra, by killing_form and reps.adjoint_module
-        C, self.den = lowest_terms(C, den)
-        self.C, self.cmax = held(C)
 
     # -- bracket machinery ------------------------------------------------
 
-    def bracket_law_failure(self, a: np.ndarray, scale: int, amax: int) -> Optional[tuple[int, int]]:
+    def bracket_law_failure(self, a: Exact) -> Optional[tuple[int, int]]:
         """First basis pair (i, j), i < j, with [m_i, m_j] != sum_k c_ijk m_k
-        for the matrices m_i = a[i] / scale of an integer stack a bounded by
-        amax, or None if the law holds exactly on every pair.
-
-        The one check of the bracket law: for the action of a module and
-        (in the constructor, as Jacobi) for the ad stack.  It compares
-        den [a_i, a_j] = scale sum_k C_ijk a_k on all pairs at once, from two
-        ``int_einsum`` contractions: the dim^2 n^2 arrays are small where it
-        runs (the checking constructors), and a difference of two products
-        fits the dtype that ``linalg`` gives each.
-        """
-        a = Bounded(a, amax)
-        prod = int_einsum(",ikm,jml->ijkl", self.den, a, a)
-        rhs = int_einsum(",ijk,kmn->ijmn", scale, Bounded(self.C, self.cmax), a)
-        bad = np.argwhere(np.triu(np.any(prod - prod.transpose(1, 0, 2, 3) != rhs, axis=(2, 3)), 1))
+        for the matrices m_i of a stack a (one value), or None if the law
+        holds exactly on every pair: the one check of the bracket law, for a
+        module's action and (in the constructor, as Jacobi) the ad stack, on
+        all pairs at once (the dim^2 n^2 arrays are small where it runs)."""
+        rhs = int_einsum("ijk,kmn->ijmn", self.bracket, a)
+        bad = np.argwhere(np.triu(np.any(_commutators(a).differs(rhs), axis=(2, 3)), 1))
         return tuple(map(int, bad[0])) if len(bad) else None
 
     def bracket_table(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """den * [x, y] for every row x of xs and y of ys, 2-D integer arrays
         of coordinates, as an integer array of shape (len(xs), len(ys), dim)."""
-        return int_einsum("ai,bik->abk", xs, int_einsum("bj,ijk->bik", ys, Bounded(self.C, self.cmax)))
+        return int_einsum("ai,bik->abk", xs, int_einsum("bj,ijk->bik", ys, self.bracket)).ints
 
-    def realization_coordinates(self, rows: np.ndarray) -> Optional[np.ndarray]:
-        """Integer x with rows = x times the row-major flattened matrices a / d
-        of the realization (a, d), or None: the span's ``coordinates``."""
+    def realization_coordinates(self, rows: "Exact | np.ndarray") -> Optional[Exact]:
+        """The value x with rows = x times the row-major flattened matrices
+        of the ``realization``, or None: the span's ``coordinates``."""
         if self.realization is None:
             raise ValueError("algebra carries no matrix realization")
         return self._span.coordinates(rows)
@@ -118,11 +92,10 @@ class LieAlgebra:
         """The algebra of a span of row-major flattened n x n matrices closed
         under commutators, realized on its canonical basis b / s (``basis``
         over ``den``).  A non-``Subspace`` raises TypeError, a non-square
-        ambient dimension ValueError.  ``C``, ``den``, ``cmax`` and
-        ``realization`` are built on the first read of any: all [b_i, b_j]
-        from one batched integer product, whose ``Subspace.coordinates`` x are
-        the structure constants over s^2; an unclosed span raises ValueError
-        there."""
+        ambient dimension ValueError.  ``bracket`` and ``realization`` are
+        built on the first read of either: all [b_i, b_j] from one batched
+        product, whose ``Subspace.coordinates`` are the structure constants;
+        an unclosed span raises ValueError there."""
         if not isinstance(span, Subspace):
             raise TypeError("a realization is a span of flattened matrices")
         if math.isqrt(span.ambient_dim) ** 2 != span.ambient_dim:
@@ -132,25 +105,32 @@ class LieAlgebra:
         return alg
 
     def __getattr__(self, name: str):
-        if name not in ("C", "den", "cmax", "realization"):
+        if name not in ("bracket", "realization"):
             raise AttributeError(name)
-        span, d, n, s = self._span, self.dim, math.isqrt(self._span.ambient_dim), self._span.den
-        a, amax = held(span.basis.reshape(d, n, n))
-        prod = int_einsum("ikm,jml->ijkl", Bounded(a, amax), Bounded(a, amax))
-        x = span.coordinates((prod - prod.transpose(1, 0, 2, 3)).reshape(d * d, n * n))
+        span, d, n = self._span, self.dim, math.isqrt(self._span.ambient_dim)
+        a = Exact.held(*span.canonical.reshape(d, n, n))
+        x = span.coordinates(_commutators(a).reshape(d * d, n * n))
         if x is None:
             raise ValueError("matrix family is not closed under commutators")
-        # Lemma: coordinates' exact check proved [b_i, b_j] = sum_k x_ijk b_k / s on a basis: the
-        # realization is faithful and lawful, so antisymmetry and Jacobi hold for C because they hold in gl(n).
-        self._hold(x.reshape(d, d, d), s * s, (a, s))
+        # Lemma: coordinates' exact check proved [b_i, b_j] = sum_k x_ijk b_k on a basis: the realization
+        # is faithful and lawful, so antisymmetry and Jacobi hold for x because they hold in gl(n).
+        self.bracket, self.realization = Exact.held(*x.reshape(d, d, d), lowest=True), a
         return getattr(self, name)
+
+
+def _commutators(a: Exact) -> Exact:
+    """[a_i, a_j] for every pair of matrices of the stack a, as one value
+    indexed (i, j, row, column); a difference of two products fits the dtype
+    that ``int_einsum`` gives each."""
+    prod = int_einsum("ikm,jml->ijkl", a, a)
+    return Exact(prod.ints - prod.ints.transpose(1, 0, 2, 3), prod.den)
 
 
 def killing_form(g: LieAlgebra) -> NormForm:
     """The form (x, y) -> trace(ad x ad y), built once per algebra: Gram
-    matrix K = einsum('imk,jkm->ij', C, C) / den^2."""
+    matrix einsum('imk,jkm->ij', c, c) of the bracket c."""
     if g._killing is None:
-        g._killing = NormForm(int_einsum("imk,jkm->ij", Bounded(g.C, g.cmax), Bounded(g.C, g.cmax)), g.den**2)
+        g._killing = NormForm(*int_einsum("imk,jkm->ij", g.bracket, g.bracket))
     return g._killing
 
 
@@ -207,7 +187,7 @@ def centralizer(g: LieAlgebra, s: Subspace) -> Subspace:
     if s.ambient_dim != g.dim:
         raise ValueError("subspace lives in the wrong ambient space")
     # row (v, k), unknown x_i: the e_k coefficient of [x, v]
-    system = int_einsum("vj,ijk->vki", s.basis, Bounded(g.C, g.cmax))
+    system = int_einsum("vj,ijk->vki", s.canonical, g.bracket).ints
     return kernel_basis(system.reshape(-1, g.dim))
 
 
@@ -217,5 +197,5 @@ def transporter_into(g: LieAlgebra, target: Subspace) -> Subspace:
         raise ValueError("target lives in the wrong ambient space")
     ann = kernel_basis(target.basis)
     # row (j, u), unknown h_i: the pairing of [h, e_j] with annihilator row u
-    system = int_einsum("uk,ijk->jui", ann.basis, Bounded(g.C, g.cmax))
+    system = int_einsum("uk,ijk->jui", ann.canonical, g.bracket).ints
     return kernel_basis(system.reshape(-1, g.dim))

@@ -5,44 +5,29 @@ intertwining constraints) runs on the primitives in this module.  All results
 are exact integers or ``fractions.Fraction`` values; no floating point is used.
 
 Every matrix the package stores, takes or returns is a numpy integer array
-(int64, or object dtype of Python ints) with, where it is rational, one
-positive denominator beside it; constructors reject anything else.
-``int_cleared`` is the one place an array of rationals becomes one integer
-array with one denominator, and ``int_dtype`` the one place that turns a
-bound into int64 or Python ints: int64 when the bound is below 2**61, so a
-sum of up to four such results fits.  The owners ``LieAlgebra.C``,
-``LieModule.A``, ``NormForm.G`` and ``StructureConstantAlgebra.M`` keep their
-arrays read-only beside the largest magnitude (``held``), and ``int_einsum``
-reads it off a ``Bounded`` operand, as it reads ``Subspace.bound`` beside a
-basis; it still scans fresh products and realization stacks.  ``int_inverse``,
-the one exact inverse, reads the canonical basis of [a | I]; Fractions remain
-in ``Matrix`` and ``rref``, which only the benchmark's tracer and their own
-behaviour tests touch.
+(int64, or object dtype of Python ints) over one positive denominator: one
+``Exact`` value, which carries its largest magnitude, ``bound``, measured
+once; constructors reject anything else.  ``int_cleared`` is the one place
+rationals become one integer array over one denominator, ``Exact.held``
+makes every owner's value but a ``Subspace``'s canonical basis (cleared where
+it is made), and ``int_dtype`` turns a bound into int64 (below 2**61, so a
+sum of four results fits) or Python ints.  ``int_einsum`` multiplies values
+into a value over the product of their dens, and values are equal as
+rational arrays, so an identity states its two sides at their own scales.
+``int_inverse``, the one exact inverse, reads the canonical basis of
+[a | I]; Fractions remain in ``Matrix`` and ``rref``, which only the
+benchmark's tracer and their own tests touch.
 
 One exact elimination engine sits behind the public API: a fraction-free
 integer row reduction (gcd stripping), which ``Subspace.from_vectors`` runs
-once on any family, and ``Subspace.closure``, the one loop that grows a span
-(subalgebra closures, generated submodules), runs once a step.  Its canonical
-basis, cleared where it is made to ``basis`` over its least denominator
-``den``, is the one coordinate system: ``Subspace.coordinates`` reads
-x = v[:, pivots], exactly when den v = x basis.  A word-sized prime,
-``PRIME``, only decides which rows the engine sees.  An integer matrix's rank
-over Q is at least its rank mod p (Dixon, Numer. Math. 40, 1982), so rows
-independent modulo ``PRIME`` are independent over Q:
-
-* ``independent_rows`` picks the rows of one matrix independent of the rows
-  above them, by one fraction-free forward elimination mod p over the columns
-  (as ``ranks_mod_p``); ``kernel_basis`` and ``reps``' spin bases pick with it;
-* ``kernel_basis`` first presolves singleton rows: a row with one nonzero
-  entry r_c says r_c x_c = 0, so x_c = 0 over Q, and dropping column c may
-  leave another row with one nonzero entry.  The kernel is that of the live
-  block (the rows nonzero on the live columns, sliced in one pass), padded
-  with zeros.  It eliminates only the block's rows picked independent mod p,
-  rank many instead of all, right to left, so the kernel comes out canonical,
-  and checks it against every row of the block exactly; only a failed check,
-  where the rank over Q exceeds the rank mod p, eliminates every live row;
-* ``ranks_mod_p`` ranks a stack of small systems in one batch, so that exact
-  work is left only for the systems whose rank mod p falls short.
+once on any family, and ``Subspace.closure``, the one loop that grows a span,
+runs once a step.  Its canonical basis, one value over its least
+denominator, is the one coordinate system (``Subspace.coordinates``).  A
+word-sized prime, ``PRIME``, only decides which rows the engine sees: an
+integer matrix's rank over Q is at least its rank mod p (Dixon, Numer. Math.
+40, 1982), so rows independent modulo ``PRIME`` are independent over Q
+(``independent_rows``, ``ranks_mod_p``), and ``kernel_basis`` eliminates only
+the rows so picked and checks its kernel against every row exactly.
 """
 
 from __future__ import annotations
@@ -65,8 +50,7 @@ class Matrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        a, d = int_cleared([list(row) for row in rows])
-        self.rows = tuple(tuple(Fraction(int(x), d) for x in row) for row in a)
+        self.rows = tuple(map(tuple, Exact(*int_cleared([list(row) for row in rows])).fractions()))
 
     def inverse(self) -> "Matrix":
         """d a^-1 = d x / e for self = a / d; ValueError if self is singular (its rows are dependent)."""
@@ -74,8 +58,7 @@ class Matrix:
         if any(len(r) != n for r in self.rows):
             raise ValueError("inverse of non-square matrix")
         a, d = int_cleared(self.rows)
-        x, e = int_inverse(a.reshape(n, n))
-        return Matrix([Fraction(d * int(v), e) for v in row] for row in x)
+        return Matrix(int_einsum(",ij->ij", d, int_inverse(a.reshape(n, n))).fractions())
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +66,12 @@ class Matrix:
 
 
 def max_abs(a: np.ndarray) -> int:
-    """The largest magnitude of an integer array's entries, 0 when it is empty."""
-    return int(np.abs(a).max(initial=0))
+    """The largest magnitude of an integer array's entries, 0 when it is
+    empty; an int64 array's is read off its max and min, as np.abs wraps
+    -2**63 to itself."""
+    if a.dtype == object:
+        return int(np.max(np.abs(a), initial=0))
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
 def int_dtype(peak: int):
@@ -94,17 +81,62 @@ def int_dtype(peak: int):
     return np.int64 if peak < (1 << 61) else object
 
 
-# An integer array beside a bound on its entries' magnitudes, for int_einsum to read.
-Bounded = NamedTuple("Bounded", [("array", np.ndarray), ("bound", int)])
+class Exact:
+    """The rational array ints / den: ints a numpy integer array (int64, or
+    object dtype of Python ints), den a positive Python int, and ``bound``,
+    the largest magnitude of ints, measured on its first read unless given.
+    Owners hold theirs read-only (``held``), as ``int_einsum`` makes its
+    results.  A value unpacks as (ints, den); values are equal when they are
+    the same rational array (``differs``)."""
 
+    __slots__ = ("ints", "den", "_bound")
 
-def held(a: np.ndarray, copy: bool = True) -> Bounded:
-    """a read-only, of dtype ``int_dtype`` of its largest magnitude, beside
-    that magnitude; a copy unless copy is False and a has that dtype."""
-    bound = max_abs(a)
-    a = a.astype(int_dtype(bound), copy=copy)
-    a.flags.writeable = False
-    return Bounded(a, bound)
+    def __init__(self, ints: np.ndarray, den: int = 1, bound: Optional[int] = None):
+        self.ints, self.den, self._bound = ints, den, bound
+
+    @classmethod
+    def held(cls, a: np.ndarray, den: int = 1, lowest: bool = False) -> "Exact":
+        """a / den as an owner holds it: divided by the gcd of den and every
+        entry if lowest, in the dtype ``int_dtype`` gives its bound, and
+        read-only, copied if a is writeable (so no caller's array changes)."""
+        if lowest and (g := math.gcd(den, *map(int, a.flat))) > 1:
+            a, den = a // g, den // g
+        bound = max_abs(a)
+        a = a.astype(int_dtype(bound), copy=a.flags.writeable)
+        a.flags.writeable = False
+        return cls(a, den, bound)
+
+    @property
+    def bound(self) -> int:
+        if self._bound is None:
+            self._bound = max_abs(self.ints)
+        return self._bound
+
+    def __iter__(self):
+        return iter((self.ints, self.den))
+
+    def reshape(self, *shape) -> "Exact":
+        return Exact(self.ints.reshape(*shape), self.den, self._bound)
+
+    def transpose(self, *axes) -> "Exact":
+        return Exact(self.ints.transpose(*axes), self.den, self._bound)
+
+    def times(self, k: int) -> np.ndarray:
+        """ints * k, exactly."""
+        return self.ints if k == 1 else self.ints.astype(int_dtype((self.bound or 1) * k), copy=False) * k
+
+    def differs(self, other: "Exact") -> np.ndarray:
+        """The mask of entries where self and other differ as rationals:
+        ints * other.den against other.ints * den, over their gcd."""
+        g = math.gcd(self.den, other.den)
+        return self.times(other.den // g) != other.times(self.den // g)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Exact) and self.ints.shape == other.ints.shape and not self.differs(other).any()
+
+    def fractions(self):
+        """The entries as Fractions, nested as ``tolist`` nests them."""
+        return np.array([Fraction(int(x), self.den) for x in self.ints.flat], dtype=object).reshape(self.ints.shape).tolist()
 
 
 def int_cleared(values) -> tuple[np.ndarray, int]:
@@ -137,39 +169,36 @@ def int_cleared(values) -> tuple[np.ndarray, int]:
     return np.array(ints, dtype=int_dtype(max(max(ints, default=0), -min(ints, default=0)))).reshape(shape), den
 
 
-def lowest_terms(a: np.ndarray, den: int) -> tuple[np.ndarray, int]:
-    """The rational array a / den, a an integer array, as the same pair
-    divided by the gcd of den and every entry of a."""
-    g = math.gcd(den, *map(int, a.flat))
-    return (a // g, den // g) if g > 1 else (a, den)
+# spec -> the (operand, axis) of each letter it sums over, found once per spec
+_PLANS: dict[str, list[tuple[int, int]]] = {}
 
 
-# spec -> its operands' letter groups and the letters it sums over, split once per spec
-_PLANS: dict[str, tuple[list[str], set[str]]] = {}
-
-
-def int_einsum(spec: str, *operands) -> np.ndarray:
-    """np.einsum over integer operands, exactly: ``Bounded`` arrays and
-    Python ints, whose bounds are read, and integer arrays or nested lists of
-    ints, which are scanned.  Every entry and partial sum is at most the
-    product of the bounds times the number of summed terms; ``int_dtype``
-    picks the dtype from that, and an array that has it is not copied."""
+def int_einsum(spec: str, *operands) -> Exact:
+    """np.einsum over exact operands, exactly, as a read-only value over the
+    product of their dens: ``Exact`` values and Python ints, whose bounds are
+    read, and integer arrays or nested lists of ints (over 1), which are
+    scanned.  Every entry and partial sum is at most the product of the
+    bounds times the number of summed terms; ``int_dtype`` picks the dtype
+    from that, and an array that has it is not copied."""
     if (plan := _PLANS.get(spec)) is None:
         inputs, output = spec.split("->")
-        plan = _PLANS[spec] = inputs.split(","), set(inputs) - set(output) - {","}
-    groups, summed = plan
-    arrays, sizes, peak = [], {}, 1
-    for letters, op in zip(groups, operands):
-        if isinstance(op, int):
-            op = Bounded(op, abs(op))
-        elif not isinstance(op, Bounded):
-            op = op if isinstance(op, np.ndarray) else np.array(op, dtype=object)
-            op = Bounded(op, max_abs(op))
-        sizes.update(zip(letters, op.array.shape if letters else ()))
-        arrays.append(op.array)
-        peak *= op.bound or 1
-    dtype = int_dtype(peak * math.prod(sizes[x] for x in summed))
-    return np.einsum(spec, *(a if isinstance(a, int) else a.astype(dtype, copy=False) for a in arrays))
+        groups = inputs.split(",")
+        plan = _PLANS[spec] = [next((i, g.index(x)) for i, g in enumerate(groups) if x in g) for x in set(inputs) - set(output) - {","}]
+    arrays, peak, den = [], 1, 1
+    for op in operands:
+        if isinstance(op, Exact):
+            a, bound, den = op.ints, op.bound, den * op.den
+        elif isinstance(op, int):
+            a, bound = op, abs(op)
+        else:
+            a = op if isinstance(op, np.ndarray) else np.array(op, dtype=object)
+            bound = max_abs(a)
+        arrays.append(a)
+        peak *= bound or 1
+    dtype = int_dtype(peak * math.prod(arrays[i].shape[k] for i, k in plan))
+    out = np.asarray(np.einsum(spec, *(a if isinstance(a, int) else a.astype(dtype, copy=False) for a in arrays)))
+    out.flags.writeable = False
+    return Exact(out, den)
 
 
 def _int_rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -349,7 +378,7 @@ def kernel_basis(m: np.ndarray) -> "Subspace":
     live, counts = _unforced_columns(m)
     b = m[np.ix_(counts > 0, live)]
     reduced, free = _kernel_rows(b[independent_rows(b)].tolist() if len(b) else [], b.shape[1])
-    if np.any(int_einsum("ij,kj->ik", b, reduced)):
+    if np.any(int_einsum("ij,kj->ik", b, reduced).ints):
         reduced, free = _kernel_rows(b.tolist(), b.shape[1])
     kernel = np.zeros((len(free), ncols), dtype=object)
     kernel[:, live] = reduced
@@ -361,17 +390,19 @@ def kernel_basis(m: np.ndarray) -> "Subspace":
 
 
 class Subspace:
-    """A subspace of Q^n held by its canonical (RREF) basis: ``basis``, a
-    read-only array of Python ints, is ``den`` times the leading-1 rows and
-    ``den`` their least denominator, so basis[i, pivots[i]] == den at the
-    leading columns ``pivots``, and ``bound`` is its largest magnitude.  The
-    constructor takes the primitive integer rows (each RREF row over its gcd)
-    and rejects any other with ValueError: each row has n Python ints with
-    gcd 1 and leads with a positive entry, the leading columns strictly
-    increase, and no other row is nonzero in a pivot column.
+    """A subspace of Q^n held by its canonical (RREF) basis, the leading-1
+    rows as one value ``canonical``: ``basis``, a read-only array of Python
+    ints, over ``den``, their least denominator, so basis[i, pivots[i]] ==
+    den at the leading columns ``pivots``.  The constructor takes the
+    primitive integer rows (each RREF row over its gcd) and rejects any other
+    with ValueError: each row has n Python ints with gcd 1 and leads with a
+    positive entry, the leading columns strictly increase, and no other row
+    is nonzero in a pivot column.
     """
 
-    __slots__ = ("ambient_dim", "basis", "bound", "den", "pivots")
+    __slots__ = ("ambient_dim", "canonical", "pivots")
+    basis = property(lambda self: self.canonical.ints)
+    den = property(lambda self: self.canonical.den)
 
     def __init__(self, ambient_dim: int, rows: Iterable[Sequence[int]]):
         rows = tuple(map(tuple, rows))
@@ -398,13 +429,13 @@ class Subspace:
         times its pivot entry, so den is the lcm of the pivot entries."""
         rows = np.array(rows, dtype=object).reshape(len(pivots), ambient_dim)
         lead = rows[np.arange(len(pivots)), list(pivots)]
-        self.ambient_dim, self.den, self.pivots = ambient_dim, math.lcm(*lead.tolist()), tuple(pivots)
-        self.basis = rows * (self.den // lead)[:, None]
-        self.basis.flags.writeable = False
-        self.bound = max_abs(self.basis)
+        den = math.lcm(*lead.tolist())
+        basis = rows * (den // lead)[:, None]
+        basis.flags.writeable = False
+        self.ambient_dim, self.canonical, self.pivots = ambient_dim, Exact(basis, den), tuple(pivots)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Subspace) and (self.ambient_dim, self.den) == (other.ambient_dim, other.den) and np.array_equal(self.basis, other.basis)
+        return isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim and self.canonical == other.canonical
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> "Subspace":
@@ -424,15 +455,15 @@ class Subspace:
     def dim(self) -> int:
         return len(self.pivots)
 
-    def coordinates(self, other: "Subspace | np.ndarray") -> Optional[np.ndarray]:
-        """x = v[:, pivots], so v = x (basis / den), for other a subspace (v
-        its ``basis``) or a 2-D integer array v of the ambient width (else
-        ValueError); None unless den v = x basis."""
-        v = other.basis if isinstance(other, Subspace) else other
-        if not is_int_array(v) or v.shape[1:] != (self.ambient_dim,):
+    def coordinates(self, other: "Subspace | Exact | np.ndarray") -> Optional[Exact]:
+        """The value x = v[:, pivots] over v's den, for v the rows of other: a
+        subspace's ``canonical``, a value, or a 2-D integer array (over 1) of
+        the ambient width (else ValueError); None unless v = x ``canonical``."""
+        v = other.canonical if isinstance(other, Subspace) else other if isinstance(other, Exact) else Exact(other)
+        if not is_int_array(v.ints) or v.ints.shape[1:] != (self.ambient_dim,):
             raise ValueError("rows must be integer vectors of the ambient width")
-        x = v[:, list(self.pivots)]
-        return x if np.array_equal(int_einsum("ip,pn->in", x, Bounded(self.basis, self.bound)), int_einsum(",in->in", self.den, v)) else None
+        x = Exact(v.ints[:, list(self.pivots)], v.den)
+        return x if int_einsum("ip,pn->in", x, self.canonical) == v else None
 
     def contains(self, other: "Subspace | np.ndarray") -> bool:
         """Whether other lies in S: it has ``coordinates``."""
@@ -458,9 +489,9 @@ class Subspace:
         return span
 
 
-def int_inverse(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """For an invertible square integer array a, x and d with x / d = a^-1
-    in lowest terms: [a | I] spans the rows of [I | a^-1], so its canonical
+def int_inverse(a: np.ndarray) -> Exact:
+    """For an invertible square integer array a, the value x / d = a^-1 in
+    lowest terms: [a | I] spans the rows of [I | a^-1], so its canonical
     basis is [d I | x] over d (``Subspace``).  A non-square a, or a pivot in
     I (a is singular), raises ValueError."""
     k, n = _int_matrix(a).shape
@@ -469,7 +500,7 @@ def int_inverse(a: np.ndarray) -> tuple[np.ndarray, int]:
     span = Subspace.from_vectors(2 * k, np.concatenate([a, np.eye(k, dtype=a.dtype)], axis=1))
     if span.pivots != tuple(range(k)):
         raise ValueError("vector family is linearly dependent")
-    return span.basis[:, k:], span.den
+    return Exact(span.basis[:, k:], span.den)
 
 
 def rank(m: np.ndarray) -> int:
@@ -528,30 +559,30 @@ def signature(m) -> tuple[int, int, int]:
     return (pos, neg, n - pos - neg)
 
 
-# What a form fixes with a vector e = u / s alone (``NormForm.unit_facts``): u, s;
-# n = u^T G u, so B(e, e) = n / (den s^2); K = 2 u (G u)^T - n I, so K / n fixes e and
-# negates e's orthogonal complement (an algebra's conjugation when e is its unit); that
-# complement, the kernel of (G u)^T, and the form on its canonical basis; whether it holds e.
-UnitFacts = NamedTuple("UnitFacts", [("u", Bounded), ("s", int), ("n", int), ("K", Bounded), ("imaginary", tuple), ("inside", bool)])
+# What a form fixes with a vector e alone (``NormForm.unit_facts``): e as one value u; its
+# norm n = B(e, e); K = 2 e B(e, .) - n I, so K / n fixes e and negates e's orthogonal
+# complement (an algebra's conjugation when e is its unit); that complement, the kernel of
+# B(e, .), and the form on its canonical basis; whether it holds e.
+UnitFacts = NamedTuple("UnitFacts", [("u", Exact), ("n", Exact), ("K", Exact), ("imaginary", tuple), ("inside", bool)])
 
 
 class NormForm:
     """A symmetric bilinear form, and the quadratic norm x -> B(x, x) it
-    polarizes, held as the integer Gram matrix ``G`` = den * gram and the
-    positive ``den`` in lowest terms, ``G`` read-only beside its largest
-    magnitude ``gmax``, and one ``UnitFacts`` per vector asked about.  A
+    polarizes, held as its Gram matrix, one value ``gram`` = G / den in
+    lowest terms, and one ``UnitFacts`` per vector asked about.  A
     non-square, non-symmetric or non-integer ``G``, or a ``den`` that is not
     a Python int of at least 1 (a bool, numpy integer, float or Fraction),
     raises ValueError."""
+
+    G = property(lambda self: self.gram.ints)
+    den = property(lambda self: self.gram.den)
 
     def __init__(self, G: np.ndarray, den: int = 1):
         if G.ndim != 2 or G.shape[0] != G.shape[1] or not is_int_array(G) or type(den) is not int or den < 1:
             raise ValueError("a Gram matrix is a square integer array over a positive denominator")
         if not np.array_equal(G, G.T):
             raise ValueError("Gram matrix must be symmetric")
-        G, self.den = lowest_terms(G, den)
-        self.G, self.gmax = held(G)
-        self._units: dict[tuple, UnitFacts] = {}
+        self.gram, self._units = Exact.held(G, den, lowest=True), {}
 
     @cached_property
     def signature(self) -> tuple[int, int, int]:
@@ -563,23 +594,23 @@ class NormForm:
 
     def restricted(self, b: np.ndarray, s: int = 1) -> "NormForm":
         """The form on the span of the rows of b / s, b an integer array, in
-        that basis: Gram matrix b G b^T / (den s^2)."""
-        return NormForm(int_einsum("ik,kl,jl->ij", b, Bounded(self.G, self.gmax), b), self.den * s * s)
+        that basis."""
+        basis = Exact(b, s)
+        return NormForm(*int_einsum("ik,kl,jl->ij", basis, self.gram, basis))
 
     def unit_facts(self, e: Sequence) -> UnitFacts:
-        """The ``UnitFacts`` of the rational vector e, kept per e (``G`` is read-only),
+        """The ``UnitFacts`` of the rational vector e, kept per e (``gram`` is read-only),
         so algebras sharing the form and their unit share them.  e is read by
         ``int_cleared`` (an inexact entry: TypeError); a length other than the
         form's dimension raises ValueError."""
         if (key := tuple(e)) not in self._units:
-            cleared, s = int_cleared(e)
-            if cleared.shape != (len(self.G),):
+            u = Exact.held(*int_cleared(e))
+            if u.ints.shape != (len(self.G),):
                 raise ValueError("a vector of the form's dimension is required")
-            u = held(cleared, copy=False)
-            gu = int_einsum("ij,j->i", Bounded(self.G, self.gmax), u)
-            n = int(int_einsum("i,i->", u, gu))
-            # each int64 term is below 2**61 (int_dtype), so their difference fits
-            k = int_einsum(",i,j->ij", 2, u, gu) - int_einsum(",ij->ij", n, Bounded(np.eye(len(key), dtype=np.int64), 1))
-            sub = kernel_basis(gu.reshape(1, -1))
-            self._units[key] = UnitFacts(u, s, n, held(k, copy=False), (sub, self.restricted(sub.basis, sub.den)), sub.contains(u.array.reshape(1, -1)))
+            gu = int_einsum("ij,j->i", self.gram, u)
+            n = int_einsum("i,i->", u, gu)
+            # both over n's den; each int64 term is below 2**61 (int_dtype), so their difference fits
+            k = int_einsum(",i,j->ij", 2, u, gu).ints - int_einsum(",ij->ij", n, np.eye(len(key), dtype=np.int64)).ints
+            sub = kernel_basis(gu.ints.reshape(1, -1))
+            self._units[key] = UnitFacts(u, n, Exact.held(k, n.den), (sub, self.restricted(*sub.canonical)), sub.contains(u.ints.reshape(1, -1)))
         return self._units[key]

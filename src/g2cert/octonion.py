@@ -10,20 +10,15 @@ with norm ``N = a b - v.w``.  The basis is ordered: the two diagonal
 idempotents first, then the three v-slots, then the three w-slots, which
 gives integer structure constants in {-1, 0, 1}.
 
-A ``StructureConstantAlgebra`` holds its multiplication once, as the cleared
-integer tensor ``M`` (dim x dim x dim, M[i, j, k] = den * m_ijk for
-e_i e_j = sum_k m_ijk e_k) and its one denominator ``den``; its norm is a
-``linalg.NormForm``, the Gram matrix of the polarization as the integer
-matrix ``G`` and its one denominator ``den``.  Both are held read-only
-beside their largest magnitudes ``mmax`` and ``gmax`` (``linalg.held``), and
-every product, bilinear value and identity check is a ``linalg.int_einsum``
-of them that reads those bounds.  The Zorn product runs on integer basis
-vectors.  What the form and the unit fix alone, the imaginary subspace and
-its restricted form among it, is one ``linalg.UnitFacts`` per form and unit
-(``NormForm.unit_facts``), so the mutants of a sweep share it.  Fractions
-remain only where the benchmark's mutation sweep and tracer use them:
-``StructureConstantAlgebra(dim, mul)`` clears a rational ``mul`` in one pass,
-and ``mul`` and ``multiply`` return Fractions.
+A ``StructureConstantAlgebra`` holds its multiplication once, as one
+``linalg.Exact`` value ``structure`` (e_i e_j = sum_k M[i, j, k] / den e_k);
+its norm is a ``linalg.NormForm``, whose ``gram`` holds the polarization's
+Gram matrix the same way, and every product, bilinear value and identity is a
+``linalg.int_einsum`` of such values.  What the form and the unit fix alone is
+one ``linalg.UnitFacts`` per form and unit (``NormForm.unit_facts``), so the
+mutants of a sweep share it.  Fractions remain only where the benchmark's
+mutation sweep and tracer use them: ``StructureConstantAlgebra(dim, mul)``
+clears a rational ``mul``, and ``mul`` and ``multiply`` return Fractions.
 """
 
 from __future__ import annotations
@@ -34,43 +29,35 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import (
-    Bounded,
-    NormForm,
-    int_cleared,
-    held,
-    int_einsum,
-)
+from .linalg import Exact, NormForm, int_cleared, int_einsum
 
 DIM = 8
 
 class StructureConstantAlgebra:
     """A finite-dimensional (not necessarily associative) algebra given by
-    structure constants e_i e_j = sum_k mul[i][j][k] e_k, held only as
-    ``M`` = den * mul, read-only beside its bound ``mmax``, and ``den``.  A
-    mis-shaped tensor raises ValueError, an inexact constant TypeError."""
+    structure constants e_i e_j = sum_k mul[i][j][k] e_k, held only as the
+    value ``structure`` = M / den.  A mis-shaped tensor raises ValueError, an
+    inexact constant TypeError."""
+
+    M = property(lambda self: self.structure.ints)
+    den = property(lambda self: self.structure.den)
 
     def __init__(self, dim: int, mul):
-        M, self.den = int_cleared(mul if dim else np.zeros((0, 0, 0), dtype=np.int64))
-        if M.shape != (dim,) * 3:
+        self.structure = Exact.held(*int_cleared(mul if dim else np.zeros((0, 0, 0), dtype=np.int64)))
+        if self.M.shape != (dim,) * 3:
             raise ValueError("structure constant tensor has wrong shape")
         self.dim = dim
-        self.M, self.mmax = held(M, copy=False)
 
     @cached_property
     def mul(self) -> tuple:
         """The structure constants as nested tuples of Fractions, a view of
-        ``M`` / ``den`` built on first use."""
-        return tuple(
-            tuple(tuple(Fraction(x, self.den) for x in prod) for prod in row)
-            for row in self.M.tolist()
-        )
+        ``structure`` built on first use."""
+        return tuple(tuple(map(tuple, row)) for row in self.structure.fractions())
 
     def multiply(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Bilinear extension of the structure constants."""
         (xs, ys), d = int_cleared([x, y])
-        prod = int_einsum("i,j,ijk->k", xs, ys, Bounded(self.M, self.mmax))
-        return tuple(Fraction(int(c), d * d * self.den) for c in prod)
+        return tuple(int_einsum("i,j,ijk->k", Exact(xs, d), Exact(ys, d), self.structure).fractions())
 
 
 def _cross(u, v):

@@ -2,24 +2,20 @@
 forms, Killing-orthogonal complements, generated submodules, irreducibility
 certificates, wedge squares, and module isomorphism.
 
-A ``LieModule`` holds its action once, as the integer stack ``A`` (algebra dim
-x n x n, A[i] = den * rho(e_i)), read-only beside its largest magnitude
-``amax``, and its one denominator ``den``, the way a ``LieAlgebra`` holds
-``C``.  Every exact check and builder here is a contraction of such stacks:
-the homomorphism law, intertwiners, restriction to an invariant subspace,
-the images that ``Subspace.closure`` grows a generated submodule by, and the
-wedge square.  Every ``LieModule`` satisfies its
-homomorphism law: the public constructor checks it, and each builder here
-makes its module through ``LieModule._raw`` by a lemma, stated at the call,
-from a fact proved where it was established.  Hom spaces and invariant forms
-(Hom(V, V*)) are solved on a spin basis of the source, the standard-basis
-method of Parker's Meat-Axe (1984), grown by ``linalg.independent_rows``: T is
-fixed by its values on the seed vectors, so each system has dim W unknowns per
-seed instead of dim V * dim W.  Generator 0, then the rest stacked, is solved
-on the survivors K as X = M K^T: g's rows are c_g X - d b_g X and T = X B^-1,
-ncols * nrows * h numbers each, not m * ncols * nrows * seeds * nrows.
-Intertwiners are integer matrices with one denominator, and invariant forms
-are ``linalg.NormForm`` Gram matrices.
+A ``LieModule`` holds its action rho(e_i) = A[i] / den as one
+``linalg.Exact`` value ``action``, as a ``LieAlgebra`` holds its bracket and
+an ``Intertwiner`` its matrix; invariant forms are ``linalg.NormForm``s.
+Every exact check and builder here is a contraction of such values: the
+homomorphism law, intertwiners, restriction to an invariant subspace, the
+images that ``Subspace.closure`` grows a generated submodule by, and the
+wedge square.  Every ``LieModule`` satisfies its homomorphism law: the public
+constructor checks it, and each builder here makes its module through
+``LieModule._raw`` by a lemma, stated at the call, from a fact proved where it
+was established.  Hom spaces and invariant forms (Hom(V, V*)) are solved on a
+spin basis of the source, the standard-basis method of Parker's Meat-Axe
+(1984), grown by ``linalg.independent_rows``: T is fixed by its values on the
+seed vectors, so each system has dim W unknowns per seed instead of
+dim V * dim W (``_intertwiner_space``).
 """
 
 from __future__ import annotations
@@ -32,16 +28,14 @@ import numpy as np
 from .errors import DegenerateFormError, NotSemisimpleError, PreconditionError
 from .lie import LieAlgebra, killing_form, is_semisimple
 from .linalg import (
-    Bounded,
+    Exact,
     NormForm,
     Subspace,
-    held,
     int_einsum,
     independent_rows,
     int_inverse,
     is_int_array,
     kernel_basis,
-    lowest_terms,
     rank,
     ranks_mod_p,
 )
@@ -50,39 +44,41 @@ from .linalg import (
 class LieModule:
     """A module over a Lie algebra: rho(e_i) = A[i] / den.
 
-    ``A`` is an integer array of shape (algebra dim, n, n), held read-only
-    beside its largest magnitude ``amax`` (``linalg.held``), and ``den`` a
-    positive int (not a float, bool or numpy integer); n is read off the
-    stack, so a module over the zero algebra is a (0, n, n) stack.  The homomorphism law
+    ``A`` is an integer array of shape (algebra dim, n, n) and ``den`` a
+    positive int (not a float, bool or numpy integer), held as the value
+    ``action`` (not reduced); n is read off the stack, so a module over the
+    zero algebra is a (0, n, n) stack.  The homomorphism law
     rho([e_i,e_j]) = [rho(e_i), rho(e_j)] holds for every instance: this
     constructor verifies it exactly on all basis pairs, and the builders
     that use ``_raw`` prove it by the lemma stated at each call.
     """
+
+    A = property(lambda self: self.action.ints)
+    den = property(lambda self: self.action.den)
 
     def __init__(self, algebra: LieAlgebra, A: np.ndarray, den: int = 1):
         if not is_int_array(A):
             raise TypeError("a module action is an integer stack")
         if A.ndim != 3 or A.shape[0] != algebra.dim or A.shape[1] != A.shape[2] or type(den) is not int or den < 1:
             raise ValueError("one square action matrix per algebra basis element, over a positive int denominator")
-        self.algebra, (self.A, self.amax), self.den, self.dim, self._spins = algebra, held(A), den, A.shape[1], {}
-        bad = algebra.bracket_law_failure(self.A, den, self.amax)
+        self.algebra, self.action, self.dim, self._spins = algebra, Exact.held(A, den), A.shape[1], {}
+        bad = algebra.bracket_law_failure(self.action)
         if bad is not None:
             raise ValueError("homomorphism law fails at basis pair ({},{})".format(*bad))
 
     @classmethod
     def _raw(cls, algebra: LieAlgebra, A: np.ndarray, den: int) -> "LieModule":
-        """A module whose law the caller has proved; A is held as is, read-only, where it has the dtype of held."""
+        """A module whose law the caller has proved, rho(e_i) = A[i] / den (``Exact.held``)."""
         mod = object.__new__(cls)
-        mod.algebra, mod.den, mod.dim, mod._spins = algebra, den, A.shape[1], {}
-        mod.A, mod.amax = held(A, copy=False)
+        mod.algebra, mod.action, mod.dim, mod._spins = algebra, Exact.held(A, den), A.shape[1], {}
         return mod
 
 
 def adjoint_module(g: LieAlgebra) -> LieModule:
-    """The adjoint module, den * ad(e_i) = C[i]^T, built once per algebra."""
+    """The adjoint module, ad(e_i) = C[i]^T / den, built once per algebra."""
     if g._adjoint is None:
         # Lemma: ad is a homomorphism iff the Jacobi identity holds, and every LieAlgebra satisfies it
-        g._adjoint = LieModule._raw(g, g.C.transpose(0, 2, 1), g.den)
+        g._adjoint = LieModule._raw(g, *g.bracket.transpose(0, 2, 1))
     return g._adjoint
 
 
@@ -95,42 +91,39 @@ def natural_module(g: LieAlgebra) -> LieModule:
 
 def restriction_module(v: LieModule, sub: Subspace) -> LieModule:
     """The action restricted to an invariant subspace, in that subspace's
-    canonical basis: r[i] = s * (A[i] restricted) over v's den times s, s the
-    subspace's ``den``.  r[i, k, j] is the coordinate x_k of the image A[i] b_j
-    of ``basis`` row b_j (``Subspace.coordinates``, s * A[i] b_j = sum_k x_k b_k);
+    canonical basis: r[i, k, j] is the coordinate x_k of the image rho(e_i) b_j
+    of its canonical row b_j (``Subspace.coordinates``, one value for all);
     an image without coordinates means the subspace is not invariant (ValueError)."""
     if sub.ambient_dim != v.dim:
         raise ValueError("subspace lives in the wrong ambient space")
     m, d = len(v.A), sub.dim
-    x = sub.coordinates(int_einsum("imn,jn->ijm", Bounded(v.A, v.amax), Bounded(sub.basis, sub.bound)).reshape(m * d, v.dim))
+    x = sub.coordinates(int_einsum("imn,jn->ijm", v.action, sub.canonical).reshape(m * d, v.dim))
     if x is None:
         raise ValueError("subspace is not invariant under the action")
     # Lemma: the coordinates' exact check proved sub invariant, and an invariant subspace carries v's law
-    return LieModule._raw(v.algebra, x.reshape(m, d, d).transpose(0, 2, 1), v.den * sub.den)
+    return LieModule._raw(v.algebra, *x.reshape(m, d, d).transpose(0, 2, 1))
 
 
 class Intertwiner:
     """A module homomorphism T / den, T an integer matrix of shape
-    (target dim, source dim) and den a positive int, as a ``LieModule``'s;
-    the intertwining identity is verified exactly by ``__post_init__``, which
-    the constructor calls (and the benchmark's tracer wraps).
+    (target dim, source dim) and den a positive int, held as the value
+    ``matrix`` (not reduced); T rho_v(e_i) = rho_w(e_i) T, for all i at once,
+    is verified exactly by ``__post_init__``, which the constructor calls
+    (and the benchmark's tracer wraps)."""
 
-    T rho_v(e_i) = rho_w(e_i) T is checked for all i at once on integers, as
-    den_w T A_v[i] = den_v A_w[i] T.
-    """
+    T = property(lambda self: self.matrix.ints)
+    den = property(lambda self: self.matrix.den)
 
     def __init__(self, source: LieModule, target: LieModule, T: np.ndarray, den: int = 1):
-        self.source, self.target, self.T, self.den = source, target, T, den
+        if not is_int_array(T) or T.shape != (target.dim, source.dim) or type(den) is not int or den < 1:
+            raise ValueError("an intertwiner is an integer (target dim x source dim) matrix over a positive int denominator")
+        self.source, self.target, self.matrix = source, target, Exact.held(T, den)
         self.__post_init__()
 
     def __post_init__(self):
         if self.source.algebra is not self.target.algebra:
             raise ValueError("intertwiner between modules over different algebras")
-        v, w, t = self.source, self.target, self.T
-        if t.shape != (w.dim, v.dim) or not is_int_array(t) or type(self.den) is not int or self.den < 1:
-            raise ValueError("an intertwiner is an integer (target dim x source dim) matrix over a positive int denominator")
-        va, wa = Bounded(v.A, v.amax), Bounded(w.A, w.amax)
-        if not np.array_equal(int_einsum(",ab,ibc->iac", w.den, t, va), int_einsum("iab,bc,->iac", wa, t, v.den)):
+        if int_einsum("ab,ibc->iac", self.matrix, self.source.action) != int_einsum("iab,bc->iac", self.target.action, self.matrix):
             raise ValueError("matrix does not intertwine the actions")
 
     @cached_property
@@ -152,11 +145,11 @@ def _spin_basis(a: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
     first standard vector outside the span is the next seed.  Returns the
     basis rows and their origins (k, g, s(k)) for a[g] b_k and (-1, -1, s)
     for the seed numbered s."""
-    (m, n, _), a = a.shape, held(a, copy=False)
+    (m, n, _), a = a.shape, Exact.held(a)
     basis, origins, level, unit = np.eye(n, dtype=np.int64)[:1], [(-1, -1, 0)], [0], 1
     while len(basis) < n:
         if level:  # the images of the last level, in order of (k, g)
-            rows = int_einsum("gij,kj->kgi", a, basis[level]).reshape(-1, n)
+            rows = int_einsum("gij,kj->kgi", a, basis[level]).ints.reshape(-1, n)
             sources = [(k, g, origins[k][2]) for k in level for g in range(m)]
         else:  # the standard vectors not yet tried
             rows = np.eye(n, dtype=np.int64)[unit:]
@@ -170,14 +163,14 @@ def _spin_basis(a: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
 
 
 def _spun(v: LieModule, scale: int) -> tuple:
-    """For the stack a = scale * v.A: the origins of its spin basis B
-    (``_spin_basis``), the ``Bounded`` stack c = x a B and (x, d), where
-    x / d = B^-1; kept on v per scale."""
+    """For the integer stack a = scale * v.A: the origins of its spin basis B
+    (``_spin_basis``), and B^-1 and the stack B^-1 a B as values; kept on v
+    per scale."""
     if scale not in v._spins:
-        a = int_einsum(",gij->gij", scale, Bounded(v.A, v.amax))
-        basis, origins = _spin_basis(a)
-        b_inv, d = int_inverse(cols := basis.T)
-        v._spins[scale] = origins, held(int_einsum("ji,gik->gjk", b_inv, int_einsum("gij,jk->gik", a, cols)), copy=False), b_inv, d
+        a = int_einsum(",gij->gij", scale, v.A)
+        basis, origins = _spin_basis(a.ints)
+        inverse = int_inverse(cols := basis.T)
+        v._spins[scale] = origins, inverse, Exact.held(*int_einsum("ji,gik->gjk", inverse, int_einsum("gij,jk->gik", a, cols)))
     return v._spins[scale]
 
 
@@ -188,22 +181,23 @@ def _intertwiner_space(v: LieModule, scale: int, b: np.ndarray) -> Subspace:
     On a spin basis B of columns b_k = W_k v_{s(k)}, with M_k the same word in
     the b[g], T b_k = M_k w_{s(k)} for w_s = T v_s, and T intertwines iff
     sum_j C_g[j,k] M_j w_{s(j)} = b[g] M_k w_{s(k)} for all g, k, with C_g =
-    B^-1 a[g] B cleared as d C_g: nrows unknowns per seed, not nrows * ncols.
+    B^-1 a[g] B, one value c / d: nrows unknowns per seed, not nrows * ncols.
     Generator 0, then the rest stacked, cut the survivors K held as X = M K^T
     by c_g X - d b_g X (ncols * nrows * h numbers each), and T = X B^-1."""
     nrows, ncols = b.shape[1], v.dim
     if not nrows * ncols:
         return Subspace(0, ())
-    (origins, c, b_inv, d), b = _spun(v, scale), held(b, copy=False)
+    (origins, inverse, c), b = _spun(v, scale), Exact.held(b)
+    part = lambda stack, g: Exact(stack.ints[g], 1, stack.bound)  # generators g of a stack, bounded by the whole
     ms = np.zeros((ncols, nrows, origins[-1][2] + 1, nrows), dtype=object)
     for j, (k, g, s) in enumerate(origins):  # ms[j, :, s(j), :] = M_j
-        ms[j, :, s] = int_einsum("ij,jk->ik", Bounded(b.array[g], b.bound), ms[k, :, s]) if k >= 0 else np.eye(nrows, dtype=int)
+        ms[j, :, s] = int_einsum("ij,jk->ik", part(b, g), ms[k, :, s]).ints if k >= 0 else np.eye(nrows, dtype=int)
     x = ms.reshape(ncols, nrows, -1)
     for g in (slice(0, 1), slice(1, None)):
-        reduced = int_einsum("gjk,jrh->gkrh", Bounded(c.array[g], c.bound), x) - int_einsum("grq,kqh,->gkrh", Bounded(b.array[g], b.bound), x, d)
+        reduced = int_einsum("gjk,jrh->gkrh", part(c, g), x).ints - int_einsum("grq,kqh,->gkrh", part(b, g), x, c.den).ints
         if reduced.any():  # an all-zero system keeps every solution
-            x = int_einsum("jrh,uh->jru", x, kernel_basis(reduced.reshape(-1, x.shape[2])).basis)
-    return Subspace.from_vectors(nrows * ncols, int_einsum("krh,ki->hri", x, b_inv).reshape(-1, nrows * ncols))
+            x = int_einsum("jrh,uh->jru", x, kernel_basis(reduced.reshape(-1, x.shape[2])).canonical).ints
+    return Subspace.from_vectors(nrows * ncols, int_einsum("krh,ki->hri", x, inverse).ints.reshape(-1, nrows * ncols))
 
 
 def hom_space(v: LieModule, w: LieModule) -> list[Intertwiner]:
@@ -211,7 +205,7 @@ def hom_space(v: LieModule, w: LieModule) -> list[Intertwiner]:
     den_w T A_v[i] = den_v A_w[i] T."""
     if v.algebra is not w.algebra:
         raise ValueError("modules over different algebras")
-    sub = _intertwiner_space(v, w.den, int_einsum(",gij->gij", v.den, Bounded(w.A, w.amax)))
+    sub = _intertwiner_space(v, w.den, int_einsum(",gij->gij", v.den, w.action).ints)
     # each leading-1 basis element is its row of the basis over the subspace's one den
     return [Intertwiner(source=v, target=w, T=t.reshape(w.dim, v.dim), den=sub.den) for t in sub.basis]
 
@@ -278,12 +272,10 @@ def killing_orthocomplement(g: LieAlgebra, sub: Subspace) -> Subspace:
     of the subspace changes neither the rank nor the kernel used here."""
     if sub.ambient_dim != g.dim:
         raise ValueError("subspace lives in the wrong ambient space")
-    b = sub.basis
-    kf = killing_form(g)
-    bk = int_einsum("ij,jk->ik", b, Bounded(kf.G, kf.gmax))
-    if rank(int_einsum("ik,jk->ij", bk, b)) != sub.dim:
+    bk = int_einsum("ij,jk->ik", sub.canonical, killing_form(g).gram)
+    if rank(int_einsum("ik,jk->ij", bk, sub.canonical).ints) != sub.dim:
         raise DegenerateFormError("Killing form restricts degenerately")
-    return kernel_basis(bk)
+    return kernel_basis(bk.ints)
 
 
 def submodule_generated(v: LieModule, vecs) -> list[Subspace]:
@@ -295,13 +287,13 @@ def submodule_generated(v: LieModule, vecs) -> list[Subspace]:
         vecs = np.array([tuple(x) for x in vecs] or np.zeros((0, v.dim), dtype=int), dtype=object)
     if vecs.shape[1:] != (v.dim,) or not is_int_array(vecs):
         raise ValueError("vectors must be a 2-D integer array of the module's width")
-    one_step = int_einsum("imn,kn->kim", np.concatenate([np.eye(v.dim, dtype=int)[None], v.A]), vecs)
+    one_step = int_einsum("imn,kn->kim", np.concatenate([np.eye(v.dim, dtype=int)[None], v.A]), vecs).ints
     full = Subspace.full(v.dim)
     return [full if r == v.dim else _generated_exactly(v, vec) for vec, r in zip(vecs, ranks_mod_p(one_step))]
 
 
 def _generated_exactly(v: LieModule, vec: np.ndarray) -> Subspace:
-    return Subspace.from_vectors(v.dim, vec[None]).closure(lambda b: int_einsum("imn,jn->ijm", Bounded(v.A, v.amax), b).reshape(-1, v.dim))
+    return Subspace.from_vectors(v.dim, vec[None]).closure(lambda b: int_einsum("imn,jn->ijm", v.action, b).ints.reshape(-1, v.dim))
 
 
 def bracket_span(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
@@ -333,26 +325,23 @@ def wedge_square(v: LieModule) -> LieModule:
 def wedge_so_isomorphism(form: NormForm, so_alg: LieAlgebra) -> Intertwiner:
     """The map u ^ w -> <., u> w - <., w> u from wedge^2(E) to so(E), as an
     intertwiner of so(E)-modules, for so_alg = ``lie.so_of_form(form)``;
-    bijectivity is the caller's rank check.
-
-    An equivariant bijection here is automatically one for every subalgebra
-    of so(E) as well."""
+    bijectivity is the caller's rank check.  An equivariant bijection here is
+    automatically one for every subalgebra of so(E) as well."""
     n = len(form.G)
     if not form.nondegenerate:
         raise DegenerateFormError("wedge/so isomorphism needs a nondegenerate form")
     nat = natural_module(so_alg)
     wedge = wedge_square(nat)
     adj = adjoint_module(so_alg)
-    # den times the image of e_i ^ e_j: row j is G[i], row i is -G[j]
+    # the image of e_i ^ e_j, over the form's den: row j is G[i], row i is -G[j]
     rows, cols = np.triu_indices(n, 1)
     images = np.zeros((len(rows), n, n), dtype=object)
     images[np.arange(len(rows)), cols] += form.G[rows]
     images[np.arange(len(rows)), rows] -= form.G[cols]
-    x = so_alg.realization_coordinates(images.reshape(len(rows), n * n))
+    x = so_alg.realization_coordinates(Exact(images.reshape(len(rows), n * n), form.den))
     if x is None:
         raise AssertionError("image of wedge map escaped so(E)")
-    phi, den = lowest_terms(x.T, form.den)
-    return Intertwiner(source=wedge, target=adj, T=phi, den=den)
+    return Intertwiner(wedge, adj, *Exact.held(*x.transpose(), lowest=True))
 
 
 def module_isomorphism(v: LieModule, w: LieModule) -> Optional[Intertwiner]:

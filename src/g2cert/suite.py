@@ -31,15 +31,7 @@ from .lie import (
     subalgebra_closure,
     transporter_into,
 )
-from .linalg import (
-    Bounded,
-    NormForm,
-    Subspace,
-    int_einsum,
-    int_inverse,
-    lowest_terms,
-    rank,
-)
+from .linalg import Exact, NormForm, Subspace, int_einsum, int_inverse, rank
 from .octonion import SplitCayley, build_split_cayley
 from .reps import (
     Intertwiner,
@@ -167,31 +159,29 @@ class VerificationContext:
         return so_of_form(self.imaginary[1])
 
     @_stage
-    def embedding(self) -> tuple[np.ndarray, int]:
+    def embedding(self) -> Exact:
         """so(3,4)-coordinates of each derivation-algebra basis element, as
-        the rows of E / den in lowest terms."""
+        the rows of one value E in lowest terms."""
         nat = self.natural_rep
-        x = self.so34.realization_coordinates(nat.A.reshape(len(nat.A), -1))
+        x = self.so34.realization_coordinates(nat.action.reshape(len(nat.A), -1))
         if x is None:
             raise ValueError("restricted derivation escaped so(3,4)")
-        return lowest_terms(x, nat.den)
+        return Exact.held(*x, lowest=True)
 
     @_stage
     def g2_image(self) -> Subspace:
-        return Subspace.from_vectors(self.so34.dim, self.embedding[0])
+        return Subspace.from_vectors(self.so34.dim, self.embedding.ints)
 
     @_stage
     def so34_as_g2_module(self) -> LieModule:
-        """so(3,4) under the embedded derivation algebra: with E the cleared
-        embedding coordinates, A[i] = sum_j E[i, j] C[j]^T."""
-        so34, der = self.so34, self.derivations
-        e, den = self.embedding
-        a = int_einsum("ij,jlk->ikl", e, Bounded(so34.C, so34.cmax))
-        # Lemma: ad o E is a module when E is a Lie map.  Its premise, checked here on every basis pair:
-        # E [x_i, x_j] = ad(E x_i) E x_j, both sides times den^2 so34.den der.den
-        if not np.array_equal(int_einsum(",ijk,kr->ijr", den * so34.den, Bounded(der.C, der.cmax), e), int_einsum(",irp,jp->ijr", der.den, a, e)):
+        """so(3,4) under the embedded derivation algebra: with E the
+        embedding coordinates, A[i] = sum_j E[i, j] ad(x_j)."""
+        so34, der, e = self.so34, self.derivations, self.embedding
+        a = int_einsum("ij,jlk->ikl", e, so34.bracket)
+        # Lemma: ad o E is a module when E is a Lie map; its premise E [x_i, x_j] = ad(E x_i) E x_j is checked here on every basis pair
+        if int_einsum("ijk,kr->ijr", der.bracket, e) != int_einsum("irp,jp->ijr", a, e):
             raise ValueError("the embedding is not a Lie map")
-        return LieModule._raw(der, a, den * so34.den)
+        return LieModule._raw(der, *a)
 
     @_stage
     def complement(self) -> Subspace:
@@ -206,16 +196,14 @@ class VerificationContext:
         return module_isomorphism(self.complement_module, self.natural_rep)
 
     @_stage
-    def image_basis_change(self) -> tuple[np.ndarray, int]:
+    def image_basis_change(self) -> Exact:
         """Canonical basis of the embedded image expressed in derivation
-        coordinates, as the rows of X / den in lowest terms, so Killing forms
-        can be compared in one basis."""
-        e, e_den = self.embedding
-        # Lemma: the rows of e span the image (its basis b / s is their
-        # canonical basis), so they have coordinates: s e = x b.  Then
-        # b / s = x^-1 e, and e = e_den * embedding.
-        inv, d = int_inverse(self.g2_image.coordinates(e))
-        return lowest_terms(int_einsum(",ij->ij", e_den, inv), d)
+        coordinates, as the rows of one value in lowest terms, so Killing
+        forms can be compared in one basis."""
+        # Lemma: the embedding rows E span the image (its basis b is their canonical basis), so they have
+        # coordinates y, E = y b, and b = y^-1 E; y = x / d has the inverse d x^-1.
+        x, d = self.g2_image.coordinates(self.embedding)
+        return Exact.held(*int_einsum(",ij->ij", d, int_inverse(x)), lowest=True)
 
 
 class CheckOutcome:
@@ -258,57 +246,46 @@ def _draws(rng: Random, count: int) -> list[int]:
 
 
 def check_cayley(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome:
-    """Every identity is a comparison of two contractions of the cleared
-    tensors, both sides brought to one integer scale: M = den * mul,
-    G = g * gram, the unit u / s, so N(e) = n / (g s^2) with n = u^T G u, and
-    conjugation K / n with K = 2 u (G u)^T - n I (so x-bar = 2 <x, e> / N(e) e - x),
-    each bounded once; u, s, n and K are the form's ``UnitFacts`` of the unit."""
+    """Every identity equates two contractions, each at its own scale, of the
+    structure constants m, the Gram matrix g and the form's ``UnitFacts`` of
+    the unit e: e, N(e) and K = 2 e B(e, .) - N(e) I, so that conjugation
+    x -> 2 B(x, e) / N(e) e - x is K / N(e)."""
     out = CheckOutcome()
     c = ctx.cayley
-    m, den = Bounded(c.algebra.M, c.algebra.mmax), c.algebra.den
-    g, gden = Bounded(c.form.G, c.form.gmax), c.form.den
-    u, s, n, k, (sub, restricted), unit_inside = c.form.unit_facts(c.unit)
+    m, g = c.algebra.structure, c.form.gram
+    u, n, k, (sub, restricted), unit_inside = c.form.unit_facts(c.unit)
 
-    out.expect("unit_norm", Fraction(n, gden * s * s), Fraction(1))
-    unit_scaled = int_einsum(",jk->jk", s * den, Bounded(np.eye(c.algebra.dim, dtype=np.int64), 1))
-    out.expect(
-        "unit_is_identity",
-        np.array_equal(int_einsum("i,ijk->jk", u, m), unit_scaled)
-        and np.array_equal(int_einsum("j,ijk->ik", u, m), unit_scaled),
-        True,
-    )
+    out.expect("unit_norm", n.fractions(), Fraction(1))
+    eye = Exact(np.eye(c.algebra.dim, dtype=np.int64), 1, 1)
+    out.expect("unit_is_identity", int_einsum("i,ijk->jk", u, m) == eye and int_einsum("j,ijk->ik", u, m) == eye, True)
 
-    # N(e_i e_j) = N(e_i) N(e_j), times g^2 den^2
-    broken = int_einsum(",ijl,ijl->ij", gden, int_einsum("ijk,kl->ijl", m, g), m) != int_einsum(",ii,jj->ij", den * den, g, g)
+    # N(e_i e_j) = N(e_i) N(e_j)
+    broken = int_einsum("ijl,ijl->ij", int_einsum("ijk,kl->ijl", m, g), m).differs(int_einsum("ii,jj->ij", g, g))
     out.record("composition_basis_pairs", 64)
     out.expect("composition_first_failure", _first_word(broken), None)
 
-    # (e_i e_j) e_k != e_i (e_j e_k), times den^2; the right side runs on M with axes 0, 1 swapped (faster), as [j, k, i]
-    mt = Bounded(np.ascontiguousarray(c.algebra.M.transpose(1, 0, 2)), c.algebra.mmax)
+    # (e_i e_j) e_k != e_i (e_j e_k); the right side runs on M with axes 0, 1 swapped (faster), as [j, k, i]
+    mt = Exact(np.ascontiguousarray(m.ints.transpose(1, 0, 2)), m.den, m.bound)
     right = int_einsum("jkm,mil->jkil", m, mt).transpose(2, 0, 1, 3)
-    assoc = np.any(int_einsum("ijm,mkl->ijkl", m, m) != right, axis=3)
+    assoc = np.any(int_einsum("ijm,mkl->ijkl", m, m).differs(right), axis=3)
     # (aa)b = a(ab) and b(aa) = (ba)a on basis pairs are the associator's entries [a, a, b] and [b, a, a]
     r = np.arange(c.algebra.dim)
     out.expect("alternativity_basis_pairs", not (assoc[r, r].any() or assoc[:, r, r].any()), True)
 
-    # conj(ab) = conj(b) conj(a) on basis pairs, times n^2 den.  conj^2 = 1
-    # needs no check: K depends only on u and G, and K / n is a reflection.
-    conj_ok = np.array_equal(int_einsum(",kl,abl->abk", n, k, m), int_einsum("pb,pak->abk", k, int_einsum("qa,pqk->pak", k, m)))
+    # conj(ab) = conj(b) conj(a) on basis pairs, both sides times N(e)^2.  conj^2 = 1
+    # needs no check: K depends only on e and the form, and K / N(e) is a reflection.
+    conj_ok = int_einsum(",kl,abl->abk", n, k, m) == int_einsum("pb,pak->abk", k, int_einsum("qa,pqk->pak", k, m))
     out.expect("conjugation_antiautomorphism", conj_ok, True)
 
     draws = _draws(Random(f"{cfg.seed}/cayley"), 2 * c.algebra.dim * cfg.samples)
-    x, y = (Bounded(z, 9) for z in np.array(draws, dtype=np.int64).reshape(cfg.samples, 2, c.algebra.dim).transpose(1, 0, 2))
+    x, y = (Exact(z, 1, 9) for z in np.array(draws, dtype=np.int64).reshape(cfg.samples, 2, c.algebra.dim).transpose(1, 0, 2))
     xy = int_einsum("si,sj,ijk->sk", x, y, m)
     nx = int_einsum("si,ij,sj->s", x, g, x)
-    # N(xy) = N(x) N(y) times g^2 den^2; x(xy) = (xx)y times den^2;
-    # x conj(x) = N(x) e times g s n den
+    # N(xy) = N(x) N(y); x(xy) = (xx)y; x conj(x) = N(x) e, both sides times N(e)
     sample_ok = (
-        np.array_equal(int_einsum(",sk,kl,sl->s", gden, xy, g, xy),
-                       int_einsum(",s,si,ij,sj->s", den * den, nx, y, g, y))
-        and np.array_equal(int_einsum("si,sk,ikl->sl", x, xy, m),
-                           int_einsum("sk,sj,kjl->sl", int_einsum("si,sj,ijk->sk", x, x, m), y, m))
-        and np.array_equal(int_einsum(",si,sj,ijk->sk", gden * s, x, int_einsum("ij,sj->si", k, x), m),
-                           int_einsum(",s,k->sk", den * n, nx, u))
+        int_einsum("sk,kl,sl->s", xy, g, xy) == int_einsum("s,si,ij,sj->s", nx, y, g, y)
+        and int_einsum("si,sk,ikl->sl", x, xy, m) == int_einsum("sk,sj,kjl->sl", int_einsum("si,sj,ijk->sk", x, x, m), y, m)
+        and int_einsum("si,sj,ijk->sk", x, int_einsum("ij,sj->si", k, x), m) == int_einsum(",s,k->sk", n, nx, u)
     )
     out.record("sample_size", cfg.samples)
     out.expect("sample_identities", sample_ok, True)
@@ -341,11 +318,10 @@ def check_derivations(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcom
     out.expect("natural_dim", nat.dim, 7)
     out.expect("natural_commutant_dim", is_irreducible(nat).commutant_dim, 1)
 
-    # D e = 0 and D^T G + G D = 0 for every derivation D, on its cleared stack
+    # D e = 0 and D^T G + G D = 0 for every derivation D of the realization
     c = ctx.cayley
-    a, _ = der.realization
-    ga = int_einsum("ik,dkj->dij", Bounded(c.form.G, c.form.gmax), a)
-    unit_images = int_einsum("dij,j->di", a, c.form.unit_facts(c.unit).u)
+    ga = int_einsum("ik,dkj->dij", c.form.gram, der.realization).ints
+    unit_images = int_einsum("dij,j->di", der.realization, c.form.unit_facts(c.unit).u).ints
     linear_ok = not np.any(unit_images) and not np.any(ga + ga.transpose(0, 2, 1))
     out.expect("derivations_kill_unit_and_are_skew", linear_ok, True)
 
@@ -370,7 +346,7 @@ def check_invariant_form(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOut
     out.expect("signature", forms.signature, (3, 4, 0))
     out.expect("nondegenerate", rank(gen.G), 7)
     # uniqueness up to scale: a rescaled generator sits on the same line
-    ratio = _proportionality(NormForm(int_einsum(",ij->ij", 5, Bounded(gen.G, gen.gmax)), gen.den), gen)
+    ratio = _proportionality(NormForm(*int_einsum(",ij->ij", 5, gen.gram)), gen)
     out.expect("scale_recovery", ratio, Fraction(5))
     return out
 
@@ -456,7 +432,7 @@ def check_maximality(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome
         if spans and generated.dim == vmod.dim:
             return True, True
         # v's one den maps coordinates c to a multiple of sum c_i v_i
-        ambient = int_einsum("i,ij->j", coords_in_v, v.basis)
+        ambient = int_einsum("i,ij->j", coords_in_v, v.canonical).ints
         seed = Subspace.from_vectors(so34.dim, np.vstack([g2img.basis, ambient]))
         closure = subalgebra_closure(so34, seed)
         return generated.dim == vmod.dim, closure.dim == so34.dim
@@ -479,17 +455,14 @@ def check_maximality(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome
 
 
 def _proportionality(a: NormForm, b: NormForm) -> Optional[Fraction]:
-    """The exact constant c with a = c * b, if it exists, decided on the
-    integers a.G * b.den and b.G * a.den; None for a shape mismatch, a zero b
-    or a pair that is not proportional."""
-    if a.G.shape != b.G.shape:
-        return None
-    x, y = int_einsum(",ij->ij", b.den, Bounded(a.G, a.gmax)), int_einsum(",ij->ij", a.den, Bounded(b.G, b.gmax))
-    nonzero = np.flatnonzero(y)
+    """The exact constant c with a = c * b, if it exists, read off b's first
+    nonzero entry; None for a shape mismatch, a zero b or a pair that is not
+    proportional."""
+    nonzero = np.flatnonzero(b.G) if a.G.shape == b.G.shape else ()
     if not len(nonzero):
         return None
-    c = Fraction(int(x.flat[nonzero[0]]), int(y.flat[nonzero[0]]))
-    return c if np.array_equal(int_einsum(",ij->ij", c.denominator, x), int_einsum(",ij->ij", c.numerator, y)) else None
+    c = Fraction(int(a.G.flat[nonzero[0]]), a.den) / Fraction(int(b.G.flat[nonzero[0]]), b.den)
+    return c if a.gram == int_einsum(",ij->ij", Exact(np.array(c.numerator), c.denominator), b.gram) else None
 
 
 def check_metric_constants(ctx: VerificationContext, cfg: SuiteConfig) -> CheckOutcome:
@@ -502,13 +475,13 @@ def check_metric_constants(ctx: VerificationContext, cfg: SuiteConfig) -> CheckO
     out.expect("killing_signature_g2", k_g2.signature, (8, 6, 0))
 
     # both Gram matrices in the canonical (leading-1) basis of the image
-    restricted = k_so.restricted(ctx.g2_image.basis, ctx.g2_image.den)
+    restricted = k_so.restricted(*ctx.g2_image.canonical)
     out.expect("restriction_to_image_nondegenerate", rank(restricted.G), 14)
     c1 = _proportionality(restricted, k_g2.restricted(*ctx.image_basis_change))
     out.expect("c1", c1, Fraction(5, 4))
     out.expect("c1_residual_zero", c1 is not None, True)
 
-    restricted_v = k_so.restricted(ctx.complement.basis, ctx.complement.den)
+    restricted_v = k_so.restricted(*ctx.complement.canonical)
     out.expect("restriction_to_complement_nondegenerate", rank(restricted_v.G), 7)
     iso = ctx.complement_isomorphism
     if out.expect("complement_isomorphism_exists", iso is not None, True):

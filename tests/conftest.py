@@ -291,7 +291,7 @@ def zeros(nrows, ncols):
 def ad(g, x):
     """Matrix of ad(x): y -> [x, y] in basis coordinates, as Fractions."""
     xs, xden = int_cleared(x)
-    return fractions(int_einsum("i,ijk->kj", xs, g.C), xden * g.den)
+    return fractions(int_einsum("i,ijk->kj", xs, g.C).ints, xden * g.den)
 
 
 def bracket(g, x, y):

@@ -256,6 +256,60 @@ def test_criterion_12_every_structure_constant_mutant_is_rejected():
     _done(12, "every +-1 mutant of the structure constants is rejected", start, 20.0)
 
 
+# How many of the +-1 mutants of the norm form and of the unit each
+# expectation of the cayley check catches, at seed 0 and 5 samples
+FORM_CAUGHT = {
+    "sample_identities": 72,
+    "conjugation_antiautomorphism": 28,
+    "composition_first_failure": 16,
+    "unit_norm": 6,
+    "norm_signature": 4,
+    "imag_signature": 4,
+    "imaginary_dim": 1,
+    "unit_outside_imaginary": 1,
+}
+UNIT_CAUGHT = {
+    "unit_is_identity": 16,
+    "conjugation_antiautomorphism": 16,
+    "sample_identities": 16,
+    "unit_norm": 4,
+    "imag_signature": 2,
+    "unit_outside_imaginary": 2,
+}
+
+
+def test_criterion_12_every_form_and_unit_mutant_is_rejected():
+    """Each symmetric +-1 change of the Gram matrix G (36 entries on or above
+    the diagonal, 72 mutants), each on a fresh NormForm so no unit facts are
+    shared, and each +-1 change of the unit (16), beside the pristine
+    structure constants, goes through the cayley check: none passes, and
+    each expectation catches exactly its count."""
+    pristine = build_split_cayley()
+    cfg = SuiteConfig(samples=5, checks=("cayley",))
+
+    def caught_by(cayleys):
+        caught, passed = Counter(), []
+        for label, cand in cayleys:
+            reports = run_all(cfg, ctx=VerificationContext(cayley_candidate=cand))
+            if all(r.status == "pass" for r in reports):
+                passed.append(label)
+            for r in reports:
+                caught.update(r.witnesses.get("failed_expectations", ()))
+        return passed, caught
+
+    def form_mutant(i, j, d):
+        g = pristine.form.G.copy()
+        g[i, j] += d
+        g[j, i] = g[i, j]
+        return SplitCayley(pristine.algebra, NormForm(g, pristine.form.den), pristine.unit)
+
+    forms = [((i, j, d), form_mutant(i, j, d)) for i in range(DIM) for j in range(i, DIM) for d in (1, -1)]
+    units = [((i, d), SplitCayley(pristine.algebra, pristine.form, tuple(x + d * (k == i) for k, x in enumerate(pristine.unit)))) for i in range(DIM) for d in (1, -1)]
+    assert (len(forms), len(units)) == (72, 16)
+    assert caught_by(forms) == ([], FORM_CAUGHT)
+    assert caught_by(units) == ([], UNIT_CAUGHT)
+
+
 def _form_space_of_dim_2(ctx, monkeypatch):
     """The invariant forms with a second, non-invariant matrix (the identity)
     added to their space; the symmetric part and generator are the real ones."""

@@ -15,7 +15,7 @@ from g2cert.lie import (
     subalgebra_closure,
     transporter_into,
 )
-from g2cert.linalg import NormForm, Subspace, int_cleared, int_dtype, max_abs
+from g2cert.linalg import Exact, NormForm, Subspace, int_cleared, int_dtype
 from g2cert.octonion import StructureConstantAlgebra
 
 from conftest import (
@@ -365,7 +365,7 @@ def test_so34(so34):
 
 
 def test_so34_jacobi(so34):
-    assert so34.bracket_law_failure(so34.C.transpose(0, 2, 1), so34.den, so34.cmax) is None
+    assert so34.bracket_law_failure(Exact(so34.C.transpose(0, 2, 1), so34.den)) is None
 
 
 def test_so_of_form_rejects_degenerate():
@@ -452,7 +452,7 @@ def test_from_matrix_basis_rejects_unclosed_family():
     of any of its parts, each here on a fresh algebra; the dimension needs no
     bracket."""
     mats = np.array([[[0, 1], [0, 0]], [[0, 0], [1, 0]]])  # [e,f] escapes
-    for attr in ("C", "den", "cmax", "realization"):
+    for attr in ("C", "den", "bracket", "realization"):
         g = LieAlgebra.from_matrix_basis(Subspace.from_vectors(4, mats.reshape(2, 4)))
         assert g.dim == 2
         with pytest.raises(ValueError, match="not closed under commutators"):
@@ -484,7 +484,7 @@ def test_realization_consistency_enforced():
             LieAlgebra.from_matrix_basis(dependent)
         n = dependent.shape[1]
         g = LieAlgebra.from_matrix_basis(Subspace.from_vectors(n * n, dependent.reshape(len(dependent), n * n)))
-        assert (g.dim, g.realization[0].shape) == (dim, (dim, n, n))
+        assert (g.dim, g.realization.ints.shape) == (dim, (dim, n, n))
 
 
 @pytest.mark.parametrize(
@@ -517,7 +517,7 @@ def test_from_matrix_basis_of_the_empty_family():
     g = LieAlgebra.from_matrix_basis(Subspace(9, ()))
     a, den = g.realization
     assert (g.dim, g.C.shape, g.den, a.shape, den) == (0, (0, 0, 0), 1, (0, 3, 3), 1)
-    assert g.realization_coordinates(np.zeros((2, 9), dtype=np.int64)).shape == (2, 0)
+    assert g.realization_coordinates(np.zeros((2, 9), dtype=np.int64)).ints.shape == (2, 0)
     assert g.realization_coordinates(np.eye(9, dtype=np.int64)[:1]) is None
 
 
@@ -527,9 +527,9 @@ def test_from_matrix_basis_algebras_satisfy_every_law(ctx):
     algebra and so(3,4), which no constructor re-checks."""
     for g in (ctx.derivations, ctx.so34):
         a, den = g.realization
-        assert g.bracket_law_failure(a, den, max_abs(a)) is None
+        assert g.bracket_law_failure(Exact(a, den)) is None
         assert not np.any(g.C + g.C.transpose(1, 0, 2))
-        assert g.bracket_law_failure(g.C.transpose(0, 2, 1), g.den, g.cmax) is None
+        assert g.bracket_law_failure(Exact(g.C.transpose(0, 2, 1), g.den)) is None
 
 
 def _first_law_failure(g, a, scale):
@@ -552,4 +552,4 @@ def test_bracket_law_failure_matches_the_pair_loop(so34):
         if scale == 1:
             moved = moved.astype(np.int64)
         expected = _first_law_failure(so34, moved, den * scale)
-        assert expected is not None and so34.bracket_law_failure(moved, den * scale, max_abs(moved)) == expected
+        assert expected is not None and so34.bracket_law_failure(Exact(moved, den * scale)) == expected

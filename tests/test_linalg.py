@@ -13,7 +13,7 @@ import g2cert.linalg as linalg
 from g2cert.lie import derivation_algebra, so_of_form
 from g2cert.linalg import (
     PRIME,
-    Bounded,
+    Exact,
     Matrix,
     NormForm,
     Subspace,
@@ -25,7 +25,6 @@ from g2cert.linalg import (
     int_inverse,
     is_int_array,
     kernel_basis,
-    lowest_terms,
     max_abs,
     rank,
     ranks_mod_p,
@@ -452,7 +451,7 @@ def test_subspace_coordinates_roundtrip():
     # a cleared basis with s = 6: (1, 0, 1/2) and (0, 1, 1/3)
     for span, inside in ((sub, vec), (Subspace.from_vectors(3, [(2, 0, 1), (0, 3, 1)]), (2, 3, 2))):
         x = span.coordinates(np.array([inside, inside], dtype=object))
-        assert x is not None and [tuple(row) for row in x] == [coordinates_of(span, inside)] * 2
+        assert x is not None and x.den == 1 and [tuple(row) for row in x.ints] == [coordinates_of(span, inside)] * 2
         assert span.coordinates(np.array([inside, (1, 0, 0)], dtype=object)) is None
     for bad in (np.array([(1, 0)]), np.array([(Fraction(2), Fraction(5), Fraction(1))], dtype=object), np.array(vec), [vec]):
         with pytest.raises(ValueError):
@@ -601,7 +600,7 @@ def test_closure_edges(monkeypatch):
     shift = np.eye(4, k=-1, dtype=np.int64)
     shift[3, 2] = 0
     calls.clear()
-    closed = Subspace.from_vectors(4, [(1, 0, 0, 0)]).closure(lambda b: int_einsum("mn,jn->jm", shift, b))
+    closed = Subspace.from_vectors(4, [(1, 0, 0, 0)]).closure(lambda b: int_einsum("mn,jn->jm", shift, b).ints)
     assert closed == reference_span(4, np.eye(3, 4, dtype=int).tolist())
     assert calls == [1, 2, 4, 5]  # the seed, two growth steps, the stable step (its zero image dropped)
 
@@ -773,50 +772,89 @@ def test_int_einsum_exact_beyond_int64():
     b = [[2**30, 7], [-(2**31), 1]]
     expected = [[sum(a[i][k] * b[k][j] * a[j][i] for k in range(2)) for j in range(2)] for i in range(2)]
     out = int_einsum("ik,kj,ji->ij", a, b, a)
-    assert out.tolist() == expected
-    assert int_einsum("ij,jk->ik", [[1, 2]], [[3], [4]]).dtype == np.int64
+    assert out.ints.tolist() == expected
+    assert int_einsum("ij,jk->ik", [[1, 2]], [[3], [4]]).ints.dtype == np.int64
 
 
 def test_int_einsum_reads_carried_bounds_and_python_int_scalars():
-    """A ``Bounded`` operand's bound and a Python int's magnitude pick the
-    dtype without a scan; an int64 operand of an int64 product is not
-    copied."""
+    """An ``Exact`` operand's given bound and a Python int's magnitude pick
+    the dtype without a scan; an int64 operand of an int64 product is not
+    copied; the result is read-only, over the product of the dens."""
     a = np.array([[2**40, 1], [3, -(2**40)]], dtype=np.int64)
-    assert int_einsum("ij,jk->ik", Bounded(a, 1), Bounded(a, 1)).dtype == np.int64  # the bound is trusted
-    assert int_einsum("ij,jk->ik", Bounded(a, 2**40), a).tolist() == (a.astype(object) @ a.astype(object)).tolist()
-    assert int_einsum(",ij->ij", 2**70, a).tolist() == (2**70 * a.astype(object)).tolist()
-    assert int_einsum(",ij->ij", 3, [[1, 2]]).dtype == np.int64
+    assert int_einsum("ij,jk->ik", Exact(a, 1, 1), Exact(a, 1, 1)).ints.dtype == np.int64  # the bound is trusted
+    assert int_einsum("ij,jk->ik", Exact(a, 1, 2**40), a).ints.tolist() == (a.astype(object) @ a.astype(object)).tolist()
+    assert int_einsum(",ij->ij", 2**70, a).ints.tolist() == (2**70 * a.astype(object)).tolist()
+    assert int_einsum(",ij->ij", 3, [[1, 2]]).ints.dtype == np.int64
     seen = []
     einsum = np.einsum
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np, "einsum", lambda spec, *ops: seen.extend(ops) or einsum(spec, *ops))
-        int_einsum("ij,jk->ik", Bounded(a, 2**40), np.eye(2, dtype=np.int64))
+        out = int_einsum("ij,jk->ik", Exact(a, 3, 2**40), Exact(np.eye(2, dtype=np.int64), 5))
     assert seen[0] is a
+    assert out.den == 15 and not out.ints.flags.writeable
 
 
-def test_owners_hold_their_arrays_read_only_beside_their_bounds(ctx):
-    """No carried bound can go stale: each owner keeps its array read-only
-    beside its largest magnitude, and the public constructors copy, so the
-    caller's array stays writable."""
+def test_max_abs_reads_int64_min():
+    """np.abs wraps -2**63 to itself; the one measuring function does not,
+    so a product of an array holding it is exact, and an owner built from
+    one carries the bound 2**63 and Python ints."""
+    a = np.array([-(2**63), 5], dtype=np.int64)
+    assert max_abs(a) == 2**63 and Exact(a).bound == 2**63
+    assert int(int_einsum("i,i->", a, a).ints) == 2**126 + 25
+    form = NormForm(np.array([[-(2**63), 0], [0, 1]], dtype=np.int64))
+    assert form.gram.bound == 2**63 and form.G.dtype == object and form.G.tolist() == [[-(2**63), 0], [0, 1]]
+
+
+def test_values_are_equal_as_rational_arrays():
+    """(2a, 2d) equals (a, d); the same array with its den dropped does not,
+    nor does another shape; the mask marks the entries that differ."""
+    a = np.array([[3, -1], [0, 2**62]], dtype=object)
+    assert Exact(2 * a, 14) == Exact(a, 7) and Exact(a.astype(np.int64), 7) == Exact(2 * a, 14)
+    assert Exact(2 * a, 14) != Exact(2 * a) and Exact(a, 7) != Exact(a)
+    assert Exact(a, 7) != Exact(a.reshape(1, 4), 7) and Exact(a, 7) != a
+    assert Exact(a, 7).differs(Exact(np.array([[6, -2], [1, 2**63]]), 14)).tolist() == [[False, False], [True, False]]
+    zero = np.zeros((1, 2), dtype=np.int64)
+    assert Exact(zero, 2**70) == Exact(zero, 3)  # a zero bound still scales by 2**70 exactly
+
+
+def test_lowest_terms():
+    a = np.array([[4, -6], [0, 10]])
+    assert [x.tolist() if isinstance(x, np.ndarray) else x for x in Exact.held(a, 8, lowest=True)] == [[[2, -3], [0, 5]], 4]
+    assert Exact.held(a, 3, lowest=True).den == 3 and Exact.held(a, 8).den == 8
+    big = np.array([2**70, -(2**66)], dtype=object)
+    reduced, den = Exact.held(big, 2**65 * 3, lowest=True)
+    assert reduced.tolist() == [32, -2] and den == 3 and reduced.dtype == np.int64
+
+
+def test_owners_hold_their_values_read_only_with_their_bounds(ctx):
+    """No bound can go stale: each owner's value is read-only and carries
+    its largest magnitude, and the public constructors copy, so the caller's
+    array stays writable."""
     so34, cayley = ctx.so34, ctx.cayley
+    facts = cayley.form.unit_facts(cayley.unit)
     owned = [
-        (so34.C, so34.cmax),
-        (so34.realization[0], max_abs(so34.realization[0])),
-        (ctx.natural_rep.A, ctx.natural_rep.amax),  # built by lemma, through LieModule._raw
-        (ctx.complement_module.A, ctx.complement_module.amax),
-        (cayley.form.G, cayley.form.gmax),
-        (lie.killing_form(so34).G, lie.killing_form(so34).gmax),
-        (cayley.algebra.M, cayley.algebra.mmax),
+        so34.bracket,
+        so34.realization,
+        ctx.natural_rep.action,  # built by lemma, through LieModule._raw
+        ctx.complement_module.action,
+        cayley.form.gram,
+        lie.killing_form(so34).gram,
+        cayley.algebra.structure,
+        ctx.g2_image.canonical,
+        ctx.complement_isomorphism.matrix,
+        facts.u,
+        facts.K,
     ]
-    for a, bound in owned:
-        assert bound == max_abs(a)
+    for value in owned:
+        assert value.bound == max_abs(value.ints)
         with pytest.raises(ValueError):
-            a[(0,) * a.ndim] += 1
+            value.ints[(0,) * value.ints.ndim] += 1
+    assert (so34.C, so34.den, cayley.form.G) == (so34.bracket.ints, so34.bracket.den, cayley.form.gram.ints)
     c, g = np.zeros((2, 2, 2), dtype=np.int64), np.eye(2, dtype=np.int64)
     module = LieModule(lie.LieAlgebra(c), c.copy())
     NormForm(g)
     c[0, 0, 0] = g[0, 0] = 0
-    assert not module.A.flags.writeable and module.amax == 0
+    assert not module.A.flags.writeable and module.action.bound == 0
 
 
 def test_carried_bounds_pick_python_ints_near_2_31():
@@ -848,7 +886,7 @@ def test_int_dtype_leaves_room_for_four_terms():
     sum inside int64 or exact."""
     assert int_dtype(2**61 - 1) is np.int64 and int_dtype(2**61) is object
     for bound in (2**61 - 1, 2**61 + 1):
-        x = int_einsum(",ij->ij", bound, np.ones((1, 1), dtype=np.int64))
+        x = int_einsum(",ij->ij", bound, np.ones((1, 1), dtype=np.int64)).ints
         assert (x + x + x + x).tolist() == [[4 * bound]]
         assert (x - (-x) - (-x) - (-x)).tolist() == [[4 * bound]]
 
@@ -976,15 +1014,6 @@ def test_int_cleared_of_the_cayley_constants_matches_the_three_pass_reference():
         assert (got[0].dtype, got[1]) == (want[0].dtype, want[1]) and np.array_equal(got[0], want[0])
 
 
-def test_lowest_terms():
-    a = np.array([[4, -6], [0, 10]])
-    assert [x.tolist() if isinstance(x, np.ndarray) else x for x in lowest_terms(a, 8)] == [[[2, -3], [0, 5]], 4]
-    assert lowest_terms(a, 3)[1] == 3
-    big = np.array([2**70, -(2**66)], dtype=object)
-    reduced, den = lowest_terms(big, 2**65 * 3)
-    assert reduced.tolist() == [32, -2] and den == 3
-
-
 @pytest.mark.parametrize(
     "G, den",
     [
@@ -1105,14 +1134,15 @@ def test_contains_agrees_with_a_rank_oracle(family, data):
         expected = reference_rank(np.array([*sub.basis.tolist(), vec], dtype=object)) == sub.dim
         x = sub.coordinates(np.array([vec], dtype=object))
         assert (x is not None) == expected
-        assert x is None or tuple(x[0]) == coordinates_of(sub, vec)
+        assert x is None or (tuple(x.ints[0]), x.den) == (coordinates_of(sub, vec), 1)
         assert sub.contains(Subspace.from_vectors(n, [vec])) == expected
         assert sub.contains(np.array([vec], dtype=object)) == expected
     both = Subspace.from_vectors(n, [inside, arbitrary])
     assert sub.contains(both) == (reference_rank(np.array([*sub.basis.tolist(), inside, arbitrary], dtype=object)) == sub.dim)
     x = sub.coordinates(both)
     assert (x is not None) == sub.contains(both)
-    assert x is None or [tuple(row) for row in x] == [coordinates_of(sub, row) for row in both.basis.tolist()]
+    assert x is None or [tuple(row) for row in x.ints] == [coordinates_of(sub, row) for row in both.basis.tolist()]
+    assert x is None or x.den == both.den
     assert sub.contains(np.array([inside], dtype=object))
 
 

@@ -257,7 +257,7 @@ def test_submodule_generated_batch_edges(natural_rep):
 def test_natural_module_skips_the_realizations_second_bracket_check(monkeypatch):
     g = so_of_form(NormForm(np.diag([1, 1, -1]).astype(np.int64)))
     checked = []
-    monkeypatch.setattr(LieAlgebra, "bracket_law_failure", lambda self, a, scale, amax: checked.append(a.shape))
+    monkeypatch.setattr(LieAlgebra, "bracket_law_failure", lambda self, a: checked.append(a.ints.shape))
     nat = natural_module(g)
     assert checked == []
     a, den = g.realization
@@ -283,12 +283,11 @@ def test_bracket_map_is_module_homomorphism(ctx):
     xs, us = ctx.g2_image.basis, ctx.complement.basis
 
     def br(a, b):  # den [a_p, b_q] for the rows of a and b, by p, q, k
-        return int_einsum("qj,pjk->pqk", b, int_einsum("pi,ijk->pjk", a, c))
+        return int_einsum("qj,pjk->pqk", b, int_einsum("pi,ijk->pjk", a, c)).ints
 
     xu = br(xs, us)  # also [x, w]
     lhs = br(xs, br(us, us).reshape(-1, 21)).reshape(14, 7, 7, 21)
-    rhs = br(xu.reshape(-1, 21), us).reshape(14, 7, 7, 21)
-    rhs += br(us, xu.reshape(-1, 21)).reshape(7, 14, 7, 21).transpose(1, 0, 2, 3)
+    rhs = br(xu.reshape(-1, 21), us).reshape(14, 7, 7, 21) + br(us, xu.reshape(-1, 21)).reshape(7, 14, 7, 21).transpose(1, 0, 2, 3)
     assert lhs.shape == (14, 7, 7, 21) and np.any(lhs)
     assert np.array_equal(lhs, rhs)
     x_basis, u_basis = leading_one_basis(ctx.g2_image), leading_one_basis(ctx.complement)
@@ -621,7 +620,7 @@ def test_wedge_square_matches_reference(natural_rep, so3, big_module, scaled_mod
     for v, _, _ in _reference_cases(natural_rep, so3, big_module, scaled_module):
         wedge = wedge_square(v)
         assert action_matrices(wedge).tolist() == _wedge_square_reference(action_matrices(v), v.dim)
-        assert v.algebra.bracket_law_failure(wedge.A, wedge.den, wedge.amax) is None
+        assert v.algebra.bracket_law_failure(wedge.action) is None
 
 
 def test_modules_built_by_lemma_satisfy_the_full_law(ctx, natural_rep):
@@ -640,7 +639,7 @@ def test_modules_built_by_lemma_satisfy_the_full_law(ctx, natural_rep):
         ctx.so34_as_g2_module,
     )
     for i, v in enumerate(modules):
-        assert v.algebra.bracket_law_failure(v.A, v.den, v.amax) is None, i
+        assert v.algebra.bracket_law_failure(v.action) is None, i
     assert [v.dim for v in modules] == [14, 21, 8, 7, 7, 7, 21, 21, 21]
 
 
@@ -674,7 +673,7 @@ def test_closure_matches_reference_growth(so34, natural_rep, so3, big_module, sc
     steps = []
     for v, _, vectors in _reference_cases(natural_rep, so3, big_module, scaled_module):
         for vec in vectors:
-            closed, dims = _closure_steps(Subspace.from_vectors(v.dim, [vec]), lambda b: int_einsum("imn,jn->ijm", v.A, b).reshape(-1, v.dim))
+            closed, dims = _closure_steps(Subspace.from_vectors(v.dim, [vec]), lambda b: int_einsum("imn,jn->ijm", v.A, b).ints.reshape(-1, v.dim))
             assert closed == _reference_closure(v.dim, [vec], _action_images(v))
             steps.append(dims)
     unit = lambda n, k: tuple(int(i == k) for i in range(n))
@@ -740,7 +739,7 @@ def test_submodule_generated_falls_back_where_the_rank_mod_p_falls_short(so3):
     a, den = so3.realization
     v = LieModule(so3, a * PRIME, den * PRIME)
     assert int(np.max(np.abs(v.A))) == PRIME
-    one_step = np.concatenate([[(1, 0, 0)], int_einsum("imn,n->im", v.A, (1, 0, 0))])
+    one_step = np.concatenate([[(1, 0, 0)], int_einsum("imn,n->im", v.A, (1, 0, 0)).ints])
     assert (ranks_mod_p(one_step[None]).tolist(), reference_rank(one_step)) == ([1], 3)
     assert submodule_generated(v, [(1, 0, 0), (0, 0, 0)]) == [Subspace.full(3), Subspace(3, ())]
 
@@ -758,7 +757,7 @@ def test_hom_space_on_large_entry_modules(so3, big_module, scaled_module):
     nat = natural_module(so3)
     other = LieModule(so3, nat.A * (_SCALE + 2), _SCALE + 2)
     # both premises of scaled_module: an int64 stack whose product with other's denominator passes 2**61
-    assert scaled_module.A.dtype == np.int64 and scaled_module.amax * other.den >= 2**61
+    assert scaled_module.A.dtype == np.int64 and scaled_module.action.bound * other.den >= 2**61
     assert len(hom_space(scaled_module, other)) == len(hom_space(other, scaled_module)) == 1
     assert module_isomorphism(scaled_module, other).is_invertible
 
@@ -781,8 +780,8 @@ def _sylvester_kernel(a, b):
             vectors = kernel_basis(system).basis
         else:
             t = vectors.reshape(-1, nrows, ncols)
-            images = (int_einsum("hij,jl->hil", t, a_i) - int_einsum("ij,hjl->hil", b_i, t)).reshape(len(vectors), size)
-            vectors = int_einsum("uh,hn->un", kernel_basis(images.T).basis, vectors)
+            images = (int_einsum("hij,jl->hil", t, a_i).ints - int_einsum("ij,hjl->hil", b_i, t).ints).reshape(len(vectors), size)
+            vectors = int_einsum("uh,hn->un", kernel_basis(images.T).basis, vectors).ints
         if not len(vectors):
             return Subspace(size, ())
     if vectors is None:
@@ -860,7 +859,7 @@ def test_hom_space_forms_no_dense_system(ctx, monkeypatch):
 
     def recording(spec, *operands):
         out = real(spec, *operands)
-        sizes.append(out.size)
+        sizes.append(out.ints.size)
         return out
 
     with monkeypatch.context() as patch:

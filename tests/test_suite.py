@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import g2cert.linalg as linalg
 from g2cert import lie, octonion, reps, suite, weyl
 from g2cert.lie import derivation_algebra, killing_form, so_of_form
-from g2cert.linalg import NormForm, Subspace, int_cleared, int_einsum
+from g2cert.linalg import Exact, NormForm, Subspace, int_cleared, int_einsum
 from g2cert.octonion import SplitCayley, build_split_cayley
 from g2cert.reps import LieModule
 from g2cert.report import exit_code, render_text, serialize, summarize
@@ -205,12 +205,12 @@ def test_embedding_keeps_the_realization_denominator(twin_ctx):
     constructor accepts the module it builds.  With the first embedding row
     doubled E is no Lie map, and the stage raises instead."""
     ctx = twin_ctx(2)
-    assert ctx.cayley is basis_twin(2) and ctx.so34.realization[1] != 1
+    assert ctx.cayley is basis_twin(2) and ctx.so34.realization.den != 1
     module = ctx.so34_as_g2_module
     LieModule(ctx.derivations, module.A, module.den)
     ctx = VerificationContext()
     e, den = ctx.embedding
-    ctx._cache["embedding"] = (np.vstack([2 * e[:1], e[1:]]), den)
+    ctx._cache["embedding"] = Exact(np.vstack([2 * e[:1], e[1:]]), den)
     with pytest.raises(ValueError, match="not a Lie map"):
         ctx.so34_as_g2_module
 
@@ -226,7 +226,7 @@ def test_image_basis_change_writes_the_image_basis_in_derivation_coordinates(ctx
     x, d = ctx.image_basis_change
     e, e_den = ctx.embedding
     b, s = ctx.g2_image.basis, ctx.g2_image.den
-    assert np.array_equal(int_einsum(",ij->ij", d * e_den, b), int_einsum(",ik,kj->ij", s, x, e))
+    assert np.array_equal(int_einsum(",ij->ij", d * e_den, b).ints, int_einsum(",ik,kj->ij", s, x, e).ints)
     assert math.gcd(d, *map(int, x.flat)) == 1
     if seed is None:
         assert (x.tolist(), d) == (np.eye(14, dtype=int).tolist(), 1)
@@ -267,7 +267,7 @@ def test_basis_twin_keeps_every_verdict_but_c2(full_run, twin_ctx, seed):
     multiple of it, so c2 is -30 times a nonzero rational square."""
     ctx = twin_ctx(seed)
     twin = _by_id(run_all(FAST, ctx=ctx))
-    assert ctx.so34.realization[1] != 1  # the new basis reached so(3,4)'s realization
+    assert ctx.so34.realization.den != 1  # the new basis reached so(3,4)'s realization
     changed = _changed_witnesses(_by_id(full_run), twin)
     assert changed.keys() <= {("cayley", "nonassociativity_witness"), ("metric-constants", "c2"), ("metric-constants", "failed_expectations")}
     assert changed[("metric-constants", "failed_expectations")] == ["c2"]
@@ -312,7 +312,7 @@ def test_derivations_are_the_stabilizer_of_the_three_form(ctx):
     phi = int_einsum("ai,bj,ijk,kl,cl->abc", b, b, c.algebra.M, c.form.G, b)
     eye = np.eye(7, dtype=np.int64)
     # coefficient of X[d, e] in (X phi)(a, b, c) = phi(Xa, b, c) + phi(a, Xb, c) + phi(a, b, Xc)
-    system = int_einsum("ea,dbc->abcde", eye, phi) + int_einsum("eb,adc->abcde", eye, phi) + int_einsum("ec,abd->abcde", eye, phi)
+    system = int_einsum("ea,dbc->abcde", eye, phi).ints + int_einsum("eb,adc->abcde", eye, phi).ints + int_einsum("ec,abd->abcde", eye, phi).ints
     stabilizer = reference_kernel(system.reshape(343, 49))
     nat = ctx.natural_rep
     assert stabilizer.dim == 14
@@ -581,9 +581,9 @@ def test_form_and_unit_facts_are_built_once_per_form(monkeypatch):
         assert [r.status for r in run_all(cfg, ctx=ctx)] == ["fail", "fail"]
     assert len(built) == len(membership) == 1
     facts = built[0]
-    assert (facts.n, facts.s, facts.inside) == (2, 1, False) and facts.u.array.tolist() == list(base.unit)
-    assert facts.K.array.tolist() == (2 * np.outer(base.unit, base.form.G @ base.unit) - 2 * np.eye(8, dtype=int)).tolist()
-    assert not facts.K.array.flags.writeable and base.form.unit_facts(base.unit).imaginary is facts.imaginary
+    assert (int(facts.n.ints), facts.n.den, facts.u.den, facts.inside) == (2, 2, 1, False) and facts.u.ints.tolist() == list(base.unit)
+    assert facts.K.ints.tolist() == (2 * np.outer(base.unit, base.form.G @ base.unit) - 2 * np.eye(8, dtype=int)).tolist() and facts.K.den == 2
+    assert not facts.K.ints.flags.writeable and base.form.unit_facts(base.unit).imaginary is facts.imaginary
     twin = basis_twin(2)  # with a form of its own, whose unit facts this test builds
     for other in (SplitCayley(twin.algebra, NormForm(twin.form.G, twin.form.den), twin.unit), compact_octonions()):
         got = check_cayley(VerificationContext(cayley_candidate=other), SuiteConfig(seed=3, samples=5))
