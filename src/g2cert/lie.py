@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateFormError
-from .linalg import Exact, NormForm, Subspace, int_einsum, is_int_array, kernel_basis
+from .linalg import Exact, NormForm, Subspace, int_einsum, kernel_basis
 from .octonion import StructureConstantAlgebra
 
 
@@ -35,25 +35,23 @@ class LieAlgebra:
     faithful matrix realization of the basis.
 
     ``C`` is a dim x dim x dim numpy integer array and ``den`` a positive
-    Python int (not a bool, numpy integer, float or Fraction), for
-    c_ijk = C[i, j, k] / den, held as the value ``bracket`` in lowest terms.
-    Every instance satisfies antisymmetry and the Jacobi identity: this
-    constructor checks both, raising ValueError on a failure (and on a
-    mis-shaped tensor or another ``den``, TypeError on a non-integer tensor),
-    and ``from_matrix_basis``, the only source of a ``realization`` (one value
-    of shape (dim, n, n), the canonical basis of its span), proves them on
-    the first read of its bracket.
+    Python int, for c_ijk = C[i, j, k] / den, held as the value ``bracket``
+    (``Exact.held``, which rejects any other input).  Every instance
+    satisfies antisymmetry and the Jacobi identity: this constructor checks
+    both, raising ValueError on a failure (and on a mis-shaped tensor), and
+    ``from_matrix_basis``, the only source of a ``realization`` (one value of
+    shape (dim, n, n), the canonical basis of its span), proves them on the
+    first read of its bracket.
     """
 
     C = property(lambda self: self.bracket.ints)
     den = property(lambda self: self.bracket.den)
 
     def __init__(self, C: np.ndarray, den: int = 1):
-        if not is_int_array(C):
-            raise TypeError("the bracket tensor is an integer array")
-        if C.shape != (len(C),) * 3 or type(den) is not int or den < 1:
-            raise ValueError("the bracket tensor must be dim x dim x dim over a positive denominator")
-        self.dim, self.bracket, self.realization = len(C), Exact.held(C, den, lowest=True), None
+        self.bracket, self.realization = Exact.held(C, den), None
+        if C.ndim != 3 or C.shape != (len(C),) * 3:
+            raise ValueError("the bracket tensor must be dim x dim x dim")
+        self.dim = len(C)
         self._killing = self._adjoint = None  # built once per algebra, by killing_form and reps.adjoint_module
         asym = np.argwhere(np.any(self.C + self.C.transpose(1, 0, 2) != 0, axis=2))
         if len(asym):
@@ -114,7 +112,7 @@ class LieAlgebra:
             raise ValueError("matrix family is not closed under commutators")
         # Lemma: coordinates' exact check proved [b_i, b_j] = sum_k x_ijk b_k on a basis: the realization
         # is faithful and lawful, so antisymmetry and Jacobi hold for x because they hold in gl(n).
-        self.bracket, self.realization = Exact.held(*x.reshape(d, d, d), lowest=True), a
+        self.bracket, self.realization = Exact.held(*x.reshape(d, d, d)), a
         return getattr(self, name)
 
 

@@ -9,11 +9,12 @@ Every matrix the package stores, takes or returns is a numpy integer array
 ``Exact`` value, which carries its largest magnitude, ``bound``, measured
 once; constructors reject anything else.  ``int_cleared`` is the one place
 rationals become one integer array over one denominator, ``Exact.held``
-makes every owner's value but a ``Subspace``'s canonical basis (cleared where
-it is made), and ``int_dtype`` turns a bound into int64 (below 2**61, so a
-sum of four results fits) or Python ints.  ``int_einsum`` multiplies values
-into a value over the product of their dens, and values are equal as
-rational arrays, so an identity states its two sides at their own scales.
+checks and makes every owner's value, in lowest terms, but a ``Subspace``'s
+canonical basis (cleared where it is made), and ``int_dtype`` turns a bound
+into int64 (below 2**61, so a sum of four results fits) or Python ints.
+``int_einsum`` multiplies values into a value over the product of their
+dens, and values are equal as rational arrays, so an identity states its two
+sides at their own scales.
 ``int_inverse``, the one exact inverse, reads the canonical basis of
 [a | I]; Fractions remain in ``Matrix`` and ``rref``, which only the
 benchmark's tracer and their own tests touch.
@@ -85,9 +86,10 @@ class Exact:
     """The rational array ints / den: ints a numpy integer array (int64, or
     object dtype of Python ints), den a positive Python int, and ``bound``,
     the largest magnitude of ints, measured on its first read unless given.
-    Owners hold theirs read-only (``held``), as ``int_einsum`` makes its
-    results.  A value unpacks as (ints, den); values are equal when they are
-    the same rational array (``differs``)."""
+    Owners hold theirs read-only and in lowest terms (``held``), and
+    ``int_einsum`` makes its results read-only.  A value unpacks as
+    (ints, den); values are equal when they are the same rational array
+    (``differs``)."""
 
     __slots__ = ("ints", "den", "_bound")
 
@@ -95,11 +97,18 @@ class Exact:
         self.ints, self.den, self._bound = ints, den, bound
 
     @classmethod
-    def held(cls, a: np.ndarray, den: int = 1, lowest: bool = False) -> "Exact":
-        """a / den as an owner holds it: divided by the gcd of den and every
-        entry if lowest, in the dtype ``int_dtype`` gives its bound, and
-        read-only, copied if a is writeable (so no caller's array changes)."""
-        if lowest and (g := math.gcd(den, *map(int, a.flat))) > 1:
+    def held(cls, a: np.ndarray, den: int = 1) -> "Exact":
+        """a / den as an owner holds it, the one check of an owner's input: a
+        numpy integer array (``is_int_array``; else TypeError) over a Python
+        int den >= 1 (else ValueError), in lowest terms (den > 1 is divided
+        with every entry by their gcd), in the dtype ``int_dtype`` gives its
+        bound, and read-only, copied if a is writeable (so no caller's array
+        changes)."""
+        if not is_int_array(a):
+            raise TypeError("an exact value is a numpy integer array")
+        if type(den) is not int or den < 1:
+            raise ValueError("an exact value is held over a positive denominator, a Python int")
+        if den > 1 and (g := math.gcd(den, *a.ravel().tolist())) > 1:
             a, den = a // g, den // g
         bound = max_abs(a)
         a = a.astype(int_dtype(bound), copy=a.flags.writeable)
@@ -121,15 +130,12 @@ class Exact:
     def transpose(self, *axes) -> "Exact":
         return Exact(self.ints.transpose(*axes), self.den, self._bound)
 
-    def times(self, k: int) -> np.ndarray:
-        """ints * k, exactly."""
-        return self.ints if k == 1 else self.ints.astype(int_dtype((self.bound or 1) * k), copy=False) * k
-
     def differs(self, other: "Exact") -> np.ndarray:
         """The mask of entries where self and other differ as rationals:
         ints * other.den against other.ints * den, over their gcd."""
         g = math.gcd(self.den, other.den)
-        return self.times(other.den // g) != other.times(self.den // g)
+        times = lambda x, k: x.ints if k == 1 else x.ints.astype(int_dtype((x.bound or 1) * k), copy=False) * k
+        return times(self, other.den // g) != times(other, self.den // g)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Exact) and self.ints.shape == other.ints.shape and not self.differs(other).any()
@@ -254,6 +260,16 @@ def _int_rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
 def is_int_array(a) -> bool:
     """Whether a is a numpy integer array: int64, or Python ints (object)."""
     return isinstance(a, np.ndarray) and (a.dtype.kind == "i" or (a.dtype == object and not set(map(type, a.flat)) - {int}))
+
+
+def int_rows(ncols: int, vectors) -> np.ndarray:
+    """Integer vectors ncols wide, rows of Python ints or a 2-D numpy integer
+    array, as a 2-D numpy integer array; any other input raises ValueError."""
+    if not isinstance(vectors, np.ndarray):
+        vectors = np.array([tuple(v) for v in vectors] or np.zeros((0, ncols), dtype=int), dtype=object)
+    if vectors.shape[1:] != (ncols,) or not is_int_array(vectors):
+        raise ValueError("vectors must be a 2-D integer array of the ambient width")
+    return vectors
 
 
 def _int_matrix(m: np.ndarray) -> np.ndarray:
@@ -395,9 +411,8 @@ class Subspace:
     ints, over ``den``, their least denominator, so basis[i, pivots[i]] ==
     den at the leading columns ``pivots``.  The constructor takes the
     primitive integer rows (each RREF row over its gcd) and rejects any other
-    with ValueError: each row has n Python ints with gcd 1 and leads with a
-    positive entry, the leading columns strictly increase, and no other row
-    is nonzero in a pivot column.
+    with ValueError: rows of n Python ints that the engine's elimination
+    (``_int_rref``) gives back unchanged, one pivot per row.
     """
 
     __slots__ = ("ambient_dim", "canonical", "pivots")
@@ -405,18 +420,10 @@ class Subspace:
     den = property(lambda self: self.canonical.den)
 
     def __init__(self, ambient_dim: int, rows: Iterable[Sequence[int]]):
-        rows = tuple(map(tuple, rows))
-        nonzero = [[x != 0 for x in row] for row in rows]
-        pivots = tuple(nz.index(True) if True in nz else -1 for nz in nonzero)
-        if (
-            any(len(row) != ambient_dim or set(map(type, row)) - {int} for row in rows)
-            or min(pivots, default=0) < 0
-            or any(row[p] < 0 or math.gcd(*row) != 1 for row, p in zip(rows, pivots))
-            or any(p >= q for p, q in zip(pivots, pivots[1:]))
-            or any(sum([nz[p] for p in pivots]) != 1 for nz in nonzero)
-        ):
+        rows = [list(row) for row in rows]
+        if any(len(row) != ambient_dim or set(map(type, row)) - {int} for row in rows) or (rref := _int_rref(rows))[0] != rows:
             raise ValueError("rows are not the primitive integer rows of a reduced row echelon form")
-        self._hold(ambient_dim, rows, pivots)
+        self._hold(ambient_dim, rows, rref[1])
 
     @classmethod
     def _raw(cls, ambient_dim: int, rows, pivots) -> "Subspace":
@@ -441,10 +448,7 @@ class Subspace:
     def from_vectors(cls, ambient_dim: int, vectors) -> "Subspace":
         """The span of integer vectors, rows of Python ints or a 2-D numpy
         integer array; any other entry raises ValueError."""
-        if not isinstance(vectors, np.ndarray):
-            vectors = np.array([tuple(v) for v in vectors] or np.zeros((0, ambient_dim), dtype=int), dtype=object)
-        if vectors.shape[1:] != (ambient_dim,) or not is_int_array(vectors):
-            raise ValueError("vectors must be a 2-D integer array of the ambient width")
+        vectors = int_rows(ambient_dim, vectors)
         return cls._raw(ambient_dim, *_int_rref(vectors[np.any(vectors != 0, axis=1)].tolist()))
 
     @classmethod
@@ -568,21 +572,21 @@ UnitFacts = NamedTuple("UnitFacts", [("u", Exact), ("n", Exact), ("K", Exact), (
 
 class NormForm:
     """A symmetric bilinear form, and the quadratic norm x -> B(x, x) it
-    polarizes, held as its Gram matrix, one value ``gram`` = G / den in
-    lowest terms, and one ``UnitFacts`` per vector asked about.  A
-    non-square, non-symmetric or non-integer ``G``, or a ``den`` that is not
-    a Python int of at least 1 (a bool, numpy integer, float or Fraction),
-    raises ValueError."""
+    polarizes, held as its Gram matrix, one value ``gram`` = G / den
+    (``Exact.held``: a non-integer ``G`` raises TypeError, a ``den`` that is
+    not a Python int of at least 1 ValueError), and one ``UnitFacts`` per
+    vector asked about.  A non-square or non-symmetric ``G`` raises
+    ValueError."""
 
     G = property(lambda self: self.gram.ints)
     den = property(lambda self: self.gram.den)
 
     def __init__(self, G: np.ndarray, den: int = 1):
-        if G.ndim != 2 or G.shape[0] != G.shape[1] or not is_int_array(G) or type(den) is not int or den < 1:
-            raise ValueError("a Gram matrix is a square integer array over a positive denominator")
+        self.gram, self._units = Exact.held(G, den), {}
+        if G.ndim != 2 or G.shape[0] != G.shape[1]:
+            raise ValueError("a Gram matrix is square")
         if not np.array_equal(G, G.T):
             raise ValueError("Gram matrix must be symmetric")
-        self.gram, self._units = Exact.held(G, den, lowest=True), {}
 
     @cached_property
     def signature(self) -> tuple[int, int, int]:

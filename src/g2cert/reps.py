@@ -34,7 +34,7 @@ from .linalg import (
     int_einsum,
     independent_rows,
     int_inverse,
-    is_int_array,
+    int_rows,
     kernel_basis,
     rank,
     ranks_mod_p,
@@ -45,8 +45,8 @@ class LieModule:
     """A module over a Lie algebra: rho(e_i) = A[i] / den.
 
     ``A`` is an integer array of shape (algebra dim, n, n) and ``den`` a
-    positive int (not a float, bool or numpy integer), held as the value
-    ``action`` (not reduced); n is read off the stack, so a module over the
+    positive int, held as the value ``action`` (``Exact.held``, which
+    rejects any other input); n is read off the stack, so a module over the
     zero algebra is a (0, n, n) stack.  The homomorphism law
     rho([e_i,e_j]) = [rho(e_i), rho(e_j)] holds for every instance: this
     constructor verifies it exactly on all basis pairs, and the builders
@@ -57,18 +57,17 @@ class LieModule:
     den = property(lambda self: self.action.den)
 
     def __init__(self, algebra: LieAlgebra, A: np.ndarray, den: int = 1):
-        if not is_int_array(A):
-            raise TypeError("a module action is an integer stack")
-        if A.ndim != 3 or A.shape[0] != algebra.dim or A.shape[1] != A.shape[2] or type(den) is not int or den < 1:
-            raise ValueError("one square action matrix per algebra basis element, over a positive int denominator")
-        self.algebra, self.action, self.dim, self._spins = algebra, Exact.held(A, den), A.shape[1], {}
+        self.algebra, self.action, self._spins = algebra, Exact.held(A, den), {}
+        if A.ndim != 3 or A.shape[0] != algebra.dim or A.shape[1] != A.shape[2]:
+            raise ValueError("one square action matrix per algebra basis element")
+        self.dim = A.shape[1]
         bad = algebra.bracket_law_failure(self.action)
         if bad is not None:
             raise ValueError("homomorphism law fails at basis pair ({},{})".format(*bad))
 
     @classmethod
     def _raw(cls, algebra: LieAlgebra, A: np.ndarray, den: int) -> "LieModule":
-        """A module whose law the caller has proved, rho(e_i) = A[i] / den (``Exact.held``)."""
+        """A module whose law the caller has proved, rho(e_i) = A[i] / den."""
         mod = object.__new__(cls)
         mod.algebra, mod.action, mod.dim, mod._spins = algebra, Exact.held(A, den), A.shape[1], {}
         return mod
@@ -107,7 +106,7 @@ def restriction_module(v: LieModule, sub: Subspace) -> LieModule:
 class Intertwiner:
     """A module homomorphism T / den, T an integer matrix of shape
     (target dim, source dim) and den a positive int, held as the value
-    ``matrix`` (not reduced); T rho_v(e_i) = rho_w(e_i) T, for all i at once,
+    ``matrix`` (``Exact.held``); T rho_v(e_i) = rho_w(e_i) T, for all i at once,
     is verified exactly by ``__post_init__``, which the constructor calls
     (and the benchmark's tracer wraps)."""
 
@@ -115,9 +114,9 @@ class Intertwiner:
     den = property(lambda self: self.matrix.den)
 
     def __init__(self, source: LieModule, target: LieModule, T: np.ndarray, den: int = 1):
-        if not is_int_array(T) or T.shape != (target.dim, source.dim) or type(den) is not int or den < 1:
-            raise ValueError("an intertwiner is an integer (target dim x source dim) matrix over a positive int denominator")
         self.source, self.target, self.matrix = source, target, Exact.held(T, den)
+        if T.shape != (target.dim, source.dim):
+            raise ValueError("an intertwiner is a (target dim x source dim) matrix")
         self.__post_init__()
 
     def __post_init__(self):
@@ -283,10 +282,7 @@ def submodule_generated(v: LieModule, vecs) -> list[Subspace]:
     of vecs (as ``Subspace.from_vectors`` takes them).  Where [x; A_0 x; ...]
     has rank dim V mod ``linalg.PRIME``, hence over Q, that is V; any other x
     spans its line's ``Subspace.closure`` under the action, exactly."""
-    if not isinstance(vecs, np.ndarray):
-        vecs = np.array([tuple(x) for x in vecs] or np.zeros((0, v.dim), dtype=int), dtype=object)
-    if vecs.shape[1:] != (v.dim,) or not is_int_array(vecs):
-        raise ValueError("vectors must be a 2-D integer array of the module's width")
+    vecs = int_rows(v.dim, vecs)
     one_step = int_einsum("imn,kn->kim", np.concatenate([np.eye(v.dim, dtype=int)[None], v.A]), vecs).ints
     full = Subspace.full(v.dim)
     return [full if r == v.dim else _generated_exactly(v, vec) for vec, r in zip(vecs, ranks_mod_p(one_step))]
@@ -341,7 +337,7 @@ def wedge_so_isomorphism(form: NormForm, so_alg: LieAlgebra) -> Intertwiner:
     x = so_alg.realization_coordinates(Exact(images.reshape(len(rows), n * n), form.den))
     if x is None:
         raise AssertionError("image of wedge map escaped so(E)")
-    return Intertwiner(wedge, adj, *Exact.held(*x.transpose(), lowest=True))
+    return Intertwiner(wedge, adj, *x.transpose())
 
 
 def module_isomorphism(v: LieModule, w: LieModule) -> Optional[Intertwiner]:

@@ -166,7 +166,7 @@ class VerificationContext:
         x = self.so34.realization_coordinates(nat.action.reshape(len(nat.A), -1))
         if x is None:
             raise ValueError("restricted derivation escaped so(3,4)")
-        return Exact.held(*x, lowest=True)
+        return Exact.held(*x)
 
     @_stage
     def g2_image(self) -> Subspace:
@@ -203,7 +203,7 @@ class VerificationContext:
         # Lemma: the embedding rows E span the image (its basis b is their canonical basis), so they have
         # coordinates y, E = y b, and b = y^-1 E; y = x / d has the inverse d x^-1.
         x, d = self.g2_image.coordinates(self.embedding)
-        return Exact.held(*int_einsum(",ij->ij", d, int_inverse(x)), lowest=True)
+        return Exact.held(*int_einsum(",ij->ij", d, int_inverse(x)))
 
 
 class CheckOutcome:

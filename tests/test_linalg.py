@@ -564,6 +564,31 @@ def test_from_vectors_matches_fraction_reference(family):
         assert Subspace.from_vectors(n, ints.astype(np.int64)) == expected
 
 
+def _accepts(n, rows):
+    """Whether the validating constructor takes rows."""
+    try:
+        Subspace(n, rows)
+    except ValueError:
+        return False
+    return True
+
+
+@given(families(integers), st.data())
+def test_subspace_accepts_exactly_the_primitive_rows_of_its_span(family, data):
+    """Subspace(n, rows) takes a family exactly when it equals the primitive
+    integer rows of its span's ``reference_rref``; those rows with one entry
+    moved are taken only if they are again the rows of their own span."""
+    n, rows = family
+    primitive = lambda rows: [int_cleared(row)[0].tolist() for row in reference_rref(rows, n)[0]]
+    canonical = primitive(rows)
+    assert _accepts(n, rows) == (rows == canonical) and _accepts(n, canonical)
+    if canonical:
+        moved = [list(row) for row in canonical]
+        i, j = data.draw(st.integers(0, len(moved) - 1)), data.draw(st.integers(0, n - 1))
+        moved[i][j] += data.draw(st.sampled_from([-2, -1, 1, 2, PRIME]))
+        assert _accepts(n, moved) == (moved == primitive(moved))
+
+
 def _spy_on_exact_elimination(monkeypatch):
     calls = []
 
@@ -590,9 +615,10 @@ def test_closure_edges(monkeypatch):
     """A zero or a full span is its own closure without an elimination;
     images without rows leave a span as it is after one; the shift
     e1 -> e2 -> e3 -> 0 grows e1 twice and stops when its span is stable."""
+    zero, full = Subspace(4, ()), Subspace.full(4)
+    expected = reference_span(4, np.eye(3, 4, dtype=int).tolist())
     calls = _spy_on_exact_elimination(monkeypatch)
     never = lambda b: pytest.fail("a zero or full span has no images to take")
-    zero, full = Subspace(4, ()), Subspace.full(4)
     assert zero.closure(never) is zero and full.closure(never) is full and calls == []
     line = Subspace.from_vectors(4, [(0, 2, 0, 4)])
     assert line.closure(lambda b: np.zeros((0, 4), dtype=np.int64)) == line
@@ -601,7 +627,7 @@ def test_closure_edges(monkeypatch):
     shift[3, 2] = 0
     calls.clear()
     closed = Subspace.from_vectors(4, [(1, 0, 0, 0)]).closure(lambda b: int_einsum("mn,jn->jm", shift, b).ints)
-    assert closed == reference_span(4, np.eye(3, 4, dtype=int).tolist())
+    assert closed == expected
     assert calls == [1, 2, 4, 5]  # the seed, two growth steps, the stable step (its zero image dropped)
 
 
@@ -725,9 +751,10 @@ def test_kernel_fallback_under_a_small_prime_is_canonical(monkeypatch, prime):
     )
     for m in map(np.array, systems):
         before = len(calls)
-        _assert_canonical_kernel(m)
+        kernel_basis(m)
         # not vacuous: the second elimination of the solve saw every row
         assert len(calls) - before == 2 and calls[before] < len(m) == calls[before + 1]
+        _assert_canonical_kernel(m)
 
 
 def test_many_rows_spanning_a_proper_subspace():
@@ -818,12 +845,17 @@ def test_values_are_equal_as_rational_arrays():
 
 
 def test_lowest_terms():
+    """held divides a den > 1 and every entry by their gcd, and leaves a den-1
+    value as it is, whatever the gcd of its entries."""
     a = np.array([[4, -6], [0, 10]])
-    assert [x.tolist() if isinstance(x, np.ndarray) else x for x in Exact.held(a, 8, lowest=True)] == [[[2, -3], [0, 5]], 4]
-    assert Exact.held(a, 3, lowest=True).den == 3 and Exact.held(a, 8).den == 8
+    assert [x.tolist() if isinstance(x, np.ndarray) else x for x in Exact.held(a, 8)] == [[[2, -3], [0, 5]], 4]
+    assert Exact.held(a, 3).den == 3 and Exact.held(a, 3).ints.tolist() == a.tolist()
+    assert Exact.held(a).den == 1 and Exact.held(a).ints.tolist() == a.tolist()
     big = np.array([2**70, -(2**66)], dtype=object)
-    reduced, den = Exact.held(big, 2**65 * 3, lowest=True)
+    reduced, den = Exact.held(big, 2**65 * 3)
     assert reduced.tolist() == [32, -2] and den == 3 and reduced.dtype == np.int64
+    reduced, den = Exact.held(big)
+    assert reduced.tolist() == big.tolist() and den == 1 and reduced.dtype == object
 
 
 def test_owners_hold_their_values_read_only_with_their_bounds(ctx):
@@ -1026,7 +1058,10 @@ def test_int_cleared_of_the_cayley_constants_matches_the_three_pass_reference():
     ],
 )
 def test_norm_form_rejects_invalid_gram(G, den):
-    with pytest.raises(ValueError):
+    """A non-integer Gram matrix raises TypeError, as every owner's input
+    does (``Exact.held``); a mis-shaped or asymmetric integer one, or a
+    denominator below 1, raises ValueError."""
+    with pytest.raises(ValueError if G.dtype.kind == "i" else TypeError):
         NormForm(G, den)
 
 

@@ -435,9 +435,9 @@ def test_intertwiner_validation(natural_rep):
             target=natural_rep,
             T=diagonal([1, 2, 3, 4, 5, 6, 7]),
         )
-    # T rho != rho T for rho = E_01 and T = diag(1/2, 1/3), Fractions that int64 casting would make 0
+    # T = diag(1/2, 1/3) as Fractions, which int64 casting would make 0: not an integer array
     rho = LieModule(abelian_algebra(1), np.array([[[0, 1], [0, 0]]], dtype=np.int64))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         Intertwiner(source=rho, target=rho, T=diagonal([Fraction(1, 2), Fraction(1, 3)]))
 
 
@@ -467,6 +467,29 @@ def test_constructors_reject_a_non_int_denominator(den):
         LieModule(so3, 2 * a, den)
     with pytest.raises(ValueError):
         Intertwiner(nat, nat, np.eye(3, dtype=np.int64), den=den)
+
+
+@pytest.mark.parametrize("owner", ["LieAlgebra", "LieModule", "Intertwiner", "NormForm"])
+def test_owner_constructors_share_one_intake_rule(owner):
+    """Every owner takes a numpy integer array over a Python int den >= 1
+    (``Exact.held``): a nested list, a float array or a Fraction object array
+    raises TypeError, and a den that is a bool, a numpy integer, a float, a
+    Fraction or 0 raises ValueError, where 2 gives an owner."""
+    so3 = so_of_form(NormForm(np.eye(3, dtype=int)))
+    nat, eye = natural_module(so3), np.eye(3, dtype=np.int64)
+    make, ints = {
+        "LieAlgebra": (LieAlgebra, so3.C),
+        "LieModule": (lambda a, den: LieModule(so3, a, den), 2 * nat.A),
+        "Intertwiner": (lambda a, den: Intertwiner(nat, nat, a, den), eye),
+        "NormForm": (NormForm, eye),
+    }[owner]
+    assert make(ints, 2) is not None
+    for bad in (ints.tolist(), ints.astype(float), fractions(ints)):
+        with pytest.raises(TypeError):
+            make(bad, 1)
+    for den in (True, np.int64(2), 2.0, Fraction(2), 0):
+        with pytest.raises(ValueError, match="positive denominator"):
+            make(ints, den)
 
 
 def test_natural_module_requires_realization():
@@ -567,20 +590,20 @@ def big_module(so3):
     return v
 
 
-_SCALE = 2**58 + 1
+def _conjugated(so3, d):
+    """so(3) on Q^3 conjugated by diag(1, 1, d): entries +-d and +-1 / d,
+    cleared to a stack of bound d**2 over den d, which is in lowest terms."""
+    p, p_inv = np.diag([1, 1, d]).astype(object), np.diag([1, 1, Fraction(1, d)])
+    return LieModule(so3, *int_cleared(p @ realization_matrices(so3) @ p_inv))
 
 
 @pytest.fixture(scope="module")
 def scaled_module(so3):
-    """so(3) on Q^3 conjugated by a shear, with stack and denominator both
-    scaled by _SCALE: the stack stays int64, but the stack times another
-    scaled module's denominator does not fit (the largest entry is 5 * _SCALE,
-    below 2**61)."""
-    p = np.array([[1, 2, 0], [0, 1, 0], [0, 0, 1]], dtype=object)
-    p_inv = np.array([[1, -2, 0], [0, 1, 0], [0, 0, 1]], dtype=object)
-    a, den = int_cleared(p @ realization_matrices(so3) @ p_inv)
-    v = LieModule(so3, a * _SCALE, den * _SCALE)
-    assert v.A.dtype == np.int64
+    """so(3) on Q^3 conjugated by diag(1, 1, 2**25 + 1): the stack stays
+    int64 (its bound is about 2**50, below 2**61), but the stack times
+    another such module's denominator does not fit."""
+    v = _conjugated(so3, 2**25 + 1)
+    assert v.A.dtype == np.int64 and v.den == 2**25 + 1
     return v
 
 
@@ -733,15 +756,16 @@ def test_submodule_generated_matches_reference_on_the_maximality_seeds(ctx, monk
         assert generated == _submodule_generated_reference(v, tuple(map(int, vec)))
 
 
-def test_submodule_generated_falls_back_where_the_rank_mod_p_falls_short(so3):
-    """An action entry equal to PRIME: mod p the one-step system of e_1 is
-    just e_1, over Q it spans Q^3, and the exact loop returns Q^3."""
-    a, den = so3.realization
-    v = LieModule(so3, a * PRIME, den * PRIME)
-    assert int(np.max(np.abs(v.A))) == PRIME
-    one_step = np.concatenate([[(1, 0, 0)], int_einsum("imn,n->im", v.A, (1, 0, 0)).ints])
-    assert (ranks_mod_p(one_step[None]).tolist(), reference_rank(one_step)) == ([1], 3)
-    assert submodule_generated(v, [(1, 0, 0), (0, 0, 0)]) == [Subspace.full(3), Subspace(3, ())]
+def test_submodule_generated_falls_back_where_the_rank_mod_p_falls_short(monkeypatch, so3):
+    """The seed PRIME e_1: mod p its one-step system is 0, over Q it spans
+    Q^3, and the exact loop returns Q^3."""
+    v, seed = natural_module(so3), (PRIME, 0, 0)
+    one_step = np.concatenate([[seed], int_einsum("imn,n->im", v.A, seed).ints])
+    assert (ranks_mod_p(one_step[None]).tolist(), reference_rank(one_step)) == ([0], 3)
+    exact, generated = [], reps._generated_exactly
+    monkeypatch.setattr(reps, "_generated_exactly", lambda v, vec: exact.append(vec.tolist()) or generated(v, vec))
+    assert submodule_generated(v, [seed, (0, 0, 0)]) == [Subspace.full(3), Subspace(3, ())]
+    assert exact == [list(seed), [0, 0, 0]]
 
 
 def test_hom_space_on_large_entry_modules(so3, big_module, scaled_module):
@@ -754,8 +778,7 @@ def test_hom_space_on_large_entry_modules(so3, big_module, scaled_module):
     block[:3, 3:] = _P
     span = reference_span(36, [h.T.flatten().tolist() for h in homs])
     assert coordinates_of(span, block.flatten()) is not None
-    nat = natural_module(so3)
-    other = LieModule(so3, nat.A * (_SCALE + 2), _SCALE + 2)
+    other = _conjugated(so3, 2**25 + 3)
     # both premises of scaled_module: an int64 stack whose product with other's denominator passes 2**61
     assert scaled_module.A.dtype == np.int64 and scaled_module.action.bound * other.den >= 2**61
     assert len(hom_space(scaled_module, other)) == len(hom_space(other, scaled_module)) == 1

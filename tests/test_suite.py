@@ -257,6 +257,30 @@ def _is_rational_square(q: Fraction) -> bool:
 TWIN_SEEDS = (2, 4, 5, 6)
 
 
+@pytest.mark.parametrize("seed", [None, *range(7)])
+def test_every_owner_value_is_in_lowest_terms(ctx, twin_ctx, seed):
+    """Every value an owner holds (``Exact.held``) is in lowest terms,
+    gcd(den, *ints) == 1, on the pristine input (seed None) and basis twins
+    0-6 after a run: the algebras' constants, brackets and realizations, the
+    forms, the unit facts' u and K, the embedding and the image basis change,
+    every module's action and spin stacks, and the run's intertwiners and
+    Hom-space matrices."""
+    c = ctx if seed is None else twin_ctx(seed)
+    run_all(FAST, ctx=c)
+    cay, der, so34 = c.cayley, c.derivations, c.so34
+    facts = cay.form.unit_facts(cay.unit)
+    modules = [c.natural_rep, c.so34_as_g2_module, c.complement_module, reps.adjoint_module(der), reps.adjoint_module(so34), reps.natural_module(so34)]
+    homs = [c.complement_isomorphism, reps.wedge_so_isomorphism(c.imaginary[1], so34), *reps.hom_space(c.complement_module, c.natural_rep)]
+    values = {"structure": cay.algebra.structure, "u": facts.u, "K": facts.K, "embedding": c.embedding, "image_basis_change": c.image_basis_change}
+    values |= {f"form {i}": f.gram for i, f in enumerate((cay.form, c.imaginary[1], c.natural_forms.generator, killing_form(der), killing_form(so34)))}
+    values |= {f"{name} {i}": getattr(g, name) for i, g in enumerate((der, so34)) for name in ("bracket", "realization")}
+    values |= {f"module {i}": v.action for i, v in enumerate(modules)}
+    values |= {f"spin {i} at {scale}": spun[2] for i, v in enumerate(modules) for scale, spun in v._spins.items()}
+    values |= {f"intertwiner {i}": h.matrix for i, h in enumerate(homs)}
+    assert len(homs) == 3 and any(v._spins for v in modules)
+    assert [name for name, x in values.items() if math.gcd(x.den, *map(int, x.ints.flat)) != 1] == []
+
+
 @pytest.mark.parametrize("seed", TWIN_SEEDS)
 def test_basis_twin_keeps_every_verdict_but_c2(full_run, twin_ctx, seed):
     """The split Cayley algebra in a seeded unimodular basis is the same
@@ -582,7 +606,7 @@ def test_form_and_unit_facts_are_built_once_per_form(monkeypatch):
     assert len(built) == len(membership) == 1
     facts = built[0]
     assert (int(facts.n.ints), facts.n.den, facts.u.den, facts.inside) == (2, 2, 1, False) and facts.u.ints.tolist() == list(base.unit)
-    assert facts.K.ints.tolist() == (2 * np.outer(base.unit, base.form.G @ base.unit) - 2 * np.eye(8, dtype=int)).tolist() and facts.K.den == 2
+    assert facts.K.ints.tolist() == (np.outer(base.unit, base.form.G @ base.unit) - np.eye(8, dtype=int)).tolist() and facts.K.den == 1
     assert not facts.K.ints.flags.writeable and base.form.unit_facts(base.unit).imaginary is facts.imaginary
     twin = basis_twin(2)  # with a form of its own, whose unit facts this test builds
     for other in (SplitCayley(twin.algebra, NormForm(twin.form.G, twin.form.den), twin.unit), compact_octonions()):
