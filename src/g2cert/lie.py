@@ -75,7 +75,8 @@ class LieAlgebra:
 
     def bracket_table(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """den * [x, y] for every row x of xs and y of ys, 2-D integer arrays
-        of coordinates, as an integer array of shape (len(xs), len(ys), dim)."""
+        of coordinates (``int_einsum`` checks them) or values (times their
+        dens), as an integer array of shape (len(xs), len(ys), dim)."""
         return int_einsum("ai,bik->abk", xs, int_einsum("bj,ijk->bik", ys, self.bracket)).ints
 
     def realization_coordinates(self, rows: "Exact | np.ndarray") -> Optional[Exact]:
@@ -177,7 +178,7 @@ def subalgebra_closure(g: LieAlgebra, seed: Subspace) -> Subspace:
     basis rows."""
     if seed.ambient_dim != g.dim:
         raise ValueError("seed lives in the wrong ambient space")
-    return seed.closure(lambda b: g.bracket_table(b, b)[np.triu_indices(len(b), 1)])
+    return seed.closure(lambda b: g.bracket_table(x := Exact(b), x)[np.triu_indices(len(b), 1)])
 
 
 def centralizer(g: LieAlgebra, s: Subspace) -> Subspace:

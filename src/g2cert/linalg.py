@@ -12,6 +12,8 @@ rationals become one integer array over one denominator, ``Exact.held``
 checks and makes every owner's value, in lowest terms, but a ``Subspace``'s
 canonical basis (cleared where it is made), and ``int_dtype`` turns a bound
 into int64 (below 2**61, so a sum of four results fits) or Python ints.
+``int_array`` is the one check of integer input, an owner's (in ``held``) and
+a public entry's raw array or rows; the engine passes values, not scanned.
 ``int_einsum`` multiplies values into a value over the product of their
 dens, and values are equal as rational arrays, so an identity states its two
 sides at their own scales.
@@ -68,11 +70,11 @@ class Matrix:
 
 def max_abs(a: np.ndarray) -> int:
     """The largest magnitude of an integer array's entries, 0 when it is
-    empty; an int64 array's is read off its max and min, as np.abs wraps
-    -2**63 to itself."""
+    empty; a fixed-width array's in one reduction over its magnitudes read
+    unsigned, as np.abs wraps -2**63 to itself, whose uint64 view is 2**63."""
     if a.dtype == object:
         return int(np.max(np.abs(a), initial=0))
-    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+    return int(np.abs(a).view(f"u{a.itemsize}").max(initial=0))
 
 
 def int_dtype(peak: int):
@@ -99,17 +101,16 @@ class Exact:
     @classmethod
     def held(cls, a: np.ndarray, den: int = 1) -> "Exact":
         """a / den as an owner holds it, the one check of an owner's input: a
-        numpy integer array (``is_int_array``; else TypeError) over a Python
+        numpy integer array (``int_array``; else TypeError) over a Python
         int den >= 1 (else ValueError), in lowest terms (den > 1 is divided
         with every entry by their gcd), in the dtype ``int_dtype`` gives its
         bound, and read-only, copied if a is writeable (so no caller's array
         changes)."""
-        if not is_int_array(a):
-            raise TypeError("an exact value is a numpy integer array")
+        int_array(a)
         if type(den) is not int or den < 1:
             raise ValueError("an exact value is held over a positive denominator, a Python int")
         if den > 1 and (g := math.gcd(den, *a.ravel().tolist())) > 1:
-            a, den = a // g, den // g
+            a, den = np.asarray(a // g), den // g  # a 0-d a's quotient is a scalar
         bound = max_abs(a)
         a = a.astype(int_dtype(bound), copy=a.flags.writeable)
         a.flags.writeable = False
@@ -175,33 +176,33 @@ def int_cleared(values) -> tuple[np.ndarray, int]:
     return np.array(ints, dtype=int_dtype(max(max(ints, default=0), -min(ints, default=0)))).reshape(shape), den
 
 
-# spec -> the (operand, axis) of each letter it sums over, found once per spec
-_PLANS: dict[str, list[tuple[int, int]]] = {}
+# spec -> each operand's rank, and the (operand, axis) of each letter it sums over, found once per spec
+_PLANS: dict[str, tuple[list[int], list[tuple[int, int]]]] = {}
 
 
 def int_einsum(spec: str, *operands) -> Exact:
     """np.einsum over exact operands, exactly, as a read-only value over the
     product of their dens: ``Exact`` values and Python ints, whose bounds are
-    read, and integer arrays or nested lists of ints (over 1), which are
-    scanned.  Every entry and partial sum is at most the product of the
-    bounds times the number of summed terms; ``int_dtype`` picks the dtype
-    from that, and an array that has it is not copied."""
+    read, and raw arrays or nested lists over 1, checked by ``int_array``.
+    Every entry and partial sum is at most the product of the bounds times
+    the number of summed terms; ``int_dtype`` picks the dtype from that, and
+    an array that has it is not copied."""
     if (plan := _PLANS.get(spec)) is None:
         inputs, output = spec.split("->")
         groups = inputs.split(",")
-        plan = _PLANS[spec] = [next((i, g.index(x)) for i, g in enumerate(groups) if x in g) for x in set(inputs) - set(output) - {","}]
+        plan = _PLANS[spec] = ([len(g) for g in groups], [next((i, g.index(x)) for i, g in enumerate(groups) if x in g) for x in set(inputs) - set(output) - {","}])
     arrays, peak, den = [], 1, 1
-    for op in operands:
+    for op, ndim in zip(operands, plan[0], strict=True):
         if isinstance(op, Exact):
             a, bound, den = op.ints, op.bound, den * op.den
-        elif isinstance(op, int):
+        elif type(op) is int:
             a, bound = op, abs(op)
         else:
-            a = op if isinstance(op, np.ndarray) else np.array(op, dtype=object)
+            a = int_array(op, ndim, nested=True)
             bound = max_abs(a)
         arrays.append(a)
         peak *= bound or 1
-    dtype = int_dtype(peak * math.prod(arrays[i].shape[k] for i, k in plan))
+    dtype = int_dtype(peak * math.prod(arrays[i].shape[k] for i, k in plan[1]))
     out = np.asarray(np.einsum(spec, *(a if isinstance(a, int) else a.astype(dtype, copy=False) for a in arrays)))
     out.flags.writeable = False
     return Exact(out, den)
@@ -262,22 +263,18 @@ def is_int_array(a) -> bool:
     return isinstance(a, np.ndarray) and (a.dtype.kind == "i" or (a.dtype == object and not set(map(type, a.flat)) - {int}))
 
 
-def int_rows(ncols: int, vectors) -> np.ndarray:
-    """Integer vectors ncols wide, rows of Python ints or a 2-D numpy integer
-    array, as a 2-D numpy integer array; any other input raises ValueError."""
-    if not isinstance(vectors, np.ndarray):
-        vectors = np.array([tuple(v) for v in vectors] or np.zeros((0, ncols), dtype=int), dtype=object)
-    if vectors.shape[1:] != (ncols,) or not is_int_array(vectors):
-        raise ValueError("vectors must be a 2-D integer array of the ambient width")
-    return vectors
-
-
-def _int_matrix(m: np.ndarray) -> np.ndarray:
-    """m itself if it is a 2-D numpy integer array (int64, or object dtype
-    of Python ints); TypeError for any other input."""
-    if not is_int_array(m) or m.ndim != 2:
-        raise TypeError("a 2-D integer array is required")
-    return m
+def int_array(a, ndim: Optional[int] = None, width: Optional[int] = None, nested: bool = False) -> np.ndarray:
+    """a itself, checked as integer input (raw, or an owner's in ``held``): an
+    array of ndim axes, the last width long (each when given; else
+    ValueError), and a numpy integer array (``is_int_array``; else
+    TypeError).  With nested, a nested sequence is read as one first."""
+    if nested and not isinstance(a, np.ndarray):  # no rows: an empty family of that width
+        a = np.array(a, dtype=object) if width is None or len(a) else np.zeros((0, width), dtype=object)
+    if isinstance(a, np.ndarray) and ((ndim is not None and a.ndim != ndim) or (width is not None and a.shape[-1:] != (width,))):
+        raise ValueError(f"integer input of shape {a.shape} has the wrong rank or width")
+    if not is_int_array(a):
+        raise TypeError("raw integer input is a numpy integer array: int64, or object dtype of Python ints")
+    return a
 
 
 class RrefResult(NamedTuple):
@@ -290,7 +287,7 @@ def rref(m: np.ndarray) -> RrefResult:
     """Unique reduced row echelon form of a 2-D integer array, as leading-1
     Fraction rows followed by its zero rows, with its rank and pivot
     columns."""
-    rows, pivots = _int_rref(_int_matrix(m).tolist())
+    rows, pivots = _int_rref(int_array(m, 2).tolist())
     reduced = tuple(tuple(Fraction(x, r[c]) for x in r) for r, c in zip(rows, pivots))
     return RrefResult(reduced + ((Fraction(0),) * m.shape[1],) * (len(m) - len(pivots)), len(pivots), tuple(pivots))
 
@@ -300,7 +297,7 @@ def ranks_mod_p(stack: np.ndarray) -> np.ndarray:
     fraction-free elimination of them all, in place: each row becomes
     piv * row - row[c] * pivot_row (products below PRIME**2 < 2**62), which
     also zeroes the pivot row, so no row is a pivot twice."""
-    a = np.mod(stack, PRIME).astype(np.int64, copy=False)
+    a = np.mod(int_array(stack, 3), PRIME).astype(np.int64, copy=False)
     k, nrows, ncols = a.shape
     ranks, at = np.zeros(k, dtype=np.int64), np.arange(k)
     for c in range(ncols if nrows else 0):
@@ -326,7 +323,7 @@ def independent_rows(a: np.ndarray) -> list[int]:
     only; every row is zero left of c) and zeroes the picked row.  Each update
     scales a row by a unit, so a row is cleared only by rows picked above it:
     it is picked exactly when it is independent of them."""
-    a = np.mod(a, PRIME).astype(np.int64)
+    a = np.mod(int_array(a, 2), PRIME).astype(np.int64)
     picked = []
     for c in range(a.shape[1]):
         nz = np.flatnonzero(a[:, c])
@@ -377,8 +374,8 @@ def _unforced_columns(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def kernel_basis(m: np.ndarray) -> "Subspace":
-    """Exact kernel {x : m x = 0} of a 2-D numpy integer array (int64 or
-    object dtype of Python ints), in its canonical basis.
+    """Exact kernel {x : m x = 0} of a 2-D integer array (``int_array``), in
+    its canonical basis.
 
     Certificate: every kernel vector is 0 on the columns that singleton
     presolve forces (``_unforced_columns``), so the kernel of m is the kernel
@@ -390,11 +387,11 @@ def kernel_basis(m: np.ndarray) -> "Subspace":
     equal.  The check fails only when the block's rank over Q exceeds its rank
     mod ``PRIME``; then every row of the block is eliminated exactly.
     """
-    ncols = _int_matrix(m).shape[1]
+    ncols = int_array(m, 2).shape[1]
     live, counts = _unforced_columns(m)
     b = m[np.ix_(counts > 0, live)]
     reduced, free = _kernel_rows(b[independent_rows(b)].tolist() if len(b) else [], b.shape[1])
-    if np.any(int_einsum("ij,kj->ik", b, reduced).ints):
+    if np.any(int_einsum("ij,kj->ik", Exact(b), Exact(reduced)).ints):
         reduced, free = _kernel_rows(b.tolist(), b.shape[1])
     kernel = np.zeros((len(free), ncols), dtype=object)
     kernel[:, live] = reduced
@@ -410,9 +407,9 @@ class Subspace:
     rows as one value ``canonical``: ``basis``, a read-only array of Python
     ints, over ``den``, their least denominator, so basis[i, pivots[i]] ==
     den at the leading columns ``pivots``.  The constructor takes the
-    primitive integer rows (each RREF row over its gcd) and rejects any other
-    with ValueError: rows of n Python ints that the engine's elimination
-    (``_int_rref``) gives back unchanged, one pivot per row.
+    primitive integer rows (each RREF row over its gcd): integer rows n wide
+    (``int_array``) that the engine's elimination (``_int_rref``) gives back
+    unchanged, one pivot per row; any other integer rows raise ValueError.
     """
 
     __slots__ = ("ambient_dim", "canonical", "pivots")
@@ -420,8 +417,8 @@ class Subspace:
     den = property(lambda self: self.canonical.den)
 
     def __init__(self, ambient_dim: int, rows: Iterable[Sequence[int]]):
-        rows = [list(row) for row in rows]
-        if any(len(row) != ambient_dim or set(map(type, row)) - {int} for row in rows) or (rref := _int_rref(rows))[0] != rows:
+        rows = int_array(rows, 2, ambient_dim, nested=True).tolist()
+        if (rref := _int_rref(rows))[0] != rows:
             raise ValueError("rows are not the primitive integer rows of a reduced row echelon form")
         self._hold(ambient_dim, rows, rref[1])
 
@@ -446,9 +443,8 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> "Subspace":
-        """The span of integer vectors, rows of Python ints or a 2-D numpy
-        integer array; any other entry raises ValueError."""
-        vectors = int_rows(ambient_dim, vectors)
+        """The span of integer vectors: rows of Python ints or a 2-D ``int_array``."""
+        vectors = int_array(vectors, 2, ambient_dim, nested=True)
         return cls._raw(ambient_dim, *_int_rref(vectors[np.any(vectors != 0, axis=1)].tolist()))
 
     @classmethod
@@ -461,11 +457,11 @@ class Subspace:
 
     def coordinates(self, other: "Subspace | Exact | np.ndarray") -> Optional[Exact]:
         """The value x = v[:, pivots] over v's den, for v the rows of other: a
-        subspace's ``canonical``, a value, or a 2-D integer array (over 1) of
+        subspace's ``canonical``, a value, or a 2-D ``int_array`` (over 1) of
         the ambient width (else ValueError); None unless v = x ``canonical``."""
-        v = other.canonical if isinstance(other, Subspace) else other if isinstance(other, Exact) else Exact(other)
-        if not is_int_array(v.ints) or v.ints.shape[1:] != (self.ambient_dim,):
-            raise ValueError("rows must be integer vectors of the ambient width")
+        v = other.canonical if isinstance(other, Subspace) else other if isinstance(other, Exact) else Exact(int_array(other, 2))
+        if v.ints.shape[1:] != (self.ambient_dim,):
+            raise ValueError("rows must be vectors of the ambient width")
         x = Exact(v.ints[:, list(self.pivots)], v.den)
         return x if int_einsum("ip,pn->in", x, self.canonical) == v else None
 
@@ -498,7 +494,7 @@ def int_inverse(a: np.ndarray) -> Exact:
     lowest terms: [a | I] spans the rows of [I | a^-1], so its canonical
     basis is [d I | x] over d (``Subspace``).  A non-square a, or a pivot in
     I (a is singular), raises ValueError."""
-    k, n = _int_matrix(a).shape
+    k, n = int_array(a, 2).shape
     if k != n:
         raise ValueError("int_inverse takes a square array")
     span = Subspace.from_vectors(2 * k, np.concatenate([a, np.eye(k, dtype=a.dtype)], axis=1))
@@ -508,8 +504,8 @@ def int_inverse(a: np.ndarray) -> Exact:
 
 
 def rank(m: np.ndarray) -> int:
-    """Rank over Q of a 2-D numpy integer array; TypeError for any other input."""
-    return Subspace.from_vectors(_int_matrix(m).shape[1], m).dim
+    """Rank over Q of a 2-D numpy integer array (``int_array``)."""
+    return Subspace.from_vectors(int_array(m, 2).shape[1], m).dim
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +609,8 @@ class NormForm:
                 raise ValueError("a vector of the form's dimension is required")
             gu = int_einsum("ij,j->i", self.gram, u)
             n = int_einsum("i,i->", u, gu)
-            # both over n's den; each int64 term is below 2**61 (int_dtype), so their difference fits
+            # both over the raw n's den; each int64 term is below 2**61 (int_dtype), so their difference fits
             k = int_einsum(",i,j->ij", 2, u, gu).ints - int_einsum(",ij->ij", n, np.eye(len(key), dtype=np.int64)).ints
             sub = kernel_basis(gu.ints.reshape(1, -1))
-            self._units[key] = UnitFacts(u, n, Exact.held(k, n.den), (sub, self.restricted(*sub.canonical)), sub.contains(u.ints.reshape(1, -1)))
+            self._units[key] = UnitFacts(u, Exact.held(*n), Exact.held(k, n.den), (sub, self.restricted(*sub.canonical)), sub.contains(u.ints.reshape(1, -1)))
         return self._units[key]

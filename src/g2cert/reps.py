@@ -33,8 +33,8 @@ from .linalg import (
     Subspace,
     int_einsum,
     independent_rows,
+    int_array,
     int_inverse,
-    int_rows,
     kernel_basis,
     rank,
     ranks_mod_p,
@@ -190,12 +190,12 @@ def _intertwiner_space(v: LieModule, scale: int, b: np.ndarray) -> Subspace:
     part = lambda stack, g: Exact(stack.ints[g], 1, stack.bound)  # generators g of a stack, bounded by the whole
     ms = np.zeros((ncols, nrows, origins[-1][2] + 1, nrows), dtype=object)
     for j, (k, g, s) in enumerate(origins):  # ms[j, :, s(j), :] = M_j
-        ms[j, :, s] = int_einsum("ij,jk->ik", part(b, g), ms[k, :, s]).ints if k >= 0 else np.eye(nrows, dtype=int)
-    x = ms.reshape(ncols, nrows, -1)
+        ms[j, :, s] = int_einsum("ij,jk->ik", part(b, g), Exact(ms[k, :, s])).ints if k >= 0 else np.eye(nrows, dtype=int)
+    x = Exact(ms.reshape(ncols, nrows, -1))  # K's scale, x's den, cancels in each system and in the span
     for g in (slice(0, 1), slice(1, None)):
         reduced = int_einsum("gjk,jrh->gkrh", part(c, g), x).ints - int_einsum("grq,kqh,->gkrh", part(b, g), x, c.den).ints
         if reduced.any():  # an all-zero system keeps every solution
-            x = int_einsum("jrh,uh->jru", x, kernel_basis(reduced.reshape(-1, x.shape[2])).canonical).ints
+            x = int_einsum("jrh,uh->jru", x, kernel_basis(reduced.reshape(-1, x.ints.shape[2])).canonical)
     return Subspace.from_vectors(nrows * ncols, int_einsum("krh,ki->hri", x, inverse).ints.reshape(-1, nrows * ncols))
 
 
@@ -282,21 +282,21 @@ def submodule_generated(v: LieModule, vecs) -> list[Subspace]:
     of vecs (as ``Subspace.from_vectors`` takes them).  Where [x; A_0 x; ...]
     has rank dim V mod ``linalg.PRIME``, hence over Q, that is V; any other x
     spans its line's ``Subspace.closure`` under the action, exactly."""
-    vecs = int_rows(v.dim, vecs)
-    one_step = int_einsum("imn,kn->kim", np.concatenate([np.eye(v.dim, dtype=int)[None], v.A]), vecs).ints
+    vecs = int_array(vecs, 2, v.dim, nested=True)
+    one_step = int_einsum("imn,kn->kim", Exact(np.concatenate([np.eye(v.dim, dtype=int)[None], v.A])), Exact(vecs)).ints
     full = Subspace.full(v.dim)
     return [full if r == v.dim else _generated_exactly(v, vec) for vec, r in zip(vecs, ranks_mod_p(one_step))]
 
 
 def _generated_exactly(v: LieModule, vec: np.ndarray) -> Subspace:
-    return Subspace.from_vectors(v.dim, vec[None]).closure(lambda b: int_einsum("imn,jn->ijm", v.action, b).ints.reshape(-1, v.dim))
+    return Subspace.from_vectors(v.dim, vec[None]).closure(lambda b: int_einsum("imn,jn->ijm", v.action, Exact(b)).ints.reshape(-1, v.dim))
 
 
 def bracket_span(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     """Span of all [x, y] with x over a basis of a and y over a basis of b."""
     if a.ambient_dim != g.dim or b.ambient_dim != g.dim:
         raise ValueError("subspace lives in the wrong ambient space")
-    table = g.bracket_table(a.basis, b.basis)
+    table = g.bracket_table(a.canonical, b.canonical)
     return Subspace.from_vectors(g.dim, table.reshape(-1, g.dim))
 
 

@@ -32,7 +32,7 @@ from g2cert.linalg import (
     signature,
 )
 from g2cert.octonion import StructureConstantAlgebra, build_split_cayley
-from g2cert.reps import LieModule, restriction_module
+from g2cert.reps import LieModule, natural_module, restriction_module, submodule_generated
 
 from conftest import (
     coordinates_of,
@@ -453,11 +453,6 @@ def test_subspace_coordinates_roundtrip():
         x = span.coordinates(np.array([inside, inside], dtype=object))
         assert x is not None and x.den == 1 and [tuple(row) for row in x.ints] == [coordinates_of(span, inside)] * 2
         assert span.coordinates(np.array([inside, (1, 0, 0)], dtype=object)) is None
-    for bad in (np.array([(1, 0)]), np.array([(Fraction(2), Fraction(5), Fraction(1))], dtype=object), np.array(vec), [vec]):
-        with pytest.raises(ValueError):
-            sub.coordinates(bad)
-        with pytest.raises(ValueError):
-            sub.contains(bad)
 
 
 @pytest.mark.parametrize(
@@ -483,7 +478,9 @@ def test_subspace_coordinates_roundtrip():
     ],
 )
 def test_subspace_rejects_non_canonical_basis(ambient, basis):
-    with pytest.raises(ValueError):
+    """Integer rows that are not the primitive rows of an RREF raise
+    ValueError; a row with another entry raises TypeError (``int_array``)."""
+    with pytest.raises(ValueError if all(type(x) is int for row in basis for x in row) else TypeError):
         Subspace(ambient, basis)
 
 
@@ -774,7 +771,9 @@ def test_many_rows_spanning_a_proper_subspace():
     ],
 )
 def test_from_vectors_rejects_non_integer_or_misshapen_arrays(array):
-    with pytest.raises(ValueError):
+    """A non-integer entry raises TypeError, a wrong width or rank
+    ValueError, as every raw entry of linalg does."""
+    with pytest.raises(ValueError if array.dtype.kind == "i" else TypeError):
         Subspace.from_vectors(2, array)
 
 
@@ -788,7 +787,7 @@ def test_from_vectors_rejects_non_integer_or_misshapen_arrays(array):
     ],
 )
 def test_from_vectors_rejects_rational_rows(rows):
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         Subspace.from_vectors(2, rows)
 
 
@@ -819,6 +818,99 @@ def test_int_einsum_reads_carried_bounds_and_python_int_scalars():
         out = int_einsum("ij,jk->ik", Exact(a, 3, 2**40), Exact(np.eye(2, dtype=np.int64), 5))
     assert seen[0] is a
     assert out.den == 15 and not out.ints.flags.writeable
+
+
+def _holding(x):
+    """The 3 x 3 identity as an object array, with x as its first entry."""
+    a = np.eye(3, dtype=np.int64).astype(object)
+    a[0, 0] = x
+    return a
+
+
+def _raw_entries():
+    """Every public entry that takes raw integer input, as name: (call on
+    one 3-column input, whether it also takes nested rows, whether its
+    width is fixed at 3)."""
+    so3 = so_of_form(NormForm(np.eye(3, dtype=np.int64)))
+    nat, full, eye = natural_module(so3), Subspace.full(3), np.eye(3, dtype=np.int64)
+    return {
+        "kernel_basis": (kernel_basis, False, False),
+        "rank": (rank, False, False),
+        "int_inverse": (int_inverse, False, True),
+        "rref": (rref, False, False),
+        "independent_rows": (independent_rows, False, False),
+        "ranks_mod_p": (lambda x: ranks_mod_p(x[None] if isinstance(x, np.ndarray) else [x]), False, False),
+        "Subspace": (lambda x: Subspace(3, x), True, True),
+        "from_vectors": (lambda x: Subspace.from_vectors(3, x), True, True),
+        "coordinates": (full.coordinates, False, True),
+        "contains": (full.contains, False, True),
+        "submodule_generated": (lambda x: submodule_generated(nat, x), True, True),
+        "int_einsum": (lambda x: int_einsum("ij,jk->ik", x, eye), True, True),
+        "bracket_table": (lambda x: so3.bracket_table(x, eye), True, True),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_raw_entries()))
+def test_raw_integer_input_has_one_intake_rule(entry):
+    """Each entry takes an int64 or a Python-int object array (and, where it
+    takes rows, nested rows of Python ints), and checks every other input by
+    ``int_array``: any other dtype or entry (float, bool, uint8, a Fraction,
+    integral or not, which int64 casting would truncate, a numpy scalar, a
+    nested list where an array is due) raises TypeError; a wrong rank, a
+    ragged family or, where the width is fixed, a row of another width
+    raises ValueError."""
+    call, nested, fixed_width = _raw_entries()[entry]
+    eye = np.eye(3, dtype=np.int64)
+    for good in (eye, eye.astype(object)) + ((eye.tolist(), [tuple(row) for row in eye.tolist()]) if nested else ()):
+        call(good)
+    not_integer = [
+        np.eye(3),
+        np.eye(3, dtype=bool),
+        np.eye(3, dtype=np.uint8),
+        _holding(Fraction(1)),
+        _holding(Fraction(1, 2)),
+        _holding(np.int64(1)),
+        _holding(True),
+        np.array([[Fraction(7, 3), Fraction(5, 3), 0], [Fraction(7, 6), Fraction(5, 6), 0]], dtype=object),
+        np.array([[1, 2, Fraction(3)]], dtype=object),
+        [(Fraction(1, 2), 1, 0)],
+        [(1, 0, 0), (Fraction(2), 0, 0)],  # integral, but a Fraction
+        [(1, 0.5, 0)],
+        [(np.int64(1), 0, 0)],  # a numpy scalar in a list of rows
+    ]
+    misshapen = [np.array([1, 0, 0]), np.array([(1, 0, 0), (0, 1)], dtype=object)]  # one axis; ragged
+    if nested:
+        misshapen.append([(1, 0, 0), (0, 1)])
+    else:
+        not_integer += [[[1, 0, 0]], [(1, 0, 0)]]  # rows, not an array
+    if fixed_width:
+        misshapen += [np.array([[1, 0]]), np.array([[1, 2, 3, 4]])]
+    if entry in ("coordinates", "contains"):
+        misshapen += [Subspace.from_vectors(2, [(1, 2)]), Subspace.full(4)]
+    for bad in not_integer:
+        with pytest.raises(TypeError):
+            call(bad)
+    for bad in misshapen:
+        with pytest.raises(ValueError):
+            call(bad)
+
+
+def test_int_einsum_reads_no_float_or_numpy_scalar_as_an_exact_integer():
+    """A raw operand is checked: floats summed to an integer, an object array
+    of numpy int64 scalars (whose squares wrap past 2**63), a numpy or bool
+    scalar, and a float coordinate given to a bracket table raise TypeError;
+    a raw operand of another rank than its subscripts, ValueError."""
+    big = np.array([np.int64(2**40)], dtype=object)
+    for spec, *operands in (("i,i->", [0.5, 1.5], [1, 1]), ("i,i->", big, big), (",i->i", np.int64(2), [1, 1]), (",i->i", True, [1, 1])):
+        with pytest.raises(TypeError):
+            int_einsum(spec, *operands)
+    der = derivation_algebra(build_split_cayley().algebra)
+    x = np.zeros((1, der.dim))
+    x[0, 0] = 0.5
+    with pytest.raises(TypeError):
+        der.bracket_table(x, np.eye(der.dim, dtype=np.int64)[1:2])
+    with pytest.raises(ValueError):
+        int_einsum("ij,jk->ik", [1, 2], np.eye(2, dtype=np.int64))
 
 
 def test_max_abs_reads_int64_min():
@@ -943,15 +1035,6 @@ def test_kernel_matches_fraction_free_reference(family):
     assert kernel_basis(m) == expected
     if all(abs(x) < 2**62 for v in vectors for x in v):
         assert kernel_basis(m.astype(np.int64)) == expected
-
-
-def test_kernel_rejects_non_integer_array():
-    """A float array, an object array holding a Fraction, which int64
-    casting would truncate to 0, and a nested list, which is no array."""
-    for m in (np.array([[0.5, 1.0]]), np.array([[Fraction(1, 2)]], dtype=object), [[1, 2]]):
-        for solve in (kernel_basis, rref, int_inverse, rank):
-            with pytest.raises(TypeError):
-                solve(m)
 
 
 @given(st.one_of(families(fractions), families(integers)))
@@ -1179,13 +1262,6 @@ def test_contains_agrees_with_a_rank_oracle(family, data):
     assert x is None or [tuple(row) for row in x.ints] == [coordinates_of(sub, row) for row in both.basis.tolist()]
     assert x is None or x.den == both.den
     assert sub.contains(np.array([inside], dtype=object))
-
-
-def test_contains_rejects_rows_of_another_width():
-    sub = Subspace.from_vectors(3, [(1, 2, 3)])
-    for other in (Subspace.from_vectors(2, [(1, 2)]), Subspace.full(4), np.array([[1, 2]]), np.array([[1, 2, Fraction(3)]], dtype=object)):
-        with pytest.raises(ValueError):
-            sub.contains(other)
 
 
 @pytest.mark.parametrize(

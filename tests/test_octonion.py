@@ -201,7 +201,7 @@ def test_unit_facts_reject_another_length_and_an_inexact_entry():
     with pytest.raises(TypeError):
         form.unit_facts((1.0, 1.0) + (0.0,) * 6)
     n = form.unit_facts((1, 1) + (0,) * 6).n
-    assert (int(n.ints), n.den) == (2, 2)
+    assert (int(n.ints), n.den) == (1, 1)
 
 
 def test_int64_constants_are_copied_not_frozen():

@@ -232,7 +232,7 @@ def test_submodule_generated_any_vector_fills_natural_rep(natural_rep):
         vec = tuple(int(i == k) for i in range(7))
         assert submodule_generated(natural_rep, [vec])[0].dim == 7
     assert submodule_generated(natural_rep, [(1, -2, 3, 0, 0, 5, 7)])[0].dim == 7
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         submodule_generated(natural_rep, [(Fraction(1, 3),) + (0,) * 6])
 
 
@@ -246,7 +246,7 @@ def test_submodule_generated_batch_edges(natural_rep):
     assert submodule_generated(natural_rep, []) == []
     batch = [(0,) * 7, (1, -2, 3, 0, 0, 5, 7), (0,) * 7]
     assert [s.dim for s in submodule_generated(natural_rep, batch)] == [0, 7, 0]
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         submodule_generated(natural_rep, [(1,) * 7, (Fraction(1, 3),) + (0,) * 6])
     with pytest.raises(ValueError):
         submodule_generated(natural_rep, [(1,) * 6])
@@ -472,22 +472,26 @@ def test_constructors_reject_a_non_int_denominator(den):
 @pytest.mark.parametrize("owner", ["LieAlgebra", "LieModule", "Intertwiner", "NormForm"])
 def test_owner_constructors_share_one_intake_rule(owner):
     """Every owner takes a numpy integer array over a Python int den >= 1
-    (``Exact.held``): a nested list, a float array or a Fraction object array
-    raises TypeError, and a den that is a bool, a numpy integer, a float, a
-    Fraction or 0 raises ValueError, where 2 gives an owner."""
+    (``Exact.held``): a nested list, a float or a bool array, or an object
+    array of Fractions, integral (not read as ints) or not (not truncated to
+    0), raises TypeError, and a den that is a bool, a numpy integer, a
+    float, a Fraction or 0 raises ValueError, where 2 gives an owner (an
+    invertible intertwiner from nat to the module 2 rho / 2)."""
     so3 = so_of_form(NormForm(np.eye(3, dtype=int)))
     nat, eye = natural_module(so3), np.eye(3, dtype=np.int64)
     make, ints = {
         "LieAlgebra": (LieAlgebra, so3.C),
         "LieModule": (lambda a, den: LieModule(so3, a, den), 2 * nat.A),
-        "Intertwiner": (lambda a, den: Intertwiner(nat, nat, a, den), eye),
-        "NormForm": (NormForm, eye),
+        "Intertwiner": (lambda a, den: Intertwiner(nat, LieModule(so3, 2 * nat.A, 2), a, den), eye),
+        "NormForm": (NormForm, 2 * eye),
     }[owner]
-    assert make(ints, 2) is not None
-    for bad in (ints.tolist(), ints.astype(float), fractions(ints)):
+    owned = make(ints, 2)
+    assert owned is not None and (owner != "Intertwiner" or owned.is_invertible)
+    bad_arrays = (ints.tolist(), ints.astype(float), ints.astype(bool), fractions(ints))
+    for bad in bad_arrays + (np.full(ints.shape, Fraction(0), dtype=object), np.full(ints.shape, Fraction(1, 2), dtype=object)):
         with pytest.raises(TypeError):
             make(bad, 1)
-    for den in (True, np.int64(2), 2.0, Fraction(2), 0):
+    for den in (True, np.int64(2), 2.0, 1.5, Fraction(2), 0):
         with pytest.raises(ValueError, match="positive denominator"):
             make(ints, den)
 

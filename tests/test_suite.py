@@ -605,7 +605,7 @@ def test_form_and_unit_facts_are_built_once_per_form(monkeypatch):
         assert [r.status for r in run_all(cfg, ctx=ctx)] == ["fail", "fail"]
     assert len(built) == len(membership) == 1
     facts = built[0]
-    assert (int(facts.n.ints), facts.n.den, facts.u.den, facts.inside) == (2, 2, 1, False) and facts.u.ints.tolist() == list(base.unit)
+    assert (int(facts.n.ints), facts.n.den, facts.u.den, facts.inside) == (1, 1, 1, False) and facts.u.ints.tolist() == list(base.unit)
     assert facts.K.ints.tolist() == (np.outer(base.unit, base.form.G @ base.unit) - np.eye(8, dtype=int)).tolist() and facts.K.den == 1
     assert not facts.K.ints.flags.writeable and base.form.unit_facts(base.unit).imaginary is facts.imaginary
     twin = basis_twin(2)  # with a form of its own, whose unit facts this test builds
