@@ -2,7 +2,8 @@
 data behind it, and query the Weyl dimension machinery.
 
 Exit codes: 0 when every executed check passes, 1 when any check fails or
-errors, 2 on usage errors (including unknown check ids).
+errors, 2 on usage errors and configurations ``SuiteConfig`` rejects (one
+naming an unknown check id, say).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 from typing import Optional, Sequence
 
 from .report import exit_code, render_text, serialize
-from .suite import CHECK_IDS, SuiteConfig, VerificationContext, run_all
+from .suite import SuiteConfig, VerificationContext, run_all
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -26,6 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run verification checks")
+    verify.set_defaults(run=_cmd_verify)
     group = verify.add_mutually_exclusive_group(required=True)
     group.add_argument("--all", action="store_true", help="run every check")
     group.add_argument("--check", metavar="ID", help="run one check and its dependencies")
@@ -35,6 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out", metavar="PATH", help="write the report to a file")
 
     show = sub.add_parser("show", help="print exact constructed data")
+    show.set_defaults(run=_cmd_show)
     show_sub = show.add_subparsers(dest="what", required=True)
     show_sub.add_parser("mul-table", help="8x8 multiplication table of the split Cayley algebra")
     killing = show_sub.add_parser("killing", help="exact Killing Gram matrix and signature")
@@ -42,11 +45,13 @@ def build_parser() -> argparse.ArgumentParser:
     show_sub.add_parser("decomposition", help="summands of so(3,4) under the embedded algebra")
 
     dims = sub.add_parser("dims", help="irreducible dimensions by the Weyl formula")
+    dims.set_defaults(run=_cmd_dims)
     dims.add_argument("--type", required=True, metavar="T", help='type label, e.g. "G2" or "B3"')
     dims.add_argument("--max-coeff", type=int, required=True, help="weight coefficient bound")
     dims.add_argument("--format", choices=("text", "json"), default="text")
 
     census = sub.add_parser("census", help="simple complex types of a given dimension")
+    census.set_defaults(run=_cmd_census)
     census.add_argument("--dim", type=int, required=True)
     census.add_argument("--format", choices=("text", "json"), default="text")
     return parser
@@ -56,16 +61,10 @@ def _cmd_verify(args) -> int:
     checks = None if args.all else (args.check,)
     try:
         cfg = SuiteConfig(seed=args.seed, samples=args.samples, checks=checks)
-        reports = run_all(cfg)
-    except KeyError:
-        print(
-            f"unknown check id {args.check!r}; valid ids: {', '.join(CHECK_IDS)}",
-            file=sys.stderr,
-        )
-        return 2
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
+    reports = run_all(cfg)
     if args.format == "json":
         payload = serialize(reports, cfg)
     else:
@@ -170,15 +169,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "show":
-        return _cmd_show(args)
-    if args.command == "dims":
-        return _cmd_dims(args)
-    if args.command == "census":
-        return _cmd_census(args)
-    raise AssertionError(args.command)
+    return args.run(args)
 
 
 def run() -> None:

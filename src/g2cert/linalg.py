@@ -13,7 +13,7 @@ checks and makes every owner's value, in lowest terms, but a ``Subspace``'s
 canonical basis (cleared where it is made), and ``int_dtype`` turns a bound
 into int64 (below 2**61, so a sum of four results fits) or Python ints.
 ``int_array`` is the one check of integer input, an owner's (in ``held``) and
-a public entry's raw array or rows; the engine passes values, not scanned.
+a public entry's raw array or rows.
 ``int_einsum`` multiplies values into a value over the product of their
 dens, and values are equal as rational arrays, so an identity states its two
 sides at their own scales.
@@ -148,10 +148,10 @@ class Exact:
 
 def int_cleared(values) -> tuple[np.ndarray, int]:
     """A nested sequence or array of exact rationals (ints, numpy integers read
-    as ints, Fractions; any other leaf: TypeError) as one integer array a of the
-    same shape and the least den > 0 with a == den * values; int64 or Python ints
-    as ``int_dtype`` decides (one den keeps every linear relation).  An integer
-    array is copied; the rest is read in one pass (ragged: ValueError)."""
+    as ints, Fractions; a bool or any other leaf: TypeError) as one integer
+    array a of the same shape and the least den > 0 with a == den * values;
+    int64 or Python ints as ``int_dtype`` decides (one den keeps every linear
+    relation).  An integer array is copied, the rest read in one pass (ragged: ValueError)."""
     if isinstance(values, np.ndarray):
         if values.dtype.kind in "iu":
             return values.astype(int_dtype(max_abs(values))), 1
@@ -168,8 +168,8 @@ def int_cleared(values) -> tuple[np.ndarray, int]:
     if not set(map(type, flat)) <= {int, Fraction}:
         if any(isinstance(x, (list, tuple, np.ndarray)) for x in flat):
             raise ValueError("a ragged nested sequence has no array shape")
-        if not all(isinstance(x, (int, Fraction, np.integer)) for x in flat):
-            raise TypeError("a rational entry must be an int, a numpy integer or a Fraction")
+        if not all(isinstance(x, (int, Fraction, np.integer)) and type(x) is not bool for x in flat):
+            raise TypeError("a rational entry must be an int, a numpy integer or a Fraction, not a bool")
         flat = [int(x) if isinstance(x, np.integer) else x for x in flat]
     den = math.lcm(*{x.denominator for x in flat})
     ints = [x.numerator * (den // x.denominator) for x in flat] if den > 1 else [x.numerator for x in flat]
@@ -514,8 +514,8 @@ def rank(m: np.ndarray) -> int:
 
 def signature(m) -> tuple[int, int, int]:
     """Inertia (positive, negative, zero) of a symmetric integer matrix, a
-    2-D integer array or a nested sequence of ints; an entry that is not an
-    int or a numpy integer raises TypeError (``int`` would truncate it).
+    2-D integer array or a nested sequence of ints; any other entry, a bool
+    too, raises TypeError (``int`` would truncate it or read True as 1).
 
     Symmetric Gaussian congruence on Python ints with the usual zero-diagonal
     repair: swap in a nonzero diagonal if one exists further down, otherwise
@@ -525,8 +525,8 @@ def signature(m) -> tuple[int, int, int]:
     inertia is unchanged.
     """
     rows = m.tolist() if isinstance(m, np.ndarray) else m
-    if not all(isinstance(x, (int, np.integer)) for row in rows for x in row):
-        raise TypeError("a signature takes int or numpy integer entries")
+    if not all(isinstance(x, (int, np.integer)) and type(x) is not bool for row in rows for x in row):
+        raise TypeError("a signature takes int or numpy integer entries, not bools")
     a = [[int(x) for x in row] for row in rows]
     n = len(a)
     if any(len(row) != n for row in a) or any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):

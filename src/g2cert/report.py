@@ -40,8 +40,8 @@ def summarize(reports: list["CheckReport"]) -> dict:
     }
 
 
-def to_document(reports: list["CheckReport"], cfg: "SuiteConfig") -> dict:
-    return {
+def serialize(reports: list["CheckReport"], cfg: "SuiteConfig") -> bytes:
+    doc = {
         "version": REPORT_VERSION,
         "seed": cfg.seed,
         "checks": [
@@ -57,10 +57,6 @@ def to_document(reports: list["CheckReport"], cfg: "SuiteConfig") -> dict:
         ],
         "summary": summarize(reports),
     }
-
-
-def serialize(reports: list["CheckReport"], cfg: "SuiteConfig") -> bytes:
-    doc = to_document(reports, cfg)
     return (json.dumps(doc, indent=2, ensure_ascii=True) + "\n").encode("ascii")
 
 

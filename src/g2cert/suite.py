@@ -68,7 +68,9 @@ CENSUS_BOUND = 10
 
 
 class SuiteConfig:
-    """Everything a run depends on; equal configs give byte-identical reports."""
+    """Everything a run depends on; equal configs give byte-identical reports.
+    ``checks`` is None (all) or a tuple of ids; one not in ``CHECK_IDS``
+    raises ValueError naming it and the valid ids, the one check of a selection."""
 
     __slots__ = ("seed", "samples", "checks")
 
@@ -77,6 +79,8 @@ class SuiteConfig:
             raise ValueError("seed and samples must be ints")
         if checks is not None and not (type(checks) is tuple and all(type(c) is str for c in checks)):
             raise ValueError("checks must be None or a tuple of check ids")
+        if unknown := set(checks or ()).difference(CHECK_IDS):
+            raise ValueError(f"unknown check ids: {', '.join(sorted(unknown))}; valid ids: {', '.join(CHECK_IDS)}")
         if not (0 <= seed < 2**64):
             raise ValueError("seed must fit in 64 unsigned bits")
         if not (0 <= samples <= MAX_SAMPLES):
@@ -607,11 +611,9 @@ CHECK_IDS = tuple(c.id for c in CHECKS)
 
 def run_all(cfg: SuiteConfig, ctx: Optional[VerificationContext] = None) -> list[CheckReport]:
     """Run the selected checks (with their dependencies) in table order, which
-    is dependency order; the returned list is sorted by check id."""
+    is dependency order; the returned list is sorted by check id.  ``cfg``'s
+    ids are known (``SuiteConfig`` checks them), so the selection raises nothing."""
     selected = set(CHECK_IDS if cfg.checks is None else cfg.checks)
-    unknown = selected.difference(CHECK_IDS)
-    if unknown:
-        raise KeyError(f"unknown check ids: {', '.join(sorted(unknown))}")
     for cdef in reversed(CHECKS):  # every dep comes earlier in the table
         if cdef.id in selected:
             selected.update(cdef.deps)

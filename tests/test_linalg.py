@@ -1080,7 +1080,7 @@ def test_rank_matches_rref(m):
         [[1, -2], [3, 4]],
         [[Fraction(1, 2), Fraction(-3)], [Fraction(5, 6), 0]],
         [2**70, Fraction(-1, 3), 7],  # Python ints past int64
-        [True, 2, Fraction(1, 4)],  # an int subclass
+        np.array([[2**64 - 1, 7]], dtype=np.uint64),  # an unsigned array past int64
         np.array([np.int64(3), np.int32(-4), 5], dtype=object),  # numpy ints, read as ints
         np.array([[3, -4]], dtype=np.int64),
         Fraction(3, 4),  # a 0-d array
@@ -1120,6 +1120,28 @@ def test_int_cleared_rejects_an_inexact_leaf(values):
     0.1 would otherwise be read as 3602879701896397 / 2**55."""
     with pytest.raises(TypeError):
         int_cleared(values)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda: int_cleared([True, 2]),
+        lambda: int_cleared(np.array([[True, False]])),
+        lambda: signature([[True]]),
+        lambda: signature(np.array([[True, False], [False, True]])),
+        lambda: StructureConstantAlgebra(1, [[[True]]]),
+        lambda: StructureConstantAlgebra(1, [[[1]]]).multiply([True], [1]),
+        lambda: Matrix([[True, 0], [0, 1]]),
+        # a fresh form: the unit cache keys (True, 0) equal to (1, 0), so a form holding (1, 0)'s facts would not read the input
+        lambda: NormForm(np.eye(2, dtype=np.int64)).unit_facts((True, 0)),
+    ],
+    ids=["int_cleared-leaf", "int_cleared-array", "signature-leaf", "signature-array", "algebra", "multiply", "matrix", "unit_facts"],
+)
+def test_exact_readers_reject_a_bool(read):
+    """A bool is not read as an integer, as int_array and Exact.held reject it:
+    True would otherwise be held as 1."""
+    with pytest.raises(TypeError):
+        read()
 
 
 def test_int_cleared_of_the_cayley_constants_matches_the_three_pass_reference():
